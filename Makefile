@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: check test compile smoke bench bench-gate diff-fidelity fleet
+.PHONY: check test compile smoke bench bench-gate fleet
 
 check: test compile smoke
 
@@ -33,10 +33,3 @@ bench-gate:
 # violations.  `make fleet FLEET_FLAGS="--shards 8 --seed 2024"`.
 fleet:
 	$(PYTHON) scripts/fleet.py $(FLEET_FLAGS)
-
-# differential fidelity gate: every scenario must be byte-identical
-# between the per-cell loop and the cell-train fast path (and, with
-# --hybrid in DIFF_FIDELITY_FLAGS, hybrid must hold its toleranced
-# contract); prints the repro.obs diff attribution table per scenario
-diff-fidelity:
-	$(PYTHON) scripts/diff_fidelity.py $(DIFF_FIDELITY_FLAGS)

@@ -126,6 +126,7 @@ def test_policing_protects_conformant_flows(benchmark):
     violator's cells reach the victim's queue."""
     from repro.atm.aal5 import segment_pdu
     from repro.atm.topology import star_campus
+    from repro.atm.train import CellTrain
 
     def run(police: bool):
         sim = Simulator()
@@ -149,7 +150,8 @@ def test_policing_protects_conformant_flows(benchmark):
 
         sim.spawn(victim_source())
         # the violator bypasses shaper AND uplink: bursts of raw cells
-        # slam straight into the switch, as a broken NIC would
+        # slam straight into the switch, as a broken NIC would send
+        # them, each arriving on its own as a queued cell does
         sw = net.switches["sw0"]
 
         def flood():
@@ -159,7 +161,9 @@ def test_policing_protects_conformant_flows(benchmark):
                 for cell in segment_pdu(bytes(2000), vpi=0,
                                         vci=violator.first_vci,
                                         first_seqno=burst):
-                    sw.receive(cell, "violator")
+                    sw.receive_train(CellTrain([cell], ServiceCategory.CBR,
+                                               [sim.now], per_cell=True),
+                                     "violator")
                 yield 0.001
         sim.spawn(flood())
         sim.run(until=3.0)

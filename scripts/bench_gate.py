@@ -101,8 +101,8 @@ MAX_OBS_OVERHEAD_PCT = 15.0
 
 #: per-scenario floors for ``events_run / sim_time`` — the scripted
 #: load each scenario must keep scheduling (per-cell-equivalent
-#: events, so the batched fast path is held to the same bar as the
-#: legacy per-cell loop it replaced).  Deterministic given the seed;
+#: events, so cell trains are held to the same bar as an
+#: event-per-cell loop).  Deterministic given the seed;
 #: set ~10% under the recorded value so only a real loss of simulated
 #: work (a silently skipped stream, an unscheduled classroom) trips
 #: it, not counter jitter from an intended change.

@@ -2,7 +2,13 @@
 
 The 1996 MITS prototype ran over OCRInet, a physical ATM research
 network in the Ottawa region.  This subpackage replaces that hardware
-with a cell-level discrete-event simulator:
+with a cell-level discrete-event simulator.  Every AAL5 frame travels
+as one :class:`~repro.atm.train.CellTrain`: each link, switch and host
+handles the burst in one callback while computing every cell's
+timestamps and counters.  Where cells contend for a transmitter, the
+link's per-category priority queue takes them one at a time and hands
+each on at its own arrival instant (DESIGN.md §"Cell trains and the
+per-cell queue"):
 
 * :mod:`repro.atm.simulator` — the event-queue kernel every other
   component schedules on;
@@ -17,9 +23,8 @@ with a cell-level discrete-event simulator:
   with per-category priority queueing;
 * :mod:`repro.atm.network` — hosts, VC setup/routing and the
   end-to-end cell relay;
-* :mod:`repro.atm.train` / :mod:`repro.atm.flow` — the batched and
-  flow-level fast paths (``fidelity="batched"`` / ``"hybrid"``; see
-  DESIGN.md §"Fast path & hybrid fidelity");
+* :mod:`repro.atm.train` — the cell train, the unit every stage
+  forwards;
 * :mod:`repro.atm.topology` — canned topologies, including an
   OCRInet-like metro WAN.
 """
@@ -36,7 +41,6 @@ from repro.atm.qos import (
 from repro.atm.link import Link
 from repro.atm.switch import Switch, VcTableEntry
 from repro.atm.train import CellTrain
-from repro.atm.flow import FlowLane
 from repro.atm.network import AtmNetwork, Host, VirtualCircuit
 
 __all__ = [
@@ -60,7 +64,6 @@ __all__ = [
     "Switch",
     "VcTableEntry",
     "CellTrain",
-    "FlowLane",
     "AtmNetwork",
     "Host",
     "VirtualCircuit",

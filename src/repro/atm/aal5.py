@@ -80,22 +80,27 @@ def parse_cpcs_pdu(pdu: bytes) -> bytes:
     return pdu[: trailer.length]
 
 
+def _cut_cells(pdu: bytes, vpi: int, vci: int, clp: int,
+               created_at: float, first_seqno: int) -> List[Cell]:
+    """Cut a framed CPCS-PDU into 48-octet cells; the last carries
+    ``PTI_USER_LAST``, all others ``PTI_USER_0``."""
+    last = len(pdu) // PAYLOAD_SIZE - 1
+    return [Cell(header=CellHeader(vpi=vpi, vci=vci,
+                                   pti=PTI_USER_LAST if i == last
+                                   else PTI_USER_0, clp=clp),
+                 payload=pdu[i * PAYLOAD_SIZE:(i + 1) * PAYLOAD_SIZE],
+                 created_at=created_at, seqno=first_seqno + i)
+            for i in range(last + 1)]
+
+
 def segment_pdu(payload: bytes, vpi: int, vci: int, *, clp: int = 0,
                 created_at: float = 0.0, first_seqno: int = 0) -> List[Cell]:
     """Segment *payload* into a list of ATM cells (AAL5 framing applied).
 
     The last cell carries ``PTI_USER_LAST``; all others ``PTI_USER_0``.
     """
-    pdu = build_cpcs_pdu(payload)
-    ncells = len(pdu) // PAYLOAD_SIZE
-    cells = []
-    for i in range(ncells):
-        chunk = pdu[i * PAYLOAD_SIZE : (i + 1) * PAYLOAD_SIZE]
-        pti = PTI_USER_LAST if i == ncells - 1 else PTI_USER_0
-        hdr = CellHeader(vpi=vpi, vci=vci, pti=pti, clp=clp)
-        cells.append(Cell(header=hdr, payload=chunk,
-                          created_at=created_at, seqno=first_seqno + i))
-    return cells
+    return _cut_cells(build_cpcs_pdu(payload), vpi, vci, clp, created_at,
+                      first_seqno)
 
 
 class Aal5Sender:
@@ -109,39 +114,20 @@ class Aal5Sender:
         self.pdus_sent = 0
         self.cells_sent = 0
 
-    def segment(self, payload: bytes, created_at: float = 0.0) -> List[Cell]:
-        cells = segment_pdu(payload, self.vpi, self.vci, clp=self.clp,
-                            created_at=created_at,
-                            first_seqno=self._next_seqno)
+    def segment_train(self, payload: bytes,
+                      created_at: float = 0.0) -> "tuple[List[Cell], bytes]":
+        """Segment *payload*; return its cells and the CPCS-PDU bytes.
+
+        Cell sequence numbers continue from the previous frame.  The
+        PDU rides on the cell train so the receiving host can
+        reassemble without re-joining the 48-octet payload slices.
+        """
+        pdu = build_cpcs_pdu(payload)
+        cells = _cut_cells(pdu, self.vpi, self.vci, self.clp, created_at,
+                           self._next_seqno)
         self._next_seqno += len(cells)
         self.pdus_sent += 1
         self.cells_sent += len(cells)
-        return cells
-
-    def segment_train(self, payload: bytes,
-                      created_at: float = 0.0) -> "tuple[List[Cell], bytes]":
-        """Like :meth:`segment`, but also returns the CPCS-PDU bytes.
-
-        The batched fast path attaches the PDU to the cell train so the
-        receiving host can reassemble without re-joining the 48-octet
-        payload slices.  Cells and sender counters are identical to
-        :meth:`segment`.
-        """
-        pdu = build_cpcs_pdu(payload)
-        ncells = len(pdu) // PAYLOAD_SIZE
-        vpi, vci, clp = self.vpi, self.vci, self.clp
-        seqno = self._next_seqno
-        cells = []
-        for i in range(ncells):
-            pti = PTI_USER_LAST if i == ncells - 1 else PTI_USER_0
-            hdr = CellHeader(vpi=vpi, vci=vci, pti=pti, clp=clp)
-            cells.append(Cell(header=hdr,
-                              payload=pdu[i * PAYLOAD_SIZE:
-                                          (i + 1) * PAYLOAD_SIZE],
-                              created_at=created_at, seqno=seqno + i))
-        self._next_seqno += ncells
-        self.pdus_sent += 1
-        self.cells_sent += ncells
         return cells, pdu
 
 

@@ -7,6 +7,14 @@ within a category, CLP=1 cells are dropped first under overflow).
 
 Serialization time per cell is ``424 bits / rate``; cells arrive at
 the attached sink one propagation delay after transmission completes.
+
+Cells reach the link as :class:`~repro.atm.train.CellTrain` bursts.
+A burst the transmitter can serve without contention is committed
+arithmetically (:meth:`Link.enqueue_train`); anything else is expanded
+into the per-cell priority queue, which is the contention model.
+Either way the far end receives trains through the link's single
+train sink: a committed burst in one call, and each cell that left the
+queue as a one-cell ``per_cell`` train at its own arrival instant.
 """
 
 from __future__ import annotations
@@ -59,8 +67,11 @@ class LinkStats:
 class Link:
     """Unidirectional cell pipe with priority queueing.
 
-    The *sink* is any callable taking one :class:`Cell`; it is invoked
-    when the cell fully arrives at the far end.
+    The *sink_train* is any callable taking one :class:`CellTrain`
+    whose ``times`` hold the per-cell far-end arrival instants.  It is
+    called at the first cell's arrival: for a committed burst, once
+    for the whole burst; for a cell from the queue (or one that jitter
+    split off a burst), once per cell, in an event of its own.
     """
 
     def __init__(self, sim: Simulator, rate_bps: float, prop_delay: float = 1e-5,
@@ -99,9 +110,8 @@ class Link:
         #: the AAL5 CRC turns into detected frame loss upstream
         self._jitter = 0.0
         self._jitter_rng: Optional[random.Random] = None
-        self.sink: Optional[Callable[[Cell], None]] = None
-        #: train-aware sink (same far end as ``sink``); when absent,
-        #: arriving trains are expanded back into per-cell events
+        #: the far end; when absent, transmitted cells are counted as
+        #: ``dropped_no_sink``
         self.sink_train: Optional[Callable[[CellTrain], None]] = None
         #: per-category FIFO of (cell, category, enqueue_time); the
         #: timestamp feeds queue-residency accounting in the ledger
@@ -111,7 +121,7 @@ class Link:
         self._queued = 0
         self._busy = False
         #: transmitter clock: the time the serializer frees up, shared
-        #: by the per-cell path and the arithmetic train fast path so
+        #: by the per-cell queue and the arithmetic train commits so
         #: the two can interleave without overbooking link capacity
         self._free_at = 0.0
         #: cells committed to the transmitter as trains and not yet
@@ -119,9 +129,9 @@ class Link:
         #: holds at every event boundary
         self._train_inflight = 0
         #: service-start times of committed train cells that have not
-        #: started yet — replays the per-cell path's queue-occupancy
-        #: gauge excursions (each legacy cell visits the queue between
-        #: its arrival and its service start)
+        #: started yet — replays the queue-occupancy gauge excursions
+        #: (each queued cell visits the queue between its arrival and
+        #: its service start)
         self._future_starts: Deque[float] = deque()
         self.stats = LinkStats()
         #: bandwidth reserved by connection admission (bits/s)
@@ -211,8 +221,8 @@ class Link:
     @property
     def in_service(self) -> int:
         """Cells committed to the transmitter and not yet finished:
-        1 while a per-cell transmission is serializing, plus every cell
-        of any train in arithmetic flight."""
+        1 while a queued cell is serializing, plus every cell of any
+        train in arithmetic flight."""
         return (1 if self._busy else 0) + self._train_inflight
 
     def enqueue(self, cell: Cell, category: ServiceCategory = ServiceCategory.UBR) -> bool:
@@ -279,7 +289,7 @@ class Link:
             return
         for q in self._queues:
             if q:
-                cell, _cat, enq_time = q.popleft()
+                cell, cat, enq_time = q.popleft()
                 self._queued -= 1
                 self.acct.dwell(self.sim.now - enq_time)
                 self._m_occupancy.set(self._queued)
@@ -290,17 +300,18 @@ class Link:
         self._busy = True
         tx = self.cell_time
         self.stats.busy_time += tx
-        # serialize after any train still arithmetically in flight; in
-        # pure per-cell runs _free_at is always <= now, so this reduces
-        # to the legacy schedule(tx) with bit-identical timestamps
+        # serialize after any train still arithmetically in flight;
+        # with no train in flight _free_at <= now and this is now + tx
         start = self._free_at
         now = self.sim.now
         if start < now:
             start = now
         self._free_at = start + tx
-        self.sim.schedule_at(start + tx, self._finish_transmission, cell)
+        self.sim.schedule_at(start + tx, self._finish_transmission, cell,
+                             cat)
 
-    def _finish_transmission(self, cell: Cell) -> None:
+    def _finish_transmission(self, cell: Cell,
+                             category: ServiceCategory) -> None:
         self.stats.transmitted += 1
         self._m_transmitted.inc()
         if self._down:
@@ -312,18 +323,18 @@ class Link:
                 self._error_rng.random() < self._error_rate:
             self.stats.dropped_errors += 1
             self._count_drop("error", "any")
-        elif self.sink is not None:
+        elif self.sink_train is not None:
             self.stats.delivered += 1
             delay = self.prop_delay
             if self._jitter_rng is not None:
                 delay += self._jitter_rng.uniform(0.0, self._jitter)
-            self.sim.schedule(delay, self.sink, cell)
+            self._deliver_cell(cell, category, self.sim.now + delay)
         else:
             self.stats.dropped_no_sink += 1
             self._count_drop("no_sink", "any")
         self._start_transmission()
 
-    # -- cell-train fast path --------------------------------------------
+    # -- cell trains -----------------------------------------------------
 
     def commit_train(self, train: CellTrain) -> None:
         """Scheduled entry point for a train commit (first departure due)."""
@@ -333,21 +344,21 @@ class Link:
         """Offer a whole train to the transmitter.
 
         Returns the number of cells committed arithmetically (0 when
-        the train was expanded back into exact per-cell events).
+        the train was expanded into the per-cell queue).
 
-        The fast path is taken only when it is provably equivalent to
-        per-cell processing: transmitter idle or train-only backlog, no
-        armed loss/error/jitter RNG (those draw once per transmitted
-        cell — the stream must be preserved), a train-aware sink, and
-        room in the buffer.  Everything else falls back to scheduling
-        the legacy ``enqueue`` per cell at its exact departure time.
+        The arithmetic commit is taken only when it is provably what
+        the per-cell queue would do: transmitter idle or train-only
+        backlog, no armed loss/error/jitter RNG (those draw once per
+        transmitted cell — the stream must be preserved), a sink, and
+        room in the buffer.  Everything else is expanded: ``enqueue``
+        is scheduled per cell at its exact departure time.
 
         **Horizon rule.**  Every pending event fires at some time
         ``H`` or later, and an event at time ``t`` can only create new
         departures at ``t`` or later, so departures *strictly before*
         ``H`` are final: no cross-traffic can still slip between them,
         and the wire schedule computed here is exactly what the
-        per-cell path would have produced.  Cells due at or after
+        per-cell queue would have produced.  Cells due at or after
         ``H`` are split off and re-committed when their time comes —
         by then any interleaving traffic has committed ahead of them.
         """
@@ -358,7 +369,7 @@ class Link:
                 or self._jitter_rng is not None
                 or self.sink_train is None
                 or n + self._train_inflight > self.buffer_cells):
-            self._expand_train(train)
+            self.expand_train(train)
             return 0
         sim = self.sim
         times = train.times
@@ -368,7 +379,7 @@ class Link:
             # a departure is safe if it precedes every pending event
             # (nothing can still commit ahead of it) or is already due
             # (this commit is the earliest event, so any same-time
-            # rival enqueues after us — legacy order)
+            # rival enqueues after us, as per-cell enqueues would)
             k = 0
             while k < n and (times[k] < horizon or times[k] <= now):
                 k += 1
@@ -377,8 +388,8 @@ class Link:
                 # or beyond the next pending event: cross-traffic with
                 # earlier departures may still commit — wait until due.
                 # The deferral keeps this event's seq: among equal
-                # timestamps the legacy per-cell events it stands for
-                # were sequenced with THIS commit attempt, so a rival
+                # timestamps the per-cell enqueues it stands for are
+                # sequenced with THIS commit attempt, so a rival
                 # scheduled later must not overtake it
                 sim.reschedule_at(times[0], sim.current_seq,
                                   self.commit_train, train)
@@ -417,9 +428,9 @@ class Link:
         stats.busy_time += tx * n
         self._free_at = free
         self._train_inflight += n
-        # the legacy path walks every cell through the queue between
-        # arrival and service start; replay the same gauge excursion
-        # (peak depth seen, then drained) so snapshots stay identical
+        # a queued cell walks through the queue between arrival and
+        # service start; replay the same gauge excursion (peak depth
+        # seen, then drained) so snapshots match the per-cell queue
         self._m_occupancy.set(occ_max)
         self._m_occupancy.set(0)
         sim.schedule_at(times[0], self._deliver_train, train)
@@ -427,8 +438,9 @@ class Link:
             sim.charge_cells(n - 1)
         return n
 
-    def _expand_train(self, train: CellTrain) -> None:
-        """Re-schedule a train as exact legacy per-cell enqueue events."""
+    def expand_train(self, train: CellTrain) -> None:
+        """Offer each cell of *train* to the per-cell queue: one
+        ``enqueue`` event per cell at its own departure time."""
         sim = self.sim
         now = sim.now
         enqueue = self.enqueue
@@ -466,8 +478,8 @@ class Link:
             del times[k:]
             train.pdu = None
             # re-delivery inherits this event's seq for the same reason
-            # commit continuations do: the legacy finish events for the
-            # remaining cells were sequenced with this delivery
+            # commit continuations do: the per-cell finish events for
+            # the remaining cells are sequenced with this delivery
             sim.reschedule_at(rest.times[0], sim.current_seq,
                               self._deliver_train, rest)
             n = k
@@ -488,7 +500,7 @@ class Link:
         """Per-cell fate for a delivery window a fault event touched:
         an outage edge, or an error/jitter RNG armed mid-flight.  Each
         cell is judged by the link state at its own finish instant,
-        exactly as the per-cell ``_finish_transmission`` would have."""
+        exactly as ``_finish_transmission`` judges a queued cell."""
         stats = self.stats
         prop = self.prop_delay
         down_since = self._down_since
@@ -510,11 +522,11 @@ class Link:
                 stats.dropped_errors += 1
                 self._count_drop("error", "any")
             elif jit_rng is not None:
+                # jitter can reorder cells: each arrives on its own
                 stats.delivered += 1
-                if self.sink is not None:
-                    self.sim.schedule_at(
-                        finish + (prop + jit_rng.uniform(0.0, self._jitter)),
-                        self.sink, cell)
+                self._deliver_cell(
+                    cell, train.category,
+                    finish + (prop + jit_rng.uniform(0.0, self._jitter)))
             else:
                 stats.delivered += 1
                 survivors.append(cell)
@@ -524,6 +536,14 @@ class Link:
                 survivors, train.category, surv_times,
                 train.pdu if len(survivors) == len(train.cells) else None,
                 charged=train.charged))
+
+    def _deliver_cell(self, cell: Cell, category: ServiceCategory,
+                      arrival: float) -> None:
+        """Book one cell's arrival at the far end as an event of its
+        own, so the receiver meets it in the state of that instant."""
+        self.sim.schedule_at(arrival, self.sink_train,
+                             CellTrain([cell], category, [arrival],
+                                       per_cell=True))
 
     def utilization(self) -> float:
         """Fraction of elapsed simulated time the transmitter was busy."""

@@ -23,21 +23,16 @@ from repro.atm.aal5 import (
     Aal5Receiver, Aal5Sender, TRAILER_SIZE, parse_cpcs_pdu,
 )
 from repro.atm.cell import Cell, PAYLOAD_SIZE
-from repro.atm.flow import FlowLane
 from repro.atm.link import Link
 from repro.atm.train import CellTrain
 from repro.atm.qos import (
     LeakyBucketShaper,
-        TrafficContract,
+    TrafficContract,
     UsageParameterControl,
 )
 from repro.atm.simulator import Simulator
 from repro.atm.switch import Switch, VcTableEntry
 from repro.util.errors import DecodingError, NetworkError
-
-#: fidelity modes understood by :class:`AtmNetwork`
-FIDELITY_MODES = ("cell", "batched", "hybrid")
-
 
 #: how many raw per-PDU delay samples a VC keeps (the full
 #: distribution lives in the bounded metrics histogram)
@@ -50,11 +45,11 @@ SEND_TIME_CAP = 8192
 
 
 class SwitchPortSink:
-    """Per-cell link sink delivering into one switch input port.
+    """Link sink delivering trains into one switch input port.
 
     A bound method instead of a per-link lambda: the profiler can
     attribute its cost to a real qualname, and the hot path avoids a
-    closure-cell dereference per delivered cell.
+    closure-cell dereference per delivered train.
     """
 
     __slots__ = ("switch", "port")
@@ -62,9 +57,6 @@ class SwitchPortSink:
     def __init__(self, switch: Switch, port: str) -> None:
         self.switch = switch
         self.port = port
-
-    def receive_cell(self, cell: Cell) -> None:
-        self.switch.receive(cell, self.port)
 
     def receive_train(self, train: CellTrain) -> None:
         self.switch.receive_train(train, self.port)
@@ -99,9 +91,6 @@ class VirtualCircuit:
         self.shaper = LeakyBucketShaper(contract)
         self.stats = VcStats()
         self.open = True
-        #: hybrid fidelity: a FlowLane when this VC is simulated at
-        #: flow level (background class); None keeps cell-level
-        self.lane: Optional[FlowLane] = None
         metrics = src.sim.metrics
         route = f"{src.name}->{dst.name}"
         self.delay_hist = metrics.histogram("vc", "pdu_delay_seconds",
@@ -127,10 +116,6 @@ class Host:
         self.name = name
         self.uplink: Optional[Link] = None          # host -> switch
         self.attached_switch: Optional[Switch] = None
-        #: set by AtmNetwork from its fidelity mode: when True, each
-        #: PDU's cells leave as ONE committed train instead of n
-        #: scheduled per-cell enqueues
-        self.batching = False
         # receive side: vci -> (reassembler, handler, vc)
         self._rx: Dict[int, Tuple[Aal5Receiver, Callable, VirtualCircuit]] = {}
         self._send_times: Dict[Tuple[int, int], float] = {}
@@ -152,35 +137,20 @@ class Host:
         self._send_times[(vc_id, seqno)] = now
 
     def _transmit(self, vc: VirtualCircuit, payload: bytes) -> None:
-        lane = vc.lane
-        if lane is not None:
-            lane.send(payload)
-            return
         now = self.sim.now
-        batching = self.batching
-        if batching:
-            cells, pdu = vc.sender.segment_train(payload, created_at=now)
-        else:
-            cells = vc.sender.segment(payload, created_at=now)
+        cells, pdu = vc.sender.segment_train(payload, created_at=now)
         vc.stats.pdus_sent += 1
         vc.stats.bytes_sent += len(payload)
         vc._m_pdus_sent.inc()
         vc.acct.sent(units=1, cells=len(cells), nbytes=len(payload))
         self.acct.sent(units=1, cells=len(cells), nbytes=len(payload))
         self._note_send_time(vc.vc_id, cells[-1].seqno, now)
-        category = vc.contract.category
+        # one shaper call per cell gives each its departure time; the
+        # whole burst becomes ONE commit event at its first departure
         next_departure = vc.shaper.next_departure
-        if batching:
-            # identical per-cell shaper calls keep bucket state and
-            # departure times bit-equal to the per-cell path; the whole
-            # burst becomes ONE commit event at its first departure
-            times = [next_departure(now) for _ in cells]
-            train = CellTrain(cells, category, times, pdu)
-            self.sim.schedule_at(times[0], self.uplink.commit_train, train)
-        else:
-            for cell in cells:
-                self.sim.schedule_at(next_departure(now),
-                                     self.uplink.enqueue, cell, category)
+        times = [next_departure(now) for _ in cells]
+        train = CellTrain(cells, vc.contract.category, times, pdu)
+        self.sim.schedule_at(times[0], self.uplink.commit_train, train)
 
     def _bind_receive(self, vci: int, vc: VirtualCircuit,
                       handler: Callable[[bytes, "DeliveryInfo"], None]) -> None:
@@ -201,22 +171,13 @@ class Host:
                                           hops=last_cell.hops))
         self._rx[vci] = (Aal5Receiver(on_pdu), handler, vc)
 
-    def receive_cell(self, cell: Cell) -> None:
-        """Entry point wired as the sink of the host's downlink."""
-        entry = self._rx.get(cell.header.vci)
-        if entry is None:
-            # cell for a closed/unknown VC
-            self.unbound_cells += 1
-            self._m_unbound.inc()
-            return
-        entry[0].receive(cell)
-
     def receive_train(self, train: CellTrain) -> None:
-        """Train-aware downlink sink: one lookup for the whole burst.
+        """The sink of the host's downlink: one lookup per burst.
 
-        PDU completion is deferred to the LAST cell's arrival time so
-        delivery timestamps, delays and histograms match the per-cell
-        path bit for bit.
+        PDU completion is deferred to the LAST cell's arrival time, so
+        delivery timestamps, delays and histograms are those of the
+        cell that completes the frame.  A ``per_cell`` train already
+        runs at its cell's arrival and is reassembled at once.
         """
         cells = train.cells
         n = len(cells)
@@ -224,13 +185,18 @@ class Host:
         if entry is None:
             self.unbound_cells += n
             self._m_unbound.inc(n)
-            self.sim.charge_cells(n)
+            if not train.per_cell:
+                self.sim.charge_cells(n)
+            return
+        if train.per_cell:
+            for c in cells:
+                entry[0].receive(c)
             return
         t_last = train.times[-1]
         now = self.sim.now
         self.sim.schedule_at(t_last if t_last > now else now,
                              self._finalize_train, entry[0], train)
-        # n legacy receive events, minus the finalize event just booked
+        # n per-cell arrival events, minus the finalize event booked
         self.sim.charge_cells(n - 1)
 
     def _finalize_train(self, rx: Aal5Receiver, train: CellTrain) -> None:
@@ -245,8 +211,8 @@ class Host:
             return
         last = cells[-1]
         if rx._buffer or not last.header.is_last_of_frame:
-            # a partial frame is pending (per-cell fault-window
-            # residue) — feed cells one by one, exact legacy semantics
+            # a partial frame is pending (one-cell trains, or residue
+            # of a fault window) — feed the cells one by one
             for c in cells:
                 rx.receive(c)
             return
@@ -305,17 +271,9 @@ class AtmNetwork:
     """The assembled network: topology + signalling + admission."""
 
     def __init__(self, sim: Simulator, *, police: bool = True,
-                 admission_utilization: float = 0.9,
-                 fidelity: str = "batched") -> None:
-        if fidelity not in FIDELITY_MODES:
-            raise ValueError(
-                f"unknown fidelity {fidelity!r}; pick one of {FIDELITY_MODES}")
+                 admission_utilization: float = 0.9) -> None:
         self.sim = sim
         self.police = police
-        #: simulation fidelity: "cell" = legacy one-event-per-cell,
-        #: "batched" = cell-train fast path (default, equivalent),
-        #: "hybrid" = batched foreground + flow-level background VCs
-        self.fidelity = fidelity
         self.admission_utilization = admission_utilization
         self.hosts: Dict[str, Host] = {}
         self.switches: Dict[str, Switch] = {}
@@ -349,12 +307,8 @@ class AtmNetwork:
                   name=f"{name}->{switch_name}")
         down = Link(self.sim, rate_bps, prop_delay, buffer_cells,
                     name=f"{switch_name}->{name}")
-        port_sink = SwitchPortSink(sw, name)
-        up.sink = port_sink.receive_cell
-        up.sink_train = port_sink.receive_train
-        down.sink = host.receive_cell
+        up.sink_train = SwitchPortSink(sw, name).receive_train
         down.sink_train = host.receive_train
-        host.batching = self.fidelity != "cell"
         host.uplink = up
         host.attached_switch = sw
         sw.attach_output(name, down)
@@ -371,10 +325,8 @@ class AtmNetwork:
                 raise NetworkError(f"trunk endpoints must be switches: {src}, {dst}")
             link = Link(self.sim, rate_bps, prop_delay, buffer_cells,
                         name=f"{src}->{dst}")
-            sw_dst = self.switches[dst]
-            port_sink = SwitchPortSink(sw_dst, src)
-            link.sink = port_sink.receive_cell
-            link.sink_train = port_sink.receive_train
+            link.sink_train = SwitchPortSink(self.switches[dst],
+                                             src).receive_train
             self.switches[src].attach_output(dst, link)
             self.links[(src, dst)] = link
 
@@ -423,19 +375,13 @@ class AtmNetwork:
         return next(self._vci_alloc[key])
 
     def open_vc(self, src: str, dst: str, contract: TrafficContract,
-                handler: Callable[[bytes, DeliveryInfo], None], *,
-                flow_class: str = "foreground") -> VirtualCircuit:
+                handler: Callable[[bytes, DeliveryInfo], None]
+                ) -> VirtualCircuit:
         """Set up a unidirectional VC src->dst, or raise NetworkError.
 
         Performs admission control along the route: the contract's
         effective bandwidth must fit within ``admission_utilization``
         of every link's remaining capacity.
-
-        *flow_class* matters only under ``fidelity="hybrid"``:
-        ``"background"`` VCs are collapsed to flow-level segments
-        (see :mod:`repro.atm.flow`); ``"foreground"`` VCs — everything
-        opened directly by streaming/conference code — keep cell-level
-        simulation.
         """
         if src not in self.hosts or dst not in self.hosts:
             raise NetworkError("VC endpoints must be hosts")
@@ -474,9 +420,6 @@ class AtmNetwork:
         vc = VirtualCircuit(vc_id, self.hosts[src], self.hosts[dst],
                             contract, path, first_vci, last_vci=in_vci)
         self.hosts[dst]._bind_receive(in_vci, vc, handler)
-        if self.fidelity == "hybrid" and flow_class == "background":
-            vc.lane = FlowLane(vc, hop_links,
-                               [self.switches[p] for p in path[1:-1]])
         self.vcs[vc_id] = vc
         return vc
 
@@ -487,19 +430,15 @@ class AtmNetwork:
 
     def open_duplex(self, a: str, b: str, contract: TrafficContract,
                     handler_a: Callable[[bytes, DeliveryInfo], None],
-                    handler_b: Callable[[bytes, DeliveryInfo], None], *,
-                    flow_class: str = "background") -> DuplexChannel:
+                    handler_b: Callable[[bytes, DeliveryInfo], None]
+                    ) -> DuplexChannel:
         """Open a symmetric VC pair; *handler_a* receives b->a traffic.
 
-        Duplex pairs carry the request/response transport under RPC —
-        background load by default, so hybrid fidelity collapses them
-        to flow level while direct ``open_vc`` streams stay cell-level.
+        Duplex pairs carry the request/response transport under RPC.
         """
-        fwd = self.open_vc(a, b, contract, handler_b,
-                           flow_class=flow_class)
+        fwd = self.open_vc(a, b, contract, handler_b)
         try:
-            bwd = self.open_vc(b, a, contract, handler_a,
-                               flow_class=flow_class)
+            bwd = self.open_vc(b, a, contract, handler_a)
         except NetworkError:
             self.close_vc(fwd)
             raise

@@ -77,12 +77,12 @@ class Simulator:
         #: it from dormancy when new work arrives (see obs/timeseries)
         self._sampler: Optional[Any] = None
         #: per-cell-equivalent events credited by the *currently running*
-        #: callback via charge_cells() — lets batched handlers (one event
+        #: callback via charge_cells() — lets train handlers (one event
         #: for a whole cell train) keep events_run and profiler call
-        #: counts comparable with the legacy one-event-per-cell path
+        #: counts at one-event-per-cell scale
         self.event_extra = 0
         #: heap seq of the event currently executing — the tie-break
-        #: identity batched continuations inherit via reschedule_at()
+        #: identity train continuations inherit via reschedule_at()
         self.current_seq: Optional[int] = None
         self._m_events = self.metrics.counter("simulator", "events_run")
         self._m_scheduled = self.metrics.counter("simulator", "events_scheduled")
@@ -113,9 +113,9 @@ class Simulator:
 
         The event fires at exactly *time* — not ``now + (time - now)``,
         whose round-trip through float subtraction can land one ULP
-        off.  The batched fast path relies on this: arithmetic cell
-        times and event timestamps must be the same floats for the
-        differential harness to see byte-identical snapshots.
+        off.  Cell trains rely on this: arithmetic cell times and event
+        timestamps must be the same floats, or a train would deliver
+        one ULP away from the per-cell queue.
         """
         if time < self._now:
             raise ValueError(
@@ -126,10 +126,10 @@ class Simulator:
                       callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule *callback* at *time*, inheriting tie-break *seq*.
 
-        The batched fast path re-schedules the un-final remainder of a
-        cell train as a continuation event.  Among equal timestamps
-        the heap breaks ties by seq, and the legacy per-cell events a
-        continuation stands for were sequenced when the train was
+        A link re-schedules the un-final remainder of a cell train as
+        a continuation event.  Among equal timestamps the heap breaks
+        ties by seq, and the per-cell events a continuation stands
+        for are sequenced when the train was
         first scheduled — so the continuation must compete with that
         original seq, not a fresh one, or a rival train scheduled
         after it (higher seq) but due at the same instant would
@@ -163,10 +163,11 @@ class Simulator:
     def charge_cells(self, extra: int) -> None:
         """Credit *extra* per-cell-equivalent events to the running event.
 
-        Batched handlers process a whole cell train in one callback;
-        charging the equivalent legacy event count keeps ``events_run``
-        (and everything derived from it: bench vectors, the perf floor,
-        profiler call counts) comparable across fidelity modes.
+        Train handlers process a whole cell train in one callback;
+        charging the equivalent one-event-per-cell count keeps
+        ``events_run`` (and everything derived from it: bench vectors,
+        the perf floor, profiler call counts) a per-cell measure of
+        simulated work, independent of how cells were batched.
         """
         if extra <= 0:
             return

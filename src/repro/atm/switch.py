@@ -1,12 +1,13 @@
 """Output-buffered ATM switches.
 
 A switch owns a set of named ports.  Each port has an outgoing
-:class:`~repro.atm.link.Link`; incoming cells are delivered by the
-upstream link together with the port they arrived on.  Forwarding is a
-VP/VC table lookup keyed on ``(in_port, vpi, vci)``; the entry gives
-the output port and the relabelled VPI/VCI — the classic ATM label
-swap.  Cells with no table entry are counted and discarded, as real
-switches do.
+:class:`~repro.atm.link.Link`; incoming cell trains are delivered by
+the upstream link together with the port they arrived on.  Forwarding
+is a VP/VC table lookup keyed on ``(in_port, vpi, vci)``; the entry
+gives the output port and the relabelled VPI/VCI — the classic ATM
+label swap.  Cells with no table entry are counted and discarded, as
+real switches do.  The fabric traversal is a fixed delay added to each
+cell's arrival time before the train is offered to the output link.
 
 Ingress policing (UPC) can be installed per connection on the port
 where a host attaches; non-conforming cells are tagged or dropped
@@ -16,7 +17,7 @@ before they consume trunk capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.atm.cell import Cell, CellHeader
 from repro.atm.link import Link
@@ -41,17 +42,15 @@ class SwitchStats:
     policed_dropped: int = 0
     policed_tagged: int = 0
     crash_dropped: int = 0
-    #: every cell handed to receive(), before any fate is decided
+    #: every cell handed to receive_train(), before any fate is decided
     received: int = 0
-    #: switched cells that completed the fabric traversal and reached
-    #: an output buffer (switched - emitted cells are in the fabric)
+    #: switched cells offered to an output link after the fabric delay
     emitted: int = 0
 
-    def conserves(self, in_fabric: int) -> bool:
-        """Every received cell is dropped, emitted, or in the fabric."""
+    def conserves(self) -> bool:
+        """Every received cell is dropped or emitted."""
         return self.received == (self.crash_dropped + self.unroutable
-                                 + self.policed_dropped + self.emitted
-                                 + in_fabric)
+                                 + self.policed_dropped + self.emitted)
 
 
 class Switch:
@@ -71,8 +70,6 @@ class Switch:
         #: (the VC table survives the crash — restart is silent)
         self._crashed = False
         self.stats = SwitchStats()
-        #: cells scheduled through the fabric but not yet emitted
-        self._in_fabric = 0
         metrics = sim.metrics
         self._m_received = metrics.counter("switch", "cells_received",
                                            switch=name)
@@ -124,12 +121,6 @@ class Switch:
     def crashed(self) -> bool:
         return self._crashed
 
-    @property
-    def in_fabric(self) -> int:
-        """Cells currently traversing the fabric (switched, not yet
-        at an output buffer)."""
-        return self._in_fabric
-
     def set_crashed(self, crashed: bool) -> None:
         """Crash (or restart) the switch — driven by fault injection.
 
@@ -138,74 +129,30 @@ class Switch:
         """
         self._crashed = crashed
 
-    def receive(self, cell: Cell, in_port: str) -> None:
-        """Cell arrival from the upstream link on *in_port*."""
-        self.stats.received += 1
-        self._m_received.inc()
-        if self._crashed:
-            self.stats.crash_dropped += 1
-            self._m_crash_dropped.inc()
-            return
-        hdr = cell.header
-        port_routes = self._routes.get(in_port)
-        entry = port_routes.get((hdr.vpi << 16) | hdr.vci) \
-            if port_routes is not None else None
-        if entry is None:
-            self.stats.unroutable += 1
-            self._m_unroutable.inc()
-            self.sim.recorder.record(
-                "atm", "unroutable_cell", severity="warning",
-                switch=self.name, in_port=in_port,
-                vpi=cell.header.vpi, vci=cell.header.vci)
-            return
-        if entry.upc is not None:
-            verdict = entry.upc.police(self.sim.now)
-            if verdict == "drop":
-                self.stats.policed_dropped += 1
-                self._m_policed_dropped.inc()
-                return
-            if verdict == "tag":
-                self.stats.policed_tagged += 1
-                self._m_policed_tagged.inc()
-                hdr = type(cell.header)(
-                    vpi=cell.header.vpi, vci=cell.header.vci,
-                    pti=cell.header.pti, clp=1, gfc=cell.header.gfc)
-                cell = Cell(header=hdr, payload=cell.payload,
-                            created_at=cell.created_at, seqno=cell.seqno,
-                            hops=cell.hops)
-        out = cell.with_vc(entry.out_vpi, entry.out_vci)
-        out.hops = cell.hops + 1
-        self.stats.switched += 1
-        self._m_switched.inc()
-        # model the fabric traversal as a fixed delay before the cell
-        # reaches the output buffer
-        self._in_fabric += 1
-        self.sim.schedule(self.switching_delay, self._emit, out, entry)
-
-    def _emit(self, cell: Cell, entry: VcTableEntry) -> None:
-        self._in_fabric -= 1
-        self.stats.emitted += 1
-        self._out_links[entry.out_port].enqueue(cell, entry.category)
-
-    # -- cell-train fast path --------------------------------------------
-
     def receive_train(self, train: CellTrain, in_port: str) -> None:
         """Train arrival from the upstream link on *in_port*.
 
         Processes the whole burst in one callback: one route lookup,
-        per-cell policing with exact arrival times, in-place label
-        swap (the batched path owns its cells), and an inline handoff
-        to the output link with per-cell fabric-exit times.
+        per-cell policing with exact arrival times, and an in-place
+        label swap (a train owns its cells).  A conforming burst is
+        handed to the output link inline, with per-cell fabric-exit
+        times.  A cell that arrived on its own (a ``per_cell`` train)
+        and the survivors of a policing verdict re-enter the output
+        link's per-cell queue at their fabric exit instead, where
+        buffer admission and priority see every cell.
         """
         cells = train.cells
         n = len(cells)
         sim = self.sim
+        # a burst bills its n per-cell arrival events here; a per-cell
+        # train arrives in an event of its own
+        arrivals = 0 if train.per_cell else n
         self.stats.received += n
         self._m_received.inc(n)
         if self._crashed:
             self.stats.crash_dropped += n
             self._m_crash_dropped.inc(n)
-            sim.charge_cells(n)
+            sim.charge_cells(arrivals)
             return
         hdr = cells[0].header
         port_routes = self._routes.get(in_port)
@@ -219,15 +166,18 @@ class Switch:
                 record("atm", "unroutable_cell", severity="warning",
                        switch=self.name, in_port=in_port,
                        vpi=c.header.vpi, vci=c.header.vci)
-            sim.charge_cells(n)
+            sim.charge_cells(arrivals)
             return
+        out = self._out_links[entry.out_port]
         times = train.times
         if entry.upc is not None:
             police = entry.upc.police
             for i in range(n):
                 verdict = police(times[i])
                 if verdict != "pass":
-                    self._police_split(train, entry, i, verdict)
+                    out.expand_train(
+                        self._police_split(train, entry, i, verdict))
+                    sim.charge_cells(arrivals)
                     return
         # all conforming: relabel in place.  Trains are built by the
         # AAL5 sender, so body cells share one header shape and only
@@ -248,57 +198,58 @@ class Switch:
         self.stats.switched += n
         self._m_switched.inc(n)
         # fabric traversal folded into arithmetic: exit times become
-        # the departures offered to the output link, emission inline
+        # the departures offered to the output link
         self.stats.emitted += n
         delay = self.switching_delay
         for i in range(n):
             times[i] = times[i] + delay
-        # the legacy switch enqueued onto the output link inline from
-        # each _emit, so the forwarded train stops billing enqueues
+        if train.per_cell:
+            # the enqueue event is the cell's fabric exit
+            out.expand_train(train)
+            return
+        # a fabric exit enqueues onto the output link inline, so the
+        # forwarded train stops billing enqueues; the charge covers
+        # each cell's arrival and fabric-exit events
         train.charged = False
-        self._out_links[entry.out_port].enqueue_train(train)
+        out.enqueue_train(train)
         sim.charge_cells(2 * n)
 
     def _police_split(self, train: CellTrain, entry: VcTableEntry,
-                      idx: int, verdict: str) -> None:
-        """Slow path: at least one cell of the train failed policing.
+                      idx: int, verdict: str) -> CellTrain:
+        """At least one cell of the train failed policing.
 
-        Replays the remaining cells through exact per-cell semantics —
-        cells before *idx* already passed, *idx* carries *verdict*, the
-        rest are policed here in arrival order.  Survivors traverse the
-        fabric as individual ``_emit`` events, so a gapped frame reaches
-        the receiver exactly as the legacy path would deliver it.
+        Cells before *idx* already passed, *idx* carries *verdict*, the
+        rest are policed here in arrival order.  Dropped cells leave
+        the train; tagged ones get CLP=1.  Returns the relabelled
+        survivors with their fabric-exit times.
         """
-        cells = train.cells
-        times = train.times
-        n = len(cells)
-        sim = self.sim
-        now = sim.now
-        delay = self.switching_delay
         police = entry.upc.police
-        for i in range(n):
-            cell = cells[i]
+        delay = self.switching_delay
+        kept: List[Cell] = []
+        exits: List[float] = []
+        for i, (cell, t) in enumerate(zip(train.cells, train.times)):
             if i < idx:
                 v = "pass"
             elif i == idx:
                 v = verdict
             else:
-                v = police(times[i])
+                v = police(t)
             if v == "drop":
                 self.stats.policed_dropped += 1
                 self._m_policed_dropped.inc()
                 continue
+            h = cell.header
+            clp = h.clp
             if v == "tag":
                 self.stats.policed_tagged += 1
                 self._m_policed_tagged.inc()
-                h = cell.header
-                cell.header = CellHeader._unchecked(h.vpi, h.vci, h.pti,
-                                                    1, h.gfc)
-            out = cell.with_vc(entry.out_vpi, entry.out_vci)
-            out.hops = cell.hops + 1
-            self.stats.switched += 1
-            self._m_switched.inc()
-            self._in_fabric += 1
-            t = times[i] + delay
-            sim.schedule_at(t if t > now else now, self._emit, out, entry)
-        sim.charge_cells(n)
+                clp = 1
+            cell.header = CellHeader._unchecked(entry.out_vpi, entry.out_vci,
+                                                h.pti, clp, h.gfc)
+            cell.hops += 1
+            kept.append(cell)
+            exits.append(t + delay)
+        self.stats.switched += len(kept)
+        self._m_switched.inc(len(kept))
+        self.stats.emitted += len(kept)
+        return CellTrain(kept, train.category, exits)

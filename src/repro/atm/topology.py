@@ -37,12 +37,11 @@ class TopologySpec:
 def star_campus(sim: Simulator, host_names: Sequence[str], *,
                 access_bps: float = OC3_BPS, prop_delay: float = 5e-6,
                 police: bool = True,
-                buffer_cells: int = 1024,
-                fidelity: str = "batched") -> tuple[AtmNetwork, TopologySpec]:
+                buffer_cells: int = 1024) -> tuple[AtmNetwork, TopologySpec]:
     """One switch, all hosts attached directly — a campus LAN."""
     if len(host_names) < 2:
         raise ValueError("a star needs at least two hosts")
-    net = AtmNetwork(sim, police=police, fidelity=fidelity)
+    net = AtmNetwork(sim, police=police)
     net.add_switch("sw0")
     for name in host_names:
         net.add_host(name, "sw0", rate_bps=access_bps, prop_delay=prop_delay,
@@ -69,8 +68,7 @@ OCRINET_SITES = [
 
 def ocrinet_like(sim: Simulator, *, extra_users: int = 0,
                  trunk_bps: float = OC12_BPS, access_bps: float = OC3_BPS,
-                 police: bool = True,
-                 fidelity: str = "batched") -> tuple[AtmNetwork, TopologySpec]:
+                 police: bool = True) -> tuple[AtmNetwork, TopologySpec]:
     """Five-switch metro ring with spurs, modelled on OCRInet.
 
     Switches: ottawa-u, carleton, nrc, crc, bnr, connected in a ring
@@ -78,7 +76,7 @@ def ocrinet_like(sim: Simulator, *, extra_users: int = 0,
     adds userN hosts round-robin across the edge switches, which is
     how the scaling experiments grow load.
     """
-    net = AtmNetwork(sim, police=police, fidelity=fidelity)
+    net = AtmNetwork(sim, police=police)
     switches = ["ottawa-u", "carleton", "nrc", "crc", "bnr"]
     for sw in switches:
         net.add_switch(sw)

@@ -1,12 +1,12 @@
 """Cell trains: one AAL5 frame's cells batched into one unit of work.
 
-The legacy event loop schedules ~6 events per cell (enqueue, finish,
-deliver at each hop); a 342-cell courseware PDU costs ~2k events.  A
-:class:`CellTrain` carries the whole frame's contiguous cells plus a
-parallel list of per-cell times, so each pipeline stage (link
-transmitter, switch fabric, receiving host) handles the burst in ONE
-scheduled callback while still computing every per-cell timestamp and
-counter with the exact arithmetic the per-cell path would have used.
+An event loop that schedules every cell at every stage books ~6
+events per cell (enqueue, finish, deliver at each hop); a 342-cell
+courseware PDU would cost ~2k events.  A :class:`CellTrain` carries
+the whole frame's contiguous cells plus a parallel list of per-cell
+times, so each pipeline stage (link transmitter, switch fabric,
+receiving host) handles the burst in ONE scheduled callback while
+still computing every per-cell timestamp and counter.
 
 The times list is mutated in place as the train moves:
 
@@ -14,16 +14,18 @@ The times list is mutated in place as the train moves:
 stage                     ``times[i]`` holds
 ========================  =========================================
 host commit               per-cell shaper departure ``d_i``
-after link fast path      per-cell far-end arrival ``f_i + prop``
+after link commit         per-cell far-end arrival ``f_i + prop``
 after switch relabel      per-cell fabric exit ``a_i + sw_delay``
                           (= departure offered to the next link)
 ========================  =========================================
 
-Each stage either consumes the train whole (fast path) or *expands* it
-back into per-cell events when exact legacy semantics require it
-(armed loss/jitter RNGs, a busy or backlogged transmitter, policing
-violations) — the expansion is byte-identical to the per-cell path, so
-equivalence is never approximated where faults are in play.
+A link commits a train arithmetically when no other traffic can
+interleave with it; otherwise (armed loss/jitter RNGs, a busy or
+backlogged transmitter) it *expands* the train into its per-cell
+priority queue.  Cells leave that queue as one-cell ``per_cell``
+trains, each handed over at its own arrival instant, and stay in the
+per-cell queues at later hops.  A switch that drops or tags cells
+under policing queues the survivors per cell too.
 """
 
 from __future__ import annotations
@@ -45,20 +47,26 @@ class CellTrain:
     relabelled in flight).
     """
 
-    __slots__ = ("cells", "category", "times", "pdu", "charged")
+    __slots__ = ("cells", "category", "times", "pdu", "charged",
+                 "per_cell")
 
     def __init__(self, cells: List[Cell], category: ServiceCategory,
                  times: List[float], pdu: Optional[bytes] = None, *,
-                 charged: bool = True) -> None:
+                 charged: bool = True, per_cell: bool = False) -> None:
         self.cells = cells
         self.category = category
         self.times = times
         self.pdu = pdu
         #: whether link commits bill per-cell enqueue equivalents to the
-        #: event loop: True for host-committed trains (the legacy path
-        #: scheduled one enqueue event per cell), False once a switch
-        #: forwards the train (the legacy switch enqueued inline, free)
+        #: event loop: True for host-committed trains (one scheduled
+        #: enqueue per cell), False once a switch forwards the train (a
+        #: fabric exit enqueues inline, in the same event)
         self.charged = charged
+        #: one cell delivered in an arrival event of its own (it left a
+        #: link's per-cell queue, or jitter split it off a burst): the
+        #: receiver handles it as that event and the next hop queues
+        #: it per cell
+        self.per_cell = per_cell
 
     def __len__(self) -> int:
         return len(self.cells)

@@ -47,13 +47,7 @@ class MitsSystem:
                  sampling: Optional[SamplingPolicy] = None,
                  stream: Union[None, str, ObsSink] = None,
                  meter: bool = True,
-                 recovery: Optional[RecoveryPolicy] = None,
-                 fidelity: str = "batched") -> None:
-        #: simulation fidelity: "batched" (default) = cell-train fast
-        #: path, equivalent to "cell" (legacy per-cell events, the
-        #: differential harness proves it); "hybrid" = batched
-        #: foreground + flow-level background VCs (±tolerance)
-        self.fidelity = fidelity
+                 recovery: Optional[RecoveryPolicy] = None) -> None:
         #: the sampling policy every obs collector sheds load under;
         #: None keeps today's keep-everything behaviour exactly
         self.sampling = sampling
@@ -105,11 +99,10 @@ class MitsSystem:
                      "user1"]
             hosts += [f"user{i + 2}" for i in range(extra_users)]
             self.network, self.spec = star_campus(
-                self.sim, hosts, access_bps=access_bps, fidelity=fidelity)
+                self.sim, hosts, access_bps=access_bps)
         elif topology == "ocrinet":
             self.network, self.spec = ocrinet_like(
-                self.sim, extra_users=extra_users, access_bps=access_bps,
-                fidelity=fidelity)
+                self.sim, extra_users=extra_users, access_bps=access_bps)
         else:
             raise NetworkError(f"unknown topology {topology!r}")
 
@@ -203,7 +196,6 @@ class MitsSystem:
         alerts = self.watchdog.alerts if self.watchdog is not None else None
         return {
             "topology": self.spec.name,
-            "fidelity": self.fidelity,
             "switches": list(self.spec.switches),
             "sites": {
                 "production": self.production.host,

@@ -131,8 +131,16 @@ def _add_sample_flags(parser: argparse.ArgumentParser) -> None:
 def _report(args: argparse.Namespace) -> int:
     spans = events = None
     merged_shards = None
+    incomplete = None
     if is_obs_sidecar(args.metrics):
         payload = load_obs_sidecar(args.metrics)
+        if not payload["complete"]:
+            incomplete = (f"!! incomplete archive: {payload['records']} "
+                          f"records recovered")
+            if payload["torn"]:
+                incomplete += ", torn final line skipped"
+            if not payload["meta"]:
+                incomplete += ", no fin record (run did not finish)"
         meta = {k: v for k, v in payload["meta"].items()
                 if k != "metrics"}
         meta.setdefault("name", payload["name"])
@@ -152,6 +160,8 @@ def _report(args: argparse.Namespace) -> int:
         header += f"  (sim_time {meta['sim_time']:.3f}s," \
                   f" {meta.get('events_run', '?')} events)"
     print(header)
+    if incomplete is not None:
+        print(incomplete)
     if merged_shards is not None:
         print(f"   merged from {len(merged_shards)} shard(s):")
         for s in merged_shards:

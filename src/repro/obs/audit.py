@@ -11,7 +11,7 @@ layer        invariant
 ===========  =========================================================
 Link buffer  enqueued == transmitted + shed + queued + in_service
 Link wire    transmitted == delivered + errors + down + no_sink
-Switch       received == emitted + crash + unroutable + policed + fabric
+Switch       received == emitted + crash + unroutable + policed
 VC table     every open VC's label chain is installed; no orphans
 AAL5         cells received == delivered + discarded + buffered
 VC           pdus/bytes delivered <= pdus/bytes sent
@@ -21,7 +21,7 @@ Playout      cursor == played + skipped + concealed;
 Ledger       per-entity totals match the metrics registry
 ===========  =========================================================
 
-Because in-transit terms (queue depth, fabric occupancy, ARQ windows)
+Because in-transit terms (queue depth, cells in service, ARQ windows)
 are part of each law, the audit holds at *any* event boundary — it can
 run mid-scenario, from ``snapshot()``, or after a chaos run.  A fault
 plan moves counts into drop buckets; it must never create or destroy
@@ -222,12 +222,11 @@ class ConservationAuditor:
             "switch", sw.name, "receive_conservation",
             s.received,
             s.crash_dropped + s.unroutable + s.policed_dropped
-            + s.emitted + sw.in_fabric,
-            detail="received == crash + unroutable + policed + emitted "
-                   "+ in_fabric")
+            + s.emitted,
+            detail="received == crash + unroutable + policed + emitted")
         self._expect("switch", sw.name, "fabric_occupancy",
-                     s.switched, s.emitted + sw.in_fabric,
-                     detail="switched == emitted + in_fabric")
+                     s.switched, s.emitted,
+                     detail="switched == emitted")
         if self.sim.metrics.enabled:
             self._expect("switch", sw.name, "metrics_mirror_received",
                          s.received, sw._m_received.value,

@@ -1,72 +1,46 @@
-"""Fidelity equivalence: canonical snapshots and differential checks.
+"""Canonical snapshots: what two runs of the same scenario must share.
 
-The cell-train fast path (``fidelity="batched"``) claims to be *exact*:
-same cells, same timestamps, same counters, same SLO verdict as the
-legacy per-cell event loop (``fidelity="cell"``), just fewer scheduled
-events.  This module defines what "same" means operationally and gives
-the differential harness one shared vocabulary:
+A :meth:`MitsSystem.snapshot` mixes what happened on the simulated
+network with artefacts of *how* the run was executed.  The second kind
+is excluded here:
 
-* :func:`canonical_snapshot` — a :meth:`MitsSystem.snapshot` projected
-  onto its deterministic, fidelity-independent content.  Three keys
-  are execution artefacts of *how* the run was driven, not *what*
-  happened on the network, and are excluded:
+* ``events_run`` (and the ``simulator`` metrics component that
+  mirrors it): raw event-loop bookkeeping.  How many callbacks carry
+  the cells depends on how cell trains were split, deferred or
+  expanded, not on what the network did.  Per-cell *equivalents* are
+  still billed via ``Simulator.charge_cells`` so profiler attribution
+  and events/sec floors stay comparable.
+* ``profile`` / ``timeseries`` wall-clock fields: hardware noise.
 
-  - ``events_run`` (and the ``simulator`` metrics component that
-    mirrors it): the batched loop runs the same per-cell work in
-    fewer callbacks, and its continuation/deferral events shift the
-    raw event count by a few dozen.  Per-cell *equivalents* are still
-    billed via ``Simulator.charge_cells`` so profiler attribution and
-    events/sec floors stay comparable — but the raw counter is an
-    event-loop implementation detail.
-  - ``profile`` / ``timeseries`` wall-clock fields: hardware noise.
-  - ``fidelity`` itself: the label under test.
-
-  Everything else — per-VC delay sums, link/switch/host counters,
-  gauges (including queue-occupancy max/min), AAL5 stats, SLO results,
-  the conservation audit, the ledger, the flight-recorder ring — must
-  match **byte for byte** between cell and batched fidelities.
-
-* :func:`canonical_form` — the JSON string compared for byte equality.
-
-* :func:`archive_of` / :func:`fidelity_diff` — adapt two snapshots to
-  :mod:`repro.obs.diff`, whose ``deterministic_delta_count`` must be
-  zero for equivalent runs; on mismatch its ranked attribution table
-  names the layer that diverged.
-
-Hybrid fidelity (``fidelity="hybrid"``) is checked to a weaker
-contract (see :func:`ledger_totals`): SLO verdicts must match and
-ledger totals must agree within a tolerance, because background flows
-are collapsed to rate × duration segments rather than cells.
+Everything else — per-VC delay sums, link/switch/host counters,
+gauges (including queue-occupancy max/min), AAL5 stats, SLO results,
+the conservation audit, the ledger, the flight-recorder ring — is
+deterministic given the seed.  :func:`canonical_form` is the byte
+string the golden runs in ``tests/perf`` and the perfbench
+correctness check hash.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Mapping, Optional
-
-from repro.obs.diff import RunArchive, diff_runs
+from typing import Any, Dict, Mapping
 
 __all__ = [
     "CANONICAL_EXCLUDED_KEYS",
-    "archive_of",
     "canonical_form",
     "canonical_snapshot",
-    "fidelity_diff",
-    "ledger_totals",
-    "snapshots_equivalent",
 ]
 
 #: top-level snapshot keys that describe the execution engine, not the
-#: simulated network — excluded from the equivalence contract
-CANONICAL_EXCLUDED_KEYS = ("events_run", "profile", "timeseries",
-                           "fidelity")
+#: simulated network
+CANONICAL_EXCLUDED_KEYS = ("events_run", "profile", "timeseries")
 
 #: the metrics component that mirrors the raw event count
 _ENGINE_METRICS_COMPONENT = "simulator"
 
 
 def canonical_snapshot(snap: Mapping[str, Any]) -> Dict[str, Any]:
-    """Project a snapshot onto its fidelity-independent content."""
+    """Project a snapshot onto its deterministic network content."""
     out = {k: v for k, v in snap.items()
            if k not in CANONICAL_EXCLUDED_KEYS}
     metrics = out.get("metrics")
@@ -80,54 +54,3 @@ def canonical_form(snap: Mapping[str, Any]) -> str:
     """The byte string two equivalent runs must agree on exactly."""
     return json.dumps(canonical_snapshot(snap), sort_keys=True,
                       default=repr)
-
-
-def snapshots_equivalent(a: Mapping[str, Any],
-                         b: Mapping[str, Any]) -> bool:
-    """Byte-identical canonical snapshots?  (The cell/batched bar.)"""
-    return canonical_form(a) == canonical_form(b)
-
-
-def archive_of(snap: Mapping[str, Any], name: str) -> RunArchive:
-    """Adapt a live snapshot to a :class:`repro.obs.diff.RunArchive`.
-
-    Only canonical sections are carried, so ``diff_runs`` judges the
-    same contract :func:`snapshots_equivalent` does — with attribution
-    when they disagree.
-    """
-    canon = canonical_snapshot(snap)
-    accounting = canon.get("accounting") or {}
-    return RunArchive(
-        path=f"<snapshot:{name}>", name=name,
-        metrics=canon.get("metrics", {}),
-        slo=canon.get("slo"),
-        accounting=accounting.get("kinds")
-        if accounting.get("enabled") else None)
-
-
-def fidelity_diff(before: Mapping[str, Any], after: Mapping[str, Any],
-                  name: str = "fidelity") -> Dict[str, Any]:
-    """``repro.obs.diff`` payload between two snapshots' canonical
-    content; ``deterministic_delta_count == 0`` iff equivalent."""
-    return diff_runs(archive_of(before, f"{name}:before"),
-                     archive_of(after, f"{name}:after"))
-
-
-def ledger_totals(snap: Mapping[str, Any]) -> Dict[str, float]:
-    """Ledger grand totals across every account kind.
-
-    The hybrid contract: for each total, hybrid must be within
-    tolerance of the batched run (cells/bytes conserved even though
-    background VCs never became cells).
-    """
-    totals: Dict[str, float] = {}
-    accounting: Optional[Mapping[str, Any]] = snap.get("accounting")
-    if not accounting or not accounting.get("enabled"):
-        return totals
-    for rows in accounting.get("kinds", {}).values():
-        for row in rows:
-            for key in ("units_sent", "units_delivered", "cells_sent",
-                        "cells_delivered", "bytes_sent",
-                        "bytes_delivered", "drops"):
-                totals[key] = totals.get(key, 0) + row.get(key, 0)
-    return totals

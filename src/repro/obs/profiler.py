@@ -139,7 +139,7 @@ class LoopProfiler:
     def _profiled_execute(self, ev) -> None:
         callsite = callsite_name(ev.callback)
         sim = self._sim
-        # batched handlers credit per-cell-equivalent events via
+        # cell-train handlers credit per-cell-equivalent events via
         # Simulator.charge_cells; bill them to this callsite so call
         # counts stay comparable with per-cell baselines
         base_extra = sim.event_extra

@@ -287,12 +287,19 @@ def load_obs_sidecar(path: str) -> Dict[str, Any]:
     """Read one ``obs_*.jsonl`` stream back into renderer-ready shapes.
 
     Returns ``{"name", "policy", "meta", "spans", "events",
-    "timeseries", "accounting"}`` where ``meta`` is the ``fin``
-    summary (metrics report, SLO verdicts, audit, telemetry health,
-    watchdog — everything the monolithic ``metrics_*.json`` carries),
-    ``timeseries`` is a sampler-snapshot-shaped dict, and
-    ``accounting`` is the last ledger checkpoint (None when the run
-    had no ledger).
+    "timeseries", "accounting", "complete", "records", "torn"}`` where
+    ``meta`` is the ``fin`` summary (metrics report, SLO verdicts,
+    audit, telemetry health, watchdog — everything the monolithic
+    ``metrics_*.json`` carries), ``timeseries`` is a
+    sampler-snapshot-shaped dict, and ``accounting`` is the last ledger
+    checkpoint (None when the run had no ledger).
+
+    A run killed mid-write leaves a stream without its ``fin`` record,
+    possibly cut inside its last line.  Such a torn final line is
+    skipped (``torn`` is True); either defect gives ``complete``
+    False.  ``records`` counts the records recovered.  A malformed
+    line anywhere before the last is corruption, not a torn tail, and
+    raises ``ValueError``.
     """
     meta: Dict[str, Any] = {}
     fin: Dict[str, Any] = {}
@@ -300,25 +307,48 @@ def load_obs_sidecar(path: str) -> Dict[str, Any]:
     events: List[Dict[str, Any]] = []
     ticks: List[Dict[str, Any]] = []
     accounting: Optional[Dict[str, Any]] = None
+    records = 0
+    torn = False
+
+    def take(rec: Dict[str, Any]) -> None:
+        nonlocal meta, fin, accounting, records
+        records += 1
+        tag = rec.pop("record", None)
+        if tag == "meta":
+            meta = rec
+        elif tag == "span":
+            spans.append(rec)
+        elif tag == "event":
+            events.append(rec)
+        elif tag == "telemetry":
+            ticks.append(rec)
+        elif tag == "ledger":
+            accounting = rec
+        elif tag == "fin":
+            fin = rec
+
     with open(path) as fh:
-        for line in fh:
+        # parse each line once the next one shows it was not the last
+        pending: Optional[Tuple[int, str]] = None
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            tag = rec.pop("record", None)
-            if tag == "meta":
-                meta = rec
-            elif tag == "span":
-                spans.append(rec)
-            elif tag == "event":
-                events.append(rec)
-            elif tag == "telemetry":
-                ticks.append(rec)
-            elif tag == "ledger":
-                accounting = rec
-            elif tag == "fin":
-                fin = rec
+            if pending is not None:
+                try:
+                    rec = json.loads(pending[1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{pending[0]}: malformed "
+                                     f"record: {exc}") from exc
+                take(rec)
+            pending = (lineno, line)
+        if pending is not None:
+            try:
+                rec = json.loads(pending[1])
+            except ValueError:
+                torn = True
+            else:
+                take(rec)
     if not meta:
         raise ValueError(f"{path} does not look like an obs sidecar "
                          f"(no meta record)")
@@ -330,6 +360,9 @@ def load_obs_sidecar(path: str) -> Dict[str, Any]:
         "events": events,
         "timeseries": _rebuild_timeseries(meta, fin, ticks),
         "accounting": accounting,
+        "complete": bool(fin) and not torn,
+        "records": records,
+        "torn": torn,
     }
 
 

@@ -55,10 +55,18 @@ class TestSegmentation:
 
     def test_sequence_numbers_monotone(self):
         sender = Aal5Sender(vpi=0, vci=32)
-        a = sender.segment(bytes(200))
-        b = sender.segment(bytes(200))
+        a = sender.segment_train(bytes(200))[0]
+        b = sender.segment_train(bytes(200))[0]
         seqs = [c.seqno for c in a + b]
         assert seqs == list(range(len(seqs)))
+
+    def test_train_pdu_is_the_cells_payload(self):
+        sender = Aal5Sender(vpi=0, vci=32)
+        cells, pdu = sender.segment_train(bytes(range(200)))
+        assert pdu == b"".join(c.payload for c in cells)
+        assert [c.header for c in cells] == \
+            [c.header for c in segment_pdu(bytes(range(200)), vpi=0, vci=32)]
+        assert (sender.pdus_sent, sender.cells_sent) == (1, len(cells))
 
 
 def reassemble(cells):
@@ -79,7 +87,8 @@ class TestReassembly:
 
     def test_back_to_back_frames(self):
         sender = Aal5Sender(vpi=0, vci=32)
-        cells = sender.segment(b"frame-one" * 20) + sender.segment(b"frame-two" * 3)
+        cells = (sender.segment_train(b"frame-one" * 20)[0]
+                 + sender.segment_train(b"frame-two" * 3)[0])
         out, _ = reassemble(cells)
         assert out == [b"frame-one" * 20, b"frame-two" * 3]
 
@@ -92,8 +101,8 @@ class TestReassembly:
 
     def test_lost_last_cell_merges_frames_and_fails_crc(self):
         sender = Aal5Sender(vpi=0, vci=32)
-        first = sender.segment(bytes(100))
-        second = sender.segment(bytes(100))
+        first = sender.segment_train(bytes(100))[0]
+        second = sender.segment_train(bytes(100))[0]
         cells = first[:-1] + second  # final cell of frame 1 lost
         out, rx = reassemble(cells)
         assert out == []
@@ -101,9 +110,9 @@ class TestReassembly:
 
     def test_recovers_after_corrupted_frame(self):
         sender = Aal5Sender(vpi=0, vci=32)
-        bad = sender.segment(bytes(500))
+        bad = sender.segment_train(bytes(500))[0]
         del bad[1]
-        good = sender.segment(b"still works")
+        good = sender.segment_train(b"still works")[0]
         out, rx = reassemble(bad + good)
         assert out == [b"still works"]
         assert rx.pdus_corrupted == 1
@@ -113,7 +122,7 @@ class TestReassembly:
         sender = Aal5Sender(vpi=0, vci=32)
         cells = []
         for _ in range(3):
-            frame = sender.segment(bytes(PAYLOAD_SIZE * 1300))
+            frame = sender.segment_train(bytes(PAYLOAD_SIZE * 1300))[0]
             cells.extend(frame[:-1])  # drop every final cell
         out, rx = reassemble(cells)
         assert out == []

@@ -1,4 +1,10 @@
-"""Tests for links and switches."""
+"""Tests for links and switches.
+
+Links hand their far end cell trains; ``times`` carry each cell's
+arrival instant.  A cell from the per-cell queue arrives as a one-cell
+``per_cell`` train in an event of its own, and switch tests inject
+cells that way, as an upstream link delivers them.
+"""
 
 import pytest
 
@@ -7,6 +13,7 @@ from repro.atm.link import Link
 from repro.atm.qos import ServiceCategory, TrafficContract, UsageParameterControl
 from repro.atm.simulator import Simulator
 from repro.atm.switch import Switch, VcTableEntry
+from repro.atm.train import CellTrain
 
 
 def make_cell(vci=32, clp=0, seqno=0):
@@ -14,30 +21,43 @@ def make_cell(vci=32, clp=0, seqno=0):
                 payload=bytes(48), seqno=seqno)
 
 
+def collect(out):
+    """A train sink appending ``(cell, arrival time)`` pairs to *out*."""
+    return lambda train: out.extend(zip(train.cells, train.times))
+
+
+def arrive(sim, sw, cell, at=0.0, port="west"):
+    """Deliver *cell* to *sw* on *port* at time *at*, as a link would."""
+    sim.schedule_at(at, sw.receive_train,
+                    CellTrain([cell], ServiceCategory.UBR, [at],
+                              per_cell=True), port)
+
+
 class TestLink:
     def test_serialization_and_propagation_delay(self):
         sim = Simulator()
         arrivals = []
         link = Link(sim, rate_bps=424e3, prop_delay=0.5)  # 1 ms/cell
-        link.sink = lambda c: arrivals.append(sim.now)
+        link.sink_train = collect(arrivals)
         link.enqueue(make_cell())
         sim.run()
-        assert arrivals == [pytest.approx(0.001 + 0.5)]
+        assert [t for _c, t in arrivals] == [pytest.approx(0.001 + 0.5)]
 
     def test_cells_serialize_back_to_back(self):
         sim = Simulator()
         arrivals = []
         link = Link(sim, rate_bps=424e3, prop_delay=0.0)
-        link.sink = lambda c: arrivals.append(sim.now)
+        link.sink_train = collect(arrivals)
         for i in range(3):
             link.enqueue(make_cell(seqno=i))
         sim.run()
-        assert arrivals == [pytest.approx(0.001 * (i + 1)) for i in range(3)]
+        assert [t for _c, t in arrivals] == \
+            [pytest.approx(0.001 * (i + 1)) for i in range(3)]
 
     def test_buffer_overflow_drops(self):
         sim = Simulator()
         link = Link(sim, rate_bps=424e3, buffer_cells=4)
-        link.sink = lambda c: None
+        link.sink_train = lambda t: None
         accepted = sum(link.enqueue(make_cell(seqno=i)) for i in range(10))
         # 1 in flight + 4 buffered
         assert accepted == 5
@@ -47,7 +67,7 @@ class TestLink:
         sim = Simulator()
         order = []
         link = Link(sim, rate_bps=424e3)
-        link.sink = lambda c: order.append(c.seqno)
+        link.sink_train = lambda t: order.extend(c.seqno for c in t.cells)
         # enqueue UBR first, then CBR while the first cell transmits
         link.enqueue(make_cell(seqno=0), ServiceCategory.UBR)   # in flight
         link.enqueue(make_cell(seqno=1), ServiceCategory.UBR)
@@ -58,7 +78,7 @@ class TestLink:
     def test_overflow_sheds_lower_priority_for_cbr(self):
         sim = Simulator()
         link = Link(sim, rate_bps=424e3, buffer_cells=2)
-        link.sink = lambda c: None
+        link.sink_train = lambda t: None
         link.enqueue(make_cell(seqno=0), ServiceCategory.UBR)  # in flight
         link.enqueue(make_cell(seqno=1), ServiceCategory.UBR)
         link.enqueue(make_cell(seqno=2), ServiceCategory.UBR)  # buffer full
@@ -69,7 +89,8 @@ class TestLink:
         sim = Simulator()
         delivered = []
         link = Link(sim, rate_bps=424e3, buffer_cells=2)
-        link.sink = lambda c: delivered.append(c.seqno)
+        link.sink_train = \
+            lambda t: delivered.extend(c.seqno for c in t.cells)
         link.enqueue(make_cell(seqno=0), ServiceCategory.UBR)          # in flight
         link.enqueue(make_cell(seqno=1, clp=0), ServiceCategory.UBR)
         link.enqueue(make_cell(seqno=2, clp=1), ServiceCategory.UBR)   # tagged
@@ -88,7 +109,7 @@ class TestLink:
     def test_utilization(self):
         sim = Simulator()
         link = Link(sim, rate_bps=424e3, prop_delay=0.0)
-        link.sink = lambda c: None
+        link.sink_train = lambda t: None
         link.enqueue(make_cell())
         sim.run(until=0.002)
         assert link.utilization() == pytest.approx(0.5)
@@ -99,7 +120,8 @@ class TestLink:
         sim = Simulator()
         delivered = []
         link = Link(sim, rate_bps=424e3, prop_delay=0.0)
-        link.sink = lambda c: delivered.append(c.seqno)
+        link.sink_train = \
+            lambda t: delivered.extend(c.seqno for c in t.cells)
         link.set_error_rate(0.5, seed=7)
         assert link._error_rng is not None
         for i in range(200):
@@ -111,7 +133,7 @@ class TestLink:
     def test_error_rate_property_setter_also_arms_rng(self):
         sim = Simulator()
         link = Link(sim, rate_bps=424e3)
-        link.sink = lambda c: None
+        link.sink_train = lambda t: None
         link.error_rate = 0.25
         assert link._error_rng is not None
         assert link.error_rate == 0.25
@@ -122,7 +144,7 @@ class TestSwitch:
         sw = Switch(sim, "sw", switching_delay=0.0)
         out = Link(sim, rate_bps=424e3, prop_delay=0.0)
         delivered = []
-        out.sink = lambda c: delivered.append(c)
+        out.sink_train = lambda t: delivered.extend(t.cells)
         sw.attach_output("east", out)
         return sw, delivered
 
@@ -130,7 +152,7 @@ class TestSwitch:
         sim = Simulator()
         sw, delivered = self._wired(sim)
         sw.install_route("west", 0, 32, VcTableEntry("east", 0, 77))
-        sw.receive(make_cell(vci=32), "west")
+        arrive(sim, sw, make_cell(vci=32))
         sim.run()
         assert len(delivered) == 1
         assert delivered[0].header.vci == 77
@@ -139,7 +161,7 @@ class TestSwitch:
     def test_unroutable_dropped(self):
         sim = Simulator()
         sw, delivered = self._wired(sim)
-        sw.receive(make_cell(vci=99), "west")
+        arrive(sim, sw, make_cell(vci=99))
         sim.run()
         assert delivered == []
         assert sw.stats.unroutable == 1
@@ -164,8 +186,8 @@ class TestSwitch:
         sw.install_route("west", 0, 32,
                          VcTableEntry("east", 0, 77,
                                       upc=UsageParameterControl(contract)))
-        sw.receive(make_cell(vci=32), "west")
-        sw.receive(make_cell(vci=32), "west")  # same instant: PCR violation
+        arrive(sim, sw, make_cell(vci=32))
+        arrive(sim, sw, make_cell(vci=32))  # same instant: PCR violation
         sim.run()
         assert len(delivered) == 1
         assert sw.stats.policed_dropped == 1
@@ -178,19 +200,48 @@ class TestSwitch:
         sw.install_route("west", 0, 32,
                          VcTableEntry("east", 0, 77,
                                       upc=UsageParameterControl(contract)))
-        sw.receive(make_cell(vci=32), "west")
-        sim.schedule(0.0001, sw.receive, make_cell(vci=32), "west")
+        arrive(sim, sw, make_cell(vci=32))
+        arrive(sim, sw, make_cell(vci=32), at=0.0001)
         sim.run()
         assert len(delivered) == 2
         assert delivered[0].header.clp == 0
         assert delivered[1].header.clp == 1
+
+    def test_upc_verdicts_inside_one_train(self):
+        """A three-cell train whose tail breaks the SCR: the head
+        passes, the tail is tagged, and every survivor keeps its own
+        CLP mark and its own fabric-exit time on the way out."""
+        sim = Simulator()
+        sw = Switch(sim, "sw", switching_delay=0.001)
+        out = Link(sim, rate_bps=424e3, prop_delay=0.0)  # 1 ms/cell
+        arrivals = []
+        out.sink_train = collect(arrivals)
+        sw.attach_output("east", out)
+        contract = TrafficContract(ServiceCategory.RT_VBR, pcr=1e6, scr=100,
+                                   mbs=1, cdvt=0.0)
+        sw.install_route("west", 0, 32,
+                         VcTableEntry("east", 0, 77,
+                                      upc=UsageParameterControl(contract)))
+        cells = [make_cell(vci=32, seqno=i) for i in range(3)]
+        sw.receive_train(CellTrain(cells, ServiceCategory.RT_VBR,
+                                   [0.0, 0.0001, 0.0002]), "west")
+        sim.run()
+        assert [c.seqno for c, _t in arrivals] == [0, 1, 2]
+        assert [c.header.clp for c, _t in arrivals] == [0, 1, 1]
+        assert {c.header.vci for c, _t in arrivals} == {77}
+        # fabric exits at 1.0/1.1/1.2 ms, then back to back on the wire
+        assert [t for _c, t in arrivals] == \
+            [pytest.approx(0.002), pytest.approx(0.003),
+             pytest.approx(0.004)]
+        assert sw.stats.policed_tagged == 2
+        assert sw.stats.conserves()
 
     def test_remove_route(self):
         sim = Simulator()
         sw, delivered = self._wired(sim)
         sw.install_route("west", 0, 32, VcTableEntry("east", 0, 77))
         sw.remove_route("west", 0, 32)
-        sw.receive(make_cell(vci=32), "west")
+        arrive(sim, sw, make_cell(vci=32))
         sim.run()
         assert delivered == []
 
@@ -203,7 +254,7 @@ class TestUnroutableObservability:
     def test_unroutable_records_event_with_labels(self):
         sim = Simulator()
         sw = Switch(sim, "sw", switching_delay=0.0)
-        sw.receive(make_cell(vci=99), "west")
+        arrive(sim, sw, make_cell(vci=99))
         sim.run()
         assert sw.stats.unroutable == 1
         events = sim.recorder.by_kind("unroutable_cell")
@@ -219,7 +270,7 @@ class TestUnroutableObservability:
         sim = Simulator()
         sw = Switch(sim, "sw", switching_delay=0.0)
         for vci in (99, 100, 101):
-            sw.receive(make_cell(vci=vci), "west")
+            arrive(sim, sw, make_cell(vci=vci))
         sim.run()
         assert sw.stats.unroutable == 3
         assert sw._m_unroutable.value == 3
@@ -233,7 +284,7 @@ class TestConservationCounters:
         sim = Simulator()
         delivered = []
         link = Link(sim, rate_bps=424e3, prop_delay=0.0)
-        link.sink = delivered.append
+        link.sink_train = collect(delivered)
         for i in range(4):
             link.enqueue(make_cell(seqno=i))
         # mid-flight the books must still balance (in_service term)
@@ -258,10 +309,62 @@ class TestConservationCounters:
         sim = Simulator()
         sw, delivered = TestSwitch()._wired(sim)
         sw.install_route("west", 0, 32, VcTableEntry("east", 0, 77))
-        sw.receive(make_cell(vci=32), "west")
-        sw.receive(make_cell(vci=99), "west")  # unroutable
+        arrive(sim, sw, make_cell(vci=32))
+        arrive(sim, sw, make_cell(vci=99))  # unroutable
         sim.run()
         assert len(delivered) == 1
         assert sw.stats.received == 2
         assert sw.stats.emitted == 1
-        assert sw.stats.conserves(sw.in_fabric)
+        assert sw.stats.conserves()
+
+
+class TestPerCellArrivals:
+    """A cell that leaves a link's queue reaches the far end in an
+    event at its arrival instant, not when its transmission ends."""
+
+    def _feed(self, sim, link, sw, port="west"):
+        seen = []
+
+        def sink(train):
+            seen.extend((c.seqno, sim.now) for c in train.cells)
+            sw.receive_train(train, port)
+        link.sink_train = sink
+        return seen
+
+    def test_switch_state_is_read_at_arrival(self):
+        """The crash starts after the cell has left the wire's near
+        end but before it arrives: the crashed switch must drop it."""
+        sim = Simulator()
+        sw, delivered = TestSwitch()._wired(sim)
+        sw.install_route("west", 0, 32, VcTableEntry("east", 0, 77))
+        up = Link(sim, rate_bps=424e3, prop_delay=0.5)  # 1 ms/cell
+        seen = self._feed(sim, up, sw)
+        up.enqueue(make_cell(vci=32))
+        sim.schedule_at(0.2, sw.set_crashed, True)
+        sim.run()
+        assert seen == [(0, pytest.approx(0.501))]
+        assert sw.stats.crash_dropped == 1
+        assert delivered == []
+
+    def test_jitter_reordering_survives_the_next_hop(self):
+        """Jitter on a link into a switch reorders cells; the switch
+        forwards them in the order they arrive, as a per-cell hop
+        would, so the reordering reaches the next receiver."""
+        sim = Simulator()
+        sw = Switch(sim, "sw", switching_delay=1e-5)
+        out = Link(sim, rate_bps=424e3, prop_delay=0.0)
+        departed = []
+        out.sink_train = lambda t: departed.extend(c.seqno for c in t.cells)
+        sw.attach_output("east", out)
+        sw.install_route("west", 0, 32, VcTableEntry("east", 0, 77))
+        up = Link(sim, rate_bps=424e3, prop_delay=1e-4)
+        up.set_jitter(0.005, seed=3)
+        seen = self._feed(sim, up, sw)
+        for i in range(6):
+            up.enqueue(make_cell(vci=32, seqno=i))
+        sim.run()
+        arrival_order = [seqno for seqno, _t in seen]
+        assert arrival_order != sorted(arrival_order), "no reordering"
+        assert [t for _s, t in seen] == sorted(t for _s, t in seen)
+        assert departed == arrival_order
+

@@ -1,17 +1,17 @@
-"""Property-based differential tests for the cell-train fast path.
+"""Property-based differential tests for cell-train forwarding.
 
 Hypothesis drives random traffic shapes — payload sizes from one cell
 to multi-train frames, bursty and sparse send gaps, one VC or several
-contending for the same uplink — through two identically-seeded
-networks, one per fidelity, and asserts the batched run reproduces the
-per-cell run *exactly*:
+contending for the same uplink — through the simulator and through the
+independent per-cell model in :mod:`tests.atm.reference`, and asserts
+the simulator reproduces the model *exactly*:
 
 * every delivered PDU: same bytes, same order, same delivery time,
   same end-to-end delay, same hop count;
 * per-VC attribution: pdus/bytes sent and delivered, delay samples;
-* link counters at every hop (enqueued/transmitted/delivered/drops)
-  and switch counters (received/switched/emitted);
-* cell count and byte totals implied by the AAL5 segmentation.
+* link counters at both hops (enqueued/transmitted/delivered, busy
+  time, no drops) and switch counters (received/switched/emitted);
+* cell count implied by the AAL5 segmentation.
 
 The interesting machinery under test is the horizon rule: whether a
 burst is committed whole, split at the event horizon and continued, or
@@ -19,7 +19,6 @@ deferred entirely, must never change any observable number — only the
 event count.
 """
 
-import dataclasses
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -27,6 +26,8 @@ from hypothesis import given, settings, strategies as st
 from repro.atm.qos import ServiceCategory, TrafficContract
 from repro.atm.simulator import Simulator
 from repro.atm.topology import star_campus
+
+from tests.atm.reference import RefModel
 
 # payloads: empty frames are rejected by AAL5, so start at 1 byte; cap
 # at ~4 trains worth so a single example stays fast
@@ -39,69 +40,84 @@ _gaps = st.lists(st.floats(min_value=0.0, max_value=0.01,
                            allow_nan=False, allow_infinity=False),
                  min_size=1, max_size=8)
 
-
-def _stats_equal(a, b, label):
-    """Dataclass stats comparison: ints exact, floats to 1 ulp-ish."""
-    for f in dataclasses.fields(a):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(va, float):
-            assert math.isclose(va, vb, rel_tol=1e-12, abs_tol=1e-15), \
-                f"{label}.{f.name}: {va!r} != {vb!r}"
-        elif isinstance(va, (int, str, bool)):
-            assert va == vb, f"{label}.{f.name}: {va!r} != {vb!r}"
-        else:  # deques etc.
-            assert list(va) == list(vb), f"{label}.{f.name}"
+_CONTRACT = TrafficContract(ServiceCategory.UBR, pcr=366e3)
 
 
-def _drive(fidelity, sizes, gaps, n_vcs=1):
-    """Run `len(sizes)` sends across *n_vcs* VCs sharing one path."""
+def _schedule(sizes, gaps, n_vcs, at, send):
+    """Book `len(sizes)` sends round-robin over *n_vcs* VCs; returns
+    the last send time."""
+    t = 0.0
+    for i, size in enumerate(sizes):
+        t += gaps[i % len(gaps)]
+        payload = bytes((i + j) % 251 for j in range(size))
+        at(t, send, i % n_vcs, payload)
+    return t
+
+
+def _drive(sizes, gaps, n_vcs=1):
+    """The simulator: hosts a and b on a one-switch star."""
     sim = Simulator()
-    net, _spec = star_campus(sim, ["a", "b"], fidelity=fidelity)
-    contract = TrafficContract(ServiceCategory.UBR, pcr=366e3)
+    net, _spec = star_campus(sim, ["a", "b"])
     delivered = []
     vcs = []
     for v in range(n_vcs):
         def on_pdu(payload, info, v=v):
             delivered.append((v, payload, info.delay, info.delivered_at,
                               info.hops))
-        vcs.append(net.open_vc("a", "b", contract, on_pdu))
-    t = 0.0
-    for i, size in enumerate(sizes):
-        t += gaps[i % len(gaps)]
-        payload = bytes((i + j) % 251 for j in range(size))
-        sim.schedule_at(t, vcs[i % n_vcs].send, payload)
+        vcs.append(net.open_vc("a", "b", _CONTRACT, on_pdu))
+    t = _schedule(sizes, gaps, n_vcs, sim.schedule_at,
+                  lambda v, payload: vcs[v].send(payload))
     sim.run(until=t + 30.0)
-    return sim, net, vcs, delivered
+    return net, vcs, delivered
 
 
-def _assert_equivalent(sizes, gaps, n_vcs=1):
-    _, net_c, vcs_c, got_c = _drive("cell", sizes, gaps, n_vcs)
-    _, net_b, vcs_b, got_b = _drive("batched", sizes, gaps, n_vcs)
+def _reference(net, sizes, gaps, n_vcs=1):
+    """The reference model with the simulator's link and fabric
+    parameters."""
+    up = net.links[("a", "sw0")]
+    model = RefModel(rate_bps=up.rate_bps, prop_delay=up.prop_delay,
+                     switching_delay=net.switches["sw0"].switching_delay)
+    for _ in range(n_vcs):
+        model.open_vc(_CONTRACT)
+    t = _schedule(sizes, gaps, n_vcs, model.at, model.send)
+    model.run(until=t + 30.0)
+    return model
+
+
+def _assert_matches_reference(sizes, gaps, n_vcs=1):
+    net, vcs, got = _drive(sizes, gaps, n_vcs)
+    model = _reference(net, sizes, gaps, n_vcs)
 
     # every PDU arrived, in the same order, with identical bytes,
     # timestamps, delays and hop counts
-    assert got_b == got_c
-    assert len(got_c) == len(sizes)
+    assert got == model.delivered
+    assert len(got) == len(sizes)
 
     # per-VC attribution
-    for vc_c, vc_b in zip(vcs_c, vcs_b):
-        _stats_equal(vc_c.stats, vc_b.stats, f"vc{vc_c.vc_id}")
+    for v, vc in enumerate(vcs):
+        mine = [d for d in model.delivered if d[0] == v]
+        sent = [size for i, size in enumerate(sizes) if i % n_vcs == v]
+        assert vc.stats.pdus_sent == len(sent)
+        assert vc.stats.bytes_sent == sum(sent)
+        assert vc.stats.pdus_delivered == len(mine)
+        assert vc.stats.bytes_delivered == sum(len(d[1]) for d in mine)
+        assert list(vc.stats.delays) == [d[2] for d in mine]
 
     # per-hop link and switch counters
-    for key in net_c.links:
-        _stats_equal(net_c.links[key].stats, net_b.links[key].stats,
-                     f"link{key}")
-    for name in net_c.switches:
-        _stats_equal(net_c.switches[name].stats,
-                     net_b.switches[name].stats, f"switch:{name}")
-
-    # cell/byte conservation implied by AAL5 segmentation: the uplink
-    # carried exactly the segmented cell count, nothing was dropped
-    uplink = net_c.links[("a", "sw0")]
     expected_cells = sum((size + 8 + 47) // 48 for size in sizes)
-    assert net_b.links[("a", "sw0")].stats.enqueued == expected_cells
-    assert uplink.stats.enqueued == expected_cells
-    assert net_b.links[("a", "sw0")].stats.delivered == expected_cells
+    for key, ref in ((("a", "sw0"), model.uplink),
+                     (("sw0", "b"), model.downlink)):
+        stats = net.links[key].stats
+        assert stats.enqueued == ref.enqueued == expected_cells, key
+        assert stats.transmitted == ref.transmitted, key
+        assert stats.delivered == ref.transmitted, key
+        assert stats.dropped_overflow == stats.dropped_errors == 0, key
+        assert math.isclose(stats.busy_time, ref.busy_time,
+                            rel_tol=1e-12, abs_tol=1e-15), key
+    sw = net.switches["sw0"].stats
+    assert sw.received == model.switch_received
+    assert sw.switched == sw.emitted == model.switch_emitted
+    assert sw.policed_dropped == sw.policed_tagged == 0
 
 
 class TestTrainEquivalenceProperties:
@@ -110,7 +126,7 @@ class TestTrainEquivalenceProperties:
     def test_single_vc_any_burst_shape(self, sizes, gaps):
         """Random sizes × gaps: splits, merges and deferrals at the
         horizon never change an observable number."""
-        _assert_equivalent(sizes, gaps)
+        _assert_matches_reference(sizes, gaps)
 
     @settings(max_examples=15, deadline=None)
     @given(sizes=_payloads, gaps=_gaps,
@@ -120,11 +136,11 @@ class TestTrainEquivalenceProperties:
         """Multiple shaped VCs share the uplink: the horizon rule must
         reproduce the per-cell interleaving on the wire, not serialize
         whole trains."""
-        _assert_equivalent(sizes, gaps, n_vcs=n_vcs)
+        _assert_matches_reference(sizes, gaps, n_vcs=n_vcs)
 
     @settings(max_examples=10, deadline=None)
     @given(size=st.integers(min_value=1, max_value=30000))
     def test_single_frame_any_size(self, size):
         """One frame, from a single cell to hundreds of cells spanning
         several trains."""
-        _assert_equivalent([size], [0.0])
+        _assert_matches_reference([size], [0.0])

@@ -51,10 +51,8 @@ def run_course(plan: FaultPlan, *,
                recovery: RecoveryPolicy = RESILIENT,
                fault_seed: Optional[int] = None,
                query_times=(10.5, 12.0, 14.5),
-               horizon: float = 40.0,
-               fidelity: str = "batched") -> ChaosRun:
-    mits = MitsSystem(topology="star", tracing=True, recovery=recovery,
-                      fidelity=fidelity)
+               horizon: float = 40.0) -> ChaosRun:
+    mits = MitsSystem(topology="star", tracing=True, recovery=recovery)
     _publish_course(mits)
     nav = _enroll(mits, "user1", "Chaos Student")
     nav.enter_classroom("D101", "dash-101")

@@ -1,73 +1,71 @@
-"""Chaos coverage for the cell-train fast path.
+"""Chaos coverage for cell-train forwarding.
 
-The batched event loop must not merely survive fault plans — it must
-experience them *identically* to the per-cell loop it replaced.  For
-each canned plan (the full ``classroom-chaos`` mix and the
-``link-flaps`` random outage storm) the Course-On-Demand flow runs
-under both fidelities and the test asserts:
+Cell trains must not merely survive fault plans — they must experience
+them *identically* to the event-per-cell loop.  For each plan (the
+full ``classroom-chaos`` mix, the ``link-flaps`` random outage storm,
+and ``switchbound-jitter``: jitter into the switch with a crash and a
+teardown inside the jitter windows) the Course-On-Demand flow runs and
+the test compares it with the per-cell golden recorded in
+``tests/perf/goldens.json``:
 
-* zero conservation violations under batching (``run_course`` already
-  asserts this on exit for every run it returns);
+* zero conservation violations (``run_course`` already asserts this on
+  exit for every run it returns);
 * identical fault fingerprints: the FlightRecorder's injected/cleared
-  event sequence — times, fault kinds, targets, ids — matches the
-  per-cell run exactly, so batching neither reorders nor swallows an
-  injection;
+  event sequence — times, fault kinds, targets, ids — so trains
+  neither reorder nor swallow an injection;
 * identical damage: SLO verdict, per-layer drop totals, retransmit and
-  recovery counters all agree, because the horizon rule expands any
-  batch a fault window touches back into exact per-cell semantics.
+  recovery counters, because the horizon rule expands any train a
+  fault window touches into the per-cell queue;
+* the same canonical snapshot digest, byte for byte.
 """
 
-from repro.faults import PLANS
-
 from tests.faults.conftest import run_course
+from tests.perf import goldens
+
+GOLDENS = goldens.load()["chaos"]
+
+_runs = {}
 
 
-def _fingerprints(run, kind):
-    return [(e.time, e.attrs.get("fault"), e.attrs.get("target"),
-             e.attrs.get("fault_id"))
-            for e in run.recorder.by_kind(kind)
-            if e.component == "faults"]
+def _run(plan_name):
+    if plan_name not in _runs:
+        _runs[plan_name] = run_course(goldens.CHAOS_PLANS[plan_name]())
+    return _runs[plan_name]
 
 
-def _both_fidelities(plan_name, **kwargs):
-    return (run_course(PLANS[plan_name](), fidelity="cell", **kwargs),
-            run_course(PLANS[plan_name](), fidelity="batched", **kwargs))
+def _assert_matches_golden(plan_name):
+    run = _run(plan_name)
+    got = goldens.chaos_record(run)
+    want = GOLDENS[plan_name]
+    assert got["injected"] == want["injected"]
+    assert got["cleared"] == want["cleared"]
+    assert run.audit() == []
+    # same damage, same verdict — not merely "both degraded"
+    assert got["damage"] == want["damage"]
+    assert got["verdict"] == want["verdict"]
+    assert got["digest"] == want["digest"]
 
 
 class TestChaosFidelity:
     def test_classroom_chaos_fingerprints_match_per_cell(self):
-        cell, batched = _both_fidelities("classroom-chaos")
-        assert _fingerprints(batched, "injected") \
-            == _fingerprints(cell, "injected")
-        assert _fingerprints(batched, "cleared") \
-            == _fingerprints(cell, "cleared")
-        assert batched.audit() == []
-        # same damage, same verdict — not merely "both degraded"
-        for component, name in (("link", "drops_total"),
-                                ("connection", "retransmits"),
-                                ("rpc", "retries"),
-                                ("player", "frames_concealed")):
-            assert batched.metric_total(component, name) \
-                == cell.metric_total(component, name), (component, name)
-        assert batched.mits.snapshot()["slo"]["verdict"] \
-            == cell.mits.snapshot()["slo"]["verdict"]
+        _assert_matches_golden("classroom-chaos")
 
     def test_link_flaps_fingerprints_match_per_cell(self):
-        cell, batched = _both_fidelities("link-flaps")
-        assert _fingerprints(batched, "injected") \
-            == _fingerprints(cell, "injected")
-        assert batched.audit() == []
-        assert batched.metric_total("link", "drops_total") \
-            == cell.metric_total("link", "drops_total")
-        assert batched.metric_total("connection", "retransmits") \
-            == cell.metric_total("connection", "retransmits")
-        assert batched.mits.snapshot()["slo"]["verdict"] \
-            == cell.mits.snapshot()["slo"]["verdict"]
+        _assert_matches_golden("link-flaps")
+
+    def test_switchbound_jitter_fingerprints_match_per_cell(self):
+        _assert_matches_golden("switchbound-jitter")
 
     def test_chaos_plans_really_bite(self):
         """Guard against vacuous equality: both plans must actually
-        drop cells under batching, proving the fast path carried the
-        traffic straight through the fault windows."""
+        drop cells, proving trains carried the traffic straight
+        through the fault windows."""
         for plan_name in ("classroom-chaos", "link-flaps"):
-            run = run_course(PLANS[plan_name](), fidelity="batched")
+            run = _run(plan_name)
             assert run.metric_total("link", "drops_total") > 0, plan_name
+
+    def test_switchbound_jitter_really_bites(self):
+        """The crash drops cells that jitter delivers one by one."""
+        run = _run("switchbound-jitter")
+        assert run.mits.network.switches["sw0"].stats.crash_dropped > 0
+

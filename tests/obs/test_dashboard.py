@@ -140,7 +140,7 @@ class TestProfilePane:
             "enabled": True, "events": 42, "wall_seconds": 0.5,
             "sim_seconds": 50.0, "sim_to_wall": 100.0,
             "hotspots": [
-                {"callsite": "Host.receive_cell", "calls": 30,
+                {"callsite": "Host.receive_train", "calls": 30,
                  "cum_seconds": 0.3, "self_seconds": 0.25,
                  "mean_us": 10000.0},
             ],
@@ -148,7 +148,7 @@ class TestProfilePane:
         out = render_profile(profile)
         assert "42 events" in out
         assert "(100x real time)" in out
-        assert "Host.receive_cell" in out
+        assert "Host.receive_train" in out
 
 
 class TestDashboardCommand:

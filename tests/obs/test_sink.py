@@ -81,6 +81,80 @@ class TestSinkMechanics:
         assert '"overhead"' not in text
 
 
+class TestTornStream:
+    """A run killed mid-write: the loader keeps what was written and
+    says the archive is incomplete, instead of raising or passing a
+    truncated stream off as whole."""
+
+    @staticmethod
+    def _lines(obs_path):
+        with open(obs_path) as fh:
+            return [x for x in fh.read().split("\n") if x.strip()]
+
+    @staticmethod
+    def _write(tmp_path, text):
+        path = str(tmp_path / "obs_torn.jsonl")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return path
+
+    def test_whole_stream_is_complete(self, streamed):
+        _, _, obs_path, _ = streamed
+        payload = load_obs_sidecar(obs_path)
+        assert payload["complete"] and not payload["torn"]
+        assert payload["records"] == len(self._lines(obs_path))
+
+    @pytest.mark.parametrize("keep", [0.0, 0.1, 0.5, 0.9, 0.999])
+    def test_cut_inside_the_last_record(self, streamed, tmp_path, keep):
+        _, _, obs_path, _ = streamed
+        lines = self._lines(obs_path)
+        last = lines[-1]
+        cut = max(1, int(len(last) * keep))
+        path = self._write(tmp_path,
+                           "\n".join(lines[:-1]) + "\n" + last[:cut])
+        payload = load_obs_sidecar(path)
+        whole = load_obs_sidecar(obs_path)
+        assert payload["torn"] and not payload["complete"]
+        assert payload["records"] == len(lines) - 1
+        # the fin summary was the torn record; everything before it
+        # survives intact
+        assert payload["meta"] == {}
+        assert payload["spans"] == whole["spans"]
+        assert payload["events"] == whole["events"]
+
+    def test_missing_fin_is_incomplete(self, streamed, tmp_path):
+        _, _, obs_path, _ = streamed
+        lines = self._lines(obs_path)
+        path = self._write(tmp_path, "\n".join(lines[:-1]) + "\n")
+        payload = load_obs_sidecar(path)
+        assert not payload["complete"] and not payload["torn"]
+        assert payload["records"] == len(lines) - 1
+
+    def test_malformed_line_before_the_last_raises(self, streamed,
+                                                   tmp_path):
+        _, _, obs_path, _ = streamed
+        lines = self._lines(obs_path)
+        lines[1] = lines[1][:len(lines[1]) // 2]
+        path = self._write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=":2: malformed record"):
+            load_obs_sidecar(path)
+
+    def test_report_flags_the_incomplete_archive(self, streamed, tmp_path,
+                                                 capsys):
+        from repro.obs.__main__ import main
+
+        _, _, obs_path, _ = streamed
+        lines = self._lines(obs_path)
+        path = self._write(tmp_path, "\n".join(lines[:-1]) + "\n"
+                           + lines[-1][:10])
+        main(["report", path])
+        out = capsys.readouterr().out
+        assert (f"!! incomplete archive: {len(lines) - 1} records "
+                f"recovered, torn final line skipped, no fin record") in out
+        main(["report", obs_path])
+        assert "incomplete archive" not in capsys.readouterr().out
+
+
 class TestStreamedRenderParity:
     def test_metrics_summary(self, streamed):
         _, out, obs_path, _ = streamed

@@ -1,107 +1,64 @@
-"""Differential fidelity harness: batched must EQUAL cell, byte for byte.
+"""Golden equivalence: cell-train forwarding must EQUAL the per-cell loop.
 
-The cell-train fast path replaces ~6 scheduled events per cell with
-one callback per pipeline stage.  Its correctness claim is not "close
-enough" — it is exact: for every named scenario the canonical snapshot
-(every per-VC delay, link/switch/host counter, gauge extreme, SLO
-result, conservation audit, flight-recorder ring — everything except
-the raw event count and wall-clock noise, see
-:mod:`repro.obs.equivalence`) must be **byte-identical** between
-``fidelity="cell"`` and ``fidelity="batched"``.  The same pair is
-pushed through :mod:`repro.obs.diff`, whose
-``deterministic_delta_count`` must be zero — so when the contract ever
-breaks, the ranked attribution table names the layer that diverged.
-
-Hybrid fidelity carries a weaker, explicitly-toleranced contract:
-background VCs become rate × duration flow segments, so cell-exact
-equality is out of scope — but the SLO verdict must match the batched
-run and ledger grand totals must agree within 1%.
+Cell trains replace ~6 scheduled events per cell with one callback per
+pipeline stage.  The correctness claim is not "close enough" — it is
+exact: for every named scenario the canonical snapshot (every per-VC
+delay, link/switch/host counter, gauge extreme, SLO result,
+conservation audit, flight-recorder ring — everything except the raw
+event count and wall-clock noise, see :mod:`repro.obs.equivalence`)
+must hash to the digest recorded from the event-per-cell forwarding
+loop.  The goldens live in ``goldens.json``; :mod:`tests.perf.goldens`
+documents how and when to re-record them.
 """
 
 import pytest
 
-from repro.core.scenarios import build
-from repro.obs.equivalence import (
-    canonical_form,
-    fidelity_diff,
-    ledger_totals,
-    snapshots_equivalent,
-)
+from tests.perf import goldens
 
-SCENARIOS = ("quickstart", "classroom", "faulty-classroom")
+GOLDENS = goldens.load()
 
-#: scenario snapshots are deterministic, so one run per (scenario,
-#: fidelity, accounting) serves every assertion in the module
+#: scenario snapshots are deterministic, so one run per scenario
+#: serves every assertion in the module
 _cache = {}
 
 
-def _snapshot(name, fidelity, **kwargs):
-    key = (name, fidelity, tuple(sorted(kwargs.items())))
-    if key not in _cache:
-        run = build(name, fidelity=fidelity, **kwargs)
-        run.run_to_horizon()
-        _cache[key] = run.mits.snapshot()
-    return _cache[key]
+def _snapshot(name):
+    if name not in _cache:
+        _cache[name] = goldens.scenario_snapshot(name)
+    return _cache[name]
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("name", goldens.SCENARIOS)
 class TestBatchedIsExact:
     def test_canonical_snapshot_is_byte_identical(self, name):
-        cell = _snapshot(name, "cell")
-        batched = _snapshot(name, "batched")
-        assert snapshots_equivalent(cell, batched), (
-            f"{name}: batched fidelity diverged from per-cell; run "
-            f"scripts/diff_fidelity.py {name} for the attribution table"
-        )
-
-    def test_differential_diff_counts_zero_deterministic_deltas(self, name):
-        payload = fidelity_diff(_snapshot(name, "cell"),
-                                _snapshot(name, "batched"), name=name)
-        assert payload["deterministic_delta_count"] == 0, \
-            payload["attribution"][:5]
+        assert goldens.digest(_snapshot(name)) \
+            == GOLDENS["scenarios"][name]["digest"], (
+                f"{name}: canonical snapshot moved off its per-cell golden")
 
     def test_event_count_shrinks_but_work_is_conserved(self, name):
-        """The point of the fast path: per-cell-equivalent events are
-        conserved (charge_cells bills each batch at legacy weight), so
-        the counts agree within the handful of continuation/deferral
-        events batching adds — never by a whole frame's worth."""
-        cell = _snapshot(name, "cell")["events_run"]
-        batched = _snapshot(name, "batched")["events_run"]
-        assert abs(batched - cell) < 500
-        assert abs(batched - cell) / cell < 0.02
+        """Per-cell-equivalent events are conserved (charge_cells bills
+        each train at per-cell weight), so the count agrees with the
+        per-cell loop's within the handful of continuation/deferral
+        events trains add — never by a whole frame's worth."""
+        per_cell = GOLDENS["scenarios"][name]["events_run"]
+        got = _snapshot(name)["events_run"]
+        assert abs(got - per_cell) < 500
+        assert abs(got - per_cell) / per_cell < 0.02
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
-class TestHybridTolerance:
-    def test_slo_verdict_matches_batched(self, name):
-        batched = _snapshot(name, "batched", accounting=True)
-        hybrid = _snapshot(name, "hybrid", accounting=True)
-        assert hybrid["slo"]["verdict"] == batched["slo"]["verdict"]
+class TestFloodGoldens:
+    """Raw cells arriving one by one at the switch: no named scenario
+    polices a cell or floods an output queue, so the EX.6 flood pins
+    both paths on its own."""
 
-    def test_ledger_totals_within_one_percent(self, name):
-        batched = ledger_totals(_snapshot(name, "batched",
-                                          accounting=True))
-        hybrid = ledger_totals(_snapshot(name, "hybrid",
-                                         accounting=True))
-        assert batched, "accounting was enabled; totals must exist"
-        assert set(hybrid) == set(batched)
-        for key, want in batched.items():
-            got = hybrid[key]
-            assert abs(got - want) <= max(abs(want), 1.0) * 0.01, \
-                f"{name}: ledger {key} {got} vs batched {want}"
+    def test_policed_flood_is_byte_identical(self):
+        snap = goldens.ex6_flood(police=True)
+        assert snap["switch"]["policed_dropped"] > 0
+        assert goldens.digest(snap) == GOLDENS["policing-flood"]
 
-    def test_conservation_audit_stays_clean(self, name):
-        audit = _snapshot(name, "hybrid", accounting=True)["audit"]
-        assert audit["violations"] == []
-
-
-class TestHybridEngagesFlowLanes:
-    def test_background_vcs_run_at_flow_level(self):
-        run = build("classroom", fidelity="hybrid")
-        run.run_to_horizon()
-        vcs = run.mits.network.vcs.values()
-        lanes = [vc for vc in vcs if vc.lane is not None]
-        streams = [vc for vc in vcs if vc.lane is None]
-        # the RPC duplex pairs collapsed; the video streams did not
-        assert lanes and streams
-        assert sum(vc.stats.pdus_delivered for vc in lanes) > 0
+    def test_unpoliced_flood_is_byte_identical(self):
+        """The flood and the victim's trains meet in the output link's
+        per-cell queue, where admission and priority see every cell."""
+        snap = goldens.ex6_flood(police=False)
+        assert snap["links"]["sw0->sink"]["dropped_overflow"] > 0
+        assert goldens.digest(snap) == GOLDENS["unpoliced-flood"]
