@@ -101,15 +101,14 @@ def compiled_imd(catalog):
 
 
 def emit_metrics(mits: MitsSystem, name: str) -> str:
-    """Dump the deployment's observability sidecars.
+    """Archive the deployment's observability; returns the path.
 
     Written next to the pytest-benchmark output (override the
-    directory with ``BENCH_METRICS_DIR``) so each ``BENCH_*.json``
-    trajectory has a matching ``metrics_<name>.json`` and per-layer
-    numbers stay comparable across PRs.  A ``trace_<name>.jsonl``
-    sidecar carries the span tree and flight-recorder events, and a
-    ``timeseries_<name>.json`` sidecar the sampler rings, for
-    ``python -m repro.obs report`` / ``dashboard`` to render.
+    directory with ``BENCH_METRICS_DIR``) as ``obs_<name>.jsonl`` —
+    metrics, span trees, flight-recorder events, sampler rings and
+    ledger in one archive — so per-layer numbers stay comparable
+    across PRs and ``python -m repro.obs report`` / ``dashboard`` /
+    ``top`` can render any benchmark's run.
     """
     out_dir = os.environ.get(
         "BENCH_METRICS_DIR",
@@ -120,8 +119,8 @@ def emit_metrics(mits: MitsSystem, name: str) -> str:
 def deploy_mits(topology: str = "star", **kwargs) -> MitsSystem:
     """A deployed system with the standard course published.
 
-    Tracing is on so every scenario's ``trace_*.jsonl`` sidecar has
-    cross-site span trees to render.
+    Tracing is on so every scenario's archive has cross-site span
+    trees to render.
     """
     kwargs.setdefault("tracing", True)
     mits = MitsSystem(topology=topology, **kwargs)

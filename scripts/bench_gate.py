@@ -23,11 +23,13 @@ Verdict rules, per metric:
 is an error (exit 2) so new scenarios can't silently skip the gate.
 On failure the diff table shows baseline vs current per metric.
 
-Each run also refreshes the ``metrics_/trace_/timeseries_`` sidecars
-under ``benchmarks/out/`` (override with ``BENCH_METRICS_DIR``), so a
-failed gate is debuggable offline with ``python -m repro.obs``.  The
-previous sidecar (when present) is diffed instrument-by-instrument via
-:meth:`MetricsRegistry.delta` and the largest absolute movements are
+Each run also rewrites the scenario's archive,
+``benchmarks/out/obs_gate_<scenario>.jsonl`` (override the directory
+with ``BENCH_METRICS_DIR``), with the profiler's top-N in its ``wall``
+record, so a failed gate is debuggable offline with ``python -m
+repro.obs``.  The previous run's archive (when present) is loaded
+before the new run truncates it, diffed instrument-by-instrument via
+:meth:`MetricsRegistry.delta`, and the largest absolute movements are
 printed next to the percentage table.  Every scenario is additionally
 run through the :class:`ConservationAuditor`; any violation fails the
 gate regardless of the perf verdicts.
@@ -35,10 +37,10 @@ gate regardless of the perf verdicts.
 On any gate failure the full differential comparison
 (:mod:`repro.obs.diff`) between the baseline — the tracked
 ``BENCH_<scenario>.json`` vector + ``profile_top``, backfilled with
-the previous run's archived sidecars when present — and the failing
-run is printed (ranked attribution: span kinds, critical-path
-components, profiler callsites, largest mover first) and written as
-``diff_gate_<scenario>.json`` next to the sidecars, so a regression
+the previous run's archive when present — and the failing run is
+printed (ranked attribution: span kinds, critical-path components,
+profiler callsites, largest mover first) and written as
+``diff_gate_<scenario>.json`` next to the archive, so a regression
 report always names the layer that moved, not just the headline
 number.
 
@@ -52,6 +54,7 @@ Run via ``make bench-gate``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -66,6 +69,7 @@ from repro.obs import diff as run_diff  # noqa: E402
 from repro.obs.audit import ConservationAuditor  # noqa: E402
 from repro.obs.export import dump_observability  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
+from repro.obs.sink import Archive, load_archive  # noqa: E402
 
 #: (metric, direction, class) — direction says which way is a
 #: regression: "up" = larger is worse, "down" = smaller is worse,
@@ -164,6 +168,9 @@ def measure(scenario: str) -> Dict[str, Any]:
         "BENCH_METRICS_DIR", os.path.join(_ROOT, "benchmarks", "out"))
     os.makedirs(out_dir, exist_ok=True)
     stream_path = os.path.join(out_dir, f"obs_gate_{scenario}.jsonl")
+    # the previous run's archive, read before build() truncates it: it
+    # backfills the BENCH baseline for the failure-path diff
+    prev_archive = _previous_archive(stream_path)
     t0 = time.perf_counter()
     run = build(scenario, profile=True, stream=stream_path)
     run.run_to_horizon()
@@ -191,10 +198,6 @@ def measure(scenario: str) -> Dict[str, Any]:
         "obs_overhead_pct": round(measure_obs_overhead(scenario), 2),
         "peak_rss_kb": _peak_rss_kb(),
     }
-    # the previous run's full archive (metrics + trace + accounting
-    # sidecars), read eagerly before dump_observability overwrites it:
-    # it backfills the BENCH baseline for the failure-path diff
-    prev_archive = _previous_archive(scenario, out_dir)
     instrument_drift = MetricsRegistry.delta(
         prev_archive.metrics, mits.sim.metrics.report()) \
         if prev_archive is not None else None
@@ -205,8 +208,7 @@ def measure(scenario: str) -> Dict[str, Any]:
         "audit_violations": [v.to_dict() for v in violations],
         "instrument_drift": instrument_drift,
         "prev_archive": prev_archive,
-        "sidecar_path": os.path.join(out_dir,
-                                     f"metrics_gate_{scenario}.json"),
+        "archive_path": stream_path,
         "out_dir": out_dir,
         "profile_top": [
             {"callsite": h["callsite"], "cum_seconds": h["cum_seconds"],
@@ -215,13 +217,11 @@ def measure(scenario: str) -> Dict[str, Any]:
     }
 
 
-def _previous_archive(scenario: str, out_dir: str
-                      ) -> Optional[run_diff.RunArchive]:
-    path = os.path.join(out_dir, f"metrics_gate_{scenario}.json")
+def _previous_archive(path: str) -> Optional[Archive]:
     if not os.path.exists(path):
         return None
     try:
-        return run_diff.load_run(path)
+        return load_archive(path)
     except (OSError, ValueError):
         return None
 
@@ -232,22 +232,19 @@ def explain_failure(scenario: str, baseline_path_: str,
 
     The baseline side is the tracked ``BENCH_<scenario>.json`` (metric
     vector + profile_top) backfilled with the previous gate run's
-    archived sidecars (metrics report, spans, SLO verdicts, ledger)
-    when those exist; the candidate side is the failing run's fresh
-    sidecar set.  The machine-readable payload lands in
-    ``diff_gate_<scenario>.json`` next to the sidecars.
+    archive (metrics report, spans, SLO verdicts, ledger) when it
+    exists; the candidate side is the failing run's fresh archive.
+    The machine-readable payload lands in ``diff_gate_<scenario>.json``
+    next to the archive.
     """
     try:
-        base = run_diff.load_run(baseline_path_)
+        base = run_diff.baseline(baseline_path_,
+                                 fill=current.get("prev_archive"))
+        cur = load_archive(current["archive_path"])
     except (OSError, ValueError):
         return
-    base.fill_missing(current.get("prev_archive"))
-    try:
-        cur = run_diff.load_run(current["sidecar_path"])
-    except (OSError, ValueError):
-        return
-    cur.bench = dict(current["metrics"])
-    cur.profile = list(current["profile_top"])
+    cur = dataclasses.replace(
+        cur, summary={**cur.summary, "bench": dict(current["metrics"])})
     payload = run_diff.diff_runs(base, cur)
     print()
     print(run_diff.render_attribution_table(payload))
@@ -256,7 +253,7 @@ def explain_failure(scenario: str, baseline_path_: str,
     print(f"  full differential report: {os.path.relpath(diff_path, _ROOT)}"
           f"  (render with `python -m repro.obs diff "
           f"{os.path.relpath(baseline_path_, _ROOT)} "
-          f"{os.path.relpath(current['sidecar_path'], _ROOT)}`)")
+          f"{os.path.relpath(current['archive_path'], _ROOT)}`)")
 
 
 def judge(scenario: str, base: Dict[str, Any], cur: Dict[str, Any],
@@ -336,7 +333,7 @@ def render_instrument_drift(drift: Dict[str, Dict[str, Any]],
     moved = [(key, row) for key, row in drift.items()
              if row["delta"] or "only" in row]
     if not moved:
-        return "  (no instrument drift vs previous sidecar)"
+        return "  (no instrument drift vs previous run)"
     moved.sort(key=lambda kv: abs(kv[1]["delta"]), reverse=True)
     lines = [f"  top instrument drift vs previous run "
              f"({len(moved)} instruments moved):"]
@@ -395,9 +392,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         violations = current.pop("audit_violations")
         drift = current.pop("instrument_drift")
         diff_context = {key: current.pop(key) for key in
-                        ("prev_archive", "sidecar_path", "out_dir")}
+                        ("prev_archive", "archive_path", "out_dir")}
         diff_context["metrics"] = current["metrics"]
-        diff_context["profile_top"] = current["profile_top"]
         if violations:
             print(f"  AUDIT: {len(violations)} conservation violations")
             for v in violations:

@@ -5,15 +5,14 @@ The thesis's trial ran telelearning across many OCRInet sites at
 once; this driver reproduces that shape at benchmark scale.  It runs
 N scenarios — or N seed-derived shards of one scenario, seeds
 ``seed*1000 + shard`` like the fault plans — across a multiprocessing
-pool.  Each worker streams its observability to an ``obs_*.jsonl``
-sidecar (bounded memory, full fidelity) and reports its wall time,
-peak RSS, and obs-overhead attribution back over the pool; the parent
-folds every sidecar through ``repro.obs.merge`` into one merged fleet
-archive with per-shard attribution, renders the merged SLO/audit
-verdicts, and exits non-zero if the merged audit found violations.
-
-Wall-clock facts deliberately travel via the pool result, never the
-obs stream — the stream stays byte-deterministic per seed.
+pool.  Each worker streams its run to an ``obs_*.jsonl`` archive
+(bounded memory, full fidelity), closes it with its obs-overhead
+attribution in the ``wall`` record, and reports its wall time and
+peak RSS back over the pool; the parent folds every archive through
+``repro.obs.merge`` into one ``fleet_<name>.jsonl`` archive with
+per-shard attribution, renders the merged SLO/audit verdicts, and
+exits 1 if the merged audit found violations, 2 if a shard's archive
+is incomplete.
 
 Usage::
 
@@ -24,8 +23,8 @@ Usage::
 
 Inspect the result with any renderer::
 
-    python -m repro.obs report benchmarks/out/fleet/fleet_classroom.json
-    python -m repro.obs top    benchmarks/out/fleet/fleet_classroom.json
+    python -m repro.obs report benchmarks/out/fleet/fleet_classroom.jsonl
+    python -m repro.obs top    benchmarks/out/fleet/fleet_classroom.jsonl
 """
 
 from __future__ import annotations
@@ -46,36 +45,26 @@ DEFAULT_OUT = os.path.join(_ROOT, "benchmarks", "out", "fleet")
 
 
 def run_shard(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """One worker: run a scenario shard, stream its sidecar, and
-    return the wall-clock facts the stream must not carry.
+    """One worker: run a scenario shard, close its archive, and
+    return the wall-clock facts the archive does not carry.
 
     Runs in a pool child with ``maxtasksperchild=1``, so
     ``ru_maxrss`` is genuinely this shard's peak, not a high-water
     mark inherited from a previous task.
     """
     from repro.core.scenarios import build
+    from repro.obs.export import dump_observability
 
     t0 = time.perf_counter()
     run = build(spec["scenario"], accounting=True,
                 seed=spec["seed"], stream=spec["path"])
     run.run_to_horizon()
-    mits = run.mits
-    sink = getattr(mits, "sink", None)
-    if sink is not None and not sink.closed:
-        sink.close()
-    wall = time.perf_counter() - t0
-    meter = getattr(mits, "meter", None)
+    dump_observability(run.mits, spec["name"],
+                       os.path.dirname(spec["path"]))
     return {
-        "scenario": spec["scenario"],
-        "seed": spec["seed"],
-        "shard": spec["shard"],
-        "path": spec["path"],
-        "wall_seconds": wall,
+        "wall_seconds": time.perf_counter() - t0,
         # Linux reports ru_maxrss in KiB
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        "overhead": meter.report() if meter is not None else None,
-        "sim_time": mits.sim.now,
-        "events_run": mits.sim.events_run,
     }
 
 
@@ -105,9 +94,11 @@ def run_fleet(scenarios: List[str], *, shards: int = 4,
               seed: int = 1996, procs: Optional[int] = None,
               out_dir: str = DEFAULT_OUT,
               name: Optional[str] = None) -> Dict[str, Any]:
-    """Run the fleet and return the merged archive (also written to
-    ``<out_dir>/fleet_<name>.json``)."""
-    from repro.obs.merge import load_shard, merge_archives, write_merged
+    """Run the fleet and return the merged dict (also written to
+    ``<out_dir>/fleet_<name>.jsonl``).  Raises ``ValueError`` naming
+    the file when a shard's archive is incomplete."""
+    from repro.obs.merge import merge_archives, write_merged
+    from repro.obs.sink import load_archive
 
     os.makedirs(out_dir, exist_ok=True)
     specs = shard_specs(scenarios, shards, seed, out_dir)
@@ -123,21 +114,18 @@ def run_fleet(scenarios: List[str], *, shards: int = 4,
 
     loaded = []
     for spec, res in zip(specs, results):
-        extras = {
-            "name": spec["name"],
-            "scenario": res["scenario"],
-            "seed": res["seed"],
-            "wall_seconds": res["wall_seconds"],
-            "peak_rss_kb": res["peak_rss_kb"],
-            "overhead": res["overhead"],
-        }
-        loaded.append(load_shard(spec["path"], extras=extras))
+        archive = load_archive(spec["path"])
+        if not archive.complete:
+            raise ValueError(archive.warning())
+        loaded.append({**archive.shard(), "name": spec["name"],
+                       "scenario": spec["scenario"],
+                       "seed": spec["seed"], **res})
 
     fleet_name = name or (scenarios[0] if len(scenarios) == 1
                           else "mixed")
     merged = merge_archives(loaded, name=f"fleet_{fleet_name}")
     path = write_merged(
-        merged, os.path.join(out_dir, f"fleet_{fleet_name}.json"))
+        merged, os.path.join(out_dir, f"fleet_{fleet_name}.jsonl"))
     merged["_path"] = path
     return merged
 
@@ -203,9 +191,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     scenarios = args.scenarios or ["classroom"]
-    merged = run_fleet(scenarios, shards=args.shards, seed=args.seed,
-                       procs=args.procs, out_dir=args.out_dir,
-                       name=args.name)
+    try:
+        merged = run_fleet(scenarios, shards=args.shards, seed=args.seed,
+                           procs=args.procs, out_dir=args.out_dir,
+                           name=args.name)
+    except ValueError as exc:
+        print(f"fleet: {exc}", file=sys.stderr)
+        return 2
     path = merged.pop("_path")
     if args.json:
         print(json.dumps(merged, indent=2, sort_keys=True))

@@ -168,7 +168,7 @@ SCENARIOS: Dict[str, Callable[..., ScenarioRun]] = {
 
 def build(name: str, *, faults: Union[str, FaultPlan, None] = None,
           fault_seed: Optional[int] = None,
-          sampling: Any = None, stream: Any = None,
+          sampling: Any = None, stream: Optional[str] = None,
           **kwargs: Any) -> ScenarioRun:
     """Build a named scenario, optionally arming a fault plan on it.
 
@@ -176,9 +176,8 @@ def build(name: str, *, faults: Union[str, FaultPlan, None] = None,
     :class:`FaultPlan`; *fault_seed* overrides the plan's seed for
     reproducing a specific chaotic run.  *sampling* is an optional
     :class:`~repro.obs.sampling.SamplingPolicy` bounding observability
-    memory, and *stream* an ``obs_*.jsonl`` path (or
-    :class:`~repro.obs.sink.ObsSink`) to stream telemetry to — both
-    forwarded to :class:`MitsSystem`.
+    memory, and *stream* the ``obs_*.jsonl`` path to stream the run's
+    archive to — both forwarded to :class:`MitsSystem`.
     """
     if sampling is not None:
         kwargs["sampling"] = sampling

@@ -9,7 +9,7 @@ facilitator.  The benchmarks and examples all start from here.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.atm.network import AtmNetwork
 from repro.atm.simulator import Simulator
@@ -45,7 +45,7 @@ class MitsSystem:
                  accounting: bool = False,
                  watchdog: bool = True,
                  sampling: Optional[SamplingPolicy] = None,
-                 stream: Union[None, str, ObsSink] = None,
+                 stream: Optional[str] = None,
                  meter: bool = True,
                  recovery: Optional[RecoveryPolicy] = None) -> None:
         #: the sampling policy every obs collector sheds load under;
@@ -80,12 +80,11 @@ class MitsSystem:
                 self.sim, interval=telemetry_interval,
                 capacity=telemetry_capacity,
                 policy=sampling, meter=self.meter)
-        #: streaming sidecar: attach BEFORE the sampler starts so the
-        #: very first tick (and everything after) hits the stream
+        #: the run's archive, streamed: attach BEFORE the sampler starts
+        #: so the very first tick (and everything after) hits the stream
         self.sink: Optional[ObsSink] = None
         if stream is not None:
-            self.sink = (stream if isinstance(stream, ObsSink)
-                         else ObsSink(stream))
+            self.sink = ObsSink(stream)
             self.sink.attach(self)
         if self.sampler is not None:
             self.sampler.start()

@@ -8,26 +8,29 @@ time-series rings, and a :class:`LoopProfiler` attributes event-loop
 wall time to callback qualnames.  ``MitsSystem.snapshot()`` and the
 benchmark harness export all of it so measured trajectories are
 comparable across PRs.  :class:`SloMonitor` turns a metrics report
-into pass/fail verdicts, and ``python -m repro.obs`` renders dumps
-into waterfalls, sparkline dashboards, and tables.
+into pass/fail verdicts.
 
-For at-scale runs, a :class:`SamplingPolicy` bounds every collector's
-memory (head-based trace sampling, span/event reservoirs, telemetry
-decimation/coalescing, top-K accounting), an :class:`ObsSink` streams
-records to an ``obs_*.jsonl`` sidecar as the run progresses, and an
+A run has one archive: the ``obs_<name>.jsonl`` record stream an
+:class:`ObsSink` writes, as the run progresses
+(``MitsSystem(stream=path)``) or at the end
+(:func:`~repro.obs.export.dump_observability`).  :func:`load_archive`
+reads any archive into one :class:`Archive`, and every ``python -m
+repro.obs`` verb renders that into waterfalls, sparkline dashboards,
+and tables.  A :class:`SamplingPolicy` bounds every collector's memory
+(head-based trace sampling, span/event reservoirs, telemetry
+decimation/coalescing, top-K accounting), and an
 :class:`OverheadMeter` attributes what the obs stack itself cost.
 
 Fleets of runs roll up through :mod:`repro.obs.merge`: deterministic,
-order-insensitive merge operators over every store, producing one
-merged archive every renderer accepts (``scripts/fleet.py`` drives
-them across a multiprocessing pool).
+order-insensitive merge operators over every store, written back as a
+``fleet_<name>.jsonl`` in the same grammar (``scripts/fleet.py``
+drives them across a multiprocessing pool).
 """
 
 from repro.obs.accounting import (
     Account,
     Ledger,
     NULL_ACCOUNT,
-    load_accounting_file,
     render_top,
 )
 from repro.obs.audit import ConservationAuditor, Violation
@@ -43,8 +46,6 @@ from repro.obs.metrics import (
     TIME_BUCKETS,
 )
 from repro.obs.merge import (
-    is_merged_archive,
-    load_shard,
     merge_archives,
     merged_canonical_form,
     split_shard,
@@ -59,7 +60,7 @@ from repro.obs.sampling import (
     scaled_policy,
     trace_sampled,
 )
-from repro.obs.sink import ObsSink, is_obs_sidecar, load_obs_sidecar
+from repro.obs.sink import Archive, ObsSink, load_archive
 from repro.obs.slo import DEFAULT_SLOS, Slo, SloMonitor, SloResult
 from repro.obs.timeseries import Series, TelemetrySampler, load_timeseries
 from repro.obs.tracing import (
@@ -73,6 +74,7 @@ from repro.obs.watchdog import DEFAULT_DETECTORS, Detector, Watchdog
 
 __all__ = [
     "Account",
+    "Archive",
     "CallsiteStats",
     "ConservationAuditor",
     "Counter",
@@ -87,11 +89,7 @@ __all__ = [
     "SamplingPolicy",
     "Violation",
     "Watchdog",
-    "is_merged_archive",
-    "is_obs_sidecar",
-    "load_accounting_file",
-    "load_obs_sidecar",
-    "load_shard",
+    "load_archive",
     "merge_archives",
     "merged_canonical_form",
     "split_shard",

@@ -1,78 +1,72 @@
-"""``python -m repro.obs`` — render metrics/trace/timeseries dumps.
+"""``python -m repro.obs`` — render observability archives.
+
+Every archive verb takes one ``obs_*.jsonl`` run archive or a merged
+``fleet_*.jsonl`` (see :mod:`repro.obs.sink`: one record grammar, read
+by :func:`~repro.obs.sink.load_archive`), and each prints an ``!!
+incomplete archive`` line first when the archive's ``fin`` record is
+missing or does not match what precedes it.
 
 Subcommands::
 
-    report <metrics.json> [--trace trace.jsonl] [--top N] [--strict]
-        Metrics summary + telemetry health + SLO table + span
-        waterfalls.  The trace sidecar is auto-discovered next to
-        ``metrics_<name>.json`` when not given.  ``--strict`` exits 1
-        on SLO violations.
-
-    trace <trace.jsonl> [--top N]
-        Span waterfalls / slow-span table only.
+    report <archive> [--top N] [--strict]
+        Header (and per-shard provenance for a merged archive),
+        metrics summary, telemetry health, observability overhead
+        (from the ``wall`` record), SLO table, span waterfalls and
+        critical-path attribution.  ``--strict`` exits 1 on SLO
+        violations.
 
     critical <archive> [--trace ID | --p99] [--top N]
         Critical-path analysis: the longest blocking chain through a
         trace's span tree, with per-span self-time and slack, plus
-        attribution tables by component and span kind.  The archive is
-        a ``trace_*.jsonl``, a streamed ``obs_*.jsonl``, or a
-        ``metrics_*.json`` (trace sidecar auto-discovered).  Default
+        attribution tables by component and span kind.  Default
         renders the longest trace; ``--p99`` renders every tail
         exemplar (root duration at/above the p99); ``--trace ID``
         renders one trace.
 
     diff <run_a> <run_b> [--top N] [--json PATH]
-        Differential comparison of two archived runs: bench vector,
-        ranked time attribution (span kinds, critical-path components,
-        profiler callsites), SLO verdict transitions, per-instrument
-        metric movements, ledger top-account shifts.  Accepts
-        ``metrics_*.json`` (sidecars auto-discovered), ``obs_*.jsonl``
-        and ``BENCH_*.json`` archives on either side.  Exits 1 when
-        any *deterministic* delta is present (wall-clock sections
-        never count), so same-seed runs assert reproducibility in CI.
+        Differential comparison of two runs: bench vector, ranked time
+        attribution (span kinds, critical-path components, profiler
+        callsites), SLO verdict transitions, per-instrument metric
+        movements, ledger top-account shifts.  Either side may also be
+        a ``BENCH_*.json`` baseline vector.  Exits 1 when any
+        *deterministic* delta is present (wall-clock sections never
+        count), so same-seed runs assert reproducibility in CI.
 
-    slo <metrics.json>
-        SLO table only; exits 1 on violations.
-
-    dashboard [timeseries.json] [--live SCENARIO] [--follow] ...
+    dashboard [archive] [--live SCENARIO] [--follow] ...
         Sparkline panels (link queues, windows, player buffers, event
-        rates) plus the event-loop profiler's top-N.  Reads an archived
-        ``timeseries_<scenario>.json`` sidecar, or with ``--live`` runs
-        a named scenario (see ``repro.core.scenarios``) and renders it
-        — one-shot at the horizon, or as a refresh loop with
-        ``--follow``.
+        rates) plus the event-loop profiler's top-N.  Renders an
+        archive, or with ``--live`` runs a named scenario (see
+        ``repro.core.scenarios``) — one-shot at the horizon, or as a
+        refresh loop with ``--follow``.
 
-    top [accounting.json] [--live SCENARIO] [--sort COL] [--kind K]
+    top [archive] [--live SCENARIO] [--sort COL] [--kind K]
         Per-entity accounting tables (per VC, site, stream, link,
-        trace): cells, bytes, drops, queue residency, bandwidth share.
-        Reads an archived ``accounting_<scenario>.json`` sidecar, or
-        with ``--live`` runs a named scenario with the ledger enabled.
+        trace): cells, bytes, drops, queue residency, bandwidth share,
+        from an archive's last ledger checkpoint, or with ``--live``
+        from a named scenario run with the ledger enabled.
 
-    audit SCENARIO|merged.json [--faults PLAN] [--out-dir DIR]
+    audit SCENARIO|archive [--faults PLAN] [--out-dir DIR]
         Run a named scenario with accounting enabled, then cross-check
         every live counter against the flow-conservation invariants.
-        Prints violations (exit 1 when any) and optionally dumps the
-        full sidecar set for the run.  Given a merged archive path
-        instead of a scenario name, renders its embedded (merged)
-        audit verdict.
+        Prints violations (exit 1 when any) and with ``--out-dir``
+        writes the run's archive.  Given an archive path instead of a
+        scenario name, renders its embedded audit verdict.
 
-    merge <archive...> -o merged.json [--name NAME]
-        Deterministic, order-insensitive merge of N run archives
-        (``obs_*.jsonl`` streams, ``metrics_*.json`` dumps with their
-        sidecars, or previously merged archives) into one merged
-        archive: counters sum, histograms bucket-add, gauges resolve
-        by latest sim time with per-shard provenance, trace forests
-        get disjoint ids, series tick-align, ledgers merge exactly or
-        sketch-wise with propagated error bounds, and SLOs are
-        re-judged over the merged registry.  Every renderer above
-        accepts the result (see ``repro.obs.merge``).
+    merge <archive...> -o fleet_<name>.jsonl [--name NAME]
+        Deterministic, order-insensitive merge of N archives (runs or
+        earlier merges) into one merged archive: counters sum,
+        histograms bucket-add, gauges resolve by latest sim time with
+        per-shard provenance, trace forests get disjoint ids, series
+        tick-align, ledgers merge exactly or sketch-wise with
+        propagated error bounds, and SLOs are re-judged over the
+        merged registry (see ``repro.obs.merge``).  Refuses an
+        incomplete archive with exit code 2.
 
-``report``, ``trace``, ``dashboard``, and ``top`` all additionally
-accept a streamed ``obs_<name>.jsonl`` sidecar (see
-``repro.obs.sink``) in place of the legacy monolithic dumps — the file
-is sniffed by its first-line ``meta`` record.  Live modes take
-``--sample RATE`` (with ``--reservoir`` / ``--top-k``) to run under a
-bounded-memory sampling policy.
+    profile <archive>
+        The profiler's top-N from the archive's ``wall`` record.
+
+Live modes take ``--sample RATE`` (with ``--reservoir`` / ``--top-k``)
+to run under a bounded-memory sampling policy.
 """
 
 from __future__ import annotations
@@ -82,28 +76,16 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.obs.accounting import (
-    SORT_COLUMNS,
-    load_accounting_file,
-    render_top,
-)
-from repro.obs.dashboard import (
-    load_timeseries_file,
-    render_dashboard,
-    render_profile,
-)
+from repro.obs.accounting import SORT_COLUMNS, render_top
+from repro.obs.dashboard import render_dashboard, render_profile
 from repro.obs.report import (
-    find_timeseries_sidecar,
-    find_trace_sidecar,
-    load_metrics_file,
-    load_trace_file,
     render_metrics_summary,
     render_overhead,
     render_slo_table,
     render_telemetry_health,
     render_traces,
 )
-from repro.obs.sink import is_obs_sidecar, load_obs_sidecar
+from repro.obs.sink import Archive, load_archive
 from repro.obs.slo import SloMonitor
 
 
@@ -128,43 +110,30 @@ def _add_sample_flags(parser: argparse.ArgumentParser) -> None:
                         help="accounts kept per kind with --sample")
 
 
+def _load(path: str) -> Archive:
+    """Load *path*, printing the incomplete-archive line when due."""
+    archive = load_archive(path)
+    warning = archive.warning()
+    if warning is not None:
+        print(warning)
+    return archive
+
+
+def _title(archive: Archive) -> str:
+    return archive.path if archive.merged else archive.name or archive.path
+
+
 def _report(args: argparse.Namespace) -> int:
-    spans = events = None
-    merged_shards = None
-    incomplete = None
-    if is_obs_sidecar(args.metrics):
-        payload = load_obs_sidecar(args.metrics)
-        if not payload["complete"]:
-            incomplete = (f"!! incomplete archive: {payload['records']} "
-                          f"records recovered")
-            if payload["torn"]:
-                incomplete += ", torn final line skipped"
-            if not payload["meta"]:
-                incomplete += ", no fin record (run did not finish)"
-        meta = {k: v for k, v in payload["meta"].items()
-                if k != "metrics"}
-        meta.setdefault("name", payload["name"])
-        metrics = payload["meta"].get("metrics", {})
-        spans, events = payload["spans"], payload["events"]
-    else:
-        meta, metrics = load_metrics_file(args.metrics)
-        if meta.get("merged"):
-            # merged archives embed their traces and carry per-shard
-            # provenance; render both inline
-            spans = meta.get("spans") or []
-            events = meta.get("events") or []
-            merged_shards = meta.get("shards") or []
-    title = meta.get("name") or args.metrics
-    header = f"== scenario: {title} =="
-    if "sim_time" in meta:
-        header += f"  (sim_time {meta['sim_time']:.3f}s," \
-                  f" {meta.get('events_run', '?')} events)"
+    archive = _load(args.archive)
+    summary = archive.summary
+    header = f"== scenario: {summary.get('name') or _title(archive)} =="
+    if "sim_time" in summary:
+        header += f"  (sim_time {summary['sim_time']:.3f}s," \
+                  f" {summary.get('events_run', '?')} events)"
     print(header)
-    if incomplete is not None:
-        print(incomplete)
-    if merged_shards is not None:
-        print(f"   merged from {len(merged_shards)} shard(s):")
-        for s in merged_shards:
+    if archive.merged:
+        print(f"   merged from {len(archive.shards)} shard(s):")
+        for s in archive.shards:
             line = (f"     - {s.get('name')}: "
                     f"sim_time {s.get('sim_time', 0.0):.3f}s, "
                     f"{s.get('events_run', 0)} events, "
@@ -180,69 +149,26 @@ def _report(args: argparse.Namespace) -> int:
                 line += "  (" + ", ".join(extras) + ")"
             print(line)
     print()
-    print(render_metrics_summary(metrics))
-    if "telemetry" in meta:
+    print(render_metrics_summary(archive.metrics))
+    if "telemetry" in summary:
         print()
-        print(render_telemetry_health(meta["telemetry"]))
-    if "overhead" in meta:
+        print(render_telemetry_health(summary["telemetry"]))
+    if archive.overhead is not None:
         print()
-        print(render_overhead(meta["overhead"]))
+        print(render_overhead(archive.overhead))
     print()
-    results = SloMonitor().evaluate(metrics)
+    results = SloMonitor().evaluate(archive.metrics)
     print(render_slo_table(results))
-    if spans is not None:
-        print()
-        print(f"== traces: {args.metrics} ==")
-        print(render_traces(spans, events, top=args.top))
-    else:
-        trace_path = args.trace or find_trace_sidecar(args.metrics)
-        if trace_path:
-            spans, events = load_trace_file(trace_path)
-            print()
-            print(f"== traces: {trace_path} ==")
-            print(render_traces(spans, events, top=args.top))
-        ts_path = find_timeseries_sidecar(args.metrics)
-        if ts_path:
-            print()
-            print(f"(time-series sidecar: render with "
-                  f"`python -m repro.obs dashboard {ts_path}`)")
-    if spans:
+    print()
+    print(f"== traces: {archive.path} ==")
+    print(render_traces(archive.spans, archive.events, top=args.top))
+    if archive.spans:
         from repro.obs.critical import render_attribution
         print()
-        print(render_attribution(spans, top=args.top))
+        print(render_attribution(archive.spans, top=args.top))
     if args.strict and not all(r.ok for r in results):
         return 1
     return 0
-
-
-def _trace(args: argparse.Namespace) -> int:
-    if is_obs_sidecar(args.trace):
-        payload = load_obs_sidecar(args.trace)
-        spans, events = payload["spans"], payload["events"]
-    else:
-        spans, events = load_trace_file(args.trace)
-    print(render_traces(spans, events, top=args.top))
-    return 0
-
-
-def _load_spans(path: str):
-    """Spans from any archive shape the CLI accepts."""
-    if is_obs_sidecar(path):
-        return load_obs_sidecar(path)["spans"]
-    if path.endswith(".jsonl"):
-        spans, _ = load_trace_file(path)
-        return spans
-    from repro.obs.merge import is_merged_archive
-    if is_merged_archive(path):
-        import json
-        with open(path) as fh:
-            return json.load(fh).get("spans") or []
-    trace_path = find_trace_sidecar(path)
-    if trace_path is None:
-        raise SystemExit(f"critical: no trace sidecar found next to "
-                         f"{path} — pass the trace_*.jsonl directly")
-    spans, _ = load_trace_file(trace_path)
-    return spans
 
 
 def _critical(args: argparse.Namespace) -> int:
@@ -253,7 +179,7 @@ def _critical(args: argparse.Namespace) -> int:
         select_traces,
     )
 
-    spans = _load_spans(args.archive)
+    spans = _load(args.archive).spans
     if not spans:
         print("(no spans in this archive)")
         return 1
@@ -273,13 +199,16 @@ def _critical(args: argparse.Namespace) -> int:
 def _diff(args: argparse.Namespace) -> int:
     from repro.obs.diff import (
         diff_runs,
-        load_run,
+        load_side,
         render_diff_report,
         write_diff,
     )
 
-    payload = diff_runs(load_run(args.run_a), load_run(args.run_b),
-                        top=args.top)
+    sides = [load_side(path) for path in (args.run_a, args.run_b)]
+    for side in sides:
+        if not side.complete:
+            print(side.warning())
+    payload = diff_runs(*sides, top=args.top)
     print(render_diff_report(payload, top=args.top))
     if args.json:
         out_dir, base = os.path.split(os.path.abspath(args.json))
@@ -291,29 +220,16 @@ def _diff(args: argparse.Namespace) -> int:
     return 1 if payload["deterministic_delta_count"] else 0
 
 
-def _slo(args: argparse.Namespace) -> int:
-    _, metrics = load_metrics_file(args.metrics)
-    results = SloMonitor().evaluate(metrics)
-    print(render_slo_table(results))
-    return 0 if all(r.ok for r in results) else 1
-
-
 def _dashboard(args: argparse.Namespace) -> int:
-    if args.timeseries is None and args.live is None:
-        print("dashboard: give a timeseries_*.json path or --live "
-              "<scenario>", file=sys.stderr)
+    if args.archive is None and args.live is None:
+        print("dashboard: give an archive path or --live <scenario>",
+              file=sys.stderr)
         return 2
-    if args.timeseries is not None:
-        if is_obs_sidecar(args.timeseries):
-            sidecar = load_obs_sidecar(args.timeseries)
-            payload = sidecar["timeseries"]
-            title = sidecar["name"] or args.timeseries
-        else:
-            payload = load_timeseries_file(args.timeseries)
-            title = payload.get("name") or args.timeseries
+    if args.archive is not None:
+        archive = _load(args.archive)
         print(render_dashboard(
-            payload, profile=payload.get("profile"), width=args.width,
-            top=args.top, title=title))
+            archive.timeseries, profile=archive.profile,
+            width=args.width, top=args.top, title=_title(archive)))
         return 0
     return _live_dashboard(args)
 
@@ -358,24 +274,19 @@ def _health(mits) -> dict:
 
 
 def _top(args: argparse.Namespace) -> int:
-    if args.accounting is None and args.live is None:
-        print("top: give an accounting_*.json path or --live <scenario>",
+    if args.archive is None and args.live is None:
+        print("top: give an archive path or --live <scenario>",
               file=sys.stderr)
         return 2
-    if args.accounting is not None:
-        if is_obs_sidecar(args.accounting):
-            sidecar = load_obs_sidecar(args.accounting)
-            payload = sidecar["accounting"]
-            if payload is None:
-                print("top: this obs stream has no ledger checkpoints "
-                      "(run with accounting enabled)", file=sys.stderr)
-                return 2
-            title = sidecar["name"] or args.accounting
-        else:
-            payload = load_accounting_file(args.accounting)
-            title = payload.get("name") or args.accounting
-        print(render_top(payload, kind=args.kind, sort=args.sort,
-                         limit=args.limit, title=title))
+    if args.archive is not None:
+        archive = _load(args.archive)
+        if archive.accounting is None:
+            print("top: this archive has no ledger checkpoints "
+                  "(run with accounting enabled)", file=sys.stderr)
+            return 2
+        print(render_top(archive.accounting, kind=args.kind,
+                         sort=args.sort, limit=args.limit,
+                         title=_title(archive)))
         return 0
     # imported lazily: repro.core pulls in the whole stack, which the
     # archived-file path of this CLI doesn't need
@@ -419,28 +330,17 @@ def _audit(args: argparse.Namespace) -> int:
 
 
 def _audit_archive(path: str) -> int:
-    """Render the audit verdict embedded in an archive (merged fleet
-    archives and monolithic metrics dumps alike)."""
-    import json
-
-    if is_obs_sidecar(path):
-        payload = load_obs_sidecar(path)
-        audit = payload["meta"].get("audit")
-        name = payload["name"] or path
-        sim_time = payload["meta"].get("sim_time", 0.0)
-    else:
-        with open(path) as fh:
-            payload = json.load(fh)
-        audit = payload.get("audit")
-        name = payload.get("name") or path
-        sim_time = payload.get("sim_time", 0.0)
+    """Render the audit verdict embedded in an archive."""
+    archive = _load(path)
+    audit = archive.summary.get("audit")
     if audit is None:
         print(f"audit: {path} carries no audit block (run the "
               f"scenario with accounting enabled)", file=sys.stderr)
         return 2
     violations = audit.get("violations", [])
-    scope = "merged " if payload.get("merged") else ""
-    print(f"== {scope}audit: {name} @ t={sim_time:.1f}s ==")
+    scope = "merged " if archive.merged else ""
+    print(f"== {scope}audit: {archive.name or path} @ "
+          f"t={archive.summary.get('sim_time', 0.0):.1f}s ==")
     print(f"  {audit.get('checks', 0)} invariant checks, "
           f"{len(violations)} violations")
     for v in violations:
@@ -449,13 +349,19 @@ def _audit_archive(path: str) -> int:
 
 
 def _merge(args: argparse.Namespace) -> int:
-    from repro.obs.merge import load_shard, merge_archives, write_merged
+    from repro.obs.merge import merge_archives, write_merged
 
-    shards = [load_shard(path) for path in args.archives]
-    merged = merge_archives(shards, name=args.name)
+    archives = [load_archive(path) for path in args.archives]
+    for archive in archives:
+        if not archive.complete:
+            print(f"merge: refusing {archive.path}: "
+                  f"{archive.warning()}", file=sys.stderr)
+            return 2
+    merged = merge_archives([a.shard() for a in archives],
+                            name=args.name)
     path = write_merged(merged, args.output)
     prov = merged.get("provenance", {})
-    print(f"merged {len(shards)} shard(s) -> {path}")
+    print(f"merged {len(archives)} shard(s) -> {path}")
     print(f"  sim_time {merged['sim_time']:.3f}s, "
           f"{merged['events_run']} events, "
           f"{len(merged.get('spans') or [])} spans, "
@@ -477,11 +383,10 @@ def _merge(args: argparse.Namespace) -> int:
 
 
 def _profile_cmd(args: argparse.Namespace) -> int:
-    """Render the profile block embedded in a metrics/timeseries dump."""
-    meta, _ = load_metrics_file(args.metrics)
-    profile = meta.get("profile")
+    """Render the profile table from an archive's ``wall`` record."""
+    profile = _load(args.archive).profile
     if not profile:
-        print("(no profile section in this dump — rerun the scenario "
+        print("(no profile in this archive — rerun the scenario "
               "with profiling enabled)")
         return 1
     print(render_profile(profile, top=args.top))
@@ -491,28 +396,20 @@ def _profile_cmd(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Render MITS observability dumps.")
+        description="Render MITS observability archives.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_report = sub.add_parser("report", help="metrics + SLOs + traces")
-    p_report.add_argument("metrics", help="metrics_<scenario>.json")
-    p_report.add_argument("--trace", help="trace_<scenario>.jsonl "
-                          "(auto-discovered when omitted)")
+    p_report.add_argument("archive", help="obs_*.jsonl or fleet_*.jsonl")
     p_report.add_argument("--top", type=int, default=10,
                           help="slow spans to list")
     p_report.add_argument("--strict", action="store_true",
                           help="exit 1 on SLO violations")
     p_report.set_defaults(func=_report)
 
-    p_trace = sub.add_parser("trace", help="span waterfalls only")
-    p_trace.add_argument("trace", help="trace_<scenario>.jsonl")
-    p_trace.add_argument("--top", type=int, default=10)
-    p_trace.set_defaults(func=_trace)
-
     p_crit = sub.add_parser(
         "critical", help="critical-path analysis + attribution")
-    p_crit.add_argument("archive", help="trace_*.jsonl, obs_*.jsonl, "
-                        "or metrics_*.json (sidecar auto-discovered)")
+    p_crit.add_argument("archive", help="obs_*.jsonl or fleet_*.jsonl")
     p_crit.add_argument("--trace", type=int, default=None, metavar="ID",
                         help="analyse one trace id")
     p_crit.add_argument("--p99", action="store_true",
@@ -524,8 +421,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_diff = sub.add_parser(
         "diff", help="differential comparison of two archived runs")
-    p_diff.add_argument("run_a", help="baseline archive (metrics_*.json"
-                        ", obs_*.jsonl, or BENCH_*.json)")
+    p_diff.add_argument("run_a", help="baseline archive (obs_*.jsonl, "
+                        "fleet_*.jsonl, or BENCH_*.json)")
     p_diff.add_argument("run_b", help="candidate archive")
     p_diff.add_argument("--top", type=int, default=10,
                         help="rows per section")
@@ -534,14 +431,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "payload here")
     p_diff.set_defaults(func=_diff)
 
-    p_slo = sub.add_parser("slo", help="SLO verdicts only")
-    p_slo.add_argument("metrics", help="metrics_<scenario>.json")
-    p_slo.set_defaults(func=_slo)
-
     p_dash = sub.add_parser(
         "dashboard", help="sparkline panels + profiler top-N")
-    p_dash.add_argument("timeseries", nargs="?",
-                        help="timeseries_<scenario>.json (archived mode)")
+    p_dash.add_argument("archive", nargs="?",
+                        help="obs_*.jsonl or fleet_*.jsonl")
     p_dash.add_argument("--live", metavar="SCENARIO",
                         help="run a named scenario and render it "
                         "(see repro.core.scenarios)")
@@ -568,8 +461,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_top = sub.add_parser(
         "top", help="per-entity accounting tables (VCs, sites, streams)")
-    p_top.add_argument("accounting", nargs="?",
-                       help="accounting_<scenario>.json (archived mode)")
+    p_top.add_argument("archive", nargs="?",
+                       help="obs_*.jsonl or fleet_*.jsonl")
     p_top.add_argument("--live", metavar="SCENARIO",
                        help="run a named scenario with the ledger "
                        "enabled and render its attribution")
@@ -596,16 +489,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="arm a named fault plan before auditing")
     p_audit.add_argument("--fault-seed", type=int, default=None)
     p_audit.add_argument("--out-dir", default=None,
-                         help="also dump the full sidecar set here")
+                         help="also write the run's archive here")
     p_audit.set_defaults(func=_audit)
 
     p_merge = sub.add_parser(
         "merge", help="merge N run archives into one merged archive")
     p_merge.add_argument("archives", nargs="+",
-                         help="obs_*.jsonl / metrics_*.json / merged "
-                         "archives to fold together")
+                         help="obs_*.jsonl / fleet_*.jsonl archives "
+                         "to fold together")
     p_merge.add_argument("-o", "--output", required=True,
-                         help="path for the merged archive")
+                         help="path for the merged archive "
+                         "(fleet_<name>.jsonl)")
     p_merge.add_argument("--name", default="merged",
                          help="name recorded in the merged archive")
     p_merge.add_argument("--strict", action="store_true",
@@ -614,9 +508,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_merge.set_defaults(func=_merge)
 
     p_prof = sub.add_parser(
-        "profile", help="profiler top-N from an archived dump")
-    p_prof.add_argument("metrics", help="metrics_<scenario>.json with "
-                        "an embedded profile section")
+        "profile", help="profiler top-N from an archive")
+    p_prof.add_argument("archive", help="obs_*.jsonl with a profile "
+                        "in its wall record")
     p_prof.add_argument("--top", type=int, default=10)
     p_prof.set_defaults(func=_profile_cmd)
 

@@ -35,7 +35,6 @@ __all__ = [
     "NULL_ACCOUNT",
     "SORT_COLUMNS",
     "account_weight",
-    "load_accounting_file",
     "render_top",
 ]
 
@@ -356,17 +355,3 @@ def render_top(payload: Dict[str, object], *, kind: Optional[str] = None,
                      f"~ rows carry an inherited error bound "
                      f"({total_evicted} accounts evicted)")
     return "\n".join(lines)
-
-
-def load_accounting_file(path) -> Dict[str, object]:
-    """Load an ``accounting_<name>.json`` sidecar, or the embedded
-    ``accounting`` block of a merged archive (``repro.obs merge``)."""
-    import json
-    from pathlib import Path
-
-    data = json.loads(Path(path).read_text())
-    if data.get("merged") and isinstance(data.get("accounting"), dict):
-        data = data["accounting"]
-    if "kinds" not in data:
-        raise ValueError(f"{path} does not look like an accounting sidecar")
-    return data

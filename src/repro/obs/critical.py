@@ -41,7 +41,7 @@ Derived quantities:
     worth reading, auto-selected instead of hand-picked.
 
 Everything here is pure functions over span dicts (the
-``trace_*.jsonl`` / ``obs_*.jsonl`` line shape); live
+archive ``span`` record shape); live
 :class:`~repro.obs.tracing.SpanRecord` objects are accepted too and
 normalised up front.  Orphaned spans — parents dropped by sampling or
 ring eviction — are treated as roots of their own subtree, so a
@@ -272,8 +272,8 @@ def attribution(all_spans: Sequence[Any],
 
     Every trace (or just *trace_ids*) contributes its path segments;
     shares are of the summed path seconds.  This is the compact block
-    ``dump_observability`` embeds in ``metrics_*.json`` and the
-    ``repro.obs diff`` attribution section compares across runs.
+    an archive's ``fin`` summary embeds and the ``repro.obs diff``
+    attribution section compares across runs.
     """
     spans = normalize_spans(all_spans)
     by_trace = group_by_trace(spans)

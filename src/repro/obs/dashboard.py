@@ -1,8 +1,8 @@
 """ASCII dashboard: sparkline panels over time-series telemetry.
 
 Renders the :class:`~repro.obs.timeseries.TelemetrySampler` rings —
-live from a running deployment or reloaded from an archived
-``timeseries_*.json`` sidecar — as fixed-width ASCII panels, one per
+live from a running deployment or rebuilt from an archive's telemetry
+ticks — as fixed-width ASCII panels, one per
 watched metric, plus the event-loop profiler's top-N table when a
 profile is available.  Everything is plain ASCII string building (like
 :mod:`repro.obs.report`) so output is stable in CI logs and easy to
@@ -18,7 +18,6 @@ views.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.timeseries import Series, load_timeseries
@@ -26,7 +25,6 @@ from repro.obs.timeseries import Series, load_timeseries
 __all__ = [
     "DEFAULT_PANELS",
     "Panel",
-    "load_timeseries_file",
     "render_dashboard",
     "render_panel",
     "render_profile",
@@ -74,17 +72,6 @@ DEFAULT_PANELS: Tuple[Panel, ...] = (
     Panel("RPC round-trip p99", "connection", "rtt_seconds",
           channel="p99s", unit="s"),
 )
-
-
-def load_timeseries_file(path: str) -> Dict[str, Any]:
-    """Load a ``timeseries_*.json`` sidecar (or a ``MitsSystem``
-    snapshot — its ``timeseries`` section is unwrapped)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if "series" not in payload and isinstance(
-            payload.get("timeseries"), dict):
-        payload = payload["timeseries"]
-    return payload
 
 
 # -- sparklines -------------------------------------------------------------
@@ -218,7 +205,7 @@ def render_dashboard(source: Any, *,
     """Render every applicable panel plus telemetry health + profile.
 
     *source* is a :class:`TelemetrySampler`, a list of
-    :class:`Series`, or a snapshot/sidecar dict.
+    :class:`Series`, or a snapshot dict (``Archive.timeseries``).
     """
     meta: Dict[str, Any] = {}
     if hasattr(source, "series") and callable(source.series):

@@ -8,17 +8,11 @@ to end and emits one ranked attribution table plus a machine-readable
 ``diff_*.json``, so every regression (and every claimed speedup in
 the ROADMAP's 10× arc) arrives with a layer-level explanation.
 
-A *run archive* is any of the artefact shapes the repo produces:
-
-* ``metrics_<name>.json`` — the monolithic sidecar; the sibling
-  ``trace_``/``accounting_`` sidecars are auto-discovered;
-* ``obs_<name>.jsonl`` — the streamed sidecar (spans, fin summary,
-  last ledger checkpoint);
-* ``BENCH_<scenario>.json`` — a bench-gate baseline (scalar metric
-  vector + ``profile_top``, no spans);
-* a merged fleet archive (``repro.obs merge`` / ``scripts/fleet.py``)
-  — spans, ledger, and critical block are embedded, so two
-  same-partition fleets diff exactly like two single runs.
+Either side is an :class:`~repro.obs.sink.Archive` — a run's
+``obs_<name>.jsonl`` or a merged ``fleet_<name>.jsonl``, so two
+same-partition fleets diff exactly like two single runs — or a
+``BENCH_<scenario>.json`` bench-gate baseline (scalar metric vector +
+``profile_top``, no spans), which :func:`baseline` turns into one.
 
 Sections degrade gracefully: a side missing spans still diffs
 metrics, a BENCH baseline still diffs callsites.  Sections are
@@ -32,23 +26,17 @@ verdict — two same-seed runs must report zero.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import critical
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import (
-    find_accounting_sidecar,
-    find_trace_sidecar,
-    fmt_seconds,
-    load_metrics_file,
-    load_trace_file,
-)
-from repro.obs.sink import is_obs_sidecar, load_obs_sidecar
+from repro.obs.report import fmt_seconds
+from repro.obs.sink import Archive, load_archive
 
-__all__ = ["RunArchive", "diff_runs", "load_run", "render_diff_report",
+__all__ = ["baseline", "diff_runs", "load_side", "render_diff_report",
            "write_diff"]
 
 #: bench-vector metrics that are reproducible given the seed; the rest
@@ -60,100 +48,44 @@ BENCH_DETERMINISTIC = ("events_run", "sim_time", "peak_queue_depth",
 EPSILON = 1e-9
 
 
-@dataclass
-class RunArchive:
-    """One archived run, normalised from any artefact shape."""
+def baseline(path: str, fill: Optional[Archive] = None) -> Archive:
+    """A ``BENCH_<scenario>.json`` baseline as an :class:`Archive`.
 
-    path: str
-    name: str = ""
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    slo: Optional[Dict[str, Any]] = None
-    spans: List[Dict[str, Any]] = field(default_factory=list)
-    profile: List[Dict[str, Any]] = field(default_factory=list)
-    accounting: Optional[Dict[str, Any]] = None
-    critical: Optional[Dict[str, Any]] = None
-    bench: Optional[Dict[str, Any]] = None
-
-    def fill_missing(self, other: Optional["RunArchive"]) -> "RunArchive":
-        """Backfill sections this archive lacks from *other* (e.g. a
-        BENCH baseline borrowing the previous gate run's sidecars)."""
-        if other is None:
-            return self
-        if not self.metrics:
-            self.metrics = other.metrics
-        if self.slo is None:
-            self.slo = other.slo
-        if not self.spans:
-            self.spans = other.spans
-        if not self.profile:
-            self.profile = other.profile
-        if self.accounting is None:
-            self.accounting = other.accounting
-        if self.critical is None:
-            self.critical = other.critical
-        if self.bench is None:
-            self.bench = other.bench
-        return self
-
-    def critical_attribution(self) -> Optional[Dict[str, Any]]:
-        """Prefer recomputing from spans; fall back to the compact
-        block ``dump_observability`` embeds."""
-        if self.spans:
-            return critical.attribution(self.spans)
-        return self.critical
-
-
-def load_run(path: str) -> RunArchive:
-    """Normalise one archive file into a :class:`RunArchive`."""
-    if is_obs_sidecar(path):
-        payload = load_obs_sidecar(path)
-        fin = payload["meta"]
-        acct = payload["accounting"]
-        return RunArchive(
-            path=path, name=payload["name"] or os.path.basename(path),
-            metrics=fin.get("metrics", {}), slo=fin.get("slo"),
-            spans=payload["spans"],
-            accounting=acct.get("kinds") if acct else None,
-            critical=fin.get("critical"))
+    Its ``profile_top`` becomes the wall profile and its metric vector
+    ``summary["bench"]``; every other section comes from *fill* (the
+    previous gate run's archive) when given.
+    """
     with open(path) as fh:
         payload = json.load(fh)
-    if "profile_top" in payload and "scenario" in payload:
-        # a BENCH_<scenario>.json bench-gate baseline
-        return RunArchive(
-            path=path, name=payload.get("scenario", ""),
-            profile=list(payload.get("profile_top", [])),
-            bench=dict(payload.get("metrics", {})))
-    if payload.get("merged"):
-        # a merged fleet archive: everything is embedded, so two
-        # same-partition fleets diff exactly like two single runs
-        acct = payload.get("accounting")
-        return RunArchive(
-            path=path, name=payload.get("name")
-            or os.path.basename(path),
-            metrics=payload.get("metrics", {}),
-            slo=payload.get("slo"),
-            spans=list(payload.get("spans") or []),
-            accounting=acct.get("kinds") if acct else None,
-            critical=payload.get("critical"))
-    meta, metrics = load_metrics_file(path)
-    archive = RunArchive(
-        path=path, name=meta.get("name") or os.path.basename(path),
-        metrics=metrics, slo=meta.get("slo"),
-        critical=meta.get("critical"))
-    profile = meta.get("profile")
-    if profile:
-        archive.profile = list(profile.get("hotspots", []))
-    trace_path = find_trace_sidecar(path)
-    if trace_path:
-        archive.spans, _ = load_trace_file(trace_path)
-    acct_path = find_accounting_sidecar(path)
-    if acct_path:
-        try:
-            with open(acct_path) as fh:
-                archive.accounting = json.load(fh).get("kinds")
-        except (OSError, ValueError):
-            pass
-    return archive
+    base = fill or Archive(path=path, name="", meta={}, summary={},
+                           complete=True)
+    return dataclasses.replace(
+        base, path=path, name=payload.get("scenario", ""),
+        summary={**base.summary,
+                 "bench": dict(payload.get("metrics", {}))},
+        wall={"profile": {"hotspots": list(
+            payload.get("profile_top", []))}})
+
+
+def load_side(path: str) -> Archive:
+    """One side of a diff: a ``BENCH_*.json`` baseline or an archive."""
+    return baseline(path) if path.endswith(".json") else load_archive(path)
+
+
+def _hotspots(archive: Archive) -> List[Dict[str, Any]]:
+    return list((archive.profile or {}).get("hotspots", []))
+
+
+def _kinds(archive: Archive) -> Dict[str, Any]:
+    return (archive.accounting or {}).get("kinds") or {}
+
+
+def _critical_attribution(archive: Archive) -> Optional[Dict[str, Any]]:
+    """Prefer recomputing from spans; fall back to the compact block
+    the ``fin`` summary embeds."""
+    if archive.spans:
+        return critical.attribution(archive.spans)
+    return archive.summary.get("critical")
 
 
 # -- section diffs ---------------------------------------------------------
@@ -179,7 +111,7 @@ def _span_kind_stats(spans: Sequence[Mapping[str, Any]]
     return out
 
 
-def _diff_span_kinds(a: RunArchive, b: RunArchive
+def _diff_span_kinds(a: Archive, b: Archive
                      ) -> List[Dict[str, Any]]:
     sa, sb = _span_kind_stats(a.spans), _span_kind_stats(b.spans)
     rows = []
@@ -201,9 +133,9 @@ def _diff_span_kinds(a: RunArchive, b: RunArchive
     return rows
 
 
-def _diff_profile(a: RunArchive, b: RunArchive) -> List[Dict[str, Any]]:
-    pa = {h["callsite"]: h for h in a.profile}
-    pb = {h["callsite"]: h for h in b.profile}
+def _diff_profile(a: Archive, b: Archive) -> List[Dict[str, Any]]:
+    pa = {h["callsite"]: h for h in _hotspots(a)}
+    pb = {h["callsite"]: h for h in _hotspots(b)}
     rows = []
     for callsite in sorted(set(pa) | set(pb)):
         ha, hb = pa.get(callsite), pb.get(callsite)
@@ -225,22 +157,20 @@ def _diff_profile(a: RunArchive, b: RunArchive) -> List[Dict[str, Any]]:
     return rows
 
 
-def _slo_results(archive: RunArchive) -> Dict[str, bool]:
-    if not archive.slo:
-        return {}
-    return {r["name"]: bool(r["ok"])
-            for r in archive.slo.get("results", [])}
+def _slo_results(archive: Archive) -> Dict[str, bool]:
+    slo = archive.summary.get("slo") or {}
+    return {r["name"]: bool(r["ok"]) for r in slo.get("results", [])}
 
 
-def _diff_slo(a: RunArchive, b: RunArchive) -> Dict[str, Any]:
+def _diff_slo(a: Archive, b: Archive) -> Dict[str, Any]:
     ra, rb = _slo_results(a), _slo_results(b)
     transitions = []
     for name in sorted(set(ra) | set(rb)):
         va, vb = ra.get(name), rb.get(name)
         if va != vb:
             transitions.append({"name": name, "before": va, "after": vb})
-    verdict_a = (a.slo or {}).get("verdict")
-    verdict_b = (b.slo or {}).get("verdict")
+    verdict_a = (a.summary.get("slo") or {}).get("verdict")
+    verdict_b = (b.summary.get("slo") or {}).get("verdict")
     return {
         "verdict_before": verdict_a,
         "verdict_after": verdict_b,
@@ -249,8 +179,8 @@ def _diff_slo(a: RunArchive, b: RunArchive) -> Dict[str, Any]:
     }
 
 
-def _diff_critical(a: RunArchive, b: RunArchive) -> List[Dict[str, Any]]:
-    ca, cb = a.critical_attribution(), b.critical_attribution()
+def _diff_critical(a: Archive, b: Archive) -> List[Dict[str, Any]]:
+    ca, cb = _critical_attribution(a), _critical_attribution(b)
     table_a = (ca or {}).get("by_component", {})
     table_b = (cb or {}).get("by_component", {})
     rows = []
@@ -268,12 +198,12 @@ def _diff_critical(a: RunArchive, b: RunArchive) -> List[Dict[str, Any]]:
     return rows
 
 
-def _diff_ledger(a: RunArchive, b: RunArchive, *,
+def _diff_ledger(a: Archive, b: Archive, *,
                  top: int = 8) -> List[Dict[str, Any]]:
     """Largest per-account ``bytes_sent`` movements, across kinds."""
     rows = []
-    kinds_a = a.accounting or {}
-    kinds_b = b.accounting or {}
+    kinds_a = _kinds(a)
+    kinds_b = _kinds(b)
     for kind in sorted(set(kinds_a) | set(kinds_b)):
         acc_a = {r["key"]: r for r in kinds_a.get(kind, [])}
         acc_b = {r["key"]: r for r in kinds_b.get(kind, [])}
@@ -293,8 +223,9 @@ def _diff_ledger(a: RunArchive, b: RunArchive, *,
     return rows[:top]
 
 
-def _diff_bench(a: RunArchive, b: RunArchive) -> List[Dict[str, Any]]:
-    va, vb = a.bench or {}, b.bench or {}
+def _diff_bench(a: Archive, b: Archive) -> List[Dict[str, Any]]:
+    va = a.summary.get("bench") or {}
+    vb = b.summary.get("bench") or {}
     rows = []
     for metric in sorted(set(va) | set(vb)):
         mb, mc = va.get(metric), vb.get(metric)
@@ -309,7 +240,7 @@ def _diff_bench(a: RunArchive, b: RunArchive) -> List[Dict[str, Any]]:
 # -- the top-level diff ----------------------------------------------------
 
 
-def diff_runs(a: RunArchive, b: RunArchive, *,
+def diff_runs(a: Archive, b: Archive, *,
               top: int = 10) -> Dict[str, Any]:
     """Compare two archives end to end.
 

@@ -19,7 +19,7 @@ Under a :class:`~repro.obs.sampling.SamplingPolicy` (see
 into a seeded reservoir instead of vanishing, so a uniform sample of
 the *early* run survives arbitrarily long scenarios; and a ``sink``
 callable, when attached, receives every recorded event as it happens,
-which is how the streaming sidecar persists full fidelity while the
+which is how a streamed archive persists full fidelity while the
 in-memory window stays bounded.
 """
 
@@ -92,7 +92,7 @@ class FlightRecorder:
         self._events: Deque[FlightEvent] = deque(maxlen=capacity)
         #: overflow reservoir, installed by apply_policy(event_reservoir=N)
         self._overflow = None
-        #: receives every recorded FlightEvent (streaming sidecar)
+        #: receives every recorded FlightEvent (the streamed archive)
         self.sink: Optional[Callable[[FlightEvent], None]] = None
 
     def apply_policy(self, policy) -> None:
@@ -182,6 +182,6 @@ class FlightRecorder:
         return snap
 
     def to_jsonl(self) -> str:
-        """One event per line, for ``trace_*.jsonl`` sidecar dumps."""
+        """One event per line (the ``event`` record body, untagged)."""
         return "\n".join(
             json.dumps(e.to_dict(), sort_keys=True) for e in self._events)

@@ -1,53 +1,34 @@
-"""Sidecar export: one call dumps a deployment's full telemetry.
+"""One call archives a deployment's full telemetry.
 
 The benchmark harness (``benchmarks/conftest.py``), the perf-regression
-gate (``scripts/bench_gate.py``), and ad-hoc scripts all need the same
-three artefacts per scenario, in the formats the ``repro.obs`` CLI
-reads back:
+gate (``scripts/bench_gate.py``), the fleet workers and ad-hoc scripts
+all archive a finished run with :func:`dump_observability`.  The
+archive is the one ``obs_<name>.jsonl`` record stream that
+:class:`~repro.obs.sink.ObsSink` writes and
+:func:`~repro.obs.sink.load_archive` reads: a run that streamed
+(``MitsSystem(stream=path)``) gets its attached sink closed; any other
+run gets a sink attached late, which replays the spans, flight events,
+sampler rings and ledger still held in memory.
 
-* ``metrics_<name>.json`` — the registry report wrapped with run meta,
-  SLO verdicts, and a telemetry-health block (flight-recorder drops,
-  tracer drops, sampler ring evictions — so truncation is visible);
-* ``trace_<name>.jsonl`` — spans then flight events, one JSON object
-  per line, tagged ``"record": "span" | "event"``;
-* ``timeseries_<name>.json`` — the sampler's ring-buffered series,
-  for the dashboard.
-
-When the deployment's ledger is enabled a fourth sidecar,
-``accounting_<name>.json``, carries the per-entity attribution for
-``python -m repro.obs top``; the metrics sidecar also embeds the
-conservation-audit verdict so archived runs prove their counters
-balanced.
-
-This monolithic path is the *compatibility* exporter: it materialises
-everything in memory and writes once at the end.  At-scale runs attach
-a streaming :class:`~repro.obs.sink.ObsSink` instead (see
-``MitsSystem(stream=...)``), which appends one JSONL record per span /
-event / telemetry tick as the run progresses; ``dump_observability``
-closes an attached sink so its ``fin`` summary lands too.  When the
-deployment self-meters (``MitsSystem(meter=True)``, the default) the
-metrics sidecar additionally carries a top-level ``overhead`` block —
-what the obs stack itself cost, by component.
+Either way the archive ends with a ``wall`` record — the meter's
+``overhead`` table and, when given, the profiler's ``profile`` — and
+the ``fin`` summary (metrics, SLO verdicts, conservation audit,
+telemetry health, critical-path attribution).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, List, Optional
-
-from repro.obs.audit import ConservationAuditor
 
 __all__ = ["critical_block", "dump_observability", "telemetry_health"]
 
 
 def critical_block(spans) -> Optional[Dict[str, Any]]:
-    """Compact critical-path attribution for a metrics/fin dump.
+    """Compact critical-path attribution for the ``fin`` summary.
 
     Purely simulated-time quantities, so the block is deterministic
-    (same seed ⇒ byte-identical) and safe to diff across runs — it is
-    what lets ``repro.obs diff`` compare critical-path attribution
-    from two metrics sidecars without re-reading their span files.
+    (same seed ⇒ byte-identical) and safe to diff across runs.
     """
     if not spans:
         return None
@@ -82,93 +63,17 @@ def telemetry_health(mits) -> Dict[str, Any]:
 def dump_observability(mits, name: str, out_dir: str,
                        *, profile: Optional[Dict[str, Any]] = None
                        ) -> List[str]:
-    """Write the three sidecars for *mits* under *out_dir*.
+    """Close *mits*'s archive and return ``[path]``.
 
-    Returns the paths written (metrics, trace, timeseries — the last
-    only when the deployment has a sampler).
+    A streaming run's attached sink is closed where it is; otherwise a
+    sink is attached late at ``<out_dir>/obs_<name>.jsonl``.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    written: List[str] = []
-    sim = mits.sim
+    from repro.obs.sink import ObsSink
 
-    # an attached streaming sink gets its fin summary + final flush
-    # first, so the sidecar set is complete even if a later write fails
     sink = getattr(mits, "sink", None)
-    sink_flushed = sink is not None and not sink.closed
-    if sink_flushed:
-        sink.close()
-        written.append(sink.path)
-
-    metrics_report = sim.metrics.report()
-    watchdog = getattr(mits, "watchdog", None)
-    meter = getattr(mits, "meter", None)
-
-    metrics_path = os.path.join(out_dir, f"metrics_{name}.json")
-    audit_t0 = meter.now() if meter is not None else 0.0
-    audit_report = ConservationAuditor(mits).report()
-    if meter is not None:
-        meter.charge("auditor", audit_t0)
-    dump: Dict[str, Any] = {
-        "name": name,
-        "sim_time": sim.now,
-        "events_run": sim.events_run,
-        "metrics": metrics_report,
-        "slo": mits.slos.summary(
-            metrics_report,
-            watchdog_alerts=watchdog.alerts
-            if watchdog is not None else None),
-        "audit": audit_report,
-        "telemetry": telemetry_health(mits),
-    }
-    crit = critical_block([s.to_dict() for s in sim.tracer.spans])
-    if crit is not None:
-        dump["critical"] = crit
-    if watchdog is not None:
-        dump["watchdog"] = watchdog.snapshot()
-    if profile is not None:
-        dump["profile"] = profile
-    if meter is not None:
-        # wall-clock, so deliberately OUTSIDE the deterministic
-        # telemetry block (and never in the JSONL stream)
-        dump["overhead"] = meter.report()
-    with open(metrics_path, "w") as fh:
-        json.dump(dump, fh, indent=2, sort_keys=True)
-    written.append(metrics_path)
-
-    trace_path = os.path.join(out_dir, f"trace_{name}.jsonl")
-    with open(trace_path, "w") as fh:
-        for span in sim.tracer.spans:
-            fh.write(json.dumps({"record": "span", **span.to_dict()},
-                                sort_keys=True) + "\n")
-        # reservoir-salvaged ring-evicted events first (they are the
-        # oldest), then the live ring — otherwise the overflow sample
-        # survives the run but silently misses the archive
-        for event in sim.recorder.overflow:
-            fh.write(json.dumps({"record": "event", **event.to_dict()},
-                                sort_keys=True) + "\n")
-        for event in sim.recorder.events:
-            fh.write(json.dumps({"record": "event", **event.to_dict()},
-                                sort_keys=True) + "\n")
-    written.append(trace_path)
-
-    sampler = getattr(mits, "sampler", None)
-    if sampler is not None:
-        if not sink_flushed:
-            sampler.sample()  # flush a final point at `now`
-        # (closing the sink above already flushed one — a second call
-        # would inflate the samples counter past what the fin recorded)
-        ts_path = os.path.join(out_dir, f"timeseries_{name}.json")
-        with open(ts_path, "w") as fh:
-            json.dump({"name": name, **sampler.snapshot()}, fh,
-                      indent=2, sort_keys=True)
-        written.append(ts_path)
-
-    ledger = getattr(sim, "ledger", None)
-    if ledger is not None and ledger.enabled:
-        acct_path = os.path.join(out_dir, f"accounting_{name}.json")
-        with open(acct_path, "w") as fh:
-            json.dump({"name": name, "sim_time": sim.now,
-                       **ledger.snapshot(sim_time=sim.now)}, fh,
-                      indent=2, sort_keys=True)
-        written.append(acct_path)
-    return written
+    if sink is None or sink.closed:
+        sink = ObsSink(os.path.join(out_dir, f"obs_{name}.jsonl"),
+                       name=name)
+        sink.attach(mits, replay=True)
+    sink.close(wall={"profile": profile} if profile is not None else {})
+    return [sink.path]

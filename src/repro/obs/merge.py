@@ -74,21 +74,24 @@ digest), so ``merge([a, b]) == merge([b, a])`` byte for byte, and the
 property suite (``tests/obs/test_merge_properties.py``) pins
 commutativity, associativity, and identity.
 
-:func:`merge_archives` produces one merged-archive dict — a
-``metrics_*.json``-shaped payload tagged ``"merged": true`` with the
-spans/events/timeseries/accounting embedded plus a per-shard
-provenance block — which every ``repro.obs`` renderer accepts.
-:func:`split_shard` is the inverse used by the split-run equivalence
-harness: partition one run's observability by entity (VC, site,
-stream...), merge the parts back, and the canonical content must
-equal the identity-merged monolithic run exactly.
+:func:`merge_archives` folds shard dicts (:meth:`Archive.shard
+<repro.obs.sink.Archive.shard>` of each loaded archive) into one
+merged dict, and :func:`write_merged` writes it as a
+``fleet_<name>.jsonl`` in the one archive grammar of
+:mod:`repro.obs.sink` — ``meta`` tagged ``merged`` with the per-shard
+provenance, the merged spans/events/telemetry/ledger, the summed
+overhead as a ``wall`` record, and a ``fin`` summary — so every
+renderer reads it through :func:`~repro.obs.sink.load_archive` like a
+single run.  :func:`split_shard` is the inverse used by the split-run
+equivalence harness: partition one run's observability by entity
+(VC, site, stream...), merge the parts back, and the canonical content
+must equal the identity-merged monolithic run exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.obs.accounting import ACCOUNT_SUM_FIELDS, account_weight
@@ -99,8 +102,6 @@ from repro.obs.timeseries import Series
 
 __all__ = [
     "MERGE_VERSION",
-    "is_merged_archive",
-    "load_shard",
     "merge_archives",
     "merge_audit",
     "merge_events",
@@ -766,130 +767,43 @@ def merged_canonical_form(merged: Mapping[str, Any]) -> str:
 
 
 def write_merged(merged: Mapping[str, Any], path: str) -> str:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(merged, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write a merged dict as one archive (``fleet_<name>.jsonl``)."""
+    from repro.obs.sink import SCHEMA_VERSION, ObsSink
+
+    sink = ObsSink(path, name=merged["name"])
+    meta: Dict[str, Any] = {
+        "record": "meta", "version": SCHEMA_VERSION,
+        "name": merged["name"], "merged": True,
+        "merge_version": merged["merge_version"],
+        "shards": merged["shards"], "provenance": merged["provenance"],
+        "policy": None,
+    }
+    ts = merged.get("timeseries")
+    if ts is not None:
+        # aligned series hold the whole union grid: size the rings the
+        # loader rebuilds so that none of it is evicted
+        longest = max((len(s["times"]) for s in ts["series"]), default=0)
+        meta["telemetry"] = {"interval": ts["interval"],
+                             "capacity": max(ts["capacity"], longest)}
+    sink.emit(meta)
+    for span in merged["spans"]:
+        sink.emit({"record": "span", **span})
+    for event in merged["events"]:
+        sink.emit({"record": "event", **event})
+    if ts is not None:
+        sink.emit_series(ts["series"])
+    if merged.get("accounting") is not None:
+        sink.emit({"record": "ledger", "sim_time": merged["sim_time"],
+                   **merged["accounting"]})
+    fin = {key: merged[key] for key in
+           ("name", "sim_time", "events_run", "metrics", "slo", "audit",
+            "telemetry", "watchdog", "critical") if key in merged}
+    if ts is not None:
+        fin["timeseries"] = {key: value for key, value in ts.items()
+                             if key not in ("enabled", "series")}
+    overhead = merged.get("overhead")
+    sink.finish(fin, wall={"overhead": overhead} if overhead else None)
     return path
-
-
-# -- loading shards ---------------------------------------------------------
-
-
-def is_merged_archive(path: str) -> bool:
-    """Sniff: a JSON file tagged ``"merged": true``."""
-    if not path.endswith(".json"):
-        return False
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return False
-    return isinstance(payload, dict) and payload.get("merged") is True
-
-
-def load_shard(path: str, *,
-               extras: Optional[Mapping[str, Any]] = None
-               ) -> Dict[str, Any]:
-    """Normalise any archive the CLI accepts into a shard dict.
-
-    Accepts a streamed ``obs_*.jsonl`` sidecar, a monolithic
-    ``metrics_*.json`` (sibling trace/timeseries/accounting sidecars
-    auto-discovered), or a previously merged archive (re-merging is
-    how fleets of fleets roll up).  *extras* (e.g. the fleet runner's
-    per-shard ``wall_seconds`` / ``peak_rss_kb`` / ``overhead``)
-    overlay the result.
-    """
-    from repro.obs.sink import is_obs_sidecar, load_obs_sidecar
-
-    if is_obs_sidecar(path):
-        payload = load_obs_sidecar(path)
-        fin = payload["meta"]
-        acct = payload["accounting"]
-        if acct is not None:
-            acct = {k: v for k, v in acct.items() if k != "sim_time"}
-        shard: Dict[str, Any] = {
-            "name": payload["name"] or os.path.basename(path),
-            "path": path,
-            "sim_time": fin.get("sim_time", 0.0),
-            "events_run": fin.get("events_run", 0),
-            "metrics": fin.get("metrics", {}),
-            "spans": payload["spans"],
-            "events": payload["events"],
-            "timeseries": payload["timeseries"],
-            "accounting": acct,
-            "watchdog": fin.get("watchdog"),
-            "audit": fin.get("audit"),
-            "telemetry": fin.get("telemetry"),
-            "overhead": None,  # wall clock never rides in the stream
-        }
-    else:
-        with open(path) as fh:
-            payload = json.load(fh)
-        if isinstance(payload, dict) and payload.get("merged"):
-            acct = payload.get("accounting")
-            shard = {
-                "name": payload.get("name") or os.path.basename(path),
-                "path": path,
-                "sim_time": payload.get("sim_time", 0.0),
-                "events_run": payload.get("events_run", 0),
-                "metrics": payload.get("metrics", {}),
-                "spans": payload.get("spans") or [],
-                "events": payload.get("events") or [],
-                "timeseries": payload.get("timeseries"),
-                "accounting": acct,
-                "watchdog": payload.get("watchdog"),
-                "audit": payload.get("audit"),
-                "telemetry": payload.get("telemetry"),
-                "overhead": payload.get("overhead"),
-                "gauge_provenance":
-                    (payload.get("provenance") or {}).get("gauges"),
-            }
-        else:
-            from repro.obs.report import (
-                find_accounting_sidecar,
-                find_timeseries_sidecar,
-                find_trace_sidecar,
-                load_metrics_file,
-                load_trace_file,
-            )
-            meta, metrics = load_metrics_file(path)
-            spans: List[Dict[str, Any]] = []
-            events: List[Dict[str, Any]] = []
-            trace_path = find_trace_sidecar(path)
-            if trace_path:
-                spans, events = load_trace_file(trace_path)
-            timeseries = None
-            ts_path = find_timeseries_sidecar(path)
-            if ts_path:
-                with open(ts_path) as fh:
-                    timeseries = {k: v for k, v in json.load(fh).items()
-                                  if k != "name"}
-            acct = None
-            acct_path = find_accounting_sidecar(path)
-            if acct_path:
-                with open(acct_path) as fh:
-                    acct = {k: v for k, v in json.load(fh).items()
-                            if k not in ("name", "sim_time")}
-            shard = {
-                "name": meta.get("name") or os.path.basename(path),
-                "path": path,
-                "sim_time": meta.get("sim_time", 0.0),
-                "events_run": meta.get("events_run", 0),
-                "metrics": metrics,
-                "spans": spans,
-                "events": events,
-                "timeseries": timeseries,
-                "accounting": acct,
-                "watchdog": meta.get("watchdog"),
-                "audit": meta.get("audit"),
-                "telemetry": meta.get("telemetry"),
-                "overhead": meta.get("overhead"),
-            }
-    if extras:
-        shard.update(extras)
-    return shard
 
 
 def shard_from_mits(mits, name: str) -> Dict[str, Any]:

@@ -1,11 +1,9 @@
-"""Rendering for metrics / trace / SLO dumps (the ``repro.obs`` CLI).
+"""Rendering for metrics / trace / SLO sections (the ``repro.obs`` CLI).
 
-Everything here is pure string building over the JSON artefacts the
-benchmarks and ``MitsSystem.snapshot()`` produce:
-
-* ``metrics_<scenario>.json`` — a ``MetricsRegistry.report()`` dump,
-  possibly wrapped in ``{"name", "sim_time", "metrics": ...}``;
-* ``trace_<scenario>.jsonl`` — one span or flight event per line.
+Everything here is pure string building over the shapes an archive's
+``fin`` summary, ``span``/``event`` records and ``wall`` record carry
+(see :mod:`repro.obs.sink`), or over the live equivalents from
+``MitsSystem.snapshot()``.
 
 The renderers are deliberately plain ASCII so output is stable in CI
 logs and easy to assert on in tests.
@@ -13,19 +11,12 @@ logs and easy to assert on in tests.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.slo import SloResult
 
 __all__ = [
-    "find_accounting_sidecar",
-    "find_timeseries_sidecar",
-    "find_trace_sidecar",
     "fmt_seconds",
-    "load_metrics_file",
-    "load_trace_file",
     "render_metrics_summary",
     "render_overhead",
     "render_slo_table",
@@ -37,76 +28,6 @@ __all__ = [
 
 #: character cells in a waterfall bar
 BAR_WIDTH = 32
-
-
-def load_metrics_file(path: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Returns ``(meta, metrics_report)``.
-
-    Accepts both the benchmark wrapper (``{"name", "sim_time",
-    "events_run", "metrics": {...}}``) and a bare registry report.
-    """
-    with open(path) as fh:
-        payload = json.load(fh)
-    if "metrics" in payload and isinstance(payload["metrics"], dict):
-        meta = {k: v for k, v in payload.items() if k != "metrics"}
-        return meta, payload["metrics"]
-    return {}, payload
-
-
-def load_trace_file(path: str) -> Tuple[List[Dict[str, Any]],
-                                        List[Dict[str, Any]]]:
-    """Returns ``(spans, events)`` from a ``trace_*.jsonl`` dump.
-
-    Lines are classified by their ``record`` tag when present, else by
-    shape (a span has ``span_id``, an event has ``component``).  The
-    tag is deliberately NOT called ``kind`` — flight events already
-    carry a ``kind`` field of their own.
-    """
-    spans: List[Dict[str, Any]] = []
-    events: List[Dict[str, Any]] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            tag = rec.pop("record", None)
-            if tag == "span" or (tag is None and "span_id" in rec):
-                spans.append(rec)
-            elif tag == "event" or (tag is None and "component" in rec):
-                events.append(rec)
-    return spans, events
-
-
-def find_trace_sidecar(metrics_path: str) -> Optional[str]:
-    """``metrics_<name>.json`` → sibling ``trace_<name>.jsonl``, if any."""
-    directory, base = os.path.split(metrics_path)
-    if not base.startswith("metrics_"):
-        return None
-    candidate = os.path.join(
-        directory, "trace_" + base[len("metrics_"):].rsplit(".", 1)[0]
-        + ".jsonl")
-    return candidate if os.path.exists(candidate) else None
-
-
-def find_timeseries_sidecar(metrics_path: str) -> Optional[str]:
-    """``metrics_<name>.json`` → sibling ``timeseries_<name>.json``."""
-    directory, base = os.path.split(metrics_path)
-    if not base.startswith("metrics_"):
-        return None
-    candidate = os.path.join(directory,
-                             "timeseries_" + base[len("metrics_"):])
-    return candidate if os.path.exists(candidate) else None
-
-
-def find_accounting_sidecar(metrics_path: str) -> Optional[str]:
-    """``metrics_<name>.json`` → sibling ``accounting_<name>.json``."""
-    directory, base = os.path.split(metrics_path)
-    if not base.startswith("metrics_"):
-        return None
-    candidate = os.path.join(directory,
-                             "accounting_" + base[len("metrics_"):])
-    return candidate if os.path.exists(candidate) else None
 
 
 # -- formatting helpers ----------------------------------------------------
@@ -171,8 +92,8 @@ def render_metrics_summary(report: Mapping[str, Any]) -> str:
 def render_telemetry_health(health: Mapping[str, Any]) -> str:
     """Loss accounting: is any of this run's telemetry truncated?
 
-    Works on the ``telemetry`` block ``dump_observability`` writes into
-    ``metrics_*.json`` (or the equivalent live dict).  Dropped flight
+    Works on the ``telemetry`` block of an archive's ``fin`` summary
+    (or the equivalent live dict).  Dropped flight
     events, dropped spans, and sampler ring evictions are flagged with
     a leading ``!`` so silent truncation is visible in every summary.
     """
@@ -201,9 +122,9 @@ def render_telemetry_health(health: Mapping[str, Any]) -> str:
 
 
 def render_overhead(overhead: Mapping[str, Any]) -> str:
-    """What the obs stack itself cost (the ``overhead`` block an
-    :class:`~repro.obs.meter.OverheadMeter` exports into
-    ``metrics_*.json``)."""
+    """What the obs stack itself cost (the ``overhead`` table an
+    :class:`~repro.obs.meter.OverheadMeter` reports into an archive's
+    ``wall`` record)."""
     pct = overhead.get("obs_overhead_pct", 0.0)
     lines = [f"observability overhead: {pct:.2f}% of wall "
              f"({fmt_seconds(overhead.get('obs_seconds', 0.0))} of "

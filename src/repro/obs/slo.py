@@ -9,7 +9,7 @@ Evaluation works on the plain-dict report produced by
 :meth:`~repro.obs.metrics.MetricsRegistry.report` (not on live
 instruments), so the same :class:`SloMonitor` judges a running
 :class:`~repro.core.system.MitsSystem` snapshot and a
-``metrics_*.json`` file a benchmark dumped last week.
+run archive a benchmark wrote last week.
 
 An SLO whose metric recorded no samples is *skipped* rather than
 failed: a scenario with no video player shouldn't fail the pre-roll

@@ -37,7 +37,7 @@ scheduled tick — explicit :meth:`TelemetrySampler.sample` calls always
 record) and *coalesce* (a sample identical to the previous point slides
 that point's timestamp forward instead of appending, so flat-lining
 gauges cost O(1) ring slots).  A ``sink`` callable, when attached,
-receives every recorded tick for the streaming sidecar.
+receives every recorded tick for the streamed archive.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ class TelemetrySampler:
         self._coalesce = (False if policy is None
                           else policy.telemetry_coalesce)
         self._ticks = 0
-        #: receives ``(now, rows)`` per recorded tick (streaming sidecar)
+        #: receives ``(now, rows)`` per recorded tick (the streamed archive)
         self.sink: Optional[Any] = None
         #: OverheadMeter charged per sample, when attached
         self.meter = meter
@@ -361,7 +361,7 @@ class TelemetrySampler:
         return max(peaks) if peaks else None
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-stable dump (the ``timeseries_*.json`` sidecar body).
+        """JSON-stable dump of every ring.
 
         Decimation/coalescing stats appear only when a policy enables
         them; the default shape is unchanged.
@@ -382,7 +382,7 @@ class TelemetrySampler:
 
 
 def load_timeseries(payload: Mapping[str, Any]) -> List[Series]:
-    """Rebuild :class:`Series` objects from a snapshot/sidecar dict, so
+    """Rebuild :class:`Series` objects from a snapshot dict, so
     the dashboard renders archived runs exactly like live ones."""
     return [Series.from_dict(entry) for entry in
             payload.get("series", [])]

@@ -29,7 +29,7 @@ local or remote — inherits it and kept trees stay connected), and the
 finished-span store can be a seeded reservoir (uniform over the run)
 instead of the newest-wins ring.  A ``sink`` callable, when attached,
 receives every *kept* finished :class:`SpanRecord` as it closes, which
-is how the streaming sidecar gets full sampled fidelity on disk while
+is how a streamed archive gets full sampled fidelity on disk while
 memory stays bounded.
 """
 
@@ -206,7 +206,7 @@ class Tracer:
         self._reservoir = None
         self._sample_rate = 1.0
         self._sample_seed = 0
-        #: receives every kept SpanRecord at finish (streaming sidecar)
+        #: receives every kept SpanRecord at finish (the streamed archive)
         self.sink: Optional[Callable[[SpanRecord], None]] = None
         #: OverheadMeter charged per finished span, when attached
         self.meter = None

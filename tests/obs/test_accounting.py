@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.obs.accounting import (
-    Account, Ledger, NULL_ACCOUNT, load_accounting_file, render_top,
+    Account, Ledger, NULL_ACCOUNT, render_top,
 )
+from repro.obs.sink import load_archive
+from tests.obs.archives import write_archive
 
 
 class TestAccount:
@@ -124,16 +126,18 @@ class TestRenderTop:
 
 
 class TestLoadAccountingFile:
+    """The ledger rides in the run's archive as ``ledger`` records."""
+
     def test_round_trip(self, tmp_path):
         ledger = Ledger()
         ledger.account("vc", "1").sent(units=1, nbytes=100)
-        path = tmp_path / "accounting_x.json"
-        path.write_text(json.dumps(ledger.snapshot()))
-        data = load_accounting_file(path)
+        path = write_archive(tmp_path / "obs_x.jsonl",
+                             ledger=ledger.snapshot())
+        data = load_archive(str(path)).accounting
         assert data["kinds"]["vc"][0]["key"] == "1"
 
     def test_rejects_non_accounting_json(self, tmp_path):
         path = tmp_path / "metrics_x.json"
         path.write_text(json.dumps({"metrics": {}}))
-        with pytest.raises(ValueError):
-            load_accounting_file(path)
+        with pytest.raises(ValueError, match=":1: not an obs archive"):
+            load_archive(str(path))

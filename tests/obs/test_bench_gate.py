@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+from repro.obs.sink import load_archive
+
 _SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                        "scripts", "bench_gate.py")
 _spec = importlib.util.spec_from_file_location("bench_gate", _SCRIPT)
@@ -15,7 +17,7 @@ _spec.loader.exec_module(bench_gate)
 
 @pytest.fixture()
 def sandbox(tmp_path, monkeypatch):
-    """Keep baselines and observability sidecars out of the repo."""
+    """Keep baselines and observability archives out of the repo."""
     monkeypatch.setenv("BENCH_METRICS_DIR", str(tmp_path / "out"))
     monkeypatch.delenv("BENCH_GATE_HANDICAP", raising=False)
     return tmp_path
@@ -170,9 +172,13 @@ class TestGateEndToEnd:
         bench_gate.main(
             ["quickstart", "--update", "--out-dir", str(sandbox)])
         out = sandbox / "out"
-        assert (out / "metrics_gate_quickstart.json").exists()
-        assert (out / "timeseries_gate_quickstart.json").exists()
-        assert (out / "trace_gate_quickstart.jsonl").exists()
+        assert sorted(p.name for p in out.iterdir()) \
+            == ["obs_gate_quickstart.jsonl"]
+        archive = load_archive(str(out / "obs_gate_quickstart.jsonl"))
+        assert archive.complete
+        assert archive.spans and archive.timeseries["series"]
+        assert archive.profile["hotspots"]
+        assert archive.overhead is not None
 
 
 class TestFailureAttribution:

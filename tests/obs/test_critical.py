@@ -18,8 +18,7 @@ from repro.obs.critical import (
     select_traces, tail_trace_ids,
 )
 from repro.obs.export import dump_observability
-from repro.obs.report import load_trace_file
-from repro.obs.sink import load_obs_sidecar
+from repro.obs.sink import load_archive
 
 
 def span(span_id, name, start, end, parent_id=None, trace_id=1):
@@ -195,28 +194,30 @@ class TestAttribution:
 
 @pytest.fixture(scope="module")
 def quickstart_archive(tmp_path_factory):
-    """One quickstart run archived both ways: streamed obs sidecar
-    and monolithic trace sidecar."""
+    """One quickstart run archived as it streamed, and a same-seed run
+    archived at the end by a late-attached sink."""
     out = str(tmp_path_factory.mktemp("critical"))
     obs_path = os.path.join(out, "obs_q.jsonl")
     run = build("quickstart", stream=obs_path)
     run.run_to_horizon()
     dump_observability(run.mits, "q", out)
+    late = build("quickstart")
+    late.run_to_horizon()
+    dump_observability(late.mits, "late", out)
     return run.mits, out, obs_path
 
 
 class TestArchiveParity:
     def test_streamed_and_monolithic_agree(self, quickstart_archive):
         _, out, obs_path = quickstart_archive
-        mono, _events = load_trace_file(
-            os.path.join(out, "trace_q.jsonl"))
-        streamed = load_obs_sidecar(obs_path)["spans"]
-        assert attribution(normalize_spans(mono)) \
+        late = load_archive(os.path.join(out, "obs_late.jsonl")).spans
+        streamed = load_archive(obs_path).spans
+        assert attribution(normalize_spans(late)) \
             == attribution(normalize_spans(streamed))
 
     def test_live_tracer_matches_archive(self, quickstart_archive):
         mits, _, obs_path = quickstart_archive
-        streamed = load_obs_sidecar(obs_path)["spans"]
+        streamed = load_archive(obs_path).spans
         assert mits.sim.tracer.critical() == attribution(streamed)
 
     def test_tracer_critical_single_trace(self, quickstart_archive):

@@ -1,13 +1,13 @@
 """Tests for the sparkline dashboard and its CLI subcommand."""
 
-import json
-
 from repro.obs.__main__ import main
 from repro.obs.dashboard import (
-    DEFAULT_PANELS, Panel, load_timeseries_file, render_dashboard,
-    render_panel, render_profile, sparkline,
+    DEFAULT_PANELS, Panel, render_dashboard, render_panel,
+    render_profile, sparkline,
 )
+from repro.obs.sink import load_archive
 from repro.obs.timeseries import Series
+from tests.obs.archives import write_archive
 
 
 def make_series(component="link", name="queue_occupancy",
@@ -20,24 +20,19 @@ def make_series(component="link", name="queue_occupancy",
 
 
 def write_timeseries(path, evictions=0):
-    payload = {
-        "name": "demo",
-        "enabled": True,
-        "interval": 0.25,
-        "capacity": 64,
-        "samples": 5,
-        "evictions": evictions,
-        "series": [
-            make_series().to_dict(),
-            make_series("simulator", "queue_depth", labels={},
-                        values=(1, 4, 2, 0, 0)).to_dict(),
-            make_series("simulator", "events_run", labels={},
-                        kind="counter", values=(0, 100, 300, 600, 900)
-                        ).to_dict(),
-        ],
-    }
-    path.write_text(json.dumps(payload))
-    return path
+    """An archive whose telemetry ticks carry three series."""
+    series = [
+        make_series().to_dict(),
+        make_series("simulator", "queue_depth", labels={},
+                    values=(1, 4, 2, 0, 0)).to_dict(),
+        make_series("simulator", "events_run", labels={},
+                    kind="counter", values=(0, 100, 300, 600, 900)
+                    ).to_dict(),
+    ]
+    return write_archive(
+        path, series=series,
+        telemetry={"interval": 0.25, "capacity": 64},
+        summary={"timeseries": {"samples": 5, "evictions": evictions}})
 
 
 class TestSparkline:
@@ -101,8 +96,8 @@ class TestDashboard:
         assert "link queue occupancy" in out
 
     def test_renders_from_archived_payload(self, tmp_path):
-        path = write_timeseries(tmp_path / "timeseries_demo.json")
-        payload = load_timeseries_file(str(path))
+        path = write_timeseries(tmp_path / "obs_demo.jsonl")
+        payload = load_archive(str(path)).timeseries
         out = render_dashboard(payload, title="demo")
         assert "demo" in out
         assert "link queue occupancy" in out
@@ -111,9 +106,8 @@ class TestDashboard:
         assert "5 samples" in out
 
     def test_eviction_warning_is_surfaced(self, tmp_path):
-        path = write_timeseries(tmp_path / "timeseries_demo.json",
-                                evictions=7)
-        out = render_dashboard(load_timeseries_file(str(path)))
+        path = write_timeseries(tmp_path / "obs_demo.jsonl", evictions=7)
+        out = render_dashboard(load_archive(str(path)).timeseries)
         assert "7 ring evictions" in out
         assert "! 7 samples evicted" in out
 
@@ -153,21 +147,22 @@ class TestProfilePane:
 
 class TestDashboardCommand:
     def test_archived_mode(self, tmp_path, capsys):
-        path = write_timeseries(tmp_path / "timeseries_demo.json")
+        path = write_timeseries(tmp_path / "obs_demo.jsonl")
         assert main(["dashboard", str(path)]) == 0
         out = capsys.readouterr().out
         assert "== dashboard: demo ==" in out
         assert "link queue occupancy" in out
 
     def test_snapshot_wrapper_accepted(self, tmp_path, capsys):
-        """A whole MitsSystem snapshot works too — its `timeseries`
-        section is unwrapped."""
-        inner = json.loads(
-            write_timeseries(tmp_path / "t.json").read_text())
-        wrapped = tmp_path / "snapshot.json"
-        wrapped.write_text(json.dumps({"topology": "star",
-                                       "timeseries": inner}))
-        assert main(["dashboard", str(wrapped)]) == 0
+        """A whole deployment works too: ``dump_observability``
+        archives its sampler rings through a late-attached sink."""
+        from repro.core.scenarios import build
+        from repro.obs.export import dump_observability
+
+        run = build("quickstart")
+        run.run_to_horizon()
+        (path,) = dump_observability(run.mits, "snap", str(tmp_path))
+        assert main(["dashboard", path]) == 0
         assert "link queue occupancy" in capsys.readouterr().out
 
     def test_no_input_is_an_error(self, capsys):
@@ -177,8 +172,8 @@ class TestDashboardCommand:
 
 class TestReportTelemetryHealth:
     def test_health_block_rendered_and_flagged(self, tmp_path, capsys):
-        payload = {
-            "name": "demo", "sim_time": 4.0, "events_run": 99,
+        summary = {
+            "sim_time": 4.0, "events_run": 99,
             "metrics": {"link": {"drops_total": [
                 {"type": "counter", "value": 0}]}},
             "telemetry": {
@@ -187,18 +182,10 @@ class TestReportTelemetryHealth:
                 "sampler_samples": 40, "sampler_evictions": 3,
             },
         }
-        path = tmp_path / "metrics_demo.json"
-        path.write_text(json.dumps(payload))
+        path = write_archive(tmp_path / "obs_demo.jsonl", summary=summary)
         assert main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "telemetry health" in out
         assert "! flight recorder: 120 events recorded, 20 evicted" in out
         assert "! sampler: 40 samples, 3 ring evictions" in out
         assert "telemetry was truncated" in out
-
-    def test_timeseries_sidecar_is_advertised(self, tmp_path, capsys):
-        metrics = tmp_path / "metrics_demo.json"
-        metrics.write_text(json.dumps({"name": "demo", "metrics": {}}))
-        write_timeseries(tmp_path / "timeseries_demo.json")
-        assert main(["report", str(metrics)]) == 0
-        assert "timeseries_demo.json" in capsys.readouterr().out

@@ -7,6 +7,7 @@ the span kinds / callsites / components that moved.
 """
 
 import copy
+import dataclasses
 import json
 import os
 
@@ -15,10 +16,11 @@ import pytest
 from repro.core.scenarios import build
 from repro.obs.__main__ import main
 from repro.obs.diff import (
-    BENCH_DETERMINISTIC, RunArchive, diff_runs, load_run,
+    BENCH_DETERMINISTIC, diff_runs, load_side,
     render_attribution_table, render_diff_report, write_diff,
 )
 from repro.obs.export import dump_observability
+from tests.obs.archives import write_archive
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
 
@@ -31,14 +33,23 @@ def same_seed_pair(tmp_path_factory):
         out = str(tmp_path_factory.mktemp(f"run_{label}"))
         run = build("quickstart", accounting=True)
         run.run_to_horizon()
-        dump_observability(run.mits, "q", out)
-        paths.append(os.path.join(out, "metrics_q.json"))
+        paths += dump_observability(run.mits, "q", out)
     return paths
+
+
+def _bump_counters(summary, component, amount):
+    """A copy of *summary* with every *component* counter raised."""
+    summary = copy.deepcopy(summary)
+    for rows in summary["metrics"][component].values():
+        for row in rows:
+            if row.get("type") == "counter":
+                row["value"] = row.get("value", 0) + amount
+    return summary
 
 
 class TestSameSeedIsEquivalent:
     def test_zero_deterministic_deltas(self, same_seed_pair):
-        a, b = (load_run(p) for p in same_seed_pair)
+        a, b = (load_side(p) for p in same_seed_pair)
         payload = diff_runs(a, b)
         assert payload["deterministic_delta_count"] == 0
         assert payload["metrics"] == {}
@@ -58,18 +69,11 @@ class TestRegressionAttribution:
     def _mutated(self, same_seed_pair, tmp_path):
         """An 'after' archive with a deliberate regression baked in:
         more retransmits and a longer streaming span."""
-        src = same_seed_pair[0]
-        with open(src) as fh:
-            payload = json.load(fh)
-        for rows in payload["metrics"]["connection"].values():
-            for row in rows:
-                if row.get("type") == "counter":
-                    row["value"] = row.get("value", 0) + 5
-        mutated = tmp_path / "metrics_mutated.json"
-        mutated.write_text(json.dumps(payload))
-        archive = load_run(str(mutated))
-        # borrow the real span set and stretch one streaming span
-        archive.spans = copy.deepcopy(load_run(src).spans)
+        src = load_side(same_seed_pair[0])
+        archive = dataclasses.replace(
+            src, summary=_bump_counters(src.summary, "connection", 5),
+            spans=copy.deepcopy(src.spans))
+        # stretch one streaming span
         for span in archive.spans:
             if span["name"].startswith("streaming"):
                 span["end"] += 1.0
@@ -79,7 +83,7 @@ class TestRegressionAttribution:
 
     def test_deltas_are_named_and_counted(self, same_seed_pair,
                                           tmp_path):
-        before = load_run(same_seed_pair[0])
+        before = load_side(same_seed_pair[0])
         after = self._mutated(same_seed_pair, tmp_path)
         payload = diff_runs(before, after)
         assert payload["deterministic_delta_count"] > 0
@@ -93,7 +97,7 @@ class TestRegressionAttribution:
         assert "streaming" in rendered
 
     def test_full_report_renders(self, same_seed_pair, tmp_path):
-        before = load_run(same_seed_pair[0])
+        before = load_side(same_seed_pair[0])
         after = self._mutated(same_seed_pair, tmp_path)
         report = render_diff_report(diff_runs(before, after))
         assert "top instrument movements" in report
@@ -102,11 +106,11 @@ class TestRegressionAttribution:
 
 class TestBenchArchives:
     def test_bench_baseline_loads(self):
-        archive = load_run(os.path.join(REPO_ROOT,
-                                        "BENCH_quickstart.json"))
-        assert archive.bench
-        assert set(BENCH_DETERMINISTIC) <= set(archive.bench)
-        assert archive.profile
+        archive = load_side(os.path.join(REPO_ROOT,
+                                         "BENCH_quickstart.json"))
+        bench = archive.summary["bench"]
+        assert set(BENCH_DETERMINISTIC) <= set(bench)
+        assert archive.profile["hotspots"]
 
     def test_perturbed_bench_vector_is_deterministic_delta(
             self, tmp_path):
@@ -116,7 +120,7 @@ class TestBenchArchives:
         payload["metrics"]["events_run"] += 1000
         perturbed = tmp_path / "BENCH_quickstart.json"
         perturbed.write_text(json.dumps(payload))
-        diff = diff_runs(load_run(src), load_run(str(perturbed)))
+        diff = diff_runs(load_side(src), load_side(str(perturbed)))
         assert diff["deterministic_delta_count"] >= 1
         moved = {r["metric"] for r in diff["bench"]
                  if abs(r["delta"]) > 1e-9}
@@ -130,13 +134,13 @@ class TestBenchArchives:
         payload["metrics"]["wall_seconds"] = 999.0
         perturbed = tmp_path / "BENCH_quickstart.json"
         perturbed.write_text(json.dumps(payload))
-        diff = diff_runs(load_run(src), load_run(str(perturbed)))
+        diff = diff_runs(load_side(src), load_side(str(perturbed)))
         assert diff["deterministic_delta_count"] == 0
 
 
 class TestDiffArtifact:
     def test_write_diff_names_the_file(self, same_seed_pair, tmp_path):
-        a, b = (load_run(p) for p in same_seed_pair)
+        a, b = (load_side(p) for p in same_seed_pair)
         path = write_diff(diff_runs(a, b), str(tmp_path), "demo")
         assert os.path.basename(path) == "diff_demo.json"
         with open(path) as fh:
@@ -146,12 +150,11 @@ class TestDiffArtifact:
     def test_cli_json_flag_and_exit_code(self, same_seed_pair,
                                          tmp_path, capsys):
         src = same_seed_pair[0]
-        with open(src) as fh:
-            payload = json.load(fh)
-        rows = payload["metrics"]["simulator"]["events_run"]
-        rows[0]["value"] += 17
-        mutated = tmp_path / "metrics_m.json"
-        mutated.write_text(json.dumps(payload))
+        archive = load_side(src)
+        mutated = write_archive(
+            tmp_path / "obs_m.jsonl", name=archive.name,
+            summary=_bump_counters(archive.summary, "simulator", 17),
+            spans=archive.spans)
         out_json = tmp_path / "d.json"
         assert main(["diff", src, str(mutated),
                      "--json", str(out_json)]) == 1

@@ -1,5 +1,6 @@
 """Fleet runner (scripts/fleet.py): parallel shards, one merged view,
-per-shard wall/RSS/overhead attribution riding outside the obs stream."""
+per-shard wall/RSS attribution from the pool and obs overhead from
+each archive's wall record."""
 
 import importlib.util
 import json
@@ -64,21 +65,27 @@ class TestFleetRun:
             assert s["wall_seconds"] > 0
             assert s["peak_rss_kb"] > 0
             assert s["obs_overhead_pct"] is not None
-        # the streamed sidecars themselves must stay wall-clock-free
+        # in a shard's archive, wall clock is confined to the one wall
+        # record before fin; peak RSS only travels over the pool
         for name in os.listdir(out):
             if name.startswith("obs_") and name.endswith(".jsonl"):
                 with open(os.path.join(out, name)) as fh:
-                    text = fh.read()
+                    lines = fh.read().splitlines()
+                assert '"record": "wall"' in lines[-2]
+                assert "obs_overhead_pct" in lines[-2]
+                text = "\n".join(lines[:-2] + lines[-1:])
                 assert "obs_overhead_pct" not in text
                 assert '"wall_seconds"' not in text
-                assert '"peak_rss_kb"' not in text
+                assert '"peak_rss_kb"' not in "\n".join(lines)
 
     def test_fleet_archive_round_trips_through_load_shard(self, merged):
         out, result = merged
-        from repro.obs.merge import load_shard, merge_archives
-        path = os.path.join(out, "fleet_quickstart.json")
-        assert os.path.exists(path)
-        reshard = load_shard(path)
+        from repro.obs.merge import merge_archives
+        from repro.obs.sink import load_archive
+        path = os.path.join(out, "fleet_quickstart.jsonl")
+        archive = load_archive(path)
+        assert archive.complete and archive.merged
+        reshard = archive.shard()
         again = merge_archives([reshard], name="again")
         assert again["metrics"] == result["metrics"]
 
@@ -105,6 +112,30 @@ class TestFleetRun:
         a.pop("overhead", None)
         b.pop("overhead", None)
         assert a == b
+
+
+class TestIncompleteShard:
+    def test_fleet_refuses_a_torn_shard_with_exit_2(
+            self, tmp_path, monkeypatch, capsys):
+        real = fleet.run_shard
+
+        def torn(spec):
+            result = real(spec)
+            with open(spec["path"]) as fh:
+                text = fh.read()
+            with open(spec["path"], "w") as fh:
+                fh.write(text[:-40])
+            return result
+
+        monkeypatch.setattr(fleet, "run_shard", torn)
+        code = fleet.main(["quickstart", "--shards", "1", "--procs", "1",
+                           "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "obs_quickstart_s0.jsonl" in err
+        assert "torn final line" in err
+        assert not any(n.startswith("fleet_")
+                       for n in os.listdir(tmp_path))
 
 
 class TestBenchGateRss:

@@ -12,7 +12,6 @@ import pytest
 from repro.core.scenarios import build
 from repro.obs.accounting import account_weight
 from repro.obs.merge import (
-    load_shard,
     merge_archives,
     merge_ledger,
     merge_metrics,
@@ -24,6 +23,7 @@ from repro.obs.merge import (
     split_shard,
     write_merged,
 )
+from repro.obs.sink import load_archive
 
 _ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -293,8 +293,8 @@ class TestSplitRunEquivalence:
 class TestLoadShardAndCli:
     @pytest.fixture(scope="class")
     def archives(self, tmp_path_factory):
-        """Two quickstart seeds: one streamed sidecar, one monolithic
-        dump, merged via the CLI."""
+        """Two quickstart seeds — one streamed, one archived by a
+        late-attached sink — merged via the CLI."""
         from repro.obs.export import dump_observability
 
         out = str(tmp_path_factory.mktemp("merge_cli"))
@@ -305,11 +305,11 @@ class TestLoadShardAndCli:
         run2 = build("quickstart", accounting=True, seed=22)
         run2.run_to_horizon()
         dump_observability(run2.mits, "q22", out)
-        merged_path = os.path.join(out, "merged.json")
+        merged_path = os.path.join(out, "fleet_pair.jsonl")
         proc = subprocess.run(
             [sys.executable, "-m", "repro.obs", "merge",
              os.path.join(out, "obs_q11.jsonl"),
-             os.path.join(out, "metrics_q22.json"),
+             os.path.join(out, "obs_q22.jsonl"),
              "-o", merged_path, "--name", "pair"],
             capture_output=True, text=True,
             env={**os.environ,
@@ -319,29 +319,29 @@ class TestLoadShardAndCli:
 
     def test_load_shard_normalises_both_archive_shapes(self, archives):
         out, _, _ = archives
-        s1 = load_shard(os.path.join(out, "obs_q11.jsonl"))
-        s2 = load_shard(os.path.join(out, "metrics_q22.json"))
+        s1 = load_archive(os.path.join(out, "obs_q11.jsonl")).shard()
+        s2 = load_archive(os.path.join(out, "obs_q22.jsonl")).shard()
         for s in (s1, s2):
             assert s["metrics"] and s["spans"]
             assert s["accounting"]["kinds"]
             assert s["audit"]["ok"] is True
-        # the stream never carries wall clock; the monolithic dump does
+        # a plain-closed stream carries no wall clock; dump_observability
+        # adds the wall record
         assert s1["overhead"] is None
         assert s2["overhead"] is not None
 
     def test_cli_merge_reports_the_fold(self, archives):
         _, merged_path, stdout = archives
         assert "merged 2 shard(s)" in stdout
-        with open(merged_path) as fh:
-            merged = json.load(fh)
-        assert merged["merged"] is True
-        assert len(merged["shards"]) == 2
-        assert merged["slo"]["verdict"] in ("ok", "degraded")
+        merged = load_archive(merged_path)
+        assert merged.complete and merged.merged
+        assert len(merged.shards) == 2
+        assert merged.summary["slo"]["verdict"] in ("ok", "degraded")
 
     def test_remerging_a_merged_archive_keeps_gauge_provenance(
             self, archives):
         out, merged_path, _ = archives
-        reshard = load_shard(merged_path)
+        reshard = load_archive(merged_path).shard()
         assert reshard["gauge_provenance"]
         again = merge_archives([reshard], name="again")
         assert again["metrics"] == reshard["metrics"]
@@ -352,7 +352,7 @@ class TestLoadShardAndCli:
         ("critical", "--top", "3"),
         ("audit",),
         ("dashboard",),
-        ("slo",),
+        ("report", "--strict"),
     ])
     def test_every_renderer_accepts_the_merged_archive(
             self, archives, command):
@@ -369,17 +369,31 @@ class TestLoadShardAndCli:
     def test_diff_accepts_merged_archives_and_finds_no_self_delta(
             self, archives):
         _, merged_path, _ = archives
-        from repro.obs.diff import diff_runs, load_run
-        payload = diff_runs(load_run(merged_path),
-                            load_run(merged_path))
+        from repro.obs.diff import diff_runs
+        payload = diff_runs(load_archive(merged_path),
+                            load_archive(merged_path))
         assert payload["deterministic_delta_count"] == 0
 
     def test_write_merged_is_stable_json(self, archives, tmp_path):
         _, merged_path, _ = archives
-        shard = load_shard(merged_path)
+        shard = load_archive(merged_path).shard()
         m1 = merge_archives([shard], name="w")
-        p1 = write_merged(m1, str(tmp_path / "a.json"))
+        p1 = write_merged(m1, str(tmp_path / "a.jsonl"))
         p2 = write_merged(merge_archives([shard], name="w"),
-                          str(tmp_path / "b.json"))
+                          str(tmp_path / "b.jsonl"))
         with open(p1) as f1, open(p2) as f2:
             assert f1.read() == f2.read()
+
+    def test_merge_refuses_an_incomplete_archive(self, archives, tmp_path,
+                                                 capsys):
+        from repro.obs.__main__ import main
+
+        out, _, _ = archives
+        cut = tmp_path / "obs_cut.jsonl"
+        lines = open(os.path.join(out, "obs_q11.jsonl")).readlines()
+        cut.write_text("".join(lines[:-1]))
+        assert main(["merge", os.path.join(out, "obs_q22.jsonl"),
+                     str(cut), "-o", str(tmp_path / "m.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert str(cut) in err and "no fin record" in err
+        assert not (tmp_path / "m.jsonl").exists()

@@ -1,15 +1,33 @@
 """Tests for the ``python -m repro.obs`` reporting CLI."""
 
-import json
+import pytest
 
 from repro.obs.__main__ import main
-from repro.obs.report import (
-    find_trace_sidecar, load_metrics_file, load_trace_file,
-    render_trace_tree,
-)
+from repro.obs.report import render_trace_tree
+from repro.obs.sink import load_archive
+from tests.obs.archives import write_archive
+
+SPANS = [
+    {"span_id": 1, "parent_id": None, "trace_id": 1,
+     "name": "navigator.enter_classroom", "start": 0.0, "end": 1.0,
+     "duration": 1.0, "attrs": {}},
+    {"span_id": 2, "parent_id": 1, "trace_id": 1,
+     "name": "rpc.client:get_doc", "start": 0.1, "end": 0.6,
+     "duration": 0.5, "attrs": {}},
+    {"span_id": 3, "parent_id": 2, "trace_id": 1,
+     "name": "rpc.server:get_doc", "start": 0.3, "end": 0.3,
+     "duration": 0.0, "attrs": {}},
+]
+
+EVENTS = [
+    {"time": 0.2, "component": "transport", "kind": "retransmit",
+     "severity": "warning", "trace_id": 1, "attrs": {"seq": 4}},
+]
 
 
 def write_metrics(path, p99=0.05, wrapped=True):
+    """An archive of a tiny run; ``wrapped=False`` leaves the summary
+    with nothing but the metrics report."""
     report = {
         "connection": {"rtt_seconds": [
             {"type": "histogram", "count": 12, "sum": 0.3,
@@ -19,68 +37,36 @@ def write_metrics(path, p99=0.05, wrapped=True):
             "drops_total": [{"type": "counter", "value": 0}],
             "cells_transmitted": [{"type": "counter", "value": 5000}]},
     }
-    payload = {"name": "demo", "sim_time": 4.0, "events_run": 99,
-               "metrics": report} if wrapped else report
-    path.write_text(json.dumps(payload))
-    return path
-
-
-def write_trace(path):
-    spans = [
-        {"span_id": 1, "parent_id": None, "trace_id": 1,
-         "name": "navigator.enter_classroom", "start": 0.0, "end": 1.0,
-         "duration": 1.0, "attrs": {}},
-        {"span_id": 2, "parent_id": 1, "trace_id": 1,
-         "name": "rpc.client:get_doc", "start": 0.1, "end": 0.6,
-         "duration": 0.5, "attrs": {}},
-        {"span_id": 3, "parent_id": 2, "trace_id": 1,
-         "name": "rpc.server:get_doc", "start": 0.3, "end": 0.3,
-         "duration": 0.0, "attrs": {}},
-    ]
-    events = [
-        {"time": 0.2, "component": "transport", "kind": "retransmit",
-         "severity": "warning", "trace_id": 1, "attrs": {"seq": 4}},
-    ]
-    with open(path, "w") as fh:
-        for s in spans:
-            fh.write(json.dumps({"record": "span", **s}) + "\n")
-        for e in events:
-            fh.write(json.dumps({"record": "event", **e}) + "\n")
-    return path
+    summary = {"sim_time": 4.0, "events_run": 99, "metrics": report} \
+        if wrapped else {"metrics": report}
+    return write_archive(path, summary=summary, spans=SPANS,
+                         events=EVENTS)
 
 
 class TestLoading:
     def test_load_metrics_unwraps_benchmark_dump(self, tmp_path):
-        path = write_metrics(tmp_path / "metrics_demo.json")
-        meta, report = load_metrics_file(str(path))
-        assert meta["name"] == "demo"
-        assert "connection" in report
+        archive = load_archive(str(write_metrics(tmp_path / "obs.jsonl")))
+        assert archive.name == "demo"
+        assert archive.complete
+        assert "connection" in archive.metrics
 
     def test_load_metrics_accepts_bare_report(self, tmp_path):
-        path = write_metrics(tmp_path / "bare.json", wrapped=False)
-        meta, report = load_metrics_file(str(path))
-        assert meta == {}
-        assert "connection" in report
+        path = write_metrics(tmp_path / "bare.jsonl", wrapped=False)
+        archive = load_archive(str(path))
+        assert "sim_time" not in archive.summary
+        assert "connection" in archive.metrics
 
     def test_trace_lines_classified_by_kind(self, tmp_path):
-        path = write_trace(tmp_path / "trace_demo.jsonl")
-        spans, events = load_trace_file(str(path))
-        assert len(spans) == 3
-        assert len(events) == 1
-
-    def test_sidecar_discovery(self, tmp_path):
-        metrics = write_metrics(tmp_path / "metrics_demo.json")
-        assert find_trace_sidecar(str(metrics)) is None
-        trace = write_trace(tmp_path / "trace_demo.jsonl")
-        assert find_trace_sidecar(str(metrics)) == str(trace)
+        archive = load_archive(str(write_metrics(tmp_path / "obs.jsonl")))
+        assert len(archive.spans) == 3
+        assert len(archive.events) == 1
 
 
 class TestReportCommand:
     def test_report_prints_summary_slos_and_waterfall(self, tmp_path,
                                                       capsys):
-        metrics = write_metrics(tmp_path / "metrics_demo.json")
-        write_trace(tmp_path / "trace_demo.jsonl")
-        assert main(["report", str(metrics)]) == 0
+        path = write_metrics(tmp_path / "obs_demo.jsonl")
+        assert main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "== scenario: demo ==" in out
         assert "connection.rtt_seconds" in out
@@ -95,40 +81,38 @@ class TestReportCommand:
         assert "top 3 slow spans" in out
 
     def test_strict_mode_fails_on_violation(self, tmp_path, capsys):
-        good = write_metrics(tmp_path / "metrics_ok.json")
-        bad = write_metrics(tmp_path / "metrics_bad.json", p99=2.0)
+        good = write_metrics(tmp_path / "obs_ok.jsonl")
+        bad = write_metrics(tmp_path / "obs_bad.jsonl", p99=2.0)
         assert main(["report", str(good), "--strict"]) == 0
         assert main(["report", str(bad), "--strict"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_explicit_trace_flag(self, tmp_path, capsys):
-        metrics = write_metrics(tmp_path / "m.json")
-        trace = write_trace(tmp_path / "t.jsonl")
-        assert main(["report", str(metrics),
-                     "--trace", str(trace)]) == 0
-        assert "rpc.server:get_doc" in capsys.readouterr().out
-
 
 class TestSloCommand:
+    """The SLO verdict is ``report --strict``'s exit code."""
+
     def test_exit_code_reflects_verdict(self, tmp_path, capsys):
-        good = write_metrics(tmp_path / "metrics_ok.json")
-        bad = write_metrics(tmp_path / "metrics_bad.json", p99=9.0)
-        assert main(["slo", str(good)]) == 0
-        assert main(["slo", str(bad)]) == 1
+        good = write_metrics(tmp_path / "obs_ok.jsonl")
+        bad = write_metrics(tmp_path / "obs_bad.jsonl", p99=9.0)
+        assert main(["report", str(good), "--strict"]) == 0
+        assert main(["report", str(bad), "--strict"]) == 1
         out = capsys.readouterr().out
         assert "SLO VIOLATIONS PRESENT" in out
 
     def test_skipped_objectives_render_distinctly(self, tmp_path, capsys):
-        metrics = write_metrics(tmp_path / "metrics_ok.json")
-        assert main(["slo", str(metrics)]) == 0
+        path = write_metrics(tmp_path / "obs_ok.jsonl")
+        assert main(["report", str(path), "--strict"]) == 0
         assert "SKIP (no data)" in capsys.readouterr().out
 
 
 class TestTraceCommand:
+    """The span waterfalls are a ``report`` section."""
+
     def test_waterfall_only(self, tmp_path, capsys):
-        trace = write_trace(tmp_path / "trace_demo.jsonl")
-        assert main(["trace", str(trace)]) == 0
+        path = write_metrics(tmp_path / "obs_demo.jsonl")
+        assert main(["report", str(path)]) == 0
         out = capsys.readouterr().out
+        assert f"== traces: {path} ==" in out
         assert "trace 1 · 3 spans" in out
         assert "slow spans" in out
 
@@ -151,8 +135,8 @@ class TestRenderers:
 
 class TestTopCommand:
     def _write_accounting(self, path):
-        payload = {
-            "name": "demo", "enabled": True,
+        ledger = {
+            "enabled": True,
             "kinds": {"vc": [
                 {"kind": "vc", "key": "1", "note": "a->b",
                  "units_sent": 4, "units_delivered": 4,
@@ -160,11 +144,10 @@ class TestTopCommand:
                  "bytes_sent": 960, "bytes_delivered": 960,
                  "drops": 0, "residency_seconds": 0.0, "share": 1.0}]},
         }
-        path.write_text(json.dumps(payload))
-        return path
+        return write_archive(path, ledger=ledger)
 
     def test_archived_top_renders_tables(self, tmp_path, capsys):
-        path = self._write_accounting(tmp_path / "accounting_demo.json")
+        path = self._write_accounting(tmp_path / "obs_demo.jsonl")
         assert main(["top", str(path)]) == 0
         out = capsys.readouterr().out
         assert "-- vc (1) --" in out
@@ -172,10 +155,9 @@ class TestTopCommand:
 
     def test_top_without_source_is_usage_error(self, capsys):
         assert main(["top"]) == 2
-        assert "accounting_*.json" in capsys.readouterr().err
+        assert "archive path or --live" in capsys.readouterr().err
 
     def test_bad_sort_column_rejected_by_argparse(self, tmp_path):
-        path = self._write_accounting(tmp_path / "accounting_demo.json")
-        import pytest
+        path = self._write_accounting(tmp_path / "obs_demo.jsonl")
         with pytest.raises(SystemExit):
             main(["top", str(path), "--sort", "colour"])

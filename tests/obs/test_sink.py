@@ -1,28 +1,35 @@
-"""Streaming obs sidecars (repro.obs.sink): streamed-vs-monolithic
-render parity, same-seed byte-identical sampled streams, bounded
-obs memory under a sampling policy, and overhead self-metering."""
+"""The observability archive (repro.obs.sink): the record grammar,
+streamed-vs-late-attached render parity, torn and tampered archives,
+same-seed byte-identical sampled streams, bounded obs memory under a
+sampling policy, and overhead self-metering."""
 
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.scenarios import build
-from repro.obs.accounting import load_accounting_file, render_top
-from repro.obs.dashboard import load_timeseries_file, render_dashboard
+from repro.obs import sink as sink_module
+from repro.obs.__main__ import main
+from repro.obs.accounting import render_top
+from repro.obs.dashboard import render_dashboard
 from repro.obs.export import dump_observability
 from repro.obs.report import (
-    load_metrics_file, load_trace_file, render_metrics_summary,
-    render_overhead, render_slo_table, render_traces,
+    render_metrics_summary, render_overhead, render_slo_table,
+    render_traces,
 )
 from repro.obs.sampling import SamplingPolicy, scaled_policy
-from repro.obs.sink import ObsSink, is_obs_sidecar, load_obs_sidecar
+from repro.obs.sink import ObsSink, load_archive
 from repro.obs.slo import SloMonitor
+from tests.obs.archives import write_archive
 
 
 @pytest.fixture(scope="module")
 def streamed(tmp_path_factory):
-    """One quickstart run streamed to a sidecar AND dumped monolithic."""
+    """One quickstart run streamed to its archive, which
+    ``dump_observability`` then closes."""
     out = str(tmp_path_factory.mktemp("stream"))
     obs_path = os.path.join(out, "obs_par.jsonl")
     run = build("quickstart", tracing=True, accounting=True,
@@ -32,28 +39,43 @@ def streamed(tmp_path_factory):
     return run.mits, out, obs_path, written
 
 
+@pytest.fixture(scope="module")
+def late(tmp_path_factory):
+    """The same run without a stream, archived by a late-attached sink."""
+    out = str(tmp_path_factory.mktemp("late"))
+    run = build("quickstart", tracing=True, accounting=True)
+    run.run_to_horizon()
+    (path,) = dump_observability(run.mits, "par", out)
+    return load_archive(path)
+
+
 class TestSinkMechanics:
     def test_sink_closed_by_dump_and_listed_first(self, streamed):
         mits, _, obs_path, written = streamed
         assert mits.sink.closed
         assert written[0] == obs_path
 
-    def test_stream_is_a_recognised_sidecar(self, streamed):
-        _, out, obs_path, _ = streamed
-        assert is_obs_sidecar(obs_path)
-        assert not is_obs_sidecar(os.path.join(out, "trace_par.jsonl"))
-        assert not is_obs_sidecar(os.path.join(out, "metrics_par.json"))
+    def test_stream_is_a_recognised_sidecar(self, streamed, tmp_path):
+        _, _, obs_path, _ = streamed
+        assert load_archive(obs_path).complete
+        other = tmp_path / "metrics_par.json"
+        other.write_text(json.dumps({"metrics": {}}))
+        with pytest.raises(ValueError, match=":1: not an obs archive"):
+            load_archive(str(other))
 
     def test_record_grammar(self, streamed):
         _, _, obs_path, _ = streamed
         with open(obs_path) as fh:
-            lines = [json.loads(x) for x in fh if x.strip()]
+            lines = [json.loads(x) for x in fh]
         assert lines[0]["record"] == "meta"
         assert lines[0]["version"] == 1
+        assert lines[-2]["record"] == "wall"
         assert lines[-1]["record"] == "fin"
+        assert lines[-1]["records"] == len(lines) - 1
+        assert len(lines[-1]["digest"]) == 64
         tags = {x["record"] for x in lines}
-        assert tags >= {"meta", "span", "event", "telemetry", "ledger",
-                        "fin"}
+        assert tags == {"meta", "span", "event", "telemetry", "ledger",
+                        "wall", "fin"}
 
     def test_counters_and_closed_sink_refuses_writes(self, streamed):
         mits, _, obs_path, _ = streamed
@@ -64,8 +86,9 @@ class TestSinkMechanics:
         with pytest.raises(ValueError):
             mits.sink.emit({"record": "late"})
 
-    def test_bounded_buffer_flushes_mid_run(self, tmp_path):
-        sink = ObsSink(str(tmp_path / "obs_b.jsonl"), buffer_records=2)
+    def test_bounded_buffer_flushes_mid_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sink_module, "BUFFER_RECORDS", 2)
+        sink = ObsSink(str(tmp_path / "obs_b.jsonl"))
         sink.emit({"record": "meta", "version": 1})
         assert sink.flushes == 0
         sink.emit({"record": "event"})
@@ -74,11 +97,13 @@ class TestSinkMechanics:
 
     def test_no_wall_clock_leaks_into_the_stream(self, streamed):
         # the stream must stay seed-deterministic: wall-clock overhead
-        # readings belong to metrics_*.json only
+        # readings belong to the one wall record before fin
         _, _, obs_path, _ = streamed
-        text = open(obs_path).read()
+        lines = open(obs_path).read().splitlines()
+        text = "\n".join(lines[:-2] + lines[-1:])
         assert "obs_overhead_pct" not in text
         assert '"overhead"' not in text
+        assert '"overhead"' in lines[-2]
 
 
 class TestTornStream:
@@ -100,9 +125,9 @@ class TestTornStream:
 
     def test_whole_stream_is_complete(self, streamed):
         _, _, obs_path, _ = streamed
-        payload = load_obs_sidecar(obs_path)
-        assert payload["complete"] and not payload["torn"]
-        assert payload["records"] == len(self._lines(obs_path))
+        archive = load_archive(obs_path)
+        assert archive.complete and archive.reason == ""
+        assert archive.records == len(self._lines(obs_path))
 
     @pytest.mark.parametrize("keep", [0.0, 0.1, 0.5, 0.9, 0.999])
     def test_cut_inside_the_last_record(self, streamed, tmp_path, keep):
@@ -112,23 +137,25 @@ class TestTornStream:
         cut = max(1, int(len(last) * keep))
         path = self._write(tmp_path,
                            "\n".join(lines[:-1]) + "\n" + last[:cut])
-        payload = load_obs_sidecar(path)
-        whole = load_obs_sidecar(obs_path)
-        assert payload["torn"] and not payload["complete"]
-        assert payload["records"] == len(lines) - 1
+        archive = load_archive(path)
+        whole = load_archive(obs_path)
+        assert not archive.complete
+        assert "torn final line" in archive.reason
+        assert archive.records == len(lines) - 1
         # the fin summary was the torn record; everything before it
         # survives intact
-        assert payload["meta"] == {}
-        assert payload["spans"] == whole["spans"]
-        assert payload["events"] == whole["events"]
+        assert archive.summary == {}
+        assert archive.spans == whole.spans
+        assert archive.events == whole.events
 
     def test_missing_fin_is_incomplete(self, streamed, tmp_path):
         _, _, obs_path, _ = streamed
         lines = self._lines(obs_path)
         path = self._write(tmp_path, "\n".join(lines[:-1]) + "\n")
-        payload = load_obs_sidecar(path)
-        assert not payload["complete"] and not payload["torn"]
-        assert payload["records"] == len(lines) - 1
+        archive = load_archive(path)
+        assert not archive.complete
+        assert archive.reason == "no fin record (run did not finish)"
+        assert archive.records == len(lines) - 1
 
     def test_malformed_line_before_the_last_raises(self, streamed,
                                                    tmp_path):
@@ -137,12 +164,10 @@ class TestTornStream:
         lines[1] = lines[1][:len(lines[1]) // 2]
         path = self._write(tmp_path, "\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=":2: malformed record"):
-            load_obs_sidecar(path)
+            load_archive(path)
 
     def test_report_flags_the_incomplete_archive(self, streamed, tmp_path,
                                                  capsys):
-        from repro.obs.__main__ import main
-
         _, _, obs_path, _ = streamed
         lines = self._lines(obs_path)
         path = self._write(tmp_path, "\n".join(lines[:-1]) + "\n"
@@ -154,60 +179,198 @@ class TestTornStream:
         main(["report", obs_path])
         assert "incomplete archive" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("verb", ["critical", "dashboard", "top",
+                                      "audit", "diff"])
+    def test_every_verb_flags_the_incomplete_archive(
+            self, streamed, tmp_path, capsys, verb):
+        _, _, obs_path, _ = streamed
+        lines = self._lines(obs_path)
+        path = self._write(tmp_path, "\n".join(lines[:-1]) + "\n")
+        argv = [verb, path] + ([obs_path] if verb == "diff" else [])
+        main(argv)
+        out = capsys.readouterr().out
+        assert out.startswith(
+            f"!! incomplete archive: {len(lines) - 1} records recovered,"
+            f" no fin record (run did not finish) ({path})\n")
+
+
+class TestFinIntegrity:
+    """``fin`` counts the records before it and digests them, so a
+    tampered or spliced archive is never passed off as whole."""
+
+    def test_changed_record_is_a_digest_mismatch(self, streamed,
+                                                 tmp_path):
+        _, _, obs_path, _ = streamed
+        lines = open(obs_path).read().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["tampered"] = True
+        lines[1] = json.dumps(record, sort_keys=True) + "\n"
+        path = tmp_path / "obs_x.jsonl"
+        path.write_text("".join(lines))
+        archive = load_archive(str(path))
+        assert not archive.complete
+        assert archive.reason == "digest mismatch"
+
+    def test_dropped_record_breaks_the_count(self, streamed, tmp_path):
+        _, _, obs_path, _ = streamed
+        lines = open(obs_path).read().splitlines(keepends=True)
+        path = tmp_path / "obs_x.jsonl"
+        path.write_text("".join(lines[:3] + lines[4:]))
+        archive = load_archive(str(path))
+        assert not archive.complete
+        assert archive.reason.startswith(
+            f"fin counts {len(lines) - 1} records, found {len(lines) - 2}")
+
+    def test_records_after_fin(self, streamed, tmp_path):
+        _, _, obs_path, _ = streamed
+        lines = open(obs_path).read().splitlines(keepends=True)
+        path = tmp_path / "obs_x.jsonl"
+        path.write_text("".join(lines + lines[1:2]))
+        archive = load_archive(str(path))
+        assert archive.reason == "1 record(s) after fin"
+
+    def test_plain_close_is_byte_identical_and_wall_free(self, tmp_path):
+        paths = []
+        for side in "ab":
+            path = str(tmp_path / side / "obs_q.jsonl")
+            run = build("quickstart", accounting=True, stream=path)
+            run.run_to_horizon()
+            run.mits.sink.close()
+            paths.append(path)
+        a, b = (open(p, "rb").read() for p in paths)
+        assert a == b
+        assert b'"record": "wall"' not in a
+        assert load_archive(paths[0]).complete
+
+
+def _small_archive(tmp_path_factory):
+    """A complete archive with one record of every kind."""
+    path = tmp_path_factory.mktemp("fuzz") / "obs_f.jsonl"
+    span = {"span_id": 1, "parent_id": None, "trace_id": 1,
+            "name": "rpc.client:get", "start": 0.0, "end": 0.5,
+            "attrs": {}}
+    event = {"time": 0.2, "component": "link", "kind": "drop",
+             "severity": "warning", "trace_id": 1, "attrs": {"n": 2}}
+    series = {"component": "link", "name": "cells", "labels": {"link": "a"},
+              "kind": "counter", "times": [0.0, 0.25, 0.5],
+              "values": [0, 4, 9], "rates": [0.0, 16.0, 20.0]}
+    ledger = {"enabled": True, "kinds": {"vc": [{"key": "1", "drops": 0}]}}
+    write_archive(path, spans=[span], events=[event], series=[series],
+                  ledger=ledger, wall={"overhead": {"obs_seconds": 0.1}},
+                  telemetry={"interval": 0.25, "capacity": 8},
+                  summary={"sim_time": 0.5, "events_run": 7,
+                           "metrics": {}})
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def small_archive(tmp_path_factory):
+    return _small_archive(tmp_path_factory)
+
+
+def _mutations(data):
+    lines = data.split(b"\n")[:-1]
+    n = len(lines)
+    return st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, len(data) - 1)),
+        st.tuples(st.just("bitflip"), st.integers(0, len(data) * 8 - 1)),
+        st.tuples(st.just("drop"), st.integers(0, n - 1)),
+        st.tuples(st.just("reorder"), st.integers(0, n - 1),
+                  st.integers(0, n - 1)),
+    )
+
+
+def _mutate(data, mutation):
+    lines = data.split(b"\n")[:-1]
+    kind = mutation[0]
+    if kind == "truncate":
+        return data[:mutation[1]]
+    if kind == "bitflip":
+        i, bit = divmod(mutation[1], 8)
+        return data[:i] + bytes([data[i] ^ (1 << bit)]) + data[i + 1:]
+    if kind == "drop":
+        del lines[mutation[1]]
+    else:
+        i, j = mutation[1], mutation[2]
+        lines[i], lines[j] = lines[j], lines[i]
+    return b"".join(line + b"\n" for line in lines)
+
+
+class TestLoaderProperties:
+    def test_the_unmutated_archive_is_complete(self, small_archive,
+                                               tmp_path):
+        path = tmp_path / "obs_f.jsonl"
+        path.write_bytes(small_archive)
+        archive = load_archive(str(path))
+        assert archive.complete
+        assert archive.wall == {"overhead": {"obs_seconds": 0.1}}
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_archive_is_flagged_or_rejected(self, small_archive,
+                                                    tmp_path, data):
+        mutated = _mutate(small_archive,
+                          data.draw(_mutations(small_archive)))
+        assume(mutated != small_archive)
+        path = tmp_path / "obs_m.jsonl"
+        path.write_bytes(mutated)
+        try:
+            archive = load_archive(str(path))
+        except ValueError as exc:
+            assert f"{path}:" in str(exc)
+            assert str(exc).split(f"{path}:")[1].split(":")[0].isdigit()
+        else:
+            assert not archive.complete
+            assert archive.reason
+
 
 class TestStreamedRenderParity:
-    def test_metrics_summary(self, streamed):
-        _, out, obs_path, _ = streamed
-        loaded = load_obs_sidecar(obs_path)
-        _, mono = load_metrics_file(os.path.join(out, "metrics_par.json"))
-        assert render_metrics_summary(loaded["meta"]["metrics"]) \
-            == render_metrics_summary(mono)
+    """A streamed archive renders like a late-attached one of the same
+    seed."""
 
-    def test_slo_table(self, streamed):
-        _, out, obs_path, _ = streamed
-        loaded = load_obs_sidecar(obs_path)
-        _, mono = load_metrics_file(os.path.join(out, "metrics_par.json"))
+    def test_metrics_summary(self, streamed, late):
+        _, _, obs_path, _ = streamed
+        loaded = load_archive(obs_path)
+        assert render_metrics_summary(loaded.metrics) \
+            == render_metrics_summary(late.metrics)
+
+    def test_slo_table(self, streamed, late):
+        _, _, obs_path, _ = streamed
+        loaded = load_archive(obs_path)
         monitor = SloMonitor()
-        assert render_slo_table(monitor.evaluate(
-            loaded["meta"]["metrics"])) \
-            == render_slo_table(monitor.evaluate(mono))
+        assert render_slo_table(monitor.evaluate(loaded.metrics)) \
+            == render_slo_table(monitor.evaluate(late.metrics))
 
-    def test_traces(self, streamed):
-        _, out, obs_path, _ = streamed
-        loaded = load_obs_sidecar(obs_path)
-        spans, events = load_trace_file(os.path.join(out,
-                                                    "trace_par.jsonl"))
-        assert render_traces(loaded["spans"], loaded["events"], top=5) \
-            == render_traces(spans, events, top=5)
+    def test_traces(self, streamed, late):
+        _, _, obs_path, _ = streamed
+        loaded = load_archive(obs_path)
+        assert render_traces(loaded.spans, loaded.events, top=5) \
+            == render_traces(late.spans, late.events, top=5)
 
-    def test_dashboard(self, streamed):
-        _, out, obs_path, _ = streamed
-        loaded = load_obs_sidecar(obs_path)
-        mono = load_timeseries_file(os.path.join(out,
-                                                 "timeseries_par.json"))
-        assert render_dashboard(loaded["timeseries"], width=40, top=5,
+    def test_dashboard(self, streamed, late):
+        _, _, obs_path, _ = streamed
+        loaded = load_archive(obs_path)
+        assert render_dashboard(loaded.timeseries, width=40, top=5,
                                 title="x") \
-            == render_dashboard(mono, width=40, top=5, title="x")
+            == render_dashboard(late.timeseries, width=40, top=5,
+                                title="x")
 
-    def test_top(self, streamed):
-        _, out, obs_path, _ = streamed
-        loaded = load_obs_sidecar(obs_path)
-        mono = load_accounting_file(os.path.join(out,
-                                                 "accounting_par.json"))
+    def test_top(self, streamed, late):
+        _, _, obs_path, _ = streamed
+        loaded = load_archive(obs_path)
         for sort in ("bytes", "drops", "residency"):
-            assert render_top(loaded["accounting"], sort=sort,
-                              title="x") \
-                == render_top(mono, sort=sort, title="x")
+            assert render_top(loaded.accounting, sort=sort, title="x") \
+                == render_top(late.accounting, sort=sort, title="x")
 
 
 class TestSampledStreamDeterminism:
     def _run(self, path):
-        # same sink *name* for both paths: the name is embedded in the
+        # same file *name* for both paths: the name is embedded in the
         # meta/fin records, the directory must not be
-        sink = ObsSink(path, name="det")
         run = build("quickstart", tracing=True, accounting=True,
                     sampling=scaled_policy(0.5, reservoir=64, top_k=8),
-                    stream=sink)
+                    stream=path)
         run.run_to_horizon()
         run.mits.sink.close()
         return path
@@ -219,9 +382,9 @@ class TestSampledStreamDeterminism:
 
     def test_policy_recorded_in_meta(self, tmp_path):
         path = self._run(str(tmp_path / "obs_det.jsonl"))
-        loaded = load_obs_sidecar(path)
-        assert loaded["policy"]["trace_sample_rate"] == 0.5
-        assert loaded["policy"]["ledger_top_k"] == 8
+        policy = load_archive(path).meta["policy"]
+        assert policy["trace_sample_rate"] == 0.5
+        assert policy["ledger_top_k"] == 8
 
 
 class TestBoundedMemoryAtScale:
@@ -283,10 +446,8 @@ class TestDefaultPathUnchanged:
 
 class TestOverheadMetering:
     def test_dump_carries_the_attribution_table(self, streamed):
-        mits, out, _, _ = streamed
-        dump = json.loads(open(os.path.join(out,
-                                            "metrics_par.json")).read())
-        overhead = dump["overhead"]
+        _, _, obs_path, _ = streamed
+        overhead = load_archive(obs_path).overhead
         assert overhead["obs_overhead_pct"] >= 0.0
         assert overhead["obs_bytes"] > 0  # the sink wrote real bytes
         for component in ("tracer", "sampler", "sink"):
