@@ -30,11 +30,10 @@ bench:
 bench-gate:
 	$(PYTHON) scripts/bench_gate.py $(BENCH_GATE_FLAGS)
 
-# fleet run: N scenario shards across a multiprocessing pool, merged
-# into one fleet archive (benchmarks/out/fleet/fleet_<name>.jsonl, the
-# same record grammar as every obs_*.jsonl) with per-shard
-# wall/RSS/overhead attribution; exits 1 on merged audit violations,
-# 2 on an incomplete shard archive.
+# fleet run: N scenario shards, one process each, each writing its own
+# benchmarks/out/fleet/obs_<scenario>_s<i>.jsonl; prints one row per
+# shard and exits 3 on a failed/killed/timed-out shard, 2 on an
+# incomplete archive, 1 on audit violations.
 # `make fleet FLEET_FLAGS="--shards 8 --seed 2024"`.
 fleet:
 	$(PYTHON) scripts/fleet.py $(FLEET_FLAGS)

@@ -21,10 +21,9 @@ and tables.  A :class:`SamplingPolicy` bounds every collector's memory
 decimation/coalescing, top-K accounting), and an
 :class:`OverheadMeter` attributes what the obs stack itself cost.
 
-Fleets of runs roll up through :mod:`repro.obs.merge`: deterministic,
-order-insensitive merge operators over every store, written back as a
-``fleet_<name>.jsonl`` in the same grammar (``scripts/fleet.py``
-drives them across a multiprocessing pool).
+A fleet of runs (``scripts/fleet.py``) is a table over its shards'
+own archives: each shard keeps its ``obs_<name>.jsonl``, and nothing
+rewrites or combines them.
 """
 
 from repro.obs.accounting import (
@@ -44,12 +43,6 @@ from repro.obs.metrics import (
     NULL_GAUGE,
     NULL_HISTOGRAM,
     TIME_BUCKETS,
-)
-from repro.obs.merge import (
-    merge_archives,
-    merged_canonical_form,
-    split_shard,
-    write_merged,
 )
 from repro.obs.meter import OverheadMeter
 from repro.obs.profiler import CallsiteStats, LoopProfiler
@@ -90,10 +83,6 @@ __all__ = [
     "Violation",
     "Watchdog",
     "load_archive",
-    "merge_archives",
-    "merged_canonical_form",
-    "split_shard",
-    "write_merged",
     "render_top",
     "scaled_policy",
     "trace_sampled",

@@ -1,16 +1,15 @@
 """``python -m repro.obs`` — render observability archives.
 
-Every archive verb takes one ``obs_*.jsonl`` run archive or a merged
-``fleet_*.jsonl`` (see :mod:`repro.obs.sink`: one record grammar, read
-by :func:`~repro.obs.sink.load_archive`), and each prints an ``!!
+Every archive verb takes one ``obs_*.jsonl`` run archive (see
+:mod:`repro.obs.sink`: one record grammar, read by
+:func:`~repro.obs.sink.load_archive`), and each prints an ``!!
 incomplete archive`` line first when the archive's ``fin`` record is
 missing or does not match what precedes it.
 
 Subcommands::
 
     report <archive> [--top N] [--strict]
-        Header (and per-shard provenance for a merged archive),
-        metrics summary, telemetry health, observability overhead
+        Header, metrics summary, telemetry health, observability overhead
         (from the ``wall`` record), SLO table, span waterfalls and
         critical-path attribution.  ``--strict`` exits 1 on SLO
         violations.
@@ -51,16 +50,6 @@ Subcommands::
         Prints violations (exit 1 when any) and with ``--out-dir``
         writes the run's archive.  Given an archive path instead of a
         scenario name, renders its embedded audit verdict.
-
-    merge <archive...> -o fleet_<name>.jsonl [--name NAME]
-        Deterministic, order-insensitive merge of N archives (runs or
-        earlier merges) into one merged archive: counters sum,
-        histograms bucket-add, gauges resolve by latest sim time with
-        per-shard provenance, trace forests get disjoint ids, series
-        tick-align, ledgers merge exactly or sketch-wise with
-        propagated error bounds, and SLOs are re-judged over the
-        merged registry (see ``repro.obs.merge``).  Refuses an
-        incomplete archive with exit code 2.
 
     profile <archive>
         The profiler's top-N from the archive's ``wall`` record.
@@ -120,7 +109,7 @@ def _load(path: str) -> Archive:
 
 
 def _title(archive: Archive) -> str:
-    return archive.path if archive.merged else archive.name or archive.path
+    return archive.name or archive.path
 
 
 def _report(args: argparse.Namespace) -> int:
@@ -131,23 +120,6 @@ def _report(args: argparse.Namespace) -> int:
         header += f"  (sim_time {summary['sim_time']:.3f}s," \
                   f" {summary.get('events_run', '?')} events)"
     print(header)
-    if archive.merged:
-        print(f"   merged from {len(archive.shards)} shard(s):")
-        for s in archive.shards:
-            line = (f"     - {s.get('name')}: "
-                    f"sim_time {s.get('sim_time', 0.0):.3f}s, "
-                    f"{s.get('events_run', 0)} events, "
-                    f"{s.get('spans', 0)} spans")
-            extras = []
-            if s.get("wall_seconds") is not None:
-                extras.append(f"wall {s['wall_seconds']:.2f}s")
-            if s.get("peak_rss_kb") is not None:
-                extras.append(f"peak rss {s['peak_rss_kb']} KiB")
-            if s.get("obs_overhead_pct") is not None:
-                extras.append(f"obs {s['obs_overhead_pct']:.1f}%")
-            if extras:
-                line += "  (" + ", ".join(extras) + ")"
-            print(line)
     print()
     print(render_metrics_summary(archive.metrics))
     if "telemetry" in summary:
@@ -338,48 +310,13 @@ def _audit_archive(path: str) -> int:
               f"scenario with accounting enabled)", file=sys.stderr)
         return 2
     violations = audit.get("violations", [])
-    scope = "merged " if archive.merged else ""
-    print(f"== {scope}audit: {archive.name or path} @ "
+    print(f"== audit: {archive.name or path} @ "
           f"t={archive.summary.get('sim_time', 0.0):.1f}s ==")
     print(f"  {audit.get('checks', 0)} invariant checks, "
           f"{len(violations)} violations")
     for v in violations:
         print(f"  VIOLATION {v}")
     return 1 if violations else 0
-
-
-def _merge(args: argparse.Namespace) -> int:
-    from repro.obs.merge import merge_archives, write_merged
-
-    archives = [load_archive(path) for path in args.archives]
-    for archive in archives:
-        if not archive.complete:
-            print(f"merge: refusing {archive.path}: "
-                  f"{archive.warning()}", file=sys.stderr)
-            return 2
-    merged = merge_archives([a.shard() for a in archives],
-                            name=args.name)
-    path = write_merged(merged, args.output)
-    prov = merged.get("provenance", {})
-    print(f"merged {len(archives)} shard(s) -> {path}")
-    print(f"  sim_time {merged['sim_time']:.3f}s, "
-          f"{merged['events_run']} events, "
-          f"{len(merged.get('spans') or [])} spans, "
-          f"{len(merged.get('events') or [])} flight events")
-    if prov.get("trace_id_remaps") or prov.get("span_id_remaps"):
-        print(f"  remapped {prov.get('trace_id_remaps', 0)} colliding "
-              f"trace id(s), {prov.get('span_id_remaps', 0)} span id(s)")
-    slo = merged.get("slo") or {}
-    audit = merged.get("audit")
-    verdict = f"  slo verdict: {slo.get('verdict', '?')}"
-    if audit is not None:
-        verdict += (f"; audit: {audit.get('checks', 0)} checks, "
-                    f"{len(audit.get('violations', []))} violations")
-    print(verdict)
-    if args.strict and (not slo.get("pass", True)
-                        or (audit is not None and not audit.get("ok"))):
-        return 1
-    return 0
 
 
 def _profile_cmd(args: argparse.Namespace) -> int:
@@ -400,7 +337,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_report = sub.add_parser("report", help="metrics + SLOs + traces")
-    p_report.add_argument("archive", help="obs_*.jsonl or fleet_*.jsonl")
+    p_report.add_argument("archive", help="obs_*.jsonl archive")
     p_report.add_argument("--top", type=int, default=10,
                           help="slow spans to list")
     p_report.add_argument("--strict", action="store_true",
@@ -409,7 +346,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_crit = sub.add_parser(
         "critical", help="critical-path analysis + attribution")
-    p_crit.add_argument("archive", help="obs_*.jsonl or fleet_*.jsonl")
+    p_crit.add_argument("archive", help="obs_*.jsonl archive")
     p_crit.add_argument("--trace", type=int, default=None, metavar="ID",
                         help="analyse one trace id")
     p_crit.add_argument("--p99", action="store_true",
@@ -421,8 +358,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_diff = sub.add_parser(
         "diff", help="differential comparison of two archived runs")
-    p_diff.add_argument("run_a", help="baseline archive (obs_*.jsonl, "
-                        "fleet_*.jsonl, or BENCH_*.json)")
+    p_diff.add_argument("run_a", help="baseline archive (obs_*.jsonl "
+                        "or BENCH_*.json)")
     p_diff.add_argument("run_b", help="candidate archive")
     p_diff.add_argument("--top", type=int, default=10,
                         help="rows per section")
@@ -434,7 +371,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_dash = sub.add_parser(
         "dashboard", help="sparkline panels + profiler top-N")
     p_dash.add_argument("archive", nargs="?",
-                        help="obs_*.jsonl or fleet_*.jsonl")
+                        help="obs_*.jsonl archive")
     p_dash.add_argument("--live", metavar="SCENARIO",
                         help="run a named scenario and render it "
                         "(see repro.core.scenarios)")
@@ -462,7 +399,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_top = sub.add_parser(
         "top", help="per-entity accounting tables (VCs, sites, streams)")
     p_top.add_argument("archive", nargs="?",
-                       help="obs_*.jsonl or fleet_*.jsonl")
+                       help="obs_*.jsonl archive")
     p_top.add_argument("--live", metavar="SCENARIO",
                        help="run a named scenario with the ledger "
                        "enabled and render its attribution")
@@ -491,21 +428,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_audit.add_argument("--out-dir", default=None,
                          help="also write the run's archive here")
     p_audit.set_defaults(func=_audit)
-
-    p_merge = sub.add_parser(
-        "merge", help="merge N run archives into one merged archive")
-    p_merge.add_argument("archives", nargs="+",
-                         help="obs_*.jsonl / fleet_*.jsonl archives "
-                         "to fold together")
-    p_merge.add_argument("-o", "--output", required=True,
-                         help="path for the merged archive "
-                         "(fleet_<name>.jsonl)")
-    p_merge.add_argument("--name", default="merged",
-                         help="name recorded in the merged archive")
-    p_merge.add_argument("--strict", action="store_true",
-                         help="exit 1 when the merged SLO verdict "
-                         "fails or the merged audit has violations")
-    p_merge.set_defaults(func=_merge)
 
     p_prof = sub.add_parser(
         "profile", help="profiler top-N from an archive")

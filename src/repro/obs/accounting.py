@@ -29,35 +29,15 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
-    "ACCOUNT_SUM_FIELDS",
     "Account",
     "Ledger",
     "NULL_ACCOUNT",
     "SORT_COLUMNS",
-    "account_weight",
     "render_top",
 ]
 
 #: columns accepted by ``render_top(sort=...)`` / ``repro.obs top --sort``
 SORT_COLUMNS = ("bytes", "cells", "units", "drops", "residency")
-
-#: every additive charge field on an :class:`Account` row — shard
-#: merges sum exactly these (share/bits_per_sec are derived, not summed)
-ACCOUNT_SUM_FIELDS = ("units_sent", "units_delivered", "cells_sent",
-                      "cells_delivered", "bytes_sent", "bytes_delivered",
-                      "drops", "residency_seconds")
-
-
-def account_weight(row: Dict[str, object]) -> float:
-    """The space-saving rank of a snapshot row: the sum of everything
-    charged (exactly what :class:`Account` accumulates into ``weight``
-    live).  Falls back to recomputing when the snapshot was exact and
-    carried no ``weight`` column."""
-    if row.get("weight") is not None:
-        return float(row["weight"])  # type: ignore[arg-type]
-    return float(sum(row.get(f, 0) or 0  # type: ignore[arg-type]
-                     for f in ACCOUNT_SUM_FIELDS))
-
 
 class Account:
     """Running totals for one accountable entity.

@@ -9,10 +9,9 @@ to end and emits one ranked attribution table plus a machine-readable
 the ROADMAP's 10× arc) arrives with a layer-level explanation.
 
 Either side is an :class:`~repro.obs.sink.Archive` — a run's
-``obs_<name>.jsonl`` or a merged ``fleet_<name>.jsonl``, so two
-same-partition fleets diff exactly like two single runs — or a
-``BENCH_<scenario>.json`` bench-gate baseline (scalar metric vector +
-``profile_top``, no spans), which :func:`baseline` turns into one.
+``obs_<name>.jsonl`` — or a ``BENCH_<scenario>.json`` bench-gate
+baseline (scalar metric vector + ``profile_top``, no spans), which
+:func:`baseline` turns into one.
 
 Sections degrade gracefully: a side missing spans still diffs
 metrics, a BENCH baseline still diffs callsites.  Sections are

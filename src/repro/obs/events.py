@@ -30,8 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional
 
-__all__ = ["FlightEvent", "FlightRecorder", "SEVERITIES",
-           "event_sort_key"]
+__all__ = ["FlightEvent", "FlightRecorder", "SEVERITIES"]
 
 #: allowed severity tags, in increasing order of gravity
 SEVERITIES = ("debug", "info", "warning", "error")
@@ -66,18 +65,6 @@ class FlightEvent:
                    severity=payload.get("severity", "info"),
                    trace_id=payload.get("trace_id"),
                    attrs=dict(payload.get("attrs") or {}))
-
-
-def event_sort_key(event: Dict[str, Any]):
-    """Total order over event dicts for k-way shard merges: sim time
-    first, then content so equal-time events from different shards
-    land deterministically."""
-    return (event.get("time", 0.0), event.get("component", ""),
-            event.get("kind", ""), event.get("severity", ""),
-            event.get("trace_id") if event.get("trace_id") is not None
-            else -1,
-            json.dumps(event.get("attrs") or {}, sort_keys=True,
-                       default=repr))
 
 
 class FlightRecorder:

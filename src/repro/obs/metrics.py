@@ -40,7 +40,6 @@ __all__ = [
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
     "TIME_BUCKETS",
-    "iter_report",
 ]
 
 #: default histogram ladder: 1 µs .. 64 s in powers of four, a spread
@@ -53,18 +52,6 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 def _label_key(labels: Mapping[str, Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-def iter_report(report: Mapping[str, Any]
-                ) -> Iterable[Tuple[str, str, LabelKey, Dict[str, Any]]]:
-    """Walk a :meth:`MetricsRegistry.report` dump instrument by
-    instrument, yielding ``(component, name, label_key, entry)`` —
-    the flat view merge operators and shard partitioners fold over."""
-    for component, names in report.items():
-        for name, entries in names.items():
-            for entry in entries:
-                yield (component, name,
-                       _label_key(entry.get("labels", {})), entry)
 
 
 class Counter:

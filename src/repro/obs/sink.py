@@ -1,8 +1,7 @@
 """The observability archive: one append-only JSONL file per run.
 
-Every archive this repo writes is an ``obs_<name>.jsonl`` (or, for a
-merged fleet, a ``fleet_<name>.jsonl``) in one record grammar, and
-:class:`ObsSink` is its only writer.  Attach a sink to a
+Every archive this repo writes is an ``obs_<name>.jsonl`` in one record
+grammar, and :class:`ObsSink` is its only writer.  Attach a sink to a
 :class:`~repro.core.system.MitsSystem` (``MitsSystem(stream=path)``)
 and every kept span, every flight event, and every telemetry tick is
 appended *as it happens*, through a small bounded write buffer, so
@@ -16,9 +15,7 @@ Record grammar (one JSON object per line, tagged ``"record"``):
 ``meta``
     first line — schema version, run name, seed, topology, the
     :class:`~repro.obs.sampling.SamplingPolicy` the run used, and the
-    sampler's interval/capacity.  A merged fleet archive adds
-    ``merged``, ``shards`` (per-shard provenance, with wall time and
-    peak RSS) and ``provenance`` (gauge sources, id remaps).
+    sampler's interval/capacity.
 ``span`` / ``event``
     one finished :class:`~repro.obs.tracing.SpanRecord` / recorded
     :class:`~repro.obs.events.FlightEvent`.
@@ -31,8 +28,8 @@ Record grammar (one JSON object per line, tagged ``"record"``):
 ``wall``
     optional, just before ``fin`` — the wall-clock facts: the
     :class:`~repro.obs.meter.OverheadMeter`'s ``overhead`` table and
-    the profiler's ``profile``.  Only ``dump_observability`` (and a
-    fleet merge) write it; a plain :meth:`ObsSink.close` does not, so
+    the profiler's ``profile``.  Only ``dump_observability`` writes
+    it; a plain :meth:`ObsSink.close` does not, so
     same seed + same policy ⇒ byte-identical archives.
 ``fin``
     last line — the end-of-run summary (metrics report, SLO verdicts,
@@ -302,11 +299,11 @@ class ObsSink:
 
 @dataclass
 class Archive:
-    """One run (or merged fleet) as every ``repro.obs`` verb sees it."""
+    """One run as every ``repro.obs`` verb sees it."""
 
     path: str
     name: str
-    #: the ``meta`` record (merged archives: ``merged``/``shards``/...)
+    #: the ``meta`` record
     meta: Dict[str, Any]
     #: the ``fin`` summary; empty when the run did not finish
     summary: Dict[str, Any]
@@ -328,14 +325,6 @@ class Archive:
         return self.summary.get("metrics", {})
 
     @property
-    def merged(self) -> bool:
-        return bool(self.meta.get("merged"))
-
-    @property
-    def shards(self) -> List[Dict[str, Any]]:
-        return self.meta.get("shards") or []
-
-    @property
     def overhead(self) -> Optional[Dict[str, Any]]:
         return self.wall.get("overhead")
 
@@ -349,32 +338,6 @@ class Archive:
             return None
         return (f"!! incomplete archive: {self.records} records "
                 f"recovered, {self.reason} ({self.path})")
-
-    def shard(self) -> Dict[str, Any]:
-        """This archive as a :mod:`repro.obs.merge` shard dict."""
-        summary = self.summary
-        acct = self.accounting
-        if acct is not None:
-            acct = {k: v for k, v in acct.items() if k != "sim_time"}
-        shard: Dict[str, Any] = {
-            "name": self.name or os.path.basename(self.path),
-            "path": self.path,
-            "sim_time": summary.get("sim_time", 0.0),
-            "events_run": summary.get("events_run", 0),
-            "metrics": self.metrics,
-            "spans": self.spans,
-            "events": self.events,
-            "timeseries": self.timeseries,
-            "accounting": acct,
-            "watchdog": summary.get("watchdog"),
-            "audit": summary.get("audit"),
-            "telemetry": summary.get("telemetry"),
-            "overhead": self.overhead,
-        }
-        gauges = (self.meta.get("provenance") or {}).get("gauges")
-        if gauges:
-            shard["gauge_provenance"] = gauges
-        return shard
 
 
 class _Telemetry:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["DEFAULT_SLOS", "DEGRADATION_METRICS", "Slo", "SloMonitor",
-           "SloResult", "judge_report"]
+           "SloResult"]
 
 #: statistics summed across instrument entries (counters / totals)
 _SUM_STATS = ("value", "count", "sum")
@@ -206,14 +206,3 @@ class SloMonitor:
         if not values:
             return None
         return float(max(values) if slo.op == "<=" else min(values))
-
-
-def judge_report(report: Mapping[str, Any], *,
-                 watchdog_alerts: Optional[Sequence[Mapping[str, Any]]]
-                 = None) -> Dict[str, Any]:
-    """Judge the default SLO set over any metrics report.
-
-    The merge path's entry point: shard SLO verdicts are never
-    combined — a fleet is judged only over the merged registry.
-    """
-    return SloMonitor().summary(report, watchdog_alerts=watchdog_alerts)

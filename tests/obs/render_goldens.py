@@ -5,16 +5,13 @@ line count, over one archive:
 
 * ``quickstart``, ``classroom``, ``faulty-classroom`` — the streamed
   ``obs_<scenario>.jsonl`` of ``build(scenario, accounting=True,
-  stream=path)`` run to its horizon and closed;
-* ``fleet-classroom`` — ``scripts/fleet.py``'s archive for two
-  classroom shards (seed 1996, one process).
+  stream=path)`` run to its horizon and closed.
 
 Verbs: ``report``, ``critical``, ``dashboard``, ``top``, ``audit
 <archive>``, and ``diff`` against a second, independent same-seed
 archive.  Before hashing, archive paths are replaced by ``<a>``/``<b>``
-and wall-clock blocks are masked: the obs-overhead table, the
-profiler table, and the per-shard wall/RSS/obs suffix of a fleet
-report.  Everything left is simulated, so it is the same on every
+and wall-clock blocks are masked: the obs-overhead table and the
+profiler table.  Everything left is simulated, so it is the same on every
 machine.
 
 Re-record with ``PYTHONPATH=src python -m tests.obs.render_goldens``
@@ -26,14 +23,11 @@ the change log; a refactor of the archive path must reproduce them.
 from __future__ import annotations
 
 import contextlib
-import glob
 import hashlib
-import importlib.util
 import io
 import json
 import os
 import re
-import sys
 import tempfile
 from typing import Dict, List, Tuple
 
@@ -42,12 +36,8 @@ from repro.obs.__main__ import main as obs_main
 
 GOLDENS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "render_goldens.json")
-ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
 
-SCENARIOS = ("quickstart", "classroom", "faulty-classroom")
-FLEET = "fleet-classroom"
-SUBJECTS = SCENARIOS + (FLEET,)
+SUBJECTS = ("quickstart", "classroom", "faulty-classroom")
 VERBS = ("report", "critical", "dashboard", "top", "audit", "diff")
 
 #: wall-clock blocks, masked before hashing
@@ -56,28 +46,11 @@ _MASKS: Tuple[Tuple[re.Pattern, str], ...] = (
                 re.MULTILINE), "<overhead>\n"),
     (re.compile(r"^event-loop profile:.*\n(?:.*\S.*\n)*", re.MULTILINE),
      "<profile>\n"),
-    (re.compile(r"  \(wall [^\n]*\)$", re.MULTILINE), "  <wall>"),
 )
-
-
-def _fleet_module():
-    module = sys.modules.get("fleet")
-    if module is None:
-        spec = importlib.util.spec_from_file_location(
-            "fleet", os.path.join(ROOT, "scripts", "fleet.py"))
-        module = importlib.util.module_from_spec(spec)
-        sys.modules["fleet"] = module
-        spec.loader.exec_module(module)
-    return module
 
 
 def make_archive(subject: str, out_dir: str) -> str:
     """Write *subject*'s archive under *out_dir*; returns its path."""
-    if subject == FLEET:
-        _fleet_module().run_fleet(["classroom"], shards=2, seed=1996,
-                                  procs=1, out_dir=out_dir)
-        (path,) = glob.glob(os.path.join(out_dir, "fleet_classroom.*"))
-        return path
     path = os.path.join(out_dir, f"obs_{subject}.jsonl")
     run = build(subject, accounting=True, stream=path)
     run.run_to_horizon()

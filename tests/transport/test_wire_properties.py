@@ -15,7 +15,7 @@ Two invariants, driven by hypothesis:
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.atm.aal5 import Aal5Receiver, segment_pdu
 from repro.transport.wire import dump_value, load_value
@@ -167,9 +167,11 @@ class TestAal5UnderLossAndReorder:
             self, payloads, drop_index):
         all_cells = []
         frames = [segment_pdu(p, vpi=1, vci=32) for p in payloads]
-        # drop the *last* cell of one frame: the classic poison case,
-        # where the next frame's cells splice onto the orphan
-        victim = drop_index % len(frames)
+        # drop the *last* cell of one frame that has a successor: the
+        # classic poison case, where the next frame's cells splice onto
+        # the orphan (a dropped last frame has nothing to splice onto;
+        # see the test below)
+        victim = drop_index % (len(frames) - 1)
         for i, cells in enumerate(frames):
             all_cells.extend(cells[:-1] if i == victim else cells)
         delivered, corrupted = _reassemble(all_cells)
@@ -187,3 +189,22 @@ class TestAal5UnderLossAndReorder:
             # behind to poison the following frames
             assert corrupted == 0
             assert len(delivered) == len(payloads) - 1
+
+    @given(payloads=st.lists(st.binary(min_size=1, max_size=500),
+                             min_size=1, max_size=4),
+           drop_index=st.integers(min_value=0))
+    @example(payloads=[b"\x00", bytes(41)], drop_index=1)
+    @settings(max_examples=50, deadline=None)
+    def test_loss_in_the_last_frame_delivers_no_hybrid(
+            self, payloads, drop_index):
+        frames = [segment_pdu(p, vpi=1, vci=32) for p in payloads]
+        # lose one cell of the last frame; drop_index picks which, and
+        # losing its last cell leaves orphans with no next frame
+        last = list(frames[-1])
+        del last[drop_index % len(last)]
+        all_cells = [c for cells in frames[:-1] for c in cells] + last
+        delivered, _ = _reassemble(all_cells)
+        for got in delivered:
+            assert got in payloads
+        # the earlier frames all arrive, and the damaged one never does
+        assert delivered == payloads[:-1]
