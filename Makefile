@@ -23,10 +23,13 @@ smoke:
 bench:
 	$(PYTHON) -m pytest benchmarks -q
 
-# perf-regression gate: scenarios vs tracked BENCH_*.json baselines;
-# each scenario's archive goes to benchmarks/out/obs_gate_<name>.jsonl.
-# Refresh baselines with `make bench-gate BENCH_GATE_FLAGS=--update`;
-# CI passes --no-wall to skip hardware-dependent wall-clock metrics.
+# regression gate: each scenario's deterministic metrics (events run,
+# sim time, peaks, events/sim-sec floor) vs the tracked BENCH_*.json
+# baselines, plus the conservation audit and the obs-on vs obs-off
+# overhead ceiling; each scenario's archive goes to
+# benchmarks/out/obs_gate_<name>.jsonl.  Refresh baselines with
+# `make bench-gate BENCH_GATE_FLAGS=--update`.  Wall time is measured
+# by perfbench (`python3 perfbench/run.py`), not here.
 bench-gate:
 	$(PYTHON) scripts/bench_gate.py $(BENCH_GATE_FLAGS)
 

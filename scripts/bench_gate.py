@@ -1,23 +1,31 @@
 #!/usr/bin/env python
-"""Perf-regression gate: benchmark scenarios against tracked baselines.
+"""Deterministic regression gate: scenarios against tracked baselines.
 
-Runs every named scenario in :mod:`repro.core.scenarios` with the
-event-loop profiler installed, extracts a small metric vector per
-scenario — events/sec, wall time, events run, simulated time reached,
-and peak time-series values (simulator queue depth, link queue
-occupancy, player buffer) — and compares it against the tracked
+Runs every named scenario in :mod:`repro.core.scenarios`, extracts a
+small metric vector per scenario — events run, simulated time
+reached, events per simulated second, peak time-series values
+(simulator queue depth, link queue occupancy, player buffer) and the
+obs-on vs obs-off overhead — and compares it against the tracked
 ``BENCH_<scenario>.json`` baseline at the repo root.
+
+Wall time is not gated here: the scenarios run in ~0.13 s, which is
+noise.  ``perfbench/run.py`` owns wall-clock measurement (``wall_s``,
+``peak_rss_mb`` over repeated seeds, and a traced pass that splits
+wall time by layer).  ``events_run`` counts per-cell-equivalent
+charged events (:meth:`Simulator.charge_cells`), not callbacks
+executed.
 
 Verdict rules, per metric:
 
-* *perf* metrics (``wall_seconds`` up, ``events_per_sec`` down) fail
-  when they regress beyond ``--wall-tolerance`` (generous by default —
-  wall clock is noisy).  ``--no-wall`` skips them entirely for CI
-  runners whose hardware differs from the baseline machine.
-* *deterministic* metrics (``events_run``, ``sim_time``, peaks) are
-  reproducible given the seed, so any drift beyond ``--tolerance``
-  fails — if the drift is an intended consequence of a change, rerun
-  with ``--update`` to accept the new baseline.
+* ``events_run``, ``sim_time`` and the peaks are reproducible given
+  the seed, so any drift beyond :data:`TOLERANCE` fails (peak growth
+  only for the queues) — if the drift is an intended consequence of
+  a change, rerun with ``--update`` to accept the new baseline.
+* ``events_per_sim_sec`` is held to the absolute per-scenario floor
+  in :data:`MIN_EVENTS_PER_SIM_SEC`, not to the baseline.
+* ``obs_overhead_pct`` is held to the absolute ceiling
+  :data:`MAX_OBS_OVERHEAD_PCT`; it is an A/B measurement, so it is
+  judged on every run.
 
 ``--update`` (re)writes the baselines and exits 0.  A missing baseline
 is an error (exit 2) so new scenarios can't silently skip the gate.
@@ -25,28 +33,23 @@ On failure the diff table shows baseline vs current per metric.
 
 Each run also rewrites the scenario's archive,
 ``benchmarks/out/obs_gate_<scenario>.jsonl`` (override the directory
-with ``BENCH_METRICS_DIR``), with the profiler's top-N in its ``wall``
-record, so a failed gate is debuggable offline with ``python -m
-repro.obs``.  The previous run's archive (when present) is loaded
-before the new run truncates it, diffed instrument-by-instrument via
-:meth:`MetricsRegistry.delta`, and the largest absolute movements are
-printed next to the percentage table.  Every scenario is additionally
-run through the :class:`ConservationAuditor`; any violation fails the
-gate regardless of the perf verdicts.
+with ``BENCH_METRICS_DIR``), so a failed gate is debuggable offline
+with ``python -m repro.obs``.  The previous run's archive (when
+present) is loaded before the new run truncates it, diffed
+instrument-by-instrument via :meth:`MetricsRegistry.delta`, and the
+largest absolute movements are printed next to the percentage table.
+Every scenario is additionally run through the
+:class:`ConservationAuditor`; any violation fails the gate regardless
+of the metric verdicts.
 
 On any gate failure the full differential comparison
 (:mod:`repro.obs.diff`) between the baseline — the tracked
-``BENCH_<scenario>.json`` vector + ``profile_top``, backfilled with
-the previous run's archive when present — and the failing run is
-printed (ranked attribution: span kinds, critical-path components,
-profiler callsites, largest mover first) and written as
-``diff_gate_<scenario>.json`` next to the archive, so a regression
-report always names the layer that moved, not just the headline
-number.
-
-Testing hook: ``BENCH_GATE_HANDICAP=<factor>`` scales measured wall
-time (2.0 = pretend the run took twice as long), which is how the test
-suite injects a regression to prove the gate trips.
+``BENCH_<scenario>.json`` vector, backfilled with the previous run's
+archive when present — and the failing run is printed (ranked
+attribution: span kinds and critical-path components, largest mover
+first) and written as ``diff_gate_<scenario>.json`` next to the
+archive, so a regression report always names the layer that moved,
+not just the headline number.
 
 Run via ``make bench-gate``.
 """
@@ -71,36 +74,25 @@ from repro.obs.export import dump_observability  # noqa: E402
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.obs.sink import Archive, load_archive  # noqa: E402
 
-#: (metric, direction, class) — direction says which way is a
-#: regression: "up" = larger is worse, "down" = smaller is worse,
-#: "drift" = any change beyond tolerance is suspect.
-METRIC_SPECS: Tuple[Tuple[str, str, str], ...] = (
-    ("events_per_sec", "down", "wall"),
-    ("wall_seconds", "up", "wall"),
-    ("events_run", "drift", "deterministic"),
-    ("sim_time", "drift", "deterministic"),
-    # gated against an absolute per-scenario floor (see
-    # MIN_EVENTS_PER_SIM_SEC / --min-events-per-sec), not the baseline:
-    # the deterministic load-per-simulated-second assertion survives
-    # --no-wall because both numerator and denominator are seeded
-    ("events_per_sim_sec", "min", "deterministic"),
-    ("peak_queue_depth", "up", "deterministic"),
-    ("peak_link_queue", "up", "deterministic"),
-    ("peak_player_buffer", "drift", "deterministic"),
-    # gated against the --max-obs-overhead absolute ceiling, not the
-    # baseline: what full-fidelity observability costs vs obs-off
-    ("obs_overhead_pct", "abs", "wall"),
-    # process peak RSS at the end of the scenario's gate run (KiB on
-    # Linux) — the memory axis of ROADMAP item 3's sessions vs
-    # events/sec vs RSS extrapolation curve.  ru_maxrss is a process
-    # high-water mark, so within one gate invocation later scenarios
-    # inherit the peak of earlier ones; the trend across PRs is the
-    # signal, hence class "wall" (machine-dependent, skipped by
-    # --no-wall in CI).
-    ("peak_rss_kb", "up", "wall"),
+#: (metric, direction) — direction says which way is a regression:
+#: "up" = larger is worse, "drift" = any change beyond TOLERANCE is
+#: suspect, "min" = below the scenario's MIN_EVENTS_PER_SIM_SEC floor,
+#: "max" = above the MAX_OBS_OVERHEAD_PCT ceiling.
+METRIC_SPECS: Tuple[Tuple[str, str], ...] = (
+    ("events_run", "drift"),
+    ("sim_time", "drift"),
+    ("events_per_sim_sec", "min"),
+    ("peak_queue_depth", "up"),
+    ("peak_link_queue", "up"),
+    ("peak_player_buffer", "drift"),
+    # what full-fidelity observability costs vs obs-off
+    ("obs_overhead_pct", "max"),
 )
 
-#: default ceiling (percent) for the obs-on vs obs-off wall delta
+#: relative tolerance for the baseline-relative metrics
+TOLERANCE = 0.10
+
+#: ceiling (percent) for the obs-on vs obs-off wall delta
 MAX_OBS_OVERHEAD_PCT = 15.0
 
 #: per-scenario floors for ``events_run / sim_time`` — the scripted
@@ -124,8 +116,7 @@ def baseline_path(scenario: str, out_dir: str) -> str:
 def measure_obs_overhead(scenario: str, pairs: int = 3) -> float:
     """End-to-end obs cost: full-fidelity obs-on vs obs-off wall delta.
 
-    Dedicated run pairs without the profiler (its wrapper would
-    dominate the comparison): one run with the default observability
+    Dedicated run pairs: one run with the default observability
     stack (tracing, telemetry, watchdog, self-metering), one with all
     of it off.  The delta catches costs the in-process meter cannot
     see from inside — allocation and cache pressure included.
@@ -152,18 +143,8 @@ def measure_obs_overhead(scenario: str, pairs: int = 3) -> float:
     return best or 0.0
 
 
-def _peak_rss_kb() -> int:
-    """Process peak RSS so far (KiB on Linux; 0 where unavailable)."""
-    try:
-        import resource
-    except ImportError:
-        return 0
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-
-
 def measure(scenario: str) -> Dict[str, Any]:
     """Run one scenario to its horizon and extract the metric vector."""
-    handicap = float(os.environ.get("BENCH_GATE_HANDICAP", "1.0"))
     out_dir = os.environ.get(
         "BENCH_METRICS_DIR", os.path.join(_ROOT, "benchmarks", "out"))
     os.makedirs(out_dir, exist_ok=True)
@@ -171,13 +152,10 @@ def measure(scenario: str) -> Dict[str, Any]:
     # the previous run's archive, read before build() truncates it: it
     # backfills the BENCH baseline for the failure-path diff
     prev_archive = _previous_archive(stream_path)
-    t0 = time.perf_counter()
-    run = build(scenario, profile=True, stream=stream_path)
+    run = build(scenario, stream=stream_path)
     run.run_to_horizon()
-    wall = (time.perf_counter() - t0) * handicap
     mits = run.mits
     sampler = mits.sampler
-    profile = mits.profiler.snapshot(top=5)
     violations = ConservationAuditor(mits).check()
 
     def peak(component: str, name: str) -> float:
@@ -189,19 +167,15 @@ def measure(scenario: str) -> Dict[str, Any]:
         "sim_time": round(mits.sim.now, 6),
         "events_per_sim_sec": round(mits.sim.events_run / mits.sim.now, 1)
         if mits.sim.now > 0 else 0.0,
-        "wall_seconds": round(wall, 4),
-        "events_per_sec": round(mits.sim.events_run / wall, 1)
-        if wall > 0 else 0.0,
         "peak_queue_depth": peak("simulator", "queue_depth"),
         "peak_link_queue": peak("link", "queue_occupancy"),
         "peak_player_buffer": peak("player", "buffer_frames"),
         "obs_overhead_pct": round(measure_obs_overhead(scenario), 2),
-        "peak_rss_kb": _peak_rss_kb(),
     }
     instrument_drift = MetricsRegistry.delta(
         prev_archive.metrics, mits.sim.metrics.report()) \
         if prev_archive is not None else None
-    dump_observability(mits, f"gate_{scenario}", out_dir, profile=profile)
+    dump_observability(mits, f"gate_{scenario}", out_dir)
     return {
         "scenario": scenario,
         "metrics": metrics,
@@ -210,10 +184,6 @@ def measure(scenario: str) -> Dict[str, Any]:
         "prev_archive": prev_archive,
         "archive_path": stream_path,
         "out_dir": out_dir,
-        "profile_top": [
-            {"callsite": h["callsite"], "cum_seconds": h["cum_seconds"],
-             "calls": h["calls"]}
-            for h in profile["hotspots"]],
     }
 
 
@@ -230,10 +200,10 @@ def explain_failure(scenario: str, baseline_path_: str,
                     current: Dict[str, Any]) -> None:
     """Print the differential attribution for one failed scenario.
 
-    The baseline side is the tracked ``BENCH_<scenario>.json`` (metric
-    vector + profile_top) backfilled with the previous gate run's
-    archive (metrics report, spans, SLO verdicts, ledger) when it
-    exists; the candidate side is the failing run's fresh archive.
+    The baseline side is the tracked ``BENCH_<scenario>.json`` metric
+    vector, backfilled with the previous gate run's archive (metrics
+    report, spans, SLO verdicts, ledger) when it exists; the candidate
+    side is the failing run's fresh archive.
     The machine-readable payload lands in ``diff_gate_<scenario>.json``
     next to the archive.
     """
@@ -256,42 +226,30 @@ def explain_failure(scenario: str, baseline_path_: str,
           f"{os.path.relpath(current['archive_path'], _ROOT)}`)")
 
 
-def judge(scenario: str, base: Dict[str, Any], cur: Dict[str, Any],
-          *, tolerance: float, wall_tolerance: float, no_wall: bool,
-          max_obs_overhead: float = MAX_OBS_OVERHEAD_PCT,
-          min_events_per_sec: Optional[float] = None
+def judge(scenario: str, base: Dict[str, Any], cur: Dict[str, Any]
           ) -> List[Tuple[str, Any, Any, float, str]]:
     """Rows of ``(metric, baseline, current, delta_frac, verdict)``."""
     rows = []
     base_m, cur_m = base.get("metrics", {}), cur["metrics"]
-    for metric, direction, klass in METRIC_SPECS:
-        if no_wall and klass == "wall":
-            continue
-        tol = wall_tolerance if klass == "wall" else tolerance
+    for metric, direction in METRIC_SPECS:
         b, c = base_m.get(metric), cur_m.get(metric)
+        if c is None:
+            continue
         if direction == "min":
             # absolute floor: the baseline column shows the floor, and
             # the verdict ignores the tracked baseline entirely
-            floor = (min_events_per_sec
-                     if min_events_per_sec is not None
-                     else MIN_EVENTS_PER_SIM_SEC.get(scenario))
-            if floor is None or c is None:
+            floor = MIN_EVENTS_PER_SIM_SEC.get(scenario)
+            if floor is None:
                 continue
-            bad = c < floor
-            rows.append((metric, floor, c, 0.0, "FAIL" if bad else "ok"))
+            rows.append((metric, floor, c, 0.0,
+                         "FAIL" if c < floor else "ok"))
             continue
-        if direction == "abs":
+        if direction == "max":
             # absolute ceiling, not baseline-relative: wall deltas this
             # small are noise run-to-run, but a blowout must fail even
             # if the baseline had blown out too
-            if c is None:
-                continue
-            bad = c > max_obs_overhead
-            rows.append((metric, b, c, 0.0, "FAIL" if bad else "ok"))
-            continue
-        if c is None:
-            # metric not recorded this run (e.g. no `resource` module
-            # for peak_rss_kb) — nothing to judge
+            rows.append((metric, b, c, 0.0,
+                         "FAIL" if c > MAX_OBS_OVERHEAD_PCT else "ok"))
             continue
         if b is None:
             rows.append((metric, b, c, 0.0, "NEW"))
@@ -300,12 +258,8 @@ def judge(scenario: str, base: Dict[str, Any], cur: Dict[str, Any],
             delta = 0.0 if c == 0 else float("inf")
         else:
             delta = (c - b) / abs(b)
-        if direction == "up":
-            bad = delta > tol
-        elif direction == "down":
-            bad = delta < -tol
-        else:  # drift
-            bad = abs(delta) > tol
+        bad = delta > TOLERANCE if direction == "up" \
+            else abs(delta) > TOLERANCE
         rows.append((metric, b, c, delta, "FAIL" if bad else "ok"))
     return rows
 
@@ -346,33 +300,13 @@ def render_instrument_drift(drift: Dict[str, Dict[str, Any]],
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark scenarios and gate on tracked baselines.")
+        description="Gate scenarios' deterministic metrics on tracked "
+                    "baselines.")
     parser.add_argument("scenarios", nargs="*",
                         help=f"subset to run (default: all of "
                              f"{sorted(SCENARIOS)})")
     parser.add_argument("--update", action="store_true",
                         help="write/refresh BENCH_*.json baselines")
-    parser.add_argument("--tolerance", type=float, default=0.10,
-                        help="relative tolerance for deterministic "
-                             "metrics (default 0.10)")
-    parser.add_argument("--wall-tolerance", type=float, default=0.50,
-                        help="relative tolerance for wall-clock "
-                             "metrics (default 0.50)")
-    parser.add_argument("--no-wall", action="store_true",
-                        help="skip wall-clock metrics (CI on unknown "
-                             "hardware)")
-    parser.add_argument("--max-obs-overhead", type=float,
-                        default=MAX_OBS_OVERHEAD_PCT,
-                        help="fail when full-fidelity observability "
-                             "costs more than this percent of wall vs "
-                             "obs-off (default 15)")
-    parser.add_argument("--min-events-per-sec", type=float, default=None,
-                        help="absolute floor for events_run/sim_time "
-                             "(per-cell-equivalent events per simulated "
-                             "second; deterministic, so it stays active "
-                             "under --no-wall).  Default: the tracked "
-                             "per-scenario floors in "
-                             "MIN_EVENTS_PER_SIM_SEC")
     parser.add_argument("--out-dir", default=_ROOT,
                         help="directory holding BENCH_*.json "
                              "(default: repo root)")
@@ -415,11 +349,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             continue
         with open(path) as fh:
             base = json.load(fh)
-        rows = judge(name, base, current, tolerance=args.tolerance,
-                     wall_tolerance=args.wall_tolerance,
-                     no_wall=args.no_wall,
-                     max_obs_overhead=args.max_obs_overhead,
-                     min_events_per_sec=args.min_events_per_sec)
+        rows = judge(name, base, current)
         print(render_diff(name, rows))
         if drift is not None:
             print(render_instrument_drift(drift))

@@ -15,18 +15,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.obs.accounting import Ledger
 from repro.obs.events import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import callsite_name
 from repro.obs.tracing import Tracer
-
-#: bucket ladder for host-side callback cost (wall-clock seconds)
-_CALLBACK_BUCKETS = tuple(1e-7 * 4 ** i for i in range(10))
 
 
 @dataclass(order=True, slots=True)
@@ -50,8 +45,7 @@ class Simulator:
     def __init__(self, *, metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
                  recorder: Optional[FlightRecorder] = None,
-                 ledger: Optional[Ledger] = None,
-                 profile_callbacks: bool = False) -> None:
+                 ledger: Optional[Ledger] = None) -> None:
         self._queue: list[Event] = []
         self._seq = itertools.count()
         self._now = 0.0
@@ -69,17 +63,13 @@ class Simulator:
         #: stateful endpoints (connections, players, ...) register here
         #: so the ConservationAuditor can find them without a topology
         self.entities: dict[str, list] = {}
-        #: when True, each callback's wall-clock cost is histogrammed
-        #: by callsite (the callback's qualified name) — costs a
-        #: perf_counter pair per event, so off by default
-        self.profile_callbacks = profile_callbacks
         #: a TelemetrySampler attached via its start(); schedule() wakes
         #: it from dormancy when new work arrives (see obs/timeseries)
         self._sampler: Optional[Any] = None
-        #: per-cell-equivalent events credited by the *currently running*
-        #: callback via charge_cells() — lets train handlers (one event
-        #: for a whole cell train) keep events_run and profiler call
-        #: counts at one-event-per-cell scale
+        #: per-cell-equivalent events credited so far via charge_cells()
+        #: — lets train handlers (one event for a whole cell train) keep
+        #: events_run at one-event-per-cell scale, while
+        #: ``events_run - event_extra`` stays the callbacks executed
         self.event_extra = 0
         #: heap seq of the event currently executing — the tie-break
         #: identity train continuations inherit via reschedule_at()
@@ -166,8 +156,10 @@ class Simulator:
         Train handlers process a whole cell train in one callback;
         charging the equivalent one-event-per-cell count keeps
         ``events_run`` (and everything derived from it: bench vectors,
-        the perf floor, profiler call counts) a per-cell measure of
-        simulated work, independent of how cells were batched.
+        the perf floor) a per-cell measure of simulated work,
+        independent of how cells were batched.  ``event_extra``
+        accumulates the credits, so ``events_run - event_extra`` is
+        the number of callbacks actually executed.
         """
         if extra <= 0:
             return
@@ -211,16 +203,7 @@ class Simulator:
         return self._now
 
     def _execute(self, ev: Event) -> None:
-        if self.profile_callbacks:
-            t0 = _time.perf_counter()
-            ev.callback(*ev.args)
-            cost = _time.perf_counter() - t0
-            callsite = callsite_name(ev.callback)
-            self.metrics.histogram(
-                "simulator", "callback_seconds",
-                buckets=_CALLBACK_BUCKETS, callsite=callsite).observe(cost)
-        else:
-            ev.callback(*ev.args)
+        ev.callback(*ev.args)
         self._events_run += 1
         self._m_events.inc()
         self._m_depth.set(len(self._queue))
@@ -240,6 +223,7 @@ class Simulator:
             if ev.cancelled:
                 continue
             self._now = ev.time
+            self.current_seq = ev.seq
             self._execute(ev)
             return True
         return False

@@ -24,7 +24,6 @@ from repro.media.base import MediaObject
 from repro.obs.accounting import Ledger
 from repro.obs.audit import ConservationAuditor
 from repro.obs.meter import OverheadMeter
-from repro.obs.profiler import LoopProfiler
 from repro.obs.sampling import SamplingPolicy
 from repro.obs.sink import ObsSink
 from repro.obs.slo import SloMonitor
@@ -41,7 +40,6 @@ class MitsSystem:
                  tracing: bool = False,
                  telemetry_interval: Optional[float] = 0.25,
                  telemetry_capacity: int = 512,
-                 profile: bool = False,
                  accounting: bool = False,
                  watchdog: bool = True,
                  sampling: Optional[SamplingPolicy] = None,
@@ -88,11 +86,6 @@ class MitsSystem:
             self.sink.attach(self)
         if self.sampler is not None:
             self.sampler.start()
-        #: event-loop profiler: installed only on request — the
-        #: disabled path leaves Simulator._execute untouched
-        self.profiler = LoopProfiler()
-        if profile:
-            self.profiler.install(self.sim)
         if topology == "star":
             hosts = ["production", "author1", "database", "facilitator",
                      "user1"]
@@ -222,7 +215,6 @@ class MitsSystem:
             },
             "timeseries": self.sampler.snapshot()
             if self.sampler is not None else {"enabled": False},
-            "profile": self.profiler.snapshot(),
             "faults": self.injector.snapshot()
             if self.injector is not None else {"plan": None},
         }

@@ -1,11 +1,10 @@
-"""Observability: metrics, time series, tracing, events, SLOs, profiling.
+"""Observability: metrics, time series, tracing, events, SLOs.
 
 One :class:`MetricsRegistry` + :class:`Tracer` + :class:`FlightRecorder`
 trio is owned by each :class:`~repro.atm.simulator.Simulator` and
 shared by every component attached to it; a :class:`TelemetrySampler`
 turns the registry's point-in-time instruments into bounded
-time-series rings, and a :class:`LoopProfiler` attributes event-loop
-wall time to callback qualnames.  ``MitsSystem.snapshot()`` and the
+time-series rings.  ``MitsSystem.snapshot()`` and the
 benchmark harness export all of it so measured trajectories are
 comparable across PRs.  :class:`SloMonitor` turns a metrics report
 into pass/fail verdicts.
@@ -45,7 +44,6 @@ from repro.obs.metrics import (
     TIME_BUCKETS,
 )
 from repro.obs.meter import OverheadMeter
-from repro.obs.profiler import CallsiteStats, LoopProfiler
 from repro.obs.sampling import (
     DEFAULT_POLICY,
     Reservoir,
@@ -68,7 +66,6 @@ from repro.obs.watchdog import DEFAULT_DETECTORS, Detector, Watchdog
 __all__ = [
     "Account",
     "Archive",
-    "CallsiteStats",
     "ConservationAuditor",
     "Counter",
     "DEFAULT_DETECTORS",
@@ -86,7 +83,6 @@ __all__ = [
     "render_top",
     "scaled_policy",
     "trace_sampled",
-    "LoopProfiler",
     "Series",
     "TelemetrySampler",
     "load_timeseries",

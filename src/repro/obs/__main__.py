@@ -24,8 +24,7 @@ Subcommands::
 
     diff <run_a> <run_b> [--top N] [--json PATH]
         Differential comparison of two runs: bench vector, ranked time
-        attribution (span kinds, critical-path components, profiler
-        callsites), SLO verdict transitions, per-instrument metric
+        attribution (span kinds, critical-path components), SLO verdict transitions, per-instrument metric
         movements, ledger top-account shifts.  Either side may also be
         a ``BENCH_*.json`` baseline vector.  Exits 1 when any
         *deterministic* delta is present (wall-clock sections never
@@ -33,7 +32,7 @@ Subcommands::
 
     dashboard [archive] [--live SCENARIO] [--follow] ...
         Sparkline panels (link queues, windows, player buffers, event
-        rates) plus the event-loop profiler's top-N.  Renders an
+        rates).  Renders an
         archive, or with ``--live`` runs a named scenario (see
         ``repro.core.scenarios``) — one-shot at the horizon, or as a
         refresh loop with ``--follow``.
@@ -51,9 +50,6 @@ Subcommands::
         writes the run's archive.  Given an archive path instead of a
         scenario name, renders its embedded audit verdict.
 
-    profile <archive>
-        The profiler's top-N from the archive's ``wall`` record.
-
 Live modes take ``--sample RATE`` (with ``--reservoir`` / ``--top-k``)
 to run under a bounded-memory sampling policy.
 """
@@ -66,7 +62,7 @@ import sys
 from typing import List, Optional
 
 from repro.obs.accounting import SORT_COLUMNS, render_top
-from repro.obs.dashboard import render_dashboard, render_profile
+from repro.obs.dashboard import render_dashboard
 from repro.obs.report import (
     render_metrics_summary,
     render_overhead,
@@ -199,9 +195,8 @@ def _dashboard(args: argparse.Namespace) -> int:
         return 2
     if args.archive is not None:
         archive = _load(args.archive)
-        print(render_dashboard(
-            archive.timeseries, profile=archive.profile,
-            width=args.width, top=args.top, title=_title(archive)))
+        print(render_dashboard(archive.timeseries, width=args.width,
+                               title=_title(archive)))
         return 0
     return _live_dashboard(args)
 
@@ -211,8 +206,7 @@ def _live_dashboard(args: argparse.Namespace) -> int:
     # archived-file paths of this CLI don't need
     from repro.core.scenarios import build
 
-    run = build(args.live, profile=not args.no_profile,
-                telemetry_interval=args.interval,
+    run = build(args.live, telemetry_interval=args.interval,
                 sampling=_sampling_policy(args),
                 faults=args.faults, fault_seed=args.fault_seed)
     mits, sim = run.mits, run.mits.sim
@@ -224,16 +218,14 @@ def _live_dashboard(args: argparse.Namespace) -> int:
         while sim.now < run.horizon and sim.pending():
             sim.run(until=min(sim.now + args.slice, run.horizon))
             frame = render_dashboard(
-                mits.sampler, profile=mits.profiler.snapshot(args.top),
-                width=args.width, top=args.top,
+                mits.sampler, width=args.width,
                 title=f"{run.name} (live, t={sim.now:.1f}s)")
             print("\x1b[2J\x1b[H" + frame, flush=True)
     else:
         run.run_to_horizon()
     mits.sampler.sample()
     print(render_dashboard(
-        mits.sampler, profile=mits.profiler.snapshot(args.top),
-        width=args.width, top=args.top,
+        mits.sampler, width=args.width,
         title=f"{run.name} @ t={sim.now:.1f}s"))
     print()
     print(render_telemetry_health(_health(mits)))
@@ -319,17 +311,6 @@ def _audit_archive(path: str) -> int:
     return 1 if violations else 0
 
 
-def _profile_cmd(args: argparse.Namespace) -> int:
-    """Render the profile table from an archive's ``wall`` record."""
-    profile = _load(args.archive).profile
-    if not profile:
-        print("(no profile in this archive — rerun the scenario "
-              "with profiling enabled)")
-        return 1
-    print(render_profile(profile, top=args.top))
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -369,7 +350,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_diff.set_defaults(func=_diff)
 
     p_dash = sub.add_parser(
-        "dashboard", help="sparkline panels + profiler top-N")
+        "dashboard", help="sparkline panels over telemetry")
     p_dash.add_argument("archive", nargs="?",
                         help="obs_*.jsonl archive")
     p_dash.add_argument("--live", metavar="SCENARIO",
@@ -384,10 +365,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="live sampling interval (simulated s)")
     p_dash.add_argument("--width", type=int, default=60,
                         help="sparkline width in characters")
-    p_dash.add_argument("--top", type=int, default=10,
-                        help="profiler hotspots to list")
-    p_dash.add_argument("--no-profile", action="store_true",
-                        help="skip the event-loop profiler in live mode")
     p_dash.add_argument("--faults", metavar="PLAN",
                         help="arm a named fault plan on the live "
                         "scenario (see repro.faults.PLANS)")
@@ -428,13 +405,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_audit.add_argument("--out-dir", default=None,
                          help="also write the run's archive here")
     p_audit.set_defaults(func=_audit)
-
-    p_prof = sub.add_parser(
-        "profile", help="profiler top-N from an archive")
-    p_prof.add_argument("archive", help="obs_*.jsonl with a profile "
-                        "in its wall record")
-    p_prof.add_argument("--top", type=int, default=10)
-    p_prof.set_defaults(func=_profile_cmd)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -3,8 +3,7 @@
 Renders the :class:`~repro.obs.timeseries.TelemetrySampler` rings —
 live from a running deployment or rebuilt from an archive's telemetry
 ticks — as fixed-width ASCII panels, one per
-watched metric, plus the event-loop profiler's top-N table when a
-profile is available.  Everything is plain ASCII string building (like
+watched metric.  Everything is plain ASCII string building (like
 :mod:`repro.obs.report`) so output is stable in CI logs and easy to
 assert on in tests.
 
@@ -27,7 +26,6 @@ __all__ = [
     "Panel",
     "render_dashboard",
     "render_panel",
-    "render_profile",
     "sparkline",
 ]
 
@@ -169,40 +167,13 @@ def render_panel(panel: Panel, series_list: Sequence[Series],
     ])
 
 
-def render_profile(profile: Mapping[str, Any], top: int = 10) -> str:
-    """The event-loop profiler's top-N hotspot table."""
-    hotspots = list(profile.get("hotspots", []))[:top]
-    if not profile.get("enabled") or not hotspots:
-        return "(profiler disabled — run with profile=True " \
-               "or --profile for hotspots)"
-    ratio = profile.get("sim_to_wall")
-    lines = [
-        f"event-loop profile: {profile.get('events', 0)} events, "
-        f"{profile.get('wall_seconds', 0.0):.3f}s wall, "
-        f"{profile.get('sim_seconds', 0.0):.3f}s simulated"
-        + (f"  ({ratio:.0f}x real time)" if ratio else ""),
-        f"{'callsite':<44}{'calls':>8}{'cum':>10}{'self':>10}"
-        f"{'mean':>10}",
-        "-" * 82,
-    ]
-    for h in hotspots:
-        lines.append(
-            f"{h['callsite'][:43]:<44}{h['calls']:>8}"
-            f"{h['cum_seconds'] * 1e3:>9.2f}m"
-            f"{h['self_seconds'] * 1e3:>9.2f}m"
-            f"{h['mean_us']:>8.1f}us")
-    return "\n".join(lines)
-
-
 # -- the dashboard ----------------------------------------------------------
 
 
 def render_dashboard(source: Any, *,
-                     profile: Optional[Mapping[str, Any]] = None,
                      panels: Sequence[Panel] = DEFAULT_PANELS,
-                     width: int = WIDTH, top: int = 10,
-                     title: str = "") -> str:
-    """Render every applicable panel plus telemetry health + profile.
+                     width: int = WIDTH, title: str = "") -> str:
+    """Render every applicable panel.
 
     *source* is a :class:`TelemetrySampler`, a list of
     :class:`Series`, or a snapshot dict (``Archive.timeseries``).
@@ -239,7 +210,4 @@ def render_dashboard(source: Any, *,
     if not rendered:
         lines.append("(no series match any panel — is telemetry "
                      "enabled on this run?)")
-    if profile is not None:
-        lines.append("")
-        lines.append(render_profile(profile, top=top))
     return "\n".join(lines)

@@ -1,23 +1,21 @@
 """Differential run comparison: what changed between two archives?
 
-``bench_gate`` can say *that* ``events_per_sec`` regressed; this
-module says *why* — which span kinds got slower, which profiler
-callsites grew, which SLOs flipped, where the critical path moved,
-and whose traffic share shifted.  It compares two archived runs end
-to end and emits one ranked attribution table plus a machine-readable
-``diff_*.json``, so every regression (and every claimed speedup in
-the ROADMAP's 10× arc) arrives with a layer-level explanation.
+``bench_gate`` can say *that* ``events_run`` drifted; this module
+says *why* — which span kinds got slower, which SLOs flipped, where
+the critical path moved, and whose traffic share shifted.  It
+compares two archived runs end to end and emits one ranked
+attribution table plus a machine-readable ``diff_*.json``, so every
+regression arrives with a layer-level explanation.
 
 Either side is an :class:`~repro.obs.sink.Archive` — a run's
 ``obs_<name>.jsonl`` — or a ``BENCH_<scenario>.json`` bench-gate
-baseline (scalar metric vector + ``profile_top``, no spans), which
-:func:`baseline` turns into one.
+baseline (scalar metric vector, no spans), which :func:`baseline`
+turns into one.
 
 Sections degrade gracefully: a side missing spans still diffs
-metrics, a BENCH baseline still diffs callsites.  Sections are
-classed **deterministic** (metrics registry, span kinds, SLO
-verdicts, critical-path attribution, ledger, deterministic bench
-metrics) or **wall** (profiler seconds, wall-clock bench metrics);
+metrics and the bench vector.  Every section is **deterministic**
+(metrics registry, span kinds, SLO verdicts, critical-path
+attribution, ledger) except the bench vector's wall-clock metrics;
 only deterministic changes count toward
 ``deterministic_delta_count``, which is the CI determinism smoke's
 verdict — two same-seed runs must report zero.
@@ -28,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs import critical
 from repro.obs.metrics import MetricsRegistry
@@ -38,8 +36,9 @@ from repro.obs.sink import Archive, load_archive
 __all__ = ["baseline", "diff_runs", "load_side", "render_diff_report",
            "write_diff"]
 
-#: bench-vector metrics that are reproducible given the seed; the rest
-#: of the vector (wall seconds, events/sec, obs overhead) is hardware
+#: bench-vector metrics that are reproducible given the seed; of the
+#: rest, ``obs_overhead_pct`` is hardware and ``events_per_sim_sec`` is
+#: derived from the first two
 BENCH_DETERMINISTIC = ("events_run", "sim_time", "peak_queue_depth",
                       "peak_link_queue", "peak_player_buffer")
 
@@ -50,9 +49,9 @@ EPSILON = 1e-9
 def baseline(path: str, fill: Optional[Archive] = None) -> Archive:
     """A ``BENCH_<scenario>.json`` baseline as an :class:`Archive`.
 
-    Its ``profile_top`` becomes the wall profile and its metric vector
-    ``summary["bench"]``; every other section comes from *fill* (the
-    previous gate run's archive) when given.
+    Its metric vector becomes ``summary["bench"]``; every other
+    section comes from *fill* (the previous gate run's archive) when
+    given.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -61,18 +60,12 @@ def baseline(path: str, fill: Optional[Archive] = None) -> Archive:
     return dataclasses.replace(
         base, path=path, name=payload.get("scenario", ""),
         summary={**base.summary,
-                 "bench": dict(payload.get("metrics", {}))},
-        wall={"profile": {"hotspots": list(
-            payload.get("profile_top", []))}})
+                 "bench": dict(payload.get("metrics", {}))})
 
 
 def load_side(path: str) -> Archive:
     """One side of a diff: a ``BENCH_*.json`` baseline or an archive."""
     return baseline(path) if path.endswith(".json") else load_archive(path)
-
-
-def _hotspots(archive: Archive) -> List[Dict[str, Any]]:
-    return list((archive.profile or {}).get("hotspots", []))
 
 
 def _kinds(archive: Archive) -> Dict[str, Any]:
@@ -129,30 +122,6 @@ def _diff_span_kinds(a: Archive, b: Archive
                             for stat in ("count", "mean", "p50", "p99")}
         rows.append(row)
     rows.sort(key=lambda r: abs(r["delta_total"]), reverse=True)
-    return rows
-
-
-def _diff_profile(a: Archive, b: Archive) -> List[Dict[str, Any]]:
-    pa = {h["callsite"]: h for h in _hotspots(a)}
-    pb = {h["callsite"]: h for h in _hotspots(b)}
-    rows = []
-    for callsite in sorted(set(pa) | set(pb)):
-        ha, hb = pa.get(callsite), pb.get(callsite)
-        row: Dict[str, Any] = {
-            "callsite": callsite,
-            "before_cum": ha["cum_seconds"] if ha else None,
-            "after_cum": hb["cum_seconds"] if hb else None,
-            "before_calls": ha.get("calls") if ha else None,
-            "after_calls": hb.get("calls") if hb else None,
-            "status": "changed" if ha and hb
-            else ("new" if hb else "gone"),
-        }
-        row["delta_cum"] = ((hb["cum_seconds"] if hb else 0.0)
-                            - (ha["cum_seconds"] if ha else 0.0))
-        row["delta_calls"] = ((hb.get("calls", 0) if hb else 0)
-                              - (ha.get("calls", 0) if ha else 0))
-        rows.append(row)
-    rows.sort(key=lambda r: abs(r["delta_cum"]), reverse=True)
     return rows
 
 
@@ -245,9 +214,8 @@ def diff_runs(a: Archive, b: Archive, *,
 
     Returns a JSON-stable payload whose ``attribution`` section is one
     ranked table of time-attributed movements (span kinds by Δ total
-    seconds, profiler callsites by Δ cumulative seconds, critical-path
-    components by Δ path seconds) — the "what explains the regression"
-    answer, largest mover first.
+    seconds, critical-path components by Δ path seconds) — the "what
+    explains the regression" answer, largest mover first.
     """
     metrics_delta = MetricsRegistry.delta(a.metrics, b.metrics) \
         if (a.metrics or b.metrics) else {}
@@ -257,7 +225,6 @@ def diff_runs(a: Archive, b: Archive, *,
     slo = _diff_slo(a, b)
     crit = _diff_critical(a, b)
     ledger = _diff_ledger(a, b)
-    profile = _diff_profile(a, b)
     bench = _diff_bench(a, b)
 
     attribution: List[Dict[str, Any]] = []
@@ -267,7 +234,6 @@ def diff_runs(a: Archive, b: Archive, *,
             "delta_seconds": row["delta_total"],
             "detail": f"count {_count(row, 'before')} -> "
                       f"{_count(row, 'after')}",
-            "deterministic": True,
         })
     for row in crit:
         attribution.append({
@@ -275,15 +241,6 @@ def diff_runs(a: Archive, b: Archive, *,
             "delta_seconds": row["delta_seconds"],
             "detail": f"share {row['before_share'] * 100:.1f}% -> "
                       f"{row['after_share'] * 100:.1f}%",
-            "deterministic": True,
-        })
-    for row in profile:
-        attribution.append({
-            "source": "callsite", "key": row["callsite"],
-            "delta_seconds": row["delta_cum"],
-            "detail": f"calls {row['before_calls']} -> "
-                      f"{row['after_calls']} [{row['status']}]",
-            "deterministic": False,
         })
     attribution.sort(key=lambda r: abs(r["delta_seconds"]), reverse=True)
     attribution = attribution[:3 * top]
@@ -305,7 +262,6 @@ def diff_runs(a: Archive, b: Archive, *,
         "bench": bench,
         "metrics": moved,
         "span_kinds": span_kinds,
-        "profile": profile,
         "slo": slo,
         "critical": crit,
         "ledger": ledger,
@@ -335,8 +291,7 @@ def render_attribution_table(payload: Mapping[str, Any], *,
     """The ranked table alone — what bench_gate prints on failure."""
     rows = payload["attribution"][:top]
     if not rows:
-        return "(no attribution rows — neither run carried spans or " \
-               "profile data)"
+        return "(no attribution rows — neither run carried spans)"
     lines = [f"ranked attribution (largest movers, "
              f"{'Δ':>1} seconds of blocking/cumulative time):",
              f"  {'#':>2} {'source':<14}{'where':<40}{'Δ seconds':>12}"

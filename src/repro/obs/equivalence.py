@@ -8,9 +8,10 @@ is excluded here:
   mirrors it): raw event-loop bookkeeping.  How many callbacks carry
   the cells depends on how cell trains were split, deferred or
   expanded, not on what the network did.  Per-cell *equivalents* are
-  still billed via ``Simulator.charge_cells`` so profiler attribution
-  and events/sec floors stay comparable.
-* ``profile`` / ``timeseries`` wall-clock fields: hardware noise.
+  still billed via ``Simulator.charge_cells`` so the bench gate's
+  events/sim-sec floors stay comparable.
+* ``timeseries``: the sampler's rings, which carry the same
+  ``simulator`` series sampled over time.
 
 Everything else — per-VC delay sums, link/switch/host counters,
 gauges (including queue-occupancy max/min), AAL5 stats, SLO results,
@@ -33,7 +34,7 @@ __all__ = [
 
 #: top-level snapshot keys that describe the execution engine, not the
 #: simulated network
-CANONICAL_EXCLUDED_KEYS = ("events_run", "profile", "timeseries")
+CANONICAL_EXCLUDED_KEYS = ("events_run", "timeseries")
 
 #: the metrics component that mirrors the raw event count
 _ENGINE_METRICS_COMPONENT = "simulator"

@@ -11,9 +11,8 @@ run gets a sink attached late, which replays the spans, flight events,
 sampler rings and ledger still held in memory.
 
 Either way the archive ends with a ``wall`` record — the meter's
-``overhead`` table and, when given, the profiler's ``profile`` — and
-the ``fin`` summary (metrics, SLO verdicts, conservation audit,
-telemetry health, critical-path attribution).
+``overhead`` table — and the ``fin`` summary (metrics, SLO verdicts,
+conservation audit, telemetry health, critical-path attribution).
 """
 
 from __future__ import annotations
@@ -60,9 +59,7 @@ def telemetry_health(mits) -> Dict[str, Any]:
     return health
 
 
-def dump_observability(mits, name: str, out_dir: str,
-                       *, profile: Optional[Dict[str, Any]] = None
-                       ) -> List[str]:
+def dump_observability(mits, name: str, out_dir: str) -> List[str]:
     """Close *mits*'s archive and return ``[path]``.
 
     A streaming run's attached sink is closed where it is; otherwise a
@@ -75,5 +72,5 @@ def dump_observability(mits, name: str, out_dir: str,
         sink = ObsSink(os.path.join(out_dir, f"obs_{name}.jsonl"),
                        name=name)
         sink.attach(mits, replay=True)
-    sink.close(wall={"profile": profile} if profile is not None else {})
+    sink.close(wall=True)
     return [sink.path]

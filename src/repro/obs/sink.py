@@ -27,10 +27,10 @@ Record grammar (one JSON object per line, tagged ``"record"``):
     ticks, and one final checkpoint at close); the last one wins.
 ``wall``
     optional, just before ``fin`` — the wall-clock facts: the
-    :class:`~repro.obs.meter.OverheadMeter`'s ``overhead`` table and
-    the profiler's ``profile``.  Only ``dump_observability`` writes
-    it; a plain :meth:`ObsSink.close` does not, so
-    same seed + same policy ⇒ byte-identical archives.
+    :class:`~repro.obs.meter.OverheadMeter`'s ``overhead`` table.
+    Only ``dump_observability`` writes it; a plain
+    :meth:`ObsSink.close` does not, so same seed + same policy ⇒
+    byte-identical archives.
 ``fin``
     last line — the end-of-run summary (metrics report, SLO verdicts,
     conservation audit, telemetry health, watchdog, critical-path
@@ -203,17 +203,18 @@ class ObsSink:
         if meter is not None:
             meter.charge("sink", t0, nbytes=len(chunk))
 
-    def close(self, *, wall: Optional[Dict[str, Any]] = None) -> None:
+    def close(self, *, wall: bool = False) -> None:
         """Write the final ledger checkpoint and the ``fin`` record.
 
-        *wall* (``dump_observability`` only) is written as a ``wall``
-        record before ``fin``, with the meter's ``overhead`` added.
+        With *wall* (``dump_observability`` only), the meter's
+        ``overhead`` table is written as a ``wall`` record before
+        ``fin``.
         """
         if self.closed:
             return
         mits = self._mits
         if mits is None:
-            self.finish({"name": self.name}, wall=wall)
+            self.finish({"name": self.name})
             return
         sim = mits.sim
         sampler = getattr(mits, "sampler", None)
@@ -264,10 +265,11 @@ class ObsSink:
         sim.recorder.sink = None
         if sampler is not None:
             sampler.sink = None
-        if wall is not None and meter is not None:
+        overhead = None
+        if wall and meter is not None:
             self.flush()  # so the overhead table counts these bytes
-            wall = {**wall, "overhead": meter.report()}
-        self.finish(fin, wall=wall)
+            overhead = {"overhead": meter.report()}
+        self.finish(fin, wall=overhead)
 
     def finish(self, fin: Dict[str, Any], *,
                wall: Optional[Dict[str, Any]] = None) -> None:
@@ -313,7 +315,7 @@ class Archive:
     timeseries: Dict[str, Any] = field(default_factory=dict)
     #: the last ledger checkpoint (None when the run had no ledger)
     accounting: Optional[Dict[str, Any]] = None
-    #: the ``wall`` record: ``overhead`` and/or ``profile``
+    #: the ``wall`` record: the meter's ``overhead``
     wall: Dict[str, Any] = field(default_factory=dict)
     records: int = 0
     complete: bool = False
@@ -327,10 +329,6 @@ class Archive:
     @property
     def overhead(self) -> Optional[Dict[str, Any]]:
         return self.wall.get("overhead")
-
-    @property
-    def profile(self) -> Optional[Dict[str, Any]]:
-        return self.wall.get("profile")
 
     def warning(self) -> Optional[str]:
         """The line every verb prints for an incomplete archive."""

@@ -1,5 +1,7 @@
 """Tests for the discrete-event kernel."""
 
+import types
+
 import pytest
 
 from repro.atm.simulator import Simulator, run_all
@@ -136,6 +138,87 @@ class TestMaxEventsClockRegression:
         ev.cancel()
         sim.run(until=10.0, max_events=1)
         assert sim.now == 10.0
+
+
+class TestEventCounts:
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_charged_cells_keep_the_executed_identity(self, drive):
+        """Batched handlers process a whole cell train in one callback
+        and bill the per-cell equivalents via charge_cells:
+        ``events_run`` counts callbacks plus charges, and
+        ``events_run - event_extra`` is the callbacks executed."""
+        sim = Simulator()
+        charges = [4, 0, 7, 1]
+        for i, k in enumerate(charges):
+            sim.schedule(float(i), sim.charge_cells, k)
+        sim.schedule(9.0, lambda: None)
+        if drive == "run":
+            sim.run()
+        else:
+            while sim.step():
+                pass
+        executed = len(charges) + 1
+        assert sim.events_run == executed + sum(charges) == 17
+        assert sim.event_extra == sum(charges)
+        assert sim.events_run - sim.event_extra == executed
+
+
+class TestDispatch:
+    def test_execute_has_no_timing_branch(self):
+        """Every event runs through the plain class method: no clock
+        reads and no nested code objects (closures would mean a
+        per-event allocation).  Wall time is measured from outside."""
+        code = Simulator._execute.__code__
+        assert not any(isinstance(c, types.CodeType)
+                       for c in code.co_consts)
+        assert not {"perf_counter", "time", "_time"} & set(code.co_names)
+        sim = Simulator()
+        sim.schedule(0.0, lambda: None)
+        sim.run()
+        assert "_execute" not in sim.__dict__
+
+
+class TestCurrentSeq:
+    """``current_seq`` is the tie-break identity a train continuation
+    inherits through ``reschedule_at``; it must name the event that is
+    executing, whichever of run() or step() drove it."""
+
+    def test_step_sets_the_running_events_seq(self):
+        sim = Simulator()
+        sim.schedule(0.0, lambda: None)
+        sim.run()
+        seen = []
+        ev = sim.schedule(1.0, lambda: seen.append(sim.current_seq))
+        assert sim.step()
+        assert seen == [ev.seq] == [1]
+
+    def test_run_sets_the_running_events_seq(self):
+        sim = Simulator()
+        seen = []
+        events = [sim.schedule(0.5, lambda: seen.append(sim.current_seq))
+                  for _ in range(3)]
+        sim.run()
+        assert seen == [ev.seq for ev in events]
+
+    def test_continuation_under_step_keeps_its_place(self):
+        """A continuation rescheduled from a stepped event competes
+        with that event's seq, not with a seq left over from an
+        earlier run(): a rival sequenced before the original event and
+        due at the same instant still goes first."""
+        sim = Simulator()
+        sim.schedule(0.0, lambda: None)
+        sim.run()
+        order = []
+
+        def head():
+            order.append("head")
+            sim.reschedule_at(2.0, sim.current_seq, order.append, "tail")
+
+        sim.schedule(2.0, order.append, "rival")
+        sim.schedule(1.0, head)
+        while sim.step():
+            pass
+        assert order == ["head", "rival", "tail"]
 
 
 class TestProcess:

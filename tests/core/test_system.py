@@ -89,16 +89,10 @@ class TestDeployment:
         import json
         json.dumps(ts)
 
-    def test_snapshot_profile_disabled_by_default(self):
-        mits = deploy()
-        assert mits.snapshot()["profile"]["enabled"] is False
-
-    def test_snapshot_profile_when_enabled(self):
-        mits = deploy(profile=True)
-        profile = mits.snapshot()["profile"]
-        assert profile["enabled"] is True
-        assert profile["events"] == mits.sim.events_run
-        assert profile["hotspots"]
+    def test_snapshot_carries_no_wall_clock_profile(self):
+        """Wall time is measured outside the deployment (perfbench);
+        the snapshot holds simulated facts only."""
+        assert "profile" not in deploy().snapshot()
 
     def test_telemetry_can_be_disabled(self):
         mits = deploy(telemetry_interval=None)

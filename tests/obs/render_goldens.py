@@ -10,9 +10,8 @@ line count, over one archive:
 Verbs: ``report``, ``critical``, ``dashboard``, ``top``, ``audit
 <archive>``, and ``diff`` against a second, independent same-seed
 archive.  Before hashing, archive paths are replaced by ``<a>``/``<b>``
-and wall-clock blocks are masked: the obs-overhead table and the
-profiler table.  Everything left is simulated, so it is the same on every
-machine.
+and the one wall-clock block, the obs-overhead table, is masked.
+Everything left is simulated, so it is the same on every machine.
 
 Re-record with ``PYTHONPATH=src python -m tests.obs.render_goldens``
 from the repository root.  Only do that for a change that is *meant*
@@ -44,8 +43,6 @@ VERBS = ("report", "critical", "dashboard", "top", "audit", "diff")
 _MASKS: Tuple[Tuple[re.Pattern, str], ...] = (
     (re.compile(r"^observability overhead:.*\n(?:    .*\n)*",
                 re.MULTILINE), "<overhead>\n"),
-    (re.compile(r"^event-loop profile:.*\n(?:.*\S.*\n)*", re.MULTILINE),
-     "<profile>\n"),
 )
 
 

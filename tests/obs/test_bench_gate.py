@@ -19,13 +19,11 @@ _spec.loader.exec_module(bench_gate)
 def sandbox(tmp_path, monkeypatch):
     """Keep baselines and observability archives out of the repo."""
     monkeypatch.setenv("BENCH_METRICS_DIR", str(tmp_path / "out"))
-    monkeypatch.delenv("BENCH_GATE_HANDICAP", raising=False)
     return tmp_path
 
 
 class TestJudge:
     BASE = {"metrics": {"events_run": 1000, "sim_time": 30.0,
-                        "wall_seconds": 1.0, "events_per_sec": 1000.0,
                         "peak_queue_depth": 50.0, "peak_link_queue": 10.0,
                         "peak_player_buffer": 8.0}}
 
@@ -33,37 +31,20 @@ class TestJudge:
         metrics = dict(self.BASE["metrics"], **overrides)
         return {"metrics": metrics}
 
-    def verdicts(self, cur, **kwargs):
-        kwargs.setdefault("tolerance", 0.10)
-        kwargs.setdefault("wall_tolerance", 0.50)
-        kwargs.setdefault("no_wall", False)
-        rows = bench_gate.judge("s", self.BASE, cur, **kwargs)
+    def verdicts(self, cur, scenario="s"):
+        rows = bench_gate.judge(scenario, self.BASE, cur)
         return {metric: verdict for metric, *_, verdict in rows}
 
     def test_identical_run_is_ok(self):
         assert set(self.verdicts(self.current()).values()) == {"ok"}
-
-    def test_slower_wall_fails_only_past_tolerance(self):
-        within = self.verdicts(self.current(wall_seconds=1.4))
-        assert within["wall_seconds"] == "ok"
-        beyond = self.verdicts(self.current(wall_seconds=1.6))
-        assert beyond["wall_seconds"] == "FAIL"
-
-    def test_faster_wall_never_fails(self):
-        v = self.verdicts(self.current(wall_seconds=0.1,
-                                       events_per_sec=10000.0))
-        assert v["wall_seconds"] == "ok"
-        assert v["events_per_sec"] == "ok"
-
-    def test_throughput_drop_fails(self):
-        v = self.verdicts(self.current(events_per_sec=400.0))
-        assert v["events_per_sec"] == "FAIL"
 
     def test_deterministic_drift_fails_both_directions(self):
         assert self.verdicts(
             self.current(events_run=1200))["events_run"] == "FAIL"
         assert self.verdicts(
             self.current(events_run=800))["events_run"] == "FAIL"
+        assert self.verdicts(
+            self.current(events_run=1090))["events_run"] == "ok"
 
     def test_peak_queue_growth_fails_but_shrink_is_fine(self):
         assert self.verdicts(
@@ -73,35 +54,37 @@ class TestJudge:
             self.current(peak_queue_depth=20.0))["peak_queue_depth"] \
             == "ok"
 
-    def test_no_wall_skips_hardware_metrics(self):
-        v = self.verdicts(self.current(wall_seconds=99.0,
-                                       events_per_sec=1.0), no_wall=True)
-        assert "wall_seconds" not in v and "events_per_sec" not in v
+    def test_obs_overhead_ceiling_is_judged_on_every_run(self):
+        """The A/B overhead is held to the absolute ceiling whatever
+        the baseline says, with no switch that skips it."""
+        under = bench_gate.MAX_OBS_OVERHEAD_PCT - 0.5
+        over = bench_gate.MAX_OBS_OVERHEAD_PCT + 0.5
+        assert self.verdicts(self.current(obs_overhead_pct=under)) \
+            ["obs_overhead_pct"] == "ok"
+        base = {"metrics": dict(self.BASE["metrics"],
+                                obs_overhead_pct=over)}
+        rows = bench_gate.judge("s", base,
+                                self.current(obs_overhead_pct=over))
+        assert {m: v for m, *_, v in rows}["obs_overhead_pct"] == "FAIL"
 
     def test_events_per_sim_sec_floor_is_absolute(self):
         """The deterministic load floor: judged against the floor, not
-        the baseline, and active regardless of wall settings."""
-        cur = self.current(events_per_sim_sec=250.0)
-        ok = self.verdicts(cur, min_events_per_sec=200.0)
+        the baseline."""
+        floor = bench_gate.MIN_EVENTS_PER_SIM_SEC["classroom"]
+        ok = self.verdicts(self.current(events_per_sim_sec=floor + 20),
+                           scenario="classroom")
         assert ok["events_per_sim_sec"] == "ok"
-        bad = self.verdicts(cur, min_events_per_sec=300.0)
-        assert bad["events_per_sim_sec"] == "FAIL"
-        # stays active under --no-wall: the metric is seeded, not timed
-        bad = self.verdicts(cur, min_events_per_sec=300.0, no_wall=True)
+        bad = self.verdicts(self.current(events_per_sim_sec=floor - 30),
+                            scenario="classroom")
         assert bad["events_per_sim_sec"] == "FAIL"
 
     def test_floor_defaults_to_per_scenario_table(self):
-        rows = bench_gate.judge(
-            "classroom", self.BASE,
-            self.current(events_per_sim_sec=1.0),
-            tolerance=0.10, wall_tolerance=0.50, no_wall=True)
-        verdicts = {metric: verdict for metric, *_, verdict in rows}
-        assert verdicts["events_per_sim_sec"] == "FAIL"
-        # unknown scenario + no override: no floor row at all
-        rows = bench_gate.judge(
-            "s", self.BASE, self.current(events_per_sim_sec=1.0),
-            tolerance=0.10, wall_tolerance=0.50, no_wall=True)
-        assert "events_per_sim_sec" not in {m for m, *_ in rows}
+        assert self.verdicts(self.current(events_per_sim_sec=1.0),
+                             scenario="classroom")["events_per_sim_sec"] \
+            == "FAIL"
+        # unknown scenario: no floor row at all
+        assert "events_per_sim_sec" not in self.verdicts(
+            self.current(events_per_sim_sec=1.0))
 
     def test_named_scenario_floors_sit_under_recorded_values(self):
         """The tracked floors must exist for every named scenario and
@@ -115,9 +98,7 @@ class TestJudge:
     def test_metric_missing_from_baseline_is_new_not_fail(self):
         base = {"metrics": {k: v for k, v in self.BASE["metrics"].items()
                             if k != "peak_player_buffer"}}
-        rows = bench_gate.judge("s", base, self.current(),
-                                tolerance=0.10, wall_tolerance=0.50,
-                                no_wall=False)
+        rows = bench_gate.judge("s", base, self.current())
         verdicts = {metric: verdict for metric, *_, verdict in rows}
         assert verdicts["peak_player_buffer"] == "NEW"
         assert "FAIL" not in verdicts.values()
@@ -125,10 +106,10 @@ class TestJudge:
 
 class TestGateEndToEnd:
     """The acceptance criterion: --update writes a baseline, a clean
-    rerun passes, and an injected slowdown trips the gate non-zero."""
+    rerun passes, and an injected regression trips the gate non-zero."""
 
     def test_update_then_pass_then_injected_regression(
-            self, sandbox, monkeypatch, capsys):
+            self, sandbox, capsys):
         out = str(sandbox)
         assert bench_gate.main(
             ["quickstart", "--update", "--out-dir", out]) == 0
@@ -136,28 +117,25 @@ class TestGateEndToEnd:
         assert baseline_file.exists()
         baseline = json.loads(baseline_file.read_text())
         assert baseline["metrics"]["events_run"] > 0
+        assert set(baseline) == {"metrics", "scenario"}
+        assert {m for m, _ in bench_gate.METRIC_SPECS} \
+            == set(baseline["metrics"])
         capsys.readouterr()
 
         assert bench_gate.main(["quickstart", "--out-dir", out]) == 0
         assert "BENCH GATE: ok" in capsys.readouterr().out
 
-        monkeypatch.setenv("BENCH_GATE_HANDICAP", "4.0")
+        baseline["metrics"]["events_run"] = \
+            int(baseline["metrics"]["events_run"] * 1.5)
+        baseline_file.write_text(json.dumps(baseline))
         assert bench_gate.main(["quickstart", "--out-dir", out]) == 1
         report = capsys.readouterr().out
-        assert "FAIL" in report
         assert "BENCH GATE: REGRESSION" in report
-        # deterministic metrics are unaffected by the handicap
+        # only the perturbed metric trips the gate
         for line in report.splitlines():
             if line.strip().startswith(("events_run", "sim_time")):
-                assert line.rstrip().endswith("ok")
-
-    def test_handicapped_run_still_passes_without_wall(
-            self, sandbox, monkeypatch, capsys):
-        out = str(sandbox)
-        bench_gate.main(["quickstart", "--update", "--out-dir", out])
-        monkeypatch.setenv("BENCH_GATE_HANDICAP", "4.0")
-        assert bench_gate.main(
-            ["quickstart", "--no-wall", "--out-dir", out]) == 0
+                verdict = "FAIL" if "events_run" in line else "ok"
+                assert line.rstrip().endswith(verdict)
 
     def test_missing_baseline_is_exit_2(self, sandbox, capsys):
         assert bench_gate.main(
@@ -177,14 +155,14 @@ class TestGateEndToEnd:
         archive = load_archive(str(out / "obs_gate_quickstart.jsonl"))
         assert archive.complete
         assert archive.spans and archive.timeseries["series"]
-        assert archive.profile["hotspots"]
+        assert set(archive.wall) == {"overhead"}
         assert archive.overhead is not None
 
 
 class TestFailureAttribution:
     """Acceptance: a failing gate explains itself — a ranked
-    attribution table naming regressed callsites / span kinds, plus a
-    machine-readable diff artifact."""
+    attribution table naming span kinds and critical-path components,
+    plus a machine-readable diff artifact."""
 
     def test_gate_failure_prints_ranked_attribution(
             self, sandbox, capsys):
@@ -197,23 +175,21 @@ class TestFailureAttribution:
         baseline_file.write_text(json.dumps(baseline))
         capsys.readouterr()
 
-        assert bench_gate.main(
-            ["quickstart", "--no-wall", "--out-dir", out]) == 1
+        assert bench_gate.main(["quickstart", "--out-dir", out]) == 1
         report = capsys.readouterr().out
         assert "ranked attribution" in report
-        assert "callsite" in report
         assert "span-kind" in report
         assert "diff_gate_quickstart.json" in report
 
         diff_path = sandbox / "out" / "diff_gate_quickstart.json"
         assert diff_path.exists()
         payload = json.loads(diff_path.read_text())
-        # the attribution names actual code locations and span kinds
+        # the attribution names span kinds and critical-path components
         sources = {row["source"] for row in payload["attribution"]}
-        assert {"callsite", "span-kind"} <= sources
-        callsites = {row["key"] for row in payload["attribution"]
-                     if row["source"] == "callsite"}
-        assert any("." in c for c in callsites)  # Class.method names
+        assert sources == {"span-kind", "critical-path"}
+        kinds = {row["key"] for row in payload["attribution"]
+                 if row["source"] == "span-kind"}
+        assert any(k.startswith("streaming") for k in kinds)
         # the perturbed deterministic vector is itself a counted delta
         moved = {r["metric"] for r in payload["bench"]
                  if abs(r["delta"]) > 1e-9}
@@ -224,8 +200,7 @@ class TestFailureAttribution:
         out = str(sandbox)
         bench_gate.main(["quickstart", "--update", "--out-dir", out])
         capsys.readouterr()
-        assert bench_gate.main(
-            ["quickstart", "--no-wall", "--out-dir", out]) == 0
+        assert bench_gate.main(["quickstart", "--out-dir", out]) == 0
         report = capsys.readouterr().out
         assert "ranked attribution" not in report
         assert not (sandbox / "out" / "diff_gate_quickstart.json").exists()

@@ -231,8 +231,7 @@ class TestArchiveParity:
 
 class TestClassroomAttribution:
     """Acceptance: the component attribution on the classroom archive
-    must agree with what profile_top shows — the streaming cell path
-    dominates end-to-end latency."""
+    must show the streaming cell path dominating end-to-end latency."""
 
     def test_streaming_dominates(self):
         run = build("classroom")

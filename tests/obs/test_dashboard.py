@@ -2,8 +2,7 @@
 
 from repro.obs.__main__ import main
 from repro.obs.dashboard import (
-    DEFAULT_PANELS, Panel, render_dashboard, render_panel,
-    render_profile, sparkline,
+    DEFAULT_PANELS, Panel, render_dashboard, render_panel, sparkline,
 )
 from repro.obs.sink import load_archive
 from repro.obs.timeseries import Series
@@ -123,26 +122,6 @@ class TestDashboard:
                          ("simulator", "queue_depth"),
                          ("simulator", "events_run")):
             assert required in covered
-
-
-class TestProfilePane:
-    def test_disabled_profile_message(self):
-        assert "profiler disabled" in render_profile({"enabled": False})
-
-    def test_hotspot_table(self):
-        profile = {
-            "enabled": True, "events": 42, "wall_seconds": 0.5,
-            "sim_seconds": 50.0, "sim_to_wall": 100.0,
-            "hotspots": [
-                {"callsite": "Host.receive_train", "calls": 30,
-                 "cum_seconds": 0.3, "self_seconds": 0.25,
-                 "mean_us": 10000.0},
-            ],
-        }
-        out = render_profile(profile)
-        assert "42 events" in out
-        assert "(100x real time)" in out
-        assert "Host.receive_train" in out
 
 
 class TestDashboardCommand:

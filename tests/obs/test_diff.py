@@ -3,7 +3,7 @@
 The two acceptance properties: same-seed runs diff to ZERO
 deterministic deltas (the CI determinism smoke job hangs off that),
 and a genuine regression produces a ranked attribution table naming
-the span kinds / callsites / components that moved.
+the span kinds / components that moved.
 """
 
 import copy
@@ -110,7 +110,6 @@ class TestBenchArchives:
                                          "BENCH_quickstart.json"))
         bench = archive.summary["bench"]
         assert set(BENCH_DETERMINISTIC) <= set(bench)
-        assert archive.profile["hotspots"]
 
     def test_perturbed_bench_vector_is_deterministic_delta(
             self, tmp_path):
@@ -130,8 +129,7 @@ class TestBenchArchives:
         src = os.path.join(REPO_ROOT, "BENCH_quickstart.json")
         with open(src) as fh:
             payload = json.load(fh)
-        payload["metrics"]["events_per_sec"] = 1.0
-        payload["metrics"]["wall_seconds"] = 999.0
+        payload["metrics"]["obs_overhead_pct"] = 99.0
         perturbed = tmp_path / "BENCH_quickstart.json"
         perturbed.write_text(json.dumps(payload))
         diff = diff_runs(load_side(src), load_side(str(perturbed)))

@@ -76,9 +76,9 @@ class TestReportParity:
 class TestDashboardParity:
     def test_dashboard_matches_live(self, dumped):
         mits, archive, _ = dumped
-        archived = render_dashboard(archive.timeseries, width=40, top=5,
+        archived = render_dashboard(archive.timeseries, width=40,
                                     title="x")
-        live = render_dashboard(mits.sampler, width=40, top=5, title="x")
+        live = render_dashboard(mits.sampler, width=40, title="x")
         assert archived == live
 
 

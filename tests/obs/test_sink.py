@@ -351,9 +351,9 @@ class TestStreamedRenderParity:
     def test_dashboard(self, streamed, late):
         _, _, obs_path, _ = streamed
         loaded = load_archive(obs_path)
-        assert render_dashboard(loaded.timeseries, width=40, top=5,
+        assert render_dashboard(loaded.timeseries, width=40,
                                 title="x") \
-            == render_dashboard(late.timeseries, width=40, top=5,
+            == render_dashboard(late.timeseries, width=40,
                                 title="x")
 
     def test_top(self, streamed, late):
