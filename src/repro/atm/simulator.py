@@ -46,7 +46,9 @@ class Simulator:
                  tracer: Optional[Tracer] = None,
                  recorder: Optional[FlightRecorder] = None,
                  ledger: Optional[Ledger] = None) -> None:
-        self._queue: list[Event] = []
+        #: heap of (time, seq, event): ordering is a C-level tuple
+        #: compare, and only an inherited-seq tie reaches the Event
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._events_run = 0
@@ -96,7 +98,7 @@ class Simulator:
         """Schedule *callback(*args)* to run *delay* seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self._push(self._now + delay, callback, args)
+        return self._push(self._now + delay, next(self._seq), callback, args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule *callback* at absolute simulated *time*.
@@ -110,7 +112,7 @@ class Simulator:
         if time < self._now:
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self._now})")
-        return self._push(time, callback, args)
+        return self._push(time, next(self._seq), callback, args)
 
     def reschedule_at(self, time: float, seq: Optional[int],
                       callback: Callable[..., Any], *args: Any) -> Event:
@@ -131,18 +133,12 @@ class Simulator:
         if time < self._now:
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self._now})")
-        ev = Event(time, seq, callback, args)
-        heapq.heappush(self._queue, ev)
-        self._m_scheduled.inc()
-        self._m_depth.set(len(self._queue))
-        sampler = self._sampler
-        if sampler is not None and sampler.dormant:
-            sampler.wake()
-        return ev
+        return self._push(time, seq, callback, args)
 
-    def _push(self, time: float, callback: Callable[..., Any], args: tuple) -> Event:
-        ev = Event(time, next(self._seq), callback, args)
-        heapq.heappush(self._queue, ev)
+    def _push(self, time: float, seq: int, callback: Callable[..., Any],
+              args: tuple) -> Event:
+        ev = Event(time, seq, callback, args)
+        heapq.heappush(self._queue, (time, seq, ev))
         self._m_scheduled.inc()
         self._m_depth.set(len(self._queue))
         sampler = self._sampler
@@ -180,16 +176,17 @@ class Simulator:
         without ever moving time backwards.
         """
         count = 0
-        while self._queue:
-            ev = self._queue[0]
+        queue = self._queue
+        while queue:
+            ev = queue[0][2]
             if ev.cancelled:
-                heapq.heappop(self._queue)
-                self._m_depth.set(len(self._queue))
+                heapq.heappop(queue)
+                self._m_depth.set(len(queue))
                 continue
             if until is not None and ev.time > until:
                 self._now = until
                 return self._now
-            heapq.heappop(self._queue)
+            heapq.heappop(queue)
             self._now = ev.time
             self.current_seq = ev.seq
             self._execute(ev)
@@ -211,15 +208,16 @@ class Simulator:
     def _next_event_time(self) -> Optional[float]:
         """Timestamp of the next runnable event (cancelled ones are
         lazily discarded), or None when the queue is effectively empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        self._m_depth.set(len(self._queue))
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        self._m_depth.set(len(queue))
+        return queue[0][0] if queue else None
 
     def step(self) -> bool:
         """Run exactly one event.  Returns False if the queue is empty."""
         while self._queue:
-            ev = heapq.heappop(self._queue)
+            ev = heapq.heappop(self._queue)[2]
             if ev.cancelled:
                 continue
             self._now = ev.time
@@ -230,7 +228,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for ev in self._queue if not ev.cancelled)
+        return sum(1 for _, _, ev in self._queue if not ev.cancelled)
 
     def spawn(self, generator: Generator[float, None, None]) -> "Process":
         """Start a generator-based process; it runs its first segment now."""

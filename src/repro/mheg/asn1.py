@@ -11,10 +11,13 @@ module implements the subset of BER the codec needs, honestly:
 * arbitrary application/context-specific constructed types, which the
   MHEG codec uses to tag classes and attributes.
 
-On top of the raw TLV layer, :func:`encode_value` / :func:`decode_value`
-map plain Python values (None, bool, int, float, str, bytes, list,
+Two layers share those rules.  The raw TLV layer (:class:`Tlv`,
+:func:`encode_tlv`, :func:`decode_tlv`) builds and walks element
+trees.  The value layer, :func:`encode_value` / :func:`decode_value`,
+maps plain Python values (None, bool, int, float, str, bytes, list,
 str-keyed dict) to self-describing BER, which is what MHEG attribute
-bodies use.
+bodies use.  It is the interchange hot path, so both directions run in
+one pass over the bytes and build no Tlv tree.
 """
 
 from __future__ import annotations
@@ -297,97 +300,88 @@ def _expect(tlv: Tlv, number: int) -> None:
 
 
 # -- generic python-value mapping --------------------------------------------
-# dicts encode as SEQUENCE of SEQUENCE { UTF8String key, value } so key
-# order round-trips; a context[0] marker distinguishes dict from list.
+# lists encode as SEQUENCE; dicts as context[0] holding alternating
+# UTF8String key and value elements, so key order round-trips.
 
 _MAX_DEPTH = 32
 
 
-def value_to_tlv(value: Any, depth: int = 0) -> Tlv:
+def _header(tag: int, length: int) -> bytes:
+    """Identifier octet *tag* (a tag number below 31, so one octet)
+    plus the definite length."""
+    if length < 0x80:
+        return bytes((tag, length))
+    return bytes((tag,)) + _encode_length(length)
+
+
+def _encode_into(value: Any, out: List[bytes], depth: int) -> int:
+    """Append the BER encoding of *value* to *out*; return its size.
+
+    One pass, no Tlv tree: a SEQUENCE or dict reserves a slot in *out*
+    for its header and fills it in once its children are written.
+    """
     if depth > _MAX_DEPTH:
         raise EncodingError("value nests too deeply for BER encoding")
-    if value is None:
-        return ber_null()
+    if value is None:  # universal primitives: the tag number is the octet
+        out.append(b"\x05\x00")
+        return 2
     if value is True or value is False:
-        return ber_boolean(value)
+        out.append(b"\x01\x01\xff" if value else b"\x01\x01\x00")
+        return 3
     if isinstance(value, int):
-        return ber_integer(value)
-    if isinstance(value, float):
-        return ber_real(value)
-    if isinstance(value, str):
-        return ber_utf8(value)
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return ber_octets(bytes(value))
-    if isinstance(value, (list, tuple)):
-        return ber_sequence([value_to_tlv(v, depth + 1) for v in value])
-    if isinstance(value, dict):
+        n = max(1, (value.bit_length() + 8) // 8)
+        content = value.to_bytes(n, "big", signed=True)
+        tag = TAG_INTEGER
+    elif isinstance(value, float):
+        # ISO 6093 NR3 character representation (BER base-10 form 3)
+        content = b"\x03" + repr(float(value)).encode("ascii")
+        tag = TAG_REAL
+    elif isinstance(value, str):
+        content = value.encode("utf-8")
+        tag = TAG_UTF8STRING
+    elif isinstance(value, (bytes, bytearray, memoryview)):
+        content = bytes(value)
+        tag = TAG_OCTET_STRING
+    elif isinstance(value, (list, tuple)):
+        slot = len(out)
+        out.append(b"")
+        size = 0
+        for item in value:
+            size += _encode_into(item, out, depth + 1)
+        header = out[slot] = _header(0x20 | TAG_SEQUENCE, size)
+        return len(header) + size
+    elif isinstance(value, dict):
         # alternating key/value children (no per-entry wrapper): dict
         # entries dominate MHEG object graphs, so the flat layout
-        # roughly halves the element count on the wire
-        entries = []
+        # roughly halves the element count on the wire; the context[0]
+        # tag distinguishes a dict from a list
+        slot = len(out)
+        out.append(b"")
+        size = 0
         for k, v in value.items():
             if not isinstance(k, str):
                 raise EncodingError("dict keys must be str for BER encoding")
-            entries.append(ber_utf8(k))
-            entries.append(value_to_tlv(v, depth + 1))
-        return context(0, entries)
-    raise EncodingError(f"cannot BER-encode {type(value).__name__}")
-
-
-def tlv_to_value(tlv: Tlv, depth: int = 0) -> Any:
-    # hot path of every interchange: primitive cases are inlined
-    if depth > _MAX_DEPTH:
-        raise DecodingError("BER value nests too deeply")
-    tag_class = tlv.tag_class
-    number = tlv.number
-    if tag_class == UNIVERSAL:
-        if number == TAG_UTF8STRING:
-            try:
-                return tlv.content.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DecodingError(
-                    f"invalid utf-8 in UTF8String: {exc}") from exc
-        if number == TAG_INTEGER:
-            if not tlv.content:
-                raise DecodingError("INTEGER with empty content")
-            return int.from_bytes(tlv.content, "big", signed=True)
-        if number == TAG_OCTET_STRING:
-            return tlv.content
-        if number == TAG_NULL:
-            return None
-        if number == TAG_BOOLEAN:
-            if len(tlv.content) != 1:
-                raise DecodingError("BOOLEAN must be one octet")
-            return tlv.content != b"\x00"
-        if number == TAG_REAL:
-            return read_real(tlv)
-        if number == TAG_SEQUENCE:
-            return [tlv_to_value(c, depth + 1) for c in tlv.children]
-        raise DecodingError(f"unsupported universal tag {number}")
-    if tag_class == CONTEXT and number == 0:
-        children = tlv.children
-        if len(children) % 2:
-            raise DecodingError("malformed dict: odd child count")
-        result = {}
-        next_depth = depth + 1
-        for i in range(0, len(children), 2):
-            key_tlv = children[i]
-            if key_tlv.tag_class != UNIVERSAL or \
-                    key_tlv.number != TAG_UTF8STRING:
-                raise DecodingError("dict key is not a UTF8String")
-            try:
-                key = key_tlv.content.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DecodingError(f"invalid utf-8 in key: {exc}") from exc
-            result[key] = tlv_to_value(children[i + 1], next_depth)
-        return result
-    raise DecodingError(
-        f"unexpected tag class {tag_class} in value position")
+            key = k.encode("utf-8")
+            key_header = _header(TAG_UTF8STRING, len(key))
+            out.append(key_header)
+            out.append(key)
+            size += len(key_header) + len(key) + \
+                _encode_into(v, out, depth + 1)
+        header = out[slot] = _header((CONTEXT << 6) | 0x20, size)
+        return len(header) + size
+    else:
+        raise EncodingError(f"cannot BER-encode {type(value).__name__}")
+    header = _header(tag, len(content))
+    out.append(header)
+    out.append(content)
+    return len(header) + len(content)
 
 
 def encode_value(value: Any) -> bytes:
     """Encode a Python value as self-describing BER bytes."""
-    return encode_tlv(value_to_tlv(value))
+    out: List[bytes] = []
+    _encode_into(value, out, 0)
+    return b"".join(out)
 
 
 def decode_value(data: bytes) -> Any:
@@ -401,8 +395,8 @@ def decode_value(data: bytes) -> Any:
 def parse_value(data: bytes, pos: int, depth: int = 0) -> Tuple[Any, int]:
     """One-pass BER -> Python value parser (no intermediate TLV tree).
 
-    Semantically identical to ``tlv_to_value(decode_tlv(...))`` for the
-    value subset, but ~2x faster — this is the path every MHEG object
+    Inverse of :func:`encode_value`, and it applies the same framing
+    checks as :func:`decode_tlv` — this is the path every MHEG object
     decode takes, so it is deliberately hand-tuned.
     """
     if depth > _MAX_DEPTH:
@@ -424,6 +418,8 @@ def parse_value(data: bytes, pos: int, depth: int = 0) -> Tuple[Any, int]:
             number = (number << 7) | (octet & 0x7F)
             if not octet & 0x80:
                 break
+            if number > 2**28:
+                raise DecodingError("tag number unreasonably large")
     try:
         lbyte = data[pos]
     except IndexError:

@@ -258,9 +258,10 @@ class MhegCodec:
 
     def encode(self, obj: MhObject) -> bytes:
         """Object -> ASN.1 BER bytes (the form (a) interchange unit)."""
-        plain = to_plain(obj)
-        tlv = asn1.application(int(obj.class_id), [asn1.value_to_tlv(plain)])
-        return asn1.encode_tlv(tlv)
+        body = asn1.encode_value(to_plain(obj))
+        return (asn1._encode_identifier(asn1.APPLICATION, int(obj.class_id),
+                                        True)
+                + asn1._encode_length(len(body)) + body)
 
     def decode(self, data: bytes) -> MhObject:
         """ASN.1 BER bytes -> internal object (form (b))."""

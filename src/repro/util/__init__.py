@@ -6,7 +6,7 @@ reader/writer used by the cell header and the media codecs, and the
 common exception hierarchy.
 """
 
-from repro.util.crc import crc8_hec, crc32_aal5, CRC32_AAL5_GOOD
+from repro.util.crc import crc8_hec, crc32_aal5
 from repro.util.bitstream import BitReader, BitWriter
 from repro.util.errors import (
     ReproError,
@@ -21,7 +21,6 @@ from repro.util.errors import (
 __all__ = [
     "crc8_hec",
     "crc32_aal5",
-    "CRC32_AAL5_GOOD",
     "BitReader",
     "BitWriter",
     "ReproError",

@@ -8,12 +8,15 @@ Two checksums appear in the ATM standards that MITS rode on:
 * the **AAL5 CPCS trailer** carries a CRC-32 (the IEEE 802.3 polynomial,
   reflected) over the whole CPCS-PDU.
 
-Both are implemented with precomputed tables so that segmenting large
-media objects into cells stays cheap (profiling showed table lookup is
-~40x faster than bit-at-a-time for AAL5-sized frames).
+The HEC uses a precomputed 256-entry table; it runs over four octets
+per cell.  The AAL5 CRC-32 is the same reflected IEEE CRC that
+``zlib.crc32`` computes, so it runs in C: segmenting and reassembling
+large media objects is the hottest byte loop of every transfer.
 """
 
 from __future__ import annotations
+
+import zlib
 
 _HEC_POLY = 0x07  # x^8 + x^2 + x + 1 with the x^8 term implicit
 _HEC_COSET = 0x55
@@ -48,43 +51,16 @@ def crc8_hec(header4: bytes) -> int:
     return reg ^ _HEC_COSET
 
 
-# CRC-32 (IEEE 802.3 / AAL5), reflected implementation.
-_CRC32_POLY_REFLECTED = 0xEDB88320
-
-
-def _build_crc32_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        reg = byte
-        for _ in range(8):
-            if reg & 1:
-                reg = (reg >> 1) ^ _CRC32_POLY_REFLECTED
-            else:
-                reg >>= 1
-        table.append(reg)
-    return table
-
-
-_CRC32_TABLE = _build_crc32_table()
-
-#: Residue left in the (pre-inversion) register after running the CRC
-#: over a frame *including* its trailing CRC field.  Receivers check
-#: this instead of recomputing and comparing.
-CRC32_AAL5_GOOD = 0xDEBB20E3
-
-
 def crc32_aal5(data: bytes, crc: int = 0xFFFFFFFF) -> int:
     """Running CRC-32 over *data*.
 
     Call with the default initial value for a fresh frame; the final
     transmitted CRC is the bitwise complement of the returned register.
     Passing the previous return value as *crc* continues an incremental
-    computation across fragments.
+    computation across fragments.  ``zlib.crc32`` keeps its register
+    complemented, so the register is flipped on the way in and out.
     """
-    reg = crc
-    for b in data:
-        reg = _CRC32_TABLE[(reg ^ b) & 0xFF] ^ (reg >> 8)
-    return reg
+    return zlib.crc32(data, crc ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
 
 
 def crc32_final(reg: int) -> int:

@@ -221,6 +221,40 @@ class TestCurrentSeq:
         assert order == ["head", "rival", "tail"]
 
 
+class TestInheritedSeqTie:
+    """Two continuations can inherit the same seq at the same time, so
+    their heap entries tie on (time, seq); the tie falls through to
+    the events, which compare equal, and never to the callbacks."""
+
+    @staticmethod
+    def drive(mode):
+        sim = Simulator()
+        order = []
+
+        def head():
+            seq = sim.current_seq
+            sim.reschedule_at(2.0, seq, order.append, "first")
+            sim.reschedule_at(2.0, seq, order.append, "second")
+
+        sim.schedule(2.0, order.append, "early rival")
+        sim.schedule(1.0, head)
+        sim.schedule(2.0, order.append, "late rival")
+        if mode == "run":
+            sim.run()
+        else:
+            while sim.step():
+                pass
+        return order
+
+    @pytest.mark.parametrize("mode", ["run", "step"])
+    def test_tied_entries_fire_in_insertion_order(self, mode):
+        assert self.drive(mode) == ["early rival", "first", "second",
+                                    "late rival"]
+
+    def test_run_and_step_agree(self):
+        assert self.drive("run") == self.drive("step")
+
+
 class TestProcess:
     def test_process_yields_delays(self):
         sim = Simulator()

@@ -3,9 +3,9 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.mheg import asn1
+from repro.mheg import MhegCodec, asn1
 from repro.mheg.asn1 import (
     APPLICATION, CONTEXT, UNIVERSAL, Tlv, application, ber_integer,
     ber_octets, ber_sequence, ber_utf8, context, decode_tlv_exact,
@@ -113,6 +113,28 @@ class TestConstructed:
             back.child(0)
 
 
+def reference_tlv(value):
+    """The value mapping as a Tlv tree, built from the raw TLV layer."""
+    if value is None:
+        return asn1.ber_null()
+    if value is True or value is False:
+        return asn1.ber_boolean(value)
+    if isinstance(value, int):
+        return ber_integer(value)
+    if isinstance(value, float):
+        return asn1.ber_real(value)
+    if isinstance(value, str):
+        return ber_utf8(value)
+    if isinstance(value, bytes):
+        return ber_octets(value)
+    if isinstance(value, list):
+        return ber_sequence([reference_tlv(v) for v in value])
+    entries = []
+    for k, v in value.items():
+        entries += [ber_utf8(k), reference_tlv(v)]
+    return context(0, entries)
+
+
 class TestValueMapping:
     CASES = [None, True, False, 0, -5, 2**64, 3.25, "", "text", b"",
              b"\x00\xff", [], [1, "two", None], {"a": 1, "b": [True]},
@@ -141,14 +163,51 @@ class TestValueMapping:
         with pytest.raises(EncodingError):
             encode_value(v)
 
+    #: element sizes around the short/long length-form boundaries
+    SIZES = st.sampled_from([127, 128, 255, 256, 65535, 65536, 70001])
+
     ber_values = st.recursive(
-        st.none() | st.booleans() | st.integers() |
+        st.none() | st.booleans() | st.just([]) | st.just({}) |
+        st.integers() | st.integers(-2**300, 2**300) |
         st.floats(allow_nan=False, allow_infinity=False) |
-        st.text(max_size=20) | st.binary(max_size=40),
+        st.text(max_size=20) | st.binary(max_size=40) |
+        st.builds(lambda n, ch: ch * n, SIZES,
+                  st.characters(codec="utf-8")) |
+        st.builds(lambda n, b: b * n, SIZES,
+                  st.binary(min_size=1, max_size=1)),
         lambda children: st.lists(children, max_size=4) |
         st.dictionaries(st.text(max_size=6), children, max_size=4),
         max_leaves=20)
 
+    @settings(deadline=None)
     @given(ber_values)
     def test_roundtrip_property(self, value):
         assert decode_value(encode_value(value)) == value
+
+    @settings(deadline=None)
+    @given(ber_values)
+    def test_bytes_match_tlv_layer(self, value):
+        """The one-pass value encoder emits exactly the bytes of the
+        equivalent Tlv tree run through encode_tlv."""
+        assert encode_value(value) == encode_tlv(reference_tlv(value))
+
+
+class TestHugeTagNumber:
+    """A high tag number that never ends must fail as DecodingError,
+    not as whatever building its error message would raise."""
+
+    BAD = b"\x1f" + b"\xff" * 60000 + b"\x7f\x00"
+
+    def test_decode_value(self):
+        with pytest.raises(DecodingError, match="unreasonably large"):
+            decode_value(self.BAD)
+
+    def test_decode_tlv(self):
+        with pytest.raises(DecodingError, match="unreasonably large"):
+            decode_tlv_exact(self.BAD)
+
+    def test_mheg_codec(self):
+        length = len(self.BAD).to_bytes(3, "big")
+        unit = b"\x61\x83" + length + self.BAD
+        with pytest.raises(DecodingError, match="unreasonably large"):
+            MhegCodec().decode(unit)

@@ -6,6 +6,15 @@ from hypothesis import given, strategies as st
 from repro.util.crc import crc8_hec, crc32_aal5, crc32_final
 
 
+def reference_crc32(data, reg=0xFFFFFFFF):
+    """Bit-at-a-time reflected CRC-32 (IEEE 802.3), the AAL5 oracle."""
+    for byte in data:
+        reg ^= byte
+        for _ in range(8):
+            reg = (reg >> 1) ^ (0xEDB88320 if reg & 1 else 0)
+    return reg
+
+
 class TestHec:
     def test_requires_four_octets(self):
         with pytest.raises(ValueError):
@@ -45,13 +54,17 @@ class TestCrc32:
     def test_empty(self):
         assert crc32_final(crc32_aal5(b"")) == 0x00000000
 
-    @given(st.binary(max_size=500), st.integers(1, 499))
-    def test_incremental_equals_oneshot(self, data, split):
-        split = min(split, len(data))
-        reg = crc32_aal5(data[:split])
-        reg = crc32_aal5(data[split:], reg)
-        assert reg == crc32_aal5(data)
+    @given(st.binary(max_size=4096), st.integers(0, 0xFFFFFFFF),
+           st.data())
+    def test_incremental_equals_oneshot(self, data, reg, draw):
+        split = draw.draw(st.integers(0, len(data)))
+        running = crc32_aal5(data[split:], crc32_aal5(data[:split], reg))
+        assert running == crc32_aal5(data, reg)
 
     @given(st.binary(min_size=1, max_size=200))
     def test_detects_truncation(self, data):
         assert crc32_aal5(data) != crc32_aal5(data[:-1])
+
+    @given(st.binary(max_size=4096), st.integers(0, 0xFFFFFFFF))
+    def test_matches_bitwise_reference(self, data, reg):
+        assert crc32_aal5(data, reg) == reference_crc32(data, reg)
