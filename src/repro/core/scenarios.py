@@ -168,19 +168,16 @@ SCENARIOS: Dict[str, Callable[..., ScenarioRun]] = {
 
 def build(name: str, *, faults: Union[str, FaultPlan, None] = None,
           fault_seed: Optional[int] = None,
-          sampling: Any = None, stream: Optional[str] = None,
+          stream: Optional[str] = None,
           **kwargs: Any) -> ScenarioRun:
     """Build a named scenario, optionally arming a fault plan on it.
 
     *faults* is a plan name (see ``repro.faults.PLANS``) or a
     :class:`FaultPlan`; *fault_seed* overrides the plan's seed for
-    reproducing a specific chaotic run.  *sampling* is an optional
-    :class:`~repro.obs.sampling.SamplingPolicy` bounding observability
-    memory, and *stream* the ``obs_*.jsonl`` path to stream the run's
-    archive to — both forwarded to :class:`MitsSystem`.
+    reproducing a specific chaotic run.  *stream* is the
+    ``obs_*.jsonl`` path to stream the run's archive to, forwarded to
+    :class:`MitsSystem`.
     """
-    if sampling is not None:
-        kwargs["sampling"] = sampling
     if stream is not None:
         kwargs["stream"] = stream
     try:

@@ -24,7 +24,6 @@ from repro.media.base import MediaObject
 from repro.obs.accounting import Ledger
 from repro.obs.audit import ConservationAuditor
 from repro.obs.meter import OverheadMeter
-from repro.obs.sampling import SamplingPolicy
 from repro.obs.sink import ObsSink
 from repro.obs.slo import SloMonitor
 from repro.obs.timeseries import TelemetrySampler
@@ -39,30 +38,20 @@ class MitsSystem:
                  seed: int = 1996, access_bps: float = 155.52e6,
                  tracing: bool = False,
                  telemetry_interval: Optional[float] = 0.25,
-                 telemetry_capacity: int = 512,
                  accounting: bool = False,
                  watchdog: bool = True,
-                 sampling: Optional[SamplingPolicy] = None,
                  stream: Optional[str] = None,
                  meter: bool = True,
                  recovery: Optional[RecoveryPolicy] = None) -> None:
-        #: the sampling policy every obs collector sheds load under;
-        #: None keeps today's keep-everything behaviour exactly
-        self.sampling = sampling
         #: overhead self-metering: on by default (a handful of clock
         #: reads per span/tick/flush, nothing per-cell)
         self.meter: Optional[OverheadMeter] = \
             OverheadMeter() if meter else None
         #: per-entity accounting: opt-in — the disabled ledger hands
         #: out a shared no-op account, so clean runs pay nothing
-        self.sim = Simulator(ledger=Ledger(
-            enabled=accounting,
-            top_k=sampling.ledger_top_k if sampling is not None else None))
+        self.sim = Simulator(ledger=Ledger(enabled=accounting))
         self.sim.tracer.enabled = tracing
         self.sim.tracer.meter = self.meter
-        if sampling is not None:
-            self.sim.tracer.apply_policy(sampling)
-            self.sim.recorder.apply_policy(sampling)
         self.slos = SloMonitor()
         self.seed = seed
         #: how hard the transport/streaming layers fight back against
@@ -75,9 +64,7 @@ class MitsSystem:
         self.sampler: Optional[TelemetrySampler] = None
         if telemetry_interval is not None:
             self.sampler = TelemetrySampler(
-                self.sim, interval=telemetry_interval,
-                capacity=telemetry_capacity,
-                policy=sampling, meter=self.meter)
+                self.sim, interval=telemetry_interval, meter=self.meter)
         #: the run's archive, streamed: attach BEFORE the sampler starts
         #: so the very first tick (and everything after) hits the stream
         self.sink: Optional[ObsSink] = None

@@ -15,10 +15,10 @@ A run has one archive: the ``obs_<name>.jsonl`` record stream an
 (:func:`~repro.obs.export.dump_observability`).  :func:`load_archive`
 reads any archive into one :class:`Archive`, and every ``python -m
 repro.obs`` verb renders that into waterfalls, sparkline dashboards,
-and tables.  A :class:`SamplingPolicy` bounds every collector's memory
-(head-based trace sampling, span/event reservoirs, telemetry
-decimation/coalescing, top-K accounting), and an
-:class:`OverheadMeter` attributes what the obs stack itself cost.
+and tables.  Every collector keeps a fixed-size ring in memory (spans,
+flight events, one ring per series); a streamed archive keeps what the
+rings evict.  An :class:`OverheadMeter` attributes what the obs stack
+itself cost.
 
 A fleet of runs (``scripts/fleet.py``) is a table over its shards'
 own archives: each shard keeps its ``obs_<name>.jsonl``, and nothing
@@ -44,13 +44,6 @@ from repro.obs.metrics import (
     TIME_BUCKETS,
 )
 from repro.obs.meter import OverheadMeter
-from repro.obs.sampling import (
-    DEFAULT_POLICY,
-    Reservoir,
-    SamplingPolicy,
-    scaled_policy,
-    trace_sampled,
-)
 from repro.obs.sink import Archive, ObsSink, load_archive
 from repro.obs.slo import DEFAULT_SLOS, Slo, SloMonitor, SloResult
 from repro.obs.timeseries import Series, TelemetrySampler, load_timeseries
@@ -69,20 +62,15 @@ __all__ = [
     "ConservationAuditor",
     "Counter",
     "DEFAULT_DETECTORS",
-    "DEFAULT_POLICY",
     "Detector",
     "Ledger",
     "NULL_ACCOUNT",
     "ObsSink",
     "OverheadMeter",
-    "Reservoir",
-    "SamplingPolicy",
     "Violation",
     "Watchdog",
     "load_archive",
     "render_top",
-    "scaled_policy",
-    "trace_sampled",
     "Series",
     "TelemetrySampler",
     "load_timeseries",

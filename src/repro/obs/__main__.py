@@ -50,8 +50,9 @@ Subcommands::
         writes the run's archive.  Given an archive path instead of a
         scenario name, renders its embedded audit verdict.
 
-Live modes take ``--sample RATE`` (with ``--reservoir`` / ``--top-k``)
-to run under a bounded-memory sampling policy.
+Bad input — a non-positive ``--slice``/``--interval``/``--width``/
+``--limit``/``--top``, an unknown scenario, fault plan or trace id —
+prints one line to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -74,25 +75,36 @@ from repro.obs.sink import Archive, load_archive
 from repro.obs.slo import SloMonitor
 
 
-def _sampling_policy(args: argparse.Namespace):
-    """Build the --sample preset policy for live modes, or None."""
-    if getattr(args, "sample", None) is None:
+def _positive(kind):
+    """An argparse type: *kind* parsed from the text, above zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(
+                f"must be positive, got {text!r}")
+        return value
+    # argparse names the type in its "invalid <type> value" message
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
+
+
+def _build(verb: str, scenario: str, args: argparse.Namespace, **kwargs):
+    """Build a live scenario; on an unknown scenario or fault plan,
+    print why to stderr and return None (the verb exits 2)."""
+    # imported lazily: repro.core pulls in the whole stack, which the
+    # archived-file paths of this CLI don't need
+    from repro.core.scenarios import build
+
+    try:
+        return build(scenario, faults=args.faults,
+                     fault_seed=args.fault_seed, **kwargs)
+    except ValueError as exc:
+        print(f"{verb}: {exc}", file=sys.stderr)
         return None
-    from repro.obs.sampling import scaled_policy
-    return scaled_policy(args.sample, reservoir=args.reservoir,
-                         top_k=args.top_k)
-
-
-def _add_sample_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sample", type=float, default=None,
-                        metavar="RATE",
-                        help="bounded-memory live mode: keep RATE of "
-                        "the traces, reservoir-bound spans/events, "
-                        "top-K accounting")
-    parser.add_argument("--reservoir", type=int, default=512,
-                        help="reservoir size used with --sample")
-    parser.add_argument("--top-k", type=int, default=32, dest="top_k",
-                        help="accounts kept per kind with --sample")
 
 
 def _load(path: str) -> Archive:
@@ -151,7 +163,12 @@ def _critical(args: argparse.Namespace) -> int:
     if not spans:
         print("(no spans in this archive)")
         return 1
-    trace_ids = select_traces(spans, trace_id=args.trace, tail=args.p99)
+    try:
+        trace_ids = select_traces(spans, trace_id=args.trace,
+                                  tail=args.p99)
+    except ValueError as exc:
+        print(f"critical: {exc}", file=sys.stderr)
+        return 2
     print(render_attribution(spans, top=args.top))
     by_trace = group_by_trace(spans)
     for trace_id in trace_ids:
@@ -202,13 +219,10 @@ def _dashboard(args: argparse.Namespace) -> int:
 
 
 def _live_dashboard(args: argparse.Namespace) -> int:
-    # imported lazily: repro.core pulls in the whole stack, which the
-    # archived-file paths of this CLI don't need
-    from repro.core.scenarios import build
-
-    run = build(args.live, telemetry_interval=args.interval,
-                sampling=_sampling_policy(args),
-                faults=args.faults, fault_seed=args.fault_seed)
+    run = _build("dashboard", args.live, args,
+                 telemetry_interval=args.interval)
+    if run is None:
+        return 2
     mits, sim = run.mits, run.mits.sim
     if run.injector is not None:
         plan = run.injector.plan
@@ -252,13 +266,9 @@ def _top(args: argparse.Namespace) -> int:
                          sort=args.sort, limit=args.limit,
                          title=_title(archive)))
         return 0
-    # imported lazily: repro.core pulls in the whole stack, which the
-    # archived-file path of this CLI doesn't need
-    from repro.core.scenarios import build
-
-    run = build(args.live, accounting=True,
-                sampling=_sampling_policy(args),
-                faults=args.faults, fault_seed=args.fault_seed)
+    run = _build("top", args.live, args, accounting=True)
+    if run is None:
+        return 2
     run.run_to_horizon()
     sim = run.mits.sim
     payload = sim.ledger.snapshot(sim_time=sim.now)
@@ -272,11 +282,11 @@ def _audit(args: argparse.Namespace) -> int:
     if os.path.isfile(args.scenario):
         return _audit_archive(args.scenario)
 
-    from repro.core.scenarios import build
     from repro.obs.audit import ConservationAuditor
 
-    run = build(args.scenario, accounting=True,
-                faults=args.faults, fault_seed=args.fault_seed)
+    run = _build("audit", args.scenario, args, accounting=True)
+    if run is None:
+        return 2
     run.run_to_horizon()
     auditor = ConservationAuditor(run.mits)
     violations = auditor.check()
@@ -319,7 +329,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_report = sub.add_parser("report", help="metrics + SLOs + traces")
     p_report.add_argument("archive", help="obs_*.jsonl archive")
-    p_report.add_argument("--top", type=int, default=10,
+    p_report.add_argument("--top", type=_positive_int, default=10,
                           help="slow spans to list")
     p_report.add_argument("--strict", action="store_true",
                           help="exit 1 on SLO violations")
@@ -333,7 +343,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_crit.add_argument("--p99", action="store_true",
                         help="analyse every tail exemplar (root "
                         "duration at/above the p99)")
-    p_crit.add_argument("--top", type=int, default=10,
+    p_crit.add_argument("--top", type=_positive_int, default=10,
                         help="attribution rows per table")
     p_crit.set_defaults(func=_critical)
 
@@ -342,7 +352,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_diff.add_argument("run_a", help="baseline archive (obs_*.jsonl "
                         "or BENCH_*.json)")
     p_diff.add_argument("run_b", help="candidate archive")
-    p_diff.add_argument("--top", type=int, default=10,
+    p_diff.add_argument("--top", type=_positive_int, default=10,
                         help="rows per section")
     p_diff.add_argument("--json", metavar="PATH", default=None,
                         help="also write the machine-readable diff "
@@ -359,18 +369,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_dash.add_argument("--follow", action="store_true",
                         help="redraw every --slice simulated seconds "
                         "while the live scenario runs")
-    p_dash.add_argument("--slice", type=float, default=2.0,
+    p_dash.add_argument("--slice", type=_positive_float, default=2.0,
                         help="simulated seconds per --follow frame")
-    p_dash.add_argument("--interval", type=float, default=0.25,
+    p_dash.add_argument("--interval", type=_positive_float, default=0.25,
                         help="live sampling interval (simulated s)")
-    p_dash.add_argument("--width", type=int, default=60,
+    p_dash.add_argument("--width", type=_positive_int, default=60,
                         help="sparkline width in characters")
     p_dash.add_argument("--faults", metavar="PLAN",
                         help="arm a named fault plan on the live "
                         "scenario (see repro.faults.PLANS)")
     p_dash.add_argument("--fault-seed", type=int, default=None,
                         help="override the fault plan's seed")
-    _add_sample_flags(p_dash)
     p_dash.set_defaults(func=_dashboard)
 
     p_top = sub.add_parser(
@@ -385,12 +394,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_top.add_argument("--kind", default=None,
                        help="show one entity kind only "
                        "(vc/site/stream/link/trace)")
-    p_top.add_argument("--limit", type=int, default=20,
+    p_top.add_argument("--limit", type=_positive_int, default=20,
                        help="rows per table")
     p_top.add_argument("--faults", metavar="PLAN",
                        help="arm a named fault plan on the live scenario")
     p_top.add_argument("--fault-seed", type=int, default=None)
-    _add_sample_flags(p_top)
     p_top.set_defaults(func=_top)
 
     p_audit = sub.add_parser(

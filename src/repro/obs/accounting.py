@@ -11,17 +11,6 @@ transport layer's per-trace byte counts — so a single snapshot answers
 The cost model follows ``metrics.py``: a disabled ledger hands every
 caller the shared :data:`NULL_ACCOUNT`, whose mutators are no-ops, so
 instrumented hot paths pay one attribute call and nothing else.
-
-At scale, one account per entity ever seen is itself an unbounded
-memory cost.  A ledger constructed with ``top_k=K`` switches to a
-*space-saving* sketch (Metwally et al.): at most K accounts per kind
-are kept; when a new entity arrives at a full kind the lightest
-account (by ``weight``, a monotone sum of everything charged) is
-evicted and the newcomer *inherits* its weight as an ``error`` bound.
-Truly heavy entities are guaranteed to surface; any row whose error
-bound is nonzero is rendered with a ``~`` marker because part of its
-weight may belong to evicted predecessors.  ``reconcile`` is skipped
-in this mode — evicted accounts would show as false divergences.
 """
 
 from __future__ import annotations
@@ -49,8 +38,7 @@ class Account:
 
     __slots__ = ("kind", "key", "note", "units_sent", "units_delivered",
                  "cells_sent", "cells_delivered", "bytes_sent",
-                 "bytes_delivered", "drops", "residency_seconds",
-                 "weight", "error")
+                 "bytes_delivered", "drops", "residency_seconds")
 
     def __init__(self, kind: str, key: str, note: str = "") -> None:
         self.kind = kind
@@ -64,33 +52,23 @@ class Account:
         self.bytes_delivered = 0
         self.drops = 0
         self.residency_seconds = 0.0
-        #: monotone total of everything charged — the space-saving
-        #: sketch's eviction rank (see Ledger top_k)
-        self.weight = 0.0
-        #: inherited weight ceiling: how much of ``weight`` may belong
-        #: to evicted predecessors (0 for exact accounts)
-        self.error = 0.0
 
     def sent(self, units: int = 0, cells: int = 0, nbytes: int = 0) -> None:
         self.units_sent += units
         self.cells_sent += cells
         self.bytes_sent += nbytes
-        self.weight += units + cells + nbytes
 
     def delivered(self, units: int = 0, cells: int = 0, nbytes: int = 0) -> None:
         self.units_delivered += units
         self.cells_delivered += cells
         self.bytes_delivered += nbytes
-        self.weight += units + cells + nbytes
 
     def drop(self, cells: int = 1) -> None:
         self.drops += cells
-        self.weight += cells
 
     def dwell(self, seconds: float) -> None:
         """Charge queue-residency time (cell sat *seconds* buffered)."""
         self.residency_seconds += seconds
-        self.weight += seconds
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -142,15 +120,9 @@ class Ledger:
     measured it).
     """
 
-    def __init__(self, *, enabled: bool = True,
-                 top_k: Optional[int] = None) -> None:
-        if top_k is not None and top_k < 1:
-            raise ValueError("top_k must be >= 1 when set")
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.top_k = top_k
         self._accounts: Dict[Tuple[str, str], Account] = {}
-        #: per-kind count of accounts evicted by the top-K sketch
-        self.evictions: Dict[str, int] = {}
 
     def account(self, kind: str, key: str, note: str = "") -> Account:
         if not self.enabled:
@@ -158,18 +130,6 @@ class Ledger:
         acct = self._accounts.get((kind, key))
         if acct is None:
             acct = Account(kind, key, note)
-            if self.top_k is not None:
-                held = [a for a in self._accounts.values()
-                        if a.kind == kind]
-                if len(held) >= self.top_k:
-                    # space-saving: evict the lightest, the newcomer
-                    # inherits its weight as an error bound — a truly
-                    # heavy entity always climbs into the kept set
-                    victim = min(held, key=lambda a: (a.weight, a.key))
-                    del self._accounts[(victim.kind, victim.key)]
-                    self.evictions[kind] = self.evictions.get(kind, 0) + 1
-                    acct.weight = victim.weight
-                    acct.error = victim.weight
             self._accounts[(kind, key)] = acct
         return acct
 
@@ -189,15 +149,8 @@ class Ledger:
         """
         kinds: Dict[str, List[Dict[str, object]]] = {}
         for kind in self.kinds():
-            accounts = sorted(self.accounts(kind), key=lambda a: a.key)
-            rows = []
-            for a in accounts:
-                row = a.to_dict()
-                if self.top_k is not None:
-                    row["weight"] = a.weight
-                    row["error"] = a.error
-                    row["approx"] = a.error > 0
-                rows.append(row)
+            rows = [a.to_dict() for a in
+                    sorted(self.accounts(kind), key=lambda a: a.key)]
             total_bytes = sum(r["bytes_sent"] for r in rows)
             for row in rows:
                 row["share"] = (row["bytes_sent"] / total_bytes
@@ -205,11 +158,7 @@ class Ledger:
                 if sim_time:
                     row["bits_per_sec"] = row["bytes_sent"] * 8.0 / sim_time
             kinds[kind] = rows
-        snap: Dict[str, object] = {"enabled": self.enabled, "kinds": kinds}
-        if self.top_k is not None:
-            snap["top_k"] = self.top_k
-            snap["evictions"] = dict(sorted(self.evictions.items()))
-        return snap
+        return {"enabled": self.enabled, "kinds": kinds}
 
     def reconcile(self, registry) -> List[Dict[str, object]]:
         """Cross-check ledger totals against the metrics registry.
@@ -219,13 +168,9 @@ class Ledger:
         shows up here as a divergence.  Returns a list of divergence
         records (empty when consistent); byte totals must agree to
         within rounding (exactly, since both count integers).
-
-        A top-K ledger cannot reconcile — evicted accounts would show
-        as false divergences — so the check is skipped entirely.
         """
         out: List[Dict[str, object]] = []
-        if (not self.enabled or self.top_k is not None
-                or registry is None or not registry.enabled):
+        if not self.enabled or registry is None or not registry.enabled:
             return out
 
         def counter_by_label(component, name, label_key):
@@ -311,11 +256,7 @@ def render_top(payload: Dict[str, object], *, kind: Optional[str] = None,
         lines.append("  " + "-" * (len(header) - 2))
         ordered = sorted(rows, key=_SORT_KEYS[sort], reverse=True)[:limit]
         for r in ordered:
-            # `~` flags a top-K row whose inherited error bound is
-            # nonzero: part of its weight may belong to evicted rows
-            marker = "~" if r.get("approx") else ""
-            name = (marker + r["key"]
-                    + (f" ({r['note']})" if r.get("note") else ""))
+            name = r["key"] + (f" ({r['note']})" if r.get("note") else "")
             units = f"{r['units_sent']}/{r['units_delivered']}"
             cells = f"{r['cells_sent']}/{r['cells_delivered']}"
             nbytes = (f"{_fmt_bytes(r['bytes_sent'])}/"
@@ -327,11 +268,4 @@ def render_top(payload: Dict[str, object], *, kind: Optional[str] = None,
         if len(rows) > limit:
             lines.append(f"  ... {len(rows) - limit} more "
                          f"(raise --limit to see them)")
-    if payload.get("top_k") is not None:
-        evictions = payload.get("evictions") or {}
-        total_evicted = (sum(evictions.values())
-                         if isinstance(evictions, dict) else 0)
-        lines.append(f"  top-{payload['top_k']} space-saving sketch: "
-                     f"~ rows carry an inherited error bound "
-                     f"({total_evicted} accounts evicted)")
     return "\n".join(lines)

@@ -43,9 +43,9 @@ Derived quantities:
 Everything here is pure functions over span dicts (the
 archive ``span`` record shape); live
 :class:`~repro.obs.tracing.SpanRecord` objects are accepted too and
-normalised up front.  Orphaned spans — parents dropped by sampling or
-ring eviction — are treated as roots of their own subtree, so a
-sampled archive still analyses instead of crashing.
+normalised up front.  Orphaned spans — parents lost to ring eviction
+— are treated as roots of their own subtree, so a truncated span set
+still analyses instead of crashing.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ def _index(spans: Sequence[Mapping[str, Any]]
                       Dict[Any, List[Mapping[str, Any]]]]:
     """Roots and a parent_id → children map for ONE trace's spans.
 
-    A span whose parent is absent (never traced, or dropped by
-    sampling/eviction) roots its own subtree rather than vanishing.
+    A span whose parent is absent (never traced, or evicted from the
+    ring) roots its own subtree rather than vanishing.
     """
     ids = {s["span_id"] for s in spans}
     roots: List[Mapping[str, Any]] = []
@@ -219,7 +219,7 @@ def analyze_trace(trace_spans: Sequence[Any]) -> Dict[str, Any]:
 
     Returns ``{trace_id, root, duration, segments, path_span_ids,
     self_time, slack, by_component, by_kind}``.  A trace fragmented by
-    sampling has several roots; the longest root anchors the path and
+    ring eviction has several roots; the longest root anchors the path and
     the others are listed in ``other_roots``.
     """
     spans = normalize_spans(trace_spans)

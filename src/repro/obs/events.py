@@ -14,13 +14,9 @@ counter says how many old events were evicted.  One recorder is owned
 by each :class:`~repro.atm.simulator.Simulator` and shared by every
 component attached to it.
 
-Under a :class:`~repro.obs.sampling.SamplingPolicy` (see
-:meth:`FlightRecorder.apply_policy`) ring-evicted events can spill
-into a seeded reservoir instead of vanishing, so a uniform sample of
-the *early* run survives arbitrarily long scenarios; and a ``sink``
-callable, when attached, receives every recorded event as it happens,
-which is how a streamed archive persists full fidelity while the
-in-memory window stays bounded.
+A ``sink`` callable, when attached, receives every recorded event as
+it happens, which is how a streamed archive keeps the events the ring
+later evicts while the in-memory window stays bounded.
 """
 
 from __future__ import annotations
@@ -77,24 +73,8 @@ class FlightRecorder:
         self.dropped = 0
         self.recorded = 0
         self._events: Deque[FlightEvent] = deque(maxlen=capacity)
-        #: overflow reservoir, installed by apply_policy(event_reservoir=N)
-        self._overflow = None
         #: receives every recorded FlightEvent (the streamed archive)
         self.sink: Optional[Callable[[FlightEvent], None]] = None
-
-    def apply_policy(self, policy) -> None:
-        """Install a :class:`~repro.obs.sampling.SamplingPolicy`.
-
-        With ``event_reservoir`` set, events evicted from the ring
-        spill into a seeded uniform reservoir instead of vanishing.
-        """
-        from repro.obs.sampling import Reservoir
-
-        if policy.event_reservoir is not None:
-            self._overflow = Reservoir(policy.event_reservoir,
-                                       seed=policy.seed)
-        else:
-            self._overflow = None
 
     def record(self, component: str, kind: str, *, severity: str = "info",
                trace_id: Optional[int] = None, **attrs: Any) -> None:
@@ -105,8 +85,6 @@ class FlightRecorder:
             raise ValueError(f"unknown severity {severity!r}")
         if len(self._events) == self._events.maxlen:
             self.dropped += 1
-            if self._overflow is not None:
-                self._overflow.offer(self._events[0])
         self.recorded += 1
         event = FlightEvent(
             time=self.clock(), component=component, kind=kind,
@@ -118,14 +96,6 @@ class FlightRecorder:
     @property
     def events(self) -> List[FlightEvent]:
         return list(self._events)
-
-    @property
-    def overflow(self) -> List[FlightEvent]:
-        """Reservoir-kept evicted events, oldest-first (empty unless a
-        policy with ``event_reservoir`` is applied)."""
-        if self._overflow is None:
-            return []
-        return sorted(self._overflow.items(), key=lambda e: e.time)
 
     def for_trace(self, trace_id: int) -> List[FlightEvent]:
         """Events correlated to one trace."""
@@ -143,30 +113,17 @@ class FlightRecorder:
 
     def clear(self) -> None:
         self._events.clear()
-        if self._overflow is not None:
-            self._overflow.clear()
         self.dropped = 0
         self.recorded = 0
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-stable dump of the ring (newest last).
-
-        With an overflow reservoir installed the snapshot grows an
-        ``overflow`` block; the default shape is unchanged.
-        """
-        snap: Dict[str, Any] = {
+        """JSON-stable dump of the ring (newest last)."""
+        return {
             "recorded": self.recorded,
             "dropped": self.dropped,
             "counts": self.counts(),
             "events": [e.to_dict() for e in self._events],
         }
-        if self._overflow is not None:
-            snap["overflow"] = {
-                "capacity": self._overflow.capacity,
-                "kept": len(self._overflow),
-                "events": [e.to_dict() for e in self.overflow],
-            }
-        return snap
 
     def to_jsonl(self) -> str:
         """One event per line (the ``event`` record body, untagged)."""

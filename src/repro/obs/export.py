@@ -36,16 +36,10 @@ def critical_block(spans) -> Optional[Dict[str, Any]]:
 
 
 def telemetry_health(mits) -> Dict[str, Any]:
-    """Loss/truncation accounting for one deployment's telemetry.
-
-    With an overflow reservoir installed on the flight recorder the
-    block grows ``flight_overflow_kept`` — how many ring-evicted
-    events the reservoir salvaged — so dropped-vs-salvaged is visible
-    in every archive; the default (no-policy) shape is unchanged.
-    """
+    """Loss/truncation accounting for one deployment's telemetry."""
     sim = mits.sim
     sampler = getattr(mits, "sampler", None)
-    health = {
+    return {
         "flight_recorded": sim.recorder.recorded,
         "flight_dropped": sim.recorder.dropped,
         "tracer_spans": len(sim.tracer.spans),
@@ -54,9 +48,6 @@ def telemetry_health(mits) -> Dict[str, Any]:
         "sampler_evictions": sampler.evictions
         if sampler is not None else 0,
     }
-    if sim.recorder._overflow is not None:
-        health["flight_overflow_kept"] = len(sim.recorder._overflow)
-    return health
 
 
 def dump_observability(mits, name: str, out_dir: str) -> List[str]:

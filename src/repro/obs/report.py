@@ -103,10 +103,6 @@ def render_telemetry_health(health: Mapping[str, Any]) -> str:
     lines.append(f" {marker} flight recorder: "
                  f"{health.get('flight_recorded', 0)} events recorded, "
                  f"{flight_dropped} evicted from the ring")
-    if "flight_overflow_kept" in health:
-        lines.append(f"   overflow reservoir: "
-                     f"{health.get('flight_overflow_kept', 0)} evicted "
-                     f"events salvaged")
     tracer_dropped = health.get("tracer_dropped", 0)
     marker = "!" if tracer_dropped else " "
     lines.append(f" {marker} tracer: {health.get('tracer_spans', 0)} "

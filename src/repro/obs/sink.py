@@ -3,19 +3,19 @@
 Every archive this repo writes is an ``obs_<name>.jsonl`` in one record
 grammar, and :class:`ObsSink` is its only writer.  Attach a sink to a
 :class:`~repro.core.system.MitsSystem` (``MitsSystem(stream=path)``)
-and every kept span, every flight event, and every telemetry tick is
-appended *as it happens*, through a small bounded write buffer, so
-in-memory rings can be as small as the sampling policy allows while
-the archive keeps full sampled fidelity.  A sink attached late (by
-:func:`~repro.obs.export.dump_observability` on a run that did not
-stream) replays what the run still holds in memory instead.
+and every finished span, every flight event, and every telemetry tick
+is appended *as it happens*, through a small bounded write buffer, so
+the archive keeps everything the fixed in-memory rings later evict.  A
+sink attached late (by :func:`~repro.obs.export.dump_observability` on
+a run that did not stream) replays what the run still holds in memory
+instead.
 
 Record grammar (one JSON object per line, tagged ``"record"``):
 
 ``meta``
-    first line — schema version, run name, seed, topology, the
-    :class:`~repro.obs.sampling.SamplingPolicy` the run used, and the
-    sampler's interval/capacity.
+    first line — schema version, run name, seed, topology, and the
+    sampler's interval/capacity.  Older archives may also carry a
+    ``policy`` key, which readers ignore.
 ``span`` / ``event``
     one finished :class:`~repro.obs.tracing.SpanRecord` / recorded
     :class:`~repro.obs.events.FlightEvent`.
@@ -29,8 +29,8 @@ Record grammar (one JSON object per line, tagged ``"record"``):
     optional, just before ``fin`` — the wall-clock facts: the
     :class:`~repro.obs.meter.OverheadMeter`'s ``overhead`` table.
     Only ``dump_observability`` writes it; a plain
-    :meth:`ObsSink.close` does not, so same seed + same policy ⇒
-    byte-identical archives.
+    :meth:`ObsSink.close` does not, so same seed ⇒ byte-identical
+    archives.
 ``fin``
     last line — the end-of-run summary (metrics report, SLO verdicts,
     conservation audit, telemetry health, watchdog, critical-path
@@ -53,6 +53,8 @@ import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.obs.timeseries import DEFAULT_CAPACITY, Series
 
 __all__ = ["Archive", "ObsSink", "load_archive"]
 
@@ -97,7 +99,7 @@ class ObsSink:
     def attach(self, mits, *, replay: bool = False) -> None:
         """Wire the deployment's collectors into this sink.
 
-        Writes the ``meta`` record; from then on every kept span,
+        Writes the ``meta`` record; from then on every finished span,
         recorded event, and telemetry tick streams through
         :meth:`emit`.  With *replay* (a sink attached after the run)
         the spans, events, and sampler rings already held in memory
@@ -105,14 +107,12 @@ class ObsSink:
         """
         self._mits = mits
         self.meter = getattr(mits, "meter", None)
-        policy = getattr(mits, "sampling", None)
         meta: Dict[str, Any] = {
             "record": "meta",
             "version": SCHEMA_VERSION,
             "name": self.name,
             "seed": getattr(mits, "seed", None),
             "topology": mits.spec.name if hasattr(mits, "spec") else None,
-            "policy": policy.to_dict() if policy is not None else None,
         }
         sampler = getattr(mits, "sampler", None)
         if sampler is not None:
@@ -123,9 +123,6 @@ class ObsSink:
         if replay:
             for span in sim.tracer.spans:
                 self._span_sink(span)
-            # reservoir-salvaged ring-evicted events are the oldest
-            for event in sim.recorder.overflow:
-                self._event_sink(event)
             for event in sim.recorder.events:
                 self._event_sink(event)
             if sampler is not None:
@@ -250,16 +247,12 @@ class ObsSink:
         if crit is not None:
             fin["critical"] = crit
         if sampler is not None:
-            ts: Dict[str, Any] = {
+            fin["timeseries"] = {
                 "interval": sampler.interval,
                 "capacity": sampler.capacity,
                 "samples": sampler.samples,
                 "evictions": sampler.evictions,
             }
-            if sampler._stride != 1 or sampler._coalesce:
-                ts["stride"] = sampler._stride
-                ts["coalesced"] = sampler.coalesced
-            fin["timeseries"] = ts
         # detach so late spans/events cannot hit a closed sink
         sim.tracer.sink = None
         sim.recorder.sink = None
@@ -340,20 +333,17 @@ class Archive:
 
 class _Telemetry:
     """Replays telemetry ticks into sampler-shaped series rings, with
-    the run's real capacity and coalescing policy, so the result
-    renders exactly like the live sampler's ``snapshot()``."""
+    the run's real capacity, so the result renders exactly like the
+    live sampler's ``snapshot()``."""
 
     def __init__(self, meta: Dict[str, Any]) -> None:
-        policy = meta.get("policy") or {}
         self.settings = dict(meta.get("telemetry") or {})
-        self.capacity = int(self.settings.get("capacity", 512))
-        self.coalesce = bool(policy.get("telemetry_coalesce", False))
-        self.series: Dict[Tuple[str, str, Any], Any] = {}
+        self.capacity = int(self.settings.get("capacity",
+                                              DEFAULT_CAPACITY))
+        self.series: Dict[Tuple[str, str, Any], Series] = {}
         self.ticks = 0
 
     def tick(self, rec: Dict[str, Any]) -> None:
-        from repro.obs.timeseries import Series
-
         time = rec["time"]
         self.ticks += 1
         for component, name, labels, kind, value, _rate, p99 in \
@@ -362,7 +352,7 @@ class _Telemetry:
             series = self.series.get(key)
             if series is None:
                 series = Series(component, name, labels, kind,
-                                self.capacity, coalesce=self.coalesce)
+                                self.capacity)
                 self.series[key] = series
             if series.times and series.times[-1] == time:
                 continue  # a snapshot() flush re-emitted this tick
@@ -372,7 +362,7 @@ class _Telemetry:
     def snapshot(self, fin: Dict[str, Any]) -> Dict[str, Any]:
         ts = {**self.settings, **(fin.get("timeseries") or {})}
         series = sorted(self.series.values(), key=lambda s: s.key)
-        payload: Dict[str, Any] = {
+        return {
             "enabled": True,
             "interval": ts.get("interval"),
             "capacity": ts.get("capacity", self.capacity),
@@ -381,11 +371,6 @@ class _Telemetry:
                                 sum(s.evicted for s in series)),
             "series": [s.to_dict() for s in series],
         }
-        if "stride" in ts:
-            payload["stride"] = ts["stride"]
-            payload["coalesced"] = ts.get(
-                "coalesced", sum(s.coalesced for s in series))
-        return payload
 
 
 def load_archive(path: str) -> Archive:

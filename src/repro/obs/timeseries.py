@@ -27,17 +27,12 @@ alive on its own: a tick only re-arms while other events are pending,
 and :meth:`Simulator.schedule` wakes a dormant sampler when new work
 arrives.  ``Simulator.run()`` with no horizon therefore still drains.
 
-Memory is bounded: each series is a fixed-capacity ring and evictions
-are counted (surfaced by the ``repro.obs`` CLI so silently-truncated
-telemetry is visible).
-
-Under a :class:`~repro.obs.sampling.SamplingPolicy` the sampler can
-additionally *decimate* (record only every ``telemetry_stride``-th
-scheduled tick — explicit :meth:`TelemetrySampler.sample` calls always
-record) and *coalesce* (a sample identical to the previous point slides
-that point's timestamp forward instead of appending, so flat-lining
-gauges cost O(1) ring slots).  A ``sink`` callable, when attached,
-receives every recorded tick for the streamed archive.
+Memory is bounded: each series is a fixed-capacity ring
+(:data:`DEFAULT_CAPACITY` samples unless the sampler is told otherwise)
+and evictions are counted (surfaced by the ``repro.obs`` CLI so
+silently-truncated telemetry is visible).  A ``sink`` callable, when
+attached, receives every tick for the streamed archive, which keeps
+what the rings later evict.
 """
 
 from __future__ import annotations
@@ -45,9 +40,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-__all__ = ["Series", "TelemetrySampler", "load_timeseries"]
+__all__ = ["DEFAULT_CAPACITY", "Series", "TelemetrySampler",
+           "load_timeseries"]
 
 LabelKey = Tuple[Tuple[str, str], ...]
+
+#: per-series ring size, for a live sampler and for an archive replay
+#: whose ``meta`` record names none
+DEFAULT_CAPACITY = 512
 
 
 def _sorted_window(values, window: Optional[int]) -> List[float]:
@@ -66,11 +66,11 @@ class Series:
 
     __slots__ = ("component", "name", "labels", "kind",
                  "times", "values", "rates", "p99s", "evicted",
-                 "coalesce", "coalesced", "_prev_value", "_prev_time")
+                 "_prev_value", "_prev_time")
 
     def __init__(self, component: str, name: str,
                  labels: Mapping[str, str], kind: str,
-                 capacity: int, *, coalesce: bool = False) -> None:
+                 capacity: int) -> None:
         self.component = component
         self.name = name
         self.labels = dict(labels)
@@ -82,8 +82,6 @@ class Series:
         self.p99s: Optional[deque] = \
             deque(maxlen=capacity) if kind == "histogram" else None
         self.evicted = 0
-        self.coalesce = coalesce
-        self.coalesced = 0
         self._prev_value: Optional[float] = None
         self._prev_time: Optional[float] = None
 
@@ -98,19 +96,6 @@ class Series:
     def record(self, time: float, value: float,
                p99: Optional[float] = None) -> None:
         """Append one sample, deriving the rate from the previous one."""
-        if (self.coalesce and self.times
-                and value == self._prev_value
-                and (self.rates is None or self.rates[-1] == 0.0)
-                and (self.p99s is None
-                     or self.p99s[-1] == (0.0 if p99 is None else p99))):
-            # identical to the standing point: slide its timestamp
-            # forward instead of burning a ring slot (the derived rate
-            # of an unchanged cumulative value is 0, matching the one
-            # already stored)
-            self.times[-1] = time
-            self.coalesced += 1
-            self._prev_time = time
-            return
         if len(self.times) == self.times.maxlen:
             self.evicted += 1
         self.times.append(time)
@@ -183,8 +168,6 @@ class Series:
             "values": list(self.values),
             "rollup": self.rollup(),
         }
-        if self.coalesce:
-            out["coalesced"] = self.coalesced
         if self.rates is not None:
             out["rates"] = list(self.rates)
             out["rate_rollup"] = self.rollup(channel="rates")
@@ -203,8 +186,8 @@ class TelemetrySampler:
     """
 
     def __init__(self, sim, *, interval: float = 0.25,
-                 capacity: int = 512,
-                 registry=None, policy=None, meter=None) -> None:
+                 capacity: int = DEFAULT_CAPACITY,
+                 registry=None, meter=None) -> None:
         if interval <= 0:
             raise ValueError(f"sampling interval must be positive "
                              f"(got {interval})")
@@ -219,10 +202,6 @@ class TelemetrySampler:
         self._series: Dict[Tuple[str, str, LabelKey], Series] = {}
         self._dormant = False
         self._tick_event = None
-        self._stride = 1 if policy is None else policy.telemetry_stride
-        self._coalesce = (False if policy is None
-                          else policy.telemetry_coalesce)
-        self._ticks = 0
         #: receives ``(now, rows)`` per recorded tick (the streamed archive)
         self.sink: Optional[Any] = None
         #: OverheadMeter charged per sample, when attached
@@ -269,9 +248,7 @@ class TelemetrySampler:
 
     def _tick(self) -> None:
         self._tick_event = None
-        self._ticks += 1
-        if self._ticks % self._stride == 0:
-            self.sample()
+        self.sample()
         # re-arm only while the deployment still has work queued;
         # otherwise go dormant so `run()` with no horizon still drains.
         # Simulator.schedule() wakes us when new work arrives.
@@ -305,7 +282,7 @@ class TelemetrySampler:
             series = self._series.get(key)
             if series is None:
                 series = Series(component, name, dict(labels), kind,
-                                self.capacity, coalesce=self._coalesce)
+                                self.capacity)
                 self._series[key] = series
             elif series.times and series.times[-1] == now:
                 continue  # snapshot() flush at an existing tick time
@@ -349,11 +326,6 @@ class TelemetrySampler:
         """Total ring evictions across every series."""
         return sum(s.evicted for s in self._series.values())
 
-    @property
-    def coalesced(self) -> int:
-        """Total samples collapsed into standing points across series."""
-        return sum(s.coalesced for s in self._series.values())
-
     def peak(self, component: str, name: str) -> Optional[float]:
         """Largest sampled value across all series of one metric."""
         peaks = [max(s.values) for s in self.series(component, name)
@@ -361,12 +333,8 @@ class TelemetrySampler:
         return max(peaks) if peaks else None
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-stable dump of every ring.
-
-        Decimation/coalescing stats appear only when a policy enables
-        them; the default shape is unchanged.
-        """
-        snap: Dict[str, Any] = {
+        """JSON-stable dump of every ring."""
+        return {
             "enabled": True,
             "interval": self.interval,
             "capacity": self.capacity,
@@ -375,10 +343,6 @@ class TelemetrySampler:
             "series": [s.to_dict() for s in sorted(
                 self._series.values(), key=lambda s: s.key)],
         }
-        if self._stride != 1 or self._coalesce:
-            snap["stride"] = self._stride
-            snap["coalesced"] = self.coalesced
-        return snap
 
 
 def load_timeseries(payload: Mapping[str, Any]) -> List[Series]:

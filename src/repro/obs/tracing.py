@@ -21,16 +21,10 @@ engine.  Tracing defaults to **off** and is zero-cost when disabled:
 ``span()`` then returns one shared no-op context manager, so the hot
 path pays a single attribute test.
 
-At scale the tracer sheds load under a
-:class:`~repro.obs.sampling.SamplingPolicy` (see :meth:`apply_policy`):
-head-based trace sampling drops whole trace trees at finish time (the
-decision is a pure seeded function of the trace id, so every child —
-local or remote — inherits it and kept trees stay connected), and the
-finished-span store can be a seeded reservoir (uniform over the run)
-instead of the newest-wins ring.  A ``sink`` callable, when attached,
-receives every *kept* finished :class:`SpanRecord` as it closes, which
-is how a streamed archive gets full sampled fidelity on disk while
-memory stays bounded.
+Finished spans live in a fixed newest-wins ring of ``max_spans``.  A
+``sink`` callable, when attached, receives every finished
+:class:`SpanRecord` as it closes, which is how a streamed archive
+keeps every span on disk while memory stays bounded.
 """
 
 from __future__ import annotations
@@ -41,8 +35,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Union
-
-from repro.obs.sampling import trace_sampled
 
 __all__ = ["Span", "SpanRecord", "TraceContext", "Tracer", "NULL_SPAN"]
 
@@ -195,38 +187,14 @@ class Tracer:
         self.clock = clock
         self.enabled = enabled
         self.dropped = 0
-        #: spans discarded by head-based trace sampling (whole trees)
-        self.sampled_out = 0
         self._ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._current: Optional[TraceContext] = None
-        self._max_spans = max_spans
         self._finished: Deque[SpanRecord] = deque(maxlen=max_spans)
-        #: reservoir store, installed by apply_policy(span_reservoir=N)
-        self._reservoir = None
-        self._sample_rate = 1.0
-        self._sample_seed = 0
-        #: receives every kept SpanRecord at finish (the streamed archive)
+        #: receives every SpanRecord at finish (the streamed archive)
         self.sink: Optional[Callable[[SpanRecord], None]] = None
         #: OverheadMeter charged per finished span, when attached
         self.meter = None
-
-    def apply_policy(self, policy) -> None:
-        """Install a :class:`~repro.obs.sampling.SamplingPolicy`.
-
-        The default policy restores today's keep-everything behaviour;
-        a ``span_reservoir`` switches the finished-span store to a
-        seeded uniform reservoir over the whole run.
-        """
-        from repro.obs.sampling import Reservoir
-
-        self._sample_rate = policy.trace_sample_rate
-        self._sample_seed = policy.seed
-        if policy.span_reservoir is not None:
-            self._reservoir = Reservoir(policy.span_reservoir,
-                                        seed=policy.seed)
-        else:
-            self._reservoir = None
 
     # -- context management ----------------------------------------------
 
@@ -275,35 +243,20 @@ class Tracer:
     def _finish(self, sp: Span) -> None:
         meter = self.meter
         t0 = meter.now() if meter is not None else 0.0
-        if self._sample_rate < 1.0 and not trace_sampled(
-                sp.trace_id, self._sample_rate, self._sample_seed):
-            # head-based: the whole tree shares this decision, so a
-            # dropped span never orphans a kept child
-            self.sampled_out += 1
-            if meter is not None:
-                meter.charge("tracer", t0)
-            return
         rec = SpanRecord(
             span_id=sp.span_id, parent_id=sp.parent_id,
             trace_id=sp.trace_id, name=sp.name, start=sp.start,
             end=self.clock(), attrs=sp.attrs)
         if self.sink is not None:
             self.sink(rec)
-        if self._reservoir is not None:
-            self._reservoir.offer(rec)
-            self.dropped = self._reservoir.evicted
-        else:
-            if len(self._finished) == self._finished.maxlen:
-                self.dropped += 1
-            self._finished.append(rec)
+        if len(self._finished) == self._finished.maxlen:
+            self.dropped += 1
+        self._finished.append(rec)
         if meter is not None:
             meter.charge("tracer", t0)
 
     @property
     def spans(self) -> List[SpanRecord]:
-        if self._reservoir is not None:
-            return sorted(self._reservoir.items(),
-                          key=lambda s: s.span_id)
         return list(self._finished)
 
     def by_name(self, name: str) -> List[SpanRecord]:
@@ -314,11 +267,8 @@ class Tracer:
 
     def clear(self) -> None:
         self._finished.clear()
-        if self._reservoir is not None:
-            self._reservoir.clear()
         self._current = None
         self.dropped = 0
-        self.sampled_out = 0
 
     def aggregate(self) -> Dict[str, Dict[str, float]]:
         """Per-name duration stats (count/total/min/mean/max/p50/p99)."""
@@ -364,7 +314,6 @@ class Tracer:
         return {
             "enabled": self.enabled,
             "dropped": self.dropped,
-            "sampled_out": self.sampled_out,
             "aggregate": self.aggregate(),
             "spans": [s.to_dict() for s in self.spans],
         }

@@ -6,10 +6,12 @@ from repro.obs.sink import SCHEMA_VERSION, ObsSink
 
 def write_archive(path, *, name="demo", summary=None, spans=(),
                   events=(), series=(), ledger=None, wall=None,
-                  telemetry=None):
-    """One complete archive at *path*; *summary* becomes ``fin``."""
+                  telemetry=None, meta=None):
+    """One complete archive at *path*; *summary* becomes ``fin`` and
+    *meta* adds keys to the ``meta`` record."""
     sink = ObsSink(str(path), name=name)
-    meta = {"record": "meta", "version": SCHEMA_VERSION, "name": name}
+    meta = {"record": "meta", "version": SCHEMA_VERSION, "name": name,
+            **(meta or {})}
     if telemetry is not None:
         meta["telemetry"] = telemetry
     sink.emit(meta)

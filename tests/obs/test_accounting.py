@@ -45,6 +45,24 @@ class TestLedger:
         assert a is not c
         assert a.note == "x->y"  # first note wins
 
+    def test_every_entity_keeps_an_exact_account(self):
+        ledger = Ledger()
+        for i in range(50):
+            ledger.account("vc", f"light{i}").sent(cells=1)
+        ledger.account("vc", "heavy").sent(cells=1000)
+        assert len(ledger.accounts("vc")) == 51
+        assert ledger.account("vc", "heavy").cells_sent == 1000
+        assert ledger.account("vc", "light0").cells_sent == 1
+
+    def test_snapshot_rows_are_the_account_fields(self):
+        ledger = Ledger()
+        ledger.account("vc", "a").sent(cells=10)
+        snap = ledger.snapshot(sim_time=1.0)
+        assert set(snap) == {"enabled", "kinds"}
+        row = snap["kinds"]["vc"][0]
+        assert set(row) == set(Account("vc", "a").to_dict()) \
+            | {"share", "bits_per_sec"}
+
     def test_disabled_ledger_hands_out_the_null_account(self):
         ledger = Ledger(enabled=False)
         acct = ledger.account("vc", "1")

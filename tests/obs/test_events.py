@@ -46,6 +46,16 @@ class TestRing:
         # newest events survive
         assert [e.attrs["i"] for e in rec.events] == [7, 8, 9, 10, 11]
 
+    def test_sink_sees_every_evicted_event(self):
+        streamed = []
+        rec = FlightRecorder(clock=lambda: 0.0, capacity=4)
+        rec.sink = streamed.append
+        for i in range(10):
+            rec.record("x", "tick", i=i)
+        assert len(rec.events) == 4
+        assert [e.attrs["i"] for e in streamed] == list(range(10))
+        assert streamed[rec.dropped:] == rec.events
+
     def test_clear_resets_counters(self):
         rec = FlightRecorder(clock=lambda: 0.0, capacity=2)
         for _ in range(3):
@@ -80,6 +90,7 @@ class TestExport:
         rec = FlightRecorder(clock=lambda: 1.5)
         rec.record("mheg", "link_fired", trace_id=3, link="L1")
         snap = rec.snapshot()
+        assert set(snap) == {"recorded", "dropped", "counts", "events"}
         assert snap["recorded"] == 1
         assert snap["counts"] == {"link_fired": 1}
         [ev] = snap["events"]

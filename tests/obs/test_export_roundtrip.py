@@ -121,31 +121,35 @@ class TestOverheadRoundTrip:
         assert set(overhead["components"]) <= set(live["components"])
 
     def test_default_run_has_no_overflow_key(self, dumped):
-        """No policy ⇒ the telemetry block keeps its historical shape."""
+        """The telemetry block carries counts only, no reservoir key."""
         _, archive, _ = dumped
         assert "flight_overflow_kept" not in archive.summary["telemetry"]
 
 
 def _overflowed_run(stream=None):
-    from repro.obs.sampling import SamplingPolicy
-
-    run = build("quickstart",
-                sampling=SamplingPolicy(event_reservoir=4, seed=3),
-                stream=stream)
+    """A classroom whose span, flight-event and telemetry rings have
+    all evicted: each is overfilled after the scripted load."""
+    run = build("classroom", tracing=True, accounting=True, stream=stream)
     run.run_to_horizon()
-    # force ring evictions: the reservoir only salvages once the
-    # flight ring is full
-    recorder = run.mits.sim.recorder
-    for i in range(recorder._events.maxlen + 50):
-        recorder.record("test", "filler", seq=i)
-    assert recorder.dropped > 0
-    assert len(recorder._overflow) > 0
-    return run.mits
+    mits = run.mits
+    sim, sampler = mits.sim, mits.sampler
+    for i in range(sim.recorder._events.maxlen + 50):
+        sim.recorder.record("test", "filler", seq=i)
+    for i in range(sim.tracer._finished.maxlen + 50):
+        sim.tracer.span("test.filler", seq=i).end()
+    for _ in range(sampler.capacity + 20):
+        sim.run(until=sim.now + sampler.interval)
+        sampler.sample()
+    assert sim.recorder.dropped > 0
+    assert sim.tracer.dropped > 0
+    assert sampler.evictions > 0
+    return mits
 
 
 class TestOverflowRoundTrip:
-    """Ring-evicted events salvaged by the overflow reservoir must
-    survive BOTH archive paths: a late-attached sink and a stream."""
+    """Fixed rings bound memory; what they evict survives in the
+    streamed archive, and both archive paths (a stream, a late-attached
+    sink) report the same truncation."""
 
     @pytest.fixture(scope="class")
     def overflowed(self, tmp_path_factory):
@@ -155,41 +159,66 @@ class TestOverflowRoundTrip:
         streamed.sink.close()
         mits = _overflowed_run()
         (path,) = dump_observability(mits, "ov", out)
-        return mits, load_archive(path), stream
+        return streamed, load_archive(stream), mits, load_archive(path)
 
-    def test_metrics_sidecar_reports_salvaged_count(self, overflowed):
-        mits, archive, _ = overflowed
-        health = archive.summary["telemetry"]
-        assert health["flight_overflow_kept"] \
-            == len(mits.sim.recorder._overflow)
-        assert health["flight_overflow_kept"] > 0
-        assert health["flight_dropped"] == mits.sim.recorder.dropped
+    def test_span_store_is_ring_bounded(self, overflowed):
+        streamed, archive, _, _ = overflowed
+        tracer = streamed.sim.tracer
+        assert len(tracer.spans) == tracer._finished.maxlen
+        # the stream kept every span, evicted or not
+        assert len(archive.spans) == len(tracer.spans) + tracer.dropped
+
+    def test_event_ring_is_bounded(self, overflowed):
+        streamed, _, _, _ = overflowed
+        recorder = streamed.sim.recorder
+        assert len(recorder.events) == recorder._events.maxlen
+        assert recorder.recorded == len(recorder.events) + recorder.dropped
+
+    def test_telemetry_rings_bounded(self, overflowed):
+        streamed, archive, _, _ = overflowed
+        sampler = streamed.sampler
+        for series in sampler.series():
+            assert len(series) <= sampler.capacity
+        # replaying every streamed tick rebuilds the same bounded rings
+        for entry in archive.timeseries["series"]:
+            assert len(entry["times"]) <= sampler.capacity
+        assert archive.timeseries["evictions"] == sampler.evictions
+
+    def test_stream_carries_every_evicted_event(self, overflowed):
+        streamed, archive, _, _ = overflowed
+        recorder = streamed.sim.recorder
+        assert len(archive.events) == recorder.recorded
+        # the evicted events are the oldest, so they come first; the
+        # rest is exactly the live ring
+        assert archive.events[recorder.dropped:] \
+            == canon([e.to_dict() for e in recorder.events])
+
+    def test_fin_reports_the_ring_evictions(self, overflowed):
+        _, _, mits, late = overflowed
+        health = late.summary["telemetry"]
+        assert health["flight_dropped"] == mits.sim.recorder.dropped > 0
+        assert health["tracer_dropped"] == mits.sim.tracer.dropped > 0
+        assert health["sampler_evictions"] == mits.sampler.evictions > 0
+        # a late-attached sink can only replay what the ring still holds
+        assert len(late.events) == len(mits.sim.recorder.events)
 
     def test_streamed_fin_matches_metrics_sidecar(self, overflowed):
-        _, archive, stream = overflowed
-        streamed = load_archive(stream)
-        assert streamed.summary["telemetry"] \
-            == archive.summary["telemetry"]
+        _, archive, _, late = overflowed
+        assert archive.summary["telemetry"] == late.summary["telemetry"]
+        assert archive.summary["timeseries"] \
+            == late.summary["timeseries"]
         # a plain-closed stream stays wall-clock-free
-        assert '"overhead"' not in open(stream).read()
+        assert not archive.wall
 
-    def test_render_parity_shows_the_salvage_line(self, overflowed):
+    def test_render_parity_flags_the_truncation(self, overflowed):
         from repro.obs.export import telemetry_health
         from repro.obs.report import render_telemetry_health
 
-        mits, archive, _ = overflowed
-        archived = render_telemetry_health(archive.summary["telemetry"])
-        assert archived == render_telemetry_health(telemetry_health(mits))
-        assert "overflow reservoir" in archived
-        assert "salvaged" in archived
-
-    def test_trace_sidecar_carries_the_salvaged_events(self, overflowed):
-        mits, archive, _ = overflowed
-        recorder = mits.sim.recorder
-        assert len(archive.events) \
-            == len(recorder._overflow) + len(recorder.events)
-        # reservoir events are the oldest: written first, so a reader
-        # sees (salvaged, then live ring) in record order
-        salvaged = archive.events[:len(recorder._overflow)]
-        assert salvaged \
-            == canon([e.to_dict() for e in recorder.overflow])
+        _, archive, mits, late = overflowed
+        streamed = render_telemetry_health(archive.summary["telemetry"])
+        assert streamed \
+            == render_telemetry_health(late.summary["telemetry"]) \
+            == render_telemetry_health(telemetry_health(mits))
+        assert "telemetry was truncated" in streamed
+        assert render_dashboard(archive.timeseries, width=40, title="x") \
+            == render_dashboard(late.timeseries, width=40, title="x")

@@ -1,0 +1,96 @@
+"""``python -m repro.obs`` end to end: the live modes on a named
+scenario, and bad input, which must exit 2 with a one-line message on
+stderr instead of a traceback or a hang."""
+
+import time
+
+import pytest
+
+from repro.obs.__main__ import main
+from tests.obs.archives import write_archive
+
+
+def run_cli(argv, capsys):
+    """``(exit code, stdout, stderr)`` of one in-process CLI call;
+    argparse rejections arrive as ``SystemExit``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestLiveModes:
+    def test_dashboard_live(self, capsys):
+        code, out, err = run_cli(["dashboard", "--live", "quickstart"],
+                                 capsys)
+        assert code == 0, err
+        assert "quickstart @ t=" in out
+        assert "RPC round-trip p99" in out
+        assert "telemetry health" in out
+
+    def test_dashboard_live_follow(self, capsys):
+        code, out, err = run_cli(["dashboard", "--live", "quickstart",
+                                  "--follow", "--slice", "10"], capsys)
+        assert code == 0, err
+        assert "quickstart (live, t=" in out
+        assert "quickstart @ t=" in out
+
+    def test_top_live(self, capsys):
+        code, out, err = run_cli(["top", "--live", "quickstart"], capsys)
+        assert code == 0, err
+        assert "quickstart @ t=" in out
+        for kind in ("link", "site", "stream", "vc"):
+            assert f"-- {kind} (" in out
+
+
+@pytest.fixture
+def archive(tmp_path):
+    """A complete archive with one span and one ledger row."""
+    span = {"span_id": 1, "parent_id": None, "trace_id": 7,
+            "name": "rpc.client:get", "start": 0.0, "end": 0.5,
+            "attrs": {}}
+    row = {"kind": "vc", "key": "1", "note": "", "units_sent": 1,
+           "units_delivered": 1, "cells_sent": 1, "cells_delivered": 1,
+           "bytes_sent": 48, "bytes_delivered": 48, "drops": 0,
+           "residency_seconds": 0.0, "share": 1.0}
+    ledger = {"enabled": True, "kinds": {"vc": [row]}}
+    return str(write_archive(tmp_path / "obs_bad.jsonl", spans=[span],
+                             ledger=ledger))
+
+
+BAD_INPUT = [
+    (["dashboard", "--live", "quickstart", "--follow", "--slice", "0"],
+     "--slice", "'0'"),
+    (["dashboard", "--live", "quickstart", "--interval", "0"],
+     "--interval", "'0'"),
+    (["dashboard", "--live", "quickstart", "--width", "-3"],
+     "--width", "'-3'"),
+    (["dashboard", "--live", "bogus"], "unknown scenario", "'bogus'"),
+    (["top", "--live", "bogus"], "unknown scenario", "'bogus'"),
+    (["top", "--live", "quickstart", "--faults", "bogus"],
+     "unknown fault plan", "'bogus'"),
+    (["audit", "quickstart", "--faults", "bogus"],
+     "unknown fault plan", "'bogus'"),
+    (["audit", "bogus"], "unknown scenario", "'bogus'"),
+    (["critical", "{archive}", "--trace", "99999"], "trace", "99999"),
+    (["critical", "{archive}", "--top", "0"], "--top", "'0'"),
+    (["report", "{archive}", "--top", "-1"], "--top", "'-1'"),
+    (["top", "{archive}", "--limit", "-1"], "--limit", "'-1'"),
+    (["top", "{archive}", "--limit", "0"], "--limit", "'0'"),
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv,what,value", BAD_INPUT,
+                             ids=[" ".join(a) for a, _, _ in BAD_INPUT])
+    def test_exits_2_with_a_message(self, argv, what, value, archive,
+                                    capsys):
+        argv = [archive if a == "{archive}" else a for a in argv]
+        start = time.monotonic()
+        code, out, err = run_cli(argv, capsys)
+        assert time.monotonic() - start < 5.0
+        assert code == 2
+        assert what in err and value in err
+        assert "Traceback" not in out + err

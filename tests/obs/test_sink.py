@@ -1,7 +1,7 @@
 """The observability archive (repro.obs.sink): the record grammar,
 streamed-vs-late-attached render parity, torn and tampered archives,
-same-seed byte-identical sampled streams, bounded obs memory under a
-sampling policy, and overhead self-metering."""
+same-seed byte-identical streams, archives from older writers, and
+overhead self-metering."""
 
 import json
 import os
@@ -20,7 +20,6 @@ from repro.obs.report import (
     render_metrics_summary, render_overhead, render_slo_table,
     render_traces,
 )
-from repro.obs.sampling import SamplingPolicy, scaled_policy
 from repro.obs.sink import ObsSink, load_archive
 from repro.obs.slo import SloMonitor
 from tests.obs.archives import write_archive
@@ -364,77 +363,31 @@ class TestStreamedRenderParity:
                 == render_top(late.accounting, sort=sort, title="x")
 
 
-class TestSampledStreamDeterminism:
-    def _run(self, path):
-        # same file *name* for both paths: the name is embedded in the
-        # meta/fin records, the directory must not be
-        run = build("quickstart", tracing=True, accounting=True,
-                    sampling=scaled_policy(0.5, reservoir=64, top_k=8),
-                    stream=path)
-        run.run_to_horizon()
-        run.mits.sink.close()
-        return path
-
-    def test_same_seed_same_policy_byte_identical(self, tmp_path):
-        a = self._run(str(tmp_path / "a" / "obs_det.jsonl"))
-        b = self._run(str(tmp_path / "b" / "obs_det.jsonl"))
-        assert open(a, "rb").read() == open(b, "rb").read()
-
-    def test_policy_recorded_in_meta(self, tmp_path):
-        path = self._run(str(tmp_path / "obs_det.jsonl"))
-        policy = load_archive(path).meta["policy"]
-        assert policy["trace_sample_rate"] == 0.5
-        assert policy["ledger_top_k"] == 8
-
-
-class TestBoundedMemoryAtScale:
-    @pytest.fixture(scope="class")
-    def scaled(self):
-        policy = SamplingPolicy(trace_sample_rate=0.1,
-                                span_reservoir=512,
-                                event_reservoir=512,
-                                telemetry_coalesce=True,
-                                ledger_top_k=32)
-        run = build("classroom", tracing=True, accounting=True,
-                    sampling=policy)
-        run.run_to_horizon()
-        return run.mits
-
-    def test_span_store_is_reservoir_bounded(self, scaled):
-        tracer = scaled.sim.tracer
-        assert len(tracer.spans) <= 512
-        assert tracer.sampled_out > 0  # 90% of traces head-sampled out
-
-    def test_event_overflow_is_reservoir_bounded(self, scaled):
-        rec = scaled.sim.recorder
-        assert len(rec.events) <= rec._events.maxlen
-        assert len(rec.overflow) <= 512
-
-    def test_accounts_bounded_per_kind(self, scaled):
-        ledger = scaled.sim.ledger
-        assert ledger.kinds()  # accounting actually ran
-        for kind in ledger.kinds():
-            assert len(ledger.accounts(kind)) <= 32
-
-    def test_telemetry_rings_bounded(self, scaled):
-        sampler = scaled.sampler
-        for series in sampler.series():
-            assert len(series) <= sampler.capacity
+class TestLegacyArchive:
+    def test_policy_key_in_meta_is_ignored(self, tmp_path):
+        """Archives written while a sampling policy existed carry a
+        ``policy`` meta key; it loads as complete and changes nothing
+        (even a coalescing policy leaves every repeated point)."""
+        series = {"component": "link", "name": "depth", "labels": {},
+                  "kind": "gauge", "times": [0.0, 0.25, 0.5],
+                  "values": [3, 3, 3]}
+        policy = {"trace_sample_rate": 0.5, "span_reservoir": 64,
+                  "event_reservoir": 64, "telemetry_stride": 1,
+                  "telemetry_coalesce": True, "ledger_top_k": 8,
+                  "seed": 0}
+        telemetry = {"interval": 0.25, "capacity": 8}
+        old = write_archive(tmp_path / "obs_old.jsonl", series=[series],
+                            telemetry=telemetry, meta={"policy": policy})
+        new = write_archive(tmp_path / "obs_new.jsonl", series=[series],
+                            telemetry=telemetry)
+        archive = load_archive(str(old))
+        assert archive.complete
+        assert archive.meta["policy"] == policy
+        assert archive.timeseries == load_archive(str(new)).timeseries
+        assert archive.timeseries["series"][0]["times"] == [0.0, 0.25, 0.5]
 
 
 class TestDefaultPathUnchanged:
-    def test_no_policy_installs_no_sampling_machinery(self):
-        run = build("quickstart", tracing=True, accounting=True)
-        run.run_to_horizon()
-        mits = run.mits
-        assert mits.sim.tracer._reservoir is None
-        assert mits.sim.tracer.sampled_out == 0
-        assert "overflow" not in mits.sim.recorder.snapshot()
-        snap = mits.sampler.snapshot()
-        assert "stride" not in snap and "coalesced" not in snap
-        ledger_snap = mits.sim.ledger.snapshot(sim_time=mits.sim.now)
-        assert "top_k" not in ledger_snap
-
     def test_meter_never_leaks_into_the_snapshot(self):
         on = build("quickstart")
         on.run_to_horizon()

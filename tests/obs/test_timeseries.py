@@ -164,6 +164,13 @@ class TestBoundedMemory:
         # the ring holds the *newest* samples
         assert series.times[-1] > 40.0
 
+    def test_identical_samples_each_take_a_slot(self):
+        series = Series("c", "n", {}, "gauge", capacity=4)
+        for i in range(6):
+            series.record(float(i), 5.0)
+        assert list(series.times) == [2.0, 3.0, 4.0, 5.0]
+        assert series.evicted == 2
+
 
 class TestRollups:
     def test_windowed_rollup(self):
