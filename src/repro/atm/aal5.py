@@ -161,12 +161,6 @@ class Aal5Receiver:
     def cells_buffered(self) -> int:
         return len(self._buffer)
 
-    def conserves(self) -> bool:
-        """bytes in == PDU bytes out + discarded (in 48-octet cells)."""
-        return self.cells_received == (self.cells_delivered
-                                       + self.cells_discarded
-                                       + len(self._buffer))
-
     def receive(self, cell: Cell) -> None:
         self.cells_received += 1
         self._buffer.append(cell.payload)

@@ -52,16 +52,11 @@ class LinkStats:
     #: transmitted cells with no sink attached to receive them
     dropped_no_sink: int = 0
 
-    def conserves_buffer(self, queued: int, in_service: int) -> bool:
-        """Every accepted cell is transmitted, shed, queued, or in service."""
-        return self.enqueued == (self.transmitted + self.dropped_shed
-                                 + queued + in_service)
-
-    def conserves_wire(self) -> bool:
-        """Every transmitted cell is delivered or accounted as lost."""
-        return self.transmitted == (self.delivered + self.dropped_errors
-                                    + self.dropped_down_wire
-                                    + self.dropped_no_sink)
+    @property
+    def drops_total(self) -> int:
+        """Every cell this link lost, whatever the reason."""
+        return (self.dropped_overflow + self.dropped_errors
+                + self.dropped_down + self.dropped_no_sink)
 
 
 class Link:
@@ -138,10 +133,13 @@ class Link:
         self.reserved_bps = 0.0
         metrics = sim.metrics
         label = name or f"link@{id(self):x}"
-        self._m_enqueued = metrics.counter("link", "cells_enqueued", link=label)
-        self._m_transmitted = metrics.counter("link", "cells_transmitted",
-                                              link=label)
-        self._m_drops = metrics.counter("link", "drops_total", link=label)
+        stats = self.stats
+        metrics.read_through("link", "cells_enqueued", stats, "enqueued",
+                             link=label)
+        metrics.read_through("link", "cells_transmitted", stats,
+                             "transmitted", link=label)
+        metrics.read_through("link", "drops_total", stats, "drops_total",
+                             link=label)
         self._m_occupancy = metrics.gauge("link", "queue_occupancy", link=label)
         self._metrics = metrics
         self._label = label
@@ -244,7 +242,6 @@ class Link:
         self._queues[category].append((cell, category, self.sim.now))
         self._queued += 1
         self.stats.enqueued += 1
-        self._m_enqueued.inc()
         self._m_occupancy.set(self._queued)
         if not self._busy:
             self._start_transmission()
@@ -252,7 +249,6 @@ class Link:
 
     def _count_drop(self, reason: str, category: str) -> None:
         self.acct.drop()
-        self._m_drops.inc()
         self._metrics.counter("link", "drops", link=self._label,
                               reason=reason, category=category).inc()
         self.sim.recorder.record("atm", "cell_drop", severity="warning",
@@ -313,7 +309,6 @@ class Link:
     def _finish_transmission(self, cell: Cell,
                              category: ServiceCategory) -> None:
         self.stats.transmitted += 1
-        self._m_transmitted.inc()
         if self._down:
             # went down mid-transmission: the cell is lost on the wire
             self.stats.dropped_down += 1
@@ -407,7 +402,6 @@ class Link:
         prop = self.prop_delay
         stats = self.stats
         stats.enqueued += n
-        self._m_enqueued.inc(n)
         acct = self.acct
         ledger_on = acct is not NULL_ACCOUNT
         free = self._free_at
@@ -486,7 +480,6 @@ class Link:
         self._train_inflight -= n
         stats = self.stats
         stats.transmitted += n
-        self._m_transmitted.inc(n)
         sim.charge_cells(n - 1)
         outage = self._last_outage
         if not self._down and (outage is None or outage[1] <= times[0] - prop):

@@ -95,10 +95,10 @@ class VirtualCircuit:
         route = f"{src.name}->{dst.name}"
         self.delay_hist = metrics.histogram("vc", "pdu_delay_seconds",
                                             vc=vc_id, route=route)
-        self._m_pdus_sent = metrics.counter("vc", "pdus_sent",
-                                            vc=vc_id, route=route)
-        self._m_pdus_delivered = metrics.counter("vc", "pdus_delivered",
-                                                 vc=vc_id, route=route)
+        metrics.read_through("vc", "pdus_sent", self.stats, "pdus_sent",
+                             vc=vc_id, route=route)
+        metrics.read_through("vc", "pdus_delivered", self.stats,
+                             "pdus_delivered", vc=vc_id, route=route)
         self.acct = src.sim.ledger.account("vc", str(vc_id), note=route)
 
     def send(self, payload: bytes) -> None:
@@ -123,8 +123,8 @@ class Host:
         #: cells that arrived for a VCI with no receive binding (the
         #: VC was closed, or the label was never ours)
         self.unbound_cells = 0
-        self._m_unbound = sim.metrics.counter("host", "cells_unbound",
-                                              host=name)
+        sim.metrics.read_through("host", "cells_unbound", self,
+                                 "unbound_cells", host=name)
 
     def _note_send_time(self, vc_id: int, seqno: int, now: float) -> None:
         # bound the in-flight map: a PDU whose last cell is dropped
@@ -141,7 +141,6 @@ class Host:
         cells, pdu = vc.sender.segment_train(payload, created_at=now)
         vc.stats.pdus_sent += 1
         vc.stats.bytes_sent += len(payload)
-        vc._m_pdus_sent.inc()
         vc.acct.sent(units=1, cells=len(cells), nbytes=len(payload))
         self.acct.sent(units=1, cells=len(cells), nbytes=len(payload))
         self._note_send_time(vc.vc_id, cells[-1].seqno, now)
@@ -160,7 +159,6 @@ class Host:
             vc.stats.pdus_delivered += 1
             vc.stats.bytes_delivered += len(payload)
             vc.stats.delays.append(delay)
-            vc._m_pdus_delivered.inc()
             ncells = (len(payload) + TRAILER_SIZE + PAYLOAD_SIZE - 1) \
                 // PAYLOAD_SIZE
             vc.acct.delivered(units=1, cells=ncells, nbytes=len(payload))
@@ -184,7 +182,6 @@ class Host:
         entry = self._rx.get(cells[0].header.vci)
         if entry is None:
             self.unbound_cells += n
-            self._m_unbound.inc(n)
             if not train.per_cell:
                 self.sim.charge_cells(n)
             return
@@ -207,7 +204,6 @@ class Host:
         if cur is None or cur[0] is not rx:
             # VC torn down between delivery and finalization
             self.unbound_cells += n
-            self._m_unbound.inc(n)
             return
         last = cells[-1]
         if rx._buffer or not last.header.is_last_of_frame:

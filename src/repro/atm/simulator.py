@@ -42,10 +42,7 @@ class Event:
 class Simulator:
     """Event-queue simulator with deterministic tie-breaking."""
 
-    def __init__(self, *, metrics: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None,
-                 recorder: Optional[FlightRecorder] = None,
-                 ledger: Optional[Ledger] = None) -> None:
+    def __init__(self, *, ledger: Optional[Ledger] = None) -> None:
         #: heap of (time, seq, event): ordering is a C-level tuple
         #: compare, and only an inherited-seq tie reaches the Event
         self._queue: list[tuple[float, int, Event]] = []
@@ -54,11 +51,9 @@ class Simulator:
         self._events_run = 0
         #: shared observability: every component attached to this
         #: simulator records into the same registry/tracer/recorder
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else \
-            Tracer(clock=lambda: self._now)
-        self.recorder = recorder if recorder is not None else \
-            FlightRecorder(clock=lambda: self._now)
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer(clock=lambda: self._now)
+        self.recorder = FlightRecorder(clock=lambda: self._now)
         #: per-entity accounting; disabled by default so the hot-path
         #: hooks hit the shared NULL_ACCOUNT (see obs/accounting)
         self.ledger = ledger if ledger is not None else Ledger(enabled=False)
@@ -76,7 +71,8 @@ class Simulator:
         #: heap seq of the event currently executing — the tie-break
         #: identity train continuations inherit via reschedule_at()
         self.current_seq: Optional[int] = None
-        self._m_events = self.metrics.counter("simulator", "events_run")
+        self.metrics.read_through("simulator", "events_run", self,
+                                  "_events_run")
         self._m_scheduled = self.metrics.counter("simulator", "events_scheduled")
         self._m_depth = self.metrics.gauge("simulator", "queue_depth")
 
@@ -160,7 +156,6 @@ class Simulator:
         if extra <= 0:
             return
         self._events_run += extra
-        self._m_events.inc(extra)
         self.event_extra += extra
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -202,7 +197,6 @@ class Simulator:
     def _execute(self, ev: Event) -> None:
         ev.callback(*ev.args)
         self._events_run += 1
-        self._m_events.inc()
         self._m_depth.set(len(self._queue))
 
     def _next_event_time(self) -> Optional[float]:

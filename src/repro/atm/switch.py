@@ -47,11 +47,6 @@ class SwitchStats:
     #: switched cells offered to an output link after the fabric delay
     emitted: int = 0
 
-    def conserves(self) -> bool:
-        """Every received cell is dropped or emitted."""
-        return self.received == (self.crash_dropped + self.unroutable
-                                 + self.policed_dropped + self.emitted)
-
 
 class Switch:
     """A label-swapping, output-buffered cell switch."""
@@ -70,32 +65,20 @@ class Switch:
         #: (the VC table survives the crash — restart is silent)
         self._crashed = False
         self.stats = SwitchStats()
-        metrics = sim.metrics
-        self._m_received = metrics.counter("switch", "cells_received",
-                                           switch=name)
-        self._m_switched = metrics.counter("switch", "cells_switched",
-                                           switch=name)
-        self._m_unroutable = metrics.counter("switch", "cells_unroutable",
-                                             switch=name)
-        self._m_policed_dropped = metrics.counter("switch", "policed_dropped",
-                                                  switch=name)
-        self._m_policed_tagged = metrics.counter("switch", "policed_tagged",
-                                                 switch=name)
-        self._m_crash_dropped = metrics.counter("switch", "crash_dropped",
-                                                switch=name)
+        for metric, field in (("cells_received", "received"),
+                              ("cells_switched", "switched"),
+                              ("cells_unroutable", "unroutable"),
+                              ("policed_dropped", "policed_dropped"),
+                              ("policed_tagged", "policed_tagged"),
+                              ("crash_dropped", "crash_dropped")):
+            sim.metrics.read_through("switch", metric, self.stats, field,
+                                     switch=name)
 
     def attach_output(self, port: str, link: Link) -> None:
         """Wire the outgoing link for *port* (port names = neighbour node)."""
         if port in self._out_links:
             raise ValueError(f"switch {self.name}: port {port} already wired")
         self._out_links[port] = link
-
-    def output_link(self, port: str) -> Link:
-        return self._out_links[port]
-
-    @property
-    def ports(self) -> Tuple[str, ...]:
-        return tuple(self._out_links)
 
     def install_route(self, in_port: str, in_vpi: int, in_vci: int,
                       entry: VcTableEntry) -> None:
@@ -148,10 +131,8 @@ class Switch:
         # train arrives in an event of its own
         arrivals = 0 if train.per_cell else n
         self.stats.received += n
-        self._m_received.inc(n)
         if self._crashed:
             self.stats.crash_dropped += n
-            self._m_crash_dropped.inc(n)
             sim.charge_cells(arrivals)
             return
         hdr = cells[0].header
@@ -160,7 +141,6 @@ class Switch:
             if port_routes is not None else None
         if entry is None:
             self.stats.unroutable += n
-            self._m_unroutable.inc(n)
             record = sim.recorder.record
             for c in cells:
                 record("atm", "unroutable_cell", severity="warning",
@@ -196,7 +176,6 @@ class Switch:
             c.hops += 1
         last.header = last_hdr
         self.stats.switched += n
-        self._m_switched.inc(n)
         # fabric traversal folded into arithmetic: exit times become
         # the departures offered to the output link
         self.stats.emitted += n
@@ -236,13 +215,11 @@ class Switch:
                 v = police(t)
             if v == "drop":
                 self.stats.policed_dropped += 1
-                self._m_policed_dropped.inc()
                 continue
             h = cell.header
             clp = h.clp
             if v == "tag":
                 self.stats.policed_tagged += 1
-                self._m_policed_tagged.inc()
                 clp = 1
             cell.header = CellHeader._unchecked(entry.out_vpi, entry.out_vci,
                                                 h.pti, clp, h.gfc)
@@ -250,6 +227,5 @@ class Switch:
             kept.append(cell)
             exits.append(t + delay)
         self.stats.switched += len(kept)
-        self._m_switched.inc(len(kept))
         self.stats.emitted += len(kept)
         return CellTrain(kept, train.category, exits)

@@ -38,9 +38,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
+    ReadThrough,
     TIME_BUCKETS,
 )
 from repro.obs.meter import OverheadMeter
@@ -80,10 +78,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "NULL_SPAN",
+    "ReadThrough",
     "SEVERITIES",
     "Slo",
     "SloMonitor",

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.report import _pad
+
 __all__ = [
     "Account",
     "Ledger",
@@ -163,37 +165,44 @@ class Ledger:
     def reconcile(self, registry) -> List[Dict[str, object]]:
         """Cross-check ledger totals against the metrics registry.
 
-        The ledger and the registry are fed at the same call sites but
-        through independent objects; a refactor that loses one hook
-        shows up here as a divergence.  Returns a list of divergence
-        records (empty when consistent); byte totals must agree to
-        within rounding (exactly, since both count integers).
+        The ledger's accounts and the registry's counters (which read
+        the components' own stats) are fed by separate hooks; a
+        refactor that loses one shows up here as a divergence.
+        Returns a list of divergence records (empty when consistent);
+        byte totals must agree to within rounding (exactly, since both
+        count integers).
         """
         out: List[Dict[str, object]] = []
-        if not self.enabled or registry is None or not registry.enabled:
+        if not self.enabled:
             return out
 
-        def counter_by_label(component, name, label_key):
-            found = {}
-            for (comp, nm, labels), inst in registry.find(component, name).items():
-                found[dict(labels).get(label_key)] = inst.value
-            return found
+        # (component, name) -> the label naming the ledger key; one
+        # pass over the registry collects each metric's value per key
+        label_of = {("vc", "pdus_sent"): "vc", ("vc", "pdus_delivered"): "vc",
+                    ("streaming", "bytes_sent"): "stream",
+                    ("streaming", "frames_sent"): "stream",
+                    ("link", "drops_total"): "link"}
+        by_metric: Dict[Tuple[str, str], Dict[object, object]] = {
+            metric: {} for metric in label_of}
+        for (component, name, labels), inst in registry.find().items():
+            label = label_of.get((component, name))
+            if label is not None:
+                by_metric[component, name][dict(labels).get(label)] = \
+                    inst.value
 
         checks = [
-            ("vc", "vc", counter_by_label("vc", "pdus_sent", "vc"),
+            ("vc", by_metric["vc", "pdus_sent"],
              lambda a: a.units_sent, "pdus_sent"),
-            ("vc", "vc", counter_by_label("vc", "pdus_delivered", "vc"),
+            ("vc", by_metric["vc", "pdus_delivered"],
              lambda a: a.units_delivered, "pdus_delivered"),
-            ("stream", "stream", counter_by_label("streaming", "bytes_sent",
-                                                  "stream"),
+            ("stream", by_metric["streaming", "bytes_sent"],
              lambda a: a.bytes_sent, "bytes_sent"),
-            ("stream", "stream", counter_by_label("streaming", "frames_sent",
-                                                  "stream"),
+            ("stream", by_metric["streaming", "frames_sent"],
              lambda a: a.units_sent, "frames_sent"),
-            ("link", "link", counter_by_label("link", "drops_total", "link"),
+            ("link", by_metric["link", "drops_total"],
              lambda a: a.drops, "drops_total"),
         ]
-        for kind, _label, registry_vals, getter, field in checks:
+        for kind, registry_vals, getter, field in checks:
             for acct in self.accounts(kind):
                 if acct.key not in registry_vals:
                     continue
@@ -207,10 +216,6 @@ class Ledger:
 
 
 # -- rendering --------------------------------------------------------------
-
-def _pad(text: str, width: int) -> str:
-    return text[:width].ljust(width)
-
 
 def _fmt_bytes(n: float) -> str:
     if n >= 1e9:

@@ -1,17 +1,19 @@
-"""Conservation audit: prove the instruments agree with each other.
+"""Conservation audit: prove the counters balance.
 
 Every layer of the stack keeps flow counters, and every layer's
 counters obey a conservation law — cells, PDUs, messages, and frames
 move between buckets (queued, in flight, delivered, dropped), they
 never vanish.  The :class:`ConservationAuditor` walks a live
-deployment and checks those laws:
+deployment and checks those laws.  This is the one place each law is
+written: components keep the counters, not predicates over them.
 
 ===========  =========================================================
 layer        invariant
 ===========  =========================================================
 Link buffer  enqueued == transmitted + shed + queued + in_service
 Link wire    transmitted == delivered + errors + down + no_sink
-Switch       received == emitted + crash + unroutable + policed
+Switch       received == emitted + crash + unroutable + policed;
+             switched == emitted
 VC table     every open VC's label chain is installed; no orphans
 AAL5         cells received == delivered + discarded + buffered
 VC           pdus/bytes delivered <= pdus/bytes sent
@@ -19,6 +21,8 @@ Transport    seqs assigned == acked + in_flight + backlog + flushed
 Playout      cursor == played + skipped + concealed;
              received == played + buffered
 Ledger       per-entity totals match the metrics registry
+Mirrors      link/switch read-through counters export the stats
+             field they name (a wiring check)
 ===========  =========================================================
 
 Because in-transit terms (queue depth, cells in service, ARQ windows)
@@ -67,6 +71,12 @@ class Violation:
         return (f"{self.component}/{self.entity}: {self.invariant} "
                 f"expected {self.expected} got {self.actual}"
                 + (f" ({self.detail})" if self.detail else ""))
+
+
+def _exported(owner: Any, component: str, name: str, **labels: Any) -> float:
+    """The value *owner*'s registry exports for one counter (0 if absent)."""
+    inst = owner.sim.metrics.get(component, name, **labels)
+    return 0 if inst is None else inst.value
 
 
 class ConservationAuditor:
@@ -202,19 +212,20 @@ class ConservationAuditor:
             "link", label, "down_wire_subset",
             min(s.dropped_down_wire, s.dropped_down), s.dropped_down_wire,
             detail="wire losses are a subset of link-down drops")
-        if self.sim.metrics.enabled:
-            self._expect("link", label, "metrics_mirror_enqueued",
-                         s.enqueued, link._m_enqueued.value,
-                         detail="stats.enqueued vs link.cells_enqueued")
-            self._expect("link", label, "metrics_mirror_transmitted",
-                         s.transmitted, link._m_transmitted.value,
-                         detail="stats.transmitted vs link.cells_transmitted")
-            self._expect(
-                "link", label, "metrics_mirror_drops",
-                s.dropped_overflow + s.dropped_errors + s.dropped_down
-                + s.dropped_no_sink,
-                link._m_drops.value,
-                detail="summed stats drops vs link.drops_total")
+        self._expect("link", label, "metrics_mirror_enqueued",
+                     s.enqueued,
+                     _exported(link, "link", "cells_enqueued", link=label),
+                     detail="stats.enqueued vs link.cells_enqueued")
+        self._expect("link", label, "metrics_mirror_transmitted",
+                     s.transmitted,
+                     _exported(link, "link", "cells_transmitted", link=label),
+                     detail="stats.transmitted vs link.cells_transmitted")
+        self._expect(
+            "link", label, "metrics_mirror_drops",
+            s.dropped_overflow + s.dropped_errors + s.dropped_down
+            + s.dropped_no_sink,
+            _exported(link, "link", "drops_total", link=label),
+            detail="summed stats drops vs link.drops_total")
 
     def _audit_switch(self, sw) -> None:
         s = sw.stats
@@ -227,13 +238,16 @@ class ConservationAuditor:
         self._expect("switch", sw.name, "fabric_occupancy",
                      s.switched, s.emitted,
                      detail="switched == emitted")
-        if self.sim.metrics.enabled:
-            self._expect("switch", sw.name, "metrics_mirror_received",
-                         s.received, sw._m_received.value,
-                         detail="stats.received vs switch.cells_received")
-            self._expect("switch", sw.name, "metrics_mirror_unroutable",
-                         s.unroutable, sw._m_unroutable.value,
-                         detail="stats.unroutable vs switch.cells_unroutable")
+        self._expect("switch", sw.name, "metrics_mirror_received",
+                     s.received,
+                     _exported(sw, "switch", "cells_received",
+                               switch=sw.name),
+                     detail="stats.received vs switch.cells_received")
+        self._expect("switch", sw.name, "metrics_mirror_unroutable",
+                     s.unroutable,
+                     _exported(sw, "switch", "cells_unroutable",
+                               switch=sw.name),
+                     detail="stats.unroutable vs switch.cells_unroutable")
 
     def _audit_routes(self) -> None:
         """Every open VC's label-swap chain must be installed end to

@@ -53,6 +53,8 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs.report import fmt_seconds
+
 __all__ = [
     "analyze_trace",
     "attribution",
@@ -340,14 +342,6 @@ def select_traces(all_spans: Sequence[Any], *,
 # -- rendering -------------------------------------------------------------
 
 
-def _fmt_seconds(value: float) -> str:
-    if value >= 1.0:
-        return f"{value:.3f}s"
-    if value >= 1e-3:
-        return f"{value * 1e3:.2f}ms"
-    return f"{value * 1e6:.1f}us"
-
-
 def render_critical_path(trace_spans: Sequence[Any]) -> str:
     """One trace's path as an indented table: step, path time (the
     blocking seconds the step charges), self-time, and slack."""
@@ -355,7 +349,7 @@ def render_critical_path(trace_spans: Sequence[Any]) -> str:
     spans = normalize_spans(trace_spans)
     names = {s["span_id"]: s["name"] for s in spans}
     lines = [f"critical path · trace {analysis['trace_id']} · root "
-             f"{analysis['root']} · {_fmt_seconds(analysis['duration'])}",
+             f"{analysis['root']} · {fmt_seconds(analysis['duration'])}",
              f"  {'step':<44}{'path':>10}{'self':>10}{'slack':>10}",
              "  " + "-" * 74]
     # merge consecutive segments of the same span into one step
@@ -371,9 +365,9 @@ def render_critical_path(trace_spans: Sequence[Any]) -> str:
         label = (indent + names.get(sid, "?"))[:44]
         lines.append(
             f"  {label:<44}"
-            f"{_fmt_seconds(step['seconds']):>10}"
-            f"{_fmt_seconds(analysis['self_time'].get(sid, 0.0)):>10}"
-            f"{_fmt_seconds(analysis['slack'].get(sid, 0.0)):>10}")
+            f"{fmt_seconds(step['seconds']):>10}"
+            f"{fmt_seconds(analysis['self_time'].get(sid, 0.0)):>10}"
+            f"{fmt_seconds(analysis['slack'].get(sid, 0.0)):>10}")
     off_path = [s for s in spans
                 if s["span_id"] not in set(analysis["path_span_ids"])]
     if off_path:
@@ -382,9 +376,9 @@ def render_critical_path(trace_spans: Sequence[Any]) -> str:
         lines.append(
             f"  ({len(off_path)} spans off the path; largest self-time "
             f"{worst['name']} "
-            f"{_fmt_seconds(analysis['self_time'].get(worst['span_id'], 0.0))}"
+            f"{fmt_seconds(analysis['self_time'].get(worst['span_id'], 0.0))}"
             f", slack "
-            f"{_fmt_seconds(analysis['slack'].get(worst['span_id'], 0.0))})")
+            f"{fmt_seconds(analysis['slack'].get(worst['span_id'], 0.0))})")
     if "other_roots" in analysis:
         lines.append(f"  ({len(analysis['other_roots'])} orphaned "
                      f"subtrees analysed separately)")
@@ -399,7 +393,7 @@ def render_attribution(all_spans: Sequence[Any], *,
     if not attr["traces"]:
         return "(no spans to attribute)"
     lines = [f"critical-path attribution · {attr['traces']} traces · "
-             f"{_fmt_seconds(attr['path_seconds'])} on path"]
+             f"{fmt_seconds(attr['path_seconds'])} on path"]
     for title, table in (("component", attr["by_component"]),
                          ("span kind", attr["by_kind"])):
         lines.append(f"  {'by ' + title:<36}{'seconds':>12}{'share':>8}"
@@ -409,7 +403,7 @@ def render_attribution(all_spans: Sequence[Any], *,
                         key=lambda kv: kv[1]["seconds"], reverse=True)
         for key, row in ranked[:top]:
             lines.append(f"  {key:<36}"
-                         f"{_fmt_seconds(row['seconds']):>12}"
+                         f"{fmt_seconds(row['seconds']):>12}"
                          f"{row['share'] * 100:>7.1f}%"
                          f"{row['segments']:>7}")
     return "\n".join(lines)

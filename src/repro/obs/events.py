@@ -21,7 +21,6 @@ later evicts while the in-memory window stays bounded.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional
@@ -67,9 +66,8 @@ class FlightRecorder:
     """Fixed-capacity event ring against an injected clock."""
 
     def __init__(self, clock: Callable[[], float], *,
-                 capacity: int = 4096, enabled: bool = True) -> None:
+                 capacity: int = 4096) -> None:
         self.clock = clock
-        self.enabled = enabled
         self.dropped = 0
         self.recorded = 0
         self._events: Deque[FlightEvent] = deque(maxlen=capacity)
@@ -79,8 +77,6 @@ class FlightRecorder:
     def record(self, component: str, kind: str, *, severity: str = "info",
                trace_id: Optional[int] = None, **attrs: Any) -> None:
         """Append one event; oldest events are evicted when full."""
-        if not self.enabled:
-            return
         if severity not in SEVERITIES:
             raise ValueError(f"unknown severity {severity!r}")
         if len(self._events) == self._events.maxlen:
@@ -124,8 +120,3 @@ class FlightRecorder:
             "counts": self.counts(),
             "events": [e.to_dict() for e in self._events],
         }
-
-    def to_jsonl(self) -> str:
-        """One event per line (the ``event`` record body, untagged)."""
-        return "\n".join(
-            json.dumps(e.to_dict(), sort_keys=True) for e in self._events)

@@ -7,19 +7,24 @@ delays at the ATM layer, retransmits at the transport layer, sync skew
 at the MHEG layer).  Components fetch their instruments once at
 construction and update them on the hot path with a single attribute
 mutation; the registry itself is only walked when a report is
-exported.
+exported or the telemetry sampler ticks.
 
 Design points:
 
 * **Instruments are memoised** — asking for the same
   ``(component, name, labels)`` twice returns the same object, so
   call-site code never has to thread instrument handles around.
+* **Each fact is counted once** — a count a component already keeps
+  in its own stats (cells enqueued on a link, PDUs delivered on a VC,
+  player stalls) is registered as a :class:`ReadThrough`: a counter
+  whose value is read from that field when the registry is walked,
+  so the hot path bumps one integer, not two.  Several sources under
+  one key sum, as several components sharing one :class:`Counter`
+  do.
 * **Histograms are time-bucketed** — the default bucket ladder is a
   geometric progression of seconds (1 µs … 64 s) suited to everything
   from cell times on an OC-3 to courseware download times.  Custom
   ladders can be passed for non-temporal quantities.
-* **A disabled registry is near-free** — every instrument request
-  returns one shared no-op object whose mutators do nothing.
 * **Export is JSON-stable** — :meth:`MetricsRegistry.report` produces
   plain dicts/lists so ``BENCH_*.json`` trajectories are comparable
   across PRs.
@@ -27,7 +32,6 @@ Design points:
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -36,9 +40,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
+    "ReadThrough",
     "TIME_BUCKETS",
 ]
 
@@ -66,6 +68,33 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         self.value += n
+
+    def snapshot(self) -> Dict[str, Any]:
+        return {"type": "counter", "value": self.value}
+
+
+class ReadThrough:
+    """A counter whose value is a field a component already keeps.
+
+    ``sources`` are ``(obj, attr)`` pairs; ``value`` is the sum of
+    ``getattr(obj, attr)`` over them at the moment it is read (a
+    report, a telemetry tick).  It reports exactly as a
+    :class:`Counter` holding the same value.
+    """
+
+    __slots__ = ("sources",)
+
+    kind = "counter"
+
+    def __init__(self) -> None:
+        self.sources: List[Tuple[Any, str]] = []
+
+    @property
+    def value(self) -> int:
+        total = 0
+        for obj, attr in self.sources:
+            total += getattr(obj, attr)
+        return total
 
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "counter", "value": self.value}
@@ -181,85 +210,50 @@ class Histogram:
         }
 
 
-class _NullInstrument:
-    """Shared do-nothing instrument handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    value = 0
-    count = 0
-    sum = 0.0
-    mean = 0.0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": "null"}
-
-
-NULL_COUNTER = _NullInstrument()
-NULL_GAUGE = _NullInstrument()
-NULL_HISTOGRAM = _NullInstrument()
-
-
 class MetricsRegistry:
-    """Home of every instrument for one simulated deployment.
+    """Home of every instrument for one simulated deployment."""
 
-    ``enabled`` is fixed at construction: components cache instrument
-    references, so flipping it later would not affect already-wired
-    hot paths.
-    """
-
-    def __init__(self, *, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, str, LabelKey], Any] = {}
 
     def __len__(self) -> int:
         return len(self._instruments)
 
-    def _get(self, factory, component: str, name: str,
-             labels: Mapping[str, Any], kind: str):
+    def _get(self, cls, component: str, name: str,
+             labels: Mapping[str, Any], *args: Any):
         key = (component, name, _label_key(labels))
         inst = self._instruments.get(key)
         if inst is None:
-            inst = factory()
+            inst = cls(*args)
             self._instruments[key] = inst
-        elif inst.kind != kind:
+        elif type(inst) is not cls:
             raise TypeError(
                 f"metric {component}.{name}{dict(labels)!r} already "
-                f"registered as a {inst.kind}, requested {kind}")
+                f"registered as a {type(inst).__name__}, requested a "
+                f"{cls.__name__}")
         return inst
 
     def counter(self, component: str, name: str, **labels: Any) -> Counter:
-        if not self.enabled:
-            return NULL_COUNTER  # type: ignore[return-value]
-        return self._get(Counter, component, name, labels, "counter")
+        return self._get(Counter, component, name, labels)
+
+    def read_through(self, component: str, name: str, obj: Any, attr: str,
+                     /, **labels: Any) -> ReadThrough:
+        """Register ``obj.attr`` as (one source of) a counter."""
+        inst = self._get(ReadThrough, component, name, labels)
+        inst.sources.append((obj, attr))
+        return inst
 
     def gauge(self, component: str, name: str, **labels: Any) -> Gauge:
-        if not self.enabled:
-            return NULL_GAUGE  # type: ignore[return-value]
-        return self._get(Gauge, component, name, labels, "gauge")
+        return self._get(Gauge, component, name, labels)
 
     def histogram(self, component: str, name: str,
                   buckets: Optional[Iterable[float]] = None,
                   **labels: Any) -> Histogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM  # type: ignore[return-value]
-        return self._get(lambda: Histogram(buckets), component, name,
-                         labels, "histogram")
+        return self._get(Histogram, component, name, labels, buckets)
+
+    def get(self, component: str, name: str, **labels: Any) -> Optional[Any]:
+        """The instrument registered under one exact key, or None."""
+        return self._instruments.get((component, name, _label_key(labels)))
 
     def find(self, component: Optional[str] = None,
              name: Optional[str] = None) -> Dict[Tuple[str, str, LabelKey], Any]:
@@ -283,9 +277,6 @@ class MetricsRegistry:
             entry.update(inst.snapshot())
             out.setdefault(component, {}).setdefault(name, []).append(entry)
         return out
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.report(), indent=indent, sort_keys=True)
 
     @staticmethod
     def delta(before: Mapping[str, Any],

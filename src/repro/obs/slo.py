@@ -133,9 +133,6 @@ class SloMonitor:
         """Judge every SLO against a ``MetricsRegistry.report()`` dict."""
         return [self._evaluate_one(slo, report) for slo in self.slos]
 
-    def evaluate_registry(self, registry: Any) -> List[SloResult]:
-        return self.evaluate(registry.report())
-
     def summary(self, report: Mapping[str, Any], *,
                 watchdog_alerts: Optional[Sequence[Mapping[str, Any]]] = None
                 ) -> Dict[str, Any]:

@@ -187,14 +187,13 @@ class TelemetrySampler:
 
     def __init__(self, sim, *, interval: float = 0.25,
                  capacity: int = DEFAULT_CAPACITY,
-                 registry=None, meter=None) -> None:
+                 meter=None) -> None:
         if interval <= 0:
             raise ValueError(f"sampling interval must be positive "
                              f"(got {interval})")
         if capacity < 2:
             raise ValueError("series capacity must be at least 2")
         self.sim = sim
-        self.registry = registry if registry is not None else sim.metrics
         self.interval = interval
         self.capacity = capacity
         self.samples = 0
@@ -273,28 +272,23 @@ class TelemetrySampler:
         self.samples += 1
         sink = self.sink
         rows: Optional[List[List[Any]]] = [] if sink is not None else None
-        for (component, name, labels), inst in \
-                self.registry._instruments.items():
-            kind = getattr(inst, "kind", None)
-            if kind is None:
-                continue
-            key = (component, name, labels)
-            series = self._series.get(key)
+        all_series = self._series
+        for key, inst in self.sim.metrics._instruments.items():
+            kind = inst.kind
+            series = all_series.get(key)
             if series is None:
-                series = Series(component, name, dict(labels), kind,
+                series = Series(key[0], key[1], dict(key[2]), kind,
                                 self.capacity)
-                self._series[key] = series
+                all_series[key] = series
             elif series.times and series.times[-1] == now:
                 continue  # snapshot() flush at an existing tick time
-            if kind == "counter":
-                series.record(now, inst.value)
-            elif kind == "gauge":
-                series.record(now, inst.value)
-            else:  # histogram (empty histograms report p99 = 0.0)
+            if kind == "histogram":  # empty histograms report p99 = 0.0
                 series.record(now, inst.count, p99=inst.quantile(0.99))
+            else:
+                series.record(now, inst.value)
             if rows is not None:
                 rows.append([
-                    component, name, series.labels, kind,
+                    series.component, series.name, series.labels, kind,
                     series.values[-1],
                     series.rates[-1] if series.rates is not None else None,
                     series.p99s[-1] if series.p99s is not None else None,

@@ -30,7 +30,6 @@ keeps every span on disk while memory stays bounded.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -308,15 +307,3 @@ class Tracer:
                 raise ValueError(f"no finished spans for trace {trace_id}")
             return _critical.analyze_trace(group)
         return _critical.attribution(spans)
-
-    def report(self) -> Dict[str, Any]:
-        """Aggregate + raw dump; stable for JSON export."""
-        return {
-            "enabled": self.enabled,
-            "dropped": self.dropped,
-            "aggregate": self.aggregate(),
-            "spans": [s.to_dict() for s in self.spans],
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.report(), indent=indent, sort_keys=True)

@@ -128,13 +128,11 @@ class Watchdog:
     """
 
     def __init__(self, sim, *, network: Optional[Any] = None,
-                 detectors: Optional[Tuple[Detector, ...]] = None,
                  stuck_window: int = 8, silent_window: int = 12,
                  drop_window: int = 4, stall_limit: float = 3.0) -> None:
         self.sim = sim
         self.network = network
-        self.detectors = tuple(detectors) if detectors is not None \
-            else DEFAULT_DETECTORS
+        self.detectors = DEFAULT_DETECTORS
         self.stuck_window = stuck_window
         self.silent_window = silent_window
         self.drop_window = drop_window

@@ -51,16 +51,6 @@ class PlayoutStats:
     def stall_free(self) -> bool:
         return self.stalls == 0 and self.frames_skipped == 0
 
-    def conserves_cursor(self, next_frame: int) -> bool:
-        """The playout cursor only moves by playing, concealing, or
-        skipping exactly one frame at a time."""
-        return next_frame == (self.frames_played + self.frames_skipped
-                              + self.frames_concealed)
-
-    def conserves_buffer(self, buffered: int) -> bool:
-        """Every accepted frame is eventually played or still buffered."""
-        return self.frames_received == self.frames_played + buffered
-
 
 class VideoPlayer:
     """Consumes a frame stream; drives a playout clock with stalls."""
@@ -95,13 +85,10 @@ class VideoPlayer:
         self._m_buffer = metrics.gauge("player", "buffer_frames", player=name)
         self._m_preroll = metrics.gauge("player", "preroll_fill_frames",
                                         player=name)
-        self._m_stalls = metrics.counter("player", "stalls", player=name)
-        self._m_skipped = metrics.counter("player", "frames_skipped",
-                                          player=name)
-        self._m_concealed = metrics.counter("player", "frames_concealed",
-                                            player=name)
-        self._m_degrade = metrics.counter("player", "degradations",
-                                          player=name)
+        for field in ("stalls", "frames_skipped", "frames_concealed",
+                      "degradations"):
+            metrics.read_through("player", field, self.stats, field,
+                                 player=name)
         self._buffer: Dict[int, float] = {}   # index -> timestamp
         self._arrival: Dict[int, float] = {}
         self._timestamps: Dict[int, float] = {}
@@ -201,7 +188,6 @@ class VideoPlayer:
     def _conceal_frame(self, index: int) -> None:
         self._conceal_run += 1
         self.stats.frames_concealed += 1
-        self._m_concealed.inc()
         self._recorder.record("streaming", "frame_concealed",
                               severity="warning", player=self.name,
                               frame=index)
@@ -226,14 +212,12 @@ class VideoPlayer:
     def _begin_stall(self) -> None:
         self._stall_started = self.sim.now
         self.stats.stalls += 1
-        self._m_stalls.inc()
         self._recorder.record("streaming", "stall", severity="warning",
                               player=self.name, frame=self._next_frame)
         if (self.degrade_after_stalls
                 and self.stats.stalls >= self._next_degrade_at):
             self._next_degrade_at += self.degrade_after_stalls
             self.stats.degradations += 1
-            self._m_degrade.inc()
             self._recorder.record(
                 "streaming", "degradation_requested", severity="warning",
                 player=self.name, stalls=self.stats.stalls)
@@ -260,7 +244,6 @@ class VideoPlayer:
             self._clock_offset += stall
             self._stall_started = None
             self.stats.frames_skipped += 1
-            self._m_skipped.inc()
             self._recorder.record(
                 "streaming", "frame_skipped", severity="warning",
                 player=self.name, frame=index, stall=stall)

@@ -55,10 +55,9 @@ class VideoStreamSender:
         self.ctx = ctx
         self._span = NULL_SPAN
         label = f"vc{vc.vc_id}"
-        self._m_frames = sim.metrics.counter("streaming", "frames_sent",
-                                             stream=label)
-        self._m_bytes = sim.metrics.counter("streaming", "bytes_sent",
-                                            stream=label)
+        for field in ("frames_sent", "bytes_sent"):
+            sim.metrics.read_through("streaming", field, self, field,
+                                     stream=label)
         self._m_degrade = sim.metrics.counter("streaming", "degradations",
                                               stream=label)
         self.acct = sim.ledger.account(
@@ -110,8 +109,6 @@ class VideoStreamSender:
             return
         self.frames_sent += 1
         self.bytes_sent += len(frame)
-        self._m_frames.inc()
-        self._m_bytes.inc(len(frame))
         self.acct.sent(units=1, nbytes=len(frame))
         if last:
             self.finished = True

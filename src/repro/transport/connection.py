@@ -117,16 +117,16 @@ class Connection:
         self._reassembly: list = []
         metrics = sim.metrics
         label = name or f"conn@{id(self):x}"
-        self._m_retransmits = metrics.counter("connection", "retransmits",
-                                              conn=label)
-        self._m_failures = metrics.counter("connection", "failures",
-                                           conn=label)
+        metrics.read_through("connection", "retransmits", self.stats,
+                             "retransmitted", conn=label)
+        metrics.read_through("connection", "failures", self.stats, "failed",
+                             conn=label)
         self._m_rtt = metrics.histogram("connection", "rtt_seconds",
                                         conn=label)
         self._m_window = metrics.gauge("connection", "window_occupancy",
                                        conn=label)
-        self._m_reconnects = metrics.counter("connection", "reconnects",
-                                             conn=label)
+        metrics.read_through("connection", "reconnects", self.stats,
+                             "reconnects", conn=label)
         self._m_rto = metrics.gauge("connection", "rto_seconds",
                                     conn=label)
         self._m_rto.set(self.rto)
@@ -134,16 +134,6 @@ class Connection:
         sim.register_entity("connection", self)
         # wire receive side: the caller must route incoming AAL5 PDUs
         # (for the VC underlying this endpoint) to handle_pdu.
-
-    def conserves(self) -> bool:
-        """sent == acked + in-flight + retransmit-pending (+ flushed).
-
-        Every sequence number ever assigned is either cumulatively
-        acked, still in flight, waiting in the backlog for window
-        space, or was flushed by close().
-        """
-        return self._next_seq == (self.stats.acked + len(self._in_flight)
-                                  + len(self._backlog) + self.stats.flushed)
 
     # -- sending ---------------------------------------------------------
 
@@ -229,7 +219,6 @@ class Connection:
         self.transport_lost = False
         self.closed = False
         self.stats.reconnects += 1
-        self._m_reconnects.inc()
         self.sim.recorder.record("transport", "reconnected",
                                  conn=self.name)
         if self._timer is not None:
@@ -300,7 +289,6 @@ class Connection:
             self.close()
             self.last_error = error
             self.stats.failed += 1
-            self._m_failures.inc()
             if self.on_error is not None:
                 self.on_error(error)
             return
@@ -315,7 +303,6 @@ class Connection:
                             seq=seq, retry=self._retries[base])
             self._raw_send(msg.encode())
             self.stats.retransmitted += 1
-            self._m_retransmits.inc()
         # exponential backoff: each consecutive timeout doubles the
         # timer (capped at rto_max) until an ack makes progress
         self._backoff += 1
@@ -467,7 +454,6 @@ def connect_pair(sim: Simulator, network, a: str, b: str, contract, *,
                     conn.close()
                     conn.last_error = error
                     conn.stats.failed += 1
-                    conn._m_failures.inc()
                     if conn.on_error is not None:
                         conn.on_error(error)
                 return

@@ -14,6 +14,7 @@ from repro.atm.qos import ServiceCategory, TrafficContract, UsageParameterContro
 from repro.atm.simulator import Simulator
 from repro.atm.switch import Switch, VcTableEntry
 from repro.atm.train import CellTrain
+from repro.obs.audit import ConservationAuditor
 
 
 def make_cell(vci=32, clp=0, seqno=0):
@@ -24,6 +25,11 @@ def make_cell(vci=32, clp=0, seqno=0):
 def collect(out):
     """A train sink appending ``(cell, arrival time)`` pairs to *out*."""
     return lambda train: out.extend(zip(train.cells, train.times))
+
+
+def audit(sim, **parts):
+    """Violations the conservation auditor finds on bare components."""
+    return ConservationAuditor(sim=sim, **parts).check()
 
 
 def arrive(sim, sw, cell, at=0.0, port="west"):
@@ -234,7 +240,7 @@ class TestSwitch:
             [pytest.approx(0.002), pytest.approx(0.003),
              pytest.approx(0.004)]
         assert sw.stats.policed_tagged == 2
-        assert sw.stats.conserves()
+        assert audit(sim, switches=[sw]) == []
 
     def test_remove_route(self):
         sim = Simulator()
@@ -273,8 +279,10 @@ class TestUnroutableObservability:
             arrive(sim, sw, make_cell(vci=vci))
         sim.run()
         assert sw.stats.unroutable == 3
-        assert sw._m_unroutable.value == 3
-        assert sw._m_received.value == 3
+        report = sim.metrics.report()["switch"]
+        assert report["cells_unroutable"] == [
+            {"labels": {"switch": "sw"}, "type": "counter", "value": 3}]
+        assert report["cells_received"][0]["value"] == 3
 
 
 class TestConservationCounters:
@@ -288,14 +296,12 @@ class TestConservationCounters:
         for i in range(4):
             link.enqueue(make_cell(seqno=i))
         # mid-flight the books must still balance (in_service term)
-        assert link.stats.conserves_buffer(link.queue_length,
-                                           link.in_service)
+        assert link.in_service == 1
+        assert audit(sim, links=[link]) == []
         sim.run()
         assert len(delivered) == 4
         assert link.stats.delivered == 4
-        assert link.stats.conserves_buffer(link.queue_length,
-                                           link.in_service)
-        assert link.stats.conserves_wire()
+        assert audit(sim, links=[link]) == []
 
     def test_unsinked_link_counts_no_sink_drops(self):
         sim = Simulator()
@@ -303,7 +309,7 @@ class TestConservationCounters:
         link.enqueue(make_cell())
         sim.run()
         assert link.stats.dropped_no_sink == 1
-        assert link.stats.conserves_wire()
+        assert audit(sim, links=[link]) == []
 
     def test_switch_receive_conservation(self):
         sim = Simulator()
@@ -315,7 +321,7 @@ class TestConservationCounters:
         assert len(delivered) == 1
         assert sw.stats.received == 2
         assert sw.stats.emitted == 1
-        assert sw.stats.conserves()
+        assert audit(sim, switches=[sw]) == []
 
 
 class TestPerCellArrivals:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.atm import ServiceCategory, Simulator, TrafficContract
+from repro.atm.cell import Cell, CellHeader
 from repro.atm.link import Link
 from repro.atm.switch import Switch
 from repro.atm.topology import star_campus
@@ -150,6 +151,26 @@ class TestBareComponentAudit:
         sw.stats.unroutable += 1
         violations = auditor.check()
         assert violations[0].invariant == "receive_conservation"
+
+
+class TestMirrorWiring:
+    """Each metrics_mirror_* check compares a stats field with the value
+    the registry exports, so a read-through counter wired to the wrong
+    field is caught and named."""
+
+    def test_miswired_read_through_is_flagged(self):
+        sim = Simulator()
+        link = Link(sim, rate_bps=424e3, name="x->y")
+        link.sink_train = lambda train: None
+        counter = sim.metrics.get("link", "cells_transmitted", link="x->y")
+        counter.sources[:] = [(link.stats, "enqueued")]
+        for i in range(3):
+            link.enqueue(Cell(header=CellHeader(vpi=0, vci=32),
+                              payload=bytes(48), seqno=i))
+        violations = ConservationAuditor(sim=sim, links=[link]).check()
+        assert [(v.entity, v.invariant, v.expected, v.actual)
+                for v in violations] == \
+            [("x->y", "metrics_mirror_transmitted", 0, 3)]
 
 
 class TestLedgerAudit:

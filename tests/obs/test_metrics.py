@@ -4,9 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import (
-    MetricsRegistry, NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, TIME_BUCKETS,
-)
+from repro.obs import MetricsRegistry, ReadThrough, TIME_BUCKETS
 from repro.obs.metrics import Histogram
 
 
@@ -138,18 +136,54 @@ class TestHistogramQuantileEdges:
                 h.quantile(bad)
 
 
-class TestDisabledRegistry:
-    def test_null_instruments(self):
-        reg = MetricsRegistry(enabled=False)
-        assert reg.counter("a", "b") is NULL_COUNTER
-        assert reg.gauge("a", "b") is NULL_GAUGE
-        assert reg.histogram("a", "b") is NULL_HISTOGRAM
-        # mutators are no-ops, not errors
-        reg.counter("a", "b").inc()
-        reg.gauge("a", "b").set(5)
-        reg.histogram("a", "b").observe(1.0)
-        assert len(reg) == 0
-        assert reg.report() == {}
+class _Stats:
+    def __init__(self, sent=0):
+        self.sent = sent
+
+
+class TestReadThrough:
+    def test_reports_exactly_as_a_counter(self):
+        stats = _Stats(7)
+        reg = MetricsRegistry()
+        reg.read_through("vc", "pdus_sent", stats, "sent", vc=1)
+        ref = MetricsRegistry()
+        ref.counter("vc", "pdus_sent", vc=1).inc(7)
+        assert reg.report() == ref.report()
+        assert reg.report()["vc"]["pdus_sent"][0] == {
+            "labels": {"vc": "1"}, "type": "counter", "value": 7}
+
+    def test_reads_the_field_when_walked(self):
+        stats = _Stats()
+        reg = MetricsRegistry()
+        inst = reg.read_through("vc", "pdus_sent", stats, "sent")
+        stats.sent = 3
+        assert inst.value == 3
+        [found] = reg.find("vc", "pdus_sent").values()
+        assert found is inst and found.value == 3
+        assert reg.get("vc", "pdus_sent").value == 3
+
+    def test_sources_under_one_key_sum(self):
+        a, b = _Stats(2), _Stats(5)
+        reg = MetricsRegistry()
+        first = reg.read_through("link", "drops_total", a, "sent", link="x")
+        second = reg.read_through("link", "drops_total", b, "sent",
+                                  link="x")
+        assert first is second
+        assert isinstance(first, ReadThrough)
+        assert len(reg) == 1
+        assert reg.report()["link"]["drops_total"][0]["value"] == 7
+
+    def test_counter_on_a_read_through_key_rejected(self):
+        reg = MetricsRegistry()
+        reg.read_through("vc", "pdus_sent", _Stats(), "sent", vc=1)
+        with pytest.raises(TypeError):
+            reg.counter("vc", "pdus_sent", vc=1)
+
+    def test_read_through_on_a_counter_key_rejected(self):
+        reg = MetricsRegistry()
+        reg.counter("vc", "pdus_sent", vc=1)
+        with pytest.raises(TypeError):
+            reg.read_through("vc", "pdus_sent", _Stats(), "sent", vc=1)
 
 
 class TestExport:
@@ -164,12 +198,13 @@ class TestExport:
         [delay] = rep["vc"]["delay"]
         assert delay["count"] == 1
 
-    def test_to_json_round_trips(self):
+    def test_report_round_trips_through_json(self):
         reg = MetricsRegistry()
         reg.counter("c", "n").inc()
         reg.gauge("c", "g").set(2.0)
         reg.histogram("c", "h").observe(0.5)
-        back = json.loads(reg.to_json())
+        back = json.loads(json.dumps(reg.report()))
+        assert back == reg.report()
         assert back["c"]["n"][0]["value"] == 1
 
     def test_find(self):

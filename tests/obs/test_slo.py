@@ -113,7 +113,7 @@ class TestSummary:
         rtt = metrics.histogram("connection", "rtt_seconds", conn="c1")
         for _ in range(20):
             rtt.observe(0.02)
-        results = SloMonitor().evaluate_registry(metrics)
+        results = SloMonitor().evaluate(metrics.report())
         by_name = {r.slo.name: r for r in results}
         assert by_name["rpc-rtt-p99"].ok
         assert not by_name["rpc-rtt-p99"].skipped

@@ -65,17 +65,17 @@ class TestSpans:
         assert len(tr.spans) == 10
         assert tr.dropped == 15
 
-    def test_report_aggregates_by_name(self):
+    def test_aggregate_groups_by_name(self):
         t = [0.0]
         tr = Tracer(clock=lambda: t[0], enabled=True)
         for dur in (1.0, 3.0):
             sp = tr.span("load")
             t[0] += dur
             sp.end()
-        rep = tr.report()
-        assert rep["aggregate"]["load"]["count"] == 2
-        assert rep["aggregate"]["load"]["total"] == 4.0
-        assert rep["aggregate"]["load"]["max"] == 3.0
+        agg = tr.aggregate()
+        assert agg["load"]["count"] == 2
+        assert agg["load"]["total"] == 4.0
+        assert agg["load"]["max"] == 3.0
 
 
 class TestTraceContext:
