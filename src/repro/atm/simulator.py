@@ -49,6 +49,7 @@ class Simulator:
         self._seq = itertools.count()
         self._now = 0.0
         self._events_run = 0
+        self._events_scheduled = 0
         #: shared observability: every component attached to this
         #: simulator records into the same registry/tracer/recorder
         self.metrics = MetricsRegistry()
@@ -73,7 +74,8 @@ class Simulator:
         self.current_seq: Optional[int] = None
         self.metrics.read_through("simulator", "events_run", self,
                                   "_events_run")
-        self._m_scheduled = self.metrics.counter("simulator", "events_scheduled")
+        self.metrics.read_through("simulator", "events_scheduled", self,
+                                  "_events_scheduled")
         self._m_depth = self.metrics.gauge("simulator", "queue_depth")
 
     def register_entity(self, kind: str, obj: Any) -> None:
@@ -135,7 +137,7 @@ class Simulator:
               args: tuple) -> Event:
         ev = Event(time, seq, callback, args)
         heapq.heappush(self._queue, (time, seq, ev))
-        self._m_scheduled.inc()
+        self._events_scheduled += 1
         self._m_depth.set(len(self._queue))
         sampler = self._sampler
         if sampler is not None and sampler.dormant:

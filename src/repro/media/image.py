@@ -14,11 +14,12 @@ be encoded band by band.
 from __future__ import annotations
 
 import struct
+from typing import List, Tuple
 
 import numpy as np
 import scipy.fft
 
-from repro.util.bitstream import BitReader, BitWriter
+from repro.util.bitstream import BitWriter
 from repro.util.errors import DecodingError, EncodingError
 
 _MAGIC = b"SIMG"
@@ -44,7 +45,7 @@ def _zigzag_order() -> np.ndarray:
 
 
 _ZIGZAG = _zigzag_order()
-_UNZIGZAG = np.argsort(_ZIGZAG)
+_ZIGZAG_LIST = _ZIGZAG.tolist()
 
 
 def quant_table(quality: int) -> np.ndarray:
@@ -56,74 +57,122 @@ def quant_table(quality: int) -> np.ndarray:
     return np.clip(q, 1, 255)
 
 
-def _write_ue(w: BitWriter, v: int) -> None:
-    """Unsigned exponential-Golomb code."""
-    n = v + 1
-    nbits = n.bit_length()
-    w.write(0, nbits - 1)
-    w.write(n, nbits)
-
-
-def _read_ue(r: BitReader) -> int:
-    zeros = 0
-    while r.read(1) == 0:
-        zeros += 1
-        if zeros > 40:
-            raise DecodingError("malformed exp-Golomb code")
-    return ((1 << zeros) | r.read(zeros)) - 1 if zeros else 0
-
-
-def _write_se(w: BitWriter, v: int) -> None:
-    """Signed exponential-Golomb code."""
-    _write_ue(w, 2 * v - 1 if v > 0 else -2 * v)
-
-
-def _read_se(r: BitReader) -> int:
-    u = _read_ue(r)
-    return (u + 1) // 2 if u % 2 else -(u // 2)
-
-
 _EOB_RUN = 63  # run value reserved as end-of-block marker
+_MAX_ZEROS = 40  # longest exp-Golomb prefix a decoder accepts
+
+#: ue(run) codewords for every run a block can hold, as (value, bits):
+#: ue(v) is v + 1 written in 2 * bitlen(v + 1) - 1 bits (H.264 §9.1)
+_RUN_CODES = [(run + 1, 2 * (run + 1).bit_length() - 1) for run in range(64)]
+_EOB_CODE, _EOB_BITS = _RUN_CODES[_EOB_RUN]
+#: ue(62) se(0) as one codeword (se(0) is the single bit 1): shortens
+#: a zero run by 62 so that ue(63) stays the end-of-block marker
+_SPLIT_CODE = (_RUN_CODES[_EOB_RUN - 1][0] << 1) | 1
+_SPLIT_BITS = _RUN_CODES[_EOB_RUN - 1][1] + 1
+
+
+def _blockify(plane: np.ndarray) -> np.ndarray:
+    """(H, W) -> (H*W/64, 8, 8) in raster block order."""
+    H, W = plane.shape
+    return (plane.reshape(H // 8, 8, W // 8, 8)
+            .transpose(0, 2, 1, 3).reshape(-1, 8, 8))
+
+
+def _unblockify(blocks: np.ndarray, H: int, W: int) -> np.ndarray:
+    return (blocks.reshape(H // 8, W // 8, 8, 8)
+            .transpose(0, 2, 1, 3).reshape(H, W))
+
+
+def _quantise(plane: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Quantised DCT coefficients (N, 64) of a float plane."""
+    coeffs = scipy.fft.dctn(_blockify(plane), axes=(1, 2), norm="ortho")
+    return np.round(coeffs / q).astype(np.int32).reshape(-1, 64)
+
+
+def _reconstruct(quantised: np.ndarray, q: np.ndarray,
+                 H: int, W: int) -> np.ndarray:
+    """The float plane a decoder rebuilds from quantised coefficients;
+    an encoder's closed-loop reference is the same call."""
+    coeffs = (quantised * q.reshape(-1)).reshape(-1, 8, 8)
+    return _unblockify(
+        scipy.fft.idctn(coeffs, axes=(1, 2), norm="ortho"), H, W)
 
 
 def _encode_blocks(blocks: np.ndarray, w: BitWriter) -> None:
-    """Entropy-code quantised coefficient blocks (N, 64) in zigzag order."""
-    for block in blocks:
-        zz = block[_ZIGZAG]
-        nz = np.nonzero(zz)[0]
-        prev = -1
-        for i in nz:
-            run = int(i - prev - 1)
-            # long zero runs are split so EOB stays unambiguous
-            while run >= _EOB_RUN:
-                _write_ue(w, _EOB_RUN - 1)
-                _write_se(w, 0)
-                run -= _EOB_RUN - 1
-            _write_ue(w, run)
-            _write_se(w, int(zz[i]))
+    """Entropy-code quantised coefficient blocks (N, 64) in zigzag order.
+
+    Each nonzero coefficient is ``ue(run) se(level)``, *run* counting
+    the zeros since the previous nonzero of its block, and ``ue(63)``
+    ends the block.  Codewords are shifted whole into an int, and each
+    block reaches the writer as one write.
+    """
+    zz = blocks[:, _ZIGZAG]
+    rows, cols = np.nonzero(zz)
+    levels = zz[rows, cols].tolist()
+    cols = cols.tolist()
+    start = 0
+    for end in np.cumsum(np.count_nonzero(zz, axis=1)).tolist():
+        acc, nbits, prev = 0, 0, -1
+        for j in range(start, end):
+            i = cols[j]
+            run = i - prev - 1
             prev = i
-        _write_ue(w, _EOB_RUN)
+            while run >= _EOB_RUN:
+                acc = (acc << _SPLIT_BITS) | _SPLIT_CODE
+                nbits += _SPLIT_BITS
+                run -= _EOB_RUN - 1
+            code, size = _RUN_CODES[run]
+            level = levels[j]
+            # se(level) is ue(2*level - 1) for level > 0, else ue(-2*level)
+            n = 2 * level if level > 0 else 1 - 2 * level
+            lsize = 2 * n.bit_length() - 1
+            acc = (((acc << size) | code) << lsize) | n
+            nbits += size + lsize
+        w.write((acc << _EOB_BITS) | _EOB_CODE, nbits + _EOB_BITS)
+        start = end
 
 
-def _decode_blocks(r: BitReader, nblocks: int) -> np.ndarray:
-    blocks = np.zeros((nblocks, 64), dtype=np.float64)
+def _read_ue(bits: str, pos: int) -> Tuple[int, int]:
+    """Decode the ue(v) codeword at *pos* of a '0'/'1' string; returns
+    (v, position after it)."""
+    one = bits.find("1", pos, pos + _MAX_ZEROS + 1)
+    if one < 0:
+        if len(bits) - pos > _MAX_ZEROS:
+            raise DecodingError("malformed exp-Golomb code")
+        raise DecodingError("bit stream exhausted inside exp-Golomb code")
+    end = 2 * one - pos + 1
+    if end > len(bits):
+        raise DecodingError("bit stream exhausted inside exp-Golomb code")
+    return int(bits[one:end], 2) - 1, end
+
+
+def _decode_blocks(data: bytes, nblocks: int) -> np.ndarray:
+    """Inverse of :func:`_encode_blocks`: (nblocks, 64) float64."""
+    bits = bin(int.from_bytes(b"\x01" + data, "big"))[3:]
+    index: List[int] = []
+    values: List[int] = []
+    pos = 0
     for b in range(nblocks):
-        pos = 0
+        base = 64 * b
+        k = 0
         while True:
-            run = _read_ue(r)
+            run, pos = _read_ue(bits, pos)
             if run == _EOB_RUN:
                 break
-            level = _read_se(r)
-            pos += run
-            if level != 0:
-                if pos > 63:
+            u, pos = _read_ue(bits, pos)
+            level = (u + 1) >> 1 if u & 1 else -(u >> 1)
+            k += run
+            if level:
+                if k > 63:
                     raise DecodingError("coefficient index out of block")
-                blocks[b, _ZIGZAG[pos]] = level
-                pos += 1
-            # level == 0 encodes a split long zero-run; pos advanced only
-        if pos > 64:
+                index.append(base + _ZIGZAG_LIST[k])
+                values.append(level)
+                k += 1
+            # level == 0 encodes a split long zero-run; k advanced only
+        if k > 64:
             raise DecodingError("block overrun")
-    return blocks
+    blocks = np.zeros(nblocks * 64, dtype=np.float64)
+    blocks[index] = values
+    return blocks.reshape(nblocks, 64)
 
 
 class ImageCodec:
@@ -142,17 +191,9 @@ class ImageCodec:
         h, w = image.shape
         if h == 0 or w == 0:
             raise EncodingError("image must be non-empty")
-        ph, pw = (-h) % 8, (-w) % 8
         padded = np.pad(image.astype(np.float64) - 128.0,
-                        ((0, ph), (0, pw)), mode="edge")
-        H, W = padded.shape
-        blocks = (padded.reshape(H // 8, 8, W // 8, 8)
-                  .transpose(0, 2, 1, 3)
-                  .reshape(-1, 8, 8))
-        coeffs = scipy.fft.dctn(blocks, axes=(1, 2), norm="ortho")
-        q = quant_table(self.quality)
-        quantised = np.round(coeffs / q).astype(np.int32).reshape(-1, 64)
-
+                        ((0, (-h) % 8), (0, (-w) % 8)), mode="edge")
+        quantised = _quantise(padded, quant_table(self.quality))
         out = BitWriter()
         _encode_blocks(quantised, out)
         header = _MAGIC + struct.pack(">HHB", h, w, self.quality)
@@ -164,14 +205,8 @@ class ImageCodec:
         h, w, quality = struct.unpack_from(">HHB", data, 4)
         H, W = h + ((-h) % 8), w + ((-w) % 8)
         nblocks = (H // 8) * (W // 8)
-        r = BitReader(data[9:])
-        quantised = _decode_blocks(r, nblocks)
-        q = quant_table(quality)
-        coeffs = (quantised * q.reshape(-1)).reshape(-1, 8, 8)
-        blocks = scipy.fft.idctn(coeffs, axes=(1, 2), norm="ortho")
-        padded = (blocks.reshape(H // 8, W // 8, 8, 8)
-                  .transpose(0, 2, 1, 3)
-                  .reshape(H, W))
+        quantised = _decode_blocks(data[9:], nblocks)
+        padded = _reconstruct(quantised, quant_table(quality), H, W)
         return np.clip(np.round(padded + 128.0), 0, 255).astype(np.uint8)[:h, :w]
 
 

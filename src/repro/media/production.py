@@ -93,7 +93,7 @@ class MediaProductionCenter:
         img[height // 3: height // 3 + 10] = \
             (xx[height // 3: height // 3 + 10] // 16 % 2) * 255
         patch = rng.integers(0, 255, (height // 4, width // 4))
-        img[-height // 4:, -width // 4:] = patch
+        img[height - height // 4:, width - width // 4:] = patch
         arr = np.clip(img, 0, 255).astype(np.uint8)
         codec = ImageCodec(quality=quality)
         return self._register(MediaObject(

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 import numpy as np
-import scipy.fft
 
-from repro.media.image import quant_table, _encode_blocks, _decode_blocks
-from repro.util.bitstream import BitReader, BitWriter
+from repro.media.image import (_decode_blocks, _encode_blocks, _quantise,
+                               _reconstruct, quant_table)
+from repro.util.bitstream import BitWriter
 from repro.util.errors import DecodingError, EncodingError
 
 _MAGIC = b"SMPG"
@@ -41,17 +41,6 @@ class FrameInfo:
     timestamp: float     # presentation time in seconds
 
 
-def _blockify(frame: np.ndarray) -> np.ndarray:
-    H, W = frame.shape
-    return (frame.reshape(H // 8, 8, W // 8, 8)
-            .transpose(0, 2, 1, 3).reshape(-1, 8, 8))
-
-
-def _unblockify(blocks: np.ndarray, H: int, W: int) -> np.ndarray:
-    return (blocks.reshape(H // 8, W // 8, 8, 8)
-            .transpose(0, 2, 1, 3).reshape(H, W))
-
-
 class VideoCodec:
     """Encode/decode grayscale frame sequences (T, H, W) uint8."""
 
@@ -67,20 +56,14 @@ class VideoCodec:
 
     # -- encoding ---------------------------------------------------------
 
-    def _code_plane(self, plane: np.ndarray, q: np.ndarray) -> bytes:
-        coeffs = scipy.fft.dctn(_blockify(plane), axes=(1, 2), norm="ortho")
-        quantised = np.round(coeffs / q).astype(np.int32).reshape(-1, 64)
+    def _code_plane(self, plane: np.ndarray,
+                    q: np.ndarray) -> Tuple[bytes, np.ndarray]:
+        """Code one plane: the payload, and the plane a decoder rebuilds
+        from it (the closed-loop reference)."""
+        quantised = _quantise(plane, q)
         w = BitWriter()
         _encode_blocks(quantised, w)
-        return w.getvalue()
-
-    def _decode_plane(self, data: bytes, H: int, W: int,
-                      q: np.ndarray) -> np.ndarray:
-        nblocks = (H // 8) * (W // 8)
-        quantised = _decode_blocks(BitReader(data), nblocks)
-        coeffs = (quantised * q.reshape(-1)).reshape(-1, 8, 8)
-        return _unblockify(
-            scipy.fft.idctn(coeffs, axes=(1, 2), norm="ortho"), H, W)
+        return w.getvalue(), _reconstruct(quantised, q, *plane.shape)
 
     def encode(self, frames: np.ndarray) -> bytes:
         if frames.ndim != 3:
@@ -99,13 +82,11 @@ class VideoCodec:
             plane = frames[t].astype(np.float64) - 128.0
             if t % self.gop == 0 or reference is None:
                 kind = _FRAME_I
-                payload = self._code_plane(plane, q)
-                recon = self._decode_plane(payload, h, w, q)
+                payload, reference = self._code_plane(plane, q)
             else:
                 kind = _FRAME_P
-                payload = self._code_plane(plane - reference, q)
-                recon = reference + self._decode_plane(payload, h, w, q)
-            reference = recon
+                payload, residual = self._code_plane(plane - reference, q)
+                reference = reference + residual
             parts.append(struct.pack(">BI", kind, len(payload)) + payload)
         header = _MAGIC + struct.pack(">HHHfB", T, h, w,
                                       self.frame_rate, self.gop)
@@ -125,6 +106,7 @@ class VideoCodec:
     def decode(self, data: bytes) -> np.ndarray:
         T, h, w, rate, gop, quality = self.parse_header(data)
         q = quant_table(quality)
+        nblocks = (h // 8) * (w // 8)
         pos = 4 + struct.calcsize(">HHHfB") + 1
         out = np.empty((T, h, w), dtype=np.uint8)
         reference = None
@@ -135,7 +117,7 @@ class VideoCodec:
             if len(payload) != size:
                 raise DecodingError("truncated video frame")
             pos += size
-            plane = self._decode_plane(payload, h, w, q)
+            plane = _reconstruct(_decode_blocks(payload, nblocks), q, h, w)
             if kind == _FRAME_I:
                 recon = plane
             elif kind == _FRAME_P:

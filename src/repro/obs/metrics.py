@@ -33,7 +33,9 @@ Design points:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from operator import attrgetter
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 __all__ = [
     "Counter",
@@ -95,6 +97,16 @@ class ReadThrough:
         for obj, attr in self.sources:
             total += getattr(obj, attr)
         return total
+
+    def reader(self) -> Tuple[Callable[[Any], int], Any]:
+        """``(fn, arg)`` with ``fn(arg) == value``, for a reader that
+        reads the same instruments every tick: a single source (an
+        integer count, as every source is) is read straight from its
+        field.  Valid until the registry's epoch moves."""
+        if len(self.sources) == 1:
+            obj, attr = self.sources[0]
+            return attrgetter(attr), obj
+        return attrgetter("value"), self
 
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "counter", "value": self.value}
@@ -215,6 +227,11 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, str, LabelKey], Any] = {}
+        #: bumped when a registered key's reading changes (a reset, or
+        #: another source for a read-through); a reader may cache its
+        #: walk of the registry while the epoch holds, extending the
+        #: walk as keys are added
+        self.epoch = 0
 
     def __len__(self) -> int:
         return len(self._instruments)
@@ -241,6 +258,8 @@ class MetricsRegistry:
         """Register ``obj.attr`` as (one source of) a counter."""
         inst = self._get(ReadThrough, component, name, labels)
         inst.sources.append((obj, attr))
+        if len(inst.sources) > 1:
+            self.epoch += 1
         return inst
 
     def gauge(self, component: str, name: str, **labels: Any) -> Gauge:
@@ -267,6 +286,7 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every instrument (a fresh run on the same registry)."""
         self._instruments.clear()
+        self.epoch += 1
 
     def report(self) -> Dict[str, Any]:
         """Nested ``{component: {name: [{labels, ...snapshot}]}}`` dump."""

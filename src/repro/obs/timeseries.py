@@ -27,6 +27,13 @@ alive on its own: a tick only re-arms while other events are pending,
 and :meth:`Simulator.schedule` wakes a dormant sampler when new work
 arrives.  ``Simulator.run()`` with no horizon therefore still drains.
 
+A tick reads each instrument once into one row, through a cached walk
+of the registry that is extended as keys are registered and redone
+when :attr:`MetricsRegistry.epoch` moves.  Rows are folded into the
+series rings in batches (when a reader asks, and at the latest every
+``capacity`` ticks); the rings hold exactly what one append per tick
+would have put there.
+
 Memory is bounded: each series is a fixed-capacity ring
 (:data:`DEFAULT_CAPACITY` samples unless the sampler is told otherwise)
 and evictions are counted (surfaced by the ``repro.obs`` CLI so
@@ -38,12 +45,57 @@ what the rings later evict.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from itertools import islice
+from operator import attrgetter
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.obs.metrics import ReadThrough
 
 __all__ = ["DEFAULT_CAPACITY", "Series", "TelemetrySampler",
            "load_timeseries"]
 
 LabelKey = Tuple[Tuple[str, str], ...]
+#: one sampler tick: ``(time, columns, row, p99s)``
+_Tick = Tuple[float, Tuple, List[Any], List[float]]
+
+#: what one tick reads from a counter or gauge
+_value = attrgetter("value")
+
+
+class _HistogramReader:
+    """What one tick reads from a histogram: its observation count, and
+    its p99 (0.0 while empty) left in :attr:`p99`.  ``observe()`` is a
+    histogram's only writer and always moves the count, so the p99 is
+    recomputed only when the count has moved since the last tick."""
+
+    __slots__ = ("count", "p99")
+
+    def __init__(self) -> None:
+        self.count: Optional[int] = None
+        self.p99 = 0.0
+
+    def __call__(self, hist) -> int:
+        count = hist.count
+        if count != self.count:
+            self.count = count
+            self.p99 = hist.quantile(0.99)
+        return count
+
+
+#: instrument kinds whose series carry a derived rate
+_RATED = ("counter", "histogram")
+
+
+def _rate(prev_value: Optional[float], prev_time: Optional[float],
+          value: float, time: float) -> float:
+    """Units per simulated second since the previous sample (0.0 for a
+    first sample)."""
+    if prev_value is None or prev_time is None or time <= prev_time:
+        return 0.0
+    # a cumulative value that moved backwards means the registry was
+    # reset mid-run: clamp, never negative
+    return max(0.0, (value - prev_value) / (time - prev_time))
+
 
 #: per-series ring size, for a live sampler and for an archive replay
 #: whose ``meta`` record names none
@@ -78,7 +130,7 @@ class Series:
         self.times: deque = deque(maxlen=capacity)
         self.values: deque = deque(maxlen=capacity)
         self.rates: Optional[deque] = \
-            deque(maxlen=capacity) if kind in ("counter", "histogram") else None
+            deque(maxlen=capacity) if kind in _RATED else None
         self.p99s: Optional[deque] = \
             deque(maxlen=capacity) if kind == "histogram" else None
         self.evicted = 0
@@ -96,23 +148,31 @@ class Series:
     def record(self, time: float, value: float,
                p99: Optional[float] = None) -> None:
         """Append one sample, deriving the rate from the previous one."""
-        if len(self.times) == self.times.maxlen:
-            self.evicted += 1
-        self.times.append(time)
-        self.values.append(value)
+        self.extend((time,), (value,),
+                    None if self.p99s is None
+                    else (0.0 if p99 is None else p99,))
+
+    def extend(self, times: Sequence[float], values: Sequence[float],
+               p99s: Optional[Sequence[float]] = None) -> None:
+        """Append samples in time order, deriving each rate from the
+        sample before it (histogram series take one p99 per sample)."""
+        if not times:
+            return
+        self.evicted += max(0, len(self.times) + len(times)
+                            - self.times.maxlen)
+        self.times.extend(times)
+        self.values.extend(values)
         if self.rates is not None:
             prev_v, prev_t = self._prev_value, self._prev_time
-            if prev_v is None or prev_t is None or time <= prev_t:
-                rate = 0.0
-            else:
-                # a cumulative value that moved backwards means the
-                # registry was reset mid-run: clamp, never negative
-                rate = max(0.0, (value - prev_v) / (time - prev_t))
-            self.rates.append(rate)
+            rates = []
+            for time, value in zip(times, values):
+                rates.append(_rate(prev_v, prev_t, value, time))
+                prev_v, prev_t = value, time
+            self.rates.extend(rates)
         if self.p99s is not None:
-            self.p99s.append(0.0 if p99 is None else p99)
-        self._prev_value = value
-        self._prev_time = time
+            self.p99s.extend(p99s)
+        self._prev_value = values[-1]
+        self._prev_time = times[-1]
 
     def rollup(self, window: Optional[int] = None,
                channel: str = "values") -> Dict[str, Any]:
@@ -199,6 +259,20 @@ class TelemetrySampler:
         self.samples = 0
         self.started = False
         self._series: Dict[Tuple[str, str, LabelKey], Series] = {}
+        #: ticks not yet folded into the rings, ``(time, columns, row,
+        #: p99s)``: ``row`` holds one reading per ``columns`` entry
+        #: ``(key, kind, histogram ordinal or None, labels)`` and
+        #: ``p99s`` one p99 per histogram
+        self._pending: List[_Tick] = []
+        #: every column's latest sample in this epoch, as a tick
+        self._last: Optional[_Tick] = None
+        #: the cached registry walk: columns, ``(getter, arg)`` pairs and
+        #: histogram readers, valid for ``_walk_epoch`` and extended as
+        #: the registry grows
+        self._columns: Tuple = ()
+        self._pairs: List[Tuple[Any, Any]] = []
+        self._readers: List[_HistogramReader] = []
+        self._walk_epoch: Optional[int] = None
         self._dormant = False
         self._tick_event = None
         #: receives ``(now, rows)`` per recorded tick (the streamed archive)
@@ -265,46 +339,155 @@ class TelemetrySampler:
     # -- sampling ----------------------------------------------------------
 
     def sample(self) -> None:
-        """Snapshot every registered instrument at the current sim time."""
+        """Snapshot every registered instrument at the current sim time.
+
+        A tick reads each instrument once into one row.  Rows wait in
+        ``_pending`` and are folded into the per-series rings in batches
+        (:meth:`_fold`): when a reader asks for a series, when the
+        registry's epoch moves, and whenever ``capacity`` rows wait.
+        """
         meter = self.meter
         t0 = meter.now() if meter is not None else 0.0
         now = self.sim.now
         self.samples += 1
-        sink = self.sink
-        rows: Optional[List[List[Any]]] = [] if sink is not None else None
-        all_series = self._series
-        for key, inst in self.sim.metrics._instruments.items():
-            kind = inst.kind
-            series = all_series.get(key)
-            if series is None:
-                series = Series(key[0], key[1], dict(key[2]), kind,
-                                self.capacity)
-                all_series[key] = series
-            elif series.times and series.times[-1] == now:
-                continue  # snapshot() flush at an existing tick time
-            if kind == "histogram":  # empty histograms report p99 = 0.0
-                series.record(now, inst.count, p99=inst.quantile(0.99))
-            else:
-                series.record(now, inst.value)
-            if rows is not None:
-                rows.append([
-                    series.component, series.name, series.labels, kind,
-                    series.values[-1],
-                    series.rates[-1] if series.rates is not None else None,
-                    series.p99s[-1] if series.p99s is not None else None,
-                ])
-        if sink is not None:
-            sink(now, rows)
+        registry = self.sim.metrics
+        if registry.epoch != self._walk_epoch \
+                or len(registry._instruments) != len(self._columns):
+            self._walk(registry)
+        tick = (now, self._columns, [get(arg) for get, arg in self._pairs],
+                [reader.p99 for reader in self._readers])
+        if self.sink is not None:
+            self.sink(now, self._sink_rows(tick))
+        last = self._last
+        if last is not None and last[0] != now:
+            self._last = tick
+        else:
+            self._last = self._settle(tick, last)
+        self._pending.append(tick)
+        if len(self._pending) >= self.capacity:
+            self._fold()
         if meter is not None:
             meter.charge("sampler", t0)
         for fn in list(self._listeners):
             fn(now)
+
+    def _walk(self, registry) -> None:
+        """Bring the cached walk up to date with *registry*: walk the
+        keys added since the last walk, or, in a new epoch, fold what is
+        pending and walk them all."""
+        if registry.epoch != self._walk_epoch:
+            self._fold()
+            self._walk_epoch = registry.epoch
+            self._columns, self._pairs, self._readers = (), [], []
+            self._last = None
+        columns = []
+        for key, inst in islice(registry._instruments.items(),
+                                len(self._columns), None):
+            if inst.kind == "histogram":
+                reader = _HistogramReader()
+                columns.append((key, inst.kind, len(self._readers),
+                                dict(key[2])))
+                self._pairs.append((reader, inst))
+                self._readers.append(reader)
+            else:
+                columns.append((key, inst.kind, None, dict(key[2])))
+                self._pairs.append(inst.reader() if type(inst) is ReadThrough
+                                   else (_value, inst))
+        self._columns += tuple(columns)
+
+    def _settle(self, tick: _Tick, last: Optional[_Tick]) -> _Tick:
+        """*tick* as every column's latest sample, for the first tick of
+        an epoch or a ``snapshot()`` flush at *last*'s time: a column
+        that already holds a sample at this time (*last*'s, or its
+        series' from before a registry reset) keeps it, the others take
+        this tick's.  The rings are current for every column *last*
+        lacks: a new epoch folds what was pending, and a key new within
+        an epoch has no pending ticks."""
+        now, columns, row, p99s = tick
+        known = 0 if last is None else len(last[2])
+        values = row[known:]
+        for j, (key, _, _, _) in enumerate(columns[known:]):
+            series = self._series.get(key)
+            if series is not None and series.times \
+                    and series.times[-1] == now:
+                values[j] = series.values[-1]
+        if last is None:
+            return (now, columns, values, p99s)
+        return (now, columns, last[2] + values, last[3] + p99s[len(last[3]):])
+
+    def _sink_rows(self, tick: _Tick) -> List[List[Any]]:
+        """One tick's archive rows, ``[component, name, labels, kind,
+        value, rate, p99]`` for each series that takes the sample, each
+        rate taken from the series' previous sample: the last tick for
+        a column it had, the ring for a column new since then."""
+        now, columns, row, p99s = tick
+        last = self._last
+        known = len(last[1]) if last is not None else 0
+        rows = []
+        for j, (key, kind, h, labels) in enumerate(columns):
+            if j < known:
+                if last[0] == now:
+                    continue  # a flush: this series already sampled now
+                prev_v, prev_t = last[2][j], last[0]
+            else:
+                series = self._series.get(key)
+                if series is None or not series.times:
+                    prev_v = prev_t = None
+                elif series.times[-1] == now:
+                    continue
+                else:
+                    prev_v, prev_t = series.values[-1], series.times[-1]
+            value = row[j]
+            rows.append([key[0], key[1], labels, kind, value,
+                         _rate(prev_v, prev_t, value, now)
+                         if kind in _RATED else None,
+                         None if h is None else p99s[h]])
+        return rows
+
+    def _fold(self) -> None:
+        """Move the pending ticks into the per-series rings, one
+        :meth:`Series.extend` per series per run of ticks that share a
+        walk.
+
+        A tick at the time a series last sampled (a ``snapshot()`` flush)
+        adds nothing to that series: only series new since then take it.
+        """
+        pending = self._pending
+        start = 0
+        while start < len(pending):
+            columns = pending[start][1]
+            end = start + 1
+            while end < len(pending) and pending[end][1] is columns:
+                end += 1
+            times: List[float] = []
+            rows: List[List[Any]] = []
+            p99s: List[List[float]] = []
+            for now, _, row, p99 in pending[start:end]:
+                if not times or now != times[-1]:
+                    times.append(now)
+                    rows.append(row)
+                    p99s.append(p99)
+            all_series = self._series
+            for j, (key, kind, h, labels) in enumerate(columns):
+                series = all_series.get(key)
+                if series is None:
+                    series = Series(key[0], key[1], labels, kind,
+                                    self.capacity)
+                    all_series[key] = series
+                lo = 1 if series.times and series.times[-1] == times[0] \
+                    else 0
+                series.extend(times[lo:], [row[j] for row in rows[lo:]],
+                              None if h is None
+                              else [p99[h] for p99 in p99s[lo:]])
+            start = end
+        pending.clear()
 
     # -- access / export ---------------------------------------------------
 
     def series(self, component: Optional[str] = None,
                name: Optional[str] = None) -> List[Series]:
         """All series matching the given component/name filters."""
+        self._fold()
         return [s for s in self._series.values()
                 if (component is None or s.component == component)
                 and (name is None or s.name == name)]
@@ -313,11 +496,13 @@ class TelemetrySampler:
             **labels: Any) -> Optional[Series]:
         key = (component, name,
                tuple(sorted((k, str(v)) for k, v in labels.items())))
+        self._fold()
         return self._series.get(key)
 
     @property
     def evictions(self) -> int:
         """Total ring evictions across every series."""
+        self._fold()
         return sum(s.evicted for s in self._series.values())
 
     def peak(self, component: str, name: str) -> Optional[float]:
@@ -328,6 +513,7 @@ class TelemetrySampler:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-stable dump of every ring."""
+        self._fold()
         return {
             "enabled": True,
             "interval": self.interval,

@@ -41,7 +41,10 @@ def _stuck_queue(w: "Watchdog", now: float) -> List[Firing]:
     out: List[Firing] = []
     n = w.stuck_window
     for label, (link, hist) in w._link_state.items():
-        if len(hist) <= n:
+        # cheap necessary conditions first: a queue that holds cells
+        # and did not move since the last tick
+        if len(hist) <= n or hist[-1][0] <= 0 \
+                or hist[-1][0] != hist[-2][0]:
             continue
         window = list(hist)[-(n + 1):]
         queued = [s[0] for s in window]
@@ -57,7 +60,8 @@ def _rising_drop_rate(w: "Watchdog", now: float) -> List[Firing]:
     out: List[Firing] = []
     n = w.drop_window
     for label, (link, hist) in w._link_state.items():
-        if len(hist) <= n:
+        # cheap necessary condition first: drops rose since the last tick
+        if len(hist) <= n or hist[-1][2] <= hist[-2][2]:
             continue
         drops = [s[2] for s in list(hist)[-(n + 1):]]
         if all(b > a for a, b in zip(drops, drops[1:])):

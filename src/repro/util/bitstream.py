@@ -15,11 +15,12 @@ class BitWriter:
 
     def __init__(self) -> None:
         self._bytes = bytearray()
-        self._bitpos = 0  # bits already used in the last byte (0..7)
+        self._acc = 0    # bits not yet in a whole byte, right-aligned
+        self._nacc = 0   # how many (0..7)
 
     def __len__(self) -> int:
         """Total number of bits written so far."""
-        return len(self._bytes) * 8 - ((8 - self._bitpos) % 8)
+        return len(self._bytes) * 8 + self._nacc
 
     def write(self, value: int, nbits: int) -> None:
         """Append the *nbits* low-order bits of *value*, MSB first."""
@@ -27,28 +28,32 @@ class BitWriter:
             raise ValueError("nbits must be non-negative")
         if value < 0 or (nbits < value.bit_length()):
             raise ValueError(f"value {value} does not fit in {nbits} bits")
-        for shift in range(nbits - 1, -1, -1):
-            bit = (value >> shift) & 1
-            if self._bitpos == 0:
-                self._bytes.append(0)
-            if bit:
-                self._bytes[-1] |= 1 << (7 - self._bitpos)
-            self._bitpos = (self._bitpos + 1) % 8
+        acc = (self._acc << nbits) | value
+        nacc = self._nacc + nbits
+        whole = nacc >> 3
+        if whole:
+            nacc &= 7
+            self._bytes += (acc >> nacc).to_bytes(whole, "big")
+            acc &= (1 << nacc) - 1
+        self._acc, self._nacc = acc, nacc
 
     def write_bytes(self, data: bytes) -> None:
         """Append whole bytes.  Fast path when byte-aligned."""
-        if self._bitpos == 0:
+        if self._nacc == 0:
             self._bytes.extend(data)
         else:
-            for b in data:
-                self.write(b, 8)
+            self.write(int.from_bytes(data, "big"), 8 * len(data))
 
     def align(self) -> None:
         """Pad with zero bits to the next byte boundary."""
-        self._bitpos = 0
+        if self._nacc:
+            self.write(0, 8 - self._nacc)
 
     def getvalue(self) -> bytes:
         """Return the written bits as bytes (zero-padded to a boundary)."""
+        if self._nacc:
+            return bytes(self._bytes) + bytes(
+                [self._acc << (8 - self._nacc)])
         return bytes(self._bytes)
 
 
@@ -72,15 +77,11 @@ class BitReader:
                 f"bit stream exhausted: wanted {nbits} bits, "
                 f"have {self.bits_remaining}"
             )
-        value = 0
         pos = self._pos
-        for _ in range(nbits):
-            byte = self._data[pos >> 3]
-            bit = (byte >> (7 - (pos & 7))) & 1
-            value = (value << 1) | bit
-            pos += 1
-        self._pos = pos
-        return value
+        end = pos + nbits
+        self._pos = end
+        window = int.from_bytes(self._data[pos >> 3:(end + 7) >> 3], "big")
+        return (window >> (-end & 7)) & ((1 << nbits) - 1)
 
     def read_bytes(self, n: int) -> bytes:
         """Read *n* whole bytes.  Fast path when byte-aligned."""
@@ -90,7 +91,7 @@ class BitReader:
                 raise DecodingError("bit stream exhausted reading bytes")
             self._pos += n * 8
             return self._data[start : start + n]
-        return bytes(self.read(8) for _ in range(n))
+        return self.read(8 * n).to_bytes(n, "big")
 
     def align(self) -> None:
         """Skip to the next byte boundary."""

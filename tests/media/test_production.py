@@ -46,6 +46,13 @@ class TestProducedAssets:
         assert obj.media_type is MediaType.IMAGE
         assert not obj.is_continuous
 
+    @pytest.mark.parametrize("width,height", [(102, 70), (101, 69), (3, 5)])
+    def test_image_sides_not_divisible_by_four(self, width, height):
+        # the noise patch fills the last quarter of rows and columns
+        obj = MediaProductionCenter().produce_image(
+            "card", width=width, height=height)
+        assert ImageCodec().decode(obj.data).shape == (height, width)
+
     def test_audio_decodable(self):
         pc = MediaProductionCenter()
         obj = pc.produce_audio("speech", seconds=0.5)

@@ -1,0 +1,131 @@
+"""The batched telemetry sampler against the one-append-per-tick
+reference in ``reference_sampler.py``: for any interleaving of
+registrations, updates, ticks, same-instant flushes, registry resets,
+extra read-through sources and mid-run reads, the rings, eviction
+counts and streamed archive rows are equal."""
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeseries import TelemetrySampler
+
+from tests.obs.reference_sampler import ReferenceSampler
+
+
+class _Stats:
+    def __init__(self):
+        self.count = 0
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("counter"), st.integers(0, 2), st.integers(0, 5)),
+    st.tuples(st.just("gauge"), st.integers(0, 1),
+              st.floats(-4, 4, allow_nan=False)),
+    st.tuples(st.just("hist"), st.integers(0, 1),
+              st.floats(1e-7, 70.0, allow_nan=False)),
+    st.tuples(st.just("read_through"), st.integers(0, 2),
+              st.integers(0, 3)),
+    st.tuples(st.just("bump"), st.integers(0, 2), st.integers(-2, 9)),
+    st.tuples(st.just("advance"),
+              st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])),
+    st.just(("sample",)),
+    st.just(("sample",)),
+    st.just(("reset",)),
+    st.just(("read",)),
+)
+
+
+def _run(ops, capacity, sink):
+    registry = MetricsRegistry()
+    sim = SimpleNamespace(now=0.0, metrics=registry)
+    sampler = TelemetrySampler(sim, capacity=capacity)
+    reference = ReferenceSampler(registry, capacity)
+    got, want = [], []
+    if sink:
+        sampler.sink = lambda now, rows: got.append((now, rows))
+    stats = [_Stats() for _ in range(3)]
+    for op in ops:
+        kind = op[0]
+        if kind == "counter":
+            registry.counter("work", f"c{op[1]}").inc(op[2])
+        elif kind == "gauge":
+            registry.gauge("work", "level", slot=op[1]).set(op[2])
+        elif kind == "hist":
+            registry.histogram("work", "latency", slot=op[1]).observe(op[2])
+        elif kind == "read_through":
+            # a repeat registration adds another source to the same key
+            registry.read_through("link", "cells", stats[op[2] % 3],
+                                  "count", link=op[1])
+        elif kind == "bump":
+            stats[op[1]].count += op[2]  # may move backwards
+        elif kind == "advance":
+            sim.now += op[1]
+        elif kind == "sample":
+            sampler.sample()
+            rows = reference.sample(sim.now)
+            if sink:
+                want.append((sim.now, rows))
+        elif kind == "reset":
+            registry.reset()
+        elif kind == "read":
+            sampler.series()
+    return sampler, reference, got, want
+
+
+def _dump(sampler):
+    return {s.key: (s.kind, s.evicted, list(s.times), list(s.values),
+                    None if s.rates is None else list(s.rates),
+                    None if s.p99s is None else list(s.p99s))
+            for s in sampler.series()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(_OPS, max_size=80), capacity=st.integers(2, 6),
+       sink=st.booleans())
+def test_rings_and_archive_rows_match_the_reference(ops, capacity, sink):
+    sampler, reference, got, want = _run(ops, capacity, sink)
+    assert _dump(sampler) == reference.dump()
+    assert sampler.evictions == sum(
+        s.evicted for s in reference.series.values())
+    assert got == want
+
+
+@pytest.mark.parametrize("ops", [
+    # the p99 moves between ticks
+    [("hist", 0, 1e-6), ("sample",), ("advance", 1.0), ("hist", 0, 50.0),
+     ("hist", 0, 60.0), ("sample",), ("advance", 1.0), ("sample",)],
+    # a second source joins a read-through mid-run
+    [("read_through", 0, 0), ("bump", 0, 3), ("sample",), ("advance", 1.0),
+     ("read_through", 0, 1), ("bump", 1, 4), ("sample",)],
+    # a reset, then fewer instruments under the same keys
+    [("counter", 0, 5), ("counter", 1, 1), ("sample",), ("advance", 1.0),
+     ("reset",), ("counter", 0, 2), ("sample",), ("advance", 1.0),
+     ("counter", 0, 1), ("sample",)],
+    # a reset, then a flush at the time the old series last sampled:
+    # the next rate is taken from the old sample, not the flush's
+    [("counter", 0, 0), ("sample",), ("reset",), ("counter", 0, 1),
+     ("sample",), ("advance", 0.25), ("sample",)],
+], ids=["p99-moves", "second-source", "reset", "reset-then-flush"])
+@pytest.mark.parametrize("sink", [False, True])
+def test_rewrites_match_the_reference(ops, sink):
+    sampler, reference, got, want = _run(ops, 4, sink)
+    assert _dump(sampler) == reference.dump()
+    assert got == want
+
+
+def test_flush_after_new_registrations_keeps_the_first_reading():
+    """A same-instant flush records only series new since the tick;
+    the next rate is taken from the first reading, not the flush's."""
+    ops = [("counter", 0, 1), ("sample",), ("counter", 0, 4),
+           ("counter", 1, 2), ("sample",), ("advance", 1.0),
+           ("counter", 0, 3), ("sample",)]
+    for sink in (False, True):
+        sampler, reference, got, want = _run(ops, 4, sink)
+        assert _dump(sampler) == reference.dump()
+        assert got == want
+    rates = list(sampler.get("work", "c0").rates)
+    assert rates == [0.0, 7.0]
