@@ -23,7 +23,6 @@ not carry; those never enter the encoded form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.util.bitstream import BitReader, BitWriter
 from repro.util.crc import crc8_hec
@@ -145,11 +144,3 @@ class Cell:
             raise DecodingError(f"ATM cell must be 53 octets, got {len(data)}")
         return cls(header=CellHeader.decode(data[:HEADER_SIZE]),
                    payload=data[HEADER_SIZE:])
-
-    def with_vc(self, vpi: int, vci: int) -> "Cell":
-        """Copy of this cell relabelled onto another VP/VC (switching)."""
-        hdr = CellHeader(vpi=vpi, vci=vci, pti=self.header.pti,
-                         clp=self.header.clp, gfc=self.header.gfc)
-        return Cell(header=hdr, payload=self.payload,
-                    created_at=self.created_at, seqno=self.seqno,
-                    hops=self.hops)

@@ -70,28 +70,22 @@ class Link:
     """
 
     def __init__(self, sim: Simulator, rate_bps: float, prop_delay: float = 1e-5,
-                 buffer_cells: int = 512, name: str = "", *,
-                 error_rate: float = 0.0,
-                 error_seed: int = 0) -> None:
+                 buffer_cells: int = 512, name: str = "") -> None:
         if rate_bps <= 0:
             raise ValueError("link rate must be positive")
         if buffer_cells < 1:
             raise ValueError("link buffer must hold at least one cell")
-        if not 0.0 <= error_rate < 1.0:
-            raise ValueError("error_rate must be in [0, 1)")
         self.sim = sim
         self.rate_bps = rate_bps
         self.prop_delay = prop_delay
         self.buffer_cells = buffer_cells
         self.name = name
         #: fault injection: probability a transmitted cell is lost on
-        #: the wire (seeded, so experiments are reproducible).  The RNG
-        #: is created lazily by the ``error_rate`` setter, so enabling
-        #: loss on a link constructed with ``error_rate=0.0`` works.
-        self._error_seed = error_seed
+        #: the wire (seeded, so experiments are reproducible); set only
+        #: through :meth:`set_error_rate`, which creates the RNG
+        self._error_seed = 0
         self._error_rng: Optional[random.Random] = None
         self._error_rate = 0.0
-        self.error_rate = error_rate
         #: fault injection: link outage — while down, arriving and
         #: in-flight cells are lost and the transmitter is parked
         self._down = False
@@ -150,32 +144,21 @@ class Link:
         """Probability a transmitted cell is lost on the wire."""
         return self._error_rate
 
-    @error_rate.setter
-    def error_rate(self, rate: float) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("error_rate must be in [0, 1)")
-        self._error_rate = rate
-        # regression guard: a link constructed with error_rate=0.0 has
-        # no RNG yet — create one here so enabling loss later actually
-        # drops cells instead of silently no-opping
-        if rate > 0 and self._error_rng is None:
-            self._error_rng = random.Random(self._error_seed)
-
     def set_error_rate(self, rate: float, seed: Optional[int] = None) -> None:
         """Enable (or change) seeded random cell loss on this link.
 
         With *seed* given the loss RNG is re-seeded; otherwise an
-        existing RNG (or the construction-time seed) is kept so
+        existing RNG (or the last seed given, 0 at first) is kept so
         adjusting the rate mid-run stays reproducible.
         """
+        if not 0.0 <= rate < 1.0:
+            raise ValueError("error_rate must be in [0, 1)")
         if seed is not None:
             self._error_seed = seed
-            self._error_rng = random.Random(seed) if rate > 0 else None
-        self.error_rate = rate
-
-    def inject_errors(self, rate: float, seed: int = 0) -> None:
-        """Enable (or change) seeded random cell loss on this link."""
-        self.set_error_rate(rate, seed=seed)
+            self._error_rng = None
+        if rate > 0 and self._error_rng is None:
+            self._error_rng = random.Random(self._error_seed)
+        self._error_rate = rate
 
     # -- fault hooks (driven by repro.faults.FaultInjector) --------------
 

@@ -43,6 +43,10 @@ DELAY_SAMPLE_CAP = 1024
 #: leaking memory forever on lossy links)
 SEND_TIME_CAP = 8192
 
+#: connection admission: reserved effective bandwidth may fill at most
+#: this fraction of any link on a VC's route
+ADMISSION_UTILIZATION = 0.9
+
 
 class SwitchPortSink:
     """Link sink delivering trains into one switch input port.
@@ -266,11 +270,9 @@ class DuplexEndpoint:
 class AtmNetwork:
     """The assembled network: topology + signalling + admission."""
 
-    def __init__(self, sim: Simulator, *, police: bool = True,
-                 admission_utilization: float = 0.9) -> None:
+    def __init__(self, sim: Simulator, *, police: bool = True) -> None:
         self.sim = sim
         self.police = police
-        self.admission_utilization = admission_utilization
         self.hosts: Dict[str, Host] = {}
         self.switches: Dict[str, Switch] = {}
         #: directed adjacency: (from, to) -> Link
@@ -376,7 +378,7 @@ class AtmNetwork:
         """Set up a unidirectional VC src->dst, or raise NetworkError.
 
         Performs admission control along the route: the contract's
-        effective bandwidth must fit within ``admission_utilization``
+        effective bandwidth must fit within ``ADMISSION_UTILIZATION``
         of every link's remaining capacity.
         """
         if src not in self.hosts or dst not in self.hosts:
@@ -385,10 +387,10 @@ class AtmNetwork:
         eff_bw = contract.effective_bandwidth_bps()
         hop_links = [self.links[(path[i], path[i + 1])] for i in range(len(path) - 1)]
         for link in hop_links:
-            if link.reserved_bps + eff_bw > link.rate_bps * self.admission_utilization:
+            if link.reserved_bps + eff_bw > link.rate_bps * ADMISSION_UTILIZATION:
                 raise NetworkError(
                     f"admission control rejected VC {src}->{dst}: link "
-                    f"{link.name} has {link.rate_bps * self.admission_utilization - link.reserved_bps:.0f} "
+                    f"{link.name} has {link.rate_bps * ADMISSION_UTILIZATION - link.reserved_bps:.0f} "
                     f"bps free, contract needs {eff_bw:.0f} bps"
                 )
         for link in hop_links:

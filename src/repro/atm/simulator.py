@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.obs.accounting import Ledger
 from repro.obs.events import FlightRecorder
@@ -268,11 +268,3 @@ class Process:
             self._pending_event = None
             return
         self._pending_event = self._sim.schedule(delay, self._advance)
-
-
-def run_all(sim: Simulator, processes: Iterable[Generator[float, None, None]],
-            until: Optional[float] = None) -> float:
-    """Convenience: spawn all *processes* and run the simulator."""
-    for gen in processes:
-        sim.spawn(gen)
-    return sim.run(until=until)

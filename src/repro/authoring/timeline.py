@@ -11,7 +11,7 @@ dynamic" — the essence of dynamic interaction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.util.errors import AuthoringError
 
@@ -100,8 +100,3 @@ class Timeline:
                     raise AuthoringError(
                         f"{e.object_name}: preemption successor "
                         f"{e.preempt_next!r} unknown")
-
-    def to_sync_entries(self) -> List[Dict[str, float]]:
-        """The elementary-sync entries this time-line compiles to."""
-        return [{"name": e.object_name, "time": e.start}
-                for e in self.entries]

@@ -23,7 +23,6 @@ from repro.navigator.navigator import Navigator
 from repro.school.service import SchoolClient, SchoolService
 from repro.transport.connection import connect_pair
 from repro.transport.rpc import RpcClient, RpcServer, SharedProcessor
-from repro.util.errors import NetworkError
 
 #: default contract for control-plane connections (requests, uploads):
 #: ~3.4 Mb/s peak / ~0.85 Mb/s sustained per connection, so a 155 Mb/s
@@ -73,17 +72,15 @@ class DatabaseSite:
         self.processor = SharedProcessor(sim, service_time)
         self.endpoints: List[RpcServer] = []
 
-    def serve(self, client_host: str,
-              contract: TrafficContract = CONTROL_CONTRACT
-              ) -> RpcClient:
+    def serve(self, client_host: str) -> RpcClient:
         """Open a connection from *client_host* and serve it.
 
         Returns the client-side RPC endpoint for the caller to build
         its client wrappers on.
         """
         conn_client, conn_server = _recovering_pair(
-            self.sim, self.network, client_host, self.host, contract,
-            self.recovery)
+            self.sim, self.network, client_host, self.host,
+            CONTROL_CONTRACT, self.recovery)
         rpc_server = RpcServer(self.sim, conn_server,
                                processor=self.processor)
         self.server.attach(rpc_server)
@@ -186,11 +183,10 @@ class FacilitatorSite:
         self.service = SchoolService(sim=sim)
         self.endpoints: List[RpcServer] = []
 
-    def serve(self, client_host: str,
-              contract: TrafficContract = CONTROL_CONTRACT) -> RpcClient:
+    def serve(self, client_host: str) -> RpcClient:
         conn_client, conn_server = _recovering_pair(
-            self.sim, self.network, client_host, self.host, contract,
-            self.recovery)
+            self.sim, self.network, client_host, self.host,
+            CONTROL_CONTRACT, self.recovery)
         rpc_server = RpcServer(self.sim, conn_server)
         self.service.attach(rpc_server)
         self.endpoints.append(rpc_server)

@@ -231,7 +231,6 @@ class DatabaseServer:
         rpc.register("Statistics", lambda p: db.statistics())
         rpc.register_stream("GetContent",
                             lambda p: db.content.chunks(p["content_ref"]))
-        rpc.register("GetContentInfo", self._content_info)
         # upload surface used by the production center and author sites
         rpc.register("StoreContent", self._store_content)
         rpc.register("StoreCourseware", self._store_courseware)
@@ -311,14 +310,6 @@ class DatabaseServer:
             marks.append(p["reference"])
         self.db.update_student(student)
         return list(marks)
-
-    def _content_info(self, p: Dict[str, Any]) -> Dict[str, Any]:
-        record = self.db.content.get(p["content_ref"])
-        return {"content_ref": record.content_ref,
-                "media_kind": record.media_kind,
-                "coding_method": record.coding_method,
-                "size": record.size,
-                "attributes": dict(record.attributes)}
 
 
 class DatabaseClient:
@@ -408,10 +399,6 @@ class DatabaseClient:
 
     def statistics(self, **cb) -> PendingCall:
         return self.rpc.call("Statistics", None, **cb)
-
-    def get_content_info(self, content_ref: str, **cb) -> PendingCall:
-        return self.rpc.call("GetContentInfo",
-                             {"content_ref": content_ref}, **cb)
 
     def get_content(self, content_ref: str, *,
                     on_chunk: Optional[Callable[[bytes], None]] = None,

@@ -4,7 +4,7 @@
 time they are requested, the transmission resource is saved and the
 real time performance is improved."  The content server is the
 database-side component that answers those requests, serving whole
-objects or frame-granular video streams.
+objects in fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Iterator, List, Optional
 
 from repro.database.schema import ContentRecord
 from repro.database.store import ObjectStore
-from repro.media.video import VideoStream
 from repro.obs.tracing import NULL_SPAN, Tracer
 from repro.util.errors import DatabaseError
 
@@ -23,15 +22,14 @@ CONTENT_COLLECTION = "content"
 class ContentServer:
     """Serves content records out of an object store."""
 
-    def __init__(self, store: ObjectStore, chunk_size: int = 8192, *,
-                 tracer: Optional[Tracer] = None) -> None:
+    def __init__(self, store: ObjectStore, chunk_size: int = 8192) -> None:
         self.store = store
         self.chunk_size = chunk_size
         self.requests = 0
         self.bytes_served = 0
         #: wired by the owning site so content lookups appear in the
         #: request's cross-site trace (under the rpc.server span)
-        self.tracer = tracer
+        self.tracer: Optional[Tracer] = None
 
     def put(self, record: ContentRecord) -> None:
         self.store.put(CONTENT_COLLECTION, record.content_ref, record)
@@ -65,12 +63,3 @@ class ContentServer:
         data = self.get(content_ref).data
         for i in range(0, len(data), self.chunk_size):
             yield data[i:i + self.chunk_size]
-
-    def video_frames(self, content_ref: str) -> Iterator[tuple]:
-        """(timestamp, frame bytes) pairs for a stored video object —
-        the unit a streaming sender paces onto the network."""
-        record = self.get(content_ref)
-        if record.coding_method != "SMPG":
-            raise DatabaseError(
-                f"{content_ref!r} is {record.coding_method}, not video")
-        yield from VideoStream(record.data)

@@ -202,6 +202,8 @@ class ImageCodec:
     def decode(self, data: bytes) -> np.ndarray:
         if data[:4] != _MAGIC:
             raise DecodingError("not an SIMG payload")
+        if len(data) < 9:
+            raise DecodingError("truncated SIMG header")
         h, w, quality = struct.unpack_from(">HHB", data, 4)
         H, W = h + ((-h) % 8), w + ((-w) % 8)
         nblocks = (H // 8) * (W // 8)

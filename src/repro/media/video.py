@@ -27,6 +27,10 @@ from repro.util.bitstream import BitWriter
 from repro.util.errors import DecodingError, EncodingError
 
 _MAGIC = b"SMPG"
+_HEADER = struct.Struct(">HHHfB")
+#: magic, header fields and the quality octet
+_HEADER_SIZE = 4 + _HEADER.size + 1
+_FRAME = struct.Struct(">BI")  # frame kind, payload size
 _FRAME_I = 0
 _FRAME_P = 1
 
@@ -87,9 +91,8 @@ class VideoCodec:
                 kind = _FRAME_P
                 payload, residual = self._code_plane(plane - reference, q)
                 reference = reference + residual
-            parts.append(struct.pack(">BI", kind, len(payload)) + payload)
-        header = _MAGIC + struct.pack(">HHHfB", T, h, w,
-                                      self.frame_rate, self.gop)
+            parts.append(_FRAME.pack(kind, len(payload)) + payload)
+        header = _MAGIC + _HEADER.pack(T, h, w, self.frame_rate, self.gop)
         return header + struct.pack(">B", self.quality) + b"".join(parts)
 
     # -- decoding ---------------------------------------------------------
@@ -99,20 +102,21 @@ class VideoCodec:
         """(frames, height, width, frame_rate, gop, quality)."""
         if data[:4] != _MAGIC:
             raise DecodingError("not an SMPG payload")
-        T, h, w, rate, gop = struct.unpack_from(">HHHfB", data, 4)
-        quality = data[4 + struct.calcsize(">HHHfB")]
-        return T, h, w, rate, gop, quality
+        if len(data) < _HEADER_SIZE:
+            raise DecodingError("truncated SMPG header")
+        T, h, w, rate, gop = _HEADER.unpack_from(data, 4)
+        return T, h, w, rate, gop, data[_HEADER_SIZE - 1]
 
     def decode(self, data: bytes) -> np.ndarray:
         T, h, w, rate, gop, quality = self.parse_header(data)
         q = quant_table(quality)
         nblocks = (h // 8) * (w // 8)
-        pos = 4 + struct.calcsize(">HHHfB") + 1
+        pos = _HEADER_SIZE
         out = np.empty((T, h, w), dtype=np.uint8)
         reference = None
         for t in range(T):
-            kind, size = struct.unpack_from(">BI", data, pos)
-            pos += 5
+            kind, size = _frame_header(data, pos)
+            pos += _FRAME.size
             payload = data[pos:pos + size]
             if len(payload) != size:
                 raise DecodingError("truncated video frame")
@@ -131,6 +135,13 @@ class VideoCodec:
         return out
 
 
+def _frame_header(data: bytes, pos: int) -> Tuple[int, int]:
+    """(kind, payload size) of the frame header at *pos*."""
+    if pos + _FRAME.size > len(data):
+        raise DecodingError("truncated video frame header")
+    return _FRAME.unpack_from(data, pos)
+
+
 class VideoStream:
     """Frame-granular access to an encoded sequence, for streaming."""
 
@@ -139,11 +150,13 @@ class VideoStream:
          self.gop, self.quality) = VideoCodec.parse_header(data)
         self._data = data
         self._offsets: List[Tuple[int, int, int]] = []  # (kind, start, size)
-        pos = 4 + struct.calcsize(">HHHfB") + 1
+        pos = _HEADER_SIZE
         for _ in range(self.frames):
-            kind, size = struct.unpack_from(">BI", data, pos)
-            self._offsets.append((kind, pos, size + 5))
-            pos += 5 + size
+            kind, size = _frame_header(data, pos)
+            self._offsets.append((kind, pos, _FRAME.size + size))
+            pos += _FRAME.size + size
+        if pos > len(data):
+            raise DecodingError("truncated video frame")
         if pos != len(data):
             raise DecodingError("trailing bytes after last frame")
 

@@ -8,21 +8,22 @@ module implements the subset of BER the codec needs, honestly:
 * definite lengths in short and long form;
 * universal types BOOLEAN, INTEGER, OCTET STRING, NULL, REAL (ISO 6093
   NR3 character form), UTF8String, SEQUENCE;
-* arbitrary application/context-specific constructed types, which the
-  MHEG codec uses to tag classes and attributes.
+* constructed application-class elements, which the MHEG codec uses
+  to tag classes, and context [0] for str-keyed dicts.
 
-Two layers share those rules.  The raw TLV layer (:class:`Tlv`,
-:func:`encode_tlv`, :func:`decode_tlv`) builds and walks element
-trees.  The value layer, :func:`encode_value` / :func:`decode_value`,
-maps plain Python values (None, bool, int, float, str, bytes, list,
-str-keyed dict) to self-describing BER, which is what MHEG attribute
-bodies use.  It is the interchange hot path, so both directions run in
-one pass over the bytes and build no Tlv tree.
+One value layer applies those rules.  :func:`encode_value` /
+:func:`decode_value` map plain Python values (None, bool, int, float,
+str, bytes, list, str-keyed dict) to self-describing BER, which is what
+MHEG attribute bodies use; :class:`~repro.mheg.codec.MhegCodec` wraps
+each body in an application-class element built from the identifier
+and length helpers below.  It is the interchange hot path, so both
+directions run in one pass over the bytes and build no element tree.
+The tests check the encoder byte for byte against an independent
+recursive encoder (``tests/mheg/reference_ber.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, List, Tuple
 
 from repro.util.errors import DecodingError, EncodingError
@@ -31,7 +32,6 @@ from repro.util.errors import DecodingError, EncodingError
 UNIVERSAL = 0
 APPLICATION = 1
 CONTEXT = 2
-PRIVATE = 3
 
 # universal tag numbers used here
 TAG_BOOLEAN = 1
@@ -41,24 +41,6 @@ TAG_NULL = 5
 TAG_REAL = 9
 TAG_UTF8STRING = 12
 TAG_SEQUENCE = 16
-
-
-@dataclass(slots=True)
-class Tlv:
-    """One decoded BER element."""
-
-    tag_class: int
-    number: int
-    constructed: bool
-    content: bytes = b""                      # primitive content
-    children: List["Tlv"] = field(default_factory=list)  # constructed
-
-    def child(self, index: int) -> "Tlv":
-        try:
-            return self.children[index]
-        except IndexError as exc:
-            raise DecodingError(
-                f"BER element missing child {index}") from exc
 
 
 # -- identifier and length octets ------------------------------------------
@@ -132,173 +114,6 @@ def _decode_length(data: bytes, pos: int) -> Tuple[int, int]:
     return int.from_bytes(data[pos:pos + nbytes], "big"), pos + nbytes
 
 
-# -- TLV layer --------------------------------------------------------------
-
-def encode_tlv(tlv: Tlv) -> bytes:
-    if tlv.constructed:
-        content = b"".join(encode_tlv(c) for c in tlv.children)
-    else:
-        content = tlv.content
-    return (_encode_identifier(tlv.tag_class, tlv.number, tlv.constructed)
-            + _encode_length(len(content)) + content)
-
-
-def decode_tlv(data: bytes, pos: int = 0) -> Tuple[Tlv, int]:
-    # hand-inlined identifier/length fast paths: this is the hot loop of
-    # every MHEG interchange (hundreds of elements per object graph)
-    try:
-        first = data[pos]
-    except IndexError:
-        raise DecodingError("truncated BER identifier") from None
-    pos += 1
-    tag_class = first >> 6
-    constructed = bool(first & 0x20)
-    number = first & 0x1F
-    if number == 0x1F:
-        number = 0
-        while True:
-            if pos >= len(data):
-                raise DecodingError("truncated high tag number")
-            octet = data[pos]
-            pos += 1
-            number = (number << 7) | (octet & 0x7F)
-            if not octet & 0x80:
-                break
-            if number > 2**28:
-                raise DecodingError("tag number unreasonably large")
-    try:
-        lbyte = data[pos]
-    except IndexError:
-        raise DecodingError("truncated BER length") from None
-    pos += 1
-    if lbyte < 0x80:
-        length = lbyte
-    else:
-        nbytes = lbyte & 0x7F
-        if nbytes == 0:
-            raise DecodingError("indefinite lengths are not supported")
-        if pos + nbytes > len(data):
-            raise DecodingError("truncated long-form length")
-        length = int.from_bytes(data[pos:pos + nbytes], "big")
-        pos += nbytes
-    end = pos + length
-    if end > len(data):
-        raise DecodingError(
-            f"BER content truncated: need {length} bytes, have {len(data) - pos}")
-    if constructed:
-        children = []
-        append = children.append
-        while pos < end:
-            child, pos = decode_tlv(data, pos)
-            append(child)
-        if pos != end:
-            raise DecodingError("constructed content overruns its length")
-        return Tlv(tag_class, number, True, b"", children), end
-    return Tlv(tag_class, number, False, data[pos:end], []), end
-
-
-def decode_tlv_exact(data: bytes) -> Tlv:
-    """Decode one element and require it to span the whole buffer."""
-    tlv, end = decode_tlv(data, 0)
-    if end != len(data):
-        raise DecodingError(f"{len(data) - end} trailing bytes after BER element")
-    return tlv
-
-
-# -- primitive constructors ---------------------------------------------------
-
-def ber_boolean(value: bool) -> Tlv:
-    return Tlv(UNIVERSAL, TAG_BOOLEAN, False,
-               content=b"\xff" if value else b"\x00")
-
-
-def ber_integer(value: int) -> Tlv:
-    n = max(1, (value.bit_length() + 8) // 8)
-    return Tlv(UNIVERSAL, TAG_INTEGER, False,
-               content=value.to_bytes(n, "big", signed=True))
-
-
-def ber_octets(value: bytes) -> Tlv:
-    return Tlv(UNIVERSAL, TAG_OCTET_STRING, False, content=bytes(value))
-
-
-def ber_null() -> Tlv:
-    return Tlv(UNIVERSAL, TAG_NULL, False)
-
-
-def ber_real(value: float) -> Tlv:
-    # ISO 6093 NR3 character representation (BER base-10 form 3)
-    text = repr(float(value)).encode("ascii")
-    return Tlv(UNIVERSAL, TAG_REAL, False, content=b"\x03" + text)
-
-
-def ber_utf8(value: str) -> Tlv:
-    return Tlv(UNIVERSAL, TAG_UTF8STRING, False,
-               content=value.encode("utf-8"))
-
-
-def ber_sequence(children: List[Tlv]) -> Tlv:
-    return Tlv(UNIVERSAL, TAG_SEQUENCE, True, children=list(children))
-
-
-def context(number: int, children: List[Tlv]) -> Tlv:
-    """Constructed context-specific element (attribute tagging)."""
-    return Tlv(CONTEXT, number, True, children=list(children))
-
-
-def application(number: int, children: List[Tlv]) -> Tlv:
-    """Constructed application-class element (MHEG class tagging)."""
-    return Tlv(APPLICATION, number, True, children=list(children))
-
-
-# -- primitive readers ----------------------------------------------------------
-
-def read_boolean(tlv: Tlv) -> bool:
-    _expect(tlv, TAG_BOOLEAN)
-    if len(tlv.content) != 1:
-        raise DecodingError("BOOLEAN must be one octet")
-    return tlv.content != b"\x00"
-
-
-def read_integer(tlv: Tlv) -> int:
-    _expect(tlv, TAG_INTEGER)
-    if not tlv.content:
-        raise DecodingError("INTEGER with empty content")
-    return int.from_bytes(tlv.content, "big", signed=True)
-
-
-def read_octets(tlv: Tlv) -> bytes:
-    _expect(tlv, TAG_OCTET_STRING)
-    return tlv.content
-
-
-def read_real(tlv: Tlv) -> float:
-    _expect(tlv, TAG_REAL)
-    if not tlv.content:
-        return 0.0
-    if tlv.content[0] != 0x03:
-        raise DecodingError("only NR3 character-form REAL is supported")
-    try:
-        return float(tlv.content[1:].decode("ascii"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise DecodingError(f"malformed REAL: {exc}") from exc
-
-
-def read_utf8(tlv: Tlv) -> str:
-    _expect(tlv, TAG_UTF8STRING)
-    try:
-        return tlv.content.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DecodingError(f"invalid utf-8 in UTF8String: {exc}") from exc
-
-
-def _expect(tlv: Tlv, number: int) -> None:
-    if tlv.tag_class != UNIVERSAL or tlv.number != number:
-        raise DecodingError(
-            f"expected universal tag {number}, got class {tlv.tag_class} "
-            f"tag {tlv.number}")
-
-
 # -- generic python-value mapping --------------------------------------------
 # lists encode as SEQUENCE; dicts as context[0] holding alternating
 # UTF8String key and value elements, so key order round-trips.
@@ -317,7 +132,7 @@ def _header(tag: int, length: int) -> bytes:
 def _encode_into(value: Any, out: List[bytes], depth: int) -> int:
     """Append the BER encoding of *value* to *out*; return its size.
 
-    One pass, no Tlv tree: a SEQUENCE or dict reserves a slot in *out*
+    One pass, no element tree: a SEQUENCE or dict reserves a slot in *out*
     for its header and fills it in once its children are written.
     """
     if depth > _MAX_DEPTH:
@@ -395,9 +210,10 @@ def decode_value(data: bytes) -> Any:
 def parse_value(data: bytes, pos: int, depth: int = 0) -> Tuple[Any, int]:
     """One-pass BER -> Python value parser (no intermediate TLV tree).
 
-    Inverse of :func:`encode_value`, and it applies the same framing
-    checks as :func:`decode_tlv` — this is the path every MHEG object
-    decode takes, so it is deliberately hand-tuned.
+    Inverse of :func:`encode_value`, with the framing checks of
+    :func:`_decode_identifier` and :func:`_decode_length` inlined —
+    this is the path every MHEG object decode takes, so it is
+    deliberately hand-tuned.
     """
     if depth > _MAX_DEPTH:
         raise DecodingError("BER value nests too deeply")

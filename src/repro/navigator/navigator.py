@@ -259,10 +259,6 @@ class Navigator:
             cb = {"on_result": both}
         return self.client.update_profile(number, **fields, **cb)
 
-    def school_statistics(self, **cb):
-        self._require_student()
-        return self.client.statistics(**cb)
-
     # -- discussion / bulletin / exercises (via the school client) ------------------------------
 
     def ask_facilitator(self, question: str, **cb):

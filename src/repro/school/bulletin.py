@@ -48,9 +48,6 @@ class BulletinBoard:
     def groups(self) -> List[str]:
         return sorted(self._groups)
 
-    def add_group(self, name: str) -> None:
-        self._groups.setdefault(name, [])
-
     def post(self, group: str, author: str, subject: str, body: str,
              now: float = 0.0, in_reply_to: Optional[int] = None
              ) -> BulletinPost:

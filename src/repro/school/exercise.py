@@ -142,9 +142,6 @@ class ExerciseService:
                 "max_score": exercise.max_score(),
                 "per_question": per_question}
 
-    def best_score(self, exercise_id: str, student_number: str) -> float:
-        return self._scores.get((exercise_id, student_number), 0.0)
-
     def standings(self, exercise_id: str) -> List[Dict[str, Any]]:
         """Contest view: students ranked by best score."""
         self.get(exercise_id)

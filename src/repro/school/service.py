@@ -8,7 +8,7 @@ wrapper.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.school.bulletin import BulletinBoard
 from repro.school.discussion import DiscussionService, Facilitator
@@ -32,23 +32,8 @@ class SchoolService:
         return self.sim.now if self.sim is not None else 0.0
 
     def attach(self, rpc: RpcServer) -> RpcServer:
-        rpc.register("Bulletin.Groups", lambda p: self.bulletin.groups())
-        rpc.register("Bulletin.Post",
-                     lambda p: self.bulletin.post(
-                         p["group"], p["author"], p["subject"], p["body"],
-                         now=self.now,
-                         in_reply_to=p.get("in_reply_to")).summary())
         rpc.register("Bulletin.List",
                      lambda p: self.bulletin.list_posts(p["group"]))
-        rpc.register("Bulletin.Read",
-                     lambda p: {**self.bulletin.read(p["post_id"]).summary(),
-                                "body": self.bulletin.read(p["post_id"]).body})
-        rpc.register("Exercise.List",
-                     lambda p: self.exercises.list_for_course(
-                         p["course_code"]))
-        rpc.register("Exercise.Get",
-                     lambda p: self.exercises.get(
-                         p["exercise_id"]).describe())
         rpc.register("Exercise.Submit",
                      lambda p: self.exercises.submit(
                          p["exercise_id"], p["student_number"],
@@ -94,30 +79,8 @@ class SchoolClient:
     def __init__(self, rpc: RpcClient) -> None:
         self.rpc = rpc
 
-    def bulletin_groups(self, **cb) -> PendingCall:
-        return self.rpc.call("Bulletin.Groups", None, **cb)
-
-    def bulletin_post(self, group: str, author: str, subject: str,
-                      body: str, in_reply_to: Optional[int] = None,
-                      **cb) -> PendingCall:
-        return self.rpc.call("Bulletin.Post",
-                             {"group": group, "author": author,
-                              "subject": subject, "body": body,
-                              "in_reply_to": in_reply_to}, **cb)
-
     def bulletin_list(self, group: str, **cb) -> PendingCall:
         return self.rpc.call("Bulletin.List", {"group": group}, **cb)
-
-    def bulletin_read(self, post_id: int, **cb) -> PendingCall:
-        return self.rpc.call("Bulletin.Read", {"post_id": post_id}, **cb)
-
-    def exercises_for_course(self, course_code: str, **cb) -> PendingCall:
-        return self.rpc.call("Exercise.List",
-                             {"course_code": course_code}, **cb)
-
-    def get_exercise(self, exercise_id: str, **cb) -> PendingCall:
-        return self.rpc.call("Exercise.Get",
-                             {"exercise_id": exercise_id}, **cb)
 
     def submit_exercise(self, exercise_id: str, student_number: str,
                         answers: List[Any], **cb) -> PendingCall:

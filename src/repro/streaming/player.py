@@ -59,8 +59,7 @@ class VideoPlayer:
                  skip_grace: float = 2.0,
                  frames_expected: int = 0, name: str = "player",
                  conceal_limit: int = 0,
-                 degrade_after_stalls: int = 0,
-                 on_degrade: Optional[Callable[[], None]] = None) -> None:
+                 degrade_after_stalls: int = 0) -> None:
         self.sim = sim
         self.preroll = preroll
         self.skip_grace = skip_grace
@@ -70,9 +69,10 @@ class VideoPlayer:
         #: stalling — late-frame concealment
         self.conceal_limit = conceal_limit
         #: after this many stalls (and each further multiple), ask the
-        #: sender for a bitrate downgrade via ``on_degrade``; 0 = off
+        #: sender for a bitrate downgrade via ``on_degrade`` (set by the
+        #: owner after construction); 0 = off
         self.degrade_after_stalls = degrade_after_stalls
-        self.on_degrade = on_degrade
+        self.on_degrade: Optional[Callable[[], None]] = None
         self._next_degrade_at = degrade_after_stalls
         self._conceal_run = 0
         self.stats = PlayoutStats(frames_expected=frames_expected)

@@ -15,7 +15,7 @@ from typing import Optional
 from repro.atm.network import VirtualCircuit
 from repro.atm.simulator import Simulator
 from repro.media.video import VideoStream
-from repro.obs.tracing import NULL_SPAN, TraceContext
+from repro.obs.tracing import NULL_SPAN
 from repro.util.errors import NetworkError
 
 _FRAME_HEADER = struct.Struct(">IdB")  # index, timestamp, last flag
@@ -35,8 +35,7 @@ class VideoStreamSender:
     """Paces one encoded video sequence onto a VC."""
 
     def __init__(self, sim: Simulator, vc: VirtualCircuit, data: bytes, *,
-                 lead: float = 0.0,
-                 ctx: Optional[TraceContext] = None) -> None:
+                 lead: float = 0.0) -> None:
         self.sim = sim
         self.vc = vc
         self.stream = VideoStream(data)
@@ -50,9 +49,6 @@ class VideoStreamSender:
         #: Downgrading mid-stream models switching to a coarser SMPG
         #: quantiser when the receiver reports sustained stalls.
         self.quality = 1.0
-        #: trace context of the request that asked for this stream;
-        #: the whole playout becomes one span under it
-        self.ctx = ctx
         self._span = NULL_SPAN
         label = f"vc{vc.vc_id}"
         for field in ("frames_sent", "bytes_sent"):
@@ -75,8 +71,8 @@ class VideoStreamSender:
         timestamp relative to now."""
         self.started_at = self.sim.now
         self._span = self.sim.tracer.span(
-            "streaming.send", parent=self.ctx,
-            stream=f"vc{self.vc.vc_id}", frames=self.stream.frames)
+            "streaming.send", stream=f"vc{self.vc.vc_id}",
+            frames=self.stream.frames)
         for i, (timestamp, frame) in enumerate(self.stream):
             send_at = max(0.0, timestamp - self.lead)
             last = i == self.stream.frames - 1

@@ -24,7 +24,7 @@ so a constant 50 ms timer fires mid-flight and resends the *entire*
 go-back-N window through AAL5 segmentation — pure duplicate cells
 (see DESIGN.md "Trace-driven performance diagnosis").
 
-Applications register an ``on_message`` callback and call
+Applications set a connection's ``on_message`` callback and call
 :meth:`Connection.send`; everything below that — segmentation,
 retransmission, ordering — is invisible, which is exactly the
 "transparency for end users" the thesis's client-server section asks
@@ -71,7 +71,6 @@ class Connection:
     def __init__(self, sim: Simulator, endpoint: DuplexEndpoint, *,
                  window: int = 32, retransmit_timeout: float = 0.05,
                  rto_max: float = 2.0, max_retries: int = 30,
-                 on_message: Optional[Callable[[Message], None]] = None,
                  on_error: Optional[Callable[[Exception], None]] = None,
                  name: str = "") -> None:
         if window < 1:
@@ -90,7 +89,8 @@ class Connection:
         #: consecutive timeouts without ack progress (exponent of the
         #: backoff applied on top of the adaptive RTO)
         self._backoff = 0
-        self.on_message = on_message
+        #: set by the application (or the RPC layer) after construction
+        self.on_message: Optional[Callable[[Message], None]] = None
         #: invoked (instead of raising out of the event loop) when the
         #: peer is declared unreachable after max_retries timeouts
         self.on_error = on_error

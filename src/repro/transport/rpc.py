@@ -28,6 +28,9 @@ from repro.transport.messages import Message, MessageType
 from repro.transport.wire import dump_value, load_value
 from repro.util.errors import NetworkError, ReproError
 
+#: seed of every client's retry-jitter RNG, so backoff is reproducible
+RETRY_SEED = 7
+
 
 class RpcError(ReproError):
     """A remote method signalled failure."""
@@ -133,8 +136,7 @@ class RpcClient:
                  max_retries: int = 0,
                  backoff_base: float = 0.2,
                  backoff_factor: float = 2.0,
-                 backoff_jitter: float = 0.5,
-                 retry_seed: int = 7) -> None:
+                 backoff_jitter: float = 0.5) -> None:
         self.sim = sim
         self.connection = connection
         self.default_timeout = default_timeout
@@ -142,7 +144,7 @@ class RpcClient:
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
         self.backoff_jitter = backoff_jitter
-        self._retry_rng = random.Random(retry_seed)
+        self._retry_rng = random.Random(RETRY_SEED)
         self._corr = itertools.count(1)
         self._pending: Dict[int, PendingCall] = {}
         self._streams: Dict[int, StreamReceiver] = {}

@@ -64,13 +64,3 @@ class TestCell:
     def test_decode_rejects_wrong_size(self):
         with pytest.raises(DecodingError):
             Cell.decode(bytes(52))
-
-    def test_with_vc_relabels_but_keeps_payload(self):
-        cell = Cell(header=CellHeader(vpi=1, vci=40, pti=PTI_USER_LAST, clp=1),
-                    payload=bytes(48), created_at=1.5, seqno=9)
-        out = cell.with_vc(2, 77)
-        assert (out.header.vpi, out.header.vci) == (2, 77)
-        assert out.header.pti == PTI_USER_LAST
-        assert out.header.clp == 1
-        assert out.payload == cell.payload
-        assert out.created_at == 1.5 and out.seqno == 9

@@ -121,7 +121,7 @@ class TestLink:
         assert link.utilization() == pytest.approx(0.5)
 
     def test_error_rate_enabled_after_clean_construction(self):
-        # regression: a link constructed with error_rate=0.0 had no
+        # regression: a link constructed without loss had no
         # _error_rng, so enabling loss later silently dropped nothing
         sim = Simulator()
         delivered = []
@@ -136,13 +136,38 @@ class TestLink:
         assert link.stats.dropped_errors > 0
         assert len(delivered) == 200 - link.stats.dropped_errors
 
-    def test_error_rate_property_setter_also_arms_rng(self):
+    def test_error_rate_without_seed_arms_rng(self):
+        # the fault injector restores a link's rate with no seed; that
+        # path must arm (and then keep) the loss RNG too
         sim = Simulator()
         link = Link(sim, rate_bps=424e3)
         link.sink_train = lambda t: None
-        link.error_rate = 0.25
-        assert link._error_rng is not None
+        link.set_error_rate(0.25)
+        rng = link._error_rng
+        assert rng is not None
         assert link.error_rate == 0.25
+        link.set_error_rate(0.5)
+        assert link._error_rng is rng
+        with pytest.raises(AttributeError):
+            link.error_rate = 0.1       # set_error_rate is the only way in
+
+    def test_error_rate_reseeds_only_with_a_seed(self):
+        def losses(link):
+            return [link._error_rng.random() for _ in range(3)]
+
+        sim = Simulator()
+        a, b = Link(sim, rate_bps=424e3), Link(sim, rate_bps=424e3)
+        a.set_error_rate(0.5, seed=9)
+        b.set_error_rate(0.5, seed=9)
+        assert losses(a) == losses(b)
+        a.set_error_rate(0.0, seed=3)
+        assert a._error_rng is None and a.error_rate == 0.0
+        a.set_error_rate(0.1)
+        b.set_error_rate(0.1, seed=3)
+        assert losses(a) == losses(b)
+        with pytest.raises(ValueError):
+            a.set_error_rate(1.0, seed=4)
+        assert a._error_seed == 3
 
 
 class TestSwitch:

@@ -177,7 +177,7 @@ class TestSendTimeLeakRegression:
         sim = Simulator()
         net, _ = star_campus(sim, ["a", "b"])
         # lose every cell: no PDU ever delivers, so no entry is popped
-        net.links[("a", "sw0")].inject_errors(0.999999, seed=7)
+        net.links[("a", "sw0")].set_error_rate(0.999999, seed=7)
         vc = net.open_vc("a", "b", ubr(pcr=1e6), lambda p, i: None)
         host = net.hosts["a"]
         for _ in range(100):

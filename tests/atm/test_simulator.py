@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from repro.atm.simulator import Simulator, run_all
+from repro.atm.simulator import Simulator
 
 
 class TestScheduling:
@@ -297,16 +297,3 @@ class TestProcess:
         assert p.alive
         sim.run()
         assert not p.alive
-
-    def test_run_all_helper(self):
-        sim = Simulator()
-        out = []
-
-        def make(tag):
-            def proc():
-                yield tag * 1.0
-                out.append(tag)
-            return proc()
-
-        run_all(sim, [make(2), make(1)])
-        assert out == [1, 2]

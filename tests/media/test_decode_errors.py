@@ -11,7 +11,7 @@ import pytest
 
 from repro.media.image import ImageCodec
 from repro.media.production import MediaProductionCenter
-from repro.media.video import VideoCodec
+from repro.media.video import VideoCodec, VideoStream
 from repro.util.errors import DecodingError
 from tests.media import reference_golomb as ref
 
@@ -80,3 +80,39 @@ def test_video_frame_payload_cut_short():
     VideoCodec().decode(data)
     with pytest.raises(DecodingError, match="truncated"):
         VideoCodec().decode(data[:-1])
+
+
+
+def three_frame_clip():
+    frames = np.full((3, 16, 16), 128, dtype=np.uint8)
+    frames[1, 4:12, 4:12] = 250
+    return VideoCodec(gop=2).encode(frames)
+
+
+CLIP = three_frame_clip()
+#: magic, frames/height/width/rate/GOP and the quality octet
+SMPG_HEADER = 4 + struct.calcsize(">HHHfB") + 1
+#: the second frame's 5-octet header follows the first frame's payload
+SECOND_FRAME = SMPG_HEADER + 5 + struct.unpack_from(">I", CLIP,
+                                                     SMPG_HEADER + 1)[0]
+
+
+@pytest.mark.parametrize("entry, payload", [
+    pytest.param(ImageCodec().decode, b"SIMG", id="simg-magic-only"),
+    pytest.param(ImageCodec().decode, b"SIMG\x00\x08", id="simg-header"),
+    pytest.param(VideoCodec.parse_header, CLIP[:10],
+                 id="smpg-header-fields"),
+    pytest.param(VideoCodec.parse_header, CLIP[:SMPG_HEADER - 1],
+                 id="smpg-quality-octet"),
+    pytest.param(VideoCodec().decode, CLIP[:SMPG_HEADER + 2],
+                 id="smpg-decode-first-frame-header"),
+    pytest.param(VideoCodec().decode, CLIP[:SECOND_FRAME + 3],
+                 id="smpg-decode-second-frame-header"),
+    pytest.param(VideoStream, CLIP[:12], id="smpg-stream-header-fields"),
+    pytest.param(VideoStream, CLIP[:SMPG_HEADER + 2],
+                 id="smpg-stream-first-frame-header"),
+    pytest.param(VideoStream, CLIP[:-1], id="smpg-stream-last-frame-payload"),
+])
+def test_payload_cut_inside_a_header(entry, payload):
+    with pytest.raises(DecodingError, match="truncated"):
+        entry(payload)

@@ -1,138 +1,142 @@
 """Tests for the BER encoder/decoder."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mheg import MhegCodec, asn1
+from repro.mheg import GenericValueClass, MhegCodec
+from repro.mheg.identifiers import MhegIdentifier
 from repro.mheg.asn1 import (
-    APPLICATION, CONTEXT, UNIVERSAL, Tlv, application, ber_integer,
-    ber_octets, ber_sequence, ber_utf8, context, decode_tlv_exact,
-    decode_value, encode_tlv, encode_value,
+    APPLICATION, CONTEXT, UNIVERSAL, _decode_identifier, _decode_length,
+    _encode_identifier, _encode_length, decode_value, encode_value,
 )
 from repro.util.errors import DecodingError, EncodingError
+
+from tests.mheg.reference_ber import (
+    reference_encode, reference_identifier, reference_length,
+)
 
 
 class TestIdentifierOctets:
     def test_low_tag_roundtrip(self):
-        tlv = Tlv(UNIVERSAL, 2, False, content=b"\x05")
-        back = decode_tlv_exact(encode_tlv(tlv))
-        assert (back.tag_class, back.number, back.constructed) == (UNIVERSAL, 2, False)
+        octets = _encode_identifier(UNIVERSAL, 2, False)
+        assert octets == b"\x02"
+        assert _decode_identifier(octets, 0) == (UNIVERSAL, 2, False, 1)
 
     def test_high_tag_number(self):
-        tlv = Tlv(CONTEXT, 1234, True, children=[ber_integer(1)])
-        back = decode_tlv_exact(encode_tlv(tlv))
-        assert back.number == 1234 and back.tag_class == CONTEXT
+        for number in (30, 31, 127, 128, 1234, 2**21):
+            octets = _encode_identifier(CONTEXT, number, True)
+            assert octets == reference_identifier(CONTEXT, number, True)
+            assert _decode_identifier(octets, 0) == \
+                (CONTEXT, number, True, len(octets))
 
     def test_tag_classes_preserved(self):
         for klass in (UNIVERSAL, APPLICATION, CONTEXT, 3):
-            tlv = Tlv(klass, 7, False, content=b"x")
-            assert decode_tlv_exact(encode_tlv(tlv)).tag_class == klass
+            octets = _encode_identifier(klass, 7, False)
+            assert _decode_identifier(octets, 0)[0] == klass
 
     def test_bad_class_rejected(self):
         with pytest.raises(EncodingError):
-            encode_tlv(Tlv(4, 1, False))
+            _encode_identifier(4, 1, False)
+
+    def test_truncated_high_tag_rejected(self):
+        with pytest.raises(DecodingError, match="truncated high tag"):
+            _decode_identifier(b"\x1f\x81", 0)
 
 
 class TestLengths:
     def test_short_form(self):
-        data = encode_tlv(ber_octets(b"x" * 127))
+        data = encode_value(b"x" * 127)
         assert data[1] == 127
 
     def test_long_form(self):
-        data = encode_tlv(ber_octets(b"x" * 300))
+        data = encode_value(b"x" * 300)
         assert data[1] == 0x82  # two length octets follow
-        back = decode_tlv_exact(data)
-        assert len(back.content) == 300
+        assert len(decode_value(data)) == 300
+
+    @pytest.mark.parametrize("length", [0, 127, 128, 255, 256, 65535, 65536])
+    def test_forms_around_boundaries(self, length):
+        octets = _encode_length(length)
+        assert octets == reference_length(length)
+        assert _decode_length(octets, 0) == (length, len(octets))
+        data = encode_value(b"x" * length)
+        assert data[1:1 + len(octets)] == octets
+        assert decode_value(data) == b"x" * length
 
     def test_truncated_content_rejected(self):
-        data = encode_tlv(ber_octets(b"hello"))
-        with pytest.raises(DecodingError):
-            decode_tlv_exact(data[:-2])
+        data = encode_value(b"hello")
+        with pytest.raises(DecodingError, match="content truncated"):
+            decode_value(data[:-2])
+
+    def test_truncated_long_form_rejected(self):
+        data = encode_value(b"x" * 65536)
+        with pytest.raises(DecodingError, match="truncated long-form"):
+            decode_value(data[:3])
 
     def test_trailing_bytes_rejected(self):
-        data = encode_tlv(ber_octets(b"hello"))
-        with pytest.raises(DecodingError):
-            decode_tlv_exact(data + b"\x00")
+        data = encode_value(b"hello")
+        with pytest.raises(DecodingError, match="trailing"):
+            decode_value(data + b"\x00")
 
     def test_indefinite_length_rejected(self):
-        with pytest.raises(DecodingError):
-            decode_tlv_exact(b"\x30\x80\x00\x00")
+        with pytest.raises(DecodingError, match="indefinite"):
+            decode_value(b"\x30\x80\x00\x00")
 
 
 class TestPrimitives:
     @pytest.mark.parametrize("value", [0, 1, -1, 127, 128, -128, -129,
                                        2**40, -(2**40)])
     def test_integer_roundtrip(self, value):
-        assert asn1.read_integer(decode_tlv_exact(
-            encode_tlv(ber_integer(value)))) == value
+        data = encode_value(value)
+        assert data == reference_encode(value)
+        assert decode_value(data) == value
 
     def test_boolean(self):
         for v in (True, False):
-            assert asn1.read_boolean(decode_tlv_exact(
-                encode_tlv(asn1.ber_boolean(v)))) is v
+            assert decode_value(encode_value(v)) is v
 
     def test_real_nr3(self):
         for v in (0.0, 1.5, -3.25, 1e-9, 2.5e17):
-            tlv = decode_tlv_exact(encode_tlv(asn1.ber_real(v)))
-            assert asn1.read_real(tlv) == v
+            data = encode_value(v)
+            assert data[2] == 0x03  # NR3 character form
+            assert decode_value(data) == v
 
     def test_utf8(self):
         s = "café 中文 — MHEG"
-        assert asn1.read_utf8(decode_tlv_exact(
-            encode_tlv(ber_utf8(s)))) == s
+        assert decode_value(encode_value(s)) == s
 
     def test_null(self):
-        tlv = decode_tlv_exact(encode_tlv(asn1.ber_null()))
-        assert tlv.number == asn1.TAG_NULL and tlv.content == b""
+        assert encode_value(None) == b"\x05\x00"
+        assert decode_value(b"\x05\x00") is None
 
     def test_type_mismatch_raises(self):
-        tlv = decode_tlv_exact(encode_tlv(ber_integer(5)))
-        with pytest.raises(DecodingError):
-            asn1.read_utf8(tlv)
+        # BIT STRING, and an application-class element, have no place
+        # in the value mapping
+        with pytest.raises(DecodingError, match="unsupported universal"):
+            decode_value(b"\x03\x01\x00")
+        with pytest.raises(DecodingError, match="unexpected tag class"):
+            decode_value(b"\x61\x00")
 
 
 class TestConstructed:
     def test_nested_sequences(self):
-        tlv = ber_sequence([ber_integer(1),
-                            ber_sequence([ber_utf8("inner")]),
-                            ber_octets(b"data")])
-        back = decode_tlv_exact(encode_tlv(tlv))
-        assert len(back.children) == 3
-        assert asn1.read_utf8(back.child(1).child(0)) == "inner"
+        value = [1, ["inner"], b"data"]
+        back = decode_value(encode_value(value))
+        assert len(back) == 3 and back[1][0] == "inner"
 
     def test_application_wrapper(self):
-        tlv = application(8, [ber_integer(42)])
-        back = decode_tlv_exact(encode_tlv(tlv))
-        assert back.tag_class == APPLICATION and back.number == 8
+        obj = GenericValueClass(identifier=MhegIdentifier("t", 1), value=42)
+        data = MhegCodec().encode(obj)
+        klass, number, constructed, _ = _decode_identifier(data, 0)
+        assert (klass, number, constructed) == \
+            (APPLICATION, int(obj.class_id), True)
+        assert MhegCodec().decode(data).value == 42
 
     def test_missing_child_reported(self):
-        back = decode_tlv_exact(encode_tlv(ber_sequence([])))
-        with pytest.raises(DecodingError):
-            back.child(0)
-
-
-def reference_tlv(value):
-    """The value mapping as a Tlv tree, built from the raw TLV layer."""
-    if value is None:
-        return asn1.ber_null()
-    if value is True or value is False:
-        return asn1.ber_boolean(value)
-    if isinstance(value, int):
-        return ber_integer(value)
-    if isinstance(value, float):
-        return asn1.ber_real(value)
-    if isinstance(value, str):
-        return ber_utf8(value)
-    if isinstance(value, bytes):
-        return ber_octets(value)
-    if isinstance(value, list):
-        return ber_sequence([reference_tlv(v) for v in value])
-    entries = []
-    for k, v in value.items():
-        entries += [ber_utf8(k), reference_tlv(v)]
-    return context(0, entries)
+        # a dict whose last key has no value element
+        data = reference_encode({"a": 1})
+        key_only = bytes([data[0], 3]) + data[2:5]
+        with pytest.raises(DecodingError, match="odd child count"):
+            decode_value(key_only)
 
 
 class TestValueMapping:
@@ -188,8 +192,11 @@ class TestValueMapping:
     @given(ber_values)
     def test_bytes_match_tlv_layer(self, value):
         """The one-pass value encoder emits exactly the bytes of the
-        equivalent Tlv tree run through encode_tlv."""
-        assert encode_value(value) == encode_tlv(reference_tlv(value))
+        textbook tag-length-value encoder in ``reference_ber``, and the
+        parser reads those bytes back to the value."""
+        reference = reference_encode(value)
+        assert encode_value(value) == reference
+        assert decode_value(reference) == value
 
 
 class TestHugeTagNumber:
@@ -202,9 +209,9 @@ class TestHugeTagNumber:
         with pytest.raises(DecodingError, match="unreasonably large"):
             decode_value(self.BAD)
 
-    def test_decode_tlv(self):
+    def test_decode_identifier(self):
         with pytest.raises(DecodingError, match="unreasonably large"):
-            decode_tlv_exact(self.BAD)
+            _decode_identifier(self.BAD, 0)
 
     def test_mheg_codec(self):
         length = len(self.BAD).to_bytes(3, "big")

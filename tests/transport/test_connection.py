@@ -186,7 +186,7 @@ class TestMaxRetriesErrorPath:
         sim = Simulator()
         net, _ = star_campus(sim, ["a", "b"])
         # sever the path: every cell vanishes on the access link
-        net.links[("a", "sw0")].inject_errors(0.999999, seed=3)
+        net.links[("a", "sw0")].set_error_rate(0.999999, seed=3)
         contract = TrafficContract(ServiceCategory.UBR, pcr=1e6)
         ca, cb = connect_pair(sim, net, "a", "b", contract)
         return sim, ca

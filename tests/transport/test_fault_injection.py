@@ -22,7 +22,7 @@ def lossy_pair(error_rate, seed=1, rto=0.02):
     """
     sim = Simulator()
     net, _ = star_campus(sim, ["a", "b"])
-    net.links[("sw0", "b")].inject_errors(error_rate, seed)
+    net.links[("sw0", "b")].set_error_rate(error_rate, seed)
     contract = TrafficContract(ServiceCategory.UBR, pcr=366e3)
     ca, cb = connect_pair(sim, net, "a", "b", contract, rto=rto)
     return sim, net, ca, cb
@@ -67,7 +67,7 @@ class TestArqUnderLoss:
     def test_error_rate_validation(self):
         sim, net, ca, cb = lossy_pair(0.0)
         with pytest.raises(ValueError):
-            net.links[("a", "sw0")].inject_errors(1.0)
+            net.links[("a", "sw0")].set_error_rate(1.0)
 
 
 class TestSharedProcessor:

@@ -18,7 +18,7 @@ def lossy_pair(error_rate, seed=1, rto=0.02):
     sim = Simulator()
     net, _ = star_campus(sim, ["a", "b"])
     if error_rate:
-        net.links[("sw0", "b")].inject_errors(error_rate, seed)
+        net.links[("sw0", "b")].set_error_rate(error_rate, seed)
     contract = TrafficContract(ServiceCategory.UBR, pcr=366e3)
     ca, cb = connect_pair(sim, net, "a", "b", contract, rto=rto)
     return sim, net, ca, cb
