@@ -2,10 +2,11 @@
 """The §5.4 sample learning session, over an OCRInet-like metro WAN.
 
 A remote student walks every screen of the prototype (Figs 5.3-5.7):
-entry, registration with a course-introduction video, the classroom
-with interaction and bookmarks, profile update, library browsing with
-cross-reference links, the bulletin board, an exercise, and a question
-to the on-line facilitator — all over simulated ATM with real
+entry with the school's introduction clip, registration with a
+course-introduction video, the classroom with interaction and
+bookmarks (read back after leaving), profile update, library browsing
+with cross-reference links, the bulletin board, an exercise, and a
+question to the on-line facilitator — all over simulated ATM with real
 cell-level transport.
 
 Run:  python examples/teleschool_session.py
@@ -15,6 +16,7 @@ from repro.authoring import (
     InteractiveDocument, Scene, SceneObject, Section, TimelineEntry,
 )
 from repro.core import MitsSystem
+from repro.navigator.navigator import SCHOOL_INTRODUCTION_REF
 from repro.school.exercise import Exercise, MultipleChoiceQuestion, NumericQuestion
 
 
@@ -31,6 +33,8 @@ def deploy() -> MitsSystem:
     }
     for media in assets.values():
         mits.publish_media(media)
+    mits.publish_media(center.produce_video(SCHOOL_INTRODUCTION_REF,
+                                            seconds=1.0))
 
     author = mits.add_author("author1", "atm-101", catalog=assets)
     scene = Scene(name="lecture", objects=[
@@ -77,6 +81,9 @@ def main() -> None:
 
     print("== Fig 5.3: entry screen ==")
     print(nav.start())
+    rx = nav.watch_school_introduction()
+    mits.sim.run(until=mits.sim.now + 10)
+    print(f"school introduction streamed: {len(rx.data)} bytes")
 
     print("\n== Fig 5.4: registration ==")
     nav.register("Ruiping W.", "Ottawa", "rw@mirl.example")
@@ -103,6 +110,9 @@ def main() -> None:
     position = nav.leave_classroom()
     mits.sim.run(until=mits.sim.now + 5)
     print(f"  resume position saved: {position:.2f}s")
+    marks = mits.wait(nav.client.get_bookmarks(
+        nav.student["student_number"], "atm-101"))
+    print("  bookmarks kept:", marks)
 
     print("\n== Fig 5.6: profile update ==")
     nav.update_profile(address="125 Colonel By Dr")

@@ -520,9 +520,3 @@ class Link:
         self.sim.schedule_at(arrival, self.sink_train,
                              CellTrain([cell], category, [arrival],
                                        per_cell=True))
-
-    def utilization(self) -> float:
-        """Fraction of elapsed simulated time the transmitter was busy."""
-        if self.sim.now <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_time / self.sim.now)

@@ -11,7 +11,7 @@ is what they compile to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.util.errors import AuthoringError
 
@@ -82,8 +82,8 @@ class BehaviorRule:
 class Behavior:
     """The behaviour table of one scene (or one hypermedia page)."""
 
-    def __init__(self, rules: Optional[List[BehaviorRule]] = None) -> None:
-        self.rules: List[BehaviorRule] = list(rules or [])
+    def __init__(self) -> None:
+        self.rules: List[BehaviorRule] = []
 
     def add(self, rule: BehaviorRule) -> BehaviorRule:
         self.rules.append(rule)
@@ -97,14 +97,6 @@ class Behavior:
             trigger=BehaviorCondition(choice, "selected"),
             actions=[BehaviorAction(verb, obj) for verb, obj in actions],
             once=once)
-        return self.add(rule)
-
-    def when_stopped(self, watched: str,
-                     *actions: Tuple[str, str]) -> BehaviorRule:
-        """Shorthand: when *watched* stops, apply (verb, object)s."""
-        rule = BehaviorRule(
-            trigger=BehaviorCondition(watched, "stopped"),
-            actions=[BehaviorAction(verb, obj) for verb, obj in actions])
         return self.add(rule)
 
     def validate(self, known_objects: set) -> None:

@@ -77,22 +77,6 @@ class CollaborativeSession:
 
     # -- locking ----------------------------------------------------------------
 
-    def lock_section(self, author: str, section: str) -> None:
-        self._require_member(author)
-        self._require_section(section)
-        holder = self._locks.get(section)
-        if holder is not None and holder != author:
-            raise AuthoringError(
-                f"section {section!r} is locked by {holder!r}")
-        self._locks[section] = author
-
-    def unlock_section(self, author: str, section: str) -> None:
-        if self._locks.get(section) == author:
-            del self._locks[section]
-
-    def lock_holder(self, section: str) -> Optional[str]:
-        return self._locks.get(section)
-
     # -- edits ----------------------------------------------------------------------
 
     def add_section(self, author: str, name: str, title: str = "") -> None:

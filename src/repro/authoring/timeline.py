@@ -69,23 +69,6 @@ class Timeline:
                 return e
         raise AuthoringError(f"no time-line entry for {object_name!r}")
 
-    def active_at(self, t: float) -> List[str]:
-        """Objects scheduled to be presented at time *t* (static view)."""
-        out = []
-        for e in self.entries:
-            if e.start <= t and (e.end is None or t < e.end):
-                out.append(e.object_name)
-        return out
-
-    def total_duration(self) -> Optional[float]:
-        """End of the last bounded entry; None if any entry is unbounded."""
-        ends = []
-        for e in self.entries:
-            if e.end is None:
-                return None
-            ends.append(e.end)
-        return max(ends) if ends else 0.0
-
     def validate(self, known_objects: set) -> None:
         for e in self.entries:
             if e.object_name not in known_objects:

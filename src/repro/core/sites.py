@@ -111,20 +111,6 @@ class ProductionSite:
             "attributes": {k: v for k, v in media.attributes.items()},
         }, **cb)
 
-    def produce_and_publish(self, kind: str, name: str, **kwargs) -> Any:
-        """Produce a media object and upload it; returns the call."""
-        producer = {
-            "video": self.center.produce_video,
-            "image": self.center.produce_image,
-            "audio": self.center.produce_audio,
-            "midi": self.center.produce_midi,
-            "text": self.center.produce_text,
-        }[kind]
-        cb = {k: kwargs.pop(k) for k in ("on_result", "on_error")
-              if k in kwargs}
-        media = producer(name, **kwargs)
-        return self.publish(media, **cb)
-
 
 class AuthorSite:
     """A courseware author site: editor + upload path (Fig 3.4)."""

@@ -170,16 +170,15 @@ class CoursewareDatabase:
 class DatabaseServer:
     """RPC surface of the courseware database.
 
-    When a billing service is attached (§5.2.1 leaves "space for the
-    billing services"), course registrations and classroom session
-    time are metered automatically as their RPCs are served.
+    When a billing service is attached to :attr:`billing` (§5.2.1
+    leaves "space for the billing services"), course registrations and
+    classroom session time are metered automatically as their RPCs are
+    served.
     """
 
-    def __init__(self, db: CoursewareDatabase, *, billing=None,
-                 now_fn: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self, db: CoursewareDatabase) -> None:
         self.db = db
-        self.billing = billing
-        self._now_fn = now_fn or (lambda: 0.0)
+        self.billing = None
         #: (student, courseware) -> position at last SaveResume, so the
         #: billed session time is the increment, not the total
         self._billed_positions: Dict[Any, float] = {}
@@ -252,7 +251,7 @@ class DatabaseServer:
         self.db.register_for_course(p["student_number"], p["course_code"])
         if self.billing is not None and newly:
             self.billing.record_registration(
-                p["student_number"], p["course_code"], at=self._now_fn())
+                p["student_number"], p["course_code"])
         return list(self.db.get_student(p["student_number"])
                     .registered_courses)
 
@@ -268,8 +267,7 @@ class DatabaseServer:
             self._billed_positions[key] = max(previous, position)
             if increment > 0:
                 self.billing.record_session(
-                    p["student_number"], p["courseware_id"], increment,
-                    at=self._now_fn())
+                    p["student_number"], p["courseware_id"], increment)
         return True
 
     def _store_content(self, p: Dict[str, Any]) -> bool:

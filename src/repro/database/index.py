@@ -93,13 +93,5 @@ class InvertedIndex:
     def lookup(self, keyword: str) -> List[str]:
         return sorted(self._postings.get(keyword.strip().lower(), ()))
 
-    def lookup_all(self, keywords: Iterable[str]) -> List[str]:
-        """Documents matching *all* keywords (conjunctive query)."""
-        sets = [set(self.lookup(kw)) for kw in keywords]
-        if not sets:
-            return []
-        result = set.intersection(*sets)
-        return sorted(result)
-
     def keywords(self) -> List[str]:
         return sorted(k for k, docs in self._postings.items() if docs)

@@ -151,10 +151,6 @@ class Transaction:
         self.committed = True
         self.store.commits += 1
 
-    def abort(self) -> None:
-        self._check_live()
-        self.aborted = True
-
     def __enter__(self) -> "Transaction":
         return self
 

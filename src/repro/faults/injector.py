@@ -21,6 +21,10 @@ from typing import Any, Dict, List, Optional, Union
 from repro.faults.plan import FaultPlan, FaultSpec, resolve_plan
 from repro.util.errors import ReproError
 
+#: seconds past a fault's clearing time still counted as its window,
+#: for aftershocks like delayed retransmissions
+CORRELATE_SLACK = 0.5
+
 
 class FaultError(ReproError):
     """A fault spec does not match the attached system."""
@@ -166,13 +170,13 @@ class FaultInjector:
 
     # -- reporting -------------------------------------------------------
 
-    def correlate(self, *, slack: float = 0.5) -> Dict[int, List[int]]:
+    def correlate(self) -> Dict[int, List[int]]:
         """Map each fault_id to the trace_ids active in its window.
 
         A trace is considered affected when the FlightRecorder holds an
         event carrying that trace_id between the injection time and
-        the clearing time (plus *slack* for aftershocks like delayed
-        retransmissions).
+        the clearing time (plus :data:`CORRELATE_SLACK` for aftershocks
+        like delayed retransmissions).
         """
         out: Dict[int, List[int]] = {}
         events = self._mits.sim.recorder.events
@@ -180,7 +184,8 @@ class FaultInjector:
             start = record.injected_at
             end = (record.cleared_at
                    if record.cleared_at is not None
-                   else record.injected_at + record.spec.duration) + slack
+                   else record.injected_at + record.spec.duration
+                   ) + CORRELATE_SLACK
             traces = sorted({
                 e.trace_id for e in events
                 if e.trace_id is not None and start <= e.time <= end})

@@ -7,30 +7,28 @@ presentation time while MHEG objects interchange in final form
 than rhetorical, this subpackage implements a working subset:
 
 * :mod:`repro.hytime.sgml` — an SGML parser (tags, attributes,
-  entities, DTD element declarations with content-model checking);
+  entities);
 * :mod:`repro.hytime.modules` — the module system and its dependency
   graph (Fig 2.1);
 * :mod:`repro.hytime.location` — the three address forms of Fig 2.2:
   name-space, coordinate, and semantic addressing;
-* :mod:`repro.hytime.scheduling` — finite coordinate spaces, axes,
-  events, and the rendition mapping between FCSs;
+* :mod:`repro.hytime.scheduling` — finite coordinate spaces, axes
+  and events;
 * :mod:`repro.hytime.engine` — the document processing model of
   Fig 2.3: application -> HyTime engine -> SGML parser.
 """
 
-from repro.hytime.sgml import SgmlParser, SgmlElement, Dtd, ElementDecl
+from repro.hytime.sgml import SgmlParser, SgmlElement
 from repro.hytime.modules import HyTimeModule, validate_modules, MODULE_DEPENDENCIES
 from repro.hytime.location import (
     NameSpaceAddress, CoordinateAddress, SemanticAddress, resolve_address,
 )
-from repro.hytime.scheduling import Axis, Event, FiniteCoordinateSpace, Rendition
+from repro.hytime.scheduling import Axis, Event, FiniteCoordinateSpace
 from repro.hytime.engine import HyTimeEngine, HyTimeDocument
 
 __all__ = [
     "SgmlParser",
     "SgmlElement",
-    "Dtd",
-    "ElementDecl",
     "HyTimeModule",
     "validate_modules",
     "MODULE_DEPENDENCIES",
@@ -41,7 +39,6 @@ __all__ = [
     "Axis",
     "Event",
     "FiniteCoordinateSpace",
-    "Rendition",
     "HyTimeEngine",
     "HyTimeDocument",
 ]

@@ -22,7 +22,7 @@ Document conventions understood by this engine:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.hytime.location import (
     Hyperlink, NameSpaceAddress, build_name_space, resolve_address,
@@ -31,7 +31,7 @@ from repro.hytime.modules import (
     HyTimeModule, parse_module_names, validate_modules,
 )
 from repro.hytime.scheduling import Axis, Event, FiniteCoordinateSpace
-from repro.hytime.sgml import Dtd, SgmlElement, SgmlParser
+from repro.hytime.sgml import SgmlElement, SgmlParser
 from repro.util.errors import DecodingError
 
 
@@ -64,8 +64,8 @@ class HyTimeDocument:
 class HyTimeEngine:
     """Parses documents and answers structural queries."""
 
-    def __init__(self, dtd: Optional[Dtd] = None) -> None:
-        self.parser = SgmlParser(dtd)
+    def __init__(self) -> None:
+        self.parser = SgmlParser()
         self.documents_processed = 0
 
     def process(self, text: str) -> HyTimeDocument:

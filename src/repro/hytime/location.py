@@ -101,19 +101,6 @@ def resolve_address(address: Address, root: SgmlElement, *,
     raise DecodingError(f"unknown address form {type(address).__name__}")
 
 
-def to_name_space(address: Address, root: SgmlElement, *,
-                  semantic_resolver: Optional[SemanticResolver] = None
-                  ) -> NameSpaceAddress:
-    """Convert coordinate/semantic addresses to name-space form so all
-    three can be linked uniformly (§2.2.1.3)."""
-    el = resolve_address(address, root, semantic_resolver=semantic_resolver)
-    ident = el.attributes.get("id")
-    if ident is None:
-        raise DecodingError(
-            f"target <{el.name}> has no id; cannot normalise the address")
-    return NameSpaceAddress(ident)
-
-
 @dataclass
 class Hyperlink:
     """A traversable link between two addressed endpoints."""

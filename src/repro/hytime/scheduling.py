@@ -1,15 +1,8 @@
-"""Finite coordinate spaces, events, and rendition (§2.2.1.2-2.2.1.3).
+"""Finite coordinate spaces and events (§2.2.1.2).
 
 "The scheduling module places document objects in Finite Coordinate
 Spaces (FCS), which are defined as collections of axes.  Events are
-located on the axes of a FCS."  The rendition module "specifies how
-events in one FCS can be mapped to another FCS — typically the first
-FCS provides a generic representation while the second specifies the
-layout for a particular presentation."
-
-Synchronisation in HyTime is coordinate manipulation: an event's
-position can be a function of another event's position, which
-:meth:`FiniteCoordinateSpace.place_after` and friends provide.
+located on the axes of a FCS."
 """
 
 from __future__ import annotations
@@ -80,30 +73,6 @@ class FiniteCoordinateSpace:
         self.events[event.name] = event
         return event
 
-    def place_after(self, name: str, other: str, axis: str, length: float,
-                    gap: float = 0.0, **extra_axes) -> Event:
-        """Synchronisation: start *name* where *other* ends (+gap)."""
-        try:
-            prev = self.events[other]
-        except KeyError as exc:
-            raise DecodingError(f"no event {other!r} to align with") from exc
-        extents = {axis: (prev.end(axis) + gap, length)}
-        for ax, span in extra_axes.items():
-            extents[ax] = tuple(span)
-        return self.schedule(Event(name=name, extents=extents))
-
-    def place_with(self, name: str, other: str, axis: str, length: float,
-                   **extra_axes) -> Event:
-        """Synchronisation: start *name* together with *other*."""
-        try:
-            prev = self.events[other]
-        except KeyError as exc:
-            raise DecodingError(f"no event {other!r} to align with") from exc
-        extents = {axis: (prev.start(axis), length)}
-        for ax, span in extra_axes.items():
-            extents[ax] = tuple(span)
-        return self.schedule(Event(name=name, extents=extents))
-
     def overlapping(self, axis: str, point: float) -> List[Event]:
         """Events whose extent on *axis* covers *point* (presentation
         queries: 'what is on screen at t?')."""
@@ -123,34 +92,3 @@ class FiniteCoordinateSpace:
                 out.append((event.start(axis), event.end(axis), event.name))
         return sorted(out)
 
-
-@dataclass
-class Rendition:
-    """A mapping from a source FCS to a target FCS.
-
-    Each axis of the source maps linearly (scale + offset) onto an
-    axis of the target — e.g. generic time in seconds onto a
-    presentation timeline, or abstract layout units onto pixels.
-    """
-
-    source: FiniteCoordinateSpace
-    target: FiniteCoordinateSpace
-    #: source axis -> (target axis, scale, offset)
-    axis_map: Dict[str, Tuple[str, float, float]]
-
-    def project(self) -> List[Event]:
-        """Map every source event into the target FCS (and schedule it)."""
-        projected = []
-        for event in self.source.events.values():
-            extents: Dict[str, Tuple[float, float]] = {}
-            for axis_name, (start, length) in event.extents.items():
-                mapping = self.axis_map.get(axis_name)
-                if mapping is None:
-                    raise DecodingError(
-                        f"no rendition mapping for axis {axis_name!r}")
-                target_axis, scale, offset = mapping
-                extents[target_axis] = (start * scale + offset,
-                                        length * scale)
-            projected.append(self.target.schedule(
-                Event(name=event.name, extents=extents)))
-        return projected

@@ -4,16 +4,14 @@ HyTime is "an extension to SGML so that markup and DTDs can be used to
 describe the structure of multimedia documents" (§2.2.1.1).  This
 parser covers the subset HyTime documents in this repo use: start/end
 tags with quoted attributes, empty elements (``<e/>``), character data
-with the standard entities, comments, and DTDs given programmatically
-as :class:`ElementDecl` tables (element name -> permitted children,
-required attributes).
+with the standard entities, and comments.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.util.errors import DecodingError
 
@@ -37,9 +35,6 @@ class SgmlElement:
             found.extend(child.find_all(name))
         return found
 
-    def attr(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        return self.attributes.get(name, default)
-
     def full_text(self) -> str:
         parts = [self.text]
         parts.extend(c.full_text() for c in self.children)
@@ -53,51 +48,6 @@ class SgmlElement:
             node = node.parent
         path.reverse()
         return path
-
-
-@dataclass
-class ElementDecl:
-    """One DTD element declaration."""
-
-    name: str
-    #: permitted child element names; None means ANY; () means EMPTY
-    children: Optional[Sequence[str]] = None
-    required_attributes: Sequence[str] = ()
-    allow_text: bool = True
-
-
-class Dtd:
-    """A document type definition: element declarations + root name."""
-
-    def __init__(self, root: str, declarations: Sequence[ElementDecl]) -> None:
-        self.root = root
-        self.declarations = {d.name: d for d in declarations}
-
-    def validate(self, element: SgmlElement, _is_root: bool = True) -> None:
-        if _is_root and element.name != self.root:
-            raise DecodingError(
-                f"DTD expects root <{self.root}>, got <{element.name}>")
-        decl = self.declarations.get(element.name)
-        if decl is None:
-            raise DecodingError(f"element <{element.name}> not declared in DTD")
-        for attr in decl.required_attributes:
-            if attr not in element.attributes:
-                raise DecodingError(
-                    f"<{element.name}> missing required attribute {attr!r}")
-        if decl.children == () and element.children:
-            raise DecodingError(f"<{element.name}> is declared EMPTY")
-        if not decl.allow_text and element.text.strip():
-            raise DecodingError(
-                f"<{element.name}> does not allow character data")
-        if decl.children is not None:
-            permitted = set(decl.children)
-            for child in element.children:
-                if child.name not in permitted:
-                    raise DecodingError(
-                        f"<{child.name}> not permitted inside "
-                        f"<{element.name}>")
-        for child in element.children:
-            self.validate(child, _is_root=False)
 
 
 _TOKEN = re.compile(
@@ -120,10 +70,7 @@ def _decode_text(raw: str) -> str:
 
 
 class SgmlParser:
-    """Parse SGML text into an element tree, optionally DTD-validated."""
-
-    def __init__(self, dtd: Optional[Dtd] = None) -> None:
-        self.dtd = dtd
+    """Parse SGML text into an element tree."""
 
     def parse(self, text: str) -> SgmlElement:
         # strip doctype/processing instructions
@@ -178,8 +125,6 @@ class SgmlParser:
             raise DecodingError(f"unclosed element <{stack[-1].name}>")
         if root is None:
             raise DecodingError("no root element found")
-        if self.dtd is not None:
-            self.dtd.validate(root)
         return root
 
 

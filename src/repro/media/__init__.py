@@ -22,7 +22,7 @@ We have no capture hardware, so this subpackage provides:
 
 from repro.media.base import MediaObject, MediaType
 from repro.media.image import ImageCodec, psnr
-from repro.media.video import VideoCodec, VideoStream, FrameInfo
+from repro.media.video import VideoCodec, VideoStream
 from repro.media.audio import (
     AudioCodec, MidiCodec, MidiEvent, mu_law_compress, mu_law_expand,
 )
@@ -36,7 +36,6 @@ __all__ = [
     "psnr",
     "VideoCodec",
     "VideoStream",
-    "FrameInfo",
     "AudioCodec",
     "MidiCodec",
     "MidiEvent",

@@ -60,12 +60,6 @@ class MediaObject:
             return a.get("duration")
         return None
 
-    @property
-    def is_continuous(self) -> bool:
-        """True for time-based media needing streaming delivery."""
-        return self.media_type in (MediaType.AUDIO, MediaType.VIDEO,
-                                   MediaType.MIDI)
-
     def bitrate_bps(self) -> Optional[float]:
         """Average encoded bitrate for continuous media, else None."""
         d = self.duration

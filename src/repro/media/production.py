@@ -5,9 +5,9 @@ microphones, and PC-VCRs, the media production server provides all the
 data needed for the creation of a multimedia courseware."  We have no
 cameras, so the center *synthesises* deterministic content instead:
 seeded procedural video (moving gradients and objects so the P-frame
-predictor has realistic work), multi-tone audio, melodic MIDI phrases,
-procedural lecture text, and test-card images.  Determinism matters:
-every experiment regenerates byte-identical media from a seed.
+predictor has realistic work), multi-tone audio, procedural lecture
+text, and test-card images.  Determinism matters: every experiment
+regenerates byte-identical media from a seed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.media.audio import AudioCodec, MidiCodec, MidiEvent
+from repro.media.audio import AudioCodec
 from repro.media.base import MediaObject, MediaType
 from repro.media.image import ImageCodec
 from repro.media.text import TextCodec
@@ -30,6 +30,14 @@ _WORDS = (
     "retrieval composite link action descriptor container scenario channel "
     "quality service bandwidth latency stream video audio authoring engine"
 ).split()
+
+#: pixels per frame the synthetic scene drifts by
+_MOTION = 2.0
+#: synthetic speech-band audio: sample rate and companding law
+_AUDIO_RATE = 8000
+_AUDIO_COMPANDING = "ulaw"
+#: JPEG-style quality of a synthetic test card
+_IMAGE_QUALITY = 75
 
 
 class MediaProductionCenter:
@@ -53,7 +61,7 @@ class MediaProductionCenter:
     def produce_video(self, name: str, *, seconds: float = 2.0,
                       width: int = 64, height: int = 64,
                       frame_rate: float = 10.0, quality: int = 60,
-                      gop: int = 10, motion: float = 2.0) -> MediaObject:
+                      gop: int = 10) -> MediaObject:
         """A moving-scene clip: drifting gradient background plus two
         moving bright squares, with mild sensor noise."""
         rng = self._rng(name)
@@ -61,10 +69,10 @@ class MediaProductionCenter:
         yy, xx = np.mgrid[0:height, 0:width]
         frames = np.empty((T, height, width), dtype=np.uint8)
         cx, cy = rng.uniform(8, width - 8), rng.uniform(8, height - 8)
-        vx, vy = rng.uniform(-motion, motion, 2)
+        vx, vy = rng.uniform(-_MOTION, _MOTION, 2)
         for t in range(T):
-            base = (96 + 48 * np.sin((xx + motion * t) / 11.0)
-                    + 32 * np.cos((yy - motion * t) / 7.0))
+            base = (96 + 48 * np.sin((xx + _MOTION * t) / 11.0)
+                    + 32 * np.cos((yy - _MOTION * t) / 7.0))
             frame = base + rng.normal(0, 2.0, (height, width))
             px = int(cx + vx * t) % (width - 8)
             py = int(cy + vy * t) % (height - 8)
@@ -83,8 +91,8 @@ class MediaProductionCenter:
 
     # -- image --------------------------------------------------------------
 
-    def produce_image(self, name: str, *, width: int = 128, height: int = 96,
-                      quality: int = 75) -> MediaObject:
+    def produce_image(self, name: str, *, width: int = 128,
+                      height: int = 96) -> MediaObject:
         """A test-card image: gradients, bars, and a noise patch."""
         rng = self._rng(name)
         yy, xx = np.mgrid[0:height, 0:width]
@@ -95,58 +103,36 @@ class MediaProductionCenter:
         patch = rng.integers(0, 255, (height // 4, width // 4))
         img[height - height // 4:, width - width // 4:] = patch
         arr = np.clip(img, 0, 255).astype(np.uint8)
-        codec = ImageCodec(quality=quality)
+        codec = ImageCodec(quality=_IMAGE_QUALITY)
         return self._register(MediaObject(
             name=name, media_type=MediaType.IMAGE,
             coding_method=codec.coding_method, data=codec.encode(arr),
             attributes={"width": width, "height": height,
-                        "quality": quality}))
+                        "quality": _IMAGE_QUALITY}))
 
     # -- audio ----------------------------------------------------------------
 
-    def produce_audio(self, name: str, *, seconds: float = 2.0,
-                      sample_rate: int = 8000,
-                      companding: str = "ulaw") -> MediaObject:
+    def produce_audio(self, name: str, *, seconds: float = 2.0) -> MediaObject:
         """Speech-band audio: three drifting tones with an envelope."""
         rng = self._rng(name)
-        n = int(seconds * sample_rate)
-        t = np.arange(n) / sample_rate
+        n = int(seconds * _AUDIO_RATE)
+        t = np.arange(n) / _AUDIO_RATE
         freqs = rng.uniform(200, 1200, 3)
         sig = sum(np.sin(2 * np.pi * (f + 20 * np.sin(t)) * t) / 3
                   for f in freqs)
         envelope = 0.5 + 0.5 * np.sin(2 * np.pi * t / max(seconds, 1e-9))
         samples = np.round(sig * envelope * 20000).astype(np.int16)
-        codec = AudioCodec(sample_rate=sample_rate, companding=companding)
+        codec = AudioCodec(sample_rate=_AUDIO_RATE,
+                           companding=_AUDIO_COMPANDING)
         return self._register(MediaObject(
             name=name, media_type=MediaType.AUDIO,
             coding_method=codec.coding_method, data=codec.encode(samples),
-            attributes={"sample_rate": sample_rate, "samples": n,
-                        "companding": companding}))
-
-    def produce_midi(self, name: str, *, bars: int = 4,
-                     tempo_bpm: float = 120.0) -> MediaObject:
-        """A melodic phrase over a pentatonic scale."""
-        rng = self._rng(name)
-        scale = [60, 62, 65, 67, 69, 72]
-        beat = 60.0 / tempo_bpm
-        events: List[MidiEvent] = []
-        t = 0.0
-        for _ in range(bars * 4):
-            pitch = int(rng.choice(scale))
-            dur = beat * float(rng.choice([0.5, 1.0, 1.0, 2.0]))
-            events.append(MidiEvent(time=t, duration=dur, pitch=pitch,
-                                    velocity=int(rng.integers(60, 120))))
-            t += dur
-        codec = MidiCodec()
-        return self._register(MediaObject(
-            name=name, media_type=MediaType.MIDI,
-            coding_method=codec.coding_method, data=codec.encode(events),
-            attributes={"events": len(events), "duration": t}))
+            attributes={"sample_rate": _AUDIO_RATE, "samples": n,
+                        "companding": _AUDIO_COMPANDING}))
 
     # -- text -------------------------------------------------------------------
 
     def produce_text(self, name: str, *, sections: int = 3,
-                     sentences_per_section: int = 5,
                      link_targets: Optional[List[str]] = None) -> MediaObject:
         """Procedural lecture text with headings and inline links."""
         rng = self._rng(name)
@@ -155,7 +141,7 @@ class MediaProductionCenter:
         for s in range(sections):
             title = " ".join(rng.choice(_WORDS, 3)).title()
             parts.append(f"== {title} ==")
-            for _ in range(sentences_per_section):
+            for _ in range(5):  # sentences per section
                 words = list(rng.choice(_WORDS, int(rng.integers(8, 16))))
                 if targets and rng.random() < 0.4:
                     target = targets[int(rng.integers(0, len(targets)))]

@@ -2,7 +2,7 @@
 
 Plain UTF-8 text with an optional lightweight markup the navigator's
 library browser understands: ``[[target|label]]`` inline links (the
-hypertext primitive of §4.3) and ``== heading ==`` section titles.
+hypertext primitive of §4.3).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.util.errors import DecodingError
 
 _MAGIC = b"STXT"
 _LINK_RE = re.compile(r"\[\[([^|\]]+)\|([^\]]+)\]\]")
-_HEADING_RE = re.compile(r"^== (.+) ==$", re.MULTILINE)
 
 
 class TextCodec:
@@ -41,15 +40,3 @@ class TextCodec:
 def extract_links(text: str) -> List[Tuple[str, str]]:
     """All ``[[target|label]]`` links as (target, label) pairs."""
     return _LINK_RE.findall(text)
-
-
-def extract_headings(text: str) -> List[str]:
-    """All ``== heading ==`` section titles in document order."""
-    return _HEADING_RE.findall(text)
-
-
-def strip_markup(text: str) -> str:
-    """Plain-prose rendering: links become their labels, headings keep
-    their titles."""
-    out = _LINK_RE.sub(lambda m: m.group(2), text)
-    return _HEADING_RE.sub(lambda m: m.group(1), out)

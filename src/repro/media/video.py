@@ -16,7 +16,6 @@ decoding pixels.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -33,16 +32,6 @@ _HEADER_SIZE = 4 + _HEADER.size + 1
 _FRAME = struct.Struct(">BI")  # frame kind, payload size
 _FRAME_I = 0
 _FRAME_P = 1
-
-
-@dataclass
-class FrameInfo:
-    """Per-frame metadata exposed without pixel decoding."""
-
-    index: int
-    kind: str            # "I" or "P"
-    size: int            # encoded bytes
-    timestamp: float     # presentation time in seconds
 
 
 class VideoCodec:
@@ -163,13 +152,6 @@ class VideoStream:
     @property
     def duration(self) -> float:
         return self.frames / self.frame_rate
-
-    def frame_infos(self) -> List[FrameInfo]:
-        return [FrameInfo(index=i,
-                          kind="I" if kind == _FRAME_I else "P",
-                          size=size,
-                          timestamp=i / self.frame_rate)
-                for i, (kind, _start, size) in enumerate(self._offsets)]
 
     def frame_bytes(self, index: int) -> bytes:
         kind, start, size = self._offsets[index]

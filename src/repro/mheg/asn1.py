@@ -144,7 +144,10 @@ def _encode_into(value: Any, out: List[bytes], depth: int) -> int:
         out.append(b"\x01\x01\xff" if value else b"\x01\x01\x00")
         return 3
     if isinstance(value, int):
-        n = max(1, (value.bit_length() + 8) // 8)
+        # X.690 §8.3.2 minimal two's complement: the magnitude (of
+        # ~value = -value-1 when negative, so -128 fits one octet) plus
+        # a sign bit
+        n = ((value if value >= 0 else ~value).bit_length() + 8) // 8
         content = value.to_bytes(n, "big", signed=True)
         tag = TAG_INTEGER
     elif isinstance(value, float):

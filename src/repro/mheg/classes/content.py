@@ -66,10 +66,6 @@ class ContentClass(MhObject):
         """True when content travels inside the object."""
         return self.data is not None
 
-    def payload_size(self) -> int:
-        """Bytes of content carried inline (0 for referenced content)."""
-        return len(self.data) if self.data is not None else 0
-
 
 @register_class
 @dataclass

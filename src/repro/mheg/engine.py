@@ -68,13 +68,12 @@ class _Watcher:
 class MhegEngine:
     """Decode, hold, instantiate, and drive MHEG objects."""
 
-    def __init__(self, sim=None, *, capabilities: Optional[Dict[str, Any]] = None,
-                 name: str = "engine") -> None:
+    def __init__(self, sim=None, *, name: str = "engine") -> None:
         self.sim = sim
         self.name = name
         self.codec = MhegCodec()
         #: site capabilities used for descriptor negotiation
-        self.capabilities = capabilities or {
+        self.capabilities = {
             "decoders": ["SIMG", "SMPG", "SPCM", "SMID", "STXT"],
             "bandwidth_bps": 155.52e6,
             "storage_bytes": 1 << 30,
@@ -98,7 +97,6 @@ class MhegEngine:
         self._auto_stops: Dict[str, Any] = {}
         self._scripts: Dict[str, "_ScriptRun"] = {}
         self.events: List[EngineEvent] = []
-        self._listeners: List[Callable[[EngineEvent], None]] = []
         # standalone clock
         self._local_time = 0.0
         self._local_queue: List[Tuple[float, int, Callable, tuple]] = []
@@ -225,9 +223,6 @@ class MhegEngine:
             self._prepared.add(key)
         self._emit(key, "prepared", False, True)
 
-    def is_prepared(self, reference: ObjectReference) -> bool:
-        return str(reference.identifier) in self._prepared
-
     def content_bytes(self, reference: ObjectReference) -> bytes:
         """The content data of a prepared content object."""
         obj = self.get(reference)
@@ -248,11 +243,6 @@ class MhegEngine:
         self._emit(key, "prepared", True, False)
 
     # -- run-time instantiation (form b -> form c) ------------------------------
-
-    def add_channel(self, name: str, width: int = 640, height: int = 480) -> Channel:
-        ch = Channel(name, width, height)
-        self.channels[name] = ch
-        return ch
 
     def new_runtime(self, reference: ObjectReference, *,
                     channel: str = "main",
@@ -383,15 +373,10 @@ class MhegEngine:
 
     # -- events and links -------------------------------------------------------
 
-    def subscribe(self, listener: Callable[[EngineEvent], None]) -> None:
-        self._listeners.append(listener)
-
     def _emit(self, source: str, attribute: str, old: Any, new: Any) -> None:
         event = EngineEvent(time=self.now, source=source,
                             attribute=attribute, old=old, new=new)
         self.events.append(event)
-        for listener in list(self._listeners):
-            listener(event)
         self._dispatch(event)
 
     def _dispatch(self, event: EngineEvent) -> None:

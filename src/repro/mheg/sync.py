@@ -18,7 +18,7 @@ build the common forms.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.mheg.classes.behavior import (
     ActionClass, ActionVerb, ConditionKind, ElementaryAction, LinkClass,
@@ -26,18 +26,6 @@ from repro.mheg.classes.behavior import (
 )
 from repro.mheg.identifiers import MhegIdentifier, ObjectReference
 from repro.util.errors import AuthoringError
-
-
-def atomic_serial(first: ObjectReference, second: ObjectReference) -> Dict[str, Any]:
-    """A then B (Fig 2.6a serial)."""
-    return {"kind": "atomic", "mode": "serial",
-            "first": str(first), "second": str(second)}
-
-
-def atomic_parallel(first: ObjectReference, second: ObjectReference) -> Dict[str, Any]:
-    """A with B (Fig 2.6a parallel)."""
-    return {"kind": "atomic", "mode": "parallel",
-            "first": str(first), "second": str(second)}
 
 
 def elementary(first: ObjectReference, t1: float,
@@ -122,21 +110,4 @@ def when_stops_run(application: str, number: int,
         effect=ActionClass(
             identifier=MhegIdentifier(application, number * 100_000 + 1),
             actions=[ElementaryAction(verb=ActionVerb.RUN, target=started)]),
-    )
-
-
-def when_selected_do(application: str, number: int,
-                     button: ObjectReference,
-                     actions: List[ElementaryAction],
-                     once: bool = False) -> LinkClass:
-    """Hyperlink form: a selection event applies an action set."""
-    return LinkClass(
-        identifier=MhegIdentifier(application, number),
-        trigger_conditions=[LinkCondition(
-            kind=ConditionKind.TRIGGER, source=button,
-            attribute="selected", comparison="==", value=True)],
-        effect=ActionClass(
-            identifier=MhegIdentifier(application, number * 100_000 + 1),
-            actions=actions),
-        once=once,
     )

@@ -82,12 +82,11 @@ class Navigator:
         return {"version": NAVIGATOR_VERSION,
                 "facilities": list(FACILITIES)}
 
-    def watch_school_introduction(self, on_end=None):
+    def watch_school_introduction(self):
         """Stream the virtual school's general introduction clip
         (Fig 5.3's 'Introduction' button).  Works before login."""
         self._note("school-introduction")
-        return self.client.get_content(SCHOOL_INTRODUCTION_REF,
-                                       on_end=on_end)
+        return self.client.get_content(SCHOOL_INTRODUCTION_REF)
 
     def login(self, student_number: str,
               on_done: Optional[Callable[[Dict[str, Any]], None]] = None,
@@ -144,15 +143,13 @@ class Navigator:
         finally:
             self._tracer.detach(token)
 
-    def course_introduction(self, introduction_ref: str, on_chunk=None,
-                            on_end=None):
+    def course_introduction(self, introduction_ref: str):
         """Stream a course's introduction video (Fig 5.4d).
 
         *introduction_ref* comes from the courseware summary returned
         by :meth:`list_courseware` / ``ListCourseware``.
         """
-        return self.client.get_content(introduction_ref,
-                                       on_chunk=on_chunk, on_end=on_end)
+        return self.client.get_content(introduction_ref)
 
     def register_for_course(self, course_code: str, **cb):
         self._require_student()

@@ -325,8 +325,7 @@ def tail_trace_ids(all_spans: Sequence[Any],
 
 def select_traces(all_spans: Sequence[Any], *,
                   trace_id: Optional[Any] = None,
-                  tail: bool = False,
-                  quantile: float = 0.99) -> List[Any]:
+                  tail: bool = False) -> List[Any]:
     """Which traces should a rendering show?  One explicit id, the
     tail exemplars, or (default) the single longest-rooted trace."""
     spans = normalize_spans(all_spans)
@@ -335,7 +334,7 @@ def select_traces(all_spans: Sequence[Any], *,
             raise ValueError(f"trace {trace_id!r} not in this archive")
         return [trace_id]
     if tail:
-        return tail_trace_ids(spans, quantile)
+        return tail_trace_ids(spans)
     return tail_trace_ids(spans, 1.0)[-1:]
 
 
@@ -385,11 +384,9 @@ def render_critical_path(trace_spans: Sequence[Any]) -> str:
     return "\n".join(lines)
 
 
-def render_attribution(all_spans: Sequence[Any], *,
-                       trace_ids: Optional[Sequence[Any]] = None,
-                       top: int = 10) -> str:
+def render_attribution(all_spans: Sequence[Any], *, top: int = 10) -> str:
     """Attribution tables (by component, by span kind) for an archive."""
-    attr = attribution(all_spans, trace_ids)
+    attr = attribution(all_spans)
     if not attr["traces"]:
         return "(no spans to attribute)"
     lines = [f"critical-path attribution · {attr['traces']} traces · "

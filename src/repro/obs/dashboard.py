@@ -91,9 +91,7 @@ def _fmt(value: Optional[float]) -> str:
     return f"{value:.3g}"
 
 
-def sparkline(values: Sequence[float], width: int = WIDTH,
-              lo: Optional[float] = None,
-              hi: Optional[float] = None) -> str:
+def sparkline(values: Sequence[float], width: int = WIDTH) -> str:
     """Resample *values* to *width* cells and map onto the ramp.
 
     A flat non-zero series renders mid-ramp (a visible plateau), an
@@ -102,8 +100,7 @@ def sparkline(values: Sequence[float], width: int = WIDTH,
     if not values:
         return "." * width
     vals = list(values)
-    lo = min(vals) if lo is None else lo
-    hi = max(vals) if hi is None else hi
+    lo, hi = min(vals), max(vals)
     cells: List[str] = []
     n = len(vals)
     for i in range(width):
@@ -170,9 +167,8 @@ def render_panel(panel: Panel, series_list: Sequence[Series],
 # -- the dashboard ----------------------------------------------------------
 
 
-def render_dashboard(source: Any, *,
-                     panels: Sequence[Panel] = DEFAULT_PANELS,
-                     width: int = WIDTH, title: str = "") -> str:
+def render_dashboard(source: Any, *, width: int = WIDTH,
+                     title: str = "") -> str:
     """Render every applicable panel.
 
     *source* is a :class:`TelemetrySampler`, a list of
@@ -201,7 +197,7 @@ def render_dashboard(source: Any, *,
         lines.append(f"  ! {meta['evictions']} samples evicted from "
                      f"full rings — oldest history is gone")
     rendered = 0
-    for panel in panels:
+    for panel in DEFAULT_PANELS:
         block = render_panel(panel, series_list, width)
         if block is not None:
             lines.append("")

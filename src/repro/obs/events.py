@@ -93,10 +93,6 @@ class FlightRecorder:
     def events(self) -> List[FlightEvent]:
         return list(self._events)
 
-    def for_trace(self, trace_id: int) -> List[FlightEvent]:
-        """Events correlated to one trace."""
-        return [e for e in self._events if e.trace_id == trace_id]
-
     def by_kind(self, kind: str) -> List[FlightEvent]:
         return [e for e in self._events if e.kind == kind]
 

@@ -28,6 +28,8 @@ __all__ = [
 
 #: character cells in a waterfall bar
 BAR_WIDTH = 32
+#: trace trees :func:`render_traces` draws, largest first
+MAX_TRACES = 5
 
 
 # -- formatting helpers ----------------------------------------------------
@@ -238,7 +240,7 @@ def render_slow_spans(spans: Sequence[Mapping[str, Any]],
 
 def render_traces(spans: Sequence[Mapping[str, Any]],
                   events: Sequence[Mapping[str, Any]] = (),
-                  *, top: int = 10, max_traces: int = 5) -> str:
+                  *, top: int = 10) -> str:
     """Group spans by trace and render the largest trees first."""
     if not spans:
         return "(no spans recorded)"
@@ -252,7 +254,7 @@ def render_traces(spans: Sequence[Mapping[str, Any]],
     ordered = sorted(by_trace.items(),
                      key=lambda kv: len(kv[1]), reverse=True)
     sections: List[str] = []
-    for trace_id, group in ordered[:max_traces]:
+    for trace_id, group in ordered[:MAX_TRACES]:
         t0 = min(s["start"] for s in group)
         t1 = max(s["end"] for s in group)
         sections.append(
@@ -261,7 +263,7 @@ def render_traces(spans: Sequence[Mapping[str, Any]],
         sections.append(render_trace_tree(
             group, events_by_trace.get(trace_id, [])))
         sections.append("")
-    hidden = len(ordered) - min(len(ordered), max_traces)
+    hidden = len(ordered) - min(len(ordered), MAX_TRACES)
     if hidden:
         sections.append(f"({hidden} smaller traces not shown)")
     sections.append(render_slow_spans(spans, top=top))

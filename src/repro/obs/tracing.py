@@ -258,9 +258,6 @@ class Tracer:
     def spans(self) -> List[SpanRecord]:
         return list(self._finished)
 
-    def by_name(self, name: str) -> List[SpanRecord]:
-        return [s for s in self.spans if s.name == name]
-
     def by_trace(self, trace_id: int) -> List[SpanRecord]:
         return [s for s in self.spans if s.trace_id == trace_id]
 

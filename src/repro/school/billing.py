@@ -4,9 +4,8 @@
 and development of the billing services for the TeleLearning
 applications."  This fills that space with usage-based accounting:
 
-* every classroom session is metered (connect time and content bytes
-  streamed), every course registration and exercise submission is an
-  event;
+* every classroom session is metered by connect time, and every
+  course registration is an event;
 * a :class:`Tariff` prices the meters; :class:`BillingService`
   accumulates per-student ledgers and renders itemised statements.
 
@@ -28,20 +27,16 @@ class Tariff:
 
     per_registration: float = 50.0
     per_session_minute: float = 0.25
-    per_streamed_megabyte: float = 0.10
-    per_exercise_submission: float = 0.0    # practice is free
 
     def __post_init__(self) -> None:
-        for name in ("per_registration", "per_session_minute",
-                     "per_streamed_megabyte", "per_exercise_submission"):
+        for name in ("per_registration", "per_session_minute"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass
 class LedgerEntry:
-    at: float
-    kind: str          # registration / session / stream / exercise
+    kind: str          # registration / session
     detail: str
     quantity: float
     amount: float
@@ -60,35 +55,20 @@ class BillingService:
 
     # -- metering events ----------------------------------------------------
 
-    def record_registration(self, student: str, course_code: str,
-                            at: float = 0.0) -> LedgerEntry:
+    def record_registration(self, student: str,
+                            course_code: str) -> LedgerEntry:
         return self._add(student, LedgerEntry(
-            at=at, kind="registration", detail=course_code, quantity=1,
+            kind="registration", detail=course_code, quantity=1,
             amount=self.tariff.per_registration))
 
     def record_session(self, student: str, course_code: str,
-                       seconds: float, at: float = 0.0) -> LedgerEntry:
+                       seconds: float) -> LedgerEntry:
         if seconds < 0:
             raise DatabaseError("session duration cannot be negative")
         minutes = seconds / 60.0
         return self._add(student, LedgerEntry(
-            at=at, kind="session", detail=course_code, quantity=minutes,
+            kind="session", detail=course_code, quantity=minutes,
             amount=minutes * self.tariff.per_session_minute))
-
-    def record_stream(self, student: str, content_ref: str,
-                      bytes_streamed: int, at: float = 0.0) -> LedgerEntry:
-        if bytes_streamed < 0:
-            raise DatabaseError("streamed bytes cannot be negative")
-        megabytes = bytes_streamed / 1e6
-        return self._add(student, LedgerEntry(
-            at=at, kind="stream", detail=content_ref, quantity=megabytes,
-            amount=megabytes * self.tariff.per_streamed_megabyte))
-
-    def record_exercise(self, student: str, exercise_id: str,
-                        at: float = 0.0) -> LedgerEntry:
-        return self._add(student, LedgerEntry(
-            at=at, kind="exercise", detail=exercise_id, quantity=1,
-            amount=self.tariff.per_exercise_submission))
 
     # -- statements ---------------------------------------------------------
 
@@ -110,6 +90,3 @@ class BillingService:
                 "entries": len(entries),
                 "by_kind": by_kind,
                 "total": self.balance(student)}
-
-    def revenue(self) -> float:
-        return sum(self.balance(s) for s in self._ledgers)

@@ -45,9 +45,6 @@ class BulletinBoard:
         self._ids = itertools.count(1)
         self._by_id: Dict[int, BulletinPost] = {}
 
-    def groups(self) -> List[str]:
-        return sorted(self._groups)
-
     def post(self, group: str, author: str, subject: str, body: str,
              now: float = 0.0, in_reply_to: Optional[int] = None
              ) -> BulletinPost:

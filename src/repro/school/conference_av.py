@@ -58,10 +58,8 @@ def conference_contract() -> TrafficContract:
 class AudioBridge:
     """The conference mixing bridge at the facilitator site."""
 
-    def __init__(self, sim: Simulator, mix_delay: float = FRAME_SECONDS
-                 ) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.mix_delay = mix_delay
         #: participant id -> VC back toward that participant
         self._return_vcs: Dict[int, VirtualCircuit] = {}
         #: frame index -> participant id -> samples
@@ -83,7 +81,7 @@ class AudioBridge:
         if index not in self._mixed:
             self._mixed.add(index)
             # mix after a short alignment delay so slower legs land
-            self.sim.schedule(self.mix_delay, self._mix_window, index)
+            self.sim.schedule(FRAME_SECONDS, self._mix_window, index)
 
     def _mix_window(self, index: int) -> None:
         window = self._windows.pop(index, {})

@@ -52,11 +52,9 @@ class DiscussionService:
         self._mailboxes.setdefault(recipient, []).append(msg)
         return msg
 
-    def read_mail(self, mailbox: str, *, drain: bool = True) -> List[Message]:
-        messages = self._mailboxes.get(mailbox, [])
-        if drain:
-            self._mailboxes[mailbox] = []
-        return list(messages)
+    def read_mail(self, mailbox: str) -> List[Message]:
+        """Return and empty *mailbox*."""
+        return self._mailboxes.pop(mailbox, [])
 
     # -- conferences ------------------------------------------------------
 

@@ -31,10 +31,6 @@ class MultipleChoiceQuestion:
     def grade(self, answer: Any) -> float:
         return self.points if answer == self.correct else 0.0
 
-    def describe(self) -> Dict[str, Any]:
-        return {"style": "multiple-choice", "prompt": self.prompt,
-                "options": list(self.options), "points": self.points}
-
 
 @dataclass
 class NumericQuestion:
@@ -51,10 +47,6 @@ class NumericQuestion:
         return self.points if abs(value - self.answer) <= self.tolerance \
             else 0.0
 
-    def describe(self) -> Dict[str, Any]:
-        return {"style": "numeric", "prompt": self.prompt,
-                "points": self.points}
-
 
 @dataclass
 class TextQuestion:
@@ -68,10 +60,6 @@ class TextQuestion:
         text = answer.lower()
         hits = sum(1 for kw in self.keywords if kw.lower() in text)
         return self.points * hits / len(self.keywords)
-
-    def describe(self) -> Dict[str, Any]:
-        return {"style": "text", "prompt": self.prompt,
-                "points": self.points}
 
 
 Question = Union[MultipleChoiceQuestion, NumericQuestion, TextQuestion]
@@ -94,12 +82,6 @@ class Exercise:
                 f"questions, got {len(answers)} answers")
         per_question = [q.grade(a) for q, a in zip(self.questions, answers)]
         return sum(per_question), per_question
-
-    def describe(self) -> Dict[str, Any]:
-        return {"exercise_id": self.exercise_id,
-                "course_code": self.course_code, "title": self.title,
-                "max_score": self.max_score(),
-                "questions": [q.describe() for q in self.questions]}
 
 
 class ExerciseService:
@@ -125,10 +107,6 @@ class ExerciseService:
         if exercise is None:
             raise DatabaseError(f"no exercise {exercise_id!r}")
         return exercise
-
-    def list_for_course(self, course_code: str) -> List[Dict[str, Any]]:
-        return [e.describe() for e in self._exercises.values()
-                if e.course_code == course_code]
 
     def submit(self, exercise_id: str, student_number: str,
                answers: List[Any]) -> Dict[str, Any]:

@@ -47,10 +47,6 @@ class PlayoutStats:
     #: arrivals for an index already buffered (counted, overwritten)
     frames_duplicate: int = 0
 
-    @property
-    def stall_free(self) -> bool:
-        return self.stalls == 0 and self.frames_skipped == 0
-
 
 class VideoPlayer:
     """Consumes a frame stream; drives a playout clock with stalls."""

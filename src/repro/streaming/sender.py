@@ -59,13 +59,6 @@ class VideoStreamSender:
         self.acct = sim.ledger.account(
             "stream", label, note=f"{vc.src.name}->{vc.dst.name}")
 
-    @property
-    def mean_bitrate_bps(self) -> float:
-        if self.stream.duration <= 0:
-            return 0.0
-        total = sum(info.size for info in self.stream.frame_infos())
-        return total * 8 / self.stream.duration
-
     def start(self) -> None:
         """Schedule every frame's transmission at its (lead-shifted)
         timestamp relative to now."""
@@ -79,10 +72,10 @@ class VideoStreamSender:
             self.sim.schedule(send_at, self._send_frame, i, timestamp,
                               last, frame)
 
-    def downgrade(self, factor: float = 0.5) -> None:
-        """Shrink remaining frames to ``quality * factor`` of their
-        encoded size (floored at 10%) — the receiver asked for relief."""
-        self.quality = max(0.1, self.quality * factor)
+    def downgrade(self) -> None:
+        """Halve the share of each remaining frame's encoded size that
+        is sent (floored at 10%) — the receiver asked for relief."""
+        self.quality = max(0.1, self.quality * 0.5)
         self._m_degrade.inc()
         self.sim.recorder.record(
             "streaming", "bitrate_downgrade", severity="warning",

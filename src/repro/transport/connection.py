@@ -14,7 +14,7 @@ ARQ:
 The retransmit timeout adapts to the path (Jacobson/Karn, as in RFC
 6298): each new-transmission ack contributes an RTT sample to
 smoothed estimators (``SRTT``/``RTTVAR``), the timeout is
-``SRTT + 4*RTTVAR`` clamped to ``[rto, rto_max]``, and consecutive
+``SRTT + 4*RTTVAR`` clamped to ``[rto, RTO_MAX]``, and consecutive
 timeouts back the timer off exponentially until an ack makes forward
 progress.  Retransmitted segments never yield samples (Karn's rule),
 so a resent message can't poison the estimate with an ambiguous ack.
@@ -46,6 +46,10 @@ from repro.util.errors import DecodingError, NetworkError
 #: are fragmented (AAL5 caps the CPCS payload at 65535 octets and the
 #: message header takes 36)
 MAX_FRAGMENT_BODY = 32768
+#: ceiling of the adaptive retransmit timeout, backoff included (s)
+RTO_MAX = 2.0
+#: consecutive timeouts before the peer is declared unreachable
+MAX_RETRIES = 30
 
 
 @dataclass
@@ -70,8 +74,6 @@ class Connection:
 
     def __init__(self, sim: Simulator, endpoint: DuplexEndpoint, *,
                  window: int = 32, retransmit_timeout: float = 0.05,
-                 rto_max: float = 2.0, max_retries: int = 30,
-                 on_error: Optional[Callable[[Exception], None]] = None,
                  name: str = "") -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
@@ -80,9 +82,8 @@ class Connection:
         self.window = window
         #: floor of the adaptive timeout; also the pre-sample initial RTO
         self.rto_min = retransmit_timeout
-        self.rto_max = rto_max
         self.rto = retransmit_timeout
-        self.max_retries = max_retries
+        self.max_retries = MAX_RETRIES
         #: Jacobson estimators; None until the first RTT sample lands
         self._srtt: Optional[float] = None
         self._rttvar = 0.0
@@ -93,7 +94,7 @@ class Connection:
         self.on_message: Optional[Callable[[Message], None]] = None
         #: invoked (instead of raising out of the event loop) when the
         #: peer is declared unreachable after max_retries timeouts
-        self.on_error = on_error
+        self.on_error: Optional[Callable[[Exception], None]] = None
         #: invoked (once per outage) when the underlying VC refuses a
         #: send — the hook a reconnect policy hangs off (see
         #: :func:`connect_pair`'s ``auto_reconnect``)
@@ -238,7 +239,7 @@ class Connection:
         Standard Jacobson smoothing (RFC 6298 §2): first sample seeds
         ``SRTT = R``, ``RTTVAR = R/2``; later samples blend with gains
         1/8 and 1/4.  The timeout is ``SRTT + 4*RTTVAR`` clamped to
-        ``[rto_min, rto_max]`` so a quiet path can never drop the
+        ``[rto_min, RTO_MAX]`` so a quiet path can never drop the
         timer below the configured floor nor a congested one push it
         past the ceiling.
         """
@@ -250,19 +251,19 @@ class Connection:
                 self._srtt - sample)
             self._srtt = 0.875 * self._srtt + 0.125 * sample
         self.rto = min(max(self._srtt + 4.0 * self._rttvar,
-                           self.rto_min), self.rto_max)
+                           self.rto_min), RTO_MAX)
         self._m_rto.set(self.rto)
 
     #: cap on the backoff exponent: the timer never exceeds 8× the
     #: adaptive RTO.  Karn's rule means a fully-retransmitted window
     #: yields no samples, so an unbounded backoff would ratchet to
-    #: rto_max and crawl through recovery on a genuinely lossy path.
+    #: RTO_MAX and crawl through recovery on a genuinely lossy path.
     BACKOFF_CAP = 3
 
     def _arm_timer(self) -> None:
         if self._timer is None and self._in_flight:
             exponent = min(self._backoff, self.BACKOFF_CAP)
-            timeout = min(self.rto * (2 ** exponent), self.rto_max)
+            timeout = min(self.rto * (2 ** exponent), RTO_MAX)
             self._timer = self.sim.schedule(timeout, self._on_timeout)
 
     def _on_timeout(self) -> None:
@@ -304,7 +305,7 @@ class Connection:
             self._raw_send(msg.encode())
             self.stats.retransmitted += 1
         # exponential backoff: each consecutive timeout doubles the
-        # timer (capped at rto_max) until an ack makes progress
+        # timer (capped at RTO_MAX) until an ack makes progress
         self._backoff += 1
         self._arm_timer()
 

@@ -184,8 +184,8 @@ class RpcClient:
 
     def open_stream(self, method: str, params: Any = None, *,
                     on_chunk: Optional[Callable[[bytes], None]] = None,
-                    on_end: Optional[Callable[[StreamReceiver], None]] = None,
-                    timeout: Optional[float] = None) -> StreamReceiver:
+                    on_end: Optional[Callable[[StreamReceiver], None]] = None
+                    ) -> StreamReceiver:
         """Issue a request whose response is a chunk stream."""
         corr = next(self._corr)
         tracer = self.sim.tracer

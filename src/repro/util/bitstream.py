@@ -37,13 +37,6 @@ class BitWriter:
             acc &= (1 << nacc) - 1
         self._acc, self._nacc = acc, nacc
 
-    def write_bytes(self, data: bytes) -> None:
-        """Append whole bytes.  Fast path when byte-aligned."""
-        if self._nacc == 0:
-            self._bytes.extend(data)
-        else:
-            self.write(int.from_bytes(data, "big"), 8 * len(data))
-
     def align(self) -> None:
         """Pad with zero bits to the next byte boundary."""
         if self._nacc:
@@ -82,16 +75,6 @@ class BitReader:
         self._pos = end
         window = int.from_bytes(self._data[pos >> 3:(end + 7) >> 3], "big")
         return (window >> (-end & 7)) & ((1 << nbits) - 1)
-
-    def read_bytes(self, n: int) -> bytes:
-        """Read *n* whole bytes.  Fast path when byte-aligned."""
-        if self._pos % 8 == 0:
-            start = self._pos >> 3
-            if start + n > len(self._data):
-                raise DecodingError("bit stream exhausted reading bytes")
-            self._pos += n * 8
-            return self._data[start : start + n]
-        return self.read(8 * n).to_bytes(n, "big")
 
     def align(self) -> None:
         """Skip to the next byte boundary."""

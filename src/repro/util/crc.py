@@ -61,8 +61,3 @@ def crc32_aal5(data: bytes, crc: int = 0xFFFFFFFF) -> int:
     complemented, so the register is flipped on the way in and out.
     """
     return zlib.crc32(data, crc ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
-
-
-def crc32_final(reg: int) -> int:
-    """Finalize an AAL5 CRC register into the transmitted 32-bit value."""
-    return reg ^ 0xFFFFFFFF

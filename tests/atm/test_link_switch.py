@@ -118,7 +118,8 @@ class TestLink:
         link.sink_train = lambda t: None
         link.enqueue(make_cell())
         sim.run(until=0.002)
-        assert link.utilization() == pytest.approx(0.5)
+        # the transmitter's busy time: one 424-bit cell at 424 kbit/s
+        assert link.stats.busy_time == pytest.approx(0.001)
 
     def test_error_rate_enabled_after_clean_construction(self):
         # regression: a link constructed without loss had no

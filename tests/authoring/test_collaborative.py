@@ -32,9 +32,10 @@ class TestMembership:
         s = session()
         s.join("alice")
         s.add_section("alice", "intro")
-        assert s.lock_holder("intro") == "alice"
         s.leave("alice")
-        assert s.lock_holder("intro") is None
+        s.join("alice")
+        with pytest.raises(AuthoringError):
+            s.add_scene("alice", "intro", "sc1")
 
     def test_non_member_cannot_edit(self):
         s = session()
@@ -43,17 +44,6 @@ class TestMembership:
 
 
 class TestLocking:
-    def test_exclusive_section_locks(self):
-        s = session()
-        s.join("alice")
-        s.join("bob")
-        s.add_section("alice", "intro")
-        with pytest.raises(AuthoringError):
-            s.lock_section("bob", "intro")
-        s.unlock_section("alice", "intro")
-        s.lock_section("bob", "intro")
-        assert s.lock_holder("intro") == "bob"
-
     def test_edit_requires_lock(self):
         s = session()
         s.join("alice")
@@ -62,12 +52,6 @@ class TestLocking:
         s.add_scene("alice", "intro", "sc1")
         with pytest.raises(AuthoringError):
             s.add_scene("bob", "intro", "sc2")
-
-    def test_relock_by_holder_is_idempotent(self):
-        s = session()
-        s.join("alice")
-        s.add_section("alice", "intro")
-        s.lock_section("alice", "intro")  # no error
 
 
 class TestEditing:

@@ -107,20 +107,6 @@ class TestTimeline:
         with pytest.raises(AuthoringError):
             tl.add(TimelineEntry("a", 1.0, 1.0))
 
-    def test_active_at(self):
-        tl = Timeline([TimelineEntry("a", 0.0, 2.0),
-                       TimelineEntry("b", 1.0, 2.0),
-                       TimelineEntry("c", 0.0, None)])
-        assert sorted(tl.active_at(0.5)) == ["a", "c"]
-        assert sorted(tl.active_at(1.5)) == ["a", "b", "c"]
-        assert sorted(tl.active_at(2.5)) == ["b", "c"]
-
-    def test_total_duration(self):
-        assert Timeline([TimelineEntry("a", 0.0, 2.0),
-                         TimelineEntry("b", 1.0, 2.5)]).total_duration() == 3.5
-        assert Timeline([TimelineEntry("a", 0.0, None)]).total_duration() is None
-        assert Timeline().total_duration() == 0.0
-
     def test_preemption_needs_both_fields(self):
         with pytest.raises(AuthoringError):
             TimelineEntry("a", 0.0, 1.0, preempted_by="c")
@@ -141,10 +127,9 @@ class TestBehavior:
     def test_shorthands(self):
         b = Behavior()
         b.when_selected("stop-btn", ("stop", "audio1"), ("stop", "text1"))
-        b.when_stopped("text1", ("run", "image1"))
-        assert len(b.rules) == 2
+        assert len(b.rules) == 1
         assert b.rules[0].trigger.event == "selected"
-        assert b.rules[1].trigger.object_name == "text1"
+        assert len(b.rules[0].actions) == 2
 
     def test_rule_needs_actions(self):
         with pytest.raises(AuthoringError):

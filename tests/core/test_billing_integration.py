@@ -12,7 +12,6 @@ def test_registration_and_sessions_billed():
     billing = BillingService(Tariff(per_registration=40,
                                     per_session_minute=0.60))
     mits.database.server.billing = billing
-    mits.database.server._now_fn = lambda: mits.sim.now
 
     nav = mits.add_user("payer").navigator
     nav.start()
@@ -43,4 +42,3 @@ def test_registration_and_sessions_billed():
     stmt2 = billing.statement(number)
     assert stmt2["by_kind"]["session"]["quantity"] == pytest.approx(
         max(position, position2) / 60.0)
-    assert billing.revenue() == billing.balance(number)

@@ -118,16 +118,11 @@ class TestConcurrentUsers:
 
 
 class TestUploadPaths:
-    def test_produce_and_publish_helper(self):
+    def test_publish_uploads_a_content_record(self):
         mits = MitsSystem()
-        call = mits.production.produce_and_publish(
-            "image", "fresh-diagram", width=64, height=48)
+        call = mits.production.publish(mits.production.center.produce_image(
+            "fresh-diagram", width=64, height=48))
         mits.wait(call)
         record = mits.database.db.content.get("fresh-diagram")
         assert record.media_kind == "image"
         assert record.coding_method == "SIMG"
-
-    def test_unknown_kind_rejected(self):
-        mits = MitsSystem()
-        with pytest.raises(KeyError):
-            mits.production.produce_and_publish("hologram", "x")

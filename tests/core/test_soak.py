@@ -66,8 +66,8 @@ def test_ten_concurrent_students(loaded_system):
         nav.ask_facilitator("how big is a cell?",
                             on_result=answers.append)
     # meanwhile the production center keeps publishing
-    publish = mits.production.produce_and_publish(
-        "image", "soak-extra-diagram")
+    publish = mits.production.publish(
+        mits.production.center.produce_image("soak-extra-diagram"))
     mits.sim.run(until=mits.sim.now + 120)
 
     assert sorted(clicked) == list(range(N_USERS))

@@ -262,8 +262,10 @@ class TestSchoolFeatures:
         mits.sim.run(until=mits.sim.now + 5)
         s1 = nav1.student["student_number"]
         s2 = nav2.student["student_number"]
-        mits.wait(nav1.school.join_conference("common-room", s1))
-        mits.wait(nav2.school.join_conference("common-room", s2))
+        # conference membership is kept at the facilitator site
+        discussion = mits.facilitator.service.discussion
+        discussion.join("common-room", s1)
+        discussion.join("common-room", s2)
         mits.wait(nav1.school.say("common-room", s1, "anyone here?"))
         transcript = mits.wait(nav2.school.transcript("common-room"))
         assert transcript[-1]["body"] == "anyone here?"

@@ -59,13 +59,6 @@ class TestInvertedIndex:
         index.add("doc1", ["ATM"])
         assert index.lookup("atm") == ["doc1"]
 
-    def test_conjunctive_query(self):
-        index = InvertedIndex()
-        index.add("doc1", ["atm", "cells"])
-        index.add("doc2", ["atm"])
-        assert index.lookup_all(["atm", "cells"]) == ["doc1"]
-        assert index.lookup_all([]) == []
-
     def test_remove(self):
         index = InvertedIndex()
         index.add("doc1", ["atm"])

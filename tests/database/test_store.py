@@ -67,15 +67,6 @@ class TestTransactions:
         tx.put("c", "k", 1)
         assert tx.get("c", "k") == 1
 
-    def test_abort_discards(self):
-        store = ObjectStore()
-        tx = store.transaction()
-        tx.put("c", "k", 1)
-        tx.abort()
-        assert not store.exists("c", "k")
-        with pytest.raises(DatabaseError):
-            tx.commit()
-
     def test_write_write_conflict_detected(self):
         store = ObjectStore()
         store.put("c", "k", 0)

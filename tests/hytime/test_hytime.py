@@ -4,11 +4,11 @@ import pytest
 
 from repro.hytime import (
     Axis, CoordinateAddress, Event, FiniteCoordinateSpace, HyTimeEngine,
-    HyTimeModule, NameSpaceAddress, Rendition, SemanticAddress,
+    HyTimeModule, NameSpaceAddress, SemanticAddress,
     resolve_address, validate_modules,
 )
 from repro.hytime.modules import dependency_closure
-from repro.hytime.location import build_name_space, to_name_space
+from repro.hytime.location import build_name_space
 from repro.hytime.sgml import SgmlParser
 from repro.util.errors import DecodingError
 
@@ -85,15 +85,6 @@ class TestAddressing:
         with pytest.raises(DecodingError):
             resolve_address(SemanticAddress("anything"), self.root)
 
-    def test_conversion_to_name_space(self):
-        addr = to_name_space(CoordinateAddress([1]), self.root)
-        assert addr == NameSpaceAddress("cells")
-
-    def test_conversion_fails_without_id(self):
-        anon = SgmlParser().parse("<d><p/></d>")
-        with pytest.raises(DecodingError):
-            to_name_space(CoordinateAddress([0]), anon)
-
 
 class TestScheduling:
     def _fcs(self):
@@ -120,39 +111,11 @@ class TestScheduling:
         with pytest.raises(DecodingError):
             fcs.schedule(Event("a", {"time": (2.0, 1.0)}))
 
-    def test_place_after_synchronisation(self):
-        fcs = self._fcs()
-        fcs.schedule(Event("audio", {"time": (0.0, 8.0)}))
-        image = fcs.place_after("image", "audio", "time", 5.0)
-        assert image.start("time") == 8.0
-
-    def test_place_with_synchronisation(self):
-        fcs = self._fcs()
-        fcs.schedule(Event("video", {"time": (3.0, 8.0)}))
-        caption = fcs.place_with("caption", "video", "time", 8.0)
-        assert caption.start("time") == 3.0
-
     def test_timeline_sorted(self):
         fcs = self._fcs()
         fcs.schedule(Event("b", {"time": (5.0, 2.0)}))
         fcs.schedule(Event("a", {"time": (0.0, 2.0)}))
         assert [n for (_, _, n) in fcs.timeline("time")] == ["a", "b"]
-
-    def test_rendition_projection(self):
-        generic = FiniteCoordinateSpace("generic", [Axis("t", "unit", 10.0)])
-        generic.schedule(Event("clip", {"t": (2.0, 4.0)}))
-        layout = FiniteCoordinateSpace("layout", [Axis("time", "second", 120.0)])
-        rendition = Rendition(source=generic, target=layout,
-                              axis_map={"t": ("time", 10.0, 5.0)})
-        projected = rendition.project()
-        assert projected[0].extents["time"] == (25.0, 40.0)
-
-    def test_rendition_missing_axis_map(self):
-        generic = FiniteCoordinateSpace("g", [Axis("t", "unit", 10.0)])
-        generic.schedule(Event("e", {"t": (0.0, 1.0)}))
-        layout = FiniteCoordinateSpace("l", [Axis("time", "second", 100.0)])
-        with pytest.raises(DecodingError):
-            Rendition(source=generic, target=layout, axis_map={}).project()
 
 
 class TestEngine:

@@ -1,10 +1,8 @@
-"""Tests for the SGML parser and DTD validation."""
+"""Tests for the SGML parser."""
 
 import pytest
 
-from repro.hytime.sgml import (
-    Dtd, ElementDecl, SgmlElement, SgmlParser, write_sgml,
-)
+from repro.hytime.sgml import SgmlElement, SgmlParser, write_sgml
 from repro.util.errors import DecodingError
 
 parser = SgmlParser()
@@ -83,49 +81,6 @@ class TestTreeQueries:
         assert root.path() == []
 
 
-class TestDtd:
-    DTD = Dtd("course", [
-        ElementDecl("course", children=("section",), allow_text=False),
-        ElementDecl("section", children=("p", "video"),
-                    required_attributes=("id",)),
-        ElementDecl("p"),
-        ElementDecl("video", children=(), required_attributes=("src",)),
-    ])
-
-    def test_valid_document(self):
-        text = ('<course><section id="s1"><p>text</p>'
-                '<video src="clip"/></section></course>')
-        SgmlParser(self.DTD).parse(text)
-
-    def test_wrong_root(self):
-        with pytest.raises(DecodingError):
-            SgmlParser(self.DTD).parse("<section id='x'/>")
-
-    def test_undeclared_element(self):
-        with pytest.raises(DecodingError):
-            SgmlParser(self.DTD).parse(
-                '<course><chapter id="c"/></course>')
-
-    def test_missing_required_attribute(self):
-        with pytest.raises(DecodingError):
-            SgmlParser(self.DTD).parse("<course><section/></course>")
-
-    def test_empty_element_with_children(self):
-        with pytest.raises(DecodingError):
-            SgmlParser(self.DTD).parse(
-                '<course><section id="s"><video src="x"><p/></video>'
-                "</section></course>")
-
-    def test_forbidden_child(self):
-        with pytest.raises(DecodingError):
-            SgmlParser(self.DTD).parse(
-                '<course><section id="s"><section id="t"/></section>'
-                "</course>")
-
-    def test_text_where_forbidden(self):
-        with pytest.raises(DecodingError):
-            SgmlParser(self.DTD).parse(
-                "<course>stray text</course>")
 
 
 class TestWriter:

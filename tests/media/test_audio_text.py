@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.media.audio import (
     AudioCodec, MidiCodec, MidiEvent, mu_law_compress, mu_law_expand,
 )
-from repro.media.text import TextCodec, extract_headings, extract_links, strip_markup
+from repro.media.text import TextCodec, extract_links
 from repro.util.errors import DecodingError, EncodingError
 
 
@@ -114,16 +114,6 @@ class TestText:
     def test_extract_links(self):
         text = "see [[a|first]] and [[b-c|second link]]"
         assert extract_links(text) == [("a", "first"), ("b-c", "second link")]
-
-    def test_extract_headings(self):
-        text = "== One ==\nbody\n== Two ==\nmore"
-        assert extract_headings(text) == ["One", "Two"]
-
-    def test_strip_markup(self):
-        text = "== Title ==\ngo [[target|here]] now"
-        plain = strip_markup(text)
-        assert "[[" not in plain and "==" not in plain
-        assert "here" in plain and "Title" in plain
 
     def test_truncation_detected(self):
         data = TextCodec().encode("hello world")

@@ -21,7 +21,6 @@ class TestMediaObject:
         obj = video_obj(frames=20, rate=10.0, size=1000)
         assert obj.duration == pytest.approx(2.0)
         assert obj.bitrate_bps() == pytest.approx(4000.0)
-        assert obj.is_continuous
 
     def test_audio_duration(self):
         obj = MediaObject(name="a", media_type=MediaType.AUDIO,
@@ -42,7 +41,6 @@ class TestMediaObject:
                           attributes={"width": 8, "height": 8})
         assert obj.duration is None
         assert obj.bitrate_bps() is None
-        assert not obj.is_continuous
 
     def test_describe(self):
         desc = video_obj().describe()

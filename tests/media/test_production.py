@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.media import (
-    AudioCodec, MediaProductionCenter, MediaType, MidiCodec, TextCodec,
+    AudioCodec, MediaProductionCenter, MediaType, TextCodec,
     VideoCodec, VideoStream,
 )
 from repro.media.image import ImageCodec
-from repro.media.text import extract_headings, extract_links
+from repro.media.text import extract_links
 
 
 class TestDeterminism:
@@ -35,7 +35,6 @@ class TestProducedAssets:
         frames = VideoCodec().decode(obj.data)
         assert frames.shape == (10, 48, 64)
         assert obj.duration == pytest.approx(1.0)
-        assert obj.is_continuous
         assert obj.bitrate_bps() > 0
 
     def test_image_decodable(self):
@@ -44,7 +43,6 @@ class TestProducedAssets:
         img = ImageCodec().decode(obj.data)
         assert img.shape == (64, 80)
         assert obj.media_type is MediaType.IMAGE
-        assert not obj.is_continuous
 
     @pytest.mark.parametrize("width,height", [(102, 70), (101, 69), (3, 5)])
     def test_image_sides_not_divisible_by_four(self, width, height):
@@ -60,19 +58,12 @@ class TestProducedAssets:
         assert len(samples) == 4000
         assert obj.duration == pytest.approx(0.5)
 
-    def test_midi_decodable(self):
-        pc = MediaProductionCenter()
-        obj = pc.produce_midi("melody", bars=2)
-        events = MidiCodec().decode(obj.data)
-        assert len(events) == 8
-        assert obj.duration > 0
-
     def test_text_has_structure_and_links(self):
         pc = MediaProductionCenter()
         obj = pc.produce_text("lecture", sections=4,
                               link_targets=["atm-cells", "atm-qos"])
         text = TextCodec().decode(obj.data)
-        assert len(extract_headings(text)) == 4
+        assert sum(line.startswith("== ") for line in text.splitlines()) == 4
         targets = {t for t, _ in extract_links(text)}
         assert targets <= {"atm-cells", "atm-qos"}
 

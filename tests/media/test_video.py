@@ -36,17 +36,17 @@ class TestVideoCodec:
         frames = np.repeat(moving_sequence(T=1), 12, axis=0)
         codec = VideoCodec(quality=60, gop=12)
         stream = VideoStream(codec.encode(frames))
-        infos = stream.frame_infos()
-        assert infos[0].kind == "I"
-        assert all(f.kind == "P" for f in infos[1:])
+        frames = [stream.frame_bytes(i) for i in range(stream.frames)]
+        # a frame starts with its kind octet: 0 = I, 1 = P
+        assert [f[0] for f in frames] == [0] + [1] * 11
         # P frames of a static scene are near-empty (EOB-per-block floor)
-        assert all(f.size < infos[0].size / 2 for f in infos[1:])
-        assert all(f.size < 64 for f in infos[1:])
+        assert all(len(f) < len(frames[0]) / 2 for f in frames[1:])
+        assert all(len(f) < 64 for f in frames[1:])
 
     def test_gop_structure(self):
         frames = moving_sequence(T=10)
         stream = VideoStream(VideoCodec(gop=4).encode(frames))
-        kinds = [f.kind for f in stream.frame_infos()]
+        kinds = ["IP"[stream.frame_bytes(i)[0]] for i in range(stream.frames)]
         assert kinds == ["I", "P", "P", "P"] * 2 + ["I", "P"]
 
     def test_input_validation(self):

@@ -10,7 +10,7 @@ textbook BER encoder (ITU-T X.690 §8) writes it.
   30 as ``0x1F`` then base-128 septets, most significant first;
 * length: definite, short form below 128, else ``0x80 | n`` then *n*
   big-endian octets;
-* None → NULL, bool → BOOLEAN (``ff``/``00``), int → two's complement
+* None → NULL, bool → BOOLEAN (``ff``/``00``), int → minimal two's complement
   INTEGER, float → REAL in NR3 character form (``03`` then
   ``repr``), str → UTF8String, bytes → OCTET STRING, list → SEQUENCE,
   dict → constructed context [0] holding alternating key and value
@@ -54,11 +54,10 @@ def _element(tag_class: int, number: int, constructed: bool,
 
 
 def _integer_content(value: int) -> bytes:
-    # room for the magnitude plus a sign bit; a negative power of two
-    # (-128, -32768, ...) so takes one octet more than X.690's minimum,
-    # as the interchange form always has
+    # X.690 §8.3.2: the fewest octets whose two's-complement range
+    # [-2**(8n-1), 2**(8n-1)) holds the value
     size = 1
-    while 8 * size < abs(value).bit_length() + 1:
+    while not -(1 << (8 * size - 1)) <= value < (1 << (8 * size - 1)):
         size += 1
     return (value % (1 << (8 * size))).to_bytes(size, "big")
 

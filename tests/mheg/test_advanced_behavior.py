@@ -107,34 +107,6 @@ class TestMultiplexedStreamControl:
                 parameters={"stream_id": 9, "value": 0}))
 
 
-class TestMultipleChannels:
-    def test_objects_present_on_their_channels(self):
-        engine = MhegEngine()
-        engine.add_channel("overlay", 320, 240)
-        engine.store(text(1))
-        engine.store(text(2))
-        main_rt = engine.new_runtime(ref(APP, 1), channel="main")
-        over_rt = engine.new_runtime(ref(APP, 2), channel="overlay")
-        engine.run(main_rt)
-        engine.run(over_rt)
-        assert main_rt.ref_str in engine.channels["main"].presented
-        assert over_rt.ref_str in engine.channels["overlay"].presented
-        assert over_rt.ref_str not in engine.channels["main"].presented
-
-    def test_composite_layout_reroutes_channel(self):
-        engine = MhegEngine()
-        engine.add_channel("pip", 160, 120)
-        engine.store(text(1))
-        engine.store(CompositeClass(
-            identifier=mid(10), components=[ref(APP, 1)],
-            layout={f"{APP}/1": {"channel": "pip", "position": [5, 5]}}))
-        rt = engine.new_runtime(ref(APP, 10))
-        child = engine.runtime(ref(APP, 1, 1))
-        assert child.channel == "pip"
-        engine.run(rt)
-        assert child.ref_str in engine.channels["pip"].presented
-
-
 class TestMhegNativeQuiz:
     """The Fig 4.3b question loop built purely from MHEG objects: two
     answer buttons, a score value, right/wrong feedback texts."""

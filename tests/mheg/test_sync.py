@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mheg import sync
-from repro.mheg.classes.behavior import ActionVerb, ElementaryAction
+from repro.mheg.classes.behavior import ActionVerb
 from repro.mheg.identifiers import ref
 from repro.util.errors import AuthoringError
 
@@ -12,14 +12,13 @@ A, B, C = ref("app", 1), ref("app", 2), ref("app", 3)
 
 class TestBuilders:
     def test_atomic_serial(self):
-        spec = sync.atomic_serial(A, B)
-        sync.validate_spec(spec)
-        assert spec["mode"] == "serial"
+        # Fig 2.6a: composites carry atomic specs as plain dicts
+        sync.validate_spec({"kind": "atomic", "mode": "serial",
+                            "first": str(A), "second": str(B)})
 
     def test_atomic_parallel(self):
-        spec = sync.atomic_parallel(A, B)
-        sync.validate_spec(spec)
-        assert spec["mode"] == "parallel"
+        sync.validate_spec({"kind": "atomic", "mode": "parallel",
+                            "first": str(A), "second": str(B)})
 
     def test_elementary_offsets(self):
         spec = sync.elementary(A, 0.0, B, 2.5)
@@ -74,12 +73,3 @@ class TestLinkBuilders:
         assert cond.value == "not-running"
         assert link.effect.actions[0].verb is ActionVerb.RUN
         assert link.effect.actions[0].target == B
-
-    def test_when_selected_do(self):
-        actions = [ElementaryAction(ActionVerb.STOP, A),
-                   ElementaryAction(ActionVerb.RUN, B)]
-        link = sync.when_selected_do("app", 11, C, actions, once=True)
-        link.validate()
-        assert link.once
-        assert link.trigger_conditions[0].attribute == "selected"
-        assert len(link.effect.actions) == 2

@@ -61,15 +61,6 @@ class TestRing:
 
 
 class TestQueries:
-    def test_for_trace_filters_by_correlation_id(self):
-        rec = FlightRecorder(clock=lambda: 0.0)
-        rec.record("transport", "retransmit", trace_id=7)
-        rec.record("atm", "cell_drop")
-        rec.record("streaming", "late_frame", trace_id=7)
-        rec.record("transport", "retransmit", trace_id=9)
-        kinds = [e.kind for e in rec.for_trace(7)]
-        assert kinds == ["retransmit", "late_frame"]
-
     def test_by_kind_and_counts(self):
         rec = FlightRecorder(clock=lambda: 0.0)
         for _ in range(3):

@@ -168,7 +168,7 @@ class TestInterleavedCallbacks:
         with tr.span("unrelated"):
             pass
         sim.run()
-        [cont] = tr.by_name("continuation")
+        [cont] = [s for s in tr.spans if s.name == "continuation"]
         assert cont.trace_id == req.trace_id
         assert cont.parent_id == req.span_id
 
@@ -207,4 +207,5 @@ class TestSimulatorIntegration:
         sp = sim.tracer.span("tick")
         sim.schedule(1.0, sp.end)
         sim.run()
-        assert sim.tracer.by_name("tick")[0].duration == 1.0
+        [tick] = sim.tracer.spans
+        assert tick.name == "tick" and tick.duration == 1.0

@@ -14,7 +14,8 @@ from repro.util.errors import DatabaseError
 class TestBulletin:
     def test_default_groups(self):
         board = BulletinBoard()
-        assert "school.announcements" in board.groups()
+        for group in BulletinBoard.DEFAULT_GROUPS:
+            assert board.list_posts(group) == []
 
     def test_post_and_list(self):
         board = BulletinBoard()
@@ -85,13 +86,6 @@ class TestExerciseService:
             ]))
         return service
 
-    def test_describe_hides_answers(self):
-        service = self.make_service()
-        desc = service.get("ex1").describe()
-        assert desc["max_score"] == 2.0
-        for q in desc["questions"]:
-            assert "correct" not in q and "answer" not in q
-
     def test_submit_and_best_score(self):
         service = self.make_service()
         first = service.submit("ex1", "S1", [0, 40])
@@ -123,11 +117,6 @@ class TestExerciseService:
         with pytest.raises(DatabaseError):
             service.add(Exercise(exercise_id="ex2", course_code="c",
                                  title="empty"))
-
-    def test_list_for_course(self):
-        service = self.make_service()
-        assert service.list_for_course("ELG5376")[0]["exercise_id"] == "ex1"
-        assert service.list_for_course("OTHER") == []
 
 
 class TestDiscussion:

@@ -52,22 +52,12 @@ class TestSender:
         assert sender.frames_sent == stream.frames
         assert sender.finished
 
-    def test_mean_bitrate_reported(self, video):
-        sim = Simulator()
-        net, _ = star_campus(sim, ["server", "client"])
-        vc = net.open_vc("server", "client",
-                         TrafficContract(ServiceCategory.UBR, pcr=1e5),
-                         lambda p, i: None)
-        sender = VideoStreamSender(sim, vc, video.data)
-        assert sender.mean_bitrate_bps == pytest.approx(
-            video.bitrate_bps(), rel=0.05)
-
 
 class TestPlayer:
     def test_clean_playback_on_fast_link(self, video):
         sim, sender, player = run_stream(video, access_bps=10e6)
         assert player.finished
-        assert player.stats.stall_free
+        assert player.stats.stalls == 0 and player.stats.frames_skipped == 0
         assert player.stats.frames_played == VideoStream(video.data).frames
 
     def test_startup_delay_close_to_preroll(self, video):
@@ -107,8 +97,7 @@ class TestPlayer:
 
 
 class TestEmptyStreamRegression:
-    """mean_bitrate_bps raised ZeroDivisionError for an empty or
-    zero-duration stream; it must report 0.0 instead."""
+    """An empty or zero-duration stream must not crash the sender."""
 
     def _empty_stream_sender(self):
         import struct
@@ -122,10 +111,6 @@ class TestEmptyStreamRegression:
         # asset can still present one to the sender)
         data = b"SMPG" + struct.pack(">HHHfB", 0, 8, 8, 10.0, 12) + bytes([60])
         return sim, VideoStreamSender(sim, vc, data)
-
-    def test_zero_duration_bitrate_is_zero(self):
-        sim, sender = self._empty_stream_sender()
-        assert sender.mean_bitrate_bps == 0.0
 
     def test_empty_stream_start_is_harmless(self):
         sim, sender = self._empty_stream_sender()

@@ -4,7 +4,9 @@ import pytest
 
 from repro.atm import Simulator, TrafficContract, ServiceCategory
 from repro.atm.topology import star_campus
-from repro.transport.connection import Connection, connect_pair, MAX_FRAGMENT_BODY
+from repro.transport.connection import (
+    MAX_FRAGMENT_BODY, RTO_MAX, Connection, connect_pair,
+)
 from repro.transport.messages import FLAG_MORE_FRAGMENTS, Message, MessageType
 from repro.util.errors import DecodingError, NetworkError
 
@@ -246,7 +248,7 @@ class TestAdaptiveRto:
         ca._observe_rtt(1e-6)
         assert ca.rto == ca.rto_min
         cb._observe_rtt(10.0)
-        assert cb.rto == cb.rto_max
+        assert cb.rto == RTO_MAX
 
     def test_smoothing_converges_toward_samples(self):
         sim, net, ca, cb = setup_pair()
@@ -314,12 +316,12 @@ class TestAdaptiveRto:
 
     def test_backed_off_timer_never_exceeds_rto_max(self):
         sim, net, ca, cb = setup_pair()
-        ca._observe_rtt(10.0)  # clamps rto to rto_max
+        ca._observe_rtt(10.0)  # clamps rto to RTO_MAX
         ca._backoff = 2
         ca._in_flight[0] = Message(type=MessageType.DATA, seq=0,
                                    body=b"x")
         ca._arm_timer()
-        assert ca._timer.time == pytest.approx(sim.now + ca.rto_max)
+        assert ca._timer.time == pytest.approx(sim.now + RTO_MAX)
 
     def test_rto_gauge_exported(self):
         sim, net, ca, cb = setup_pair()

@@ -105,9 +105,6 @@ class TestLossyPropagation:
             assert ev.severity == "warning"
             assert "seq" in ev.attrs
 
-        # the recorder can answer "what went wrong in this request?"
-        assert sim.recorder.for_trace(root.trace_id)
-
         # despite the loss, every server span still joined the trace
         server_spans = [s for s in sim.tracer.spans
                         if s.name == "rpc.server:echo"]

@@ -37,17 +37,6 @@ class TestBitWriter:
         w.write(0, 8)
         assert len(w) == 11
 
-    def test_write_bytes_aligned_fast_path(self):
-        w = BitWriter()
-        w.write_bytes(b"\x01\x02")
-        assert w.getvalue() == b"\x01\x02"
-
-    def test_write_bytes_unaligned(self):
-        w = BitWriter()
-        w.write(0b1111, 4)
-        w.write_bytes(b"\x00")
-        assert w.getvalue() == bytes([0xF0, 0x00])
-
 
 class TestBitReader:
     def test_reads_msb_first(self):
@@ -61,11 +50,6 @@ class TestBitReader:
         r.read(8)
         with pytest.raises(DecodingError):
             r.read(1)
-
-    def test_read_bytes_aligned(self):
-        r = BitReader(b"\x01\x02\x03")
-        assert r.read_bytes(2) == b"\x01\x02"
-        assert r.read(8) == 3
 
     def test_align_skips_to_boundary(self):
         r = BitReader(b"\xff\x01")
