@@ -136,6 +136,14 @@ def main() -> None:
     answer = mits.wait(nav.ask_facilitator("how big is an ATM cell?"))
     print("  facilitator:", answer["answer"])
 
+    print("\n== text conference ==")
+    me = nav.student["student_number"]
+    members = mits.wait(nav.school.join_conference("common-room", me))
+    print("  common-room members:", members)
+    mits.wait(nav.school.say("common-room", me, "hello from home"))
+    said = mits.wait(nav.school.transcript("common-room"))
+    print("  transcript:", [m["body"] for m in said])
+
     nav.exit()
     print("\nsession trace:", nav.trace)
     print("db requests served:", mits.database.requests_served())

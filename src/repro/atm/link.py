@@ -20,17 +20,24 @@ queue as a one-cell ``per_cell`` train at its own arrival instant.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.atm.cell import Cell, CELL_SIZE
 from repro.atm.qos import ServiceCategory
-from repro.atm.simulator import Simulator
+from repro.atm.simulator import Event, Simulator, file_entry
 from repro.atm.train import CellTrain
 from repro.obs.accounting import NULL_ACCOUNT
 
 CELL_BITS = CELL_SIZE * 8
+
+#: sort keys of a commit batch entry (first departure, seq, train)
+_by_departure = itemgetter(0, 1)
+_by_seq = itemgetter(1)
 
 
 @dataclass
@@ -77,7 +84,11 @@ class Link:
             raise ValueError("link buffer must hold at least one cell")
         self.sim = sim
         self.rate_bps = rate_bps
+        self._tx = CELL_BITS / rate_bps
         self.prop_delay = prop_delay
+        #: fabric delay of the switch this link feeds (0 into a host),
+        #: for bounding when a train can reach the next link
+        self.fabric_delay = 0.0
         self.buffer_cells = buffer_cells
         self.name = name
         #: fault injection: probability a transmitted cell is lost on
@@ -122,6 +133,13 @@ class Link:
         #: (each queued cell visits the queue between its arrival and
         #: its service start)
         self._future_starts: Deque[float] = deque()
+        #: trains waiting for their commit, each with its pending
+        #: commit event; any commit here merges them
+        self._held: Dict[CellTrain, Event] = {}
+        #: heap of (time, seq, event): pending train pieces upstream
+        #: whose route continues here, by the earliest time each can
+        #: put a cell on this link
+        self._reach: List[Tuple[float, int, Event]] = []
         self.stats = LinkStats()
         #: bandwidth reserved by connection admission (bits/s)
         self.reserved_bps = 0.0
@@ -193,7 +211,7 @@ class Link:
     @property
     def cell_time(self) -> float:
         """Serialization time of one cell on this link."""
-        return CELL_BITS / self.rate_bps
+        return self._tx
 
     @property
     def queue_length(self) -> int:
@@ -314,15 +332,67 @@ class Link:
 
     # -- cell trains -----------------------------------------------------
 
+    def hold(self, train: CellTrain, seq: Optional[int] = None) -> None:
+        """Hold a train for commit: its commit is booked at its first
+        departure (inheriting *seq* unless None), and any commit on
+        this link before then merges it."""
+        self._held[train] = self.sim.schedule_piece(
+            train.times[0], seq, self.commit_train, train, link=self,
+            departures=True)
+
+    def file_piece(self, ev: Event, departures: bool) -> None:
+        """File the pending piece ``ev.args[0]`` of a train on this
+        link: on each link further down its route, from the earliest
+        time its first cell can get there, and, when it carries its
+        frame's last cell, on every link from the earliest time that
+        cell can reach the host.  The bounds repeat the additions the
+        cells' own times go through, so float rounding can never put
+        a bound past them."""
+        train = ev.args[0]
+        if train.route is None:
+            # not from a host's sender: it may reach any link
+            file_entry(self.sim._outside, (ev.time, ev.seq, ev))
+            return
+        first = train.times[0]
+        last = train.times[-1]
+        if departures:
+            first = (first + self._tx) + self.prop_delay
+            last = (last + self._tx) + self.prop_delay
+        link = self
+        # a tie-break of its own: a held remainder keeps its train's
+        # seq and last cell, so (time, seq) would tie with the dead
+        # entry it replaces and fall through to comparing events
+        seq = next(self.sim._index_seq)
+        for nxt in train.route[train.hop + 1:]:
+            fabric = link.fabric_delay
+            first = first + fabric
+            file_entry(nxt._reach, (first, seq, ev))
+            first = (first + nxt._tx) + nxt.prop_delay
+            last = ((last + fabric) + nxt._tx) + nxt.prop_delay
+            link = nxt
+        if train.final:
+            file_entry(self.sim._finals, (last, seq, ev))
+
+    def _final_reach(self, train: CellTrain) -> float:
+        """Earliest time the last cell of a train waiting on this link
+        can reach its host (computed as in :meth:`file_piece`)."""
+        t = (train.times[-1] + self._tx) + self.prop_delay
+        link = self
+        for nxt in train.route[train.hop + 1:]:
+            t = ((t + link.fabric_delay) + nxt._tx) + nxt.prop_delay
+            link = nxt
+        return t
+
     def commit_train(self, train: CellTrain) -> None:
         """Scheduled entry point for a train commit (first departure due)."""
         self.enqueue_train(train)
 
     def enqueue_train(self, train: CellTrain) -> int:
-        """Offer a whole train to the transmitter.
+        """Offer a whole train to the transmitter, and commit with it
+        every train this link holds.
 
         Returns the number of cells committed arithmetically (0 when
-        the train was expanded into the per-cell queue).
+        the train was expanded into the per-cell queue or deferred).
 
         The arithmetic commit is taken only when it is provably what
         the per-cell queue would do: transmitter idle or train-only
@@ -331,15 +401,17 @@ class Link:
         room in the buffer.  Everything else is expanded: ``enqueue``
         is scheduled per cell at its exact departure time.
 
-        **Horizon rule.**  Every pending event fires at some time
-        ``H`` or later, and an event at time ``t`` can only create new
-        departures at ``t`` or later, so departures *strictly before*
-        ``H`` are final: no cross-traffic can still slip between them,
-        and the wire schedule computed here is exactly what the
-        per-cell queue would have produced.  Cells due at or after
-        ``H`` are split off and re-committed when their time comes —
-        by then any interleaving traffic has committed ahead of them.
+        **Horizon rule.**  No pending event can put a cell on this
+        link before its horizon ``H`` (:meth:`Simulator.horizon`), so
+        departures strictly before ``H`` are final, and so are this
+        train's departures already due.  The trains this link holds
+        are folded in: every cell before ``H`` is served in the order
+        the per-cell enqueues would run, by departure time and then by
+        the seq each train's commit event carries.  Cells due at or
+        after ``H`` stay held and are committed when their time comes.
         """
+        held = self._held
+        held.pop(train, None)
         cells = train.cells
         n = len(cells)
         if (self._down or self._busy or self._queued
@@ -350,70 +422,95 @@ class Link:
             self.expand_train(train)
             return 0
         sim = self.sim
+        now = sim.now
+        seq = sim.current_seq
         times = train.times
-        horizon = sim._next_event_time()
-        if horizon is not None and times[n - 1] >= horizon:
-            now = sim.now
-            # a departure is safe if it precedes every pending event
-            # (nothing can still commit ahead of it) or is already due
-            # (this commit is the earliest event, so any same-time
-            # rival enqueues after us, as per-cell enqueues would)
-            k = 0
-            while k < n and (times[k] < horizon or times[k] <= now):
-                k += 1
-            if k == 0:
-                # inline-forwarded train whose first departure lies at
-                # or beyond the next pending event: cross-traffic with
-                # earlier departures may still commit — wait until due.
-                # The deferral keeps this event's seq: among equal
-                # timestamps the per-cell enqueues it stands for are
-                # sequenced with THIS commit attempt, so a rival
-                # scheduled later must not overtake it
-                sim.reschedule_at(times[0], sim.current_seq,
-                                  self.commit_train, train)
-                return 0
-            if k < n:
-                rest = CellTrain(cells[k:], train.category, times[k:],
-                                 train.pdu, charged=train.charged)
-                del cells[k:]
-                del times[k:]
-                train.pdu = None
-                sim.reschedule_at(rest.times[0], sim.current_seq,
-                                  self.commit_train, rest)
-                n = k
-        tx = self.cell_time
+        horizon = sim.horizon(self._reach)
+        merge = [(t, ev) for t, ev in held.items() if t.times[0] < horizon]
+        if merge:
+            if n + self._train_inflight + sum(
+                    len(t.cells) for t in held) > self.buffer_cells:
+                # near a full buffer each train is checked at its own
+                # commit, so the held ones stay pending commits here
+                for t, _ev in merge:
+                    if t.times[0] < horizon:
+                        horizon = t.times[0]
+                merge = ()
+            elif train.final:
+                # the running event no longer stands in the final
+                # index, but its last cell still bounds the others
+                reach = self._final_reach(train)
+                if reach < horizon:
+                    horizon = reach
+        k = bisect_left(times, horizon)
+        if k < n and times[k] <= now:
+            k = bisect_right(times, now)
+        if k < n:
+            self.hold(train.split(k) if k else train, seq)
+        batch = [(times[0], seq, train)] if k else []
+        for t, ev in merge:
+            m = bisect_left(t.times, horizon)
+            if m:
+                ev.cancel()
+                del held[t]
+                if m < len(t.cells):
+                    self.hold(t.split(m), ev.seq)
+                batch.append((t.times[0], ev.seq, t))
+        if not batch:
+            return 0
+        if len(batch) == 1:
+            flat = batch[0][2].times
+            order = range(len(flat))
+        else:
+            # the order the per-cell enqueues would run in: laid out by
+            # seq, a stable sort on departure breaks ties by seq
+            pieces = [t.times for _d, _s, t in sorted(batch, key=_by_seq)]
+            flat = list(chain.from_iterable(pieces))
+            order = sorted(range(len(flat)), key=flat.__getitem__)
+        # serve the cells in that order, FIFO behind everything
+        # committed before; each departure becomes its far-end arrival
+        tx = self._tx
         prop = self.prop_delay
-        stats = self.stats
-        stats.enqueued += n
         acct = self.acct
         ledger_on = acct is not NULL_ACCOUNT
         free = self._free_at
         fs = self._future_starts
         occ_max = 0
-        for i in range(n):
-            d = times[i]
+        for i in order:
+            d = flat[i]
             start = free if free > d else d
             if ledger_on:
                 acct.dwell(start - d)
             free = start + tx
-            times[i] = free + prop
+            flat[i] = free + prop
             while fs and fs[0] <= d:
                 fs.popleft()
             fs.append(start)
             if len(fs) > occ_max:
                 occ_max = len(fs)
-        stats.busy_time += tx * n
+        total = len(flat)
+        stats = self.stats
+        stats.enqueued += total
         self._free_at = free
-        self._train_inflight += n
+        self._train_inflight += total
         # a queued cell walks through the queue between arrival and
         # service start; replay the same gauge excursion (peak depth
         # seen, then drained) so snapshots match the per-cell queue
         self._m_occupancy.set(occ_max)
         self._m_occupancy.set(0)
-        sim.schedule_at(times[0], self._deliver_train, train)
+        if len(batch) > 1:
+            i = 0
+            for tm in pieces:
+                tm[:] = flat[i:i + len(tm)]
+                i += len(tm)
+            batch.sort(key=_by_departure)
+        for _d, s, t in batch:
+            stats.busy_time += tx * len(t.times)
+            self.sim.schedule_piece(t.times[0], s, self._deliver_train, t,
+                                    link=self, departures=False)
         if train.charged:
-            sim.charge_cells(n - 1)
-        return n
+            sim.charge_cells(total - 1)
+        return total
 
     def expand_train(self, train: CellTrain) -> None:
         """Offer each cell of *train* to the per-cell queue: one
@@ -431,35 +528,36 @@ class Link:
     def _deliver_train(self, train: CellTrain) -> None:
         """Fires at the train's first far-end arrival (``times`` holds
         arrivals).  Resolves the wire fate of every cell whose finish
-        precedes the next pending event — by the horizon rule nothing
-        can change link state before then — and hands the survivors to
-        the train sink in one call.  Cells finishing at or beyond the
-        horizon are re-delivered when their arrival comes round, so a
-        fault or error-RNG arming event never bisects a decided batch.
+        precedes the horizon of a delivery — the next event outside the
+        train path or final piece, since only those can change link or
+        sink state — and hands the survivors to the train sink in one
+        call.  Cells finishing at or beyond it are re-delivered when
+        their arrival comes round, so a fault or error-RNG arming event
+        never bisects a decided batch.
         """
         sim = self.sim
         times = train.times
         cells = train.cells
         n = len(cells)
         prop = self.prop_delay
-        horizon = sim._next_event_time()
-        if n > 1 and horizon is not None and times[n - 1] - prop >= horizon:
-            now = sim.now
-            k = 1
-            while k < n and (times[k] - prop < horizon
-                             or times[k] - prop <= now):
-                k += 1
-            rest = CellTrain(cells[k:], train.category, times[k:],
-                             train.pdu, charged=train.charged)
-            del cells[k:]
-            del times[k:]
-            train.pdu = None
-            # re-delivery inherits this event's seq for the same reason
-            # commit continuations do: the per-cell finish events for
-            # the remaining cells are sequenced with this delivery
-            sim.reschedule_at(rest.times[0], sim.current_seq,
-                              self._deliver_train, rest)
-            n = k
+        if n > 1:
+            horizon = sim.horizon(())
+            if times[n - 1] - prop >= horizon:
+                now = sim.now
+                k = 1
+                while k < n and (times[k] - prop < horizon
+                                 or times[k] - prop <= now):
+                    k += 1
+                if k < n:
+                    # re-delivery inherits this event's seq for the
+                    # same reason commit continuations do: the per-cell
+                    # finish events for the remaining cells are
+                    # sequenced with this delivery
+                    rest = train.split(k)
+                    sim.schedule_piece(rest.times[0], sim.current_seq,
+                                       self._deliver_train, rest,
+                                       link=self, departures=False)
+                    n = k
         self._train_inflight -= n
         stats = self.stats
         stats.transmitted += n
@@ -511,7 +609,7 @@ class Link:
             self.sink_train(CellTrain(
                 survivors, train.category, surv_times,
                 train.pdu if len(survivors) == len(train.cells) else None,
-                charged=train.charged))
+                charged=train.charged, route=train.route, hop=train.hop))
 
     def _deliver_cell(self, cell: Cell, category: ServiceCategory,
                       arrival: float) -> None:

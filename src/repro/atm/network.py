@@ -47,6 +47,9 @@ SEND_TIME_CAP = 8192
 #: this fraction of any link on a VC's route
 ADMISSION_UTILIZATION = 0.9
 
+#: output buffer of each switch-to-switch trunk link, in cells
+TRUNK_BUFFER_CELLS = 2048
+
 
 class SwitchPortSink:
     """Link sink delivering trains into one switch input port.
@@ -89,6 +92,8 @@ class VirtualCircuit:
         self.dst = dst
         self.contract = contract
         self.path = path          # node names, src..dst
+        #: the links along path, set by AtmNetwork.open_vc
+        self.links: Tuple[Link, ...] = ()
         self.first_vci = first_vci
         self.last_vci = last_vci
         self.sender = Aal5Sender(vpi=0, vci=first_vci)
@@ -149,11 +154,11 @@ class Host:
         self.acct.sent(units=1, cells=len(cells), nbytes=len(payload))
         self._note_send_time(vc.vc_id, cells[-1].seqno, now)
         # one shaper call per cell gives each its departure time; the
-        # whole burst becomes ONE commit event at its first departure
+        # whole burst becomes ONE commit at its first departure
         next_departure = vc.shaper.next_departure
         times = [next_departure(now) for _ in cells]
-        train = CellTrain(cells, vc.contract.category, times, pdu)
-        self.sim.schedule_at(times[0], self.uplink.commit_train, train)
+        self.uplink.hold(CellTrain(cells, vc.contract.category, times, pdu,
+                                   route=vc.links))
 
     def _bind_receive(self, vci: int, vc: VirtualCircuit,
                       handler: Callable[[bytes, "DeliveryInfo"], None]) -> None:
@@ -193,12 +198,21 @@ class Host:
             for c in cells:
                 entry[0].receive(c)
             return
+        sim = self.sim
         t_last = train.times[-1]
-        now = self.sim.now
-        self.sim.schedule_at(t_last if t_last > now else now,
-                             self._finalize_train, entry[0], train)
+        if t_last < sim.now:
+            t_last = sim.now
+        if train.route is None or train.final:
+            # the last cell can make this host act, which can reach
+            # every link
+            sim.schedule_at(t_last, self._finalize_train, entry[0], train)
+        else:
+            # a piece without its frame's last cell only buffers in the
+            # receiver, so it can reach no link
+            sim.schedule_piece(t_last, None, self._finalize_train,
+                               entry[0], train)
         # n per-cell arrival events, minus the finalize event booked
-        self.sim.charge_cells(n - 1)
+        sim.charge_cells(n - 1)
 
     def _finalize_train(self, rx: Aal5Receiver, train: CellTrain) -> None:
         """Reassemble a train at its last cell's arrival time."""
@@ -286,10 +300,10 @@ class AtmNetwork:
 
     # -- topology construction ------------------------------------------
 
-    def add_switch(self, name: str, switching_delay: float = 4e-6) -> Switch:
+    def add_switch(self, name: str) -> Switch:
         if name in self.switches or name in self.hosts:
             raise ValueError(f"duplicate node name {name!r}")
-        sw = Switch(self.sim, name, switching_delay)
+        sw = Switch(self.sim, name)
         self.switches[name] = sw
         return sw
 
@@ -306,6 +320,7 @@ class AtmNetwork:
         down = Link(self.sim, rate_bps, prop_delay, buffer_cells,
                     name=f"{switch_name}->{name}")
         up.sink_train = SwitchPortSink(sw, name).receive_train
+        up.fabric_delay = sw.switching_delay
         down.sink_train = host.receive_train
         host.uplink = up
         host.attached_switch = sw
@@ -316,15 +331,16 @@ class AtmNetwork:
         return host
 
     def add_trunk(self, a: str, b: str, *, rate_bps: float = 155.52e6,
-                  prop_delay: float = 5e-5, buffer_cells: int = 2048) -> None:
+                  prop_delay: float = 5e-5) -> None:
         """Bidirectional switch-to-switch trunk (two simplex links)."""
         for src, dst in ((a, b), (b, a)):
             if src not in self.switches or dst not in self.switches:
                 raise NetworkError(f"trunk endpoints must be switches: {src}, {dst}")
-            link = Link(self.sim, rate_bps, prop_delay, buffer_cells,
+            link = Link(self.sim, rate_bps, prop_delay, TRUNK_BUFFER_CELLS,
                         name=f"{src}->{dst}")
             link.sink_train = SwitchPortSink(self.switches[dst],
                                              src).receive_train
+            link.fabric_delay = self.switches[dst].switching_delay
             self.switches[src].attach_output(dst, link)
             self.links[(src, dst)] = link
 
@@ -417,6 +433,7 @@ class AtmNetwork:
 
         vc = VirtualCircuit(vc_id, self.hosts[src], self.hosts[dst],
                             contract, path, first_vci, last_vci=in_vci)
+        vc.links = tuple(hop_links)
         self.hosts[dst]._bind_receive(in_vci, vc, handler)
         self.vcs[vc_id] = vc
         return vc

@@ -16,12 +16,15 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional, Tuple
 
 from repro.obs.accounting import Ledger
 from repro.obs.events import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
+
+
+INF = float("inf")
 
 
 @dataclass(order=True, slots=True)
@@ -32,11 +35,29 @@ class Event:
     seq: int
     callback: Callable[..., Any] = field(compare=False)
     args: tuple = field(compare=False, default=())
+    #: the event will not fire (any more): cancelled, or already run.
+    #: The kernel's side indices drop such entries lazily.
     cancelled: bool = field(compare=False, default=False)
 
     def cancel(self) -> None:
         """Prevent the event from firing (it stays in the heap as a no-op)."""
         self.cancelled = True
+
+
+def _top(heap: list) -> float:
+    """Time of the first live entry of a heap of ``(time, _, event)``,
+    dropping dead ones."""
+    while heap and heap[0][2].cancelled:
+        heapq.heappop(heap)
+    return heap[0][0] if heap else INF
+
+
+def file_entry(index: list, entry: Tuple[float, int, Event]) -> None:
+    """Add ``(time, tie-break, event)`` to a side index.  Dead entries
+    at its top go first, so they do not pile up."""
+    while index and index[0][2].cancelled:
+        heapq.heappop(index)
+    heapq.heappush(index, entry)
 
 
 class Simulator:
@@ -72,6 +93,26 @@ class Simulator:
         #: heap seq of the event currently executing — the tie-break
         #: identity train continuations inherit via reschedule_at()
         self.current_seq: Optional[int] = None
+        #: side indices for link horizons (DESIGN.md "The horizon
+        #: rule"), heaps of (time, tie-break, event): the pending events
+        #: outside the train path at their own times, and the pending
+        #: train pieces that carry a frame's last cell at the earliest
+        #: time that cell can reach its host.  Links keep the third
+        #: kind, the pieces routed to them.
+        self._outside: list[tuple[float, int, Event]] = []
+        self._finals: list[tuple[float, int, Event]] = []
+        self._index_seq = itertools.count()
+        #: set by schedule_piece(): the next push is a train piece,
+        #: which its booking site files instead of ``_outside``
+        self._piece_next = False
+        #: events booked outside run(), as (event, link, departures)
+        #: with link None for ``_outside``: only a run's horizons read
+        #: the indices, so they are filed when the next run() starts,
+        #: if still pending
+        self._unfiled: list[tuple[Event, Any, bool]] = []
+        #: the running run()'s until (INF without one); None outside
+        #: run(), so a step() commits no further than the next event
+        self._until: Optional[float] = None
         self.metrics.read_through("simulator", "events_run", self,
                                   "_events_run")
         self.metrics.read_through("simulator", "events_scheduled", self,
@@ -108,6 +149,7 @@ class Simulator:
         one ULP away from the per-cell queue.
         """
         if time < self._now:
+            self._piece_next = False
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self._now})")
         return self._push(time, next(self._seq), callback, args)
@@ -129,14 +171,93 @@ class Simulator:
         if seq is None:
             return self.schedule_at(time, callback, *args)
         if time < self._now:
+            self._piece_next = False
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self._now})")
         return self._push(time, seq, callback, args)
 
+    def schedule_piece(self, time: float, seq: Optional[int],
+                       callback: Callable[..., Any], *args: Any,
+                       link: Any = None, departures: bool = False) -> Event:
+        """Schedule a train-piece event (a commit, delivery or
+        reassembly of part of a cell train) at *time*, inheriting *seq*
+        as :meth:`reschedule_at` does.
+
+        It goes through ``schedule_at``/``reschedule_at`` like any
+        event, but stays out of the index of events that can reach
+        every link.  With *link*, the piece ``args[0]`` is a train on
+        that link, which files it where it can put a cell
+        (``Link.file_piece``): now, or, outside run(), when the next
+        run() starts.  Without, it reaches no link.
+        """
+        self._piece_next = True
+        if seq is None:
+            ev = self.schedule_at(time, callback, *args)
+        else:
+            ev = self.reschedule_at(time, seq, callback, *args)
+        if link is not None:
+            if self._until is None:
+                self._unfiled.append((ev, link, departures))
+            else:
+                link.file_piece(ev, departures)
+        return ev
+
+    def _file_unfiled(self) -> None:
+        """File what was booked outside run() and is still pending."""
+        outside = self._outside
+        for ev, link, departures in self._unfiled:
+            if ev.cancelled:
+                continue
+            if link is None:
+                file_entry(outside, (ev.time, ev.seq, ev))
+            else:
+                link.file_piece(ev, departures)
+        self._unfiled.clear()
+
+    def horizon(self, reach: list) -> float:
+        """Earliest time a pending event can put a cell on the link
+        whose reach index is *reach* (``()`` for a delivery, which only
+        events outside the train path and final pieces can touch).
+
+        The lookahead stops at the ``until`` of the running ``run``
+        call: from there on, and under ``step()``, the horizon is the
+        next event of any kind, so the state a run or step leaves
+        behind does not depend on how far links looked ahead.
+        """
+        until = self._until
+        if until is None:
+            return _top(self._queue)
+        h = _top(self._outside)
+        t = _top(self._finals)
+        if t < h:
+            h = t
+        if reach:
+            t = _top(reach)
+            if t < h:
+                h = t
+        if h > until:
+            # every index entry is pending, so the next event is no
+            # later than h
+            nxt = _top(self._queue)
+            h = nxt if nxt > until else until
+        return h
+
     def _push(self, time: float, seq: int, callback: Callable[..., Any],
               args: tuple) -> Event:
         ev = Event(time, seq, callback, args)
-        heapq.heappush(self._queue, (time, seq, ev))
+        entry = (time, seq, ev)
+        heapq.heappush(self._queue, entry)
+        if self._piece_next:
+            self._piece_next = False
+        elif self._until is None:
+            unfiled = self._unfiled
+            if len(unfiled) > len(self._queue) + 32:
+                # a live entry is pending in the queue, so most of
+                # these are dead: drop them all at once
+                unfiled[:] = [u for u in unfiled if not u[0].cancelled]
+            unfiled.append((ev, None, False))
+        else:
+            file_entry(self._outside, entry)
         self._events_scheduled += 1
         self._m_depth.set(len(self._queue))
         sampler = self._sampler
@@ -174,22 +295,30 @@ class Simulator:
         """
         count = 0
         queue = self._queue
-        while queue:
-            ev = queue[0][2]
-            if ev.cancelled:
+        outer = self._until
+        self._until = INF if until is None else until
+        if self._unfiled:
+            self._file_unfiled()
+        try:
+            while queue:
+                ev = queue[0][2]
+                if ev.cancelled:
+                    heapq.heappop(queue)
+                    self._m_depth.set(len(queue))
+                    continue
+                if until is not None and ev.time > until:
+                    self._now = until
+                    return self._now
                 heapq.heappop(queue)
-                self._m_depth.set(len(queue))
-                continue
-            if until is not None and ev.time > until:
-                self._now = until
-                return self._now
-            heapq.heappop(queue)
-            self._now = ev.time
-            self.current_seq = ev.seq
-            self._execute(ev)
-            count += 1
-            if max_events is not None and count >= max_events:
-                break
+                self._now = ev.time
+                self.current_seq = ev.seq
+                ev.cancelled = True
+                self._execute(ev)
+                count += 1
+                if max_events is not None and count >= max_events:
+                    break
+        finally:
+            self._until = outer
         if until is not None and self._now < until:
             nxt = self._next_event_time()
             if nxt is None or nxt > until:
@@ -198,6 +327,9 @@ class Simulator:
 
     def _execute(self, ev: Event) -> None:
         ev.callback(*ev.args)
+        # a run event can wait in a side index until its entry is
+        # dropped: let go of the cell train it carried
+        ev.args = ()
         self._events_run += 1
         self._m_depth.set(len(self._queue))
 
@@ -218,6 +350,7 @@ class Simulator:
                 continue
             self._now = ev.time
             self.current_seq = ev.seq
+            ev.cancelled = True
             self._execute(ev)
             return True
         return False

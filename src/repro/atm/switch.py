@@ -190,6 +190,7 @@ class Switch:
         # forwarded train stops billing enqueues; the charge covers
         # each cell's arrival and fabric-exit events
         train.charged = False
+        train.hop += 1
         out.enqueue_train(train)
         sim.charge_cells(2 * n)
 

@@ -35,7 +35,7 @@ class TopologySpec:
 
 
 def star_campus(sim: Simulator, host_names: Sequence[str], *,
-                access_bps: float = OC3_BPS, prop_delay: float = 5e-6,
+                access_bps: float = OC3_BPS,
                 police: bool = True,
                 buffer_cells: int = 1024) -> tuple[AtmNetwork, TopologySpec]:
     """One switch, all hosts attached directly — a campus LAN."""
@@ -44,7 +44,7 @@ def star_campus(sim: Simulator, host_names: Sequence[str], *,
     net = AtmNetwork(sim, police=police)
     net.add_switch("sw0")
     for name in host_names:
-        net.add_host(name, "sw0", rate_bps=access_bps, prop_delay=prop_delay,
+        net.add_host(name, "sw0", rate_bps=access_bps,
                      buffer_cells=buffer_cells)
     spec = TopologySpec(name="star", switches=["sw0"], hosts=list(host_names),
                         trunk_bps=access_bps, access_bps=access_bps)
@@ -67,23 +67,23 @@ OCRINET_SITES = [
 
 
 def ocrinet_like(sim: Simulator, *, extra_users: int = 0,
-                 trunk_bps: float = OC12_BPS, access_bps: float = OC3_BPS,
-                 police: bool = True) -> tuple[AtmNetwork, TopologySpec]:
+                 access_bps: float = OC3_BPS
+                 ) -> tuple[AtmNetwork, TopologySpec]:
     """Five-switch metro ring with spurs, modelled on OCRInet.
 
     Switches: ottawa-u, carleton, nrc, crc, bnr, connected in a ring
-    with one chord (ottawa-u — crc) for path diversity.  *extra_users*
-    adds userN hosts round-robin across the edge switches, which is
-    how the scaling experiments grow load.
+    of OC-12 trunks with one chord (ottawa-u — crc) for path
+    diversity.  *extra_users* adds userN hosts round-robin across the
+    edge switches, which is how the scaling experiments grow load.
     """
-    net = AtmNetwork(sim, police=police)
+    net = AtmNetwork(sim)
     switches = ["ottawa-u", "carleton", "nrc", "crc", "bnr"]
     for sw in switches:
         net.add_switch(sw)
     ring = list(zip(switches, switches[1:] + switches[:1]))
     for a, b in ring:
-        net.add_trunk(a, b, rate_bps=trunk_bps, prop_delay=1e-4)
-    net.add_trunk("ottawa-u", "crc", rate_bps=trunk_bps, prop_delay=1.5e-4)
+        net.add_trunk(a, b, rate_bps=OC12_BPS, prop_delay=1e-4)
+    net.add_trunk("ottawa-u", "crc", rate_bps=OC12_BPS, prop_delay=1.5e-4)
 
     hosts = []
     for host, sw in OCRINET_SITES:
@@ -95,5 +95,5 @@ def ocrinet_like(sim: Simulator, *, extra_users: int = 0,
         net.add_host(name, edge[i % len(edge)], rate_bps=access_bps)
         hosts.append(name)
     spec = TopologySpec(name="ocrinet", switches=switches, hosts=hosts,
-                        trunk_bps=trunk_bps, access_bps=access_bps)
+                        trunk_bps=OC12_BPS, access_bps=access_bps)
     return net, spec

@@ -19,6 +19,11 @@ after switch relabel      per-cell fabric exit ``a_i + sw_delay``
                           (= departure offered to the next link)
 ========================  =========================================
 
+A train booked by a host carries its VC's ``route`` (the links from
+the sending host to the receiving one) and its ``hop`` on it, which
+is how a pending piece tells the links downstream when it can reach
+them (DESIGN.md "The horizon rule").
+
 A link commits a train arithmetically when no other traffic can
 interleave with it; otherwise (armed loss/jitter RNGs, a busy or
 backlogged transmitter) it *expands* the train into its per-cell
@@ -30,7 +35,7 @@ under policing queues the survivors per cell too.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.atm.cell import Cell
 from repro.atm.qos import ServiceCategory
@@ -48,11 +53,12 @@ class CellTrain:
     """
 
     __slots__ = ("cells", "category", "times", "pdu", "charged",
-                 "per_cell")
+                 "per_cell", "route", "hop", "final")
 
     def __init__(self, cells: List[Cell], category: ServiceCategory,
                  times: List[float], pdu: Optional[bytes] = None, *,
-                 charged: bool = True, per_cell: bool = False) -> None:
+                 charged: bool = True, per_cell: bool = False,
+                 route: Optional[Tuple] = None, hop: int = 0) -> None:
         self.cells = cells
         self.category = category
         self.times = times
@@ -67,6 +73,28 @@ class CellTrain:
         #: receiver handles it as that event and the next hop queues
         #: it per cell
         self.per_cell = per_cell
+        #: the VC's links, sending host to receiving host, and the
+        #: index of the one the train is on; None for a train that did
+        #: not come from a host's sender, whose pieces are treated as
+        #: able to reach every link
+        self.route = route
+        self.hop = hop
+        #: a routed train that carries its frame's last cell: its
+        #: arrival can make the receiving host act
+        self.final = route is not None and cells[-1].header.is_last_of_frame
+
+    def split(self, k: int) -> "CellTrain":
+        """Keep the first *k* cells; return the rest as a new train
+        on the same route and hop.  The kept prefix drops the CPCS-PDU
+        bytes: it is no longer a whole frame."""
+        rest = CellTrain(self.cells[k:], self.category, self.times[k:],
+                         self.pdu, charged=self.charged, route=self.route,
+                         hop=self.hop)
+        del self.cells[k:]
+        del self.times[k:]
+        self.pdu = None
+        self.final = False
+        return rest
 
     def __len__(self) -> int:
         return len(self.cells)

@@ -47,6 +47,7 @@ class SchoolService:
         rpc.register("Mail.Read",
                      lambda p: [m.summary() for m in
                                 self.discussion.read_mail(p["mailbox"])])
+        rpc.register("Conference.Join", self._join)
         rpc.register("Conference.Say",
                      lambda p: self.discussion.say(
                          p["conference"], p["sender"], p["body"],
@@ -58,6 +59,10 @@ class SchoolService:
                                     p.get("since_id", 0))])
         rpc.register("Facilitator.Ask", self._ask)
         return rpc
+
+    def _join(self, p: Dict[str, Any]) -> List[str]:
+        self.discussion.join(p["conference"], p["member"])
+        return self.discussion.members(p["conference"])
 
     def _ask(self, p: Dict[str, Any]) -> Dict[str, Any]:
         answer = self.facilitator.ask(p["student_number"], p["question"])
@@ -96,6 +101,12 @@ class SchoolClient:
 
     def read_mail(self, mailbox: str, **cb) -> PendingCall:
         return self.rpc.call("Mail.Read", {"mailbox": mailbox}, **cb)
+
+    def join_conference(self, conference: str, member: str,
+                        **cb) -> PendingCall:
+        return self.rpc.call("Conference.Join",
+                             {"conference": conference, "member": member},
+                             **cb)
 
     def say(self, conference: str, sender: str, body: str,
             **cb) -> PendingCall:

@@ -1,4 +1,4 @@
-"""Minimal per-cell reference model of a host -> switch -> host path.
+"""Minimal per-cell reference model of hosts around one switch.
 
 The differential properties in ``test_train_properties.py`` judge the
 simulator's cell-train forwarding against this model rather than
@@ -11,9 +11,11 @@ every stage, exactly as a textbook output-buffered ATM path would run.
 * each link is a per-category FIFO (lower category value served
   first) feeding one serializer, ``CELL_BITS / rate`` per cell, then a
   fixed propagation delay;
-* the switch adds a fixed fabric delay and relabels (one hop);
+* the switch adds a fixed fabric delay and relabels (one hop), sending
+  each cell to the downlink of its VC's destination;
 * the receiving host reassembles AAL5 frames: a PDU is delivered when
-  its last cell arrives.
+  its last cell arrives, and the optional ``react`` hook sees it then,
+  so a delivery can trigger the next send (a closed loop).
 
 No policing, no faults, no buffer overflow and no observability —
 the properties drive traffic that never needs them.  Floats are formed
@@ -26,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.atm.aal5 import TRAILER_SIZE
 from repro.atm.cell import CELL_SIZE, PAYLOAD_SIZE
@@ -75,23 +77,34 @@ class RefLink:
 
 
 class RefModel:
-    """Star of two hosts ``a`` and ``b`` around one switch.
+    """Star of *hosts* around one switch ``sw0``.
 
     Cells are tuples ``(vc, last, hops)``; VCs are numbered in
-    :meth:`open_vc` order from 0.
+    :meth:`open_vc` order from 0.  ``links[(x, y)]`` is the link from
+    node *x* to node *y*; ``uplink`` and ``downlink`` name ``a -> sw0``
+    and ``sw0 -> b``.
     """
 
     def __init__(self, *, rate_bps: float, prop_delay: float,
-                 switching_delay: float) -> None:
+                 switching_delay: float,
+                 hosts: Sequence[str] = ("a", "b")) -> None:
         self.now = 0.0
         self._queue: List[tuple] = []
         self._seq = itertools.count()
         self.switching_delay = switching_delay
-        self.uplink = RefLink(self, rate_bps, prop_delay, self._switch_in)
-        self.downlink = RefLink(self, rate_bps, prop_delay, self._host_in)
+        self.links: Dict[Tuple[str, str], RefLink] = {}
+        for host in hosts:
+            self.links[(host, "sw0")] = RefLink(self, rate_bps, prop_delay,
+                                                self._switch_in)
+            self.links[("sw0", host)] = RefLink(self, rate_bps, prop_delay,
+                                                self._host_in)
+        self.uplink = self.links.get(("a", "sw0"))
+        self.downlink = self.links.get(("sw0", "b"))
         self.switch_received = 0
         self.switch_emitted = 0
-        self._vcs: List[Tuple[ServiceCategory, LeakyBucketShaper]] = []
+        #: per VC: (category, shaper, source host, destination host)
+        self._vcs: List[Tuple[ServiceCategory, LeakyBucketShaper, str,
+                              str]] = []
         #: per VC: (send time, payload, cell count) of PDUs in flight,
         #: oldest first
         self._in_flight: List[deque] = []
@@ -99,6 +112,8 @@ class RefModel:
         self._partial: List[int] = []
         #: (vc, payload, delay, delivered_at, hops) in delivery order
         self.delivered: List[tuple] = []
+        #: called as ``react(vc, payload)`` after each delivery
+        self.react: Optional[Callable[[int, bytes], None]] = None
 
     # -- event loop -------------------------------------------------------
 
@@ -117,20 +132,23 @@ class RefModel:
 
     # -- hosts and switch -------------------------------------------------
 
-    def open_vc(self, contract: TrafficContract) -> int:
-        self._vcs.append((contract.category, LeakyBucketShaper(contract)))
+    def open_vc(self, contract: TrafficContract, src: str = "a",
+                dst: str = "b") -> int:
+        self._vcs.append((contract.category, LeakyBucketShaper(contract),
+                          src, dst))
         self._in_flight.append(deque())
         self._partial.append(0)
         return len(self._vcs) - 1
 
     def send(self, vc: int, payload: bytes) -> None:
-        """Segment and pace one PDU from host ``a``."""
-        category, shaper = self._vcs[vc]
+        """Segment and pace one PDU from the VC's source host."""
+        category, shaper, src, _dst = self._vcs[vc]
         n = -(-(len(payload) + TRAILER_SIZE) // PAYLOAD_SIZE)
         now = self.now
         self._in_flight[vc].append((now, payload, n))
+        uplink = self.links[(src, "sw0")]
         for i in range(n):
-            self.at(shaper.next_departure(now), self.uplink.enqueue,
+            self.at(shaper.next_departure(now), uplink.enqueue,
                     (vc, i == n - 1, 0), category)
 
     def _switch_in(self, cell: tuple) -> None:
@@ -141,7 +159,8 @@ class RefModel:
 
     def _switch_out(self, cell: tuple) -> None:
         self.switch_emitted += 1
-        self.downlink.enqueue(cell, self._vcs[cell[0]][0])
+        category, _shaper, _src, dst = self._vcs[cell[0]]
+        self.links[("sw0", dst)].enqueue(cell, category)
 
     def _host_in(self, cell: tuple) -> None:
         vc, last, hops = cell
@@ -153,3 +172,5 @@ class RefModel:
         self._partial[vc] = 0
         self.delivered.append((vc, payload, self.now - sent_at, self.now,
                                hops))
+        if self.react is not None:
+            self.react(vc, payload)

@@ -1,5 +1,7 @@
 """Integration tests: the full MITS deployment end to end (Ch. 3+5)."""
 
+import re
+
 import pytest
 
 from repro.authoring import (
@@ -9,6 +11,7 @@ from repro.authoring import (
 from repro.core import MitsSystem
 from repro.navigator.navigator import NavigatorState
 from repro.school.exercise import Exercise, MultipleChoiceQuestion
+from repro.transport.rpc import RpcError
 from repro.util.errors import PresentationError
 
 
@@ -262,13 +265,25 @@ class TestSchoolFeatures:
         mits.sim.run(until=mits.sim.now + 5)
         s1 = nav1.student["student_number"]
         s2 = nav2.student["student_number"]
-        # conference membership is kept at the facilitator site
-        discussion = mits.facilitator.service.discussion
-        discussion.join("common-room", s1)
-        discussion.join("common-room", s2)
+        # each learner joins over RPC, from their own site
+        mits.wait(nav1.school.join_conference("common-room", s1))
+        members = mits.wait(nav2.school.join_conference("common-room", s2))
+        assert members == sorted([s1, s2])
         mits.wait(nav1.school.say("common-room", s1, "anyone here?"))
         transcript = mits.wait(nav2.school.transcript("common-room"))
         assert transcript[-1]["body"] == "anyone here?"
+
+    def test_say_without_joining_is_refused(self):
+        mits = deploy()
+        nav = mits.add_user("user1").navigator
+        nav.start()
+        nav.register("Cy")
+        mits.sim.run(until=mits.sim.now + 5)
+        me = nav.student["student_number"]
+        # the facilitator site's DatabaseError comes back as the reason
+        with pytest.raises(RpcError, match=re.escape(
+                f"{me!r} is not in conference 'common-room'")):
+            mits.wait(nav.school.say("common-room", me, "hello?"))
 
 
 class TestWanDeployment:
