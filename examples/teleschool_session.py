@@ -5,9 +5,10 @@ A remote student walks every screen of the prototype (Figs 5.3-5.7):
 entry with the school's introduction clip, registration with a
 course-introduction video, the classroom with interaction and
 bookmarks (read back after leaving), profile update, library browsing
-with cross-reference links, the bulletin board, an exercise, and a
-question to the on-line facilitator — all over simulated ATM with real
-cell-level transport.
+with cross-reference links, the bulletin board, an exercise, questions
+to the on-line facilitator (one answered by mail), the bill, a second
+login, and the database saved and reloaded — all over simulated ATM
+with real cell-level transport.
 
 Run:  python examples/teleschool_session.py
 """
@@ -16,7 +17,9 @@ from repro.authoring import (
     InteractiveDocument, Scene, SceneObject, Section, TimelineEntry,
 )
 from repro.core import MitsSystem
+from repro.database.persistence import restore, snapshot
 from repro.navigator.navigator import SCHOOL_INTRODUCTION_REF
+from repro.school.billing import BillingService
 from repro.school.exercise import Exercise, MultipleChoiceQuestion, NumericQuestion
 
 
@@ -72,6 +75,7 @@ def deploy() -> MitsSystem:
             MultipleChoiceQuestion("ATM cell size?", ["48", "53", "64"], 1),
             NumericQuestion("Payload octets per cell?", 48),
         ]))
+    mits.database.server.billing = BillingService()
     return mits
 
 
@@ -81,14 +85,17 @@ def main() -> None:
 
     print("== Fig 5.3: entry screen ==")
     print(nav.start())
+    print("about:", nav.about())
     rx = nav.watch_school_introduction()
     mits.sim.run(until=mits.sim.now + 10)
     print(f"school introduction streamed: {len(rx.data)} bytes")
 
     print("\n== Fig 5.4: registration ==")
-    nav.register("Ruiping W.", "Ottawa", "rw@mirl.example")
+    nav.register("Ruiping W.", "Ottawa", "rw@mirl.example",
+                 on_done=lambda p: print("student number:",
+                                         p["student_number"]))
     mits.sim.run(until=mits.sim.now + 10)
-    print("student number:", nav.student["student_number"])
+    print("main screen:", nav.facilities())
     summaries = mits.wait(nav.client.list_courseware("networking"))
     rx = nav.course_introduction(summaries[0]["introduction_ref"])
     mits.sim.run(until=mits.sim.now + 30)
@@ -135,18 +142,39 @@ def main() -> None:
     print(f"  exercise score: {result['score']}/{result['max_score']}")
     answer = mits.wait(nav.ask_facilitator("how big is an ATM cell?"))
     print("  facilitator:", answer["answer"])
+    forwarded = mits.wait(nav.ask_facilitator("when is the final exam?"))
+    print("  facilitator:", forwarded["message"])
+    service = mits.facilitator.service
+    service.facilitator.answer_pending(
+        lambda student, question: f"{student}: the exam is in week 13.")
+    me = nav.student["student_number"]
+    mail = mits.wait(nav.school.read_mail(me))
+    print("  mailbox:", [(m["sender"], m["body"]) for m in mail])
 
     print("\n== text conference ==")
-    me = nav.student["student_number"]
     members = mits.wait(nav.school.join_conference("common-room", me))
     print("  common-room members:", members)
     mits.wait(nav.school.say("common-room", me, "hello from home"))
     said = mits.wait(nav.school.transcript("common-room"))
     print("  transcript:", [m["body"] for m in said])
 
+    bill = mits.database.server.billing.statement(me)
+    print(f"\nbill: {bill['entries']} items, total {bill['total']:.2f}")
+
+    nav.exit()
+    nav.start()
+    nav.login(me, on_done=lambda p: print("logged in again as", p["name"]),
+              on_error=lambda e: print("login failed:", e))
+    mits.sim.run(until=mits.sim.now + 5)
     nav.exit()
     print("\nsession trace:", nav.trace)
     print("db requests served:", mits.database.requests_served())
+
+    print("\n== MEDIAFILE: the database saved and reloaded ==")
+    saved = snapshot(mits.database.db)
+    reloaded = restore(saved)
+    print(f"  {len(saved)} bytes; student {me} after reload:",
+          reloaded.get_student(me).registered_courses)
 
 
 if __name__ == "__main__":

@@ -47,15 +47,16 @@ class CpcsTrailer:
         return cls(cpcs_uu=uu, cpi=cpi, length=length, crc=crc)
 
 
-def build_cpcs_pdu(payload: bytes, cpcs_uu: int = 0) -> bytes:
-    """Frame *payload* into a complete CPCS-PDU (pad + trailer + CRC)."""
+def build_cpcs_pdu(payload: bytes) -> bytes:
+    """Frame *payload* into a complete CPCS-PDU (pad + trailer + CRC);
+    the CPCS-UU and CPI octets are zero."""
     if len(payload) > MAX_CPCS_PAYLOAD:
         raise ValueError(
             f"AAL5 payload limited to {MAX_CPCS_PAYLOAD} octets, got {len(payload)}"
         )
     pad_len = (-(len(payload) + TRAILER_SIZE)) % PAYLOAD_SIZE
     body = payload + bytes(pad_len)
-    head = struct.pack(">BBH", cpcs_uu, 0, len(payload))
+    head = struct.pack(">BBH", 0, 0, len(payload))
     reg = crc32_aal5(body)
     reg = crc32_aal5(head, reg)
     crc = reg ^ 0xFFFFFFFF
@@ -80,36 +81,34 @@ def parse_cpcs_pdu(pdu: bytes) -> bytes:
     return pdu[: trailer.length]
 
 
-def _cut_cells(pdu: bytes, vpi: int, vci: int, clp: int,
-               created_at: float, first_seqno: int) -> List[Cell]:
-    """Cut a framed CPCS-PDU into 48-octet cells; the last carries
+def _cut_cells(pdu: bytes, vpi: int, vci: int, created_at: float,
+               first_seqno: int) -> List[Cell]:
+    """Cut a framed CPCS-PDU into 48-octet CLP=0 cells; the last carries
     ``PTI_USER_LAST``, all others ``PTI_USER_0``."""
     last = len(pdu) // PAYLOAD_SIZE - 1
     return [Cell(header=CellHeader(vpi=vpi, vci=vci,
                                    pti=PTI_USER_LAST if i == last
-                                   else PTI_USER_0, clp=clp),
+                                   else PTI_USER_0),
                  payload=pdu[i * PAYLOAD_SIZE:(i + 1) * PAYLOAD_SIZE],
                  created_at=created_at, seqno=first_seqno + i)
             for i in range(last + 1)]
 
 
-def segment_pdu(payload: bytes, vpi: int, vci: int, *, clp: int = 0,
-                created_at: float = 0.0, first_seqno: int = 0) -> List[Cell]:
+def segment_pdu(payload: bytes, vpi: int, vci: int, *,
+                first_seqno: int = 0) -> List[Cell]:
     """Segment *payload* into a list of ATM cells (AAL5 framing applied).
 
     The last cell carries ``PTI_USER_LAST``; all others ``PTI_USER_0``.
     """
-    return _cut_cells(build_cpcs_pdu(payload), vpi, vci, clp, created_at,
-                      first_seqno)
+    return _cut_cells(build_cpcs_pdu(payload), vpi, vci, 0.0, first_seqno)
 
 
 class Aal5Sender:
     """Stateful per-VC segmenter that assigns monotone cell sequence numbers."""
 
-    def __init__(self, vpi: int, vci: int, clp: int = 0) -> None:
+    def __init__(self, vpi: int, vci: int) -> None:
         self.vpi = vpi
         self.vci = vci
-        self.clp = clp
         self._next_seqno = 0
         self.pdus_sent = 0
         self.cells_sent = 0
@@ -123,7 +122,7 @@ class Aal5Sender:
         reassemble without re-joining the 48-octet payload slices.
         """
         pdu = build_cpcs_pdu(payload)
-        cells = _cut_cells(pdu, self.vpi, self.vci, self.clp, created_at,
+        cells = _cut_cells(pdu, self.vpi, self.vci, created_at,
                            self._next_seqno)
         self._next_seqno += len(cells)
         self.pdus_sent += 1

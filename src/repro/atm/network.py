@@ -31,7 +31,7 @@ from repro.atm.qos import (
     UsageParameterControl,
 )
 from repro.atm.simulator import Simulator
-from repro.atm.switch import Switch, VcTableEntry
+from repro.atm.switch import SWITCHING_DELAY, Switch, VcTableEntry
 from repro.util.errors import DecodingError, NetworkError
 
 #: how many raw per-PDU delay samples a VC keeps (the full
@@ -49,6 +49,9 @@ ADMISSION_UTILIZATION = 0.9
 
 #: output buffer of each switch-to-switch trunk link, in cells
 TRUNK_BUFFER_CELLS = 2048
+
+#: propagation delay of a host's access link (one way, ~1 km of fibre)
+ACCESS_PROP_DELAY = 5e-6
 
 
 class SwitchPortSink:
@@ -308,19 +311,19 @@ class AtmNetwork:
         return sw
 
     def add_host(self, name: str, switch_name: str, *, rate_bps: float = 155.52e6,
-                 prop_delay: float = 5e-6, buffer_cells: int = 1024) -> Host:
+                 buffer_cells: int = 1024) -> Host:
         if name in self.switches or name in self.hosts:
             raise ValueError(f"duplicate node name {name!r}")
         if switch_name not in self.switches:
             raise NetworkError(f"unknown switch {switch_name!r}")
         host = Host(self.sim, name)
         sw = self.switches[switch_name]
-        up = Link(self.sim, rate_bps, prop_delay, buffer_cells,
+        up = Link(self.sim, rate_bps, ACCESS_PROP_DELAY, buffer_cells,
                   name=f"{name}->{switch_name}")
-        down = Link(self.sim, rate_bps, prop_delay, buffer_cells,
+        down = Link(self.sim, rate_bps, ACCESS_PROP_DELAY, buffer_cells,
                     name=f"{switch_name}->{name}")
         up.sink_train = SwitchPortSink(sw, name).receive_train
-        up.fabric_delay = sw.switching_delay
+        up.fabric_delay = SWITCHING_DELAY
         down.sink_train = host.receive_train
         host.uplink = up
         host.attached_switch = sw
@@ -340,7 +343,7 @@ class AtmNetwork:
                         name=f"{src}->{dst}")
             link.sink_train = SwitchPortSink(self.switches[dst],
                                              src).receive_train
-            link.fabric_delay = self.switches[dst].switching_delay
+            link.fabric_delay = SWITCHING_DELAY
             self.switches[src].attach_output(dst, link)
             self.links[(src, dst)] = link
 

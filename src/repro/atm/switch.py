@@ -48,13 +48,16 @@ class SwitchStats:
     emitted: int = 0
 
 
+#: fabric transit time of one cell, input port to output link
+SWITCHING_DELAY = 4e-6
+
+
 class Switch:
     """A label-swapping, output-buffered cell switch."""
 
-    def __init__(self, sim: Simulator, name: str, switching_delay: float = 4e-6) -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self.switching_delay = switching_delay
         self._out_links: Dict[str, Link] = {}
         self._table: Dict[Tuple[str, int, int], VcTableEntry] = {}
         #: the same table flattened per input port and keyed on the
@@ -179,7 +182,7 @@ class Switch:
         # fabric traversal folded into arithmetic: exit times become
         # the departures offered to the output link
         self.stats.emitted += n
-        delay = self.switching_delay
+        delay = SWITCHING_DELAY
         for i in range(n):
             times[i] = times[i] + delay
         if train.per_cell:
@@ -204,7 +207,7 @@ class Switch:
         survivors with their fabric-exit times.
         """
         police = entry.upc.police
-        delay = self.switching_delay
+        delay = SWITCHING_DELAY
         kept: List[Cell] = []
         exits: List[float] = []
         for i, (cell, t) in enumerate(zip(train.cells, train.times)):

@@ -90,13 +90,11 @@ class Behavior:
         return rule
 
     def when_selected(self, choice: str,
-                      *actions: Tuple[str, str],
-                      once: bool = False) -> BehaviorRule:
+                      *actions: Tuple[str, str]) -> BehaviorRule:
         """Shorthand: when *choice* is clicked, apply (verb, object)s."""
         rule = BehaviorRule(
             trigger=BehaviorCondition(choice, "selected"),
-            actions=[BehaviorAction(verb, obj) for verb, obj in actions],
-            once=once)
+            actions=[BehaviorAction(verb, obj) for verb, obj in actions])
         return self.add(rule)
 
     def validate(self, known_objects: set) -> None:

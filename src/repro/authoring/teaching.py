@@ -39,8 +39,8 @@ class TeachingArchitecture:
         return builder(course_name, self)
 
 
-def _interactive_skeleton(course_name: str, arch: TeachingArchitecture,
-                          placeholder_kind: str = "text") -> InteractiveDocument:
+def _interactive_skeleton(course_name: str,
+                          arch: TeachingArchitecture) -> InteractiveDocument:
     doc = InteractiveDocument(course_name,
                               title=f"{course_name} ({arch.name})")
     for part in arch.skeleton_parts:

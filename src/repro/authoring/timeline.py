@@ -50,10 +50,8 @@ class TimelineEntry:
 class Timeline:
     """The ordered set of entries for one scene."""
 
-    def __init__(self, entries: Optional[List[TimelineEntry]] = None) -> None:
+    def __init__(self) -> None:
         self.entries: List[TimelineEntry] = []
-        for entry in entries or []:
-            self.add(entry)
 
     def add(self, entry: TimelineEntry) -> TimelineEntry:
         if any(e.object_name == entry.object_name for e in self.entries):

@@ -44,9 +44,9 @@ class ScenarioRun:
         self.mits.sim.run(until=self.horizon)
 
 
-def _publish_course(mits: MitsSystem, *, seconds: float = 2.0) -> None:
+def _publish_course(mits: MitsSystem) -> None:
     """Standard assets + a one-scene video course, published."""
-    assets = mits.produce_standard_assets("dash", seconds=seconds)
+    assets = mits.produce_standard_assets("dash", seconds=2.0)
     author = mits.add_author("author1", "dash-101", catalog=assets)
     scene = Scene(name="welcome", objects=[
         SceneObject(name="clip", kind="video",

@@ -52,12 +52,15 @@ def _recovering_client(sim, connection, policy: RecoveryPolicy) -> RpcClient:
         backoff_jitter=policy.backoff_jitter)
 
 
+#: CPU time the database site spends on one request
+DB_SERVICE_TIME = 0.002
+
+
 class DatabaseSite:
     """The courseware database: storage plus its RPC server."""
 
     def __init__(self, sim: Simulator, network: AtmNetwork,
                  host: str = "database", *,
-                 service_time: float = 0.002,
                  recovery: Optional[RecoveryPolicy] = None) -> None:
         self.sim = sim
         self.network = network
@@ -66,10 +69,9 @@ class DatabaseSite:
         self.db = CoursewareDatabase()
         self.db.content.tracer = sim.tracer
         self.server = DatabaseServer(self.db)
-        self.service_time = service_time
         #: one CPU for the whole site: concurrent requests queue here,
         #: like the single SUN/ULTRA the prototype database ran on
-        self.processor = SharedProcessor(sim, service_time)
+        self.processor = SharedProcessor(sim, DB_SERVICE_TIME)
         self.endpoints: List[RpcServer] = []
 
     def serve(self, client_host: str) -> RpcClient:
@@ -127,7 +129,7 @@ class AuthorSite:
                            courseware_id: str, title: str, program: str,
                            keywords: Optional[List[str]] = None,
                            introduction_ref: Optional[str] = None,
-                           author: str = "", **cb) -> Any:
+                           **cb) -> Any:
         return self.client.rpc.call("StoreCourseware", {
             "courseware_id": courseware_id,
             "title": title,
@@ -135,15 +137,14 @@ class AuthorSite:
             "container_blob": compiled.encode(),
             "keywords": keywords or [],
             "introduction_ref": introduction_ref,
-            "author": author,
+            "author": "",
         }, **cb)
 
     def publish_course(self, *, course_code: str, name: str, program: str,
-                       courseware_id: str, description: str = "",
-                       **cb) -> Any:
+                       courseware_id: str, **cb) -> Any:
         return self.client.rpc.call("AddCourse", {
             "course_code": course_code, "name": name, "program": program,
-            "courseware_id": courseware_id, "description": description,
+            "courseware_id": courseware_id, "description": "",
         }, **cb)
 
     def publish_library_doc(self, *, doc_id: str, title: str,

@@ -188,8 +188,7 @@ class DatabaseServer:
         db = self.db
         rpc.register("Get_List_Doc",
                      lambda p: [s["courseware_id"]
-                                for s in db.list_courseware(
-                                    (p or {}).get("program"))])
+                                for s in db.list_courseware()])
         rpc.register("Get_Selected_Doc",
                      lambda p: db.get_courseware(p["name"]).container_blob)
         rpc.register("GetKeywordTree",
@@ -317,9 +316,8 @@ class DatabaseClient:
         self.rpc = rpc
 
     # thesis-named APIs
-    def Get_List_Doc(self, program: Optional[str] = None,
-                     **cb) -> PendingCall:
-        return self.rpc.call("Get_List_Doc", {"program": program}, **cb)
+    def Get_List_Doc(self, **cb) -> PendingCall:
+        return self.rpc.call("Get_List_Doc", None, **cb)
 
     def Get_Selected_Doc(self, name: str, **cb) -> PendingCall:
         return self.rpc.call("Get_Selected_Doc", {"name": name}, **cb)
@@ -399,12 +397,11 @@ class DatabaseClient:
         return self.rpc.call("Statistics", None, **cb)
 
     def get_content(self, content_ref: str, *,
-                    on_chunk: Optional[Callable[[bytes], None]] = None,
                     on_end: Optional[Callable[[StreamReceiver], None]] = None
                     ) -> StreamReceiver:
         return self.rpc.open_stream("GetContent",
                                     {"content_ref": content_ref},
-                                    on_chunk=on_chunk, on_end=on_end)
+                                    on_end=on_end)
 
 
 def wait_for(sim, pending: PendingCall, timeout: float = 30.0) -> Any:

@@ -14,6 +14,7 @@ from typing import Iterator, List, Optional
 from repro.database.schema import ContentRecord
 from repro.database.store import ObjectStore
 from repro.obs.tracing import NULL_SPAN, Tracer
+from repro.transport.rpc import STREAM_CHUNK_BYTES
 from repro.util.errors import DatabaseError
 
 CONTENT_COLLECTION = "content"
@@ -22,9 +23,8 @@ CONTENT_COLLECTION = "content"
 class ContentServer:
     """Serves content records out of an object store."""
 
-    def __init__(self, store: ObjectStore, chunk_size: int = 8192) -> None:
+    def __init__(self, store: ObjectStore) -> None:
         self.store = store
-        self.chunk_size = chunk_size
         self.requests = 0
         self.bytes_served = 0
         #: wired by the owning site so content lookups appear in the
@@ -59,7 +59,7 @@ class ContentServer:
     # -- streaming ---------------------------------------------------------
 
     def chunks(self, content_ref: str) -> Iterator[bytes]:
-        """Fixed-size chunks of a content object (bulk delivery)."""
+        """A content object in stream-message-sized chunks."""
         data = self.get(content_ref).data
-        for i in range(0, len(data), self.chunk_size):
-            yield data[i:i + self.chunk_size]
+        for i in range(0, len(data), STREAM_CHUNK_BYTES):
+            yield data[i:i + STREAM_CHUNK_BYTES]

@@ -42,14 +42,6 @@ class KeywordTree:
         for part in parts:
             node = node.children.setdefault(part, KeywordNode(keyword=part))
 
-    def contains(self, path: str) -> bool:
-        node = self._root
-        for part in [p for p in path.split(self.SEP) if p]:
-            node = node.children.get(part)
-            if node is None:
-                return False
-        return True
-
     def subtree(self, path: str = "") -> dict:
         """The tree (or a subtree) as a plain value for interchange."""
         node = self._root
@@ -58,20 +50,6 @@ class KeywordTree:
             if node is None:
                 raise DatabaseError(f"unknown keyword path {path!r}")
         return node.to_value()
-
-    def leaves(self) -> List[str]:
-        out: List[str] = []
-
-        def walk(node: KeywordNode, prefix: str) -> None:
-            if not node.children:
-                if prefix:
-                    out.append(prefix)
-                return
-            for name, child in sorted(node.children.items()):
-                walk(child, f"{prefix}{self.SEP}{name}" if prefix else name)
-
-        walk(self._root, "")
-        return out
 
 
 class InvertedIndex:

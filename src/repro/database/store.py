@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Set, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.util.errors import DatabaseError
 
@@ -58,10 +58,6 @@ class ObjectStore:
     def exists(self, collection: str, key: str) -> bool:
         return key in self.collection(collection)
 
-    def delete(self, collection: str, key: str) -> None:
-        if self.collection(collection).pop(key, None) is None:
-            raise DatabaseError(f"{collection}/{key} not found")
-
     def keys(self, collection: str) -> List[str]:
         return sorted(self.collection(collection))
 
@@ -69,17 +65,8 @@ class ObjectStore:
         for key in self.keys(collection):
             yield key, self.collection(collection)[key].value
 
-    def scan(self, collection: str,
-             predicate: Callable[[Any], bool]) -> List[Tuple[str, Any]]:
-        return [(k, v) for k, v in self.items(collection) if predicate(v)]
-
     def count(self, collection: str) -> int:
         return len(self.collection(collection))
-
-    # -- transactions -------------------------------------------------------
-
-    def transaction(self) -> "Transaction":
-        return Transaction(self)
 
     def _version_of(self, collection: str, key: str) -> int:
         record = self.collection(collection).get(key)
@@ -94,9 +81,8 @@ class Transaction:
         self.tx_id = next(store._tx_counter)
         #: (collection, key) -> version observed at first read
         self._read_set: Dict[Tuple[str, str], int] = {}
-        #: (collection, key) -> new value (None sentinel for delete)
+        #: (collection, key) -> (collection, new value)
         self._writes: Dict[Tuple[str, str], Tuple[str, Any]] = {}
-        self._deletes: Set[Tuple[str, str]] = set()
         self.committed = False
         self.aborted = False
 
@@ -107,8 +93,6 @@ class Transaction:
     def get(self, collection: str, key: str) -> Any:
         self._check_live()
         ck = (collection, key)
-        if ck in self._deletes:
-            raise DatabaseError(f"{collection}/{key} deleted in transaction")
         if ck in self._writes:
             return self._writes[ck][1]
         self._read_set.setdefault(ck, self.store._version_of(collection, key))
@@ -124,15 +108,7 @@ class Transaction:
         self._check_live()
         ck = (collection, key)
         self._read_set.setdefault(ck, self.store._version_of(collection, key))
-        self._deletes.discard(ck)
         self._writes[ck] = (collection, value)
-
-    def delete(self, collection: str, key: str) -> None:
-        self._check_live()
-        ck = (collection, key)
-        self._read_set.setdefault(ck, self.store._version_of(collection, key))
-        self._writes.pop(ck, None)
-        self._deletes.add(ck)
 
     def commit(self) -> None:
         """Validate the read set and apply writes atomically."""
@@ -144,8 +120,6 @@ class Transaction:
                 raise DatabaseError(
                     f"transaction {self.tx_id}: conflict on "
                     f"{collection}/{key}")
-        for (collection, key) in self._deletes:
-            self.store.collection(collection).pop(key, None)
         for (collection, key), (_, value) in self._writes.items():
             self.store.put(collection, key, value)
         self.committed = True

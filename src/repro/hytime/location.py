@@ -109,10 +109,6 @@ class Hyperlink:
     target: Address
     link_type: str = "clink"
 
-    def endpoints(self, root: SgmlElement, *,
-                  semantic_resolver: Optional[SemanticResolver] = None
-                  ) -> tuple:
-        return (resolve_address(self.anchor, root,
-                                semantic_resolver=semantic_resolver),
-                resolve_address(self.target, root,
-                                semantic_resolver=semantic_resolver))
+    def endpoints(self, root: SgmlElement) -> tuple:
+        return (resolve_address(self.anchor, root),
+                resolve_address(self.target, root))

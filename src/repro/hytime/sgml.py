@@ -126,24 +126,3 @@ class SgmlParser:
         if root is None:
             raise DecodingError("no root element found")
         return root
-
-
-def write_sgml(element: SgmlElement, indent: int = 0) -> str:
-    """Serialise an element tree back to SGML text."""
-    pad = "  " * indent
-    attrs = "".join(f' {k}="{_encode_text(v)}"'
-                    for k, v in element.attributes.items())
-    if not element.children and not element.text:
-        return f"{pad}<{element.name}{attrs}/>"
-    parts = [f"{pad}<{element.name}{attrs}>"]
-    if element.text:
-        parts.append(pad + "  " + _encode_text(element.text).strip())
-    for child in element.children:
-        parts.append(write_sgml(child, indent + 1))
-    parts.append(f"{pad}</{element.name}>")
-    return "\n".join(parts)
-
-
-def _encode_text(raw: str) -> str:
-    raw = raw.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    return raw.replace('"', "&quot;")

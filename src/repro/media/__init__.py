@@ -21,7 +21,7 @@ We have no capture hardware, so this subpackage provides:
 """
 
 from repro.media.base import MediaObject, MediaType
-from repro.media.image import ImageCodec, psnr
+from repro.media.image import ImageCodec
 from repro.media.video import VideoCodec, VideoStream
 from repro.media.audio import (
     AudioCodec, MidiCodec, MidiEvent, mu_law_compress, mu_law_expand,
@@ -33,7 +33,6 @@ __all__ = [
     "MediaObject",
     "MediaType",
     "ImageCodec",
-    "psnr",
     "VideoCodec",
     "VideoStream",
     "AudioCodec",

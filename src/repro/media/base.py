@@ -67,13 +67,3 @@ class MediaObject:
             return None
         return self.size * 8 / d
 
-    def describe(self) -> Dict[str, Any]:
-        """Summary record (what a descriptor object carries)."""
-        return {
-            "name": self.name,
-            "media_type": self.media_type.value,
-            "coding_method": self.coding_method,
-            "size": self.size,
-            "duration": self.duration,
-            **{k: v for k, v in self.attributes.items()},
-        }

@@ -210,14 +210,3 @@ class ImageCodec:
         quantised = _decode_blocks(data[9:], nblocks)
         padded = _reconstruct(quantised, quant_table(quality), H, W)
         return np.clip(np.round(padded + 128.0), 0, 255).astype(np.uint8)[:h, :w]
-
-
-def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB (infinite for identical images)."""
-    if original.shape != reconstructed.shape:
-        raise ValueError("shape mismatch")
-    mse = np.mean((original.astype(np.float64)
-                   - reconstructed.astype(np.float64)) ** 2)
-    if mse == 0:
-        return float("inf")
-    return 10.0 * np.log10(255.0 ** 2 / mse)

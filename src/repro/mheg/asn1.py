@@ -12,7 +12,7 @@ module implements the subset of BER the codec needs, honestly:
   to tag classes, and context [0] for str-keyed dicts.
 
 One value layer applies those rules.  :func:`encode_value` /
-:func:`decode_value` map plain Python values (None, bool, int, float,
+:func:`parse_value` map plain Python values (None, bool, int, float,
 str, bytes, list, str-keyed dict) to self-describing BER, which is what
 MHEG attribute bodies use; :class:`~repro.mheg.codec.MhegCodec` wraps
 each body in an application-class element built from the identifier
@@ -200,14 +200,6 @@ def encode_value(value: Any) -> bytes:
     out: List[bytes] = []
     _encode_into(value, out, 0)
     return b"".join(out)
-
-
-def decode_value(data: bytes) -> Any:
-    """Inverse of :func:`encode_value`."""
-    value, end = parse_value(data, 0, 0)
-    if end != len(data):
-        raise DecodingError(f"{len(data) - end} trailing bytes after value")
-    return value
 
 
 def parse_value(data: bytes, pos: int, depth: int = 0) -> Tuple[Any, int]:

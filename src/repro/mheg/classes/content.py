@@ -61,11 +61,6 @@ class ContentClass(MhObject):
         if not self.content_hook:
             raise EncodingError(f"{self}: content_hook (coding method) required")
 
-    @property
-    def included(self) -> bool:
-        """True when content travels inside the object."""
-        return self.data is not None
-
 
 @register_class
 @dataclass

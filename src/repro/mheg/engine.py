@@ -294,8 +294,6 @@ class MhegEngine:
                         child.position = list(placement["position"])
                     if placement.get("size") is not None:
                         child.size = list(placement["size"])
-                    if placement.get("channel") in self.channels:
-                        child.channel = placement["channel"]
             self._composite_children[str(rt_ref)] = children
             for socket in model.sockets:
                 rt.plugged[socket.name] = (

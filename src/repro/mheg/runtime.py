@@ -49,8 +49,6 @@ class Channel:
     """A logical presentation space."""
 
     name: str
-    width: int = 640
-    height: int = 480
     #: rt references currently presented on this channel, in z-order
     presented: List[str] = field(default_factory=list)
 

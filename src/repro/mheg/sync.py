@@ -11,14 +11,16 @@ composite, serialised into the composite's ``sync_spec`` field:
   (events synchronised to clock ticks);
 * **chained** — a list of components presented back to back.
 
+Authors write a spec as a plain dict (``{"kind": "chained",
+"targets": [...]}``); :func:`validate_spec` checks its structure.
 *Conditional* synchronisation ("when the audio has finished, display
-the image") is expressed with link objects directly; helpers here
-build the common forms.
+the image") is expressed with link objects directly; a helper here
+builds the common form.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict
 
 from repro.mheg.classes.behavior import (
     ActionClass, ActionVerb, ConditionKind, ElementaryAction, LinkClass,
@@ -26,44 +28,6 @@ from repro.mheg.classes.behavior import (
 )
 from repro.mheg.identifiers import MhegIdentifier, ObjectReference
 from repro.util.errors import AuthoringError
-
-
-def elementary(first: ObjectReference, t1: float,
-               second: ObjectReference, t2: float) -> Dict[str, Any]:
-    """Two components with associated time values T1 and T2 (Fig 2.6b)."""
-    if t1 < 0 or t2 < 0:
-        raise AuthoringError("elementary sync offsets must be >= 0")
-    return {"kind": "elementary",
-            "entries": [{"target": str(first), "time": t1},
-                        {"target": str(second), "time": t2}]}
-
-
-def timeline(entries: Sequence[tuple]) -> Dict[str, Any]:
-    """Generalised elementary sync: [(ref, start_time), ...]."""
-    out = []
-    for target, t in entries:
-        if t < 0:
-            raise AuthoringError("timeline offsets must be >= 0")
-        out.append({"target": str(target), "time": float(t)})
-    return {"kind": "elementary", "entries": out}
-
-
-def cyclic(target: ObjectReference, period: float,
-           repetitions: Optional[int] = None) -> Dict[str, Any]:
-    """Repetitive presentation synchronised to a periodic tick."""
-    if period <= 0:
-        raise AuthoringError("cyclic sync needs a positive period")
-    if repetitions is not None and repetitions < 1:
-        raise AuthoringError("cyclic repetitions must be >= 1 (or None)")
-    return {"kind": "cyclic", "target": str(target), "period": period,
-            "repetitions": repetitions}
-
-
-def chained(targets: Sequence[ObjectReference]) -> Dict[str, Any]:
-    """Back-to-back serial presentation of a list of components."""
-    if len(targets) < 1:
-        raise AuthoringError("chained sync needs at least one component")
-    return {"kind": "chained", "targets": [str(t) for t in targets]}
 
 
 def validate_spec(spec: Dict[str, Any]) -> None:
@@ -86,6 +50,9 @@ def validate_spec(spec: Dict[str, Any]) -> None:
         ObjectReference.parse(spec["target"])
         if spec["period"] <= 0:
             raise AuthoringError("cyclic period <= 0")
+        repetitions = spec.get("repetitions")
+        if repetitions is not None and repetitions < 1:
+            raise AuthoringError("cyclic repetitions must be >= 1 (or None)")
     elif kind == "chained":
         targets = spec.get("targets", [])
         if not targets:

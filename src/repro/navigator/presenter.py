@@ -183,18 +183,18 @@ class CoursewarePresenter:
 
     # -- what a GUI needs ----------------------------------------------------------
 
-    def visible(self, channel: str = "main") -> List[str]:
+    def visible(self) -> List[str]:
         """Names of content objects currently presented."""
         out = []
-        for ref_str in self.engine.channels[channel].presented:
+        for ref_str in self.engine.channels["main"].presented:
             rt = self.engine.runtime(ObjectReference.parse(ref_str))
             if isinstance(rt.model, ContentClass) and rt.model.info.name:
                 out.append(rt.model.info.name)
         return out
 
-    def clickable(self, channel: str = "main") -> List[str]:
+    def clickable(self) -> List[str]:
         out = []
-        for ref_str in self.engine.channels[channel].presented:
+        for ref_str in self.engine.channels["main"].presented:
             rt = self.engine.runtime(ObjectReference.parse(ref_str))
             if rt.selectable and rt.model.info.name:
                 out.append(rt.model.info.name)

@@ -65,8 +65,8 @@ class Account:
         self.cells_delivered += cells
         self.bytes_delivered += nbytes
 
-    def drop(self, cells: int = 1) -> None:
-        self.drops += cells
+    def drop(self) -> None:
+        self.drops += 1
 
     def dwell(self, seconds: float) -> None:
         """Charge queue-residency time (cell sat *seconds* buffered)."""
@@ -102,7 +102,7 @@ class _NullAccount(Account):
     def delivered(self, units: int = 0, cells: int = 0, nbytes: int = 0) -> None:
         pass
 
-    def drop(self, cells: int = 1) -> None:
+    def drop(self) -> None:
         pass
 
     def dwell(self, seconds: float) -> None:

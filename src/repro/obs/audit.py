@@ -35,7 +35,7 @@ a count, which is exactly what the chaos suite now asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = ["ConservationAuditor", "Violation"]
 
@@ -83,26 +83,12 @@ class ConservationAuditor:
     """Cross-checks live instruments against per-layer flow invariants.
 
     Construct from a :class:`~repro.core.system.MitsSystem` (or any
-    object with ``.sim`` and ``.network``), or pass ``sim=``/
-    ``network=`` directly; bare components for unit tests go in via
-    ``links=``/``switches=``/``receivers=``.
+    object with ``.sim`` and ``.network``).
     """
 
-    def __init__(self, system: Optional[Any] = None, *,
-                 sim: Optional[Any] = None, network: Optional[Any] = None,
-                 links: Iterable = (), switches: Iterable = (),
-                 receivers: Iterable = ()) -> None:
-        if system is not None:
-            sim = getattr(system, "sim", sim)
-            network = getattr(system, "network", network)
-        if sim is None:
-            raise ValueError("ConservationAuditor needs a simulator "
-                             "(pass a MitsSystem or sim=...)")
-        self.sim = sim
-        self.network = network
-        self._extra_links = list(links)
-        self._extra_switches = list(switches)
-        self._extra_receivers = list(receivers)
+    def __init__(self, system: Any) -> None:
+        self.sim = system.sim
+        self.network = system.network
         self.checks = 0
         self.violations: List[Violation] = []
 
@@ -114,17 +100,14 @@ class ConservationAuditor:
         self.violations = []
         for link in self._links():
             self._audit_link(link)
-        for sw in self._switches():
+        for sw in self.network.switches.values():
             self._audit_switch(sw)
-        if self.network is not None:
-            self._audit_routes()
-            for host in self.network.hosts.values():
-                for vci, (rx, _handler, _vc) in host._rx.items():
-                    self._audit_receiver(rx, f"{host.name}:vci{vci}")
-            for vc in self.network.vcs.values():
-                self._audit_vc(vc)
-        for rx, label in self._extra_receivers:
-            self._audit_receiver(rx, label)
+        self._audit_routes()
+        for host in self.network.hosts.values():
+            for vci, (rx, _handler, _vc) in host._rx.items():
+                self._audit_receiver(rx, f"{host.name}:vci{vci}")
+        for vc in self.network.vcs.values():
+            self._audit_vc(vc)
         for conn in self.sim.entities.get("connection", []):
             self._audit_connection(conn)
         for player in self.sim.entities.get("player", []):
@@ -145,23 +128,10 @@ class ConservationAuditor:
 
     def _links(self):
         seen = set()
-        candidates = list(self._extra_links)
-        if self.network is not None:
-            candidates.extend(self.network.links.values())
-        for link in candidates:
+        for link in self.network.links.values():
             if id(link) not in seen:
                 seen.add(id(link))
                 yield link
-
-    def _switches(self):
-        seen = set()
-        candidates = list(self._extra_switches)
-        if self.network is not None:
-            candidates.extend(self.network.switches.values())
-        for sw in candidates:
-            if id(sw) not in seen:
-                seen.add(id(sw))
-                yield sw
 
     def _expect(self, component: str, entity: str, invariant: str,
                 expected: float, actual: float, detail: str = "") -> None:

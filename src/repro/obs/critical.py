@@ -267,21 +267,16 @@ def _aggregate(segments: Sequence[Mapping[str, Any]], key_fn
 # -- whole-archive attribution ---------------------------------------------
 
 
-def attribution(all_spans: Sequence[Any],
-                trace_ids: Optional[Sequence[Any]] = None
-                ) -> Dict[str, Any]:
+def attribution(all_spans: Sequence[Any]) -> Dict[str, Any]:
     """Critical-path attribution aggregated across traces.
 
-    Every trace (or just *trace_ids*) contributes its path segments;
-    shares are of the summed path seconds.  This is the compact block
+    Every trace contributes its path segments; shares are of the
+    summed path seconds.  This is the compact block
     an archive's ``fin`` summary embeds and the ``repro.obs diff``
     attribution section compares across runs.
     """
     spans = normalize_spans(all_spans)
     by_trace = group_by_trace(spans)
-    if trace_ids is not None:
-        wanted = set(trace_ids)
-        by_trace = {t: g for t, g in by_trace.items() if t in wanted}
     segments: List[Dict[str, Any]] = []
     total_root_seconds = 0.0
     for group in by_trace.values():

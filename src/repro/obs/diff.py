@@ -166,8 +166,11 @@ def _diff_critical(a: Archive, b: Archive) -> List[Dict[str, Any]]:
     return rows
 
 
-def _diff_ledger(a: Archive, b: Archive, *,
-                 top: int = 8) -> List[Dict[str, Any]]:
+#: ledger accounts a diff lists, largest ``bytes_sent`` movement first
+LEDGER_TOP = 8
+
+
+def _diff_ledger(a: Archive, b: Archive) -> List[Dict[str, Any]]:
     """Largest per-account ``bytes_sent`` movements, across kinds."""
     rows = []
     kinds_a = _kinds(a)
@@ -188,7 +191,7 @@ def _diff_ledger(a: Archive, b: Archive, *,
                 row["only"] = "before"
             rows.append(row)
     rows.sort(key=lambda r: abs(r["delta_bytes"]), reverse=True)
-    return rows[:top]
+    return rows[:LEDGER_TOP]
 
 
 def _diff_bench(a: Archive, b: Archive) -> List[Dict[str, Any]]:

@@ -62,15 +62,18 @@ class FlightEvent:
                    attrs=dict(payload.get("attrs") or {}))
 
 
+#: events a flight recorder keeps; the oldest are evicted first
+CAPACITY = 4096
+
+
 class FlightRecorder:
     """Fixed-capacity event ring against an injected clock."""
 
-    def __init__(self, clock: Callable[[], float], *,
-                 capacity: int = 4096) -> None:
+    def __init__(self, clock: Callable[[], float]) -> None:
         self.clock = clock
         self.dropped = 0
         self.recorded = 0
-        self._events: Deque[FlightEvent] = deque(maxlen=capacity)
+        self._events: Deque[FlightEvent] = deque(maxlen=CAPACITY)
         #: receives every recorded FlightEvent (the streamed archive)
         self.sink: Optional[Callable[[FlightEvent], None]] = None
 

@@ -28,7 +28,7 @@ every call site — the hot paths pay one identity test.
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Callable, Dict
+from typing import Any, Dict
 
 __all__ = ["OverheadMeter"]
 
@@ -45,20 +45,19 @@ class _ComponentCost:
 class OverheadMeter:
     """Attributes wall time and bytes to obs-stack components."""
 
-    def __init__(self, *, clock: Callable[[], float] =
-                 _time.perf_counter) -> None:
-        self._clock = clock
-        self._started = clock()
+    def __init__(self) -> None:
+        self._clock = _time.perf_counter
+        self._started = self._clock()
         self._costs: Dict[str, _ComponentCost] = {}
 
     def add(self, component: str, seconds: float, *,
-            nbytes: int = 0, calls: int = 1) -> None:
+            nbytes: int = 0) -> None:
         """Charge *seconds* (and optionally bytes) to *component*."""
         cost = self._costs.get(component)
         if cost is None:
             cost = self._costs[component] = _ComponentCost()
         cost.seconds += seconds
-        cost.calls += calls
+        cost.calls += 1
         cost.nbytes += nbytes
 
     def charge(self, component: str, t0: float, *, nbytes: int = 0) -> None:

@@ -34,8 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -68,8 +67,8 @@ class Counter:
     def __init__(self) -> None:
         self.value = 0
 
-    def inc(self, n: int = 1) -> None:
-        self.value += n
+    def inc(self) -> None:
+        self.value += 1
 
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "counter", "value": self.value}
@@ -147,9 +146,9 @@ class Gauge:
 class Histogram:
     """Bucketed distribution with count/sum/min/max.
 
-    ``buckets`` are upper bounds; an observation lands in the first
-    bucket whose bound is >= the value, or in the implicit overflow
-    bucket.  Bounded memory regardless of sample count — this is what
+    :data:`TIME_BUCKETS` are the upper bounds; an observation lands in
+    the first bucket whose bound is >= the value, or in the implicit
+    overflow bucket.  Bounded memory regardless of sample count — this is what
     replaces the unbounded per-VC ``delays`` lists.
     """
 
@@ -158,11 +157,8 @@ class Histogram:
 
     kind = "histogram"
 
-    def __init__(self, buckets: Optional[Iterable[float]] = None) -> None:
-        self.bounds: Tuple[float, ...] = tuple(buckets) if buckets is not None \
-            else TIME_BUCKETS
-        if any(b2 <= b1 for b1, b2 in zip(self.bounds, self.bounds[1:])):
-            raise ValueError("histogram buckets must be strictly increasing")
+    def __init__(self) -> None:
+        self.bounds: Tuple[float, ...] = TIME_BUCKETS
         self.counts: List[int] = [0] * len(self.bounds)
         self.overflow = 0
         self.count = 0
@@ -266,9 +262,8 @@ class MetricsRegistry:
         return self._get(Gauge, component, name, labels)
 
     def histogram(self, component: str, name: str,
-                  buckets: Optional[Iterable[float]] = None,
                   **labels: Any) -> Histogram:
-        return self._get(Histogram, component, name, labels, buckets)
+        return self._get(Histogram, component, name, labels)
 
     def get(self, component: str, name: str, **labels: Any) -> Optional[Any]:
         """The instrument registered under one exact key, or None."""

@@ -54,6 +54,38 @@ class Slo:
         if self.op not in ("<=", ">="):
             raise ValueError(f"unsupported SLO op {self.op!r}")
 
+    def evaluate(self, report: Mapping[str, Any]) -> "SloResult":
+        """Judge this SLO against a ``MetricsRegistry.report()`` dict."""
+        observed = self._observe(report)
+        if observed is None:
+            return SloResult(slo=self, observed=None, ok=True, skipped=True)
+        ok = observed <= self.threshold if self.op == "<=" \
+            else observed >= self.threshold
+        return SloResult(slo=self, observed=observed, ok=ok)
+
+    def _observe(self, report: Mapping[str, Any]) -> Optional[float]:
+        entries = _entries(report, self.component, self.metric)
+        if not entries:
+            return None
+        if self.per is not None:
+            numerator = _sum_values(entries, self.stat)
+            denominator = _sum_values(
+                _entries(report, self.per[0], self.per[1]), "value")
+            if numerator is None or not denominator:
+                return None
+            return numerator / denominator
+        if self.stat in _SUM_STATS:
+            return _sum_values(entries, self.stat)
+        # distribution statistic: judge by the worst instrument, and
+        # ignore instruments that recorded nothing
+        values = [
+            e[self.stat] for e in entries
+            if e.get(self.stat) is not None and e.get("count", 0) > 0
+        ]
+        if not values:
+            return None
+        return float(max(values) if self.op == "<=" else min(values))
+
 
 @dataclass
 class SloResult:
@@ -123,15 +155,11 @@ def _sum_values(entries: List[Dict[str, Any]], stat: str) -> Optional[float]:
 
 
 class SloMonitor:
-    """Evaluates a set of SLOs against metrics reports."""
-
-    def __init__(self, slos: Optional[Sequence[Slo]] = None) -> None:
-        self.slos: Tuple[Slo, ...] = tuple(slos) if slos is not None \
-            else DEFAULT_SLOS
+    """Evaluates :data:`DEFAULT_SLOS` against metrics reports."""
 
     def evaluate(self, report: Mapping[str, Any]) -> List[SloResult]:
         """Judge every SLO against a ``MetricsRegistry.report()`` dict."""
-        return [self._evaluate_one(slo, report) for slo in self.slos]
+        return [slo.evaluate(report) for slo in DEFAULT_SLOS]
 
     def summary(self, report: Mapping[str, Any], *,
                 watchdog_alerts: Optional[Sequence[Mapping[str, Any]]] = None
@@ -171,35 +199,3 @@ class SloMonitor:
             if total:
                 out[f"{component}.{metric}"] = total
         return out
-
-    def _evaluate_one(self, slo: Slo, report: Mapping[str, Any]) -> SloResult:
-        observed = self._observe(slo, report)
-        if observed is None:
-            return SloResult(slo=slo, observed=None, ok=True, skipped=True)
-        ok = observed <= slo.threshold if slo.op == "<=" \
-            else observed >= slo.threshold
-        return SloResult(slo=slo, observed=observed, ok=ok)
-
-    def _observe(self, slo: Slo,
-                 report: Mapping[str, Any]) -> Optional[float]:
-        entries = _entries(report, slo.component, slo.metric)
-        if not entries:
-            return None
-        if slo.per is not None:
-            numerator = _sum_values(entries, slo.stat)
-            denominator = _sum_values(
-                _entries(report, slo.per[0], slo.per[1]), "value")
-            if numerator is None or not denominator:
-                return None
-            return numerator / denominator
-        if slo.stat in _SUM_STATS:
-            return _sum_values(entries, slo.stat)
-        # distribution statistic: judge by the worst instrument, and
-        # ignore instruments that recorded nothing
-        values = [
-            e[slo.stat] for e in entries
-            if e.get(slo.stat) is not None and e.get("count", 0) > 0
-        ]
-        if not values:
-            return None
-        return float(max(values) if slo.op == "<=" else min(values))

@@ -102,12 +102,6 @@ def _rate(prev_value: Optional[float], prev_time: Optional[float],
 DEFAULT_CAPACITY = 512
 
 
-def _sorted_window(values, window: Optional[int]) -> List[float]:
-    vals = list(values) if window is None else list(values)[-window:]
-    vals.sort()
-    return vals
-
-
 class Series:
     """One ring-buffered metric trajectory.
 
@@ -174,15 +168,14 @@ class Series:
         self._prev_value = values[-1]
         self._prev_time = times[-1]
 
-    def rollup(self, window: Optional[int] = None,
-               channel: str = "values") -> Dict[str, Any]:
-        """min/max/mean/p99 over the last *window* samples (all when
-        None) of one channel (``values``/``rates``/``p99s``)."""
+    def rollup(self, channel: str = "values") -> Dict[str, Any]:
+        """min/max/mean/p99 over the samples one channel's ring holds
+        (``values``/``rates``/``p99s``)."""
         ring = getattr(self, channel, None)
         if ring is None:
             raise ValueError(
                 f"{self.kind} series has no {channel!r} channel")
-        vals = _sorted_window(ring, window)
+        vals = sorted(ring)
         if not vals:
             return {"count": 0, "min": None, "max": None,
                     "mean": None, "p99": None}

@@ -21,7 +21,7 @@ engine.  Tracing defaults to **off** and is zero-cost when disabled:
 ``span()`` then returns one shared no-op context manager, so the hot
 path pays a single attribute test.
 
-Finished spans live in a fixed newest-wins ring of ``max_spans``.  A
+Finished spans live in a fixed newest-wins ring of ``MAX_SPANS``.  A
 ``sink`` callable, when attached, receives every finished
 :class:`SpanRecord` as it closes, which is how a streamed archive
 keeps every span on disk while memory stays bounded.
@@ -33,7 +33,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Union
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 __all__ = ["Span", "SpanRecord", "TraceContext", "Tracer", "NULL_SPAN"]
 
@@ -174,22 +174,26 @@ def _quantile(sorted_values: List[float], q: float) -> float:
     return sorted_values[idx]
 
 
-class Tracer:
-    """Collects spans against an injected clock.
+#: finished spans a tracer keeps; the oldest are evicted first
+MAX_SPANS = 10_000
 
-    ``max_spans`` bounds memory: the oldest finished spans are evicted
-    first (the ``dropped`` counter says how many).
+
+class Tracer:
+    """Collects spans against an injected clock; off until its owner
+    sets ``enabled``.
+
+    :data:`MAX_SPANS` bounds memory: the oldest finished spans are
+    evicted first (the ``dropped`` counter says how many).
     """
 
-    def __init__(self, clock: Callable[[], float], *, enabled: bool = False,
-                 max_spans: int = 10_000) -> None:
+    def __init__(self, clock: Callable[[], float]) -> None:
         self.clock = clock
-        self.enabled = enabled
+        self.enabled = False
         self.dropped = 0
         self._ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._current: Optional[TraceContext] = None
-        self._finished: Deque[SpanRecord] = deque(maxlen=max_spans)
+        self._finished: Deque[SpanRecord] = deque(maxlen=MAX_SPANS)
         #: receives every SpanRecord at finish (the streamed archive)
         self.sink: Optional[Callable[[SpanRecord], None]] = None
         #: OverheadMeter charged per finished span, when attached
@@ -215,21 +219,15 @@ class Tracer:
 
     # -- spans -----------------------------------------------------------
 
-    def span(self, name: str,
-             parent: Optional[Union[TraceContext, "Span"]] = None,
-             **attrs: Any):
+    def span(self, name: str, **attrs: Any):
         """Open a span.  Returns the shared no-op span when disabled.
 
-        The parent is *parent* if given (a :class:`TraceContext` or an
-        open :class:`Span`), else the currently attached context; with
-        neither, the span roots a fresh trace.
+        The parent is the currently attached context; without one, the
+        span roots a fresh trace.
         """
         if not self.enabled:
             return NULL_SPAN
-        if parent is None:
-            parent = self._current
-        elif isinstance(parent, Span):
-            parent = parent.context
+        parent = self._current
         if parent is not None:
             trace_id = parent.trace_id
             parent_id: Optional[int] = parent.span_id
@@ -286,21 +284,10 @@ class Tracer:
             }
         return agg
 
-    def critical(self, trace_id: Optional[int] = None) -> Dict[str, Any]:
-        """Critical-path analysis of the finished spans.
-
-        With *trace_id*, the full analysis of that one trace (see
-        :func:`repro.obs.critical.analyze_trace`); without, the
-        cross-trace attribution summary — the live-tracer entry point
-        to the same analysis the ``repro.obs critical`` CLI runs on
-        archives.
-        """
+    def critical(self) -> Dict[str, Any]:
+        """Cross-trace critical-path attribution of the finished spans:
+        the live-tracer entry point to the analysis the
+        ``repro.obs critical`` CLI runs on archives."""
         from repro.obs import critical as _critical
 
-        spans = [s.to_dict() for s in self.spans]
-        if trace_id is not None:
-            group = [s for s in spans if s["trace_id"] == trace_id]
-            if not group:
-                raise ValueError(f"no finished spans for trace {trace_id}")
-            return _critical.analyze_trace(group)
-        return _critical.attribution(spans)
+        return _critical.attribution([s.to_dict() for s in self.spans])

@@ -26,6 +26,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["Detector", "Watchdog", "DEFAULT_DETECTORS"]
 
+#: ticks a non-empty queue may hold still before ``stuck_queue``
+STUCK_WINDOW = 8
+#: ticks a started stream may go without arrivals (``silent_stream``)
+SILENT_WINDOW = 12
+#: ticks of strictly rising drops before ``rising_drop_rate``
+DROP_WINDOW = 4
+#: seconds a playout stall may last (``clock_stall``); above the
+#: player's skip grace, so a stall the player resolves stays quiet
+STALL_LIMIT = 3.0
+
 Firing = Tuple[str, Dict[str, Any]]  # (entity, alert attributes)
 
 
@@ -39,7 +49,7 @@ class Detector:
 
 def _stuck_queue(w: "Watchdog", now: float) -> List[Firing]:
     out: List[Firing] = []
-    n = w.stuck_window
+    n = STUCK_WINDOW
     for label, (link, hist) in w._link_state.items():
         # cheap necessary conditions first: a queue that holds cells
         # and did not move since the last tick
@@ -58,7 +68,7 @@ def _stuck_queue(w: "Watchdog", now: float) -> List[Firing]:
 
 def _rising_drop_rate(w: "Watchdog", now: float) -> List[Firing]:
     out: List[Firing] = []
-    n = w.drop_window
+    n = DROP_WINDOW
     for label, (link, hist) in w._link_state.items():
         # cheap necessary condition first: drops rose since the last tick
         if len(hist) <= n or hist[-1][2] <= hist[-2][2]:
@@ -72,7 +82,7 @@ def _rising_drop_rate(w: "Watchdog", now: float) -> List[Firing]:
 
 def _silent_stream(w: "Watchdog", now: float) -> List[Firing]:
     out: List[Firing] = []
-    n = w.silent_window
+    n = SILENT_WINDOW
     for name, (player, hist) in w._player_state.items():
         if player.finished or player._first_arrival is None:
             continue
@@ -91,20 +101,10 @@ def _clock_stall(w: "Watchdog", now: float) -> List[Firing]:
     out: List[Firing] = []
     for name, (player, _hist) in w._player_state.items():
         started = player._stall_started
-        if started is not None and now - started > w.stall_limit:
+        if started is not None and now - started > STALL_LIMIT:
             out.append((name, {"stalled_for": now - started,
                                "frame": player._next_frame}))
     return out
-
-
-def _ledger_divergence(w: "Watchdog", now: float) -> List[Firing]:
-    ledger = getattr(w.sim, "ledger", None)
-    if ledger is None or not ledger.enabled:
-        return []
-    return [(f"{d['kind']}:{d['key']}",
-             {"field": d["field"], "ledger": d["ledger"],
-              "registry": d["registry"]})
-            for d in ledger.reconcile(w.sim.metrics)]
 
 
 DEFAULT_DETECTORS: Tuple[Detector, ...] = (
@@ -117,9 +117,6 @@ DEFAULT_DETECTORS: Tuple[Detector, ...] = (
              "link drop count climbing every sample", _rising_drop_rate),
     Detector("clock_stall", "error",
              "playout stalled beyond the skip grace", _clock_stall),
-    Detector("ledger_divergence", "error",
-             "accounting ledger disagrees with the metrics registry",
-             _ledger_divergence),
 )
 
 
@@ -131,21 +128,14 @@ class Watchdog:
     it clears a later recurrence alerts again.
     """
 
-    def __init__(self, sim, *, network: Optional[Any] = None,
-                 stuck_window: int = 8, silent_window: int = 12,
-                 drop_window: int = 4, stall_limit: float = 3.0) -> None:
+    def __init__(self, sim, *, network: Optional[Any] = None) -> None:
         self.sim = sim
         self.network = network
         self.detectors = DEFAULT_DETECTORS
-        self.stuck_window = stuck_window
-        self.silent_window = silent_window
-        self.drop_window = drop_window
-        self.stall_limit = stall_limit
         self.alerts: List[Dict[str, Any]] = []
         self._active: set = set()
         self._last_tick: Optional[float] = None
-        maxlen = max(stuck_window, silent_window, drop_window) + 1
-        self._maxlen = maxlen
+        self._maxlen = max(STUCK_WINDOW, SILENT_WINDOW, DROP_WINDOW) + 1
         #: label -> (link, deque of (queued, transmitted, drops))
         self._link_state: Dict[str, Tuple[Any, deque]] = {}
         #: player name -> (player, deque of frames_received)

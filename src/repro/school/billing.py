@@ -43,10 +43,10 @@ class LedgerEntry:
 
 
 class BillingService:
-    """Per-student usage ledgers under one tariff."""
+    """Per-student usage ledgers under the school's tariff."""
 
-    def __init__(self, tariff: Tariff = Tariff()) -> None:
-        self.tariff = tariff
+    def __init__(self) -> None:
+        self.tariff = Tariff()
         self._ledgers: Dict[str, List[LedgerEntry]] = {}
 
     def _add(self, student: str, entry: LedgerEntry) -> LedgerEntry:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.util.errors import DatabaseError
 
@@ -101,16 +101,23 @@ class FaqEntry:
     answer: str
 
 
+#: the sender of the answers the facilitator mails
+FACILITATOR = "facilitator"
+
+
 class Facilitator:
     """The on-line facilitator: answers questions on demand.
 
     Questions whose words overlap an FAQ entry's keywords get that
     answer immediately; everything else lands in ``pending`` for the
-    (simulated) human specialist, who answers via :meth:`answer_pending`.
+    (simulated) human specialist, who answers via :meth:`answer_pending`
+    into the student's mailbox on *discussion*, stamped by *clock*.
     """
 
-    def __init__(self, name: str = "facilitator") -> None:
-        self.name = name
+    def __init__(self, discussion: DiscussionService,
+                 clock: Callable[[], float]) -> None:
+        self.discussion = discussion
+        self.clock = clock
         self.faq: List[FaqEntry] = []
         self.pending: List[Tuple[str, str]] = []  # (student, question)
         self.answered = 0
@@ -132,13 +139,13 @@ class Facilitator:
         self.pending.append((student, question))
         return None
 
-    def answer_pending(self, answer_fn) -> List[Tuple[str, str, str]]:
-        """Drain the queue: answer_fn(student, question) -> answer text.
-        Returns (student, question, answer) triples."""
-        out = []
-        for student, question in self.pending:
-            answer = answer_fn(student, question)
-            out.append((student, question, answer))
-            self.answered += 1
+    def answer_pending(self, answer_fn) -> List[Message]:
+        """Drain the queue: mail ``answer_fn(student, question)`` to each
+        student's mailbox from :data:`FACILITATOR`.  Returns the mails."""
+        sent = [self.discussion.send_mail(FACILITATOR, student,
+                                          answer_fn(student, question),
+                                          now=self.clock())
+                for student, question in self.pending]
+        self.answered += len(sent)
         self.pending.clear()
-        return out
+        return sent

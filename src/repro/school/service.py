@@ -19,17 +19,17 @@ from repro.transport.rpc import PendingCall, RpcClient, RpcServer
 class SchoolService:
     """Server-side aggregation of the school features."""
 
-    def __init__(self, sim=None) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
-        self.bulletin = BulletinBoard()
+        self.bulletin = BulletinBoard(lambda: self.now)
         self.exercises = ExerciseService()
         self.discussion = DiscussionService()
-        self.facilitator = Facilitator()
+        self.facilitator = Facilitator(self.discussion, lambda: self.now)
         self.discussion.open_conference("common-room")
 
     @property
     def now(self) -> float:
-        return self.sim.now if self.sim is not None else 0.0
+        return self.sim.now
 
     def attach(self, rpc: RpcServer) -> RpcServer:
         rpc.register("Bulletin.List",

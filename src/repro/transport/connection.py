@@ -46,8 +46,13 @@ from repro.util.errors import DecodingError, NetworkError
 #: are fragmented (AAL5 caps the CPCS payload at 65535 octets and the
 #: message header takes 36)
 MAX_FRAGMENT_BODY = 32768
+#: floor of the adaptive retransmit timeout, and the RTO before the
+#: first RTT sample (s)
+RTO_MIN = 0.05
 #: ceiling of the adaptive retransmit timeout, backoff included (s)
 RTO_MAX = 2.0
+#: go-back-N send window, in messages
+WINDOW = 32
 #: consecutive timeouts before the peer is declared unreachable
 MAX_RETRIES = 30
 
@@ -73,16 +78,10 @@ class Connection:
     """One reliable endpoint.  Create one at each end of a duplex VC."""
 
     def __init__(self, sim: Simulator, endpoint: DuplexEndpoint, *,
-                 window: int = 32, retransmit_timeout: float = 0.05,
                  name: str = "") -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
         self.sim = sim
         self.endpoint = endpoint
-        self.window = window
-        #: floor of the adaptive timeout; also the pre-sample initial RTO
-        self.rto_min = retransmit_timeout
-        self.rto = retransmit_timeout
+        self.rto = RTO_MIN
         self.max_retries = MAX_RETRIES
         #: Jacobson estimators; None until the first RTT sample lands
         self._srtt: Optional[float] = None
@@ -167,7 +166,7 @@ class Connection:
         self._pump()
 
     def _pump(self) -> None:
-        while self._backlog and len(self._in_flight) < self.window:
+        while self._backlog and len(self._in_flight) < WINDOW:
             msg = self._backlog.popleft()
             self._transmit(msg)
 
@@ -239,9 +238,9 @@ class Connection:
         Standard Jacobson smoothing (RFC 6298 §2): first sample seeds
         ``SRTT = R``, ``RTTVAR = R/2``; later samples blend with gains
         1/8 and 1/4.  The timeout is ``SRTT + 4*RTTVAR`` clamped to
-        ``[rto_min, RTO_MAX]`` so a quiet path can never drop the
-        timer below the configured floor nor a congested one push it
-        past the ceiling.
+        ``[RTO_MIN, RTO_MAX]`` so a quiet path can never drop the
+        timer below the floor nor a congested one push it past the
+        ceiling.
         """
         if self._srtt is None:
             self._srtt = sample
@@ -251,7 +250,7 @@ class Connection:
                 self._srtt - sample)
             self._srtt = 0.875 * self._srtt + 0.125 * sample
         self.rto = min(max(self._srtt + 4.0 * self._rttvar,
-                           self.rto_min), RTO_MAX)
+                           RTO_MIN), RTO_MAX)
         self._m_rto.set(self.rto)
 
     #: cap on the backoff exponent: the timer never exceeds 8× the
@@ -405,7 +404,6 @@ class Connection:
 
 
 def connect_pair(sim: Simulator, network, a: str, b: str, contract, *,
-                 window: int = 32, rto: float = 0.05,
                  auto_reconnect: bool = False, max_reconnects: int = 8,
                  reconnect_delay: float = 0.05
                  ) -> tuple[Connection, Connection]:
@@ -429,10 +427,8 @@ def connect_pair(sim: Simulator, network, a: str, b: str, contract, *,
         holder["b"].handle_pdu(payload, info)
 
     channel = network.open_duplex(a, b, contract, handler_a, handler_b)
-    holder["a"] = Connection(sim, channel.endpoint(a), window=window,
-                             retransmit_timeout=rto, name=f"{a}->{b}")
-    holder["b"] = Connection(sim, channel.endpoint(b), window=window,
-                             retransmit_timeout=rto, name=f"{b}->{a}")
+    holder["a"] = Connection(sim, channel.endpoint(a), name=f"{a}->{b}")
+    holder["b"] = Connection(sim, channel.endpoint(b), name=f"{b}->{a}")
     if auto_reconnect:
         state = {"channel": channel, "attempts": 0, "pending": False}
 

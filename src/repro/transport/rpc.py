@@ -31,6 +31,9 @@ from repro.util.errors import NetworkError, ReproError
 #: seed of every client's retry-jitter RNG, so backoff is reproducible
 RETRY_SEED = 7
 
+#: largest STREAM_DATA body a server sends in one message
+STREAM_CHUNK_BYTES = 8192
+
 
 class RpcError(ReproError):
     """A remote method signalled failure."""
@@ -90,11 +93,10 @@ class PendingCall:
 class StreamReceiver:
     """Collects STREAM_DATA chunks for one correlation id."""
 
-    def __init__(self, on_chunk: Optional[Callable[[bytes], None]] = None,
-                 on_end: Optional[Callable[["StreamReceiver"], None]] = None) -> None:
+    def __init__(self, on_end: Optional[Callable[["StreamReceiver"], None]]
+                 ) -> None:
         self.chunks: List[bytes] = []
         self.finished = False
-        self.on_chunk = on_chunk
         self.on_end = on_end
         self.first_chunk_at: Optional[float] = None
         self.finished_at: Optional[float] = None
@@ -109,8 +111,6 @@ class StreamReceiver:
         if self.first_chunk_at is None:
             self.first_chunk_at = now
         self.chunks.append(chunk)
-        if self.on_chunk is not None:
-            self.on_chunk(chunk)
 
     def _end(self, now: float) -> None:
         self.finished = True
@@ -183,13 +183,12 @@ class RpcClient:
         return pending
 
     def open_stream(self, method: str, params: Any = None, *,
-                    on_chunk: Optional[Callable[[bytes], None]] = None,
                     on_end: Optional[Callable[[StreamReceiver], None]] = None
                     ) -> StreamReceiver:
         """Issue a request whose response is a chunk stream."""
         corr = next(self._corr)
         tracer = self.sim.tracer
-        receiver = StreamReceiver(on_chunk=on_chunk, on_end=on_end)
+        receiver = StreamReceiver(on_end)
         receiver._ctx = tracer.current
         receiver._span = tracer.span(f"rpc.client:{method}", method=method,
                                      stream=True)
@@ -392,20 +391,16 @@ class RpcServer:
     """Callee side: dispatches named methods over one connection.
 
     A server typically serves many clients, each over its own
-    connection; create one RpcServer per connection sharing the same
-    handler registry via :meth:`clone_for`.
+    connection; a site creates one RpcServer per connection, each
+    registered with the same handlers.  Requests are served when they
+    arrive, or in turn through a *processor* shared by a site's
+    endpoints (its CPU).
     """
 
     def __init__(self, sim: Simulator, connection: Connection, *,
-                 chunk_size: int = 8192,
-                 service_time: float = 0.0,
                  processor: Optional["SharedProcessor"] = None) -> None:
         self.sim = sim
         self.connection = connection
-        self.chunk_size = chunk_size
-        #: fixed per-request processing delay (models server CPU/disk);
-        #: ignored when a shared processor serialises requests instead
-        self.service_time = service_time
         self.processor = processor
         self._handlers: Dict[str, Handler] = {}
         self._stream_handlers: Dict[str, StreamHandler] = {}
@@ -417,15 +412,6 @@ class RpcServer:
 
     def register_stream(self, method: str, handler: StreamHandler) -> None:
         self._stream_handlers[method] = handler
-
-    def clone_for(self, connection: Connection) -> "RpcServer":
-        """A new server endpoint sharing this one's handler registry."""
-        twin = RpcServer(self.sim, connection, chunk_size=self.chunk_size,
-                         service_time=self.service_time,
-                         processor=self.processor)
-        twin._handlers = self._handlers
-        twin._stream_handlers = self._stream_handlers
-        return twin
 
     def _on_message(self, msg: Message) -> None:
         if msg.type is not MessageType.REQUEST:
@@ -447,7 +433,7 @@ class RpcServer:
             self.processor.submit(
                 lambda: self._dispatch(method, params, msg.corr_id, ctx))
         else:
-            self.sim.schedule(self.service_time, self._dispatch,
+            self.sim.schedule(0.0, self._dispatch,
                               method, params, msg.corr_id, ctx)
 
     def _send(self, msg: Message, ctx: Optional[TraceContext]) -> None:
@@ -479,10 +465,10 @@ class RpcServer:
                     body=dump_value(str(exc))), ctx)
                 return
             for chunk in chunks:
-                for i in range(0, len(chunk), self.chunk_size):
+                for i in range(0, len(chunk), STREAM_CHUNK_BYTES):
                     self._send(Message(
                         type=MessageType.STREAM_DATA, corr_id=corr_id,
-                        body=bytes(chunk[i:i + self.chunk_size])), ctx)
+                        body=bytes(chunk[i:i + STREAM_CHUNK_BYTES])), ctx)
             self._send(Message(type=MessageType.STREAM_END,
                                corr_id=corr_id), ctx)
             return

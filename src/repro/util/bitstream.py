@@ -37,11 +37,6 @@ class BitWriter:
             acc &= (1 << nacc) - 1
         self._acc, self._nacc = acc, nacc
 
-    def align(self) -> None:
-        """Pad with zero bits to the next byte boundary."""
-        if self._nacc:
-            self.write(0, 8 - self._nacc)
-
     def getvalue(self) -> bytes:
         """Return the written bits as bytes (zero-padded to a boundary)."""
         if self._nacc:
@@ -75,9 +70,3 @@ class BitReader:
         self._pos = end
         window = int.from_bytes(self._data[pos >> 3:(end + 7) >> 3], "big")
         return (window >> (-end & 7)) & ((1 << nbits) - 1)
-
-    def align(self) -> None:
-        """Skip to the next byte boundary."""
-        rem = self._pos % 8
-        if rem:
-            self._pos += 8 - rem

@@ -6,13 +6,15 @@ arrival instant.  A cell from the per-cell queue arrives as a one-cell
 cells that way, as an upstream link delivers them.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.atm.cell import Cell, CellHeader
 from repro.atm.link import Link
 from repro.atm.qos import ServiceCategory, TrafficContract, UsageParameterControl
 from repro.atm.simulator import Simulator
-from repro.atm.switch import Switch, VcTableEntry
+from repro.atm.switch import SWITCHING_DELAY, Switch, VcTableEntry
 from repro.atm.train import CellTrain
 from repro.obs.audit import ConservationAuditor
 
@@ -27,9 +29,16 @@ def collect(out):
     return lambda train: out.extend(zip(train.cells, train.times))
 
 
-def audit(sim, **parts):
-    """Violations the conservation auditor finds on bare components."""
-    return ConservationAuditor(sim=sim, **parts).check()
+def audit(sim, links=(), switches=()):
+    """Violations of the link and switch laws on bare components (their
+    hand-installed routes belong to no VC, so the route laws do not
+    apply to them)."""
+    network = SimpleNamespace(links=dict(enumerate(links)),
+                              switches={sw.name: sw for sw in switches},
+                              hosts={}, vcs={})
+    found = ConservationAuditor(SimpleNamespace(sim=sim,
+                                                network=network)).check()
+    return [v for v in found if v.invariant != "orphan_route"]
 
 
 def arrive(sim, sw, cell, at=0.0, port="west"):
@@ -173,7 +182,7 @@ class TestLink:
 
 class TestSwitch:
     def _wired(self, sim):
-        sw = Switch(sim, "sw", switching_delay=0.0)
+        sw = Switch(sim, "sw")
         out = Link(sim, rate_bps=424e3, prop_delay=0.0)
         delivered = []
         out.sink_train = lambda t: delivered.extend(t.cells)
@@ -244,7 +253,7 @@ class TestSwitch:
         passes, the tail is tagged, and every survivor keeps its own
         CLP mark and its own fabric-exit time on the way out."""
         sim = Simulator()
-        sw = Switch(sim, "sw", switching_delay=0.001)
+        sw = Switch(sim, "sw")
         out = Link(sim, rate_bps=424e3, prop_delay=0.0)  # 1 ms/cell
         arrivals = []
         out.sink_train = collect(arrivals)
@@ -261,10 +270,12 @@ class TestSwitch:
         assert [c.seqno for c, _t in arrivals] == [0, 1, 2]
         assert [c.header.clp for c, _t in arrivals] == [0, 1, 1]
         assert {c.header.vci for c, _t in arrivals} == {77}
-        # fabric exits at 1.0/1.1/1.2 ms, then back to back on the wire
+        # the head exits the fabric at SWITCHING_DELAY, then the three
+        # go back to back on the wire
         assert [t for _c, t in arrivals] == \
-            [pytest.approx(0.002), pytest.approx(0.003),
-             pytest.approx(0.004)]
+            [pytest.approx(SWITCHING_DELAY + 0.001),
+             pytest.approx(SWITCHING_DELAY + 0.002),
+             pytest.approx(SWITCHING_DELAY + 0.003)]
         assert sw.stats.policed_tagged == 2
         assert audit(sim, switches=[sw]) == []
 
@@ -285,7 +296,7 @@ class TestUnroutableObservability:
 
     def test_unroutable_records_event_with_labels(self):
         sim = Simulator()
-        sw = Switch(sim, "sw", switching_delay=0.0)
+        sw = Switch(sim, "sw")
         arrive(sim, sw, make_cell(vci=99))
         sim.run()
         assert sw.stats.unroutable == 1
@@ -300,7 +311,7 @@ class TestUnroutableObservability:
 
     def test_unroutable_counter_mirrors_stats(self):
         sim = Simulator()
-        sw = Switch(sim, "sw", switching_delay=0.0)
+        sw = Switch(sim, "sw")
         for vci in (99, 100, 101):
             arrive(sim, sw, make_cell(vci=vci))
         sim.run()
@@ -383,7 +394,7 @@ class TestPerCellArrivals:
         forwards them in the order they arrive, as a per-cell hop
         would, so the reordering reaches the next receiver."""
         sim = Simulator()
-        sw = Switch(sim, "sw", switching_delay=1e-5)
+        sw = Switch(sim, "sw")
         out = Link(sim, rate_bps=424e3, prop_delay=0.0)
         departed = []
         out.sink_train = lambda t: departed.extend(c.seqno for c in t.cells)

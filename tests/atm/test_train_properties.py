@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.atm.qos import ServiceCategory, TrafficContract
 from repro.atm.simulator import Simulator
+from repro.atm.switch import SWITCHING_DELAY
 from repro.atm.topology import star_campus
 
 from tests.atm.reference import RefModel
@@ -85,7 +86,7 @@ def _reference(net, sizes, gaps, n_vcs=1):
     parameters."""
     up = net.links[("a", "sw0")]
     model = RefModel(rate_bps=up.rate_bps, prop_delay=up.prop_delay,
-                     switching_delay=net.switches["sw0"].switching_delay)
+                     switching_delay=SWITCHING_DELAY)
     for _ in range(n_vcs):
         model.open_vc(_CONTRACT)
     t = _schedule(sizes, gaps, n_vcs, model.at, model.send)
@@ -216,7 +217,7 @@ def _drive_loop(n, rounds, req_sizes, rep_sizes, offsets):
 def _reference_loop(net, n, rounds, req_sizes, rep_sizes, offsets):
     up = net.links[("a", "sw0")]
     model = RefModel(rate_bps=up.rate_bps, prop_delay=up.prop_delay,
-                     switching_delay=net.switches["sw0"].switching_delay,
+                     switching_delay=SWITCHING_DELAY,
                      hosts=_loop_hosts(n))
     loop = _ClosedLoop(n, rounds, req_sizes, rep_sizes, model.send)
     model.react = loop.react

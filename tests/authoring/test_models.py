@@ -103,7 +103,8 @@ class TestTimeline:
         assert [e.object_name for e in tl.entries] == ["a", "b"]
 
     def test_duplicate_object_rejected(self):
-        tl = Timeline([TimelineEntry("a", 0.0, 1.0)])
+        tl = Timeline()
+        tl.add(TimelineEntry("a", 0.0, 1.0))
         with pytest.raises(AuthoringError):
             tl.add(TimelineEntry("a", 1.0, 1.0))
 
@@ -112,8 +113,9 @@ class TestTimeline:
             TimelineEntry("a", 0.0, 1.0, preempted_by="c")
 
     def test_validate_against_known_objects(self):
-        tl = Timeline([TimelineEntry("a", 0.0, 1.0,
-                                     preempted_by="c", preempt_next="b")])
+        tl = Timeline()
+        tl.add(TimelineEntry("a", 0.0, 1.0,
+                             preempted_by="c", preempt_next="b"))
         tl.validate({"a", "b", "c"})
         with pytest.raises(AuthoringError):
             tl.validate({"a", "b"})

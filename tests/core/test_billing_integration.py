@@ -9,8 +9,8 @@ from tests.core.test_resume_and_multiuser import deploy_long_course
 
 def test_registration_and_sessions_billed():
     mits = deploy_long_course()
-    billing = BillingService(Tariff(per_registration=40,
-                                    per_session_minute=0.60))
+    fee = Tariff().per_registration
+    billing = BillingService()
     mits.database.server.billing = billing
 
     nav = mits.add_user("payer").navigator
@@ -22,7 +22,7 @@ def test_registration_and_sessions_billed():
     mits.wait(nav.register_for_course("LC1"))
     # duplicate registration is free
     mits.wait(nav.register_for_course("LC1"))
-    assert billing.balance(number) == 40.0
+    assert billing.balance(number) == fee
 
     nav.enter_classroom("LC1", "long-course")
     mits.sim.run(until=mits.sim.now + 10)
@@ -30,7 +30,7 @@ def test_registration_and_sessions_billed():
     mits.sim.run(until=mits.sim.now + 3)
 
     stmt = billing.statement(number)
-    assert stmt["by_kind"]["registration"]["amount"] == 40.0
+    assert stmt["by_kind"]["registration"]["amount"] == fee
     session = stmt["by_kind"]["session"]
     assert session["quantity"] == pytest.approx(position / 60.0)
 

@@ -37,7 +37,7 @@ def deploy(topology="star", **kwargs):
     mits.wait(author.publish_courseware(
         compiled, courseware_id="atm-101", title="ATM Networks",
         program="networking", keywords=["networks/atm", "broadband"],
-        introduction_ref="atm-intro-video", author="prof"))
+        introduction_ref="atm-intro-video"))
     mits.wait(author.publish_course(
         course_code="ELG5376", name="ATM Networks", program="networking",
         courseware_id="atm-101"))
@@ -254,6 +254,37 @@ class TestSchoolFeatures:
         unknown = mits.wait(nav.ask_facilitator("meaning of life?"))
         assert unknown["answered"] is False
         assert mits.facilitator.service.facilitator.pending
+
+    def test_forwarded_question_is_answered_by_mail(self):
+        mits = deploy()
+        nav = mits.add_user("user1").navigator
+        nav.start()
+        nav.register("Ada")
+        mits.sim.run(until=mits.sim.now + 5)
+        number = nav.student["student_number"]
+        unknown = mits.wait(nav.ask_facilitator("meaning of life?"))
+        assert unknown["answered"] is False
+        facilitator = mits.facilitator.service.facilitator
+        facilitator.answer_pending(lambda student, q: f"{student}: 42")
+        answered_at = mits.sim.now
+        mail = mits.wait(nav.school.read_mail(number))
+        assert [(m["sender"], m["body"], m["sent_at"]) for m in mail] == \
+            [("facilitator", f"{number}: 42", answered_at)]
+        assert facilitator.pending == []
+
+    def test_bulletin_post_stamped_with_sim_time(self):
+        mits = deploy()
+        nav = mits.add_user("user1").navigator
+        nav.start()
+        nav.register("Ada")
+        mits.sim.run(until=mits.sim.now + 5)
+        posted_at = mits.sim.now
+        assert posted_at > 0.0
+        mits.facilitator.service.bulletin.post(
+            "school.announcements", "admin", "Late news", "exam moved")
+        posts = mits.wait(nav.read_bulletin("school.announcements"))
+        assert [(p["subject"], p["posted_at"]) for p in posts] == \
+            [("Late news", posted_at)]
 
     def test_conference_between_users(self):
         mits = deploy()

@@ -10,9 +10,11 @@ class TestKeywordTree:
     def test_add_and_contains(self):
         tree = KeywordTree()
         tree.add("networks/atm/cells")
-        assert tree.contains("networks")
-        assert tree.contains("networks/atm/cells")
-        assert not tree.contains("networks/ip")
+        assert tree.subtree("networks")["keyword"] == "networks"
+        assert tree.subtree("networks/atm/cells") == \
+            {"keyword": "cells", "children": []}
+        with pytest.raises(DatabaseError):
+            tree.subtree("networks/ip")
 
     def test_subtree_value(self):
         tree = KeywordTree()
@@ -41,8 +43,17 @@ class TestKeywordTree:
         tree.add("networks/atm/cells")
         tree.add("networks/atm/qos")
         tree.add("education")
-        assert tree.leaves() == ["education", "networks/atm/cells",
-                                 "networks/atm/qos"]
+
+        def leaves(node, prefix):
+            path = f"{prefix}/{node['keyword']}" if prefix else node["keyword"]
+            if not node["children"]:
+                return [path]
+            return [leaf for child in node["children"]
+                    for leaf in leaves(child, path)]
+
+        assert [leaf for child in tree.subtree()["children"]
+                for leaf in leaves(child, "")] == \
+            ["education", "networks/atm/cells", "networks/atm/qos"]
 
 
 class TestInvertedIndex:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.database.store import ObjectStore
+from repro.database.store import ObjectStore, Transaction
 from repro.util.errors import DatabaseError
 
 
@@ -20,26 +20,11 @@ class TestDirectAccess:
     def test_get_or_none(self):
         assert ObjectStore().get_or_none("c", "k") is None
 
-    def test_delete(self):
-        store = ObjectStore()
-        store.put("c", "k", 1)
-        store.delete("c", "k")
-        assert not store.exists("c", "k")
-        with pytest.raises(DatabaseError):
-            store.delete("c", "k")
-
     def test_keys_sorted(self):
         store = ObjectStore()
         for k in ("b", "a", "c"):
             store.put("c", k, k)
         assert store.keys("c") == ["a", "b", "c"]
-
-    def test_scan(self):
-        store = ObjectStore()
-        for i in range(5):
-            store.put("c", str(i), i)
-        assert store.scan("c", lambda v: v % 2 == 0) == [
-            ("0", 0), ("2", 2), ("4", 4)]
 
     def test_collections_isolated(self):
         store = ObjectStore()
@@ -50,28 +35,28 @@ class TestDirectAccess:
 class TestTransactions:
     def test_commit_applies_writes(self):
         store = ObjectStore()
-        tx = store.transaction()
+        tx = Transaction(store)
         tx.put("c", "k", 1)
         tx.commit()
         assert store.get("c", "k") == 1
 
     def test_uncommitted_writes_invisible(self):
         store = ObjectStore()
-        tx = store.transaction()
+        tx = Transaction(store)
         tx.put("c", "k", 1)
         assert not store.exists("c", "k")
 
     def test_read_your_own_writes(self):
         store = ObjectStore()
-        tx = store.transaction()
+        tx = Transaction(store)
         tx.put("c", "k", 1)
         assert tx.get("c", "k") == 1
 
     def test_write_write_conflict_detected(self):
         store = ObjectStore()
         store.put("c", "k", 0)
-        t1 = store.transaction()
-        t2 = store.transaction()
+        t1 = Transaction(store)
+        t2 = Transaction(store)
         t1.put("c", "k", 1)
         t2.put("c", "k", 2)
         t1.commit()
@@ -83,40 +68,30 @@ class TestTransactions:
     def test_read_write_conflict_detected(self):
         store = ObjectStore()
         store.put("c", "k", 0)
-        t1 = store.transaction()
+        t1 = Transaction(store)
         assert t1.get("c", "k") == 0
         store.put("c", "k", 99)   # concurrent writer
         t1.put("c", "other", 1)
         with pytest.raises(DatabaseError):
             t1.commit()
 
-    def test_delete_in_transaction(self):
-        store = ObjectStore()
-        store.put("c", "k", 1)
-        tx = store.transaction()
-        tx.delete("c", "k")
-        with pytest.raises(DatabaseError):
-            tx.get("c", "k")
-        tx.commit()
-        assert not store.exists("c", "k")
-
     def test_context_manager_commits(self):
         store = ObjectStore()
-        with store.transaction() as tx:
+        with Transaction(store) as tx:
             tx.put("c", "k", 5)
         assert store.get("c", "k") == 5
 
     def test_context_manager_aborts_on_exception(self):
         store = ObjectStore()
         with pytest.raises(RuntimeError):
-            with store.transaction() as tx:
+            with Transaction(store) as tx:
                 tx.put("c", "k", 5)
                 raise RuntimeError("boom")
         assert not store.exists("c", "k")
 
     def test_finished_transaction_unusable(self):
         store = ObjectStore()
-        tx = store.transaction()
+        tx = Transaction(store)
         tx.commit()
         with pytest.raises(DatabaseError):
             tx.put("c", "k", 1)
@@ -130,7 +105,7 @@ class TestTransactions:
         store = ObjectStore()
         mirror = {}
         for key, value in writes:
-            with store.transaction() as tx:
+            with Transaction(store) as tx:
                 tx.put("c", key, value)
             mirror[key] = value
         for key, value in mirror.items():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hytime.sgml import SgmlElement, SgmlParser, write_sgml
+from repro.hytime.sgml import SgmlElement, SgmlParser
 from repro.util.errors import DecodingError
 
 parser = SgmlParser()
@@ -79,15 +79,3 @@ class TestTreeQueries:
         c = root.children[1].children[0]
         assert c.path() == [1, 0]
         assert root.path() == []
-
-
-
-
-class TestWriter:
-    def test_roundtrip(self):
-        text = ('<doc id="d"><p a="1">hi &amp; bye</p><q/></doc>')
-        root = parser.parse(text)
-        again = parser.parse(write_sgml(root))
-        assert again.attributes == root.attributes
-        assert [c.name for c in again.children] == ["p", "q"]
-        assert again.children[0].text.strip() == "hi & bye"

@@ -43,7 +43,7 @@ class TestMediaObject:
         assert obj.bitrate_bps() is None
 
     def test_describe(self):
-        desc = video_obj().describe()
-        assert desc["media_type"] == "video"
-        assert desc["size"] == 1000
-        assert desc["duration"] == pytest.approx(2.0)
+        obj = video_obj()
+        assert obj.media_type.value == "video"
+        assert obj.size == 1000
+        assert obj.duration == pytest.approx(2.0)

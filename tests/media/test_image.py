@@ -5,8 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis import HealthCheck
 
-from repro.media.image import ImageCodec, psnr, quant_table
+from repro.media.image import ImageCodec, quant_table
 from repro.util.errors import DecodingError, EncodingError
+
+
+def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB (infinite for identical images)."""
+    if original.shape != reconstructed.shape:
+        raise ValueError("shape mismatch")
+    mse = np.mean((original.astype(np.float64)
+                   - reconstructed.astype(np.float64)) ** 2)
+    if mse == 0:
+        return float("inf")
+    return 10.0 * np.log10(255.0 ** 2 / mse)
 
 
 def smooth_image(shape, seed=0):

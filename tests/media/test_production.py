@@ -75,7 +75,7 @@ class TestProducedAssets:
 
     def test_describe_includes_basics(self):
         pc = MediaProductionCenter()
-        desc = pc.produce_video("v", seconds=0.5).describe()
-        assert desc["media_type"] == "video"
-        assert desc["size"] > 0
-        assert desc["frame_rate"] == 10.0
+        video = pc.produce_video("v", seconds=0.5)
+        assert video.media_type.value == "video"
+        assert video.size > 0
+        assert video.attributes["frame_rate"] == 10.0

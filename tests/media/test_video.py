@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.media.image import psnr
+from tests.media.test_image import psnr
 from repro.media.production import MediaProductionCenter
 from repro.media.video import VideoCodec, VideoStream
 from repro.util.errors import DecodingError, EncodingError

@@ -7,13 +7,21 @@ from repro.mheg import GenericValueClass, MhegCodec
 from repro.mheg.identifiers import MhegIdentifier
 from repro.mheg.asn1 import (
     APPLICATION, CONTEXT, UNIVERSAL, _decode_identifier, _decode_length,
-    _encode_identifier, _encode_length, decode_value, encode_value,
+    _encode_identifier, _encode_length, encode_value, parse_value,
 )
 from repro.util.errors import DecodingError, EncodingError
 
 from tests.mheg.reference_ber import (
     reference_encode, reference_identifier, reference_length,
 )
+
+
+def decode_value(data):
+    """Parse the one BER value that fills *data*, as ``MhegCodec.decode``
+    parses a unit's body."""
+    value, end = parse_value(data, 0)
+    assert end == len(data), f"{len(data) - end} bytes after the value"
+    return value
 
 
 class TestIdentifierOctets:
@@ -73,9 +81,10 @@ class TestLengths:
             decode_value(data[:3])
 
     def test_trailing_bytes_rejected(self):
-        data = encode_value(b"hello")
-        with pytest.raises(DecodingError, match="trailing"):
-            decode_value(data + b"\x00")
+        unit = MhegCodec().encode(
+            GenericValueClass(identifier=MhegIdentifier("t", 1), value=42))
+        with pytest.raises(DecodingError, match="MHEG wrapper"):
+            MhegCodec().decode(unit + b"\x00")
 
     def test_indefinite_length_rejected(self):
         with pytest.raises(DecodingError, match="indefinite"):

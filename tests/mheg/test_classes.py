@@ -52,8 +52,12 @@ class TestContent:
         inc = ContentClass(identifier=mid(1), content_hook="SIMG", data=b"abc")
         ref_ = ContentClass(identifier=mid(2), content_hook="SIMG",
                             content_ref="img-1")
-        assert inc.included
-        assert not ref_.included
+        inc.validate()
+        ref_.validate()
+        both = ContentClass(identifier=mid(3), content_hook="SIMG",
+                            data=b"abc", content_ref="img-1")
+        with pytest.raises(EncodingError):
+            both.validate()
 
     def test_multiplexed_needs_streams(self):
         obj = MultiplexedContentClass(identifier=mid(1), content_hook="SMPG",

@@ -7,7 +7,7 @@ from repro.mheg import (
     ActionVerb, AudioContentClass, CompositeClass, ElementaryAction,
     MhegCodec, MhegEngine,
 )
-from repro.mheg.asn1 import decode_value, parse_value
+from repro.mheg.asn1 import parse_value
 from repro.mheg.identifiers import MhegIdentifier, ref
 from repro.mheg.runtime import RtState, _ALLOWED
 from repro.util.errors import DecodingError, EncodingError, PresentationError
@@ -123,7 +123,7 @@ class TestCodecFuzz:
     def test_random_bytes_never_crash_value_parser(self, data):
         """Garbage input raises DecodingError, never anything else."""
         try:
-            decode_value(data)
+            parse_value(data, 0)
         except DecodingError:
             pass
 

@@ -1,4 +1,4 @@
-"""Tests for the synchronisation spec builders (Fig 2.6)."""
+"""Tests for the synchronisation specs (Fig 2.6)."""
 
 import pytest
 
@@ -21,32 +21,36 @@ class TestBuilders:
                             "first": str(A), "second": str(B)})
 
     def test_elementary_offsets(self):
-        spec = sync.elementary(A, 0.0, B, 2.5)
-        sync.validate_spec(spec)
-        assert spec["entries"][1]["time"] == 2.5
+        sync.validate_spec({"kind": "elementary", "entries": [
+            {"target": str(A), "time": 0.0},
+            {"target": str(B), "time": 2.5}]})
 
     def test_elementary_rejects_negative(self):
         with pytest.raises(AuthoringError):
-            sync.elementary(A, -1.0, B, 0.0)
+            sync.validate_spec({"kind": "elementary", "entries": [
+                {"target": str(A), "time": -1.0},
+                {"target": str(B), "time": 0.0}]})
 
     def test_timeline_many_entries(self):
-        spec = sync.timeline([(A, 0.0), (B, 1.0), (C, 2.0)])
-        sync.validate_spec(spec)
-        assert len(spec["entries"]) == 3
+        sync.validate_spec({"kind": "elementary", "entries": [
+            {"target": str(r), "time": t}
+            for r, t in ((A, 0.0), (B, 1.0), (C, 2.0))]})
 
     def test_cyclic(self):
-        spec = sync.cyclic(A, period=1.5, repetitions=4)
+        spec = {"kind": "cyclic", "target": str(A), "period": 1.5,
+                "repetitions": 4}
         sync.validate_spec(spec)
+        sync.validate_spec(dict(spec, repetitions=None))
         with pytest.raises(AuthoringError):
-            sync.cyclic(A, period=0)
+            sync.validate_spec(dict(spec, period=0))
         with pytest.raises(AuthoringError):
-            sync.cyclic(A, period=1, repetitions=0)
+            sync.validate_spec(dict(spec, repetitions=0))
 
     def test_chained(self):
-        spec = sync.chained([A, B, C])
-        sync.validate_spec(spec)
+        sync.validate_spec({"kind": "chained",
+                            "targets": [str(A), str(B), str(C)]})
         with pytest.raises(AuthoringError):
-            sync.chained([])
+            sync.validate_spec({"kind": "chained", "targets": []})
 
 
 class TestValidateSpec:

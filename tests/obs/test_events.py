@@ -6,6 +6,7 @@ import pytest
 
 from repro.atm.simulator import Simulator
 from repro.obs import FlightRecorder
+from repro.obs.events import CAPACITY
 
 
 class TestRecording:
@@ -31,28 +32,29 @@ class TestRecording:
 
 class TestRing:
     def test_capacity_bounds_memory_and_counts_evictions(self):
-        rec = FlightRecorder(clock=lambda: 0.0, capacity=5)
-        for i in range(12):
+        rec = FlightRecorder(clock=lambda: 0.0)
+        for i in range(CAPACITY + 7):
             rec.record("x", "tick", i=i)
-        assert len(rec.events) == 5
-        assert rec.recorded == 12
+        assert len(rec.events) == CAPACITY
+        assert rec.recorded == CAPACITY + 7
         assert rec.dropped == 7
         # newest events survive
-        assert [e.attrs["i"] for e in rec.events] == [7, 8, 9, 10, 11]
+        assert [e.attrs["i"] for e in rec.events] == \
+            list(range(7, CAPACITY + 7))
 
     def test_sink_sees_every_evicted_event(self):
         streamed = []
-        rec = FlightRecorder(clock=lambda: 0.0, capacity=4)
+        rec = FlightRecorder(clock=lambda: 0.0)
         rec.sink = streamed.append
-        for i in range(10):
+        for i in range(CAPACITY + 6):
             rec.record("x", "tick", i=i)
-        assert len(rec.events) == 4
-        assert [e.attrs["i"] for e in streamed] == list(range(10))
+        assert len(rec.events) == CAPACITY
+        assert [e.attrs["i"] for e in streamed] == list(range(CAPACITY + 6))
         assert streamed[rec.dropped:] == rec.events
 
     def test_clear_resets_counters(self):
-        rec = FlightRecorder(clock=lambda: 0.0, capacity=2)
-        for _ in range(3):
+        rec = FlightRecorder(clock=lambda: 0.0)
+        for _ in range(CAPACITY + 1):
             rec.record("x", "y")
         rec.clear()
         assert rec.events == []

@@ -51,7 +51,7 @@ def _run(ops, capacity, sink):
     for op in ops:
         kind = op[0]
         if kind == "counter":
-            registry.counter("work", f"c{op[1]}").inc(op[2])
+            registry.counter("work", f"c{op[1]}").value += op[2]
         elif kind == "gauge":
             registry.gauge("work", "level", slot=op[1]).set(op[2])
         elif kind == "hist":

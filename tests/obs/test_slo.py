@@ -1,5 +1,7 @@
 """Tests for SLO evaluation over metrics reports."""
 
+import json
+
 import pytest
 
 from repro.obs import DEFAULT_SLOS, MetricsRegistry, Slo, SloMonitor
@@ -15,12 +17,11 @@ class TestEvaluation:
     def test_histogram_slo_pass_and_fail(self):
         slo = Slo("rtt", "connection", "rtt_seconds", stat="p99",
                   threshold=0.25)
-        monitor = SloMonitor([slo])
-        [ok] = monitor.evaluate(
+        ok = slo.evaluate(
             {"connection": {"rtt_seconds": [hist_entry(10, 0.1)]}})
         assert ok.ok and not ok.skipped
         assert ok.observed == 0.1
-        [bad] = monitor.evaluate(
+        bad = slo.evaluate(
             {"connection": {"rtt_seconds": [hist_entry(10, 0.9)]}})
         assert not bad.ok
         assert bad.observed == 0.9
@@ -30,7 +31,7 @@ class TestEvaluation:
                   threshold=0.25)
         report = {"connection": {"rtt_seconds": [
             hist_entry(5, 0.05), hist_entry(5, 0.4), hist_entry(5, 0.1)]}}
-        [r] = SloMonitor([slo]).evaluate(report)
+        r = slo.evaluate(report)
         assert r.observed == 0.4
         assert not r.ok
 
@@ -39,14 +40,14 @@ class TestEvaluation:
                   threshold=0.25)
         report = {"connection": {"rtt_seconds": [
             hist_entry(0, None), hist_entry(3, 0.2)]}}
-        [r] = SloMonitor([slo]).evaluate(report)
+        r = slo.evaluate(report)
         assert r.ok
         assert r.observed == 0.2
 
     def test_missing_metric_skips_not_fails(self):
         slo = Slo("preroll", "player", "startup_delay_seconds",
                   stat="p99", threshold=2.0)
-        [r] = SloMonitor([slo]).evaluate({})
+        r = slo.evaluate({})
         assert r.skipped
         assert r.ok
         assert r.observed is None
@@ -57,7 +58,7 @@ class TestEvaluation:
         report = {"link": {"drops_total": [
             {"type": "counter", "value": 2},
             {"type": "counter", "value": 4}]}}
-        [r] = SloMonitor([slo]).evaluate(report)
+        r = slo.evaluate(report)
         assert r.observed == 6.0
         assert not r.ok
 
@@ -67,7 +68,7 @@ class TestEvaluation:
         report = {"link": {
             "drops_total": [{"type": "counter", "value": 5}],
             "cells_transmitted": [{"type": "counter", "value": 1000}]}}
-        [r] = SloMonitor([slo]).evaluate(report)
+        r = slo.evaluate(report)
         assert r.observed == pytest.approx(0.005)
         assert r.ok
 
@@ -77,7 +78,7 @@ class TestEvaluation:
         report = {"link": {
             "drops_total": [{"type": "counter", "value": 0}],
             "cells_transmitted": [{"type": "counter", "value": 0}]}}
-        [r] = SloMonitor([slo]).evaluate(report)
+        r = slo.evaluate(report)
         assert r.skipped
 
     def test_gte_objective(self):
@@ -85,7 +86,7 @@ class TestEvaluation:
                   threshold=10.0, op=">=")
         report = {"link": {"goodput": [
             hist_entry(4, 0.0, min=12.0), hist_entry(4, 0.0, min=8.0)]}}
-        [r] = SloMonitor([slo]).evaluate(report)
+        r = slo.evaluate(report)
         # for >= the worst instrument is the smallest
         assert r.observed == 8.0
         assert not r.ok
@@ -97,13 +98,12 @@ class TestEvaluation:
 
 class TestSummary:
     def test_summary_is_json_stable_and_aggregates_pass(self):
-        slo = Slo("rtt", "connection", "rtt_seconds", stat="p99",
-                  threshold=0.25)
-        monitor = SloMonitor([slo])
+        monitor = SloMonitor()
         good = monitor.summary(
             {"connection": {"rtt_seconds": [hist_entry(1, 0.01)]}})
         assert good["pass"] is True
-        assert good["results"][0]["name"] == "rtt"
+        assert good["results"][0]["name"] == DEFAULT_SLOS[0].name
+        json.dumps(good)
         bad = monitor.summary(
             {"connection": {"rtt_seconds": [hist_entry(1, 1.0)]}})
         assert bad["pass"] is False

@@ -16,7 +16,7 @@ def make_sim_with_work(duration=10.0, step=0.5):
     hist = sim.metrics.histogram("work", "latency_seconds")
 
     def tick(i):
-        counter.inc(10)
+        counter.value += 10
         gauge.set(i % 4)
         hist.observe(0.001 * (i + 1))
 
@@ -97,13 +97,13 @@ class TestCounterReset:
         counter = sim.metrics.counter("work", "items_done")
         sampler = TelemetrySampler(sim, interval=1.0)
         sampler.start()
-        counter.inc(100)
+        counter.value += 100
         sim.schedule(1.0, lambda: None)
         sim.run(until=1.5)  # sample sees value=100
 
         sim.metrics.reset()  # fresh instruments, counts restart at 0
         fresh = sim.metrics.counter("work", "items_done")
-        fresh.inc(5)
+        fresh.value += 5
         sim.schedule(1.0, lambda: None)
         sim.run(until=3.5)
 
@@ -180,7 +180,11 @@ class TestRollups:
         full = series.rollup()
         assert full["min"] == 0.0 and full["max"] == 9.0
         assert full["mean"] == pytest.approx(4.5)
-        last3 = series.rollup(window=3)
+        # the ring is the window: a three-slot series rolls up the last 3
+        short = Series("c", "n", {}, "gauge", capacity=3)
+        for i in range(10):
+            short.record(float(i), float(i))
+        last3 = short.rollup()
         assert last3["min"] == 7.0 and last3["count"] == 3
 
     def test_empty_rollup(self):

@@ -2,7 +2,14 @@
 
 from repro.atm.simulator import Simulator
 from repro.obs import TraceContext, Tracer
-from repro.obs.tracing import NULL_SPAN
+from repro.obs.tracing import MAX_SPANS, NULL_SPAN
+
+
+def _enabled(clock):
+    """A tracer switched on, as MitsSystem(tracing=True) does."""
+    tr = Tracer(clock=clock)
+    tr.enabled = True
+    return tr
 
 
 class TestDisabled:
@@ -18,7 +25,7 @@ class TestDisabled:
 class TestSpans:
     def test_span_records_simulated_interval(self):
         sim = Simulator()
-        tr = Tracer(clock=lambda: sim.now, enabled=True)
+        tr = _enabled(lambda: sim.now)
         sp = tr.span("download", course="B101")
         sim.schedule(2.5, sp.end)
         sim.run()
@@ -31,7 +38,7 @@ class TestSpans:
 
     def test_nesting_assigns_parents(self):
         t = [0.0]
-        tr = Tracer(clock=lambda: t[0], enabled=True)
+        tr = _enabled(lambda: t[0])
         with tr.span("outer") as outer:
             t[0] = 1.0
             with tr.span("inner"):
@@ -42,7 +49,7 @@ class TestSpans:
         assert outer_rec.parent_id is None
 
     def test_context_manager_records_error(self):
-        tr = Tracer(clock=lambda: 0.0, enabled=True)
+        tr = _enabled(lambda: 0.0)
         try:
             with tr.span("boom"):
                 raise ValueError("x")
@@ -52,22 +59,23 @@ class TestSpans:
         assert rec.attrs["error"] == "ValueError"
 
     def test_double_end_is_idempotent(self):
-        tr = Tracer(clock=lambda: 0.0, enabled=True)
+        tr = _enabled(lambda: 0.0)
         sp = tr.span("once")
         sp.end()
         sp.end()
         assert len(tr.spans) == 1
 
     def test_bounded_with_drop_count(self):
-        tr = Tracer(clock=lambda: 0.0, enabled=True, max_spans=10)
-        for i in range(25):
+        tr = _enabled(lambda: 0.0)
+        for i in range(MAX_SPANS + 15):
             tr.span(f"s{i}").end()
-        assert len(tr.spans) == 10
+        assert len(tr.spans) == MAX_SPANS
         assert tr.dropped == 15
+        assert tr.spans[0].name == "s15"
 
     def test_aggregate_groups_by_name(self):
         t = [0.0]
-        tr = Tracer(clock=lambda: t[0], enabled=True)
+        tr = _enabled(lambda: t[0])
         for dur in (1.0, 3.0):
             sp = tr.span("load")
             t[0] += dur
@@ -84,30 +92,30 @@ class TestTraceContext:
         assert tr.span("x").context is None
 
     def test_roots_mint_distinct_trace_ids(self):
-        tr = Tracer(clock=lambda: 0.0, enabled=True)
+        tr = _enabled(lambda: 0.0)
         a, b = tr.span("a"), tr.span("b")
         assert a.trace_id != b.trace_id
         assert a.parent_id is None and b.parent_id is None
 
     def test_children_inherit_the_trace_id(self):
-        tr = Tracer(clock=lambda: 0.0, enabled=True)
+        tr = _enabled(lambda: 0.0)
         with tr.span("root") as root:
             child = tr.span("child")
         assert child.trace_id == root.trace_id
         assert child.parent_id == root.span_id
 
     def test_explicit_parent_beats_ambient_context(self):
-        tr = Tracer(clock=lambda: 0.0, enabled=True)
+        tr = _enabled(lambda: 0.0)
         other = tr.span("other")
         with tr.span("ambient"):
-            by_span = tr.span("a", parent=other)
-            by_ctx = tr.span("b", parent=other.context)
-        assert by_span.parent_id == other.span_id
-        assert by_span.trace_id == other.trace_id
-        assert by_ctx.parent_id == other.span_id
+            token = tr.attach(other.context)
+            child = tr.span("a")
+            tr.detach(token)
+        assert child.parent_id == other.span_id
+        assert child.trace_id == other.trace_id
 
     def test_attach_token_restores_displaced_context(self):
-        tr = Tracer(clock=lambda: 0.0, enabled=True)
+        tr = _enabled(lambda: 0.0)
         first = TraceContext(trace_id=7, span_id=1)
         second = TraceContext(trace_id=7, span_id=2)
         assert tr.current is None
@@ -120,7 +128,7 @@ class TestTraceContext:
         assert tr.current is None
 
     def test_bare_span_leaves_ambient_context_untouched(self):
-        tr = Tracer(clock=lambda: 0.0, enabled=True)
+        tr = _enabled(lambda: 0.0)
         with tr.span("root") as root:
             sp = tr.span("bare")
             assert tr.current == root.context
@@ -134,7 +142,7 @@ class TestInterleavedCallbacks:
         must all parent to the ambient root, regardless of the order in
         which they end.  The old stack-based tracer re-parented later
         spans onto whichever unfinished span happened to sit on top."""
-        tr = Tracer(clock=lambda: 0.0, enabled=True)
+        tr = _enabled(lambda: 0.0)
         with tr.span("root") as root:
             a = tr.span("cb-a")       # callback A starts work
             b = tr.span("cb-b")       # callback B starts before A ends
@@ -176,7 +184,7 @@ class TestInterleavedCallbacks:
 class TestAggregates:
     def test_aggregate_has_quantiles_and_mean(self):
         t = [0.0]
-        tr = Tracer(clock=lambda: t[0], enabled=True)
+        tr = _enabled(lambda: t[0])
         for dur in (1.0, 2.0, 3.0, 4.0):
             sp = tr.span("load")
             t[0] += dur
@@ -191,7 +199,7 @@ class TestAggregates:
 
     def test_single_sample_quantiles(self):
         t = [0.0]
-        tr = Tracer(clock=lambda: t[0], enabled=True)
+        tr = _enabled(lambda: t[0])
         sp = tr.span("one")
         t[0] = 0.5
         sp.end()

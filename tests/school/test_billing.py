@@ -17,14 +17,15 @@ class TestTariff:
 
 class TestLedger:
     def test_registration_charge(self):
-        billing = BillingService(Tariff(per_registration=50))
+        billing = BillingService()
         billing.record_registration("S1", "ELG5376")
-        assert billing.balance("S1") == 50.0
+        assert billing.balance("S1") == Tariff().per_registration
 
     def test_session_charged_by_minute(self):
-        billing = BillingService(Tariff(per_session_minute=0.30))
+        billing = BillingService()
         billing.record_session("S1", "ELG5376", seconds=600)
-        assert billing.balance("S1") == pytest.approx(3.0)
+        assert billing.balance("S1") == pytest.approx(
+            10 * Tariff().per_session_minute)
 
     def test_negative_quantities_rejected(self):
         billing = BillingService()
@@ -32,8 +33,8 @@ class TestLedger:
             billing.record_session("S1", "c", seconds=-1)
 
     def test_statement_grouped(self):
-        billing = BillingService(Tariff(per_registration=10,
-                                        per_session_minute=1.0))
+        tariff = Tariff()
+        billing = BillingService()
         billing.record_registration("S1", "A")
         billing.record_session("S1", "A", seconds=60)
         billing.record_session("S1", "A", seconds=120)
@@ -41,14 +42,16 @@ class TestLedger:
         assert stmt["entries"] == 3
         assert stmt["by_kind"]["session"]["items"] == 2
         assert stmt["by_kind"]["session"]["quantity"] == pytest.approx(3.0)
-        assert stmt["total"] == pytest.approx(13.0)
+        assert stmt["total"] == pytest.approx(
+            tariff.per_registration + 3 * tariff.per_session_minute)
 
     def test_ledgers_isolated(self):
-        billing = BillingService(Tariff(per_registration=10))
+        billing = BillingService()
         billing.record_registration("S1", "A")
         billing.record_registration("S2", "A")
-        assert billing.balance("S1") == 10
-        assert billing.balance("S2") == 10
+        billing.record_registration("S2", "B")
+        assert billing.balance("S1") == Tariff().per_registration
+        assert billing.balance("S2") == 2 * Tariff().per_registration
 
     def test_unknown_student_zero(self):
         assert BillingService().balance("ghost") == 0.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.school.bulletin import BulletinBoard
-from repro.school.discussion import DiscussionService, Facilitator
+from repro.school.discussion import FACILITATOR, DiscussionService, Facilitator
 from repro.school.exercise import (
     Exercise, ExerciseService, MultipleChoiceQuestion, NumericQuestion,
     TextQuestion,
@@ -11,44 +11,28 @@ from repro.school.exercise import (
 from repro.util.errors import DatabaseError
 
 
+def _clock():
+    return 0.0
+
+
 class TestBulletin:
     def test_default_groups(self):
-        board = BulletinBoard()
+        board = BulletinBoard(_clock)
         for group in BulletinBoard.DEFAULT_GROUPS:
             assert board.list_posts(group) == []
 
     def test_post_and_list(self):
-        board = BulletinBoard()
-        board.post("school.courses", "prof", "New ATM course", "enrol now",
-                   now=1.0)
+        board = BulletinBoard(lambda: 1.0)
+        board.post("school.courses", "prof", "New ATM course", "enrol now")
         posts = board.list_posts("school.courses")
         assert posts[0]["subject"] == "New ATM course"
+        assert posts[0]["posted_at"] == 1.0
 
     def test_unknown_group_rejected(self):
         with pytest.raises(DatabaseError):
-            BulletinBoard().post("ghost", "a", "s", "b")
+            BulletinBoard(_clock).post("ghost", "a", "s", "b")
         with pytest.raises(DatabaseError):
-            BulletinBoard().list_posts("ghost")
-
-    def test_threading(self):
-        board = BulletinBoard()
-        root = board.post("school.courses", "prof", "Q1 answers", "...")
-        reply = board.post("school.courses", "stud", "Re: Q1", "why?",
-                           in_reply_to=root.post_id)
-        nested = board.post("school.courses", "prof", "Re: Re: Q1",
-                            "because", in_reply_to=reply.post_id)
-        thread = board.thread(nested.post_id)
-        assert [p.post_id for p in thread] == [root.post_id, reply.post_id,
-                                               nested.post_id]
-
-    def test_reply_to_missing_post_rejected(self):
-        board = BulletinBoard()
-        with pytest.raises(DatabaseError):
-            board.post("school.courses", "a", "s", "b", in_reply_to=99)
-
-    def test_read_missing_post(self):
-        with pytest.raises(DatabaseError):
-            BulletinBoard().read(1)
+            BulletinBoard(_clock).list_posts("ghost")
 
 
 class TestQuestions:
@@ -160,7 +144,7 @@ class TestDiscussion:
 
 class TestFacilitator:
     def test_faq_match(self):
-        f = Facilitator()
+        f = Facilitator(DiscussionService(), _clock)
         f.teach(["atm", "cell"], "53 bytes")
         f.teach(["mheg", "object"], "coded multimedia unit")
         assert f.ask("S1", "How big is an ATM cell?") == "53 bytes"
@@ -168,21 +152,26 @@ class TestFacilitator:
             "coded multimedia unit"
 
     def test_best_overlap_wins(self):
-        f = Facilitator()
+        f = Facilitator(DiscussionService(), _clock)
         f.teach(["atm"], "general ATM answer")
         f.teach(["atm", "cell", "header"], "header answer")
         assert f.ask("S1", "what is in the atm cell header") == \
             "header answer"
 
     def test_unmatched_queued(self):
-        f = Facilitator()
+        f = Facilitator(DiscussionService(), _clock)
         assert f.ask("S1", "what about quantum teleportation") is None
         assert f.pending == [("S1", "what about quantum teleportation")]
 
     def test_answer_pending(self):
-        f = Facilitator()
+        discussion = DiscussionService()
+        f = Facilitator(discussion, lambda: 7.0)
         f.ask("S1", "hard question")
         out = f.answer_pending(lambda s, q: f"dear {s}: it depends")
-        assert out == [("S1", "hard question", "dear S1: it depends")]
+        assert [m.summary() for m in discussion.read_mail("S1")] == \
+            [m.summary() for m in out]
+        assert out[0].sender == FACILITATOR
+        assert out[0].body == "dear S1: it depends"
+        assert out[0].sent_at == 7.0
         assert f.pending == []
         assert f.answered == 1

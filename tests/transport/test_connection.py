@@ -5,7 +5,7 @@ import pytest
 from repro.atm import Simulator, TrafficContract, ServiceCategory
 from repro.atm.topology import star_campus
 from repro.transport.connection import (
-    MAX_FRAGMENT_BODY, RTO_MAX, Connection, connect_pair,
+    MAX_FRAGMENT_BODY, RTO_MAX, RTO_MIN, Connection, connect_pair,
 )
 from repro.transport.messages import FLAG_MORE_FRAGMENTS, Message, MessageType
 from repro.util.errors import DecodingError, NetworkError
@@ -103,11 +103,6 @@ class TestReliableDelivery:
         assert ca.stats.sent == 1
         assert cb.stats.delivered == 1
         assert cb.stats.acks_sent >= 1
-
-    def test_window_validation(self):
-        sim, net, ca, cb = setup_pair()
-        with pytest.raises(ValueError):
-            Connection(sim, ca.endpoint, window=0)
 
 
 class TestFragmentation:
@@ -246,7 +241,7 @@ class TestAdaptiveRto:
     def test_rto_clamped_to_floor_and_ceiling(self):
         sim, net, ca, cb = setup_pair()
         ca._observe_rtt(1e-6)
-        assert ca.rto == ca.rto_min
+        assert ca.rto == RTO_MIN
         cb._observe_rtt(10.0)
         assert cb.rto == RTO_MAX
 

@@ -10,7 +10,7 @@ from repro.transport.messages import Message, MessageType
 from repro.transport.rpc import RpcClient, RpcServer, SharedProcessor
 
 
-def lossy_pair(error_rate, seed=1, rto=0.02):
+def lossy_pair(error_rate, seed=1):
     """One lossy hop on the forward path.
 
     With ~15-cell frames, per-cell loss p gives per-attempt frame
@@ -24,7 +24,7 @@ def lossy_pair(error_rate, seed=1, rto=0.02):
     net, _ = star_campus(sim, ["a", "b"])
     net.links[("sw0", "b")].set_error_rate(error_rate, seed)
     contract = TrafficContract(ServiceCategory.UBR, pcr=366e3)
-    ca, cb = connect_pair(sim, net, "a", "b", contract, rto=rto)
+    ca, cb = connect_pair(sim, net, "a", "b", contract)
     return sim, net, ca, cb
 
 

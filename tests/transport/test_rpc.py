@@ -5,16 +5,19 @@ import pytest
 from repro.atm import Simulator, TrafficContract, ServiceCategory
 from repro.atm.topology import star_campus
 from repro.transport.connection import connect_pair
-from repro.transport.rpc import RpcClient, RpcError, RpcServer
+from repro.transport.rpc import (
+    STREAM_CHUNK_BYTES, RpcClient, RpcError, RpcServer, SharedProcessor,
+)
 
 
-def setup_rpc(service_time=0.0, buffer_cells=1024):
+def setup_rpc(service_time=None, buffer_cells=1024):
     sim = Simulator()
     net, _ = star_campus(sim, ["client", "server"], buffer_cells=buffer_cells)
     contract = TrafficContract(ServiceCategory.UBR, pcr=366e3)
     cc, cs = connect_pair(sim, net, "client", "server", contract)
     client = RpcClient(sim, cc)
-    server = RpcServer(sim, cs, service_time=service_time)
+    cpu = SharedProcessor(sim, service_time) if service_time else None
+    server = RpcServer(sim, cs, processor=cpu)
     return sim, client, server
 
 
@@ -116,13 +119,14 @@ class TestStreams:
 
     def test_stream_respects_chunk_size(self):
         sim, client, server = setup_rpc()
-        server.chunk_size = 1000
-        server.register_stream("clip", lambda p: [bytes(4500)])
+        size = 2 * STREAM_CHUNK_BYTES + 500
+        server.register_stream("clip", lambda p: [bytes(size)])
         rx = client.open_stream("clip")
         sim.run(until=10.0)
         assert rx.finished
-        assert len(rx.data) == 4500
-        assert all(len(c) <= 1000 for c in rx.chunks)
+        assert len(rx.data) == size
+        assert [len(c) for c in rx.chunks] == \
+            [STREAM_CHUNK_BYTES, STREAM_CHUNK_BYTES, 500]
 
     def test_stream_timing_recorded(self):
         sim, client, server = setup_rpc()
@@ -141,20 +145,3 @@ class TestStreams:
         sim.run(until=1.0)
         assert not rx.finished
         assert rx.chunks == []
-
-
-class TestServerCloning:
-    def test_clone_shares_registry(self):
-        sim = Simulator()
-        net, _ = star_campus(sim, ["c1", "c2", "server"])
-        contract = TrafficContract(ServiceCategory.UBR, pcr=366e3)
-        cc1, cs1 = connect_pair(sim, net, "c1", "server", contract)
-        cc2, cs2 = connect_pair(sim, net, "c2", "server", contract)
-        server1 = RpcServer(sim, cs1)
-        server1.register("hello", lambda p: f"hi {p}")
-        server2 = server1.clone_for(cs2)
-        r1, r2 = [], []
-        RpcClient(sim, cc1).call("hello", "one", on_result=r1.append)
-        RpcClient(sim, cc2).call("hello", "two", on_result=r2.append)
-        sim.run(until=2.0)
-        assert r1 == ["hi one"] and r2 == ["hi two"]

@@ -14,13 +14,13 @@ from repro.transport.messages import Message, MessageType
 from repro.transport.rpc import RpcClient, RpcServer
 
 
-def lossy_pair(error_rate, seed=1, rto=0.02):
+def lossy_pair(error_rate, seed=1):
     sim = Simulator()
     net, _ = star_campus(sim, ["a", "b"])
     if error_rate:
         net.links[("sw0", "b")].set_error_rate(error_rate, seed)
     contract = TrafficContract(ServiceCategory.UBR, pcr=366e3)
-    ca, cb = connect_pair(sim, net, "a", "b", contract, rto=rto)
+    ca, cb = connect_pair(sim, net, "a", "b", contract)
     return sim, net, ca, cb
 
 

@@ -51,12 +51,6 @@ class TestBitReader:
         with pytest.raises(DecodingError):
             r.read(1)
 
-    def test_align_skips_to_boundary(self):
-        r = BitReader(b"\xff\x01")
-        r.read(3)
-        r.align()
-        assert r.read(8) == 1
-
 
 class TestRoundTrip:
     @given(st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 24)),
