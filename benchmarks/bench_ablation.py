@@ -213,11 +213,11 @@ def test_static_vs_dynamic(benchmark, catalog):
     def run_both():
         # static: no clicks -> the learner never leaves page one
         p1 = CoursewarePresenter(
-            local_resolver=lambda key: catalog[key].data)
+            Simulator(), local_resolver=lambda key: catalog[key].data)
         p1.load_blob(hyper.encode())
         p1.preload()
         p1.start()
-        p1.advance(10.0)
+        p1.sim.run(until=10.0)
         static_seen = set(p1.visible())
         static_playing = p1.playing
 
@@ -229,13 +229,13 @@ def test_static_vs_dynamic(benchmark, catalog):
 
         # dynamic: the scenario advances unaided through both sections
         p2 = CoursewarePresenter(
-            local_resolver=lambda key: catalog[key].data)
+            Simulator(), local_resolver=lambda key: catalog[key].data)
         p2.load_blob(imd.encode())
         p2.preload()
         p2.start()
         seen = set()
         for _ in range(14):
-            p2.advance(0.5)
+            p2.sim.run(until=p2.sim.now + 0.5)
             seen.update(p2.visible())
         return static_seen, static_playing, wandering, seen, p2.playing
 

@@ -8,6 +8,7 @@ MHEG object graphs.
 
 import pytest
 
+from repro.atm.simulator import Simulator
 from repro.authoring.courseware import (
     Button, EntryField, Hyperobject, Menu, OutputObject,
 )
@@ -69,7 +70,7 @@ def test_courseware_library(benchmark):
     counts = {i: len(e.objects) for i, e in enumerate(expansions)}
     benchmark.extra_info["objects_per_template"] = counts
     # hyperobject graph actually runs: click -> linked output presents
-    engine = MhegEngine()
+    engine = MhegEngine(Simulator())
     engine.content_resolver = lambda key: b"x"
     hyper = expansions[-1]
     for obj in hyper.objects:

@@ -7,13 +7,14 @@ behaviour structures, including dynamic pre-emption.
 
 import pytest
 
+from repro.atm.simulator import Simulator
 from repro.mheg.runtime import RtState
 from repro.navigator.presenter import CoursewarePresenter
 
 
 def presenter_for(compiled, catalog):
     presenter = CoursewarePresenter(
-        local_resolver=lambda key: catalog[key].data)
+        Simulator(), local_resolver=lambda key: catalog[key].data)
     presenter.load_blob(compiled.encode())
     presenter.preload()
     return presenter
@@ -48,7 +49,7 @@ def test_imd_atm_course(benchmark, compiled_imd, catalog):
         presenter.start()
         timeline = []
         for t in (0.5, 2.5, 4.5, 6.5):
-            presenter.advance(t - presenter.position())
+            presenter.sim.run(until=t)
             timeline.append((t, set(presenter.visible())))
         return presenter, timeline
 
@@ -62,7 +63,7 @@ def test_imd_atm_course(benchmark, compiled_imd, catalog):
     # dynamic interaction: pre-empt text1 at t=1 (< t2=2)
     presenter2 = presenter_for(compiled_imd, catalog)
     presenter2.start()
-    presenter2.advance(1.0)
+    presenter2.sim.run(until=1.0)
     presenter2.click("choice1")
     assert "image1" in presenter2.visible()
     assert "text1" not in presenter2.visible()
@@ -70,7 +71,7 @@ def test_imd_atm_course(benchmark, compiled_imd, catalog):
     # behaviour rule: the stop button stops the AV objects
     presenter3 = presenter_for(compiled_imd, catalog)
     presenter3.start()
-    presenter3.advance(0.5)
+    presenter3.sim.run(until=0.5)
     presenter3.click("stop-btn")
     assert "text1" not in presenter3.visible()
     assert "audio1" not in presenter3.visible()

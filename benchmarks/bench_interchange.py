@@ -70,7 +70,7 @@ def test_container_packing(benchmark):
     blob = codec.encode(sample_container(n_contents=50))
 
     def unpack():
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.receive(blob)
         return engine
 
@@ -95,8 +95,8 @@ def test_engine_to_engine(benchmark):
                                    scr=50000, mbs=300)
         conn_a, conn_b = connect_pair(sim, net, "site-a", "site-b",
                                       contract)
-        engine_a = MhegEngine(sim=sim, name="A")
-        engine_b = MhegEngine(sim=sim, name="B")
+        engine_a = MhegEngine(sim, name="A")
+        engine_b = MhegEngine(sim, name="B")
         engine_a.store(cont)
 
         received = []

@@ -8,6 +8,7 @@ figure prescribes (model reuse, rt independence).
 
 import pytest
 
+from repro.atm.simulator import Simulator
 from repro.mheg import (
     AudioContentClass, ContainerClass, MhegCodec, MhegEngine,
 )
@@ -30,11 +31,11 @@ def test_full_lifecycle(benchmark):
     blob = make_blob()
 
     def cycle():
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.receive(blob)                      # (a) -> (b)
         rt = engine.new_runtime(ref("lc", 0))     # (b) -> (c)
         engine.run(rt)
-        engine.advance(2.0)                       # auto-stop at 1.0
+        engine.sim.run(until=2.0)                 # auto-stop at 1.0
         engine.delete_runtime(rt)                 # (c) removed
         engine.destroy(ref("lc", 0))              # (b) removed
         return engine
@@ -48,7 +49,7 @@ def test_runtime_copies_do_not_affect_model(benchmark):
     blob = make_blob(1)
 
     def run():
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.receive(blob)
         rts = [engine.new_runtime(ref("lc", 0)) for _ in range(50)]
         for rt in rts[::2]:
@@ -70,7 +71,7 @@ def test_decode_scaling(benchmark):
     def decode_all():
         out = []
         for n in sizes:
-            engine = MhegEngine()
+            engine = MhegEngine(Simulator())
             engine.receive(blobs[n])
             out.append(len(engine.stored_ids()))
         return out

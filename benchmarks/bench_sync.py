@@ -8,6 +8,7 @@ finished, display the image").
 
 import pytest
 
+from repro.atm.simulator import Simulator
 from repro.mheg import (
     AudioContentClass, CompositeClass, ContainerClass, ImageContentClass,
     MhegCodec, MhegEngine, ScriptClass,
@@ -24,7 +25,7 @@ def mid(n):
 
 
 def engine_with(objects):
-    engine = MhegEngine()
+    engine = MhegEngine(Simulator())
     for obj in objects:
         engine.store(obj)
     return engine
@@ -58,9 +59,9 @@ def test_application_script_sync(benchmark):
         engine = engine_with([audio(1, duration=9.0), image(2), script])
         rt = engine.new_runtime(ref(APP, 10))
         engine.run(rt)
-        engine.advance(0.5)
+        engine.sim.run(until=0.5)
         mid_state = engine.runtime(ref(APP, 2, 1)).state
-        engine.advance(2.0)
+        engine.sim.run(until=2.0)
         return engine, mid_state
 
     engine, mid_state = benchmark(run)
@@ -81,7 +82,7 @@ def test_atomic_elementary(benchmark):
                        "first": f"{APP}/1", "second": f"{APP}/2"})])
         engine.run(engine.new_runtime(ref(APP, 20)))
         results["serial_b_at_0.5"] = engine.runtime(ref(APP, 2, 1)).state
-        engine.advance(1.5)
+        engine.sim.run(until=1.5)
         results["serial_b_at_1.5"] = engine.runtime(ref(APP, 2, 1)).state
 
         # atomic parallel: A with B
@@ -101,9 +102,9 @@ def test_atomic_elementary(benchmark):
                 {"target": f"{APP}/1", "time": 0.0},
                 {"target": f"{APP}/2", "time": 2.5}]})])
         engine3.run(engine3.new_runtime(ref(APP, 20)))
-        engine3.advance(2.0)
+        engine3.sim.run(until=2.0)
         results["elementary_b_at_2"] = engine3.runtime(ref(APP, 2, 1)).state
-        engine3.advance(3.0)
+        engine3.sim.run(until=3.0)
         results["elementary_b_at_3"] = engine3.runtime(ref(APP, 2, 1)).state
         return results
 
@@ -125,7 +126,7 @@ def test_cyclic_and_chained(benchmark):
                        "period": 0.5, "repetitions": 4})])
         rt = engine.new_runtime(ref(APP, 20))
         engine.run(rt)
-        engine.advance(5.0)
+        engine.sim.run(until=5.0)
         child = engine.children_of(rt)[f"{APP}/1"]
         cycles = sum(1 for e in engine.events
                      if e.source == child and e.attribute == "presentation"
@@ -139,7 +140,7 @@ def test_cyclic_and_chained(benchmark):
                        "targets": [f"{APP}/1", f"{APP}/2", f"{APP}/3"]})])
         rt2 = engine2.new_runtime(ref(APP, 20))
         engine2.run(rt2)
-        engine2.advance(2.0)
+        engine2.sim.run(until=2.0)
         order = [e.source for e in engine2.events
                  if e.attribute == "presentation" and e.new == "running"
                  and not e.source.startswith(f"{APP}/20")]
@@ -163,7 +164,7 @@ def test_conditional_sync(benchmark):
             sync_spec={"kind": "elementary", "entries": [
                 {"target": f"{APP}/1", "time": 0.0}]})])
         engine.run(engine.new_runtime(ref(APP, 20)))
-        engine.advance(2.0)
+        engine.sim.run(until=2.0)
         return engine
 
     engine = benchmark(run)

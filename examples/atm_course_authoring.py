@@ -18,6 +18,7 @@ a scripted user, printing the screen state over time.
 Run:  python examples/atm_course_authoring.py
 """
 
+from repro.atm.simulator import Simulator
 from repro.authoring import (
     CoursewareEditor, InteractiveDocument, Scene, SceneObject, Section,
     TimelineEntry, architecture_by_name,
@@ -103,13 +104,13 @@ def main() -> None:
     # playback with a scripted user
     print("\nplayback (user clicks 'choice1' at t=1.0):")
     presenter = CoursewarePresenter(
-        local_resolver=lambda key: catalog[key].data)
+        Simulator(), local_resolver=lambda key: catalog[key].data)
     presenter.load_blob(blob)
     presenter.preload()
     presenter.start()
     for t, action in [(0.5, None), (1.0, "choice1"), (1.5, None),
                       (4.5, None), (6.5, None)]:
-        presenter.advance(t - presenter.position())
+        presenter.sim.run(until=t)
         if action:
             presenter.click(action)
         print(f"  t={t:4.1f}  visible={presenter.visible()}")

@@ -10,6 +10,7 @@ like any single-author course.
 Run:  python examples/collaborative_authoring.py
 """
 
+from repro.atm.simulator import Simulator
 from repro.authoring import (
     CollaborativeSession, CoursewareEditor, InteractiveDocument,
     SceneObject, TimelineEntry,
@@ -81,14 +82,14 @@ def main() -> None:
     compiled = CoursewareEditor("joint", catalog=catalog) \
         .compile_imd(session.document)
     presenter = CoursewarePresenter(
-        local_resolver=lambda key: catalog[key].data)
+        Simulator(), local_resolver=lambda key: catalog[key].data)
     presenter.load_blob(compiled.encode())
     presenter.preload()
     presenter.start()
     print("t=0.5 on screen:", presenter.visible())
-    presenter.advance(1.6)
+    presenter.sim.run(until=1.6)
     print("t=1.6 on screen:", presenter.visible(), "(Bob's section)")
-    presenter.advance(2.0)
+    presenter.sim.run(until=3.6)
     print("course finished:", not presenter.playing)
 
 

@@ -18,6 +18,7 @@ Run:  python examples/hypermedia_library.py
 
 import time
 
+from repro.atm.simulator import Simulator
 from repro.authoring import (
     CoursewareEditor, HyperDocument, NavigationLink, Page, PageItem,
     architecture_by_name,
@@ -99,7 +100,7 @@ def main() -> None:
     t0 = time.perf_counter()
     for _ in range(50):
         presenter = CoursewarePresenter(
-            local_resolver=lambda key: catalog[key].data)
+            Simulator(), local_resolver=lambda key: catalog[key].data)
         presenter.load_blob(mheg_blob)
     mheg_ms = (time.perf_counter() - t0) / 50 * 1e3
     t0 = time.perf_counter()
@@ -111,7 +112,7 @@ def main() -> None:
 
     # navigate: entry -> quiz -> wrong -> retry -> right -> entry
     presenter = CoursewarePresenter(
-        local_resolver=lambda key: catalog[key].data)
+        Simulator(), local_resolver=lambda key: catalog[key].data)
     presenter.load_blob(mheg_blob)
     presenter.preload()
     presenter.start()

@@ -291,8 +291,11 @@ class Simulator:
         only when no runnable event remains at or before *until*: if
         the *max_events* budget stops us mid-timeline, the clock stays
         at the last executed event so a subsequent ``run`` resumes
-        without ever moving time backwards.
+        without ever moving time backwards.  An *until* already in the
+        past runs nothing and leaves the clock where it is.
         """
+        if until is not None and until < self._now:
+            return self._now
         count = 0
         queue = self._queue
         outer = self._until

@@ -66,7 +66,6 @@ class BehaviorRule:
     trigger: BehaviorCondition
     actions: List[BehaviorAction]
     additional: List[BehaviorCondition] = field(default_factory=list)
-    once: bool = False
 
     def __post_init__(self) -> None:
         if not self.actions:

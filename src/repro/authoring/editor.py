@@ -188,8 +188,7 @@ class CoursewareEditor:
                 identifier=self._alloc(), trigger_conditions=[trigger],
                 additional_conditions=additional,
                 effect=ActionClass(identifier=self._alloc(),
-                                   actions=actions),
-                once=rule.once)
+                                   actions=actions))
             objects.append(link)
         return objects
 

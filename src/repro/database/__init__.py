@@ -3,8 +3,8 @@
 MITS stored courseware in ObjectStore, a commercial object-oriented
 database on a SUN/ULTRA workstation.  This subpackage replaces it:
 
-* :mod:`repro.database.store` — an object store with named
-  collections, optimistic transactions, and secondary indexes;
+* :mod:`repro.database.store` — an object store of named
+  collections;
 * :mod:`repro.database.index` — the keyword tree and inverted index
   behind ``GetKeywordTree`` / ``GetDocByKeyword`` (§5.5);
 * :mod:`repro.database.schema` — the records MITS keeps: courseware,
@@ -16,7 +16,7 @@ database on a SUN/ULTRA workstation.  This subpackage replaces it:
   ``Get_Selected_Doc``, ...) over the transport layer.
 """
 
-from repro.database.store import ObjectStore, Transaction
+from repro.database.store import ObjectStore
 from repro.database.index import KeywordTree, InvertedIndex
 from repro.database.schema import (
     ContentRecord, CoursewareRecord, CourseRecord, LibraryDocument,
@@ -30,7 +30,6 @@ from repro.database.persistence import restore, snapshot
 
 __all__ = [
     "ObjectStore",
-    "Transaction",
     "KeywordTree",
     "InvertedIndex",
     "ContentRecord",

@@ -11,7 +11,7 @@ application-level synchronisation of Fig 2.5:
 
     new video course/1 as 1 on main      # create rt copy on a channel
     run course/1#1                       # start presentation
-    wait 2.5                             # advance the script clock
+    wait 2.5                             # pause the script 2.5 s
     set course/1#1 volume 80             # rendition parameter
     stop course/1#1
     delete course/1#1

@@ -5,19 +5,15 @@ into form (b), creates and drives form (c) run-time objects, and
 interprets links and actions — the conditional and spatial-temporal
 synchronisation that makes a courseware presentation interactive.
 
-The engine can run in two modes:
-
-* **attached** to a :class:`~repro.atm.simulator.Simulator` — delays
-  and durations schedule on simulated time, which is how the full MITS
-  deployment runs it;
-* **standalone** — it keeps an internal event heap and the caller
-  advances time with :meth:`advance`, which is how unit tests and the
-  courseware editor's preview use it.
+The engine runs on its site's :class:`~repro.atm.simulator.Simulator`:
+delays, durations and script waits schedule on the simulator's clock,
+and the engine records into the simulator's metrics registry, tracer
+and flight recorder.  A caller lets a presentation progress with
+``sim.run(until=...)``.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -36,9 +32,6 @@ from repro.mheg.runtime import (
     Channel, RtKind, RtObject, RtState, rt_kind_for,
 )
 from repro.mheg.sync import validate_spec
-from repro.obs.events import FlightRecorder
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
 from repro.util.errors import PresentationError
 
 
@@ -68,7 +61,7 @@ class _Watcher:
 class MhegEngine:
     """Decode, hold, instantiate, and drive MHEG objects."""
 
-    def __init__(self, sim=None, *, name: str = "engine") -> None:
+    def __init__(self, sim, *, name: str = "engine") -> None:
         self.sim = sim
         self.name = name
         self.codec = MhegCodec()
@@ -97,64 +90,24 @@ class MhegEngine:
         self._auto_stops: Dict[str, Any] = {}
         self._scripts: Dict[str, "_ScriptRun"] = {}
         self.events: List[EngineEvent] = []
-        # standalone clock
-        self._local_time = 0.0
-        self._local_queue: List[Tuple[float, int, Callable, tuple]] = []
-        self._local_seq = itertools.count()
-        self.stats = {"decoded": 0, "encoded": 0, "links_fired": 0,
-                      "actions_applied": 0, "rt_created": 0}
-        #: attached engines record into the deployment-wide registry,
-        #: tracer, and flight recorder; standalone engines own private
-        #: ones (tracing stays disabled there unless a test enables it)
-        self.metrics = sim.metrics if sim is not None else MetricsRegistry()
-        self.tracer = sim.tracer if sim is not None \
-            else Tracer(clock=lambda: self._local_time)
-        self.recorder = sim.recorder if sim is not None \
-            else FlightRecorder(clock=lambda: self._local_time)
-        self._m_links_fired = self.metrics.counter("mheg", "links_fired",
-                                                   engine=name)
-        self._m_actions = self.metrics.counter("mheg", "actions_applied",
-                                               engine=name)
-        self._m_rt_created = self.metrics.counter("mheg", "rt_created",
-                                                  engine=name)
+        #: counts the registry reads through, each bumped once per fact
+        self.links_fired = 0
+        self.actions_applied = 0
+        self.rt_created = 0
+        for field in ("links_fired", "actions_applied", "rt_created"):
+            sim.metrics.read_through("mheg", field, self, field, engine=name)
         #: skew between when a sync-spec entry was due and when the
         #: engine actually ran it (elementary/cyclic synchronisation)
-        self._m_sync_skew = self.metrics.histogram("mheg", "sync_skew_seconds",
-                                                   engine=name)
-
-    # -- time ---------------------------------------------------------------
+        self._m_sync_skew = sim.metrics.histogram(
+            "mheg", "sync_skew_seconds", engine=name)
 
     @property
-    def now(self) -> float:
-        return self.sim.now if self.sim is not None else self._local_time
-
-    def schedule(self, delay: float, fn: Callable, *args: Any) -> Any:
-        if self.sim is not None:
-            return self.sim.schedule(delay, fn, *args)
-        entry = [self._local_time + delay, next(self._local_seq), fn, args, False]
-        heapq.heappush(self._local_queue, entry)
-        return entry
-
-    def cancel(self, handle: Any) -> None:
-        if handle is None:
-            return
-        if self.sim is not None:
-            handle.cancel()
-        else:
-            handle[4] = True
-
-    def advance(self, until: float) -> None:
-        """Standalone mode: run internal timers up to absolute *until*."""
-        if self.sim is not None:
-            raise PresentationError(
-                "advance() is for standalone engines; run the simulator")
-        while self._local_queue and self._local_queue[0][0] <= until:
-            t, _seq, fn, args, cancelled = heapq.heappop(self._local_queue)
-            if cancelled:
-                continue
-            self._local_time = t
-            fn(*args)
-        self._local_time = max(self._local_time, until)
+    def stats(self) -> Dict[str, int]:
+        """This engine's counts (the registry sums them over the
+        engines that share its name)."""
+        return {"links_fired": self.links_fired,
+                "actions_applied": self.actions_applied,
+                "rt_created": self.rt_created}
 
     # -- object store (form a -> form b) --------------------------------------
 
@@ -164,10 +117,9 @@ class MhegEngine:
         Containers are unpacked: every carried object is stored
         individually (and the container itself kept for provenance).
         """
-        with self.tracer.span("mheg.receive", engine=self.name,
-                              bytes=len(data)) as span:
+        with self.sim.tracer.span("mheg.receive", engine=self.name,
+                                  bytes=len(data)) as span:
             obj = self.codec.decode(data)
-            self.stats["decoded"] += 1
             self.store(obj)
             span.set(object=str(obj.identifier))
         return obj
@@ -181,9 +133,7 @@ class MhegEngine:
 
     def encode(self, reference: ObjectReference) -> bytes:
         """Re-encode a stored object for onward interchange."""
-        data = self.codec.encode(self.get(reference))
-        self.stats["encoded"] += 1
-        return data
+        return self.codec.encode(self.get(reference))
 
     def get(self, reference: ObjectReference) -> MhObject:
         key = str(reference.identifier)
@@ -211,7 +161,8 @@ class MhegEngine:
         key = str(obj.identifier)
         if key in self._prepared:
             return
-        with self.tracer.span("mheg.prepare", engine=self.name, object=key):
+        with self.sim.tracer.span("mheg.prepare", engine=self.name,
+                                  object=key):
             if isinstance(obj, ContentClass) and obj.content_ref is not None:
                 if obj.content_ref not in self.content_cache:
                     if self.content_resolver is None:
@@ -274,8 +225,7 @@ class MhegEngine:
             rt.stream_enabled = {s.stream_id: True
                                  for s in model.streams}
         self._rt[str(rt_ref)] = rt
-        self.stats["rt_created"] += 1
-        self._m_rt_created.inc()
+        self.rt_created += 1
         if isinstance(model, CompositeClass):
             children: Dict[str, str] = {}
             for comp_ref in model.components:
@@ -372,7 +322,7 @@ class MhegEngine:
     # -- events and links -------------------------------------------------------
 
     def _emit(self, source: str, attribute: str, old: Any, new: Any) -> None:
-        event = EngineEvent(time=self.now, source=source,
+        event = EngineEvent(time=self.sim.now, source=source,
                             attribute=attribute, old=old, new=new)
         self.events.append(event)
         self._dispatch(event)
@@ -430,10 +380,9 @@ class MhegEngine:
             observed = self.get_status(cond.source, cond.attribute)
             if not cond.evaluate(observed):
                 return
-        self.stats["links_fired"] += 1
-        self._m_links_fired.inc()
-        ambient = self.tracer.current
-        self.recorder.record(
+        self.links_fired += 1
+        ambient = self.sim.tracer.current
+        self.sim.recorder.record(
             "mheg", "link_fired", engine=self.name,
             trace_id=ambient.trace_id if ambient is not None else None,
             link=str(link.identifier))
@@ -454,14 +403,13 @@ class MhegEngine:
             if delay <= 0:
                 self.apply(ea)
             else:
-                self.schedule(delay, self.apply, ea)
+                self.sim.schedule(delay, self.apply, ea)
 
     # -- elementary action interpreter -----------------------------------------
 
     def apply(self, action: ElementaryAction) -> None:
         """Interpret one elementary action (Fig 4.5c verbs)."""
-        self.stats["actions_applied"] += 1
-        self._m_actions.inc()
+        self.actions_applied += 1
         verb, target, params = action.verb, action.target, action.parameters
         if verb is ActionVerb.PREPARE:
             self.prepare(target)
@@ -554,7 +502,7 @@ class MhegEngine:
         if rt.state is RtState.RUNNING:
             return
         old = rt.transition(RtState.RUNNING)
-        rt.started_at = self.now
+        rt.started_at = self.sim.now
         self.channels[rt.channel].enter(rt.ref_str)
         self._emit(rt.ref_str, "state", old.value, rt.state.value)
         self._emit(rt.ref_str, "presentation", "not-running", "running")
@@ -568,8 +516,8 @@ class MhegEngine:
             self.activate_script(rt)
 
     def _schedule_auto_stop(self, rt: RtObject, remaining: float) -> None:
-        handle = self.schedule(remaining, self._auto_stop, rt.ref_str)
-        self._auto_stops[rt.ref_str] = (handle, self.now, remaining)
+        handle = self.sim.schedule(remaining, self._auto_stop, rt.ref_str)
+        self._auto_stops[rt.ref_str] = (handle, self.sim.now, remaining)
 
     def _auto_stop(self, rt_ref: str) -> None:
         self._auto_stops.pop(rt_ref, None)
@@ -582,7 +530,7 @@ class MhegEngine:
             return
         self._cancel_auto_stop(rt)
         old = rt.transition(RtState.STOPPED)
-        rt.stopped_at = self.now
+        rt.stopped_at = self.sim.now
         self.channels[rt.channel].leave(rt.ref_str)
         if rt.kind is RtKind.COMPOSITE:
             self._teardown_composite(rt)
@@ -597,9 +545,10 @@ class MhegEngine:
         entry = self._auto_stops.pop(rt.ref_str, None)
         if entry is not None:
             handle, started, remaining = entry
-            self.cancel(handle)
-            left = max(0.0, remaining - (self.now - started))
-            self._auto_stops[rt.ref_str] = (None, self.now, left)
+            if handle is not None:
+                handle.cancel()
+            left = max(0.0, remaining - (self.sim.now - started))
+            self._auto_stops[rt.ref_str] = (None, self.sim.now, left)
         old = rt.transition(RtState.PAUSED)
         self._emit(rt.ref_str, "state", old.value, rt.state.value)
         self._emit(rt.ref_str, "presentation", "running", "not-running")
@@ -618,7 +567,7 @@ class MhegEngine:
     def _cancel_auto_stop(self, rt: RtObject) -> None:
         entry = self._auto_stops.pop(rt.ref_str, None)
         if entry is not None and entry[0] is not None:
-            self.cancel(entry[0])
+            entry[0].cancel()
 
     def _delete(self, rt: RtObject) -> None:
         if rt.state is RtState.RUNNING or rt.state is RtState.PAUSED:
@@ -686,9 +635,9 @@ class MhegEngine:
                 if entry["time"] <= 0:
                     self.run(child)
                 else:
-                    self.schedule(entry["time"], self._run_if_live,
+                    self.sim.schedule(entry["time"], self._run_if_live,
                                   rt.ref_str, child.ref_str,
-                                  self.now + entry["time"])
+                                  self.sim.now + entry["time"])
         elif kind == "cyclic":
             child = self._child_rt(rt, spec["target"])
             self._cycle(rt.ref_str, child.ref_str, spec["period"],
@@ -702,7 +651,7 @@ class MhegEngine:
     def _run_if_live(self, composite_ref: str, child_ref: str,
                      due: Optional[float] = None) -> None:
         if due is not None:
-            self._m_sync_skew.observe(max(0.0, self.now - due))
+            self._m_sync_skew.observe(max(0.0, self.sim.now - due))
         composite = self._rt.get(composite_ref)
         child = self._rt.get(child_ref)
         if composite is None or composite.state is not RtState.RUNNING:
@@ -714,7 +663,7 @@ class MhegEngine:
                repetitions: Optional[int], iteration: int = 0,
                due: Optional[float] = None) -> None:
         if due is not None:
-            self._m_sync_skew.observe(max(0.0, self.now - due))
+            self._m_sync_skew.observe(max(0.0, self.sim.now - due))
         composite = self._rt.get(composite_ref)
         if composite is None or composite.state is not RtState.RUNNING:
             return
@@ -737,9 +686,9 @@ class MhegEngine:
         if child.state is RtState.RUNNING:
             self.stop(child)
         self.run(child)
-        self.schedule(period, self._cycle, composite_ref, child_ref,
+        self.sim.schedule(period, self._cycle, composite_ref, child_ref,
                       period, repetitions, iteration + 1,
-                      self.now + period)
+                      self.sim.now + period)
 
     def _run_chain(self, rt: RtObject, order: List[str]) -> None:
         if not order:
@@ -753,7 +702,7 @@ class MhegEngine:
                     self._run_if_live(c, n),
                 once=True)
         # serial playback completes the composite when its last element
-        # finishes, so enclosing chains (sections, the document) advance
+        # finishes, so enclosing chains (sections, the document) move on
         self.watch(
             source=order[-1], attribute="presentation",
             predicate=lambda v: v == "not-running",
@@ -816,7 +765,8 @@ class _ScriptRun:
 
     def kill(self) -> None:
         self.alive = False
-        self.engine.cancel(self._pending)
+        if self._pending is not None:
+            self._pending.cancel()
         self._pending = None
 
     def step(self) -> None:
@@ -825,7 +775,8 @@ class _ScriptRun:
             stmt = self.statements[self.pc]
             self.pc += 1
             if stmt.verb == "wait":
-                self._pending = engine.schedule(float(stmt.args[0]), self.step)
+                self._pending = engine.sim.schedule(float(stmt.args[0]),
+                                                   self.step)
                 return
             self._execute(stmt)
         if self.alive:

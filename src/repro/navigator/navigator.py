@@ -22,7 +22,6 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.database.api import DatabaseClient
 from repro.media.text import TextCodec, extract_links
 from repro.navigator.session import LearningSession
-from repro.obs.tracing import Tracer
 from repro.school.service import SchoolClient
 from repro.util.errors import PresentationError
 
@@ -50,14 +49,13 @@ class Navigator:
     """The user-site application."""
 
     def __init__(self, client: DatabaseClient,
-                 school: Optional[SchoolClient] = None, sim=None) -> None:
+                 school: Optional[SchoolClient], sim) -> None:
         self.client = client
         self.school = school
         self.sim = sim
         #: user-interaction spans root here; each cross-site request a
         #: screen triggers becomes a child carried over the wire
-        self._tracer = sim.tracer if sim is not None \
-            else Tracer(clock=lambda: 0.0)
+        self._tracer = sim.tracer
         self.state = NavigatorState.ENTRY
         self.student: Optional[Dict[str, Any]] = None
         self.session: Optional[LearningSession] = None

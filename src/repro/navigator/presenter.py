@@ -4,7 +4,8 @@ The presenter owns a user-site MHEG engine, loads an interchanged
 courseware container, resolves its by-reference content (locally or by
 streaming from the database), and exposes what a GUI front-end needs:
 what is visible, what is clickable, click dispatch, and the current
-position for resume.
+position for resume.  The engine runs on the site's simulator, so
+playback progresses as the simulator runs.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from repro.util.errors import PresentationError
 class CoursewarePresenter:
     """Load and drive one courseware presentation."""
 
-    def __init__(self, sim=None, *, client=None,
+    def __init__(self, sim, *, client=None,
                  local_resolver: Optional[Callable[[str], bytes]] = None,
                  name: str = "presenter") -> None:
         self.sim = sim
         self.client = client          # DatabaseClient for remote content
-        self.engine = MhegEngine(sim=sim, name=name)
+        self.engine = MhegEngine(sim, name=name)
         if local_resolver is not None:
             self.engine.content_resolver = local_resolver
         self.container: Optional[ContainerClass] = None
@@ -36,7 +37,7 @@ class CoursewarePresenter:
         self.root: Optional[ObjectReference] = None
         self.root_rt = None
         self._started_at: Optional[float] = None
-        self._accumulated = 0.0
+        self._resumed_from = 0.0
         self.load_stats: Dict[str, Any] = {}
 
     # -- loading ------------------------------------------------------------
@@ -93,7 +94,7 @@ class CoursewarePresenter:
         and *on_ready* fires when the last one lands.
         """
         refs = self.content_refs()
-        start = self.engine.now
+        start = self.sim.now
         self.load_stats = {"objects": len(refs), "bytes": 0,
                            "load_time": None}
         if self.client is None:
@@ -105,7 +106,7 @@ class CoursewarePresenter:
                 self.engine.content_cache[ref] = data
                 self.load_stats["bytes"] += len(data)
             self._prepare_all()
-            self.load_stats["load_time"] = self.engine.now - start
+            self.load_stats["load_time"] = self.sim.now - start
             if on_ready is not None:
                 on_ready()
             return
@@ -124,7 +125,7 @@ class CoursewarePresenter:
             missing.discard(content_ref)
             if not missing:
                 self._prepare_all()
-                self.load_stats["load_time"] = self.engine.now - start
+                self.load_stats["load_time"] = self.sim.now - start
                 if on_ready is not None:
                     on_ready()
 
@@ -141,22 +142,19 @@ class CoursewarePresenter:
     # -- playback ---------------------------------------------------------------
 
     def start(self, from_position: float = 0.0) -> None:
-        """Instantiate and run the root; optionally resume.
+        """Instantiate and run the root; *from_position* is the saved
+        resume position.
 
-        Resume fast-forwards a standalone engine silently to the saved
-        position; attached to a shared simulator, time cannot jump, so
-        the position is recorded but playback starts at the beginning.
+        The shared clock cannot jump, so playback starts at the
+        beginning; the resume position only keeps :meth:`position` from
+        reporting less than where the learner left off.
         """
         if self.root is None:
             raise PresentationError("no courseware loaded")
         self.root_rt = self.engine.new_runtime(self.root)
         self.engine.run(self.root_rt)
-        self._started_at = self.engine.now
-        self._accumulated = 0.0
-        if from_position > 0 and self.sim is None:
-            self.engine.advance(self.engine.now + from_position)
-            self._accumulated = from_position
-            self._started_at = self.engine.now
+        self._started_at = self.sim.now
+        self._resumed_from = from_position
 
     @property
     def playing(self) -> bool:
@@ -164,14 +162,11 @@ class CoursewarePresenter:
                 and self.root_rt.state is RtState.RUNNING)
 
     def position(self) -> float:
-        """Seconds of presentation elapsed (the resume position)."""
+        """The resume position: seconds of presentation elapsed, never
+        less than the position this playback resumed from."""
         if self._started_at is None:
             return 0.0
-        return self._accumulated + (self.engine.now - self._started_at)
-
-    def advance(self, seconds: float) -> None:
-        """Standalone mode: let the presentation progress."""
-        self.engine.advance(self.engine.now + seconds)
+        return max(self._resumed_from, self.sim.now - self._started_at)
 
     def stop(self) -> float:
         """End the presentation; returns the position for resume."""

@@ -21,13 +21,12 @@ class LearningSession:
 
     def __init__(self, student_number: str, course_code: str,
                  courseware_id: str, client: DatabaseClient,
-                 sim=None) -> None:
+                 sim) -> None:
         self.student_number = student_number
         self.course_code = course_code
         self.courseware_id = courseware_id
         self.client = client
-        self.sim = sim
-        self.presenter = CoursewarePresenter(sim=sim, client=client,
+        self.presenter = CoursewarePresenter(sim, client=client,
                                              name=f"session:{course_code}")
         self.bookmarks: List[str] = []
         self.ready = False

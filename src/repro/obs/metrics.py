@@ -101,7 +101,8 @@ class ReadThrough:
         """``(fn, arg)`` with ``fn(arg) == value``, for a reader that
         reads the same instruments every tick: a single source (an
         integer count, as every source is) is read straight from its
-        field.  Valid until the registry's epoch moves."""
+        field.  Valid until the registry's ``rewired`` count or its
+        epoch moves."""
         if len(self.sources) == 1:
             obj, attr = self.sources[0]
             return attrgetter(attr), obj
@@ -223,11 +224,13 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, str, LabelKey], Any] = {}
-        #: bumped when a registered key's reading changes (a reset, or
-        #: another source for a read-through); a reader may cache its
-        #: walk of the registry while the epoch holds, extending the
-        #: walk as keys are added
+        #: bumped by a reset; a reader may cache its walk of the
+        #: registry while the epoch holds, extending the walk as keys
+        #: are added
         self.epoch = 0
+        #: bumped when a read-through gains another source: a cached
+        #: walk keeps its keys and re-reads its read-through readers
+        self.rewired = 0
 
     def __len__(self) -> int:
         return len(self._instruments)
@@ -255,7 +258,7 @@ class MetricsRegistry:
         inst = self._get(ReadThrough, component, name, labels)
         inst.sources.append((obj, attr))
         if len(inst.sources) > 1:
-            self.epoch += 1
+            self.rewired += 1
         return inst
 
     def gauge(self, component: str, name: str, **labels: Any) -> Gauge:

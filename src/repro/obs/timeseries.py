@@ -266,6 +266,7 @@ class TelemetrySampler:
         self._pairs: List[Tuple[Any, Any]] = []
         self._readers: List[_HistogramReader] = []
         self._walk_epoch: Optional[int] = None
+        self._walk_rewired = 0
         self._dormant = False
         self._tick_event = None
         #: receives ``(now, rows)`` per recorded tick (the streamed archive)
@@ -345,6 +346,7 @@ class TelemetrySampler:
         self.samples += 1
         registry = self.sim.metrics
         if registry.epoch != self._walk_epoch \
+                or registry.rewired != self._walk_rewired \
                 or len(registry._instruments) != len(self._columns):
             self._walk(registry)
         tick = (now, self._columns, [get(arg) for get, arg in self._pairs],
@@ -366,13 +368,22 @@ class TelemetrySampler:
 
     def _walk(self, registry) -> None:
         """Bring the cached walk up to date with *registry*: walk the
-        keys added since the last walk, or, in a new epoch, fold what is
-        pending and walk them all."""
+        keys added since the last walk (re-reading the read-through
+        readers if one gained a source), or, in a new epoch, fold what
+        is pending and walk them all."""
         if registry.epoch != self._walk_epoch:
             self._fold()
             self._walk_epoch = registry.epoch
             self._columns, self._pairs, self._readers = (), [], []
             self._last = None
+        elif registry.rewired != self._walk_rewired:
+            # a read-through gained a source: only its reader changes
+            instruments = registry._instruments
+            for j, column in enumerate(self._columns):
+                inst = instruments[column[0]]
+                if type(inst) is ReadThrough:
+                    self._pairs[j] = inst.reader()
+        self._walk_rewired = registry.rewired
         columns = []
         for key, inst in islice(registry._instruments.items(),
                                 len(self._columns), None):

@@ -15,9 +15,10 @@ snapshot.  Interleaved simulator callbacks can therefore open and
 close spans in any order without corrupting each other's parentage —
 a span opened outside any attached context is simply a new root.
 
-The clock is injected (normally ``lambda: sim.now``) so the tracer
-works for both simulator-attached components and the standalone MHEG
-engine.  Tracing defaults to **off** and is zero-cost when disabled:
+The clock is injected: the :class:`~repro.atm.simulator.Simulator`
+builds the one tracer of a deployment over its own clock, and every
+component, the MHEG engine and the navigator included, records into
+that tracer.  Tracing defaults to **off** and is zero-cost when disabled:
 ``span()`` then returns one shared no-op context manager, so the hot
 path pays a single attribute test.
 

@@ -100,6 +100,9 @@ class StreamReceiver:
         self.on_end = on_end
         self.first_chunk_at: Optional[float] = None
         self.finished_at: Optional[float] = None
+        #: the server's reason when it could not open the stream (no
+        #: chunk follows and ``on_end`` does not fire)
+        self.error: Optional[str] = None
         self._span: Any = NULL_SPAN
         self._ctx: Optional[TraceContext] = None
 
@@ -282,6 +285,11 @@ class RpcClient:
                 finally:
                     tracer.detach(token)
         elif msg.type is MessageType.ERROR:
+            stream = self._streams.pop(msg.corr_id, None)
+            if stream is not None:
+                stream.error = str(load_value(msg.body))
+                stream._span.set(error=stream.error)
+                stream._span.end()
             pending = self._pending.pop(msg.corr_id, None)
             if pending is not None:
                 reason = load_value(msg.body)
@@ -458,7 +466,9 @@ class RpcServer:
         self.requests_served += 1
         if method in self._stream_handlers:
             try:
-                chunks = self._stream_handlers[method](params)
+                # a handler may be a generator: evaluate it here, so a
+                # missing object answers ERROR instead of raising
+                chunks = list(self._stream_handlers[method](params))
             except Exception as exc:
                 self._send(Message(
                     type=MessageType.ERROR, corr_id=corr_id,

@@ -51,6 +51,16 @@ class TestScheduling:
         sim.run(until=7.0)
         assert sim.now == 7.0
 
+    def test_run_until_in_the_past_leaves_the_clock(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(5.0, fired.append, "late")
+        sim.run(until=3.0)
+        assert sim.run(until=1.0) == 3.0 and sim.now == 3.0
+        sim.schedule(0.5, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [3.5, "late"]
+
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         fired = []

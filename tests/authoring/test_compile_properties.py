@@ -4,6 +4,7 @@ and play to completion."""
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.atm.simulator import Simulator
 from repro.authoring import (
     CoursewareEditor, InteractiveDocument, Scene, SceneObject, Section,
     TimelineEntry,
@@ -49,7 +50,7 @@ class TestCompileProperties:
         compiled = CoursewareEditor("prop").compile_imd(doc)
         blob = compiled.encode()
         presenter = CoursewarePresenter(
-            local_resolver=lambda key: b"content")
+            Simulator(), local_resolver=lambda key: b"content")
         presenter.load_blob(blob)
         presenter.preload()
         presenter.start()
@@ -58,7 +59,7 @@ class TestCompileProperties:
         for scene in doc.all_scenes():
             ends = [e.end for e in scene.timeline.entries]
             horizon += 0.0 if None in ends else max(ends, default=0.0)
-        presenter.advance(horizon + 2.0)
+        presenter.sim.run(until=horizon + 2.0)
         # every scheduled object ran exactly once and the course ended
         assert not presenter.playing
         ran = {e.source for e in presenter.engine.events

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.atm.simulator import Simulator
 from repro.authoring import (
     Button, CoursewareEditor, EntryField, HyperDocument, Hyperobject,
     InteractiveDocument, Menu, NavigationLink, OutputObject, Page, PageItem,
@@ -58,7 +59,7 @@ class TestHyperdocCompilation:
 
     def test_navigation_compiles_to_links(self):
         compiled = CoursewareEditor("lib").compile_hyperdoc(hyperdoc())
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.content_resolver = lambda key: b"x"
         engine.receive(compiled.encode())
         root = engine.new_runtime(compiled.root)
@@ -81,7 +82,7 @@ class TestHyperdocCompilation:
 
     def test_choices_are_selectable_media_not(self):
         compiled = CoursewareEditor("lib").compile_hyperdoc(hyperdoc())
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.content_resolver = lambda key: b"x"
         engine.receive(compiled.encode())
         engine.new_runtime(compiled.root)
@@ -98,28 +99,28 @@ class TestHyperdocCompilation:
 class TestImdCompilation:
     def test_scene_timeline_drives_playback(self):
         compiled = CoursewareEditor("atm").compile_imd(imd())
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.content_resolver = lambda key: b"x"
         engine.receive(compiled.encode())
         root = engine.new_runtime(compiled.root)
         engine.run(root)
         clip = engine.resolve_rt_targets(compiled.object_refs["intro/clip"])[0]
         assert clip.state is RtState.RUNNING
-        engine.advance(2.5)
+        engine.sim.run(until=2.5)
         assert clip.state is RtState.STOPPED
-        engine.advance(3.0)
+        engine.sim.run(until=3.0)
         assert root.state is RtState.STOPPED
 
     def test_behavior_link_stops_clip(self):
         compiled = CoursewareEditor("atm").compile_imd(imd())
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.content_resolver = lambda key: b"x"
         engine.receive(compiled.encode())
         root = engine.new_runtime(compiled.root)
         engine.run(root)
         skip = engine.resolve_rt_targets(compiled.object_refs["intro/skip"])[0]
         clip = engine.resolve_rt_targets(compiled.object_refs["intro/clip"])[0]
-        engine.advance(0.5)
+        engine.sim.run(until=0.5)
         engine.select(skip)
         assert clip.state is RtState.STOPPED
 
@@ -135,14 +136,14 @@ class TestImdCompilation:
         scene.timeline.add(TimelineEntry("image1", 5.0, 2.0))
         doc.add_section(Section(name="s", scenes=[scene]))
         compiled = CoursewareEditor("atm").compile_imd(doc)
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.content_resolver = lambda key: b"x"
         engine.receive(compiled.encode())
         engine.run(engine.new_runtime(compiled.root))
         text1 = engine.resolve_rt_targets(compiled.object_refs["sc/text1"])[0]
         image1 = engine.resolve_rt_targets(compiled.object_refs["sc/image1"])[0]
         choice = engine.resolve_rt_targets(compiled.object_refs["sc/choice1"])[0]
-        engine.advance(1.0)
+        engine.sim.run(until=1.0)
         assert text1.state is RtState.RUNNING
         assert image1.state is RtState.INACTIVE
         engine.select(choice)  # user pre-empts at t=1 < t2=5
@@ -159,7 +160,7 @@ class TestImdCompilation:
         doc.add_section(Section(name="s", scenes=[scene]))
         compiled = CoursewareEditor("atm", catalog={"vid-1": vid}) \
             .compile_imd(doc)
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.receive(compiled.encode())
         content = engine.get(compiled.object_refs["sc/clip"])
         assert content.original_duration == pytest.approx(1.5)
@@ -256,7 +257,7 @@ class TestCoursewareLibrary:
                                   content_ref="vid-1")],
             links={"play": "clip"})
         exp = hyper.to_mheg(self.alloc_for())
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.content_resolver = lambda key: b"x"
         for obj in exp.objects:
             engine.store(obj)

@@ -64,6 +64,32 @@ class TestResumeCycle:
         assert resumed["position"] == pytest.approx(first_position)
         nav.leave_classroom()
 
+    def test_short_second_visit_keeps_saved_position(self):
+        """A resumed visit never saves less than where it resumed from:
+        playback restarts at the beginning on the shared clock, so a
+        short second visit must not overwrite the first's progress."""
+        mits = deploy_long_course()
+        nav = mits.add_user("user1").navigator
+        nav.start()
+        nav.register("Returner")
+        mits.sim.run(until=mits.sim.now + 5)
+        number = nav.student["student_number"]
+
+        nav.enter_classroom("LC1", "long-course")
+        mits.sim.run(until=mits.sim.now + 10)
+        first_position = nav.leave_classroom()
+        mits.sim.run(until=mits.sim.now + 2)
+
+        ready = {}
+        nav.enter_classroom("LC1", "long-course",
+                            on_ready=lambda s: ready.setdefault("t", mits.sim.now))
+        mits.sim.run(until=mits.sim.now + 5)
+        assert ready["t"] < mits.sim.now - 1.0
+        assert nav.leave_classroom() == pytest.approx(first_position)
+        mits.sim.run(until=mits.sim.now + 2)
+        saved = mits.wait(nav.client.get_resume(number, "long-course"))
+        assert saved == pytest.approx(first_position)
+
     def test_bookmarks_survive_sessions(self):
         mits = deploy_long_course()
         nav = mits.add_user("user1").navigator

@@ -11,7 +11,7 @@ from repro.authoring import (
 from repro.core import MitsSystem
 from repro.navigator.navigator import NavigatorState
 from repro.school.exercise import Exercise, MultipleChoiceQuestion
-from repro.transport.rpc import RpcError
+from repro.transport.rpc import STREAM_CHUNK_BYTES, RpcError
 from repro.util.errors import PresentationError
 
 
@@ -100,6 +100,24 @@ class TestDeployment:
     def test_telemetry_can_be_disabled(self):
         mits = deploy(telemetry_interval=None)
         assert mits.snapshot()["timeseries"] == {"enabled": False}
+
+    def test_missing_content_answers_error(self):
+        """A stream the content server cannot open comes back as the
+        server's reason; the simulator keeps running."""
+        mits = deploy()
+        client = mits.add_user("user1").client
+        ghost = client.get_content("ghost")
+        notes = client.get_content("atm-notes")
+        mits.sim.run(until=mits.sim.now + 10)
+        assert ghost.error == "no content object 'ghost'"
+        assert not ghost.finished and ghost.chunks == []
+        # content that exists streams in the same chunks as before
+        data = mits.database.db.content.get("atm-notes").data
+        assert notes.finished and notes.error is None
+        assert notes.data == data
+        assert [len(c) for c in notes.chunks] == [
+            len(data[i:i + STREAM_CHUNK_BYTES])
+            for i in range(0, len(data), STREAM_CHUNK_BYTES)]
 
 
 class TestSampleLearningSession:

@@ -3,6 +3,7 @@ and an MHEG-native quiz built only from standard classes."""
 
 import pytest
 
+from repro.atm.simulator import Simulator
 from repro.mheg import (
     ActionClass, ActionVerb, CompositeClass, ElementaryAction,
     GenericValueClass, ImageContentClass, LinkClass, MhegEngine,
@@ -27,7 +28,7 @@ def text(n, label=b"t", selectable=False):
 
 class TestValueTriggeredLinks:
     def test_link_fires_on_value_change(self):
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.store(GenericValueClass(identifier=mid(1), value=0))
         engine.store(text(2))
         counter = engine.new_runtime(ref(APP, 1))
@@ -50,7 +51,7 @@ class TestValueTriggeredLinks:
         assert target.state is RtState.RUNNING
 
     def test_ordering_comparisons_on_values(self):
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.store(GenericValueClass(identifier=mid(1), value=0))
         engine.store(text(2))
         counter = engine.new_runtime(ref(APP, 1))
@@ -74,7 +75,7 @@ class TestMultiplexedStreamControl:
     def _mux_engine(self):
         from repro.mheg import MultiplexedContentClass
         from repro.mheg.classes.content import StreamDescription
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.store(MultiplexedContentClass(
             identifier=mid(1), content_hook="SMPG", data=b"av",
             streams=[StreamDescription(1, "video", 1.5e6),
@@ -148,7 +149,7 @@ class TestMhegNativeQuiz:
         return engine.new_runtime(ref(APP, 20))
 
     def test_wrong_then_right(self):
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         rt = self.build(engine)
         engine.run(rt)
         wrong = engine.runtime(ref(APP, 3, 1))
@@ -164,7 +165,7 @@ class TestMhegNativeQuiz:
     def test_quiz_survives_interchange(self):
         """The whole quiz round-trips as one container and still works."""
         from repro.mheg import ContainerClass, MhegCodec
-        build_engine = MhegEngine()
+        build_engine = MhegEngine(Simulator())
         self.build(build_engine)
         # effects are inline in the links, so only the stored objects
         # (contents, value, links, composite) enter the container
@@ -173,7 +174,7 @@ class TestMhegNativeQuiz:
         container = ContainerClass(identifier=mid(99), objects=objects)
         blob = MhegCodec().encode(container)
 
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.receive(blob)
         rt = engine.new_runtime(ref(APP, 20))
         engine.run(rt)

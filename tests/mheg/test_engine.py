@@ -34,14 +34,14 @@ def audio(n, duration=2.0):
 
 class TestObjectStore:
     def test_receive_decodes_and_stores(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         data = MhegCodec().encode(image(1))
         obj = eng.receive(data)
         assert eng.knows(ref(APP, 1))
         assert eng.get(ref(APP, 1)) == obj
 
     def test_container_unpacked(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         cont = ContainerClass(identifier=mid(9),
                               objects=[image(1), audio(2)])
         eng.receive(MhegCodec().encode(cont))
@@ -50,10 +50,10 @@ class TestObjectStore:
 
     def test_unknown_object_raises(self):
         with pytest.raises(PresentationError):
-            MhegEngine().get(ref(APP, 404))
+            MhegEngine(Simulator()).get(ref(APP, 404))
 
     def test_reencode_equivalent(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         again = MhegCodec().decode(eng.encode(ref(APP, 1)))
         assert again == eng.get(ref(APP, 1))
@@ -61,14 +61,14 @@ class TestObjectStore:
 
 class TestPreparation:
     def test_prepare_included_content(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         eng.prepare(ref(APP, 1))
         assert any(e.attribute == "prepared" and e.new for e in eng.events)
         assert eng.content_bytes(ref(APP, 1)) == b"img"
 
     def test_prepare_referenced_content_uses_resolver(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(ImageContentClass(identifier=mid(1), content_hook="SIMG",
                                     content_ref="img-key"))
         eng.content_resolver = lambda key: f"fetched:{key}".encode()
@@ -76,28 +76,28 @@ class TestPreparation:
         assert eng.content_bytes(ref(APP, 1)) == b"fetched:img-key"
 
     def test_prepare_referenced_without_resolver_fails(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(ImageContentClass(identifier=mid(1), content_hook="SIMG",
                                     content_ref="img-key"))
         with pytest.raises(PresentationError):
             eng.prepare(ref(APP, 1))
 
     def test_unprepared_referenced_content_bytes_fails(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(ImageContentClass(identifier=mid(1), content_hook="SIMG",
                                     content_ref="k"))
         with pytest.raises(PresentationError):
             eng.content_bytes(ref(APP, 1))
 
     def test_destroy_removes(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         eng.prepare(ref(APP, 1))
         eng.destroy(ref(APP, 1))
         assert not eng.knows(ref(APP, 1))
 
     def test_negotiation(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         desc = DescriptorClass(identifier=mid(1), described=[ref(APP, 2)],
                                requirements=[ResourceRequirement("SMPG")])
         ok, _ = eng.negotiate(desc)
@@ -110,14 +110,14 @@ class TestPreparation:
 
 class TestRuntimeLifecycle:
     def test_new_creates_inactive_instance(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         rt = eng.new_runtime(ref(APP, 1))
         assert rt.state is RtState.INACTIVE
         assert rt.reference.rt_tag == 1
 
     def test_multiple_instances_of_one_model(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         a = eng.new_runtime(ref(APP, 1))
         b = eng.new_runtime(ref(APP, 1))
@@ -127,7 +127,7 @@ class TestRuntimeLifecycle:
         assert b.state is RtState.INACTIVE
 
     def test_explicit_rt_tag(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         rt = eng.new_runtime(ref(APP, 1), rt_tag=7)
         assert rt.ref_str == "t/1#7"
@@ -135,7 +135,7 @@ class TestRuntimeLifecycle:
             eng.new_runtime(ref(APP, 1), rt_tag=7)
 
     def test_run_stop_cycle_and_channel(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         rt = eng.new_runtime(ref(APP, 1))
         eng.run(rt)
@@ -146,47 +146,47 @@ class TestRuntimeLifecycle:
         assert rt.ref_str not in eng.channels["main"].presented
 
     def test_unknown_channel_rejected(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         with pytest.raises(PresentationError):
             eng.new_runtime(ref(APP, 1), channel="nowhere")
 
     def test_auto_stop_after_duration(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(audio(1, duration=2.0))
         rt = eng.new_runtime(ref(APP, 1))
         eng.run(rt)
-        eng.advance(1.9)
+        eng.sim.run(until=1.9)
         assert rt.state is RtState.RUNNING
-        eng.advance(2.1)
+        eng.sim.run(until=2.1)
         assert rt.state is RtState.STOPPED
 
     def test_speed_scales_duration(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(audio(1, duration=2.0))
         rt = eng.new_runtime(ref(APP, 1))
         rt.speed = 2.0
         eng.run(rt)
-        eng.advance(1.1)
+        eng.sim.run(until=1.1)
         assert rt.state is RtState.STOPPED
 
     def test_pause_resume_preserves_remaining_time(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(audio(1, duration=2.0))
         rt = eng.new_runtime(ref(APP, 1))
         eng.run(rt)
-        eng.advance(1.0)
+        eng.sim.run(until=1.0)
         eng.pause(rt)
-        eng.advance(5.0)  # long pause; no auto-stop may fire
+        eng.sim.run(until=5.0)  # long pause; no auto-stop may fire
         assert rt.state is RtState.PAUSED
         eng.resume(rt)
-        eng.advance(5.5)
+        eng.sim.run(until=5.5)
         assert rt.state is RtState.RUNNING
-        eng.advance(6.1)  # 1 second of playback left after resume at t=5
+        eng.sim.run(until=6.1)  # 1 second of playback left after resume at t=5
         assert rt.state is RtState.STOPPED
 
     def test_delete_removes_instance(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         rt = eng.new_runtime(ref(APP, 1))
         eng.apply(ElementaryAction(ActionVerb.DELETE, ref(APP, 1, 1)))
@@ -196,17 +196,16 @@ class TestRuntimeLifecycle:
 
     def test_sim_attached_engine_uses_simulated_time(self):
         sim = Simulator()
-        eng = MhegEngine(sim=sim)
+        eng = MhegEngine(sim)
         eng.store(audio(1, duration=2.0))
         rt = eng.new_runtime(ref(APP, 1))
         eng.run(rt)
         sim.run(until=3.0)
         assert rt.state is RtState.STOPPED
-        with pytest.raises(PresentationError):
-            eng.advance(1.0)
+        assert rt.stopped_at == 2.0
 
     def test_link_has_no_runtime_form(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         act = ActionClass(identifier=mid(5), actions=[
             ElementaryAction(ActionVerb.RUN, ref(APP, 1))])
         eng.store(act)
@@ -216,7 +215,7 @@ class TestRuntimeLifecycle:
 
 class TestRenditionAndValues:
     def test_set_position_size_volume_speed(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         rt = eng.new_runtime(ref(APP, 1))
         eng.apply(ElementaryAction(ActionVerb.SET_POSITION, rt.reference,
@@ -231,7 +230,7 @@ class TestRenditionAndValues:
         assert rt.volume == 55 and rt.speed == 1.5
 
     def test_invalid_speed_rejected(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         rt = eng.new_runtime(ref(APP, 1))
         with pytest.raises(PresentationError):
@@ -239,7 +238,7 @@ class TestRenditionAndValues:
                                        parameters={"value": 0}))
 
     def test_generic_value_runtime_copy(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(GenericValueClass(identifier=mid(1), value=10))
         rt = eng.new_runtime(ref(APP, 1))
         eng.apply(ElementaryAction(ActionVerb.SET_VALUE, rt.reference,
@@ -249,7 +248,7 @@ class TestRenditionAndValues:
         assert eng.get(ref(APP, 1)).value == 10
 
     def test_presentation_defaults_from_model(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(ImageContentClass(
             identifier=mid(1), content_hook="SIMG", data=b"x",
             presentation={"position": [5, 6], "size": [100, 50]}))
@@ -265,14 +264,14 @@ class TestInteractionAndLinks:
         return rt
 
     def test_select_requires_selectable(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         rt = eng.new_runtime(ref(APP, 1))
         with pytest.raises(PresentationError):
             eng.select(rt)
 
     def test_link_fires_on_selection(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         button = self._selectable_button(eng, 1)
         eng.store(image(2))
         target = eng.new_runtime(ref(APP, 2))
@@ -288,7 +287,7 @@ class TestInteractionAndLinks:
         assert target.state is RtState.RUNNING
 
     def test_additional_condition_gates_firing(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         button = self._selectable_button(eng, 1)
         eng.store(image(2))
         target = eng.new_runtime(ref(APP, 2))
@@ -312,7 +311,7 @@ class TestInteractionAndLinks:
         assert target.state is RtState.RUNNING
 
     def test_once_link_disarms(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         button = self._selectable_button(eng, 1)
         eng.store(GenericValueClass(identifier=mid(2), value=0))
         counter = eng.new_runtime(ref(APP, 2))
@@ -332,7 +331,7 @@ class TestInteractionAndLinks:
         assert counter.value == 0
 
     def test_effect_ref_resolved_from_store(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         button = self._selectable_button(eng, 1)
         eng.store(image(2))
         target = eng.new_runtime(ref(APP, 2))
@@ -349,18 +348,18 @@ class TestInteractionAndLinks:
         assert target.state is RtState.RUNNING
 
     def test_delayed_actions_schedule(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         rt = eng.new_runtime(ref(APP, 1))
         act = ActionClass(identifier=mid(5), actions=[
             ElementaryAction(ActionVerb.RUN, rt.reference, delay=1.0)])
         eng.execute_action(act)
         assert rt.state is RtState.INACTIVE
-        eng.advance(1.5)
+        eng.sim.run(until=1.5)
         assert rt.state is RtState.RUNNING
 
     def test_disarm_link(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         button = self._selectable_button(eng, 1)
         eng.store(image(2))
         target = eng.new_runtime(ref(APP, 2))
@@ -389,25 +388,25 @@ class TestComposites:
         return eng.new_runtime(ref(APP, n0 + 10))
 
     def test_new_composite_instantiates_children(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         rt = self._scene(eng)
         children = eng.children_of(rt)
         assert set(children) == {"t/1", "t/2"}
 
     def test_default_serial_playback(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         rt = self._scene(eng)
         eng.run(rt)
         first = eng.runtime(ref(APP, 1, 1))
         second = eng.runtime(ref(APP, 2, 1))
         assert first.state is RtState.RUNNING
         assert second.state is RtState.INACTIVE
-        eng.advance(1.5)   # first auto-stops at t=1 -> chain runs second
+        eng.sim.run(until=1.5)   # first auto-stops at t=1 -> chain runs second
         assert first.state is RtState.STOPPED
         assert second.state is RtState.RUNNING
 
     def test_atomic_parallel(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         rt = self._scene(eng, {"kind": "atomic", "mode": "parallel",
                                "first": "t/1", "second": "t/2"})
         eng.run(rt)
@@ -415,18 +414,18 @@ class TestComposites:
         assert eng.runtime(ref(APP, 2, 1)).state is RtState.RUNNING
 
     def test_elementary_timeline(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         rt = self._scene(eng, {"kind": "elementary", "entries": [
             {"target": "t/1", "time": 0.0},
             {"target": "t/2", "time": 2.0}]})
         eng.run(rt)
         assert eng.runtime(ref(APP, 1, 1)).state is RtState.RUNNING
         assert eng.runtime(ref(APP, 2, 1)).state is RtState.INACTIVE
-        eng.advance(2.5)
+        eng.sim.run(until=2.5)
         assert eng.runtime(ref(APP, 2, 1)).state is RtState.RUNNING
 
     def test_cyclic_repeats(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(audio(1, duration=0.3))
         comp = CompositeClass(identifier=mid(10), components=[ref(APP, 1)],
                               sync_spec={"kind": "cyclic", "target": "t/1",
@@ -434,7 +433,7 @@ class TestComposites:
         eng.store(comp)
         rt = eng.new_runtime(ref(APP, 10))
         eng.run(rt)
-        eng.advance(5.0)
+        eng.sim.run(until=5.0)
         child_ref = eng.children_of(rt)["t/1"]
         runs = [e for e in eng.events
                 if e.source == child_ref and e.attribute == "presentation"
@@ -442,7 +441,7 @@ class TestComposites:
         assert len(runs) == 3
 
     def test_stop_composite_stops_children_and_disarms(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         rt = self._scene(eng, {"kind": "atomic", "mode": "parallel",
                                "first": "t/1", "second": "t/2"})
         eng.run(rt)
@@ -451,20 +450,20 @@ class TestComposites:
         assert eng.runtime(ref(APP, 2, 1)).state is RtState.STOPPED
 
     def test_stopped_composite_cancels_pending_schedule(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         rt = self._scene(eng, {"kind": "elementary", "entries": [
             {"target": "t/1", "time": 0.0},
             {"target": "t/2", "time": 2.0}]})
         eng.run(rt)
-        eng.advance(0.5)
+        eng.sim.run(until=0.5)
         eng.stop(rt)
-        eng.advance(3.0)
+        eng.sim.run(until=3.0)
         assert eng.runtime(ref(APP, 2, 1)).state is RtState.INACTIVE
 
     def test_layout_applied_to_children(self):
         """Spatial synchronisation: the composite's layout overrides the
         children's own presentation geometry (Fig 4.4 layout structure)."""
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         eng.store(image(2))
         comp = CompositeClass(
@@ -479,7 +478,7 @@ class TestComposites:
         assert second.position == [400, 60]
 
     def test_sockets_plugged_at_instantiation(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         comp = CompositeClass(
             identifier=mid(10), components=[ref(APP, 1)],
@@ -491,7 +490,7 @@ class TestComposites:
         assert rt.plugged["spare"] is None
 
     def test_delete_composite_deletes_children(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         rt = self._scene(eng)
         eng.apply(ElementaryAction(ActionVerb.DELETE, rt.reference))
         with pytest.raises(PresentationError):
@@ -500,7 +499,7 @@ class TestComposites:
 
 class TestScripts:
     def test_script_drives_presentation(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         script = ScriptClass(identifier=mid(5), source="""
             new image t/1 as 9 on main
@@ -514,12 +513,12 @@ class TestScripts:
         eng.run(rt_script)
         presented = eng.runtime(ref(APP, 1, 9))
         assert presented.state is RtState.RUNNING
-        eng.advance(1.5)
+        eng.sim.run(until=1.5)
         assert presented.state is RtState.STOPPED
         assert presented.position == [30, 40]
 
     def test_deactivate_stops_script(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(image(1))
         script = ScriptClass(identifier=mid(5), source="""
             new image t/1 as 9 on main
@@ -529,18 +528,18 @@ class TestScripts:
         eng.store(script)
         rt_script = eng.new_runtime(ref(APP, 5))
         eng.run(rt_script)
-        eng.advance(1.0)
+        eng.sim.run(until=1.0)
         eng.deactivate_script(rt_script)
-        eng.advance(10.0)
+        eng.sim.run(until=10.0)
         assert eng.runtime(ref(APP, 1, 9)).state is RtState.INACTIVE
 
     def test_script_completion_emits_done(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         script = ScriptClass(identifier=mid(5), source="wait 0.5")
         eng.store(script)
         rt = eng.new_runtime(ref(APP, 5))
         eng.run(rt)
-        eng.advance(1.0)
+        eng.sim.run(until=1.0)
         done = [e for e in eng.events if e.attribute == "activation"
                 and e.new == "done"]
         assert len(done) == 1
@@ -548,11 +547,11 @@ class TestScripts:
 
 class TestEventLog:
     def test_events_recorded_with_time(self):
-        eng = MhegEngine()
+        eng = MhegEngine(Simulator())
         eng.store(audio(1, duration=1.0))
         rt = eng.new_runtime(ref(APP, 1))
         eng.run(rt)
-        eng.advance(2.0)
+        eng.sim.run(until=2.0)
         stops = [e for e in eng.events if e.attribute == "presentation"
                  and e.new == "not-running"]
         assert stops and stops[0].time == pytest.approx(1.0)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.atm.simulator import Simulator
 from repro.mheg import (
     ActionVerb, AudioContentClass, CompositeClass, ElementaryAction,
     MhegCodec, MhegEngine,
@@ -33,7 +34,7 @@ class TestStateMachineInvariants:
         """Any sequence of presentation verbs leaves the run-time
         object in a legal state and every recorded transition is one
         the life-cycle allows."""
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         engine.store(AudioContentClass(
             identifier=mid(1), content_hook="SPCM", data=b"x",
             original_duration=1.0))
@@ -45,7 +46,7 @@ class TestStateMachineInvariants:
             except PresentationError:
                 pass  # rejecting an illegal request is fine
             try:
-                engine.advance(engine.now + next(advances))
+                engine.sim.run(until=engine.sim.now + next(advances))
             except StopIteration:
                 pass
             if rt.state is RtState.DELETED:
@@ -62,7 +63,7 @@ class TestStateMachineInvariants:
                                                     duration):
         """A chained composite of timed children always terminates,
         with children run exactly once, in order."""
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         refs = []
         for i in range(n_children):
             engine.store(AudioContentClass(
@@ -75,7 +76,7 @@ class TestStateMachineInvariants:
                        "targets": [str(r) for r in refs]}))
         rt = engine.new_runtime(ref(APP, 100))
         engine.run(rt)
-        engine.advance(duration * n_children + 1.0)
+        engine.sim.run(until=duration * n_children + 1.0)
         assert rt.state is RtState.STOPPED
         starts = [e.source for e in engine.events
                   if e.attribute == "presentation" and e.new == "running"
@@ -89,7 +90,7 @@ class TestStateMachineInvariants:
         """At every probe instant, the running children of an
         elementary composite are exactly those whose [start, end)
         covers the instant."""
-        engine = MhegEngine()
+        engine = MhegEngine(Simulator())
         entries = []
         refs = []
         for i, (start, duration) in enumerate(slots):
@@ -106,7 +107,7 @@ class TestStateMachineInvariants:
         horizon = max(s + d for s, d in slots) + 0.5
         probe = 0.05
         while probe < horizon:
-            engine.advance(probe)
+            engine.sim.run(until=probe)
             expected = {i for i, (s, d) in enumerate(slots)
                         if s <= probe + 1e-9 and probe < s + d - 1e-9}
             running = {int(str(r.reference.identifier).split("/")[1])

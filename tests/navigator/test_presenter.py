@@ -1,7 +1,8 @@
-"""Tests for the courseware presenter (standalone mode)."""
+"""Tests for the courseware presenter, on a bare simulator."""
 
 import pytest
 
+from repro.atm.simulator import Simulator
 from repro.authoring import (
     CoursewareEditor, HyperDocument, InteractiveDocument, NavigationLink,
     Page, PageItem, Scene, SceneObject, Section, TimelineEntry,
@@ -28,7 +29,7 @@ def make_imd_blob(catalog=None):
 
 def local_presenter():
     presenter = CoursewarePresenter(
-        local_resolver=lambda key: b"media:" + key.encode())
+        Simulator(), local_resolver=lambda key: b"media:" + key.encode())
     presenter.load_blob(make_imd_blob())
     presenter.preload()
     return presenter
@@ -41,7 +42,8 @@ class TestLoading:
         assert presenter.descriptor is not None
 
     def test_content_refs_enumerated(self):
-        presenter = CoursewarePresenter(local_resolver=lambda key: b"x")
+        presenter = CoursewarePresenter(Simulator(),
+                                        local_resolver=lambda key: b"x")
         presenter.load_blob(make_imd_blob())
         assert presenter.content_refs() == ["txt-1", "vid-1"]
 
@@ -56,10 +58,11 @@ class TestLoading:
         blob = MhegCodec().encode(
             GenericValueClass(identifier=MhegIdentifier("x", 1), value=1))
         with pytest.raises(PresentationError):
-            CoursewarePresenter().load_blob(blob)
+            CoursewarePresenter(Simulator()).load_blob(blob)
 
     def test_negotiation_blocks_unsupported_courseware(self):
-        presenter = CoursewarePresenter(local_resolver=lambda key: b"x")
+        presenter = CoursewarePresenter(Simulator(),
+                                        local_resolver=lambda key: b"x")
         presenter.engine.capabilities["decoders"] = ["STXT"]  # no video
         with pytest.raises(PresentationError):
             presenter.load_blob(make_imd_blob())
@@ -71,9 +74,9 @@ class TestPlayback:
         presenter.start()
         assert "clip" in presenter.visible()
         assert "caption" not in presenter.visible()
-        presenter.advance(1.0)
+        presenter.sim.run(until=1.0)
         assert set(presenter.visible()) >= {"clip", "caption"}
-        presenter.advance(2.0)
+        presenter.sim.run(until=3.0)
         assert "clip" not in presenter.visible()
 
     def test_clickable_lists_choices_only(self):
@@ -96,20 +99,25 @@ class TestPlayback:
     def test_position_advances_and_stop_returns_it(self):
         presenter = local_presenter()
         presenter.start()
-        presenter.advance(1.25)
+        presenter.sim.run(until=1.25)
         assert presenter.position() == pytest.approx(1.25)
         assert presenter.stop() == pytest.approx(1.25)
         assert not presenter.playing
 
-    def test_resume_fast_forwards(self):
+    def test_resume_never_reports_less_than_saved(self):
         presenter = local_presenter()
         presenter.start(from_position=1.0)
+        # the shared clock cannot jump: playback starts at the beginning
+        assert "caption" not in presenter.visible()
         assert presenter.position() == pytest.approx(1.0)
-        # at t=1 the caption (0.5..2.0) is on screen
-        assert "caption" in presenter.visible()
+        presenter.sim.run(until=0.5)
+        assert presenter.position() == pytest.approx(1.0)
+        presenter.sim.run(until=1.75)
+        assert presenter.position() == pytest.approx(1.75)
+        assert presenter.stop() == pytest.approx(1.75)
 
     def test_playback_completes(self):
         presenter = local_presenter()
         presenter.start()
-        presenter.advance(5.0)
+        presenter.sim.run(until=5.0)
         assert not presenter.playing
