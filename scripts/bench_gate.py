@@ -34,22 +34,21 @@ On failure the diff table shows baseline vs current per metric.
 Each run also rewrites the scenario's archive,
 ``benchmarks/out/obs_gate_<scenario>.jsonl`` (override the directory
 with ``BENCH_METRICS_DIR``), so a failed gate is debuggable offline
-with ``python -m repro.obs``.  The previous run's archive (when
-present) is loaded before the new run truncates it, diffed
-instrument-by-instrument via :meth:`MetricsRegistry.delta`, and the
-largest absolute movements are printed next to the percentage table.
-Every scenario is additionally run through the
-:class:`ConservationAuditor`; any violation fails the gate regardless
-of the metric verdicts.
+with ``python -m repro.obs``.  Every scenario is additionally run
+through the :class:`ConservationAuditor`; any violation fails the gate
+regardless of the metric verdicts.
 
-On any gate failure the full differential comparison
-(:mod:`repro.obs.diff`) between the baseline — the tracked
-``BENCH_<scenario>.json`` vector, backfilled with the previous run's
-archive when present — and the failing run is printed (ranked
-attribution: span kinds and critical-path components, largest mover
-first) and written as ``diff_gate_<scenario>.json`` next to the
-archive, so a regression report always names the layer that moved,
-not just the headline number.
+Each scenario gets one differential comparison (:mod:`repro.obs.diff`)
+between the baseline — the tracked ``BENCH_<scenario>.json`` vector,
+backfilled with the previous run's archive, loaded before the new run
+truncates it — and this run's archive.  When a previous archive exists
+its largest instrument movements are printed next to the percentage
+table, as ``python -m repro.obs diff`` prints them.  On any gate
+failure the ranked attribution (span kinds and critical-path
+components, largest mover first) is printed too and the payload is
+written as ``diff_gate_<scenario>.json`` next to the archive, so a
+regression report always names the layer that moved, not just the
+headline number.
 
 Run via ``make bench-gate``.
 """
@@ -71,7 +70,6 @@ from repro.core.scenarios import SCENARIOS, build  # noqa: E402
 from repro.obs import diff as run_diff  # noqa: E402
 from repro.obs.audit import ConservationAuditor  # noqa: E402
 from repro.obs.export import dump_observability  # noqa: E402
-from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.obs.sink import Archive, load_archive  # noqa: E402
 
 #: (metric, direction) — direction says which way is a regression:
@@ -150,7 +148,7 @@ def measure(scenario: str) -> Dict[str, Any]:
     os.makedirs(out_dir, exist_ok=True)
     stream_path = os.path.join(out_dir, f"obs_gate_{scenario}.jsonl")
     # the previous run's archive, read before build() truncates it: it
-    # backfills the BENCH baseline for the failure-path diff
+    # backfills the BENCH baseline for the diff
     prev_archive = _previous_archive(stream_path)
     run = build(scenario, stream=stream_path)
     run.run_to_horizon()
@@ -172,15 +170,11 @@ def measure(scenario: str) -> Dict[str, Any]:
         "peak_player_buffer": peak("player", "buffer_frames"),
         "obs_overhead_pct": round(measure_obs_overhead(scenario), 2),
     }
-    instrument_drift = MetricsRegistry.delta(
-        prev_archive.metrics, mits.sim.metrics.report()) \
-        if prev_archive is not None else None
     dump_observability(mits, f"gate_{scenario}", out_dir)
     return {
         "scenario": scenario,
         "metrics": metrics,
         "audit_violations": [v.to_dict() for v in violations],
-        "instrument_drift": instrument_drift,
         "prev_archive": prev_archive,
         "archive_path": stream_path,
         "out_dir": out_dir,
@@ -196,26 +190,32 @@ def _previous_archive(path: str) -> Optional[Archive]:
         return None
 
 
-def explain_failure(scenario: str, baseline_path_: str,
-                    current: Dict[str, Any]) -> None:
-    """Print the differential attribution for one failed scenario.
+def diff_against_baseline(baseline_path_: str, current: Dict[str, Any]
+                          ) -> Optional[Dict[str, Any]]:
+    """The scenario's one :func:`repro.obs.diff.diff_runs` payload.
 
     The baseline side is the tracked ``BENCH_<scenario>.json`` metric
     vector, backfilled with the previous gate run's archive (metrics
     report, spans, SLO verdicts, ledger) when it exists; the candidate
-    side is the failing run's fresh archive.
-    The machine-readable payload lands in ``diff_gate_<scenario>.json``
-    next to the archive.
+    side is this run's fresh archive.  None when either cannot be read.
     """
     try:
         base = run_diff.baseline(baseline_path_,
-                                 fill=current.get("prev_archive"))
+                                 fill=current["prev_archive"])
         cur = load_archive(current["archive_path"])
     except (OSError, ValueError):
-        return
+        return None
     cur = dataclasses.replace(
         cur, summary={**cur.summary, "bench": dict(current["metrics"])})
-    payload = run_diff.diff_runs(base, cur)
+    return run_diff.diff_runs(base, cur)
+
+
+def explain_failure(scenario: str, baseline_path_: str,
+                    current: Dict[str, Any],
+                    payload: Dict[str, Any]) -> None:
+    """Print the ranked attribution of one failed scenario's diff and
+    write the payload as ``diff_gate_<scenario>.json`` next to the
+    archive."""
     print()
     print(run_diff.render_attribution_table(payload))
     diff_path = run_diff.write_diff(payload, current["out_dir"],
@@ -281,23 +281,6 @@ def render_diff(scenario: str,
     return "\n".join(lines)
 
 
-def render_instrument_drift(drift: Dict[str, Dict[str, Any]],
-                            top: int = 8) -> str:
-    """Largest absolute per-instrument movements vs the previous run."""
-    moved = [(key, row) for key, row in drift.items()
-             if row["delta"] or "only" in row]
-    if not moved:
-        return "  (no instrument drift vs previous run)"
-    moved.sort(key=lambda kv: abs(kv[1]["delta"]), reverse=True)
-    lines = [f"  top instrument drift vs previous run "
-             f"({len(moved)} instruments moved):"]
-    for key, row in moved[:top]:
-        tag = f"  [{row['only']} only]" if "only" in row else ""
-        lines.append(f"    {key:<52} {row['before']:>10.4g} -> "
-                     f"{row['after']:>10.4g}  ({row['delta']:+.4g}){tag}")
-    return "\n".join(lines)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Gate scenarios' deterministic metrics on tracked "
@@ -324,7 +307,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"running scenario {name} ...", flush=True)
         current = measure(name)
         violations = current.pop("audit_violations")
-        drift = current.pop("instrument_drift")
         diff_context = {key: current.pop(key) for key in
                         ("prev_archive", "archive_path", "out_dir")}
         diff_context["metrics"] = current["metrics"]
@@ -351,11 +333,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             base = json.load(fh)
         rows = judge(name, base, current)
         print(render_diff(name, rows))
-        if drift is not None:
-            print(render_instrument_drift(drift))
+        payload = diff_against_baseline(path, diff_context)
+        if payload is not None and diff_context["prev_archive"] is not None:
+            print(run_diff.render_instrument_movers(payload, top=8))
         if violations or any(verdict == "FAIL" for *_, verdict in rows):
             failed = True
-            explain_failure(name, path, diff_context)
+            if payload is not None:
+                explain_failure(name, path, diff_context, payload)
 
     if failed:
         print("\nBENCH GATE: REGRESSION — see FAIL rows above "

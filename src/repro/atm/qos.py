@@ -104,11 +104,6 @@ class Gcra:
         self.nonconforming += 1
         return False
 
-    def reset(self) -> None:
-        self._tat = 0.0
-        self.conforming = 0
-        self.nonconforming = 0
-
 
 @dataclass
 class PolicerStats:

@@ -1,15 +1,15 @@
 """Named, deterministic driving scenarios for telemetry tooling.
 
-The live dashboard (``python -m repro.obs dashboard --live``) and the
-perf-regression gate (``scripts/bench_gate.py``) both need the same
-thing: a deployment with known work scheduled on it and a known
-simulated-time horizon to run to, so trajectories and baselines are
-reproducible run over run.  Each scenario builds a
+The conservation audit (``python -m repro.obs audit SCENARIO``), the
+perf-regression gate (``scripts/bench_gate.py``) and the fleet all
+need the same thing: a deployment with known work scheduled on it and
+a known simulated-time horizon to run to, so archives and baselines
+are reproducible run over run.  Each scenario builds a
 :class:`~repro.core.system.MitsSystem`, fast-forwards the setup
 (publishing assets and courseware), schedules the interactive phase,
 and returns a :class:`ScenarioRun` whose ``horizon`` the caller drives
-the simulator to — in one go (bench gate) or in slices (live
-dashboard refresh loop).
+the simulator to.  An armed fault plan's injector is
+``run.mits.injector``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ class ScenarioRun:
     name: str
     mits: MitsSystem
     horizon: float
-    #: armed fault injector, when the scenario runs under a fault plan
-    injector: Optional[FaultInjector] = None
 
     def run_to_horizon(self) -> None:
         """Drive the whole scripted load in one go."""
@@ -146,8 +144,7 @@ def faulty_classroom(**kwargs: Any) -> ScenarioRun:
     nav = _enroll(mits, "user1", "Chaos Student")
     nav.enter_classroom("D101", "dash-101")
     _stream_video(mits, "user1")
-    injector = FaultInjector(faults, seed=fault_seed).attach(mits)
-    mits.injector = injector
+    mits.injector = FaultInjector(faults, seed=fault_seed).attach(mits)
     # keep the control plane busy through the fault window: these
     # catalogue queries land on torn-down VCs (forcing reconnects) and
     # on the stalled/slowed database CPU (forcing RPC retries)
@@ -155,8 +152,7 @@ def faulty_classroom(**kwargs: Any) -> ScenarioRun:
     for at in (10.5, 12.0, 14.5, 17.0, 19.5):
         mits.sim.schedule(max(0.0, at - mits.sim.now),
                           user.client.list_courses)
-    return ScenarioRun("faulty-classroom", mits, mits.sim.now + 30.0,
-                       injector=injector)
+    return ScenarioRun("faulty-classroom", mits, mits.sim.now + 30.0)
 
 
 SCENARIOS: Dict[str, Callable[..., ScenarioRun]] = {
@@ -195,9 +191,8 @@ def build(name: str, *, faults: Union[str, FaultPlan, None] = None,
         return factory(**kwargs)
     run = factory(**kwargs)
     if faults is not None:
-        injector = FaultInjector(faults, seed=fault_seed).attach(run.mits)
-        run.mits.injector = injector
-        run.injector = injector
+        run.mits.injector = FaultInjector(
+            faults, seed=fault_seed).attach(run.mits)
     return run
 
 

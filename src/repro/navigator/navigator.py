@@ -183,6 +183,8 @@ class Navigator:
                                  courseware=courseware_id)
 
         def ready(session: LearningSession) -> None:
+            if session.error is not None:
+                span.set(error=session.error)
             span.end()
             if on_ready is not None:
                 on_ready(session)

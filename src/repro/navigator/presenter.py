@@ -39,6 +39,9 @@ class CoursewarePresenter:
         self._started_at: Optional[float] = None
         self._resumed_from = 0.0
         self.load_stats: Dict[str, Any] = {}
+        #: why :meth:`preload` could not fetch the content (None when it
+        #: could): the first refused ref and the server's reason
+        self.error: Optional[str] = None
 
     # -- loading ------------------------------------------------------------
 
@@ -91,7 +94,9 @@ class CoursewarePresenter:
 
         With a *local_resolver*, preparation is synchronous.  With a
         remote client, each content object streams from the database
-        and *on_ready* fires when the last one lands.
+        and *on_ready* fires when the last one lands or is refused; a
+        refusal leaves the presentation unprepared, with :attr:`error`
+        set.
         """
         refs = self.content_refs()
         start = self.sim.now
@@ -120,12 +125,17 @@ class CoursewarePresenter:
             return
 
         def finish_one(content_ref: str, receiver) -> None:
-            self.engine.content_cache[content_ref] = receiver.data
-            self.load_stats["bytes"] += len(receiver.data)
+            if receiver.error is not None:
+                if self.error is None:
+                    self.error = f"content {content_ref!r}: {receiver.error}"
+            else:
+                self.engine.content_cache[content_ref] = receiver.data
+                self.load_stats["bytes"] += len(receiver.data)
             missing.discard(content_ref)
             if not missing:
-                self._prepare_all()
-                self.load_stats["load_time"] = self.sim.now - start
+                if self.error is None:
+                    self._prepare_all()
+                    self.load_stats["load_time"] = self.sim.now - start
                 if on_ready is not None:
                     on_ready()
 

@@ -30,6 +30,9 @@ class LearningSession:
                                              name=f"session:{course_code}")
         self.bookmarks: List[str] = []
         self.ready = False
+        #: why the courseware could not be presented (a refused content
+        #: ref), set instead of ``ready``
+        self.error: Optional[str] = None
         self.resume_position = 0.0
         self._on_ready: Optional[Callable[["LearningSession"], None]] = None
 
@@ -51,8 +54,10 @@ class LearningSession:
         self.presenter.preload(on_ready=self._content_ready)
 
     def _content_ready(self) -> None:
-        self.presenter.start(from_position=self.resume_position)
-        self.ready = True
+        self.error = self.presenter.error
+        if self.error is None:
+            self.presenter.start(from_position=self.resume_position)
+            self.ready = True
         if self._on_ready is not None:
             self._on_ready(self)
 

@@ -30,29 +30,26 @@ Subcommands::
         *deterministic* delta is present (wall-clock sections never
         count), so same-seed runs assert reproducibility in CI.
 
-    dashboard [archive] [--live SCENARIO] [--follow] ...
+    dashboard <archive> [--width N]
         Sparkline panels (link queues, windows, player buffers, event
-        rates).  Renders an
-        archive, or with ``--live`` runs a named scenario (see
-        ``repro.core.scenarios``) — one-shot at the horizon, or as a
-        refresh loop with ``--follow``.
+        rates) over the archive's telemetry ticks.
 
-    top [archive] [--live SCENARIO] [--sort COL] [--kind K]
+    top <archive> [--sort COL] [--kind K] [--limit N]
         Per-entity accounting tables (per VC, site, stream, link,
         trace): cells, bytes, drops, queue residency, bandwidth share,
-        from an archive's last ledger checkpoint, or with ``--live``
-        from a named scenario run with the ledger enabled.
+        from the archive's last ledger checkpoint.
 
-    audit SCENARIO|archive [--faults PLAN] [--out-dir DIR]
-        Run a named scenario with accounting enabled, then cross-check
-        every live counter against the flow-conservation invariants.
-        Prints violations (exit 1 when any) and with ``--out-dir``
-        writes the run's archive.  Given an archive path instead of a
-        scenario name, renders its embedded audit verdict.
+    audit <archive>|SCENARIO [--faults PLAN] [--out-dir DIR]
+        Render the conservation-audit verdict an archive embeds (exit 1
+        on any violation).  Given a scenario name (see
+        ``repro.core.scenarios``) instead, the one verb that runs
+        anything: it runs the scenario with accounting enabled, writes
+        its archive ``obs_audit_<SCENARIO>.jsonl`` to ``--out-dir`` (a
+        temporary directory without it) and renders that archive.
 
-Bad input — a non-positive ``--slice``/``--interval``/``--width``/
-``--limit``/``--top``, an unknown scenario, fault plan or trace id —
-prints one line to stderr and exits 2.
+Bad input — a non-positive ``--width``/``--limit``/``--top``, a
+missing archive, an unknown scenario, fault plan or trace id — prints
+one line to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -60,9 +57,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from typing import List, Optional
 
 from repro.obs.accounting import SORT_COLUMNS, render_top
+from repro.obs.audit import Violation
 from repro.obs.dashboard import render_dashboard
 from repro.obs.report import (
     render_metrics_summary,
@@ -89,27 +88,16 @@ def _positive(kind):
 
 
 _positive_int = _positive(int)
-_positive_float = _positive(float)
-
-
-def _build(verb: str, scenario: str, args: argparse.Namespace, **kwargs):
-    """Build a live scenario; on an unknown scenario or fault plan,
-    print why to stderr and return None (the verb exits 2)."""
-    # imported lazily: repro.core pulls in the whole stack, which the
-    # archived-file paths of this CLI don't need
-    from repro.core.scenarios import build
-
-    try:
-        return build(scenario, faults=args.faults,
-                     fault_seed=args.fault_seed, **kwargs)
-    except ValueError as exc:
-        print(f"{verb}: {exc}", file=sys.stderr)
-        return None
 
 
 def _load(path: str) -> Archive:
-    """Load *path*, printing the incomplete-archive line when due."""
-    archive = load_archive(path)
+    """Load *path*, printing the incomplete-archive line when due; an
+    unreadable path exits 2."""
+    try:
+        archive = load_archive(path)
+    except OSError as exc:
+        print(f"cannot read archive: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     warning = archive.warning()
     if warning is not None:
         print(warning)
@@ -206,101 +194,43 @@ def _diff(args: argparse.Namespace) -> int:
 
 
 def _dashboard(args: argparse.Namespace) -> int:
-    if args.archive is None and args.live is None:
-        print("dashboard: give an archive path or --live <scenario>",
-              file=sys.stderr)
-        return 2
-    if args.archive is not None:
-        archive = _load(args.archive)
-        print(render_dashboard(archive.timeseries, width=args.width,
-                               title=_title(archive)))
-        return 0
-    return _live_dashboard(args)
-
-
-def _live_dashboard(args: argparse.Namespace) -> int:
-    run = _build("dashboard", args.live, args,
-                 telemetry_interval=args.interval)
-    if run is None:
-        return 2
-    mits, sim = run.mits, run.mits.sim
-    if run.injector is not None:
-        plan = run.injector.plan
-        print(f"(fault plan {plan.name!r} armed, seed {plan.seed})",
-              flush=True)
-    if args.follow:
-        while sim.now < run.horizon and sim.pending():
-            sim.run(until=min(sim.now + args.slice, run.horizon))
-            frame = render_dashboard(
-                mits.sampler, width=args.width,
-                title=f"{run.name} (live, t={sim.now:.1f}s)")
-            print("\x1b[2J\x1b[H" + frame, flush=True)
-    else:
-        run.run_to_horizon()
-    mits.sampler.sample()
-    print(render_dashboard(
-        mits.sampler, width=args.width,
-        title=f"{run.name} @ t={sim.now:.1f}s"))
-    print()
-    print(render_telemetry_health(_health(mits)))
+    archive = _load(args.archive)
+    print(render_dashboard(archive.timeseries, width=args.width,
+                           title=_title(archive)))
     return 0
 
 
-def _health(mits) -> dict:
-    from repro.obs.export import telemetry_health
-    return telemetry_health(mits)
-
-
 def _top(args: argparse.Namespace) -> int:
-    if args.archive is None and args.live is None:
-        print("top: give an archive path or --live <scenario>",
-              file=sys.stderr)
+    archive = _load(args.archive)
+    if archive.accounting is None:
+        print("top: this archive has no ledger checkpoints "
+              "(run with accounting enabled)", file=sys.stderr)
         return 2
-    if args.archive is not None:
-        archive = _load(args.archive)
-        if archive.accounting is None:
-            print("top: this archive has no ledger checkpoints "
-                  "(run with accounting enabled)", file=sys.stderr)
-            return 2
-        print(render_top(archive.accounting, kind=args.kind,
-                         sort=args.sort, limit=args.limit,
-                         title=_title(archive)))
-        return 0
-    run = _build("top", args.live, args, accounting=True)
-    if run is None:
-        return 2
-    run.run_to_horizon()
-    sim = run.mits.sim
-    payload = sim.ledger.snapshot(sim_time=sim.now)
-    print(render_top(payload, kind=args.kind, sort=args.sort,
-                     limit=args.limit,
-                     title=f"{run.name} @ t={sim.now:.1f}s"))
+    print(render_top(archive.accounting, kind=args.kind,
+                     sort=args.sort, limit=args.limit,
+                     title=_title(archive)))
     return 0
 
 
 def _audit(args: argparse.Namespace) -> int:
     if os.path.isfile(args.scenario):
         return _audit_archive(args.scenario)
+    # imported lazily: repro.core pulls in the whole stack, which the
+    # archive verbs of this CLI don't need
+    from repro.core.scenarios import build
+    from repro.obs.export import dump_observability
 
-    from repro.obs.audit import ConservationAuditor
-
-    run = _build("audit", args.scenario, args, accounting=True)
-    if run is None:
+    try:
+        run = build(args.scenario, faults=args.faults,
+                    fault_seed=args.fault_seed, accounting=True)
+    except ValueError as exc:
+        print(f"audit: {exc}", file=sys.stderr)
         return 2
     run.run_to_horizon()
-    auditor = ConservationAuditor(run.mits)
-    violations = auditor.check()
-    print(f"== audit: {run.name} @ t={run.mits.sim.now:.1f}s ==")
-    print(f"  {auditor.checks} invariant checks, "
-          f"{len(violations)} violations")
-    for v in violations:
-        print(f"  VIOLATION {v}")
-    if args.out_dir:
-        from repro.obs.export import dump_observability
-        for path in dump_observability(run.mits, f"audit_{args.scenario}",
-                                       args.out_dir):
-            print(f"  wrote {path}")
-    return 1 if violations else 0
+    with tempfile.TemporaryDirectory() as tmp:
+        (path,) = dump_observability(run.mits, f"audit_{args.scenario}",
+                                     args.out_dir or tmp)
+        return _audit_archive(path)
 
 
 def _audit_archive(path: str) -> int:
@@ -317,7 +247,7 @@ def _audit_archive(path: str) -> int:
     print(f"  {audit.get('checks', 0)} invariant checks, "
           f"{len(violations)} violations")
     for v in violations:
-        print(f"  VIOLATION {v}")
+        print(f"  VIOLATION {Violation(**v)}")
     return 1 if violations else 0
 
 
@@ -361,34 +291,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_dash = sub.add_parser(
         "dashboard", help="sparkline panels over telemetry")
-    p_dash.add_argument("archive", nargs="?",
-                        help="obs_*.jsonl archive")
-    p_dash.add_argument("--live", metavar="SCENARIO",
-                        help="run a named scenario and render it "
-                        "(see repro.core.scenarios)")
-    p_dash.add_argument("--follow", action="store_true",
-                        help="redraw every --slice simulated seconds "
-                        "while the live scenario runs")
-    p_dash.add_argument("--slice", type=_positive_float, default=2.0,
-                        help="simulated seconds per --follow frame")
-    p_dash.add_argument("--interval", type=_positive_float, default=0.25,
-                        help="live sampling interval (simulated s)")
+    p_dash.add_argument("archive", help="obs_*.jsonl archive")
     p_dash.add_argument("--width", type=_positive_int, default=60,
                         help="sparkline width in characters")
-    p_dash.add_argument("--faults", metavar="PLAN",
-                        help="arm a named fault plan on the live "
-                        "scenario (see repro.faults.PLANS)")
-    p_dash.add_argument("--fault-seed", type=int, default=None,
-                        help="override the fault plan's seed")
     p_dash.set_defaults(func=_dashboard)
 
     p_top = sub.add_parser(
         "top", help="per-entity accounting tables (VCs, sites, streams)")
-    p_top.add_argument("archive", nargs="?",
-                       help="obs_*.jsonl archive")
-    p_top.add_argument("--live", metavar="SCENARIO",
-                       help="run a named scenario with the ledger "
-                       "enabled and render its attribution")
+    p_top.add_argument("archive", help="obs_*.jsonl archive")
     p_top.add_argument("--sort", choices=SORT_COLUMNS, default="bytes",
                        help="column to sort by (default: bytes)")
     p_top.add_argument("--kind", default=None,
@@ -396,22 +306,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                        "(vc/site/stream/link/trace)")
     p_top.add_argument("--limit", type=_positive_int, default=20,
                        help="rows per table")
-    p_top.add_argument("--faults", metavar="PLAN",
-                       help="arm a named fault plan on the live scenario")
-    p_top.add_argument("--fault-seed", type=int, default=None)
     p_top.set_defaults(func=_top)
 
     p_audit = sub.add_parser(
-        "audit", help="run a scenario and check conservation invariants")
+        "audit", help="conservation-audit verdict of an archive, or of "
+        "a scenario run into one")
     p_audit.add_argument("scenario",
-                         help="scenario name (see repro.core.scenarios) "
-                         "or an archive path whose embedded audit "
-                         "verdict should be rendered")
+                         help="an obs_*.jsonl archive, or a scenario name "
+                         "(see repro.core.scenarios) to run and archive")
     p_audit.add_argument("--faults", metavar="PLAN",
-                         help="arm a named fault plan before auditing")
+                         help="arm a named fault plan on the scenario")
     p_audit.add_argument("--fault-seed", type=int, default=None)
     p_audit.add_argument("--out-dir", default=None,
-                         help="also write the run's archive here")
+                         help="keep the scenario's archive here "
+                         "(obs_audit_<SCENARIO>.jsonl)")
     p_audit.set_defaults(func=_audit)
 
     args = parser.parse_args(argv)

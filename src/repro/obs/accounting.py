@@ -244,8 +244,7 @@ def render_top(payload: Dict[str, object], *, kind: Optional[str] = None,
         raise ValueError(f"sort must be one of {SORT_COLUMNS}, got {sort!r}")
     lines: List[str] = [f"== {title} =="]
     if not payload.get("enabled", False):
-        lines.append("  accounting disabled (run with accounting enabled "
-                     "or pass --live)")
+        lines.append("  accounting disabled (run with accounting enabled)")
         return "\n".join(lines)
     kinds: Dict[str, List[Dict]] = payload.get("kinds", {})  # type: ignore
     wanted: Iterable[str] = [kind] if kind else sorted(kinds)

@@ -41,9 +41,7 @@ Derived quantities:
     worth reading, auto-selected instead of hand-picked.
 
 Everything here is pure functions over span dicts (the
-archive ``span`` record shape); live
-:class:`~repro.obs.tracing.SpanRecord` objects are accepted too and
-normalised up front.  Orphaned spans — parents lost to ring eviction
+archive ``span`` record shape).  Orphaned spans — parents lost to ring eviction
 — are treated as roots of their own subtree, so a truncated span set
 still analyses instead of crashing.
 """
@@ -61,7 +59,6 @@ __all__ = [
     "component_of",
     "critical_segments",
     "kind_of",
-    "normalize_spans",
     "render_attribution",
     "render_critical_path",
     "select_traces",
@@ -84,11 +81,6 @@ def kind_of(name: str) -> str:
     """Span kind: the name with any ``:method`` suffix stripped, so
     every RPC method pools into ``rpc.client`` / ``rpc.server``."""
     return name.split(":", 1)[0]
-
-
-def normalize_spans(spans: Sequence[Any]) -> List[Dict[str, Any]]:
-    """Accept SpanRecord objects or dicts; return plain dicts."""
-    return [s if isinstance(s, Mapping) else s.to_dict() for s in spans]
 
 
 # -- tree building ---------------------------------------------------------
@@ -216,7 +208,7 @@ def slacks(spans: Sequence[Mapping[str, Any]]) -> Dict[Any, float]:
 # -- per-trace analysis ----------------------------------------------------
 
 
-def analyze_trace(trace_spans: Sequence[Any]) -> Dict[str, Any]:
+def analyze_trace(spans: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     """Full critical-path analysis of ONE trace's spans.
 
     Returns ``{trace_id, root, duration, segments, path_span_ids,
@@ -224,7 +216,6 @@ def analyze_trace(trace_spans: Sequence[Any]) -> Dict[str, Any]:
     ring eviction has several roots; the longest root anchors the path and
     the others are listed in ``other_roots``.
     """
-    spans = normalize_spans(trace_spans)
     if not spans:
         raise ValueError("analyze_trace needs at least one span")
     roots, children = _index(spans)
@@ -267,7 +258,7 @@ def _aggregate(segments: Sequence[Mapping[str, Any]], key_fn
 # -- whole-archive attribution ---------------------------------------------
 
 
-def attribution(all_spans: Sequence[Any]) -> Dict[str, Any]:
+def attribution(spans: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     """Critical-path attribution aggregated across traces.
 
     Every trace contributes its path segments; shares are of the
@@ -275,7 +266,6 @@ def attribution(all_spans: Sequence[Any]) -> Dict[str, Any]:
     an archive's ``fin`` summary embeds and the ``repro.obs diff``
     attribution section compares across runs.
     """
-    spans = normalize_spans(all_spans)
     by_trace = group_by_trace(spans)
     segments: List[Dict[str, Any]] = []
     total_root_seconds = 0.0
@@ -292,7 +282,7 @@ def attribution(all_spans: Sequence[Any]) -> Dict[str, Any]:
     }
 
 
-def tail_trace_ids(all_spans: Sequence[Any],
+def tail_trace_ids(spans: Sequence[Mapping[str, Any]],
                    quantile: float = 0.99) -> List[Any]:
     """Traces whose root duration is at/above the given quantile.
 
@@ -303,7 +293,6 @@ def tail_trace_ids(all_spans: Sequence[Any],
     """
     if not 0.0 <= quantile <= 1.0:
         raise ValueError("quantile must be in [0, 1]")
-    spans = normalize_spans(all_spans)
     durations: List[Tuple[float, Any]] = []
     for trace_id, group in group_by_trace(spans).items():
         roots, _ = _index(group)
@@ -318,12 +307,11 @@ def tail_trace_ids(all_spans: Sequence[Any],
             if dur >= threshold]
 
 
-def select_traces(all_spans: Sequence[Any], *,
+def select_traces(spans: Sequence[Mapping[str, Any]], *,
                   trace_id: Optional[Any] = None,
                   tail: bool = False) -> List[Any]:
     """Which traces should a rendering show?  One explicit id, the
     tail exemplars, or (default) the single longest-rooted trace."""
-    spans = normalize_spans(all_spans)
     if trace_id is not None:
         if not any(s.get("trace_id") == trace_id for s in spans):
             raise ValueError(f"trace {trace_id!r} not in this archive")
@@ -336,11 +324,10 @@ def select_traces(all_spans: Sequence[Any], *,
 # -- rendering -------------------------------------------------------------
 
 
-def render_critical_path(trace_spans: Sequence[Any]) -> str:
+def render_critical_path(spans: Sequence[Mapping[str, Any]]) -> str:
     """One trace's path as an indented table: step, path time (the
     blocking seconds the step charges), self-time, and slack."""
-    analysis = analyze_trace(trace_spans)
-    spans = normalize_spans(trace_spans)
+    analysis = analyze_trace(spans)
     names = {s["span_id"]: s["name"] for s in spans}
     lines = [f"critical path · trace {analysis['trace_id']} · root "
              f"{analysis['root']} · {fmt_seconds(analysis['duration'])}",
@@ -379,9 +366,10 @@ def render_critical_path(trace_spans: Sequence[Any]) -> str:
     return "\n".join(lines)
 
 
-def render_attribution(all_spans: Sequence[Any], *, top: int = 10) -> str:
+def render_attribution(spans: Sequence[Mapping[str, Any]], *,
+                       top: int = 10) -> str:
     """Attribution tables (by component, by span kind) for an archive."""
-    attr = attribution(all_spans)
+    attr = attribution(spans)
     if not attr["traces"]:
         return "(no spans to attribute)"
     lines = [f"critical-path attribution · {attr['traces']} traces · "

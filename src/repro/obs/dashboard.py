@@ -1,11 +1,10 @@
 """ASCII dashboard: sparkline panels over time-series telemetry.
 
-Renders the :class:`~repro.obs.timeseries.TelemetrySampler` rings —
-live from a running deployment or rebuilt from an archive's telemetry
-ticks — as fixed-width ASCII panels, one per
-watched metric.  Everything is plain ASCII string building (like
-:mod:`repro.obs.report`) so output is stable in CI logs and easy to
-assert on in tests.
+Renders the :class:`~repro.obs.timeseries.TelemetrySampler` rings, as
+rebuilt from an archive's telemetry ticks, as fixed-width ASCII
+panels, one per watched metric.  Everything is plain ASCII string
+building (like :mod:`repro.obs.report`) so output is stable in CI logs
+and easy to assert on in tests.
 
 The default panel set covers the signals the thesis's evaluation
 watched during a session: link queue occupancy, transport window
@@ -167,24 +166,14 @@ def render_panel(panel: Panel, series_list: Sequence[Series],
 # -- the dashboard ----------------------------------------------------------
 
 
-def render_dashboard(source: Any, *, width: int = WIDTH,
+def render_dashboard(snapshot: Mapping[str, Any], *, width: int = WIDTH,
                      title: str = "") -> str:
-    """Render every applicable panel.
-
-    *source* is a :class:`TelemetrySampler`, a list of
-    :class:`Series`, or a snapshot dict (``Archive.timeseries``).
+    """Render every applicable panel of a snapshot dict
+    (``Archive.timeseries``, the shape of ``TelemetrySampler.snapshot()``).
     """
-    meta: Dict[str, Any] = {}
-    if hasattr(source, "series") and callable(source.series):
-        series_list = source.series()
-        meta = {"samples": source.samples, "evictions": source.evictions,
-                "interval": source.interval}
-    elif isinstance(source, Mapping):
-        series_list = load_timeseries(source)
-        meta = {k: source.get(k) for k in
-                ("samples", "evictions", "interval") if k in source}
-    else:
-        series_list = list(source)
+    series_list = load_timeseries(snapshot)
+    meta = {k: snapshot[k] for k in ("samples", "evictions", "interval")
+            if k in snapshot}
 
     lines: List[str] = []
     header = f"== dashboard{': ' + title if title else ''} =="

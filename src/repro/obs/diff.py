@@ -309,6 +309,23 @@ def render_attribution_table(payload: Mapping[str, Any], *,
     return "\n".join(lines)
 
 
+def render_instrument_movers(payload: Mapping[str, Any], *,
+                             top: int = 10) -> str:
+    """The largest per-instrument metric movements, largest first —
+    also what bench_gate prints against the previous run."""
+    moved = payload["metrics"]
+    if not moved:
+        return "  (no instrument moved)"
+    lines = [f"  top instrument movements ({len(moved)} instruments moved):"]
+    ranked = sorted(moved.items(),
+                    key=lambda kv: abs(kv[1]["delta"]), reverse=True)
+    for key, row in ranked[:top]:
+        tag = f"  [{row['only']} only]" if "only" in row else ""
+        lines.append(f"    {key:<52} {row['before']:>10.4g} -> "
+                     f"{row['after']:>10.4g}  ({row['delta']:+.4g}){tag}")
+    return "\n".join(lines)
+
+
 def render_diff_report(payload: Mapping[str, Any], *,
                        top: int = 10) -> str:
     """Full human-readable diff: header, bench vector, attribution,
@@ -341,19 +358,9 @@ def render_diff_report(payload: Mapping[str, Any], *,
                                None: "absent"}[v]
             lines.append(f"    {t['name']}: {fmt_v(t['before'])} -> "
                          f"{fmt_v(t['after'])}")
-    moved = payload["metrics"]
-    if moved:
+    if payload["metrics"]:
         lines.append("")
-        lines.append(f"  top instrument movements "
-                     f"({len(moved)} instruments moved):")
-        ranked = sorted(moved.items(),
-                        key=lambda kv: abs(kv[1]["delta"]), reverse=True)
-        for key, row in ranked[:top]:
-            tag = f"  [{row['only']} only]" if "only" in row else ""
-            tag += "  [reset]" if row.get("reset") else ""
-            lines.append(f"    {key:<52} {row['before']:>10.4g} -> "
-                         f"{row['after']:>10.4g}  "
-                         f"({row['delta']:+.4g}){tag}")
+        lines.append(render_instrument_movers(payload, top=top))
     if payload["ledger"]:
         lines.append("")
         lines.append("  top ledger movements (bytes sent):")

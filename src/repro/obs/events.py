@@ -52,15 +52,6 @@ class FlightEvent:
             "attrs": self.attrs,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FlightEvent":
-        return cls(time=payload["time"],
-                   component=payload["component"],
-                   kind=payload["kind"],
-                   severity=payload.get("severity", "info"),
-                   trace_id=payload.get("trace_id"),
-                   attrs=dict(payload.get("attrs") or {}))
-
 
 #: events a flight recorder keeps; the oldest are evicted first
 CAPACITY = 4096
@@ -105,11 +96,6 @@ class FlightRecorder:
         for e in self._events:
             out[e.kind] = out.get(e.kind, 0) + 1
         return out
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.dropped = 0
-        self.recorded = 0
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-stable dump of the ring (newest last)."""

@@ -101,8 +101,7 @@ class ReadThrough:
         """``(fn, arg)`` with ``fn(arg) == value``, for a reader that
         reads the same instruments every tick: a single source (an
         integer count, as every source is) is read straight from its
-        field.  Valid until the registry's ``rewired`` count or its
-        epoch moves."""
+        field.  Valid until the registry's ``rewired`` count moves."""
         if len(self.sources) == 1:
             obj, attr = self.sources[0]
             return attrgetter(attr), obj
@@ -223,11 +222,9 @@ class MetricsRegistry:
     """Home of every instrument for one simulated deployment."""
 
     def __init__(self) -> None:
+        #: insertion-ordered and never shrinks: a reader may cache its
+        #: walk of the registry, extending the walk as keys are added
         self._instruments: Dict[Tuple[str, str, LabelKey], Any] = {}
-        #: bumped by a reset; a reader may cache its walk of the
-        #: registry while the epoch holds, extending the walk as keys
-        #: are added
-        self.epoch = 0
         #: bumped when a read-through gains another source: a cached
         #: walk keeps its keys and re-reads its read-through readers
         self.rewired = 0
@@ -281,11 +278,6 @@ class MetricsRegistry:
             and (name is None or key[1] == name)
         }
 
-    def reset(self) -> None:
-        """Drop every instrument (a fresh run on the same registry)."""
-        self._instruments.clear()
-        self.epoch += 1
-
     def report(self) -> Dict[str, Any]:
         """Nested ``{component: {name: [{labels, ...snapshot}]}}`` dump."""
         out: Dict[str, Dict[str, List[Dict[str, Any]]]] = {}
@@ -305,15 +297,8 @@ class MetricsRegistry:
         "after", "delta"}}``; counters and gauges diff their ``value``,
         histograms their ``count``.  Instruments present on only one
         side diff against zero and carry ``"only": "before"|"after"``.
-
-        Monotonic instruments (counters and histogram counts) that go
-        *backwards* mean the instrument was reset between snapshots —
-        a component rebuilt, a registry recycled — not negative work.
-        Such rows carry ``"reset": True`` and their ``delta`` is the
-        ``after`` value (everything accumulated since the reset, the
-        same convention Prometheus ``rate()`` uses), so rates derived
-        from deltas are clamped ≥ 0.  Gauges may legitimately fall
-        and are never treated as resets.
+        Each report is one run's own registry, so a value that falls
+        between the two runs diffs negative, whatever its kind.
         """
 
         def flatten(report: Mapping[str, Any]) -> Dict[str, Tuple[str, float]]:
@@ -342,8 +327,5 @@ class MetricsRegistry:
                 row["only"] = "after"
             elif key not in a:
                 row["only"] = "before"
-            elif kind in ("counter", "histogram") and av < bv:
-                row["reset"] = True
-                row["delta"] = av
             out[key] = row
         return out

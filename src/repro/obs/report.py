@@ -2,8 +2,7 @@
 
 Everything here is pure string building over the shapes an archive's
 ``fin`` summary, ``span``/``event`` records and ``wall`` record carry
-(see :mod:`repro.obs.sink`), or over the live equivalents from
-``MitsSystem.snapshot()``.
+(see :mod:`repro.obs.sink`).
 
 The renderers are deliberately plain ASCII so output is stable in CI
 logs and easy to assert on in tests.
@@ -94,8 +93,8 @@ def render_metrics_summary(report: Mapping[str, Any]) -> str:
 def render_telemetry_health(health: Mapping[str, Any]) -> str:
     """Loss accounting: is any of this run's telemetry truncated?
 
-    Works on the ``telemetry`` block of an archive's ``fin`` summary
-    (or the equivalent live dict).  Dropped flight
+    Works on the ``telemetry`` block of an archive's ``fin`` summary.
+    Dropped flight
     events, dropped spans, and sampler ring evictions are flagged with
     a leading ``!`` so silent truncation is visible in every summary.
     """

@@ -15,8 +15,8 @@ Per instrument kind, a sample stores:
 
 * **counter** — the cumulative value, plus a derived *rate* (units/s of
   simulated time) over the interval since the previous sample.  A
-  counter that moved backwards (the registry was reset mid-run) clamps
-  the rate to 0 instead of reporting a negative rate.
+  read-through field that moved backwards clamps the rate to 0 instead
+  of reporting a negative rate.
 * **gauge** — the level at sample time.
 * **histogram** — the cumulative observation count (with a derived
   observations/s rate) and the p99 at sample time, so latency
@@ -28,11 +28,10 @@ and :meth:`Simulator.schedule` wakes a dormant sampler when new work
 arrives.  ``Simulator.run()`` with no horizon therefore still drains.
 
 A tick reads each instrument once into one row, through a cached walk
-of the registry that is extended as keys are registered and redone
-when :attr:`MetricsRegistry.epoch` moves.  Rows are folded into the
-series rings in batches (when a reader asks, and at the latest every
-``capacity`` ticks); the rings hold exactly what one append per tick
-would have put there.
+of the registry that is extended as keys are registered.  Rows are
+folded into the series rings in batches (when a reader asks, and at
+the latest every ``capacity`` ticks); the rings hold exactly what one
+append per tick would have put there.
 
 Memory is bounded: each series is a fixed-capacity ring
 (:data:`DEFAULT_CAPACITY` samples unless the sampler is told otherwise)
@@ -92,8 +91,8 @@ def _rate(prev_value: Optional[float], prev_time: Optional[float],
     first sample)."""
     if prev_value is None or prev_time is None or time <= prev_time:
         return 0.0
-    # a cumulative value that moved backwards means the registry was
-    # reset mid-run: clamp, never negative
+    # a read-through counter is a component's own field, which nothing
+    # holds to monotonic: one that moved backwards clamps, never negative
     return max(0.0, (value - prev_value) / (time - prev_time))
 
 
@@ -257,15 +256,13 @@ class TelemetrySampler:
         #: ``(key, kind, histogram ordinal or None, labels)`` and
         #: ``p99s`` one p99 per histogram
         self._pending: List[_Tick] = []
-        #: every column's latest sample in this epoch, as a tick
+        #: every column's latest sample, as a tick
         self._last: Optional[_Tick] = None
         #: the cached registry walk: columns, ``(getter, arg)`` pairs and
-        #: histogram readers, valid for ``_walk_epoch`` and extended as
-        #: the registry grows
+        #: histogram readers, extended as the registry grows
         self._columns: Tuple = ()
         self._pairs: List[Tuple[Any, Any]] = []
         self._readers: List[_HistogramReader] = []
-        self._walk_epoch: Optional[int] = None
         self._walk_rewired = 0
         self._dormant = False
         self._tick_event = None
@@ -337,16 +334,15 @@ class TelemetrySampler:
 
         A tick reads each instrument once into one row.  Rows wait in
         ``_pending`` and are folded into the per-series rings in batches
-        (:meth:`_fold`): when a reader asks for a series, when the
-        registry's epoch moves, and whenever ``capacity`` rows wait.
+        (:meth:`_fold`): when a reader asks for a series, and whenever
+        ``capacity`` rows wait.
         """
         meter = self.meter
         t0 = meter.now() if meter is not None else 0.0
         now = self.sim.now
         self.samples += 1
         registry = self.sim.metrics
-        if registry.epoch != self._walk_epoch \
-                or registry.rewired != self._walk_rewired \
+        if registry.rewired != self._walk_rewired \
                 or len(registry._instruments) != len(self._columns):
             self._walk(registry)
         tick = (now, self._columns, [get(arg) for get, arg in self._pairs],
@@ -354,10 +350,13 @@ class TelemetrySampler:
         if self.sink is not None:
             self.sink(now, self._sink_rows(tick))
         last = self._last
-        if last is not None and last[0] != now:
+        if last is None or last[0] != now:
             self._last = tick
         else:
-            self._last = self._settle(tick, last)
+            # a flush at the last tick's time: its columns keep their
+            # sample, the ones registered since take this tick's
+            self._last = (now, tick[1], last[2] + tick[2][len(last[2]):],
+                          last[3] + tick[3][len(last[3]):])
         self._pending.append(tick)
         if len(self._pending) >= self.capacity:
             self._fold()
@@ -368,15 +367,9 @@ class TelemetrySampler:
 
     def _walk(self, registry) -> None:
         """Bring the cached walk up to date with *registry*: walk the
-        keys added since the last walk (re-reading the read-through
-        readers if one gained a source), or, in a new epoch, fold what
-        is pending and walk them all."""
-        if registry.epoch != self._walk_epoch:
-            self._fold()
-            self._walk_epoch = registry.epoch
-            self._columns, self._pairs, self._readers = (), [], []
-            self._last = None
-        elif registry.rewired != self._walk_rewired:
+        keys added since the last walk, re-reading the read-through
+        readers if one gained a source."""
+        if registry.rewired != self._walk_rewired:
             # a read-through gained a source: only its reader changes
             instruments = registry._instruments
             for j, column in enumerate(self._columns):
@@ -399,31 +392,11 @@ class TelemetrySampler:
                                    else (_value, inst))
         self._columns += tuple(columns)
 
-    def _settle(self, tick: _Tick, last: Optional[_Tick]) -> _Tick:
-        """*tick* as every column's latest sample, for the first tick of
-        an epoch or a ``snapshot()`` flush at *last*'s time: a column
-        that already holds a sample at this time (*last*'s, or its
-        series' from before a registry reset) keeps it, the others take
-        this tick's.  The rings are current for every column *last*
-        lacks: a new epoch folds what was pending, and a key new within
-        an epoch has no pending ticks."""
-        now, columns, row, p99s = tick
-        known = 0 if last is None else len(last[2])
-        values = row[known:]
-        for j, (key, _, _, _) in enumerate(columns[known:]):
-            series = self._series.get(key)
-            if series is not None and series.times \
-                    and series.times[-1] == now:
-                values[j] = series.values[-1]
-        if last is None:
-            return (now, columns, values, p99s)
-        return (now, columns, last[2] + values, last[3] + p99s[len(last[3]):])
-
     def _sink_rows(self, tick: _Tick) -> List[List[Any]]:
         """One tick's archive rows, ``[component, name, labels, kind,
         value, rate, p99]`` for each series that takes the sample, each
-        rate taken from the series' previous sample: the last tick for
-        a column it had, the ring for a column new since then."""
+        rate taken from the last tick: a column new since then has no
+        series yet, so its first rate is 0."""
         now, columns, row, p99s = tick
         last = self._last
         known = len(last[1]) if last is not None else 0
@@ -434,13 +407,7 @@ class TelemetrySampler:
                     continue  # a flush: this series already sampled now
                 prev_v, prev_t = last[2][j], last[0]
             else:
-                series = self._series.get(key)
-                if series is None or not series.times:
-                    prev_v = prev_t = None
-                elif series.times[-1] == now:
-                    continue
-                else:
-                    prev_v, prev_t = series.values[-1], series.times[-1]
+                prev_v = prev_t = None
             value = row[j]
             rows.append([key[0], key[1], labels, kind, value,
                          _rate(prev_v, prev_t, value, now)
@@ -530,7 +497,7 @@ class TelemetrySampler:
 
 
 def load_timeseries(payload: Mapping[str, Any]) -> List[Series]:
-    """Rebuild :class:`Series` objects from a snapshot dict, so
-    the dashboard renders archived runs exactly like live ones."""
+    """Rebuild :class:`Series` objects from a snapshot dict (an
+    archive's replayed telemetry or ``TelemetrySampler.snapshot()``)."""
     return [Series.from_dict(entry) for entry in
             payload.get("series", [])]

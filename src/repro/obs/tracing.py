@@ -78,16 +78,6 @@ class SpanRecord:
             "attrs": self.attrs,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "SpanRecord":
-        return cls(span_id=payload["span_id"],
-                   parent_id=payload.get("parent_id"),
-                   trace_id=payload["trace_id"],
-                   name=payload["name"],
-                   start=payload["start"],
-                   end=payload["end"],
-                   attrs=dict(payload.get("attrs") or {}))
-
 
 class _NullSpan:
     """Shared no-op span for a disabled tracer."""
@@ -260,11 +250,6 @@ class Tracer:
     def by_trace(self, trace_id: int) -> List[SpanRecord]:
         return [s for s in self.spans if s.trace_id == trace_id]
 
-    def clear(self) -> None:
-        self._finished.clear()
-        self._current = None
-        self.dropped = 0
-
     def aggregate(self) -> Dict[str, Dict[str, float]]:
         """Per-name duration stats (count/total/min/mean/max/p50/p99)."""
         durations: Dict[str, List[float]] = {}
@@ -284,11 +269,3 @@ class Tracer:
                 "p99": _quantile(durs, 0.99),
             }
         return agg
-
-    def critical(self) -> Dict[str, Any]:
-        """Cross-trace critical-path attribution of the finished spans:
-        the live-tracer entry point to the analysis the
-        ``repro.obs critical`` CLI runs on archives."""
-        from repro.obs import critical as _critical
-
-        return _critical.attribution([s.to_dict() for s in self.spans])

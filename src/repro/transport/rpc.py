@@ -100,8 +100,9 @@ class StreamReceiver:
         self.on_end = on_end
         self.first_chunk_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        #: the server's reason when it could not open the stream (no
-        #: chunk follows and ``on_end`` does not fire)
+        #: the server's reason when it could not open the stream: no
+        #: chunk follows, ``finished`` stays False and ``on_end`` fires
+        #: with this set
         self.error: Optional[str] = None
         self._span: Any = NULL_SPAN
         self._ctx: Optional[TraceContext] = None
@@ -290,6 +291,12 @@ class RpcClient:
                 stream.error = str(load_value(msg.body))
                 stream._span.set(error=stream.error)
                 stream._span.end()
+                if stream.on_end is not None:
+                    token = tracer.attach(stream._ctx)
+                    try:
+                        stream.on_end(stream)
+                    finally:
+                        tracer.detach(token)
             pending = self._pending.pop(msg.corr_id, None)
             if pending is not None:
                 reason = load_value(msg.body)

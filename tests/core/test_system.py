@@ -197,6 +197,35 @@ class TestSampleLearningSession:
         assert nav.state is NavigatorState.ENTRY
         assert ("classroom", "leave-classroom") not in nav.trace  # traced under MAIN
 
+    def test_unpublished_content_ends_the_classroom_with_an_error(self):
+        """A course whose text names content the database never got:
+        entering it ends with the refused ref instead of waiting."""
+        mits = deploy(tracing=True)
+        author = mits.authors["author1"]
+        scene = Scene(name="gap", objects=[
+            SceneObject(name="notes", kind="text", content_ref="ghost")])
+        scene.timeline.add(TimelineEntry("notes", 0.0, 1.0))
+        doc = InteractiveDocument("gap-101", title="Gap")
+        doc.add_section(Section(name="s1", scenes=[scene]))
+        mits.wait(author.publish_courseware(
+            author.editor.compile_imd(doc), courseware_id="gap-101",
+            title="Gap", program="networking", keywords=[],
+            introduction_ref="atm-intro-video"))
+        nav = mits.add_user("user1").navigator
+        nav.start()
+        nav.register("Ada Lovelace")
+        mits.sim.run(until=mits.sim.now + 5)
+        done = []
+        session = nav.enter_classroom("GAP", "gap-101",
+                                      on_ready=done.append)
+        mits.sim.run(until=mits.sim.now + 60)
+        assert done == [session]
+        assert not session.ready
+        assert session.error == "content 'ghost': no content object 'ghost'"
+        (span,) = [s for s in mits.sim.tracer.spans
+                   if s.name == "navigator.enter_classroom"]
+        assert span.attrs["error"] == session.error
+
     def test_login_with_existing_number(self):
         mits = deploy()
         user = mits.add_user("user1")

@@ -14,7 +14,7 @@ import pytest
 from repro.core.scenarios import build
 from repro.obs.critical import (
     analyze_trace, attribution, component_of, critical_segments, kind_of,
-    normalize_spans, render_attribution, render_critical_path,
+    render_attribution, render_critical_path,
     select_traces, tail_trace_ids,
 )
 from repro.obs.export import dump_observability
@@ -212,13 +212,14 @@ class TestArchiveParity:
         _, out, obs_path = quickstart_archive
         late = load_archive(os.path.join(out, "obs_late.jsonl")).spans
         streamed = load_archive(obs_path).spans
-        assert attribution(normalize_spans(late)) \
-            == attribution(normalize_spans(streamed))
+        assert attribution(late) == attribution(streamed)
 
     def test_live_tracer_matches_archive(self, quickstart_archive):
-        mits, _, obs_path = quickstart_archive
-        streamed = load_archive(obs_path).spans
-        assert mits.sim.tracer.critical() == attribution(streamed)
+        """The ``fin`` block, attributed from the tracer's ring at close,
+        equals the attribution of the spans streamed as they ended."""
+        _, _, obs_path = quickstart_archive
+        archive = load_archive(obs_path)
+        assert archive.summary["critical"] == attribution(archive.spans)
 
     def test_tracer_critical_single_trace(self, quickstart_archive):
         mits, _, _ = quickstart_archive

@@ -1,5 +1,7 @@
 """Tests for the sparkline dashboard and its CLI subcommand."""
 
+import pytest
+
 from repro.obs.__main__ import main
 from repro.obs.dashboard import (
     DEFAULT_PANELS, Panel, render_dashboard, render_panel, sparkline,
@@ -90,7 +92,7 @@ class TestPanels:
 
 class TestDashboard:
     def test_renders_from_live_series(self):
-        out = render_dashboard([make_series()])
+        out = render_dashboard({"series": [make_series().to_dict()]})
         assert "== dashboard ==" in out
         assert "link queue occupancy" in out
 
@@ -111,7 +113,8 @@ class TestDashboard:
         assert "! 7 samples evicted" in out
 
     def test_no_matching_series_message(self):
-        out = render_dashboard([make_series("nobody", "cares")])
+        out = render_dashboard(
+            {"series": [make_series("nobody", "cares").to_dict()]})
         assert "no series match any panel" in out
 
     def test_default_panels_cover_the_issue_list(self):
@@ -145,8 +148,10 @@ class TestDashboardCommand:
         assert "link queue occupancy" in capsys.readouterr().out
 
     def test_no_input_is_an_error(self, capsys):
-        assert main(["dashboard"]) == 2
-        assert "--live" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["dashboard"])
+        assert exc.value.code == 2
+        assert "archive" in capsys.readouterr().err
 
 
 class TestReportTelemetryHealth:

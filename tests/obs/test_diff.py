@@ -104,6 +104,30 @@ class TestRegressionAttribution:
         assert "deterministic deltas:" in report
 
 
+class TestFallingCounters:
+    """Each archive is one run's own registry, so a counter that falls
+    between two runs is a negative delta like any other."""
+
+    @staticmethod
+    def _archive(path, retransmits):
+        metrics = {"transport": {"retransmits": [
+            {"labels": {}, "type": "counter", "value": retransmits}]}}
+        return str(write_archive(path, summary={"metrics": metrics}))
+
+    @pytest.mark.parametrize("after,delta", [(0, -12.0), (5, -7.0)])
+    def test_fall_is_one_negative_delta(self, tmp_path, capsys, after,
+                                        delta):
+        a = self._archive(tmp_path / "obs_a.jsonl", 12)
+        b = self._archive(tmp_path / "obs_b.jsonl", after)
+        payload = diff_runs(load_side(a), load_side(b))
+        assert payload["deterministic_delta_count"] == 1
+        assert payload["metrics"] == {"transport.retransmits{}": {
+            "kind": "counter", "before": 12.0, "after": float(after),
+            "delta": delta}}
+        assert main(["diff", a, b]) == 1
+        assert f"({delta:+.4g})" in capsys.readouterr().out
+
+
 class TestBenchArchives:
     def test_bench_baseline_loads(self):
         archive = load_side(os.path.join(REPO_ROOT,

@@ -52,15 +52,6 @@ class TestRing:
         assert [e.attrs["i"] for e in streamed] == list(range(CAPACITY + 6))
         assert streamed[rec.dropped:] == rec.events
 
-    def test_clear_resets_counters(self):
-        rec = FlightRecorder(clock=lambda: 0.0)
-        for _ in range(CAPACITY + 1):
-            rec.record("x", "y")
-        rec.clear()
-        assert rec.events == []
-        assert rec.recorded == 0
-        assert rec.dropped == 0
-
 
 class TestQueries:
     def test_by_kind_and_counts(self):

@@ -78,7 +78,8 @@ class TestDashboardParity:
         mits, archive, _ = dumped
         archived = render_dashboard(archive.timeseries, width=40,
                                     title="x")
-        live = render_dashboard(mits.sampler, width=40, title="x")
+        live = render_dashboard(mits.sampler.snapshot(), width=40,
+                                title="x")
         assert archived == live
 
 

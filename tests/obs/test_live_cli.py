@@ -1,7 +1,9 @@
-"""``python -m repro.obs`` end to end: the live modes on a named
-scenario, and bad input, which must exit 2 with a one-line message on
-stderr instead of a traceback or a hang."""
+"""``python -m repro.obs`` bad input — a missing or unreadable archive,
+an unknown scenario or fault plan for ``audit``, a non-positive count —
+must exit 2 with a one-line message on stderr instead of a traceback
+or a hang."""
 
+import os
 import time
 
 import pytest
@@ -21,30 +23,6 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
-class TestLiveModes:
-    def test_dashboard_live(self, capsys):
-        code, out, err = run_cli(["dashboard", "--live", "quickstart"],
-                                 capsys)
-        assert code == 0, err
-        assert "quickstart @ t=" in out
-        assert "RPC round-trip p99" in out
-        assert "telemetry health" in out
-
-    def test_dashboard_live_follow(self, capsys):
-        code, out, err = run_cli(["dashboard", "--live", "quickstart",
-                                  "--follow", "--slice", "10"], capsys)
-        assert code == 0, err
-        assert "quickstart (live, t=" in out
-        assert "quickstart @ t=" in out
-
-    def test_top_live(self, capsys):
-        code, out, err = run_cli(["top", "--live", "quickstart"], capsys)
-        assert code == 0, err
-        assert "quickstart @ t=" in out
-        for kind in ("link", "site", "stream", "vc"):
-            assert f"-- {kind} (" in out
-
-
 @pytest.fixture
 def archive(tmp_path):
     """A complete archive with one span and one ledger row."""
@@ -61,16 +39,10 @@ def archive(tmp_path):
 
 
 BAD_INPUT = [
-    (["dashboard", "--live", "quickstart", "--follow", "--slice", "0"],
-     "--slice", "'0'"),
-    (["dashboard", "--live", "quickstart", "--interval", "0"],
-     "--interval", "'0'"),
-    (["dashboard", "--live", "quickstart", "--width", "-3"],
-     "--width", "'-3'"),
-    (["dashboard", "--live", "bogus"], "unknown scenario", "'bogus'"),
-    (["top", "--live", "bogus"], "unknown scenario", "'bogus'"),
-    (["top", "--live", "quickstart", "--faults", "bogus"],
-     "unknown fault plan", "'bogus'"),
+    (["dashboard", "{archive}", "--width", "-3"], "--width", "'-3'"),
+    (["dashboard", "{missing}"], "cannot read archive", "obs_missing"),
+    (["top", "{missing}"], "cannot read archive", "obs_missing"),
+    (["audit", "{missing}"], "unknown scenario", "obs_missing"),
     (["audit", "quickstart", "--faults", "bogus"],
      "unknown fault plan", "'bogus'"),
     (["audit", "bogus"], "unknown scenario", "'bogus'"),
@@ -87,7 +59,9 @@ class TestBadInput:
                              ids=[" ".join(a) for a, _, _ in BAD_INPUT])
     def test_exits_2_with_a_message(self, argv, what, value, archive,
                                     capsys):
-        argv = [archive if a == "{archive}" else a for a in argv]
+        missing = os.path.join(os.path.dirname(archive), "obs_missing.jsonl")
+        argv = [{"{archive}": archive, "{missing}": missing}.get(a, a)
+                for a in argv]
         start = time.monotonic()
         code, out, err = run_cli(argv, capsys)
         assert time.monotonic() - start < 5.0

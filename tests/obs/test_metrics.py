@@ -214,12 +214,6 @@ class TestExport:
         assert len(reg.find("link", "drops")) == 2
         assert len(reg.find("vc")) == 1
 
-    def test_reset(self):
-        reg = MetricsRegistry()
-        reg.counter("c", "n").inc()
-        reg.reset()
-        assert reg.report() == {}
-
 
 class TestDelta:
     """MetricsRegistry.delta — per-instrument diff of two reports."""
@@ -271,21 +265,19 @@ class TestDelta:
     def test_empty_reports(self):
         assert MetricsRegistry.delta({}, {}) == {}
 
-    def test_counter_reset_clamps_rate(self):
-        """A counter that went backwards was reset (component rebuilt,
-        registry recycled); delta is the after value — everything
-        accumulated since the reset — never negative."""
+    def test_counter_fall_between_runs_is_negative(self):
+        """Each report is one run's own registry: fewer drops in the
+        second run is a negative delta, not a reset."""
         reg_a = MetricsRegistry()
         reg_a.counter("link", "drops", link="a->b").value += 100
         reg_b = MetricsRegistry()
         reg_b.counter("link", "drops", link="a->b").value += 7
         row = MetricsRegistry.delta(
             reg_a.report(), reg_b.report())["link.drops{link=a->b}"]
-        assert row["reset"] is True
-        assert row["delta"] == 7.0
-        assert row["delta"] >= 0
+        assert row == {"kind": "counter", "before": 100.0, "after": 7.0,
+                       "delta": -93.0}
 
-    def test_histogram_count_reset_clamps_rate(self):
+    def test_histogram_count_fall_between_runs_is_negative(self):
         reg_a = MetricsRegistry()
         for _ in range(5):
             reg_a.histogram("vc", "delay").observe(0.1)
@@ -293,8 +285,7 @@ class TestDelta:
         reg_b.histogram("vc", "delay").observe(0.1)
         row = MetricsRegistry.delta(
             reg_a.report(), reg_b.report())["vc.delay{}"]
-        assert row["reset"] is True
-        assert row["delta"] == 1.0
+        assert row["delta"] == -4.0
 
     def test_gauge_fall_is_not_a_reset(self):
         reg = MetricsRegistry()
@@ -304,17 +295,14 @@ class TestDelta:
         gauge.set(2)
         row = MetricsRegistry.delta(
             before, reg.report())["player.buffer{player=p1}"]
-        assert "reset" not in row
         assert row["delta"] == -6.0
 
     def test_one_sided_rows_never_marked_reset(self):
         """An instrument absent from one side diffs against zero; the
-        before-only case (after value 0 < before value) must read as
-        a disappearance, not a counter reset."""
+        before-only case reads as a disappearance."""
         reg = MetricsRegistry()
         reg.counter("switch", "received", switch="sw0").value += 9
         gone = MetricsRegistry.delta(
             reg.report(), {})["switch.received{switch=sw0}"]
-        assert gone["only"] == "before"
-        assert "reset" not in gone
-        assert gone["delta"] == -9.0
+        assert gone == {"kind": "counter", "before": 9.0, "after": 0.0,
+                        "delta": -9.0, "only": "before"}

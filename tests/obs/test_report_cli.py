@@ -154,8 +154,10 @@ class TestTopCommand:
         assert "1 (a->b)" in out
 
     def test_top_without_source_is_usage_error(self, capsys):
-        assert main(["top"]) == 2
-        assert "archive path or --live" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["top"])
+        assert exc.value.code == 2
+        assert "archive" in capsys.readouterr().err
 
     def test_bad_sort_column_rejected_by_argparse(self, tmp_path):
         path = self._write_accounting(tmp_path / "obs_demo.jsonl")

@@ -89,30 +89,27 @@ class TestSampling:
             TelemetrySampler(sim, capacity=1)
 
 
-class TestCounterReset:
-    def test_registry_reset_never_yields_negative_rates(self):
-        """A counter that moves backwards (registry reset) clamps the
-        derived rate to zero instead of reporting a negative rate."""
+class TestCounterFall:
+    def test_falling_read_through_never_yields_negative_rates(self):
+        """A read-through counter reads a component's own field; one
+        that moves backwards clamps the derived rate to zero instead of
+        reporting a negative rate."""
         sim = Simulator()
-        counter = sim.metrics.counter("work", "items_done")
+        stats = type("Stats", (), {"done": 0})()
+        sim.metrics.read_through("work", "items_done", stats, "done")
         sampler = TelemetrySampler(sim, interval=1.0)
         sampler.start()
-        counter.value += 100
+        stats.done = 100
         sim.schedule(1.0, lambda: None)
         sim.run(until=1.5)  # sample sees value=100
 
-        sim.metrics.reset()  # fresh instruments, counts restart at 0
-        fresh = sim.metrics.counter("work", "items_done")
-        fresh.value += 5
+        stats.done = 5
         sim.schedule(1.0, lambda: None)
         sim.run(until=3.5)
 
         series = sampler.get("work", "items_done")
-        assert series is not None
-        assert all(r >= 0.0 for r in series.rates)
-        # and the clamped tick really was the reset one
-        assert any(v == 100 for v in series.values)
-        assert any(v <= 5 for v in list(series.values)[1:])
+        assert list(series.values) == [0, 100, 5, 5]
+        assert list(series.rates) == [0.0, 100.0, 0.0, 0.0]
 
 
 class TestDormancy:

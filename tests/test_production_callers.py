@@ -6,9 +6,11 @@ One AST scan of the production trees (``src``, ``perfbench``,
 
 * a public ``def`` needs a reference: a name or an attribute spelled
   like it (a call, a callback, ``rpc.register(..., self.x)``), or a
-  string literal passed to a call (``getattr(obj, "x")``,
-  ``read_through(..., "x")``).  A reference inside a ``def`` of the
-  same name (recursion, delegation) does not count.
+  string literal passed to a call that looks an attribute up by name
+  (:data:`BY_NAME`: ``getattr(obj, "x")``, ``read_through(..., "x")``,
+  perfbench's ``_wrap(cls, "x", ...)``).  Any other string, such as
+  ``row.get("x")``, is data, not a reference.  A reference inside a
+  ``def`` of the same name (recursion, delegation) does not count.
 * a parameter with a default needs a call that passes it, by keyword
   or by position (``*args``/``**kwargs`` pass everything).  Calls are
   matched by the callee's name, so ``obj.send(...)`` counts for every
@@ -61,6 +63,11 @@ ALLOWED = {
 }
 
 
+#: calls whose string arguments name an attribute
+BY_NAME = frozenset({"getattr", "hasattr", "setattr", "read_through",
+                     "_wrap"})
+
+
 def _modules(*tops):
     for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
@@ -109,10 +116,12 @@ class _Uses(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node):
-        for arg in node.args + [k.value for k in node.keywords]:
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                self._use(arg.value)
         name = _name_of(node.func)
+        if name in BY_NAME:
+            for arg in node.args + [k.value for k in node.keywords]:
+                if isinstance(arg, ast.Constant) \
+                        and isinstance(arg.value, str):
+                    self._use(arg.value)
         if name == "__init__" and self._classes:
             for base in self._classes[-1].bases:
                 self.calls.setdefault(_name_of(base), []).append(node)
