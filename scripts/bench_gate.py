@@ -101,9 +101,9 @@ MAX_OBS_OVERHEAD_PCT = 15.0
 #: work (a silently skipped stream, an unscheduled classroom) trips
 #: it, not counter jitter from an intended change.
 MIN_EVENTS_PER_SIM_SEC: Dict[str, float] = {
-    "quickstart": 240.0,       # recorded 270.0 ev/sim-sec
-    "classroom": 230.0,        # recorded 258.9
-    "faulty-classroom": 250.0,  # recorded 285.2
+    "quickstart": 183.0,       # recorded 203.9 ev/sim-sec
+    "classroom": 197.0,        # recorded 219.4
+    "faulty-classroom": 196.0,  # recorded 218.5
 }
 
 

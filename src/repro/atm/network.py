@@ -113,11 +113,14 @@ class VirtualCircuit:
                              "pdus_delivered", vc=vc_id, route=route)
         self.acct = src.sim.ledger.account("vc", str(vc_id), note=route)
 
-    def send(self, payload: bytes) -> None:
-        """Segment *payload* and inject its cells, paced by the shaper."""
+    def send(self, payload: bytes) -> float:
+        """Segment *payload* and inject its cells, paced by the shaper.
+
+        Returns the time the frame's last cell leaves the shaper.
+        """
         if not self.open:
             raise NetworkError(f"VC {self.vc_id} is closed")
-        self.src._transmit(self, payload)
+        return self.src._transmit(self, payload)
 
 
 class Host:
@@ -148,7 +151,7 @@ class Host:
                                      host=self.name).inc()
         self._send_times[(vc_id, seqno)] = now
 
-    def _transmit(self, vc: VirtualCircuit, payload: bytes) -> None:
+    def _transmit(self, vc: VirtualCircuit, payload: bytes) -> float:
         now = self.sim.now
         cells, pdu = vc.sender.segment_train(payload, created_at=now)
         vc.stats.pdus_sent += 1
@@ -162,6 +165,7 @@ class Host:
         times = [next_departure(now) for _ in cells]
         self.uplink.hold(CellTrain(cells, vc.contract.category, times, pdu,
                                    route=vc.links))
+        return times[-1]
 
     def _bind_receive(self, vci: int, vc: VirtualCircuit,
                       handler: Callable[[bytes, "DeliveryInfo"], None]) -> None:
@@ -280,8 +284,8 @@ class DuplexEndpoint:
     send_vc: VirtualCircuit
     recv_vc: VirtualCircuit
 
-    def send(self, payload: bytes) -> None:
-        self.send_vc.send(payload)
+    def send(self, payload: bytes) -> float:
+        return self.send_vc.send(payload)
 
 
 class AtmNetwork:

@@ -78,8 +78,13 @@ class LearningSession:
                                  reference)
 
     def close(self) -> float:
-        """Stop playback and persist the resume position."""
-        position = self.presenter.stop()
+        """Stop playback and persist the resume position.
+
+        A presentation that never started (refused content, or left
+        before it was ready) stops at 0.0; the saved position must not
+        fall below the one this visit resumed from.
+        """
+        position = max(self.presenter.stop(), self.resume_position)
         self.client.save_resume(self.student_number, self.courseware_id,
                                 position)
         self.ready = False

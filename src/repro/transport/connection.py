@@ -11,18 +11,27 @@ ARQ:
 * unacked messages are retransmitted after a timeout, with the window
   bounding how much may be in flight.
 
-The retransmit timeout adapts to the path (Jacobson/Karn, as in RFC
-6298): each new-transmission ack contributes an RTT sample to
+The retransmit timer measures the path, not the sender's own queue
+(Jacobson, SIGCOMM 1988; RFC 6298): the VC reports when a frame's
+last cell leaves its shaper, and the timer for the oldest unacked
+message runs from that departure.  A 20 KB upload shaped under the
+control contract takes ~50 ms just to leave the host; a timer started
+at the send call fired into that queue and resent the *entire*
+go-back-N window as duplicate cells.  The timeout adapts: each
+new-transmission ack contributes a departure-to-ack RTT sample to
 smoothed estimators (``SRTT``/``RTTVAR``), the timeout is
-``SRTT + 4*RTTVAR`` clamped to ``[rto, RTO_MAX]``, and consecutive
+``SRTT + 4*RTTVAR`` clamped to ``[RTO_MIN, RTO_MAX]``, and consecutive
 timeouts back the timer off exponentially until an ack makes forward
 progress.  Retransmitted segments never yield samples (Karn's rule),
 so a resent message can't poison the estimate with an ambiguous ack.
-A fixed aggressive timeout measurably hurts here: classroom's 16 KB
-courseware messages serialise for ~86 ms on a 1.5 Mbit/s access link,
-so a constant 50 ms timer fires mid-flight and resends the *entire*
-go-back-N window through AAL5 segmentation — pure duplicate cells
-(see DESIGN.md "Trace-driven performance diagnosis").
+The ``rtt_seconds`` histogram keeps what the application waits, send
+call to ack.
+
+A VC never reorders, so a bare ack that repeats the base while frames
+are in flight means a frame was lost: the window is resent at once,
+once per loss episode (RFC 6582's ``recover``) and without backoff,
+rather than after the timer (see DESIGN.md "Case study: the
+``Connection._on_timeout`` outlier").
 
 Applications set a connection's ``on_message`` callback and call
 :meth:`Connection.send`; everything below that — segmentation,
@@ -112,7 +121,13 @@ class Connection:
         self._backlog: Deque[Message] = deque()   # waiting for window space
         self._in_flight: Dict[int, Message] = {}
         self._retries: Dict[int, int] = {}
-        self._sent_at: Dict[int, float] = {}   # first-transmission times
+        #: send-call time of each never-retransmitted message (Karn)
+        self._sent_at: Dict[int, float] = {}
+        #: when each in-flight message's latest copy left the shaper
+        self._departed: Dict[int, float] = {}
+        #: the cumulative ack that ends the last gap resend's episode;
+        #: only a repeated ack beyond it starts another
+        self._recover = -1
         self._timer: Optional[Event] = None
         self._reassembly: list = []
         metrics = sim.metrics
@@ -180,22 +195,23 @@ class Connection:
         if msg.trace_id:
             self.sim.ledger.account("trace", f"t{msg.trace_id:x}").sent(
                 units=1, nbytes=len(data))
-        self._raw_send(data)
+        self._departed[msg.seq] = self._raw_send(data)
         self.stats.sent += 1
         self._arm_timer()
 
-    def _raw_send(self, data: bytes) -> bool:
+    def _raw_send(self, data: bytes) -> float:
         """Push bytes at the VC, absorbing a torn-down circuit.
 
+        Returns when the frame's last cell leaves the sender's shaper.
         A closed VC must not unwind the simulator loop (the retransmit
         timer sends from inside it); instead the loss is recorded once
         and ``on_transport_lost`` is scheduled so a reconnect policy
         can re-establish the circuit.  Un-sent messages stay in flight
-        and ride the go-back-N timer onto the replacement VC.
+        and ride the go-back-N timer onto the replacement VC; a refused
+        frame never leaves, so its timer runs from the failed attempt.
         """
         try:
-            self.endpoint.send(data)
-            return True
+            return self.endpoint.send(data)
         except NetworkError:
             self.stats.send_failures += 1
             if not self.transport_lost:
@@ -205,7 +221,7 @@ class Connection:
                     conn=self.name)
                 if self.on_transport_lost is not None:
                     self.sim.schedule(0.0, self.on_transport_lost, self)
-            return False
+            return self.sim.now
 
     def rebind(self, endpoint: DuplexEndpoint) -> None:
         """Attach this connection to a freshly-opened duplex endpoint.
@@ -263,7 +279,12 @@ class Connection:
         if self._timer is None and self._in_flight:
             exponent = min(self._backoff, self.BACKOFF_CAP)
             timeout = min(self.rto * (2 ** exponent), RTO_MAX)
-            self._timer = self.sim.schedule(timeout, self._on_timeout)
+            # the timer covers the path, not the sender's own shaper:
+            # it runs from when the head frame's last cell departs
+            now = self.sim.now
+            start = max(now, self._departed.get(min(self._in_flight), now))
+            self._timer = self.sim.schedule_at(start + timeout,
+                                               self._on_timeout)
 
     def _on_timeout(self) -> None:
         self._timer = None
@@ -292,7 +313,16 @@ class Connection:
             if self.on_error is not None:
                 self.on_error(error)
             return
+        self._resend_window()
+        # exponential backoff: each consecutive timeout doubles the
+        # timer (capped at RTO_MAX) until an ack makes progress
+        self._backoff += 1
+        self._arm_timer()
+
+    def _resend_window(self) -> None:
+        """Go-back-N: resend everything still in flight, oldest first."""
         recorder = self.sim.recorder
+        retry = self._retries.get(min(self._in_flight), 0)
         for seq in sorted(self._in_flight):
             msg = self._in_flight[seq]
             msg.ack = self._recv_next
@@ -300,12 +330,27 @@ class Connection:
             self._sent_at.pop(seq, None)
             recorder.record("transport", "retransmit", severity="warning",
                             trace_id=msg.trace_id or None, conn=self.name,
-                            seq=seq, retry=self._retries[base])
-            self._raw_send(msg.encode())
+                            seq=seq, retry=retry)
+            self._departed[seq] = self._raw_send(msg.encode())
             self.stats.retransmitted += 1
-        # exponential backoff: each consecutive timeout doubles the
-        # timer (capped at RTO_MAX) until an ack makes progress
-        self._backoff += 1
+
+    def _resend_on_gap(self) -> None:
+        """A bare ack repeated the base while frames are in flight.
+
+        The peer acks every frame it receives and a VC never reorders,
+        so the repeat answers a frame that arrived behind a lost one
+        (the caller checks that the head's latest copy has left the
+        shaper: an ack before that cannot be about it).  Resend the
+        window at once instead of waiting out the timer, with no
+        backoff.  One resend per loss episode (RFC 6582's
+        ``recover``): acks up to the end of this window may echo
+        frames that were already in flight behind the loss.
+        """
+        self._recover = max(self._in_flight) + 1
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._resend_window()
         self._arm_timer()
 
     # -- receiving -------------------------------------------------------
@@ -317,8 +362,12 @@ class Connection:
         except DecodingError:
             self.stats.decode_errors += 1
             return
+        repeated = msg.ack == self._send_base
         self._process_ack(msg.ack)
         if msg.type is MessageType.ACK:
+            if (repeated and self._in_flight and msg.ack > self._recover
+                    and self.sim.now > self._departed[msg.ack]):
+                self._resend_on_gap()
             return
         if msg.seq == self._recv_next:
             self._recv_next += 1
@@ -335,15 +384,19 @@ class Connection:
 
     def _process_ack(self, ack: int) -> None:
         advanced = False
+        now = self.sim.now
         for seq in [s for s in self._in_flight if s < ack]:
             del self._in_flight[seq]
             self.stats.acked += 1
             self._retries.pop(seq, None)
             sent_at = self._sent_at.pop(seq, None)
+            departed = self._departed.pop(seq, sent_at)
             if sent_at is not None:
-                rtt = self.sim.now - sent_at
-                self._m_rtt.observe(rtt)
-                self._observe_rtt(rtt)
+                # the histogram is what the application waits (send
+                # call -> ack); the estimator samples only the path
+                # (last-cell departure -> ack), as its timer runs
+                self._m_rtt.observe(now - sent_at)
+                self._observe_rtt(now - departed)
                 # a measurable (never-retransmitted) segment made it:
                 # the backed-off timer may relax to the adaptive RTO.
                 # Acks of retransmitted segments do NOT clear the
@@ -397,6 +450,7 @@ class Connection:
         self._in_flight.clear()
         self._retries.clear()
         self._sent_at.clear()
+        self._departed.clear()
         # a half-reassembled fragment chain must not splice stale bytes
         # into a message delivered after reuse of the receive path
         self._reassembly = []

@@ -226,6 +226,35 @@ class TestSampleLearningSession:
                    if s.name == "navigator.enter_classroom"]
         assert span.attrs["error"] == session.error
 
+    def test_refused_classroom_keeps_the_saved_resume_position(self):
+        """Leaving a classroom whose content was refused must not save
+        the never-started presentation's 0.0 over the learner's place."""
+        mits = deploy()
+        author = mits.authors["author1"]
+        scene = Scene(name="gap", objects=[
+            SceneObject(name="notes", kind="text", content_ref="ghost")])
+        scene.timeline.add(TimelineEntry("notes", 0.0, 1.0))
+        doc = InteractiveDocument("gap-101", title="Gap")
+        doc.add_section(Section(name="s1", scenes=[scene]))
+        mits.wait(author.publish_courseware(
+            author.editor.compile_imd(doc), courseware_id="gap-101",
+            title="Gap", program="networking", keywords=[],
+            introduction_ref="atm-intro-video"))
+        nav = mits.add_user("user1").navigator
+        nav.start()
+        nav.register("Ada Lovelace")
+        mits.sim.run(until=mits.sim.now + 5)
+        number = nav.student["student_number"]
+        client = nav.client
+        mits.wait(client.save_resume(number, "gap-101", 42.0))
+        session = nav.enter_classroom("GAP", "gap-101")
+        mits.sim.run(until=mits.sim.now + 60)
+        assert session.error is not None
+        assert session.resume_position == 42.0
+        assert nav.leave_classroom() == 42.0
+        mits.sim.run(until=mits.sim.now + 5)
+        assert mits.wait(client.get_resume(number, "gap-101")) == 42.0
+
     def test_login_with_existing_number(self):
         mits = deploy()
         user = mits.add_user("user1")

@@ -62,8 +62,14 @@ class TestSinkMechanics:
         with pytest.raises(ValueError, match=":1: not an obs archive"):
             load_archive(str(other))
 
-    def test_record_grammar(self, streamed):
-        _, _, obs_path, _ = streamed
+    def test_record_grammar(self, tmp_path):
+        # faulty-classroom, because its faults really drop cells: a
+        # clean run records no flight events, so no ``event`` record
+        obs_path = str(tmp_path / "obs_grammar.jsonl")
+        run = build("faulty-classroom", tracing=True, accounting=True,
+                    stream=obs_path)
+        run.run_to_horizon()
+        dump_observability(run.mits, "grammar", str(tmp_path))
         with open(obs_path) as fh:
             lines = [json.loads(x) for x in fh]
         assert lines[0]["record"] == "meta"

@@ -57,15 +57,16 @@ SCENARIOS = ("quickstart", "classroom", "faulty-classroom")
 
 
 def switchbound_jitter() -> FaultPlan:
-    """Jitter on both links into ``sw0``; the crash edges at 7.0 and
-    7.05 s and the teardown at 8.5 s fall inside cells' jittered
-    propagation windows."""
+    """Jitter on both links into ``sw0``; the crash edges at 6.5 and
+    6.55 s and the teardown at 8.5 s fall inside cells' jittered
+    propagation windows.  The crash lands on the lecture video, which
+    streams until ~6.8 s; after it only a few RPCs cross the switch."""
     return FaultPlan(name="switchbound-jitter", seed=11, faults=[
         FaultSpec(at=6.0, kind="jitter", target="database->sw0",
                   duration=4.0, jitter=0.002),
         FaultSpec(at=6.0, kind="jitter", target="user1->sw0",
                   duration=4.0, jitter=0.002),
-        FaultSpec(at=7.0, kind="switch_crash", target="sw0",
+        FaultSpec(at=6.5, kind="switch_crash", target="sw0",
                   duration=0.05),
         FaultSpec(at=8.5, kind="vc_teardown", target="user1->database"),
     ])

@@ -253,11 +253,8 @@ class TestAdaptiveRto:
         # variance decays on a steady path; RTO approaches SRTT
         assert ca.rto < 0.25
 
-    def test_slow_path_stops_retransmitting_after_learning(self):
-        """On a slow access link the first flights may time out, but
-        once samples land the adaptive RTO covers the serialisation
-        delay and retransmits stop growing."""
-        sim, net, ca, cb = setup_pair(access_bps=1.5e6)
+    @staticmethod
+    def _two_batches(ca, cb, sim):
         cb.on_message = lambda m: None
         for i in range(6):
             ca.send(Message(type=MessageType.DATA, body=bytes(16384)))
@@ -268,9 +265,39 @@ class TestAdaptiveRto:
             ca.send(Message(type=MessageType.DATA, body=bytes(16384)))
         sim.run(until=20.0)
         assert ca.stats.acked == 12
-        # the learned RTO covers the ~90 ms per-message serialisation:
-        # no new spurious retransmits in the second batch
+        return early
+
+    def test_slow_path_stops_retransmitting_after_learning(self):
+        """On a slow access link the shaper paces each 16 KB message
+        over ~90 ms, but the timer runs from the last cell's departure,
+        so the sender's own queue never fires it: no batch retransmits,
+        and the RTO learns a path with nothing queued after departure."""
+        sim, net, ca, cb = setup_pair(access_bps=1.5e6)
+        early = self._two_batches(ca, cb, sim)
+        assert early == 0
+        assert ca.stats.retransmitted == 0
+
+    def test_queued_path_stops_retransmitting_after_learning(self):
+        """A VC shaped at 4x its access link: cells queue in the link
+        AFTER they leave the shaper, so the departure-based timer fires
+        on the first flights.  Once samples land, the RTO covers that
+        queueing and the second batch resends nothing.  The buffer
+        holds a whole batch, so every resend here is spurious."""
+        sim, net, ca, cb = setup_pair(4096, access_bps=1.5e6,
+                                      oversubscribe=4.0)
+        early = self._two_batches(ca, cb, sim)
+        assert early > 0
         assert ca.stats.retransmitted == early
+        assert ca.rto > 0.05
+
+    def test_overflowing_path_still_learns_the_rto(self):
+        """The same 4x VC into the default 1,024-cell buffer: the queue
+        after departure overflows and frames are really lost, in both
+        batches, yet every message arrives and the RTO still learns
+        the post-departure delay."""
+        sim, net, ca, cb = setup_pair(access_bps=1.5e6, oversubscribe=4.0)
+        self._two_batches(ca, cb, sim)
+        assert sum(l.stats.dropped_overflow for l in net.links.values())
         assert ca.rto > 0.05
 
     def test_backoff_doubles_timer_and_resets_on_progress(self):
