@@ -8,7 +8,9 @@ presentation; Fig 3.4 — the per-site module inventory.
 
 import pytest
 
-from conftest import build_catalog, build_imd, deploy_mits, emit_metrics
+from conftest import (
+    archive_path, build_catalog, build_imd, deploy_mits, emit_metrics,
+)
 
 from repro.authoring.editor import CoursewareEditor
 from repro.database.schema import ContentRecord
@@ -18,7 +20,7 @@ def test_five_site_deployment(benchmark):
     """E3.1: all five site kinds on one network, cross-checked."""
 
     def deploy():
-        mits = deploy_mits()
+        mits = deploy_mits(stream=archive_path("five_site_deployment"))
         mits.add_user("user1")
         return mits
 

@@ -100,27 +100,39 @@ def compiled_imd(catalog):
         .compile_imd(build_imd())
 
 
-def emit_metrics(mits: MitsSystem, name: str) -> str:
-    """Archive the deployment's observability; returns the path.
-
-    Written next to the pytest-benchmark output (override the
-    directory with ``BENCH_METRICS_DIR``) as ``obs_<name>.jsonl`` —
-    metrics, span trees, flight-recorder events, sampler rings and
-    ledger in one archive — so per-layer numbers stay comparable
-    across PRs and ``python -m repro.obs report`` / ``dashboard`` /
-    ``top`` can render any benchmark's run.
-    """
-    out_dir = os.environ.get(
+def _metrics_dir() -> str:
+    """Where archives go: next to the pytest-benchmark output, or
+    ``BENCH_METRICS_DIR``."""
+    return os.environ.get(
         "BENCH_METRICS_DIR",
         os.path.join(os.path.dirname(os.path.abspath(__file__)), "out"))
-    return dump_observability(mits, name, out_dir)[0]
+
+
+def archive_path(name: str) -> str:
+    """The ``obs_<name>.jsonl`` path to stream a deployment to
+    (``deploy_mits(stream=archive_path(name))``)."""
+    return os.path.join(_metrics_dir(), f"obs_{name}.jsonl")
+
+
+def emit_metrics(mits: MitsSystem, name: str) -> str:
+    """Close the deployment's streamed archive; returns the path.
+
+    The deployment must stream to :func:`archive_path` of the same
+    *name*.  Its ``obs_<name>.jsonl`` — metrics, span trees,
+    flight-recorder events, every telemetry tick and ledger in one
+    archive — keeps per-layer numbers comparable across PRs, and
+    ``python -m repro.obs report`` / ``dashboard`` / ``top`` can render
+    any benchmark's run.
+    """
+    return dump_observability(mits, name, _metrics_dir())[0]
 
 
 def deploy_mits(topology: str = "star", **kwargs) -> MitsSystem:
     """A deployed system with the standard course published.
 
     Tracing is on so every scenario's archive has cross-site span
-    trees to render.
+    trees to render; pass ``stream=archive_path(name)`` for a run that
+    :func:`emit_metrics` archives.
     """
     kwargs.setdefault("tracing", True)
     mits = MitsSystem(topology=topology, **kwargs)

@@ -10,20 +10,29 @@ This walks the whole MITS pipeline in ~60 lines:
 4. a student registers at the TeleSchool and takes the course, with
    content streamed from the database at presentation time.
 
+The run streams its observability archive to ``obs_quickstart.jsonl``
+in the system temporary directory.
+
 Run:  python examples/quickstart.py
 """
+
+import os
+import tempfile
 
 from repro.authoring import (
     InteractiveDocument, Scene, SceneObject, Section, TimelineEntry,
 )
 from repro.core import MitsSystem
+from repro.obs.export import dump_observability
 
 
 def main() -> MitsSystem:
     # 1. deploy (production, author, database, facilitator, user sites)
     # with request tracing on, so every cross-site flow leaves a span
-    # tree behind (inspect with `python -m repro.obs`)
-    mits = MitsSystem(topology="star", tracing=True)
+    # tree behind, streamed with the telemetry ticks to the run's archive
+    out_dir = tempfile.gettempdir()
+    mits = MitsSystem(topology="star", tracing=True,
+                      stream=os.path.join(out_dir, "obs_quickstart.jsonl"))
     print("deployed sites:", mits.snapshot()["sites"])
 
     # 2. produce and publish media
@@ -80,6 +89,8 @@ def main() -> MitsSystem:
     print(f"left the classroom at position {position:.2f}s "
           "(saved for resume)")
     print("school statistics:", mits.database.db.statistics())
+    (path,) = dump_observability(mits, "quickstart", out_dir)
+    print(f"archive: {path} (render with `python -m repro.obs report`)")
     return mits
 
 

@@ -165,13 +165,17 @@ class MitsSystem:
         delay histograms, link drop counters, connection retransmit
         counts, MHEG sync skew — everything the layers recorded.
         ``slo`` judges it against the default objectives, ``events``
-        is the flight-recorder ring, and ``trace`` summarises the
-        span tracer (per-name duration aggregates, not raw spans).
+        is the flight-recorder ring, ``trace`` summarises the span
+        tracer (per-name duration aggregates, not raw spans), and
+        ``timeseries`` counts the sampler's ticks (the ticks
+        themselves live only in a streamed archive).
         """
         metrics_report = self.sim.metrics.report()
         tracer = self.sim.tracer
         if self.sampler is not None:
-            self.sampler.sample()  # flush a final point at `now`
+            # a final tick at `now`: the watchdog evaluates it (its
+            # alerts feed the digest) and a streamed archive records it
+            self.sampler.sample()
         alerts = self.watchdog.alerts if self.watchdog is not None else None
         return {
             "topology": self.spec.name,
@@ -200,7 +204,9 @@ class MitsSystem:
                 "dropped": tracer.dropped,
                 "aggregate": tracer.aggregate(),
             },
-            "timeseries": self.sampler.snapshot()
+            "timeseries": {"enabled": True,
+                           "interval": self.sampler.interval,
+                           "samples": self.sampler.samples}
             if self.sampler is not None else {"enabled": False},
             "faults": self.injector.snapshot()
             if self.injector is not None else {"plan": None},

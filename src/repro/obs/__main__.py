@@ -43,7 +43,7 @@ Subcommands::
         Render the conservation-audit verdict an archive embeds (exit 1
         on any violation).  Given a scenario name (see
         ``repro.core.scenarios``) instead, the one verb that runs
-        anything: it runs the scenario with accounting enabled, writes
+        anything: it runs the scenario with accounting enabled, streams
         its archive ``obs_audit_<SCENARIO>.jsonl`` to ``--out-dir`` (a
         temporary directory without it) and renders that archive.
 
@@ -195,7 +195,8 @@ def _diff(args: argparse.Namespace) -> int:
 
 def _dashboard(args: argparse.Namespace) -> int:
     archive = _load(args.archive)
-    print(render_dashboard(archive.timeseries, width=args.width,
+    print(render_dashboard(archive.timeseries, samples=archive.samples,
+                           interval=archive.interval, width=args.width,
                            title=_title(archive)))
     return 0
 
@@ -220,16 +221,18 @@ def _audit(args: argparse.Namespace) -> int:
     from repro.core.scenarios import build
     from repro.obs.export import dump_observability
 
-    try:
-        run = build(args.scenario, faults=args.faults,
-                    fault_seed=args.fault_seed, accounting=True)
-    except ValueError as exc:
-        print(f"audit: {exc}", file=sys.stderr)
-        return 2
-    run.run_to_horizon()
+    name = f"audit_{args.scenario}"
     with tempfile.TemporaryDirectory() as tmp:
-        (path,) = dump_observability(run.mits, f"audit_{args.scenario}",
-                                     args.out_dir or tmp)
+        out_dir = args.out_dir or tmp
+        try:
+            run = build(args.scenario, faults=args.faults,
+                        fault_seed=args.fault_seed, accounting=True,
+                        stream=os.path.join(out_dir, f"obs_{name}.jsonl"))
+        except ValueError as exc:
+            print(f"audit: {exc}", file=sys.stderr)
+            return 2
+        run.run_to_horizon()
+        (path,) = dump_observability(run.mits, name, out_dir)
         return _audit_archive(path)
 
 

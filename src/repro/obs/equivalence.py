@@ -10,8 +10,8 @@ is excluded here:
   expanded, not on what the network did.  Per-cell *equivalents* are
   still billed via ``Simulator.charge_cells`` so the bench gate's
   events/sim-sec floors stay comparable.
-* ``timeseries``: the sampler's rings, which carry the same
-  ``simulator`` series sampled over time.
+* ``timeseries``: the sampler's interval and tick count, which
+  describe the observer, not the simulated network.
 
 Everything else — per-VC delay sums, link/switch/host counters,
 gauges (including queue-occupancy max/min), AAL5 stats, SLO results,

@@ -1,16 +1,15 @@
-"""One call archives a deployment's full telemetry.
+"""One call closes a deployment's archive.
 
 The benchmark harness (``benchmarks/conftest.py``), the perf-regression
-gate (``scripts/bench_gate.py``), the fleet workers and ad-hoc scripts
-all archive a finished run with :func:`dump_observability`.  The
-archive is the one ``obs_<name>.jsonl`` record stream that
-:class:`~repro.obs.sink.ObsSink` writes and
-:func:`~repro.obs.sink.load_archive` reads: a run that streamed
-(``MitsSystem(stream=path)``) gets its attached sink closed; any other
-run gets a sink attached late, which replays the spans, flight events,
-sampler rings and ledger still held in memory.
+gate (``scripts/bench_gate.py``), the fleet workers and ``python -m
+repro.obs audit SCENARIO`` all finish a run with
+:func:`dump_observability`.  The archive is the one
+``obs_<name>.jsonl`` record stream that :class:`~repro.obs.sink.ObsSink`
+writes as the run progresses (``MitsSystem(stream=path)``) and
+:func:`~repro.obs.sink.load_archive` reads.  A run built without
+``stream=`` kept no telemetry ticks, so it has no archive to close.
 
-Either way the archive ends with a ``wall`` record — the meter's
+The closed archive ends with a ``wall`` record — the meter's
 ``overhead`` table — and the ``fin`` summary (metrics, SLO verdicts,
 conservation audit, telemetry health, critical-path attribution).
 """
@@ -45,23 +44,20 @@ def telemetry_health(mits) -> Dict[str, Any]:
         "tracer_spans": len(sim.tracer.spans),
         "tracer_dropped": sim.tracer.dropped,
         "sampler_samples": sampler.samples if sampler is not None else 0,
-        "sampler_evictions": sampler.evictions
-        if sampler is not None else 0,
     }
 
 
 def dump_observability(mits, name: str, out_dir: str) -> List[str]:
-    """Close *mits*'s archive and return ``[path]``.
+    """Close *mits*'s streamed archive with its ``wall`` record and
+    return ``[path]``.
 
-    A streaming run's attached sink is closed where it is; otherwise a
-    sink is attached late at ``<out_dir>/obs_<name>.jsonl``.
+    Raises ``ValueError`` for a run built without ``stream=``: there
+    is no archive to close.
     """
-    from repro.obs.sink import ObsSink
-
     sink = getattr(mits, "sink", None)
-    if sink is None or sink.closed:
-        sink = ObsSink(os.path.join(out_dir, f"obs_{name}.jsonl"),
-                       name=name)
-        sink.attach(mits, replay=True)
+    if sink is None:
+        raise ValueError(
+            f"run {name!r} has no archive: build it with stream="
+            f"{os.path.join(out_dir, f'obs_{name}.jsonl')!r}")
     sink.close(wall=True)
     return [sink.path]

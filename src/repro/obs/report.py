@@ -94,9 +94,9 @@ def render_telemetry_health(health: Mapping[str, Any]) -> str:
     """Loss accounting: is any of this run's telemetry truncated?
 
     Works on the ``telemetry`` block of an archive's ``fin`` summary.
-    Dropped flight
-    events, dropped spans, and sampler ring evictions are flagged with
-    a leading ``!`` so silent truncation is visible in every summary.
+    Dropped flight events and dropped spans are flagged with a leading
+    ``!`` so silent truncation of the in-memory rings is visible in
+    every summary.
     """
     lines = ["telemetry health"]
     flight_dropped = health.get("flight_dropped", 0)
@@ -108,13 +108,11 @@ def render_telemetry_health(health: Mapping[str, Any]) -> str:
     marker = "!" if tracer_dropped else " "
     lines.append(f" {marker} tracer: {health.get('tracer_spans', 0)} "
                  f"spans kept, {tracer_dropped} dropped")
-    evictions = health.get("sampler_evictions", 0)
-    marker = "!" if evictions else " "
-    lines.append(f" {marker} sampler: {health.get('sampler_samples', 0)} "
-                 f"samples, {evictions} ring evictions")
-    if flight_dropped or tracer_dropped or evictions:
-        lines.append("   (!) telemetry was truncated — oldest data is "
-                     "gone; raise capacities to keep it")
+    lines.append(f"   sampler: {health.get('sampler_samples', 0)} "
+                 f"samples")
+    if flight_dropped or tracer_dropped:
+        lines.append("   (!) the tracer and flight-recorder rings were "
+                     "truncated; the archive holds every span and event")
     return "\n".join(lines)
 
 

@@ -1,21 +1,21 @@
 """The observability archive: one append-only JSONL file per run.
 
 Every archive this repo writes is an ``obs_<name>.jsonl`` in one record
-grammar, and :class:`ObsSink` is its only writer.  Attach a sink to a
-:class:`~repro.core.system.MitsSystem` (``MitsSystem(stream=path)``)
-and every finished span, every flight event, and every telemetry tick
-is appended *as it happens*, through a small bounded write buffer, so
-the archive keeps everything the fixed in-memory rings later evict.  A
-sink attached late (by :func:`~repro.obs.export.dump_observability` on
-a run that did not stream) replays what the run still holds in memory
-instead.
+grammar, and :class:`ObsSink` is its only writer.  A
+:class:`~repro.core.system.MitsSystem` built with ``stream=path``
+attaches a sink before its first telemetry tick, and every finished
+span, every flight event, and every telemetry tick is appended *as it
+happens*, through a small bounded write buffer.  The archive keeps
+every span and event the fixed in-memory rings later evict, and it is
+the only place a telemetry tick is kept.  A run built without
+``stream=`` has no archive.
 
 Record grammar (one JSON object per line, tagged ``"record"``):
 
 ``meta``
     first line — schema version, run name, seed, topology, and the
-    sampler's interval/capacity.  Older archives may also carry a
-    ``policy`` key, which readers ignore.
+    sampler's interval.  Older archives may also carry a ``policy`` key
+    and a telemetry ``capacity``, which readers ignore.
 ``span`` / ``event``
     one finished :class:`~repro.obs.tracing.SpanRecord` / recorded
     :class:`~repro.obs.events.FlightEvent`.
@@ -54,7 +54,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.timeseries import DEFAULT_CAPACITY, Series
+from repro.obs.timeseries import Series
 
 __all__ = ["Archive", "ObsSink", "load_archive"]
 
@@ -70,7 +70,7 @@ LEDGER_EVERY = 16
 #: what the ``fin`` digest field holds while the digest is computed
 _DIGEST_PLACEHOLDER = "0" * 64
 
-#: what a well-formed JSON line with the wrong shape raises on replay
+#: what a well-formed JSON line with the wrong shape raises on load
 _MALFORMED = (ArithmeticError, AttributeError, KeyError, TypeError,
               ValueError)
 
@@ -78,9 +78,9 @@ _MALFORMED = (ArithmeticError, AttributeError, KeyError, TypeError,
 class ObsSink:
     """Bounded-buffer JSONL writer for one run's archive."""
 
-    def __init__(self, path: str, *, name: str = "") -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.name = name or os.path.basename(path)
+        self.name = os.path.basename(path)
         self.records = 0
         self.bytes_written = 0
         self.flushes = 0
@@ -96,14 +96,12 @@ class ObsSink:
 
     # -- wiring ------------------------------------------------------------
 
-    def attach(self, mits, *, replay: bool = False) -> None:
+    def attach(self, mits) -> None:
         """Wire the deployment's collectors into this sink.
 
         Writes the ``meta`` record; from then on every finished span,
         recorded event, and telemetry tick streams through
-        :meth:`emit`.  With *replay* (a sink attached after the run)
-        the spans, events, and sampler rings already held in memory
-        are written first.
+        :meth:`emit`.
         """
         self._mits = mits
         self.meter = getattr(mits, "meter", None)
@@ -116,17 +114,9 @@ class ObsSink:
         }
         sampler = getattr(mits, "sampler", None)
         if sampler is not None:
-            meta["telemetry"] = {"interval": sampler.interval,
-                                 "capacity": sampler.capacity}
+            meta["telemetry"] = {"interval": sampler.interval}
         self.emit(meta)
         sim = mits.sim
-        if replay:
-            for span in sim.tracer.spans:
-                self._span_sink(span)
-            for event in sim.recorder.events:
-                self._event_sink(event)
-            if sampler is not None:
-                self.emit_series(sampler.snapshot()["series"])
         sim.tracer.sink = self._span_sink
         sim.recorder.sink = self._event_sink
         if sampler is not None:
@@ -143,22 +133,6 @@ class ObsSink:
         self._ticks += 1
         if self._ticks % LEDGER_EVERY == 0:
             self._ledger_checkpoint()
-
-    def emit_series(self, series: List[Dict[str, Any]]) -> None:
-        """Write series rings (``Series.to_dict`` form) as telemetry
-        ticks, one per distinct sample time."""
-        ticks: Dict[float, List[List[Any]]] = {}
-        for s in series:
-            rates, p99s = s.get("rates"), s.get("p99s")
-            for i, (time, value) in enumerate(zip(s["times"],
-                                                  s["values"])):
-                ticks.setdefault(time, []).append([
-                    s["component"], s["name"], s["labels"], s["kind"],
-                    value, rates[i] if rates is not None else None,
-                    p99s[i] if p99s is not None else None])
-        for time in sorted(ticks):
-            self.emit({"record": "telemetry", "time": time,
-                       "rows": ticks[time]})
 
     def _ledger_checkpoint(self) -> None:
         mits = self._mits
@@ -247,12 +221,8 @@ class ObsSink:
         if crit is not None:
             fin["critical"] = crit
         if sampler is not None:
-            fin["timeseries"] = {
-                "interval": sampler.interval,
-                "capacity": sampler.capacity,
-                "samples": sampler.samples,
-                "evictions": sampler.evictions,
-            }
+            fin["timeseries"] = {"interval": sampler.interval,
+                                 "samples": sampler.samples}
         # detach so late spans/events cannot hit a closed sink
         sim.tracer.sink = None
         sim.recorder.sink = None
@@ -304,8 +274,13 @@ class Archive:
     summary: Dict[str, Any]
     spans: List[Dict[str, Any]] = field(default_factory=list)
     events: List[Dict[str, Any]] = field(default_factory=list)
-    #: sampler-snapshot shape, rebuilt from the telemetry ticks
-    timeseries: Dict[str, Any] = field(default_factory=dict)
+    #: one :class:`Series` per telemetry key, in key order, holding
+    #: every tick of the run
+    timeseries: List[Series] = field(default_factory=list)
+    #: sampler ticks (``fin``'s count, else the telemetry records)
+    samples: int = 0
+    #: simulated seconds between sampler ticks (None without telemetry)
+    interval: Optional[float] = None
     #: the last ledger checkpoint (None when the run had no ledger)
     accounting: Optional[Dict[str, Any]] = None
     #: the ``wall`` record: the meter's ``overhead``
@@ -331,46 +306,18 @@ class Archive:
                 f"recovered, {self.reason} ({self.path})")
 
 
-class _Telemetry:
-    """Replays telemetry ticks into sampler-shaped series rings, with
-    the run's real capacity, so the result renders exactly like the
-    live sampler's ``snapshot()``."""
-
-    def __init__(self, meta: Dict[str, Any]) -> None:
-        self.settings = dict(meta.get("telemetry") or {})
-        self.capacity = int(self.settings.get("capacity",
-                                              DEFAULT_CAPACITY))
-        self.series: Dict[Tuple[str, str, Any], Series] = {}
-        self.ticks = 0
-
-    def tick(self, rec: Dict[str, Any]) -> None:
-        time = rec["time"]
-        self.ticks += 1
-        for component, name, labels, kind, value, _rate, p99 in \
-                rec["rows"]:
-            key = (component, name, tuple(sorted(labels.items())))
-            series = self.series.get(key)
-            if series is None:
-                series = Series(component, name, labels, kind,
-                                self.capacity)
-                self.series[key] = series
-            if series.times and series.times[-1] == time:
-                continue  # a snapshot() flush re-emitted this tick
-            series.record(time, value,
-                          p99=p99 if kind == "histogram" else None)
-
-    def snapshot(self, fin: Dict[str, Any]) -> Dict[str, Any]:
-        ts = {**self.settings, **(fin.get("timeseries") or {})}
-        series = sorted(self.series.values(), key=lambda s: s.key)
-        return {
-            "enabled": True,
-            "interval": ts.get("interval"),
-            "capacity": ts.get("capacity", self.capacity),
-            "samples": ts.get("samples", self.ticks),
-            "evictions": ts.get("evictions",
-                                sum(s.evicted for s in series)),
-            "series": [s.to_dict() for s in series],
-        }
+def _telemetry(series: Dict[Tuple[str, str, Any], Series],
+               rec: Dict[str, Any]) -> None:
+    """Append one telemetry record's rows to their series."""
+    time = rec["time"]
+    for component, name, labels, kind, value, rate, p99 in rec["rows"]:
+        key = (component, name, tuple(sorted(labels.items())))
+        entry = series.get(key)
+        if entry is None:
+            entry = series[key] = Series(component, name, labels, kind)
+        elif entry.times[-1] == time:
+            continue  # a same-instant flush re-emitted this series
+        entry.record(time, value, rate, p99)
 
 
 def load_archive(path: str) -> Archive:
@@ -382,7 +329,8 @@ def load_archive(path: str) -> Archive:
     # line is a run killed inside its final write
     torn = bool(lines.pop())
     archive = Archive(path=path, name="", meta={}, summary={})
-    telemetry: Optional[_Telemetry] = None
+    series: Dict[Tuple[str, str, Any], Series] = {}
+    ticks = 0
     digest = hashlib.sha256()
     fin: Optional[Dict[str, Any]] = None
     after_fin = 0
@@ -413,13 +361,13 @@ def load_archive(path: str) -> Archive:
             if tag == "meta":
                 archive.meta = rec
                 archive.name = str(rec.get("name") or "")
-                telemetry = _Telemetry(rec)
             elif tag == "span":
                 archive.spans.append(rec)
             elif tag == "event":
                 archive.events.append(rec)
             elif tag == "telemetry":
-                telemetry.tick(rec)
+                _telemetry(series, rec)
+                ticks += 1
             elif tag == "ledger":
                 archive.accounting = rec
             elif tag == "wall":
@@ -427,11 +375,15 @@ def load_archive(path: str) -> Archive:
         except _MALFORMED as exc:
             raise ValueError(f"{path}:{lineno}: malformed {tag} record: "
                              f"{exc!r}") from exc
-    if telemetry is None:
+    if not archive.records:
         raise ValueError(f"{path}:1: not an obs archive (no meta record)")
     archive.summary = fin or {}
     try:
-        archive.timeseries = telemetry.snapshot(archive.summary)
+        settings = {**(archive.meta.get("telemetry") or {}),
+                    **(archive.summary.get("timeseries") or {})}
+        archive.interval = settings.get("interval")
+        archive.samples = settings.get("samples", ticks)
+        archive.timeseries = [series[key] for key in sorted(series)]
     except _MALFORMED as exc:
         raise ValueError(f"{path}:{len(lines)}: malformed fin record: "
                          f"{exc!r}") from exc

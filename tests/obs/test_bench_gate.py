@@ -154,7 +154,7 @@ class TestGateEndToEnd:
             == ["obs_gate_quickstart.jsonl"]
         archive = load_archive(str(out / "obs_gate_quickstart.jsonl"))
         assert archive.complete
-        assert archive.spans and archive.timeseries["series"]
+        assert archive.spans and archive.timeseries
         assert set(archive.wall) == {"overhead"}
         assert archive.overhead is not None
 

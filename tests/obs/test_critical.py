@@ -7,6 +7,7 @@ segments always tile the root duration, nothing crashes, nothing is
 double-charged.
 """
 
+import json
 import os
 
 import pytest
@@ -194,25 +195,25 @@ class TestAttribution:
 
 @pytest.fixture(scope="module")
 def quickstart_archive(tmp_path_factory):
-    """One quickstart run archived as it streamed, and a same-seed run
-    archived at the end by a late-attached sink."""
+    """One quickstart run archived as it streamed."""
     out = str(tmp_path_factory.mktemp("critical"))
     obs_path = os.path.join(out, "obs_q.jsonl")
     run = build("quickstart", stream=obs_path)
     run.run_to_horizon()
     dump_observability(run.mits, "q", out)
-    late = build("quickstart")
-    late.run_to_horizon()
-    dump_observability(late.mits, "late", out)
     return run.mits, out, obs_path
 
 
 class TestArchiveParity:
     def test_streamed_and_monolithic_agree(self, quickstart_archive):
-        _, out, obs_path = quickstart_archive
-        late = load_archive(os.path.join(out, "obs_late.jsonl")).spans
+        """The spans streamed as they ended attribute like the tracer's
+        in-memory ring, which holds every quickstart span."""
+        mits, _, obs_path = quickstart_archive
+        held = json.loads(json.dumps(
+            [s.to_dict() for s in mits.sim.tracer.spans], sort_keys=True))
         streamed = load_archive(obs_path).spans
-        assert attribution(late) == attribution(streamed)
+        assert mits.sim.tracer.dropped == 0
+        assert attribution(held) == attribution(streamed)
 
     def test_live_tracer_matches_archive(self, quickstart_archive):
         """The ``fin`` block, attributed from the tracer's ring at close,

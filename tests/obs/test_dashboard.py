@@ -11,29 +11,42 @@ from repro.obs.timeseries import Series
 from tests.obs.archives import write_archive
 
 
-def make_series(component="link", name="queue_occupancy",
-                labels=None, kind="gauge", values=(0, 2, 5, 9, 3)):
-    series = Series(component, name, labels or {"link": "sw0->user1"},
-                    kind, capacity=64)
-    for i, v in enumerate(values):
-        series.record(float(i), float(v))
+def series_entry(component="link", name="queue_occupancy",
+                 labels=None, kind="gauge", values=(0, 2, 5, 9, 3)):
+    """One series sampled once a second, in archive form; a counter's
+    rates are its per-second differences."""
+    entry = {"component": component, "name": name,
+             "labels": labels or {"link": "sw0->user1"}, "kind": kind,
+             "times": [float(i) for i in range(len(values))],
+             "values": [float(v) for v in values]}
+    if kind == "counter":
+        entry["rates"] = [0.0] + [float(b - a)
+                                  for a, b in zip(values, values[1:])]
+    return entry
+
+
+def make_series(**kwargs):
+    entry = series_entry(**kwargs)
+    series = Series(entry["component"], entry["name"], entry["labels"],
+                    entry["kind"])
+    rates = entry.get("rates", [None] * len(entry["times"]))
+    for time, value, rate in zip(entry["times"], entry["values"], rates):
+        series.record(time, value, rate, None)
     return series
 
 
-def write_timeseries(path, evictions=0):
+def write_timeseries(path):
     """An archive whose telemetry ticks carry three series."""
     series = [
-        make_series().to_dict(),
-        make_series("simulator", "queue_depth", labels={},
-                    values=(1, 4, 2, 0, 0)).to_dict(),
-        make_series("simulator", "events_run", labels={},
-                    kind="counter", values=(0, 100, 300, 600, 900)
-                    ).to_dict(),
+        series_entry(),
+        series_entry("simulator", "queue_depth", labels={},
+                     values=(1, 4, 2, 0, 0)),
+        series_entry("simulator", "events_run", labels={},
+                     kind="counter", values=(0, 100, 300, 600, 900)),
     ]
-    return write_archive(
-        path, series=series,
-        telemetry={"interval": 0.25, "capacity": 64},
-        summary={"timeseries": {"samples": 5, "evictions": evictions}})
+    return write_archive(path, series=series,
+                         telemetry={"interval": 0.25},
+                         summary={"timeseries": {"samples": 5}})
 
 
 class TestSparkline:
@@ -81,8 +94,9 @@ class TestPanels:
         assert "max 3" in out  # summed at aligned timestamps
 
     def test_counter_panel_uses_rates(self):
-        series = make_series("simulator", "events_run", labels={},
-                             kind="counter", values=(0, 100, 300, 600))
+        series = make_series(component="simulator", name="events_run",
+                             labels={}, kind="counter",
+                             values=(0, 100, 300, 600))
         panel = Panel("event rate", "simulator", "events_run",
                       channel="rates", unit="events/s")
         out = render_panel(panel, [series])
@@ -92,29 +106,26 @@ class TestPanels:
 
 class TestDashboard:
     def test_renders_from_live_series(self):
-        out = render_dashboard({"series": [make_series().to_dict()]})
-        assert "== dashboard ==" in out
+        out = render_dashboard([make_series()], samples=5, interval=1.0)
+        assert "== dashboard ==  (5 samples @ 1.0s)" in out
         assert "link queue occupancy" in out
 
     def test_renders_from_archived_payload(self, tmp_path):
         path = write_timeseries(tmp_path / "obs_demo.jsonl")
-        payload = load_archive(str(path)).timeseries
-        out = render_dashboard(payload, title="demo")
+        archive = load_archive(str(path))
+        out = render_dashboard(archive.timeseries, samples=archive.samples,
+                               interval=archive.interval, title="demo")
         assert "demo" in out
         assert "link queue occupancy" in out
         assert "simulator queue depth" in out
         assert "event rate" in out
-        assert "5 samples" in out
-
-    def test_eviction_warning_is_surfaced(self, tmp_path):
-        path = write_timeseries(tmp_path / "obs_demo.jsonl", evictions=7)
-        out = render_dashboard(load_archive(str(path)).timeseries)
-        assert "7 ring evictions" in out
-        assert "! 7 samples evicted" in out
+        assert "(5 samples @ 0.25s)" in out
+        assert "evict" not in out
 
     def test_no_matching_series_message(self):
-        out = render_dashboard(
-            {"series": [make_series("nobody", "cares").to_dict()]})
+        out = render_dashboard([make_series(component="nobody",
+                                            name="cares")],
+                               samples=5, interval=1.0)
         assert "no series match any panel" in out
 
     def test_default_panels_cover_the_issue_list(self):
@@ -136,12 +147,12 @@ class TestDashboardCommand:
         assert "link queue occupancy" in out
 
     def test_snapshot_wrapper_accepted(self, tmp_path, capsys):
-        """A whole deployment works too: ``dump_observability``
-        archives its sampler rings through a late-attached sink."""
+        """A whole deployment works too: it streams its telemetry ticks,
+        and ``dump_observability`` closes the archive."""
         from repro.core.scenarios import build
         from repro.obs.export import dump_observability
 
-        run = build("quickstart")
+        run = build("quickstart", stream=str(tmp_path / "obs_snap.jsonl"))
         run.run_to_horizon()
         (path,) = dump_observability(run.mits, "snap", str(tmp_path))
         assert main(["dashboard", path]) == 0
@@ -163,7 +174,7 @@ class TestReportTelemetryHealth:
             "telemetry": {
                 "flight_recorded": 120, "flight_dropped": 20,
                 "tracer_spans": 5, "tracer_dropped": 0,
-                "sampler_samples": 40, "sampler_evictions": 3,
+                "sampler_samples": 40,
             },
         }
         path = write_archive(tmp_path / "obs_demo.jsonl", summary=summary)
@@ -171,5 +182,6 @@ class TestReportTelemetryHealth:
         out = capsys.readouterr().out
         assert "telemetry health" in out
         assert "! flight recorder: 120 events recorded, 20 evicted" in out
-        assert "! sampler: 40 samples, 3 ring evictions" in out
-        assert "telemetry was truncated" in out
+        assert "   sampler: 40 samples\n" in out
+        assert "rings were truncated; the archive holds every span and " \
+            "event" in out

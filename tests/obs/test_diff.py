@@ -31,7 +31,8 @@ def same_seed_pair(tmp_path_factory):
     paths = []
     for label in ("a", "b"):
         out = str(tmp_path_factory.mktemp(f"run_{label}"))
-        run = build("quickstart", accounting=True)
+        run = build("quickstart", accounting=True,
+                    stream=os.path.join(out, "obs_q.jsonl"))
         run.run_to_horizon()
         paths += dump_observability(run.mits, "q", out)
     return paths

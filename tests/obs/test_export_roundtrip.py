@@ -1,6 +1,6 @@
-"""Archive round-trip: archive a finished run through a late-attached
-sink, re-render from the file, and assert parity with the live render
-(repro.obs.export)."""
+"""Archive round-trip: stream a run to its archive, close it with
+``dump_observability``, re-render from the file, and assert parity
+with the live render (repro.obs.export)."""
 
 import json
 import os
@@ -20,9 +20,10 @@ from repro.obs.slo import SloMonitor
 
 @pytest.fixture(scope="module")
 def dumped(tmp_path_factory):
-    """One quickstart run with accounting on, archived after the run."""
+    """One quickstart run with accounting on, streamed and closed."""
     out = str(tmp_path_factory.mktemp("sidecars"))
-    run = build("quickstart", accounting=True)
+    run = build("quickstart", accounting=True,
+                stream=os.path.join(out, "obs_rt.jsonl"))
     run.run_to_horizon()
     written = dump_observability(run.mits, "rt", out)
     return run.mits, load_archive(written[0]), written
@@ -40,7 +41,7 @@ class TestSidecarSet:
         assert [os.path.basename(p) for p in written] == ["obs_rt.jsonl"]
         assert archive.complete
         assert archive.metrics and archive.spans
-        assert archive.timeseries["series"]
+        assert archive.timeseries
         assert archive.accounting["kinds"]
 
     def test_metrics_sidecar_embeds_a_clean_audit(self, dumped):
@@ -75,12 +76,22 @@ class TestReportParity:
 
 class TestDashboardParity:
     def test_dashboard_matches_live(self, dumped):
+        """Every series the dashboard plots ends on its instrument's
+        live reading: the final tick at close is in the archive."""
         mits, archive, _ = dumped
-        archived = render_dashboard(archive.timeseries, width=40,
-                                    title="x")
-        live = render_dashboard(mits.sampler.snapshot(), width=40,
-                                title="x")
-        assert archived == live
+        instruments = mits.sim.metrics._instruments
+        assert {(s.component, s.name, tuple(sorted(s.labels.items())))
+                for s in archive.timeseries} == set(instruments)
+        for series in archive.timeseries:
+            inst = instruments[(series.component, series.name,
+                                tuple(sorted(series.labels.items())))]
+            live = inst.count if series.kind == "histogram" else inst.value
+            assert series.values[-1] == live
+            assert series.times[-1] == archive.summary["sim_time"]
+        out = render_dashboard(archive.timeseries, samples=archive.samples,
+                               interval=archive.interval, width=40,
+                               title="x")
+        assert "event rate" in out
 
 
 class TestTopParity:
@@ -127,66 +138,50 @@ class TestOverheadRoundTrip:
         assert "flight_overflow_kept" not in archive.summary["telemetry"]
 
 
-def _overflowed_run(stream=None):
-    """A classroom whose span, flight-event and telemetry rings have
-    all evicted: each is overfilled after the scripted load."""
+def _overflowed_run(stream):
+    """A streamed classroom whose span and flight-event rings have both
+    evicted: each is overfilled after the scripted load."""
     run = build("classroom", tracing=True, accounting=True, stream=stream)
     run.run_to_horizon()
     mits = run.mits
-    sim, sampler = mits.sim, mits.sampler
+    sim = mits.sim
     for i in range(sim.recorder._events.maxlen + 50):
         sim.recorder.record("test", "filler", seq=i)
     for i in range(sim.tracer._finished.maxlen + 50):
         sim.tracer.span("test.filler", seq=i).end()
-    for _ in range(sampler.capacity + 20):
-        sim.run(until=sim.now + sampler.interval)
-        sampler.sample()
     assert sim.recorder.dropped > 0
     assert sim.tracer.dropped > 0
-    assert sampler.evictions > 0
     return mits
 
 
 class TestOverflowRoundTrip:
-    """Fixed rings bound memory; what they evict survives in the
-    streamed archive, and both archive paths (a stream, a late-attached
-    sink) report the same truncation."""
+    """Fixed rings bound the tracer's and the flight recorder's memory;
+    what they evict survives in the streamed archive, whose ``fin``
+    reports the truncation."""
 
     @pytest.fixture(scope="class")
     def overflowed(self, tmp_path_factory):
         out = str(tmp_path_factory.mktemp("overflow"))
-        stream = os.path.join(out, "obs_stream.jsonl")
+        stream = os.path.join(out, "obs_ov.jsonl")
         streamed = _overflowed_run(stream)
-        streamed.sink.close()
-        mits = _overflowed_run()
-        (path,) = dump_observability(mits, "ov", out)
-        return streamed, load_archive(stream), mits, load_archive(path)
+        dump_observability(streamed, "ov", out)
+        return streamed, load_archive(stream)
 
     def test_span_store_is_ring_bounded(self, overflowed):
-        streamed, archive, _, _ = overflowed
+        streamed, archive = overflowed
         tracer = streamed.sim.tracer
         assert len(tracer.spans) == tracer._finished.maxlen
         # the stream kept every span, evicted or not
         assert len(archive.spans) == len(tracer.spans) + tracer.dropped
 
     def test_event_ring_is_bounded(self, overflowed):
-        streamed, _, _, _ = overflowed
+        streamed, _ = overflowed
         recorder = streamed.sim.recorder
         assert len(recorder.events) == recorder._events.maxlen
         assert recorder.recorded == len(recorder.events) + recorder.dropped
 
-    def test_telemetry_rings_bounded(self, overflowed):
-        streamed, archive, _, _ = overflowed
-        sampler = streamed.sampler
-        for series in sampler.series():
-            assert len(series) <= sampler.capacity
-        # replaying every streamed tick rebuilds the same bounded rings
-        for entry in archive.timeseries["series"]:
-            assert len(entry["times"]) <= sampler.capacity
-        assert archive.timeseries["evictions"] == sampler.evictions
-
     def test_stream_carries_every_evicted_event(self, overflowed):
-        streamed, archive, _, _ = overflowed
+        streamed, archive = overflowed
         recorder = streamed.sim.recorder
         assert len(archive.events) == recorder.recorded
         # the evicted events are the oldest, so they come first; the
@@ -195,31 +190,26 @@ class TestOverflowRoundTrip:
             == canon([e.to_dict() for e in recorder.events])
 
     def test_fin_reports_the_ring_evictions(self, overflowed):
-        _, _, mits, late = overflowed
-        health = late.summary["telemetry"]
+        mits, archive = overflowed
+        health = archive.summary["telemetry"]
         assert health["flight_dropped"] == mits.sim.recorder.dropped > 0
         assert health["tracer_dropped"] == mits.sim.tracer.dropped > 0
-        assert health["sampler_evictions"] == mits.sampler.evictions > 0
-        # a late-attached sink can only replay what the ring still holds
-        assert len(late.events) == len(mits.sim.recorder.events)
+        assert "sampler_evictions" not in health
 
     def test_streamed_fin_matches_metrics_sidecar(self, overflowed):
-        _, archive, _, late = overflowed
-        assert archive.summary["telemetry"] == late.summary["telemetry"]
+        mits, archive = overflowed
         assert archive.summary["timeseries"] \
-            == late.summary["timeseries"]
-        # a plain-closed stream stays wall-clock-free
-        assert not archive.wall
+            == {"interval": mits.sampler.interval,
+                "samples": mits.sampler.samples}
+        assert archive.samples == mits.sampler.samples
+        assert archive.summary["metrics"] == canon(mits.sim.metrics.report())
 
     def test_render_parity_flags_the_truncation(self, overflowed):
         from repro.obs.export import telemetry_health
         from repro.obs.report import render_telemetry_health
 
-        _, archive, mits, late = overflowed
+        mits, archive = overflowed
         streamed = render_telemetry_health(archive.summary["telemetry"])
-        assert streamed \
-            == render_telemetry_health(late.summary["telemetry"]) \
-            == render_telemetry_health(telemetry_health(mits))
-        assert "telemetry was truncated" in streamed
-        assert render_dashboard(archive.timeseries, width=40, title="x") \
-            == render_dashboard(late.timeseries, width=40, title="x")
+        assert streamed == render_telemetry_health(telemetry_health(mits))
+        assert "the tracer and flight-recorder rings were truncated; " \
+            "the archive holds every span and event" in streamed

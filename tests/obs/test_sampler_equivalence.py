@@ -1,8 +1,8 @@
-"""The batched telemetry sampler against the one-append-per-tick
-reference in ``reference_sampler.py``: for any interleaving of
-registrations, updates, ticks, same-instant flushes, extra
-read-through sources and mid-run reads, the rings, eviction counts and
-streamed archive rows are equal."""
+"""The telemetry sampler against the one-append-per-tick reference in
+``reference_sampler.py``: for any interleaving of registrations,
+updates, ticks, same-instant flushes and extra read-through sources,
+the streamed archive rows are equal.  Without a sink the sampler
+reads nothing and streams nothing."""
 
 from types import SimpleNamespace
 
@@ -34,15 +34,17 @@ _OPS = st.one_of(
               st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])),
     st.just(("sample",)),
     st.just(("sample",)),
-    st.just(("read",)),
 )
 
+#: ring size for the reference, which compares only the rows it returns
+_REFERENCE_CAPACITY = 4
 
-def _run(ops, capacity, sink):
+
+def _run(ops, sink):
     registry = MetricsRegistry()
     sim = SimpleNamespace(now=0.0, metrics=registry)
-    sampler = TelemetrySampler(sim, capacity=capacity)
-    reference = ReferenceSampler(registry, capacity)
+    sampler = TelemetrySampler(sim)
+    reference = ReferenceSampler(registry, _REFERENCE_CAPACITY)
     got, want = [], []
     if sink:
         sampler.sink = lambda now, rows: got.append((now, rows))
@@ -68,26 +70,13 @@ def _run(ops, capacity, sink):
             rows = reference.sample(sim.now)
             if sink:
                 want.append((sim.now, rows))
-        elif kind == "read":
-            sampler.series()
-    return sampler, reference, got, want
-
-
-def _dump(sampler):
-    return {s.key: (s.kind, s.evicted, list(s.times), list(s.values),
-                    None if s.rates is None else list(s.rates),
-                    None if s.p99s is None else list(s.p99s))
-            for s in sampler.series()}
+    return sampler, got, want
 
 
 @settings(max_examples=300, deadline=None)
-@given(ops=st.lists(_OPS, max_size=80), capacity=st.integers(2, 6),
-       sink=st.booleans())
-def test_rings_and_archive_rows_match_the_reference(ops, capacity, sink):
-    sampler, reference, got, want = _run(ops, capacity, sink)
-    assert _dump(sampler) == reference.dump()
-    assert sampler.evictions == sum(
-        s.evicted for s in reference.series.values())
+@given(ops=st.lists(_OPS, max_size=80))
+def test_archive_rows_match_the_reference(ops):
+    _, got, want = _run(ops, True)
     assert got == want
 
 
@@ -101,9 +90,11 @@ def test_rings_and_archive_rows_match_the_reference(ops, capacity, sink):
 ], ids=["p99-moves", "second-source"])
 @pytest.mark.parametrize("sink", [False, True])
 def test_rewrites_match_the_reference(ops, sink):
-    sampler, reference, got, want = _run(ops, 4, sink)
-    assert _dump(sampler) == reference.dump()
+    sampler, got, want = _run(ops, sink)
     assert got == want
+    if not sink:
+        # nothing streamed, and nothing was read to stream
+        assert got == [] and sampler._columns == ()
 
 
 def test_flush_after_new_registrations_keeps_the_first_reading():
@@ -112,9 +103,8 @@ def test_flush_after_new_registrations_keeps_the_first_reading():
     ops = [("counter", 0, 1), ("sample",), ("counter", 0, 4),
            ("counter", 1, 2), ("sample",), ("advance", 1.0),
            ("counter", 0, 3), ("sample",)]
-    for sink in (False, True):
-        sampler, reference, got, want = _run(ops, 4, sink)
-        assert _dump(sampler) == reference.dump()
-        assert got == want
-    rates = list(sampler.get("work", "c0").rates)
+    _, got, want = _run(ops, True)
+    assert got == want
+    rates = [row[5] for _, rows in got for row in rows
+             if row[:2] == ["work", "c0"]]
     assert rates == [0.0, 7.0]

@@ -1,10 +1,11 @@
 """The observability archive (repro.obs.sink): the record grammar,
-streamed-vs-late-attached render parity, torn and tampered archives,
-same-seed byte-identical streams, archives from older writers, and
-overhead self-metering."""
+streamed-vs-live render parity, torn and tampered archives, same-seed
+byte-identical streams, archives from older writers, every telemetry
+tick kept, and overhead self-metering."""
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -39,13 +40,20 @@ def streamed(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def late(tmp_path_factory):
-    """The same run without a stream, archived by a late-attached sink."""
-    out = str(tmp_path_factory.mktemp("late"))
-    run = build("quickstart", tracing=True, accounting=True)
-    run.run_to_horizon()
-    (path,) = dump_observability(run.mits, "par", out)
-    return load_archive(path)
+def live(streamed):
+    """The streamed run's live collectors, normalised the way the
+    archive writes them."""
+    mits = streamed[0]
+    sim = mits.sim
+
+    def canon(rows):
+        return json.loads(json.dumps(rows, sort_keys=True))
+
+    return SimpleNamespace(
+        metrics=canon(sim.metrics.report()),
+        spans=canon([s.to_dict() for s in sim.tracer.spans]),
+        events=canon([e.to_dict() for e in sim.recorder.events]),
+        accounting=canon(sim.ledger.snapshot(sim_time=sim.now)))
 
 
 class TestSinkMechanics:
@@ -90,6 +98,15 @@ class TestSinkMechanics:
         assert rep["flushes"] >= 1
         with pytest.raises(ValueError):
             mits.sink.emit({"record": "late"})
+
+    def test_dump_without_a_stream_is_refused(self, tmp_path):
+        """A run built without ``stream=`` kept no telemetry ticks, so
+        there is no archive to close."""
+        run = build("quickstart")
+        run.run_to_horizon()
+        with pytest.raises(ValueError, match="stream="):
+            dump_observability(run.mits, "nostream", str(tmp_path))
+        assert not os.listdir(tmp_path)
 
     def test_bounded_buffer_flushes_mid_run(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sink_module, "BUFFER_RECORDS", 2)
@@ -262,7 +279,7 @@ def _small_archive(tmp_path_factory):
     ledger = {"enabled": True, "kinds": {"vc": [{"key": "1", "drops": 0}]}}
     write_archive(path, spans=[span], events=[event], series=[series],
                   ledger=ledger, wall={"overhead": {"obs_seconds": 0.1}},
-                  telemetry={"interval": 0.25, "capacity": 8},
+                  telemetry={"interval": 0.25},
                   summary={"sim_time": 0.5, "events_run": 7,
                            "metrics": {}})
     return path.read_bytes()
@@ -331,42 +348,68 @@ class TestLoaderProperties:
 
 
 class TestStreamedRenderParity:
-    """A streamed archive renders like a late-attached one of the same
-    seed."""
+    """A streamed archive renders like the live run it recorded."""
 
-    def test_metrics_summary(self, streamed, late):
+    def test_metrics_summary(self, streamed, live):
         _, _, obs_path, _ = streamed
         loaded = load_archive(obs_path)
         assert render_metrics_summary(loaded.metrics) \
-            == render_metrics_summary(late.metrics)
+            == render_metrics_summary(live.metrics)
 
-    def test_slo_table(self, streamed, late):
+    def test_slo_table(self, streamed, live):
         _, _, obs_path, _ = streamed
         loaded = load_archive(obs_path)
         monitor = SloMonitor()
         assert render_slo_table(monitor.evaluate(loaded.metrics)) \
-            == render_slo_table(monitor.evaluate(late.metrics))
+            == render_slo_table(monitor.evaluate(live.metrics))
 
-    def test_traces(self, streamed, late):
+    def test_traces(self, streamed, live):
         _, _, obs_path, _ = streamed
         loaded = load_archive(obs_path)
         assert render_traces(loaded.spans, loaded.events, top=5) \
-            == render_traces(late.spans, late.events, top=5)
+            == render_traces(live.spans, live.events, top=5)
 
-    def test_dashboard(self, streamed, late):
+    def test_dashboard(self, streamed, live):
+        """The plotted series end on the live registry's readings."""
         _, _, obs_path, _ = streamed
         loaded = load_archive(obs_path)
-        assert render_dashboard(loaded.timeseries, width=40,
-                                title="x") \
-            == render_dashboard(late.timeseries, width=40,
-                                title="x")
+        queue = [s for s in loaded.timeseries
+                 if (s.component, s.name) == ("simulator", "queue_depth")]
+        assert [s.values[-1] for s in queue] == [
+            row["value"]
+            for row in live.metrics["simulator"]["queue_depth"]]
+        out = render_dashboard(loaded.timeseries, samples=loaded.samples,
+                               interval=loaded.interval, width=40,
+                               title="x")
+        assert "simulator queue depth" in out
 
-    def test_top(self, streamed, late):
+    def test_top(self, streamed, live):
         _, _, obs_path, _ = streamed
         loaded = load_archive(obs_path)
         for sort in ("bytes", "drops", "residency"):
             assert render_top(loaded.accounting, sort=sort, title="x") \
-                == render_top(late.accounting, sort=sort, title="x")
+                == render_top(live.accounting, sort=sort, title="x")
+
+
+class TestEveryTickKept:
+    def test_600_ticks_load_600_samples_per_series(self, tmp_path):
+        """The loader keeps every tick: no ring caps a long run."""
+        times = [i * 0.25 for i in range(600)]
+        series = [{"component": "link", "name": "depth",
+                   "labels": {"link": "a"}, "kind": "gauge",
+                   "times": times, "values": list(range(600))},
+                  {"component": "link", "name": "cells", "labels": {},
+                   "kind": "counter", "times": times,
+                   "values": [4 * i for i in range(600)],
+                   "rates": [0.0] + [16.0] * 599}]
+        path = write_archive(tmp_path / "obs_long.jsonl", series=series,
+                             telemetry={"interval": 0.25})
+        archive = load_archive(str(path))
+        assert archive.samples == 600
+        assert [len(s) for s in archive.timeseries] == [600, 600]
+        depth = archive.timeseries[1]
+        assert depth.name == "depth" and depth.values[0] == 0
+        assert depth.times[-1] == times[-1]
 
 
 class TestLegacyArchive:
@@ -381,16 +424,34 @@ class TestLegacyArchive:
                   "event_reservoir": 64, "telemetry_stride": 1,
                   "telemetry_coalesce": True, "ledger_top_k": 8,
                   "seed": 0}
-        telemetry = {"interval": 0.25, "capacity": 8}
         old = write_archive(tmp_path / "obs_old.jsonl", series=[series],
-                            telemetry=telemetry, meta={"policy": policy})
-        new = write_archive(tmp_path / "obs_new.jsonl", series=[series],
-                            telemetry=telemetry)
+                            telemetry={"interval": 0.25},
+                            meta={"policy": policy})
         archive = load_archive(str(old))
         assert archive.complete
         assert archive.meta["policy"] == policy
-        assert archive.timeseries == load_archive(str(new)).timeseries
-        assert archive.timeseries["series"][0]["times"] == [0.0, 0.25, 0.5]
+        (loaded,) = archive.timeseries
+        assert loaded.times == [0.0, 0.25, 0.5]
+        assert loaded.values == [3, 3, 3]
+
+    def test_ring_keys_of_older_writers_are_ignored(self, tmp_path):
+        """Older archives name the sampler's ring capacity in ``meta``
+        and its evictions in ``fin``; they load like any other."""
+        series = {"component": "link", "name": "depth", "labels": {},
+                  "kind": "gauge", "times": [0.0, 0.25], "values": [1, 2]}
+        path = write_archive(
+            tmp_path / "obs_old.jsonl", series=[series],
+            telemetry={"interval": 0.25, "capacity": 512},
+            summary={"timeseries": {"interval": 0.25, "capacity": 512,
+                                    "samples": 2, "evictions": 0},
+                     "telemetry": {"sampler_samples": 2,
+                                   "sampler_evictions": 0}})
+        archive = load_archive(str(path))
+        assert archive.complete
+        assert (archive.samples, archive.interval) == (2, 0.25)
+        assert archive.timeseries[0].values == [1, 2]
+        assert main(["dashboard", str(path)]) == 0
+        assert main(["report", str(path)]) == 0
 
 
 class TestDefaultPathUnchanged:

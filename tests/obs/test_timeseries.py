@@ -1,11 +1,34 @@
 """Tests for the time-series telemetry sampler."""
 
-import json
-
 import pytest
 
 from repro.atm.simulator import Simulator
-from repro.obs.timeseries import Series, TelemetrySampler, load_timeseries
+from repro.obs.sink import _telemetry
+from repro.obs.timeseries import Series, TelemetrySampler
+
+
+class Collector:
+    """A sampler sink that rebuilds the series from every streamed
+    tick, as :func:`~repro.obs.sink.load_archive` does."""
+
+    def __init__(self, sampler):
+        self.series = {}
+        sampler.sink = self
+
+    def __call__(self, now, rows):
+        _telemetry(self.series, {"time": now, "rows": rows})
+
+    def get(self, component, name, **labels):
+        return self.series.get(
+            (component, name, tuple(sorted(labels.items()))))
+
+
+def start(sim, interval):
+    """A started sampler streaming into a :class:`Collector`."""
+    sampler = TelemetrySampler(sim, interval=interval)
+    collector = Collector(sampler)
+    sampler.start()
+    return collector
 
 
 def make_sim_with_work(duration=10.0, step=0.5):
@@ -29,10 +52,9 @@ def make_sim_with_work(duration=10.0, step=0.5):
 class TestSampling:
     def test_samples_on_the_simulated_clock(self):
         sim = make_sim_with_work()
-        sampler = TelemetrySampler(sim, interval=1.0)
-        sampler.start()
+        streamed = start(sim, 1.0)
         sim.run(until=10.0)
-        series = sampler.get("work", "items_done")
+        series = streamed.get("work", "items_done")
         assert series is not None
         # one sample at start + one per interval while work was pending
         assert len(series) >= 9
@@ -43,21 +65,19 @@ class TestSampling:
 
     def test_every_instrument_kind_gets_a_series(self):
         sim = make_sim_with_work()
-        sampler = TelemetrySampler(sim, interval=1.0)
-        sampler.start()
+        streamed = start(sim, 1.0)
         sim.run(until=10.0)
-        assert sampler.get("work", "items_done").kind == "counter"
-        assert sampler.get("work", "in_flight").kind == "gauge"
-        assert sampler.get("work", "latency_seconds").kind == "histogram"
+        assert streamed.get("work", "items_done").kind == "counter"
+        assert streamed.get("work", "in_flight").kind == "gauge"
+        assert streamed.get("work", "latency_seconds").kind == "histogram"
         # simulator's own instruments are sampled too
-        assert sampler.get("simulator", "queue_depth") is not None
+        assert streamed.get("simulator", "queue_depth") is not None
 
     def test_counter_rate_derivation(self):
         sim = make_sim_with_work(duration=4.0, step=0.5)
-        sampler = TelemetrySampler(sim, interval=1.0)
-        sampler.start()
+        streamed = start(sim, 1.0)
         sim.run(until=4.0)
-        series = sampler.get("work", "items_done")
+        series = streamed.get("work", "items_done")
         # 10 items per 0.5s => 20 items/s at every full interval
         assert series.rates is not None
         steady = list(series.rates)[1:]
@@ -65,28 +85,24 @@ class TestSampling:
 
     def test_histogram_series_tracks_count_and_p99(self):
         sim = make_sim_with_work()
-        sampler = TelemetrySampler(sim, interval=1.0)
-        sampler.start()
+        streamed = start(sim, 1.0)
         sim.run(until=10.0)
-        series = sampler.get("work", "latency_seconds")
+        series = streamed.get("work", "latency_seconds")
         assert list(series.values) == sorted(series.values)  # cumulative
         assert series.p99s is not None
         assert series.p99s[-1] > 0
 
     def test_gauge_series_tracks_level(self):
         sim = make_sim_with_work()
-        sampler = TelemetrySampler(sim, interval=1.0)
-        sampler.start()
+        streamed = start(sim, 1.0)
         sim.run(until=10.0)
-        series = sampler.get("work", "in_flight")
+        series = streamed.get("work", "in_flight")
         assert set(series.values) <= {0.0, 0, 1, 2, 3}
 
     def test_bad_parameters_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
             TelemetrySampler(sim, interval=0.0)
-        with pytest.raises(ValueError):
-            TelemetrySampler(sim, capacity=1)
 
 
 class TestCounterFall:
@@ -97,8 +113,7 @@ class TestCounterFall:
         sim = Simulator()
         stats = type("Stats", (), {"done": 0})()
         sim.metrics.read_through("work", "items_done", stats, "done")
-        sampler = TelemetrySampler(sim, interval=1.0)
-        sampler.start()
+        streamed = start(sim, 1.0)
         stats.done = 100
         sim.schedule(1.0, lambda: None)
         sim.run(until=1.5)  # sample sees value=100
@@ -107,7 +122,7 @@ class TestCounterFall:
         sim.schedule(1.0, lambda: None)
         sim.run(until=3.5)
 
-        series = sampler.get("work", "items_done")
+        series = streamed.get("work", "items_done")
         assert list(series.values) == [0, 100, 5, 5]
         assert list(series.rates) == [0.0, 100.0, 0.0, 0.0]
 
@@ -148,73 +163,26 @@ class TestDormancy:
         assert sim._sampler is None
 
 
+class TestNoSink:
+    def test_a_tick_without_a_sink_reads_nothing(self):
+        """Without a sink the sampler keeps nothing and reads no
+        instrument; its listeners still run on every tick."""
+        sim = make_sim_with_work(duration=2.0)
+        sampler = TelemetrySampler(sim, interval=0.5)
+        heard = []
+        sampler.add_listener(heard.append)
+        sampler.start()
+        sim.run(until=2.0)
+        assert sampler.samples == len(heard) == 5
+        assert heard == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert sampler._columns == () and sampler._last is None
+
+
 class TestBoundedMemory:
-    def test_ring_eviction_is_counted(self):
-        sim = make_sim_with_work(duration=50.0, step=0.5)
-        sampler = TelemetrySampler(sim, interval=1.0, capacity=8)
-        sampler.start()
-        sim.run(until=50.0)
-        series = sampler.get("work", "items_done")
-        assert len(series) == 8  # bounded
-        assert series.evicted > 0
-        assert sampler.evictions >= series.evicted
-        # the ring holds the *newest* samples
-        assert series.times[-1] > 40.0
-
     def test_identical_samples_each_take_a_slot(self):
-        series = Series("c", "n", {}, "gauge", capacity=4)
+        series = Series("c", "n", {}, "gauge")
         for i in range(6):
-            series.record(float(i), 5.0)
-        assert list(series.times) == [2.0, 3.0, 4.0, 5.0]
-        assert series.evicted == 2
+            series.record(float(i), 5.0, None, None)
+        assert list(series.times) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert len(series) == 6
 
-
-class TestRollups:
-    def test_windowed_rollup(self):
-        series = Series("c", "n", {}, "gauge", capacity=16)
-        for i in range(10):
-            series.record(float(i), float(i))
-        full = series.rollup()
-        assert full["min"] == 0.0 and full["max"] == 9.0
-        assert full["mean"] == pytest.approx(4.5)
-        # the ring is the window: a three-slot series rolls up the last 3
-        short = Series("c", "n", {}, "gauge", capacity=3)
-        for i in range(10):
-            short.record(float(i), float(i))
-        last3 = short.rollup()
-        assert last3["min"] == 7.0 and last3["count"] == 3
-
-    def test_empty_rollup(self):
-        series = Series("c", "n", {}, "gauge", capacity=4)
-        assert series.rollup()["count"] == 0
-        assert series.rollup()["p99"] is None
-
-    def test_unknown_channel_rejected(self):
-        series = Series("c", "n", {}, "gauge", capacity=4)
-        with pytest.raises(ValueError):
-            series.rollup(channel="rates")  # gauges have no rate ring
-
-
-class TestExport:
-    def test_snapshot_is_json_stable_and_reloadable(self):
-        sim = make_sim_with_work()
-        sampler = TelemetrySampler(sim, interval=1.0)
-        sampler.start()
-        sim.run(until=10.0)
-        snap = json.loads(json.dumps(sampler.snapshot()))
-        assert snap["samples"] == sampler.samples
-        reloaded = load_timeseries(snap)
-        by_key = {s.key: s for s in reloaded}
-        original = sampler.get("work", "items_done")
-        twin = by_key[original.key]
-        assert list(twin.times) == list(original.times)
-        assert list(twin.values) == list(original.values)
-        assert list(twin.rates) == list(original.rates)
-
-    def test_peak(self):
-        sim = make_sim_with_work()
-        sampler = TelemetrySampler(sim, interval=1.0)
-        sampler.start()
-        sim.run(until=10.0)
-        assert sampler.peak("work", "in_flight") == 3
-        assert sampler.peak("work", "nope") is None

@@ -55,11 +55,6 @@ ALLOWED = {
         _GOLDENS,
     "repro/media/production.py::MediaProductionCenter.produce_image(height=)":
         _GOLDENS,
-    "repro/obs/timeseries.py::TelemetrySampler.__init__(capacity=)":
-        "a ring has to wrap to be tested: at the production 512 slots "
-        "test_ring_eviction_is_counted runs 0.88 s instead of 0.002 s "
-        "and each test_sampler_equivalence example 4.0 ms instead of "
-        "0.22 ms (2-vCPU Xeon VM)",
 }
 
 
