@@ -34,6 +34,9 @@ class LearningSession:
         #: ref), set instead of ``ready``
         self.error: Optional[str] = None
         self.resume_position = 0.0
+        #: the ``GetResume`` reply arrived (``resume_position`` is known)
+        self._resumed = False
+        self.closed = False
         self._on_ready: Optional[Callable[["LearningSession"], None]] = None
 
     def open(self, on_ready: Optional[Callable[["LearningSession"], None]]
@@ -44,16 +47,26 @@ class LearningSession:
             self.student_number, self.courseware_id,
             on_result=self._got_resume)
 
+    # a reply that arrives after close() finds the student gone: it
+    # fetches and presents nothing
+
     def _got_resume(self, position: float) -> None:
+        if self.closed:
+            return
         self.resume_position = float(position)
+        self._resumed = True
         self.client.Get_Selected_Doc(self.courseware_id,
                                      on_result=self._got_blob)
 
     def _got_blob(self, blob: bytes) -> None:
+        if self.closed:
+            return
         self.presenter.load_blob(blob)
         self.presenter.preload(on_ready=self._content_ready)
 
     def _content_ready(self) -> None:
+        if self.closed:
+            return
         self.error = self.presenter.error
         if self.error is None:
             self.presenter.start(from_position=self.resume_position)
@@ -82,10 +95,14 @@ class LearningSession:
 
         A presentation that never started (refused content, or left
         before it was ready) stops at 0.0; the saved position must not
-        fall below the one this visit resumed from.
+        fall below the one this visit resumed from.  A session left
+        before the ``GetResume`` reply arrived saves nothing: it never
+        learned the position it would have to keep.
         """
         position = max(self.presenter.stop(), self.resume_position)
-        self.client.save_resume(self.student_number, self.courseware_id,
-                                position)
+        if self._resumed:
+            self.client.save_resume(self.student_number,
+                                    self.courseware_id, position)
         self.ready = False
+        self.closed = True
         return position
