@@ -186,7 +186,13 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Approximate quantile from bucket bounds (upper-bound biased)."""
+        """Approximate quantile from bucket bounds (upper-bound biased).
+
+        A bucket's upper bound can lie past every sample (one 86 ms
+        round trip sits in the bucket that ends at 262 ms); the largest
+        sample bounds the quantile too, so the lesser of the two is
+        returned, which is still an upper bound.
+        """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         if self.count == 0:
@@ -196,7 +202,7 @@ class Histogram:
         for bound, n in zip(self.bounds, self.counts):
             running += n
             if running >= target:
-                return bound
+                return min(bound, self.max)
         return self.max
 
     def snapshot(self) -> Dict[str, Any]:

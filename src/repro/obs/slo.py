@@ -77,13 +77,9 @@ class Slo:
         if self.stat in _SUM_STATS:
             return _sum_values(entries, self.stat)
         # distribution statistic: judge by the worst instrument, and
-        # ignore instruments that recorded nothing.  A quantile reads
-        # its bucket's upper bound, which can lie past every sample
-        # (one 86 ms round trip reads as a p99 of 262 ms); the largest
-        # sample bounds the quantile too, so the lesser of the two is
-        # still an upper bound, and a violation still shows
+        # ignore instruments that recorded nothing
         values = [
-            min(e[self.stat], e.get("max", e[self.stat])) for e in entries
+            e[self.stat] for e in entries
             if e.get(self.stat) is not None and e.get("count", 0) > 0
         ]
         if not values:

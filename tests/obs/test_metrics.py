@@ -84,7 +84,8 @@ class TestHistogram:
         for v in (B[0] / 2, B[1] * 0.9, B[1] * 0.95, B[2] * 0.9):
             h.observe(v)
         assert h.quantile(0.5) == B[1]
-        assert h.quantile(1.0) == B[2]
+        # the top bucket's bound lies past every sample: capped at max
+        assert h.quantile(1.0) == B[2] * 0.9
 
     def test_default_buckets_are_time_ladder(self):
         h = Histogram()
@@ -109,10 +110,19 @@ class TestHistogramQuantileEdges:
     def test_single_sample(self):
         h = Histogram()
         h.observe(B[1] * 0.9)
-        # every non-zero quantile lands in the sample's bucket
-        assert h.quantile(0.5) == B[1]
-        assert h.quantile(0.99) == B[1]
-        assert h.quantile(1.0) == B[1]
+        # every non-zero quantile lands in the sample's bucket, whose
+        # bound lies past the sample: each reads the sample itself
+        assert h.quantile(0.5) == B[1] * 0.9
+        assert h.quantile(0.99) == B[1] * 0.9
+        assert h.quantile(1.0) == B[1] * 0.9
+
+    def test_p99_never_exceeds_the_largest_sample(self):
+        """One 86 ms round trip sits in the bucket that ends at
+        262.144 ms; its p99 is the sample, not the bound."""
+        h = Histogram()
+        h.observe(0.086)
+        assert h.quantile(0.99) == 0.086
+        assert h.snapshot()["p99"] == h.snapshot()["p50"] == 0.086
 
     def test_q_zero_is_the_lowest_bound(self):
         h = Histogram()
