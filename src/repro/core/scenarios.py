@@ -22,7 +22,7 @@ from repro.authoring import (
     InteractiveDocument, Scene, SceneObject, Section, TimelineEntry,
 )
 from repro.core.system import MitsSystem
-from repro.faults import FaultInjector, FaultPlan, RESILIENT
+from repro.faults import FaultInjector, FaultPlan
 from repro.media.video import VideoStream
 from repro.streaming import VideoPlayer, VideoStreamSender
 
@@ -82,14 +82,12 @@ def _stream_video(mits: MitsSystem, host: str) -> VideoPlayer:
     dedicated VC — the classroom-streaming leg that drives the player
     buffer / frame-lateness trajectories."""
     sim = mits.sim
-    policy = mits.recovery
     video = mits.database.db.content.get("dash-intro-video").data
     stream = VideoStream(video)
     player = VideoPlayer(sim, preroll=0.5,
                          frames_expected=stream.frames,
                          name=f"classroom-{host}",
-                         conceal_limit=policy.conceal_limit,
-                         degrade_after_stalls=policy.degrade_after_stalls)
+                         resilient=mits.resilient)
     contract = TrafficContract(ServiceCategory.UBR,
                                pcr=mits.spec.access_bps / 424)
     vc = mits.network.open_vc("database", host, contract, player.on_pdu)
@@ -132,11 +130,11 @@ def classroom(**kwargs: Any) -> ScenarioRun:
 
 def faulty_classroom(**kwargs: Any) -> ScenarioRun:
     """The quickstart flow under the ``classroom-chaos`` fault plan,
-    with the RESILIENT recovery policy fighting back — the scenario
-    every recovery path is benchmarked and chaos-tested against."""
+    with every layer's recovery on (``resilient``) — the scenario every
+    recovery path is benchmarked and chaos-tested against."""
     kwargs.setdefault("topology", "star")
     kwargs.setdefault("tracing", True)
-    kwargs.setdefault("recovery", RESILIENT)
+    kwargs.setdefault("resilient", True)
     faults = kwargs.pop("faults", "classroom-chaos")
     fault_seed = kwargs.pop("fault_seed", None)
     mits = MitsSystem(**kwargs)

@@ -16,7 +16,6 @@ from repro.atm.qos import ServiceCategory, TrafficContract
 from repro.atm.simulator import Simulator
 from repro.authoring.editor import CompiledCourseware, CoursewareEditor
 from repro.database.api import CoursewareDatabase, DatabaseClient, DatabaseServer
-from repro.faults.recovery import RecoveryPolicy
 from repro.media.base import MediaObject
 from repro.media.production import MediaProductionCenter
 from repro.navigator.navigator import Navigator
@@ -31,41 +30,23 @@ CONTROL_CONTRACT = TrafficContract(ServiceCategory.NRT_VBR, pcr=8_000,
                                    scr=2_000, mbs=400)
 
 
-def _recovering_pair(sim, network, client_host, server_host, contract,
-                     policy: RecoveryPolicy):
-    """``connect_pair`` with the site's recovery policy threaded in."""
-    return connect_pair(
-        sim, network, client_host, server_host, contract,
-        auto_reconnect=policy.auto_reconnect,
-        max_reconnects=policy.max_reconnects,
-        reconnect_delay=policy.reconnect_delay)
-
-
-def _recovering_client(sim, connection, policy: RecoveryPolicy) -> RpcClient:
-    """``RpcClient`` with the site's retry/backoff policy threaded in."""
-    return RpcClient(
-        sim, connection,
-        default_timeout=policy.rpc_timeout,
-        max_retries=policy.rpc_max_retries,
-        backoff_base=policy.backoff_base,
-        backoff_factor=policy.backoff_factor,
-        backoff_jitter=policy.backoff_jitter)
-
-
 #: CPU time the database site spends on one request
 DB_SERVICE_TIME = 0.002
 
 
 class DatabaseSite:
-    """The courseware database: storage plus its RPC server."""
+    """The courseware database: storage plus its RPC server.
+
+    A ``resilient`` site's connections re-signal a torn-down circuit
+    and its clients retry timed-out calls.
+    """
 
     def __init__(self, sim: Simulator, network: AtmNetwork,
-                 host: str = "database", *,
-                 recovery: Optional[RecoveryPolicy] = None) -> None:
+                 host: str = "database", *, resilient: bool = False) -> None:
         self.sim = sim
         self.network = network
         self.host = host
-        self.recovery = recovery or RecoveryPolicy()
+        self.resilient = resilient
         self.db = CoursewareDatabase()
         self.db.content.tracer = sim.tracer
         self.server = DatabaseServer(self.db)
@@ -80,14 +61,14 @@ class DatabaseSite:
         Returns the client-side RPC endpoint for the caller to build
         its client wrappers on.
         """
-        conn_client, conn_server = _recovering_pair(
+        conn_client, conn_server = connect_pair(
             self.sim, self.network, client_host, self.host,
-            CONTROL_CONTRACT, self.recovery)
+            CONTROL_CONTRACT, auto_reconnect=self.resilient)
         rpc_server = RpcServer(self.sim, conn_server,
                                processor=self.processor)
         self.server.attach(rpc_server)
         self.endpoints.append(rpc_server)
-        return _recovering_client(self.sim, conn_client, self.recovery)
+        return RpcClient(self.sim, conn_client, retry=self.resilient)
 
     def requests_served(self) -> int:
         return sum(e.requests_served for e in self.endpoints)
@@ -158,26 +139,29 @@ class AuthorSite:
 
 
 class FacilitatorSite:
-    """The on-line facilitator: school services + the specialist."""
+    """The on-line facilitator: school services + the specialist.
+
+    ``resilient`` as for :class:`DatabaseSite`.
+    """
 
     def __init__(self, sim: Simulator, network: AtmNetwork,
                  host: str = "facilitator", *,
-                 recovery: Optional[RecoveryPolicy] = None) -> None:
+                 resilient: bool = False) -> None:
         self.sim = sim
         self.network = network
         self.host = host
-        self.recovery = recovery or RecoveryPolicy()
+        self.resilient = resilient
         self.service = SchoolService(sim=sim)
         self.endpoints: List[RpcServer] = []
 
     def serve(self, client_host: str) -> RpcClient:
-        conn_client, conn_server = _recovering_pair(
+        conn_client, conn_server = connect_pair(
             self.sim, self.network, client_host, self.host,
-            CONTROL_CONTRACT, self.recovery)
+            CONTROL_CONTRACT, auto_reconnect=self.resilient)
         rpc_server = RpcServer(self.sim, conn_server)
         self.service.attach(rpc_server)
         self.endpoints.append(rpc_server)
-        return _recovering_client(self.sim, conn_client, self.recovery)
+        return RpcClient(self.sim, conn_client, retry=self.resilient)
 
 
 class UserSite:

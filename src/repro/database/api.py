@@ -32,6 +32,11 @@ COURSES = "courses"
 STUDENTS = "students"
 LIBRARY = "library"
 
+#: simulated seconds :func:`wait_for` runs before it gives up on a call:
+#: past the longest an RPC can take to fail (five 2 s attempts plus
+#: backoff with ``retry``, one 10 s attempt without)
+WAIT_DEADLINE = 30.0
+
 
 class CoursewareDatabase:
     """The database site's in-process service layer."""
@@ -404,9 +409,10 @@ class DatabaseClient:
                                     on_end=on_end)
 
 
-def wait_for(sim, pending: PendingCall, timeout: float = 30.0) -> Any:
-    """Test/example helper: run the simulator until a call completes."""
-    deadline = sim.now + timeout
+def wait_for(sim, pending: PendingCall) -> Any:
+    """Run the simulator until a call completes, or for at most
+    :data:`WAIT_DEADLINE` simulated seconds."""
+    deadline = sim.now + WAIT_DEADLINE
     while not pending.done and sim.now < deadline:
         if not sim.step():
             break

@@ -127,7 +127,7 @@ def _classroom_chaos() -> FaultPlan:
         # the fabric itself blinks
         FaultSpec(at=13.0, kind="switch_crash", target="sw0",
                   duration=0.05),
-        # the single database CPU freezes (longer than the RESILIENT
+        # the single database CPU freezes (longer than the retrying
         # RPC timeout, so retries must carry the call), then crawls
         FaultSpec(at=14.0, kind="server_stall", target="database",
                   duration=3.0),

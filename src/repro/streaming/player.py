@@ -23,6 +23,12 @@ from repro.streaming.sender import unpack_frame
 
 #: raw per-frame delay samples kept (full distribution in metrics)
 DELAY_SAMPLE_CAP = 4096
+#: with ``resilient``: up to this many *consecutive* missing frames are
+#: concealed (previous frame held) instead of stalling
+CONCEAL_LIMIT = 3
+#: with ``resilient``: after this many stalls (and each further
+#: multiple), ask the sender for a bitrate downgrade
+DEGRADE_AFTER_STALLS = 2
 
 
 @dataclass
@@ -54,22 +60,18 @@ class VideoPlayer:
     def __init__(self, sim: Simulator, *, preroll: float = 0.5,
                  skip_grace: float = 2.0,
                  frames_expected: int = 0, name: str = "player",
-                 conceal_limit: int = 0,
-                 degrade_after_stalls: int = 0) -> None:
+                 resilient: bool = False) -> None:
         self.sim = sim
         self.preroll = preroll
         self.skip_grace = skip_grace
         self.name = name
-        #: graceful degradation: up to this many *consecutive* missing
-        #: frames are concealed (previous frame held) instead of
-        #: stalling — late-frame concealment
-        self.conceal_limit = conceal_limit
-        #: after this many stalls (and each further multiple), ask the
-        #: sender for a bitrate downgrade via ``on_degrade`` (set by the
-        #: owner after construction); 0 = off
-        self.degrade_after_stalls = degrade_after_stalls
+        #: graceful degradation, on with ``resilient``: late-frame
+        #: concealment, and a bitrate downgrade asked for through
+        #: ``on_degrade`` (set by the owner after construction); 0 = off
+        self.conceal_limit = CONCEAL_LIMIT if resilient else 0
+        self.degrade_after_stalls = DEGRADE_AFTER_STALLS if resilient else 0
         self.on_degrade: Optional[Callable[[], None]] = None
-        self._next_degrade_at = degrade_after_stalls
+        self._next_degrade_at = self.degrade_after_stalls
         self._conceal_run = 0
         self.stats = PlayoutStats(frames_expected=frames_expected)
         metrics = sim.metrics

@@ -30,6 +30,16 @@ from repro.util.errors import NetworkError, ReproError
 
 #: seed of every client's retry-jitter RNG, so backoff is reproducible
 RETRY_SEED = 7
+#: how long a call waits for its response before it fails (no retry)
+TIMEOUT = 10.0
+#: with ``retry``: the per-attempt timeout, and the retries allowed
+#: after the first attempt times out
+RETRY_TIMEOUT = 2.0
+RETRIES = 4
+#: with ``retry``: retry n waits ``BACKOFF_BASE * 2**(n-1)``, stretched
+#: by up to ``BACKOFF_JITTER`` (a seeded uniform fraction)
+BACKOFF_BASE = 0.1
+BACKOFF_JITTER = 0.5
 
 #: largest STREAM_DATA body a server sends in one message
 STREAM_CHUNK_BYTES = 8192
@@ -58,7 +68,6 @@ class PendingCall:
     #: transmissions so far (1 = first attempt) and retries still allowed
     attempts: int = 1
     retries_left: int = 0
-    timeout: float = 10.0
     _body: bytes = b""
     _trace_id: int = 0
     _span_id: int = 0
@@ -126,28 +135,22 @@ class StreamReceiver:
 class RpcClient:
     """Caller side.  Wire with ``RpcClient(sim, connection)``.
 
-    With ``max_retries > 0`` a timed-out call is retried with
-    exponential backoff plus seeded jitter before the failure is
-    reported — the recovery half of content-server stall injection.
-    Retries reuse the original correlation id, so semantics are
-    at-least-once: a late response to an earlier attempt still
-    completes the call (handlers should be idempotent, as MITS
-    catalogue lookups are).
+    A call that gets no response within :data:`TIMEOUT` fails.  With
+    ``retry`` each attempt waits :data:`RETRY_TIMEOUT`, and a timed-out
+    call is retried up to :data:`RETRIES` times with exponential
+    backoff plus seeded jitter before the failure is reported — the
+    recovery half of content-server stall injection.  Retries reuse
+    the original correlation id, so semantics are at-least-once: a
+    late response to an earlier attempt still completes the call
+    (handlers should be idempotent, as MITS catalogue lookups are).
     """
 
     def __init__(self, sim: Simulator, connection: Connection, *,
-                 default_timeout: float = 10.0,
-                 max_retries: int = 0,
-                 backoff_base: float = 0.2,
-                 backoff_factor: float = 2.0,
-                 backoff_jitter: float = 0.5) -> None:
+                 retry: bool = False) -> None:
         self.sim = sim
         self.connection = connection
-        self.default_timeout = default_timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.backoff_jitter = backoff_jitter
+        self.timeout = RETRY_TIMEOUT if retry else TIMEOUT
+        self.retries = RETRIES if retry else 0
         self._retry_rng = random.Random(RETRY_SEED)
         self._corr = itertools.count(1)
         self._pending: Dict[int, PendingCall] = {}
@@ -161,17 +164,14 @@ class RpcClient:
 
     def call(self, method: str, params: Any = None, *,
              on_result: Optional[Callable[[Any], None]] = None,
-             on_error: Optional[Callable[[RpcError], None]] = None,
-             timeout: Optional[float] = None,
-             max_retries: Optional[int] = None) -> PendingCall:
+             on_error: Optional[Callable[[RpcError], None]] = None
+             ) -> PendingCall:
         """Issue a request.  Completion is signalled via callbacks."""
         corr = next(self._corr)
         tracer = self.sim.tracer
-        t = timeout if timeout is not None else self.default_timeout
-        retries = max_retries if max_retries is not None else self.max_retries
         pending = PendingCall(method=method, corr_id=corr,
                               on_result=on_result, on_error=on_error,
-                              retries_left=retries, timeout=t,
+                              retries_left=self.retries,
                               _ctx=tracer.current)
         pending._span = tracer.span(f"rpc.client:{method}", method=method)
         self._pending[corr] = pending
@@ -183,7 +183,7 @@ class RpcClient:
         pending._span_id = msg.span_id
         self.connection.send(msg)
         pending._timeout_event = self.sim.schedule(
-            t, self._on_timeout, corr)
+            self.timeout, self._on_timeout, corr)
         return pending
 
     def open_stream(self, method: str, params: Any = None, *,
@@ -217,16 +217,15 @@ class RpcClient:
             return
         if pending.retries_left > 0:
             pending.retries_left -= 1
-            # exponential backoff with seeded jitter: attempt n waits
-            # base * factor**(n-1), stretched by up to +jitter*100%
-            delay = (self.backoff_base
-                     * self.backoff_factor ** (pending.attempts - 1)
-                     * (1.0 + self.backoff_jitter * self._retry_rng.random()))
+            # exponential backoff with seeded jitter: retry n waits
+            # base * 2**(n-1), stretched by up to +jitter*100%
+            delay = (BACKOFF_BASE * 2.0 ** (pending.attempts - 1)
+                     * (1.0 + BACKOFF_JITTER * self._retry_rng.random()))
             pending.attempts += 1
             self._note_retry(pending)
             self.sim.schedule(delay, self._resend, corr)
             pending._timeout_event = self.sim.schedule(
-                delay + pending.timeout, self._on_timeout, corr)
+                delay + self.timeout, self._on_timeout, corr)
             return
         self._pending.pop(corr, None)
         if pending.attempts > 1:

@@ -2,7 +2,7 @@
 
 ``run_course`` drives the full Course-On-Demand flow (publish a
 course, enroll a student, enter the classroom, stream the intro
-video) under a given fault plan and recovery policy, returning every
+video) under a given fault plan with recovery on, returning every
 handle a test needs to assert both halves: that the fault really
 happened, and that the system recovered (possibly degraded).
 """
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.scenarios import _enroll, _publish_course, _stream_video
 from repro.core.system import MitsSystem
-from repro.faults import FaultInjector, FaultPlan, RESILIENT, RecoveryPolicy
+from repro.faults import FaultInjector, FaultPlan
 from repro.obs.audit import ConservationAuditor
 from repro.streaming import VideoPlayer
 
@@ -48,11 +48,10 @@ class ChaosRun:
 
 
 def run_course(plan: FaultPlan, *,
-               recovery: RecoveryPolicy = RESILIENT,
                fault_seed: Optional[int] = None,
                query_times=(10.5, 12.0, 14.5),
                horizon: float = 40.0) -> ChaosRun:
-    mits = MitsSystem(topology="star", tracing=True, recovery=recovery)
+    mits = MitsSystem(topology="star", tracing=True, resilient=True)
     _publish_course(mits)
     nav = _enroll(mits, "user1", "Chaos Student")
     nav.enter_classroom("D101", "dash-101")

@@ -13,11 +13,12 @@ import pytest
 
 from repro.atm import ServiceCategory, Simulator, TrafficContract
 from repro.atm.topology import star_campus
-from repro.faults import FaultInjector, FaultPlan, RecoveryPolicy, RESILIENT
+from repro.faults import FaultInjector, FaultPlan
 from repro.faults.injector import FaultError
 from repro.faults.plan import FaultSpec
-from repro.transport.connection import connect_pair
-from repro.transport.rpc import RpcClient, RpcError, RpcServer, SharedProcessor
+from repro.transport.connection import MAX_RECONNECTS, connect_pair
+from repro.transport.messages import Message, MessageType
+from repro.transport.rpc import RETRIES, RpcError
 from repro.util.errors import NetworkError
 
 from tests.faults.conftest import run_course, single_fault
@@ -109,7 +110,7 @@ class TestServerStall:
                                       at=10.0, duration=3.0),
                          query_times=(10.2,))
         _faults_recorded(run, "server_stall")
-        # the stall outlives the 2 s RESILIENT timeout: the first
+        # the stall outlives the 2 s retrying timeout: the first
         # attempt dies, a backed-off retry completes
         assert run.metric_total("rpc", "retries") >= 1
         assert run.recorder.by_kind("retry")
@@ -149,19 +150,17 @@ class TestExhaustedRecovery:
     out of the event loop."""
 
     def test_rpc_retries_exhausted_surface_via_on_error(self):
-        policy = RecoveryPolicy(rpc_max_retries=2, rpc_timeout=0.5,
-                                backoff_base=0.05)
-        # a stall far longer than (1 + 2 retries) x 0.5 s + backoff
+        # a stall far longer than (1 + 4 retries) x 2 s + backoff
+        # (at most 2.25 s), about 12 s in all
         run = run_course(single_fault("server_stall", "database",
                                       at=10.0, duration=30.0),
-                         recovery=policy, query_times=(10.2,),
-                         horizon=60.0)
+                         query_times=(10.2,), horizon=60.0)
         assert not run.results
         assert len(run.errors) == 1
         error = run.errors[0]
         assert isinstance(error, RpcError)
         assert "timed out" in str(error)
-        assert run.metric_total("rpc", "retries") == 2
+        assert run.metric_total("rpc", "retries") == RETRIES
         assert run.metric_total("rpc", "retries_exhausted") == 1
         assert run.recorder.by_kind("retries_exhausted")
 
@@ -170,17 +169,25 @@ class TestExhaustedRecovery:
         net, _ = star_campus(sim, ["a", "b"])
         contract = TrafficContract(ServiceCategory.UBR, pcr=366e3)
         ca, cb = connect_pair(sim, net, "a", "b", contract,
-                              auto_reconnect=True, max_reconnects=0)
+                              auto_reconnect=True)
         errors = []
+        delivered = []
         ca.on_error = errors.append
-        from repro.transport.messages import Message, MessageType
+        cb.on_message = delivered.append
         ca.send(Message(type=MessageType.DATA, body=b"hello"))
         sim.run(until=1.0)
         assert not errors  # healthy circuit: nothing to recover from
-        for vc in net.vcs_between("a", "b"):
-            net.close_vc(vc)
-        ca.send(Message(type=MessageType.DATA, body=b"into the void"))
-        sim.run(until=5.0)
+        # every loss up to the budget is re-signalled and the message
+        # sent into it still arrives; the loss after that gives up
+        for loss in range(1, MAX_RECONNECTS + 2):
+            for vc in net.vcs_between("a", "b"):
+                net.close_vc(vc)
+            ca.send(Message(type=MessageType.DATA, body=b"loss %d" % loss))
+            sim.run(until=sim.now + 1.0)
+            if loss <= MAX_RECONNECTS:
+                assert not errors
+                assert ca.stats.reconnects == loss
+                assert delivered[-1].body == b"loss %d" % loss
         assert len(errors) == 1
         assert isinstance(errors[0], NetworkError)
         assert "gave up" in str(errors[0])

@@ -9,9 +9,12 @@ fault correlation.
 
 import json
 
+import pytest
+
 from repro.core.scenarios import build
 from repro.faults import FaultPlan, RandomFaults
 from repro.faults.plan import resolve_plan
+from repro.obs.equivalence import canonical_form
 
 from tests.faults.conftest import run_course, single_fault
 
@@ -49,6 +52,19 @@ class TestDeterminism:
         # the seeds indistinguishable, which the snapshots rule out
         assert pa > 0 and pb > 0
         assert _snapshot_json(a) != _snapshot_json(b)
+
+
+@pytest.mark.parametrize("scenario", ["quickstart", "classroom"])
+def test_recovery_is_idle_on_clean_runs(scenario):
+    """With no fault, ``resilient`` changes nothing: no call times out,
+    no circuit is lost and no frame goes missing, so reconnects,
+    retries and concealment never fire."""
+    snaps = []
+    for resilient in (False, True):
+        run = build(scenario, resilient=resilient)
+        run.run_to_horizon()
+        snaps.append(canonical_form(run.mits.snapshot()))
+    assert snaps[0] == snaps[1]
 
 
 class TestPlanResolution:

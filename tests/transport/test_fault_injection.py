@@ -59,8 +59,7 @@ class TestArqUnderLoss:
         server.register("double", lambda p: p * 2)
         results = []
         for i in range(10):
-            client.call("double", i, on_result=results.append,
-                        timeout=50.0)
+            client.call("double", i, on_result=results.append)
         sim.run(until=60.0)
         assert sorted(results) == [i * 2 for i in range(10)]
 

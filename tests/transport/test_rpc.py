@@ -6,7 +6,8 @@ from repro.atm import Simulator, TrafficContract, ServiceCategory
 from repro.atm.topology import star_campus
 from repro.transport.connection import connect_pair
 from repro.transport.rpc import (
-    STREAM_CHUNK_BYTES, RpcClient, RpcError, RpcServer, SharedProcessor,
+    STREAM_CHUNK_BYTES, TIMEOUT, RpcClient, RpcError, RpcServer,
+    SharedProcessor,
 )
 
 
@@ -72,11 +73,13 @@ class TestCalls:
         net, _ = star_campus(sim, ["client", "server"])
         contract = TrafficContract(ServiceCategory.UBR, pcr=366e3)
         cc, cs = connect_pair(sim, net, "client", "server", contract)
-        client = RpcClient(sim, cc, default_timeout=0.5)
+        client = RpcClient(sim, cc)
         # no server wired on cs: requests vanish into an unhandled sink
         errors = []
         pending = client.call("void", on_error=errors.append)
-        sim.run(until=2.0)
+        sim.run(until=TIMEOUT - 0.1)
+        assert not pending.done
+        sim.run(until=TIMEOUT + 0.1)
         assert pending.done
         assert errors and errors[0].reason == "timed out"
 

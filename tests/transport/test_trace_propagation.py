@@ -86,9 +86,11 @@ class TestLossyPropagation:
         client = RpcClient(sim, ca)
         results = []
         with sim.tracer.span("test.request") as root:
+            # 500-byte bodies (11 cells) at 5% cell loss: frames drop
+            # and are resent, yet every call completes inside the RPC
+            # TIMEOUT (by ~2.4 s)
             for i in range(10):
-                client.call("echo", "x" * 2000,
-                            on_result=results.append, timeout=50.0)
+                client.call("echo", "x" * 500, on_result=results.append)
         sim.run(until=60.0)
         assert len(results) == 10
 
