@@ -226,6 +226,20 @@ class TestTransportMetrics:
         assert "retransmits" in rep["connection"]
 
 
+    def test_rtt_histogram_samples_every_acked_message(self):
+        """The histogram is what the application waits, so a message
+        that needed a resend is sampled too (only the RTO estimator
+        skips it, by Karn's rule)."""
+        sim, net, ca, cb = setup_pair(loss_buffer=16, oversubscribe=1.1)
+        cb.on_message = lambda m: None
+        for i in range(30):
+            ca.send(Message(type=MessageType.DATA, body=bytes([i]) * 300))
+        sim.run(until=30.0)
+        assert ca.stats.retransmitted > 0
+        assert ca.stats.acked == 30
+        assert ca._m_rtt.count == ca.stats.acked
+
+
 class TestAdaptiveRto:
     """Jacobson RTO: the timeout learns the path instead of firing a
     fixed 50 ms timer into an 86 ms serialisation delay."""
@@ -320,9 +334,11 @@ class TestAdaptiveRto:
         ca._backoff = 2
         ca._in_flight[0] = Message(type=MessageType.DATA, seq=0,
                                    body=b"x")
-        # no _sent_at entry: the segment was retransmitted
+        ca._sent_at[0] = sim.now
+        ca._resent.add(0)  # the segment was retransmitted
         ca._process_ack(1)
         assert ca._backoff == 2
+        assert ca._srtt is None
 
     def test_backoff_exponent_is_capped(self):
         """A fully-retransmitted window yields no Karn samples, so the
