@@ -110,7 +110,7 @@ class ObsSink:
             "version": SCHEMA_VERSION,
             "name": self.name,
             "seed": getattr(mits, "seed", None),
-            "topology": mits.spec.name if hasattr(mits, "spec") else None,
+            "topology": mits.topology,
         }
         sampler = getattr(mits, "sampler", None)
         if sampler is not None:

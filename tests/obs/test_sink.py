@@ -62,6 +62,19 @@ class TestSinkMechanics:
         assert mits.sink.closed
         assert written[0] == obs_path
 
+    @pytest.mark.parametrize("topology", ["star", "ocrinet"])
+    def test_meta_names_the_topology(self, topology, tmp_path):
+        """The sink attaches before the network is built (so the first
+        tick streams); ``meta`` still names the topology."""
+        from repro.core.system import MitsSystem
+        path = str(tmp_path / "obs_topo.jsonl")
+        mits = MitsSystem(topology=topology, stream=path)
+        mits.sink.close()
+        with open(path) as fh:
+            meta = json.loads(fh.readline())
+        assert meta["record"] == "meta"
+        assert meta["topology"] == topology == mits.spec.name
+
     def test_stream_is_a_recognised_sidecar(self, streamed, tmp_path):
         _, _, obs_path, _ = streamed
         assert load_archive(obs_path).complete
