@@ -59,6 +59,9 @@ class Navigator:
         self.state = NavigatorState.ENTRY
         self.student: Optional[Dict[str, Any]] = None
         self.session: Optional[LearningSession] = None
+        #: the ``navigator.enter_classroom`` span until the session is
+        #: ready; leaving before then ends it
+        self._entering: Any = None
         #: UI trace: (state, event) pairs, for tests and the examples
         self.trace: List[tuple] = []
 
@@ -186,8 +189,12 @@ class Navigator:
             if session.error is not None:
                 span.set(error=session.error)
             span.end()
+            if self._entering is span:
+                self._entering = None
             if on_ready is not None:
                 on_ready(session)
+
+        self._entering = span
 
         token = self._tracer.attach(span.context)
         try:
@@ -205,6 +212,12 @@ class Navigator:
             raise PresentationError("not in a classroom")
         position = self.session.close()
         self.session = None
+        if self._entering is not None:
+            # left before the session was ready: a later reply finds
+            # the session closed and never ends the span
+            self._entering.set(left_early=True)
+            self._entering.end()
+            self._entering = None
         self.state = NavigatorState.MAIN
         self._note("leave-classroom")
         return position

@@ -272,6 +272,36 @@ class TestSampleLearningSession:
         assert not session.ready
         assert nav.state is NavigatorState.MAIN
 
+    def test_leaving_before_ready_ends_the_enter_span(self):
+        """The ``navigator.enter_classroom`` span ends on an early
+        leave, marked ``left_early``, so its ``GetResume`` child is not
+        an orphan; a session that got ready carries no such mark."""
+        mits = deploy(tracing=True)
+        nav = mits.add_user("user1").navigator
+        nav.start()
+        nav.register("Ada Lovelace")
+        mits.sim.run(until=mits.sim.now + 5)
+        mits.wait(nav.register_for_course("ELG5376"))
+        nav.enter_classroom("ELG5376", "atm-101")
+        nav.leave_classroom()
+        mits.sim.run(until=mits.sim.now + 30)
+        session = nav.enter_classroom("ELG5376", "atm-101")
+        mits.sim.run(until=mits.sim.now + 30)
+        assert session.ready
+        nav.leave_classroom()
+        spans = mits.sim.tracer.spans
+        early, full = [s for s in spans
+                       if s.name == "navigator.enter_classroom"]
+        assert early.attrs["left_early"] is True
+        assert "left_early" not in full.attrs
+        ids = {s.span_id for s in spans}
+        (resume,) = [s for s in spans if s.name == "rpc.client:GetResume"
+                     and s.trace_id == early.trace_id]
+        assert resume.parent_id == early.span_id
+        assert all(s.parent_id in ids for s in spans
+                   if s.trace_id == early.trace_id
+                   and s.parent_id is not None)
+
     def test_login_with_existing_number(self):
         mits = deploy()
         user = mits.add_user("user1")
