@@ -1,8 +1,9 @@
 """The telemetry sampler against the one-append-per-tick reference in
 ``reference_sampler.py``: for any interleaving of registrations,
 updates, ticks, same-instant flushes and extra read-through sources,
-the streamed archive rows are equal.  Without a sink the sampler
-reads nothing and streams nothing."""
+the archive's ``series`` and delta ``telemetry`` records, decoded tick
+by tick by the loader's decoder, give the reference's rows.  Without a
+sink the sampler reads nothing and streams nothing."""
 
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TelemetrySampler
 
+from tests.obs.archives import Decoded
 from tests.obs.reference_sampler import ReferenceSampler
 
 
@@ -24,7 +26,8 @@ class _Stats:
 _OPS = st.one_of(
     st.tuples(st.just("counter"), st.integers(0, 2), st.integers(0, 5)),
     st.tuples(st.just("gauge"), st.integers(0, 1),
-              st.floats(-4, 4, allow_nan=False)),
+              st.one_of(st.floats(-4, 4, allow_nan=False),
+                        st.integers(-2, 2))),
     st.tuples(st.just("hist"), st.integers(0, 1),
               st.floats(1e-7, 70.0, allow_nan=False)),
     st.tuples(st.just("read_through"), st.integers(0, 2),
@@ -45,9 +48,8 @@ def _run(ops, sink):
     sim = SimpleNamespace(now=0.0, metrics=registry)
     sampler = TelemetrySampler(sim)
     reference = ReferenceSampler(registry, _REFERENCE_CAPACITY)
-    got, want = [], []
-    if sink:
-        sampler.sink = lambda now, rows: got.append((now, rows))
+    want = []
+    decoded = Decoded(sampler) if sink else None
     stats = [_Stats() for _ in range(3)]
     for op in ops:
         kind = op[0]
@@ -70,14 +72,15 @@ def _run(ops, sink):
             rows = reference.sample(sim.now)
             if sink:
                 want.append((sim.now, rows))
-    return sampler, got, want
+    return sampler, decoded.ticks if sink else [], want
 
 
 @settings(max_examples=300, deadline=None)
 @given(ops=st.lists(_OPS, max_size=80))
 def test_archive_rows_match_the_reference(ops):
     _, got, want = _run(ops, True)
-    assert got == want
+    # repr, so that 0 and 0.0, or 0.0 and -0.0, count as different
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("ops", [
@@ -87,11 +90,15 @@ def test_archive_rows_match_the_reference(ops):
     # a second source joins a read-through mid-run
     [("read_through", 0, 0), ("bump", 0, 3), ("sample",), ("advance", 1.0),
      ("read_through", 0, 1), ("bump", 1, 4), ("sample",)],
-], ids=["p99-moves", "second-source"])
+    # equal readings of another type or sign are changes
+    [("gauge", 0, 0), ("sample",), ("advance", 1.0), ("gauge", 0, 0.0),
+     ("sample",), ("advance", 1.0), ("gauge", 0, -0.0), ("sample",),
+     ("advance", 1.0), ("sample",)],
+], ids=["p99-moves", "second-source", "zero-types"])
 @pytest.mark.parametrize("sink", [False, True])
 def test_rewrites_match_the_reference(ops, sink):
     sampler, got, want = _run(ops, sink)
-    assert got == want
+    assert repr(got) == repr(want)
     if not sink:
         # nothing streamed, and nothing was read to stream
         assert got == [] and sampler._columns == ()
@@ -104,7 +111,7 @@ def test_flush_after_new_registrations_keeps_the_first_reading():
            ("counter", 1, 2), ("sample",), ("advance", 1.0),
            ("counter", 0, 3), ("sample",)]
     _, got, want = _run(ops, True)
-    assert got == want
+    assert repr(got) == repr(want)
     rates = [row[5] for _, rows in got for row in rows
              if row[:2] == ["work", "c0"]]
     assert rates == [0.0, 7.0]

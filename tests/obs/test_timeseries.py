@@ -3,32 +3,16 @@
 import pytest
 
 from repro.atm.simulator import Simulator
-from repro.obs.sink import _telemetry
 from repro.obs.timeseries import Series, TelemetrySampler
-
-
-class Collector:
-    """A sampler sink that rebuilds the series from every streamed
-    tick, as :func:`~repro.obs.sink.load_archive` does."""
-
-    def __init__(self, sampler):
-        self.series = {}
-        sampler.sink = self
-
-    def __call__(self, now, rows):
-        _telemetry(self.series, {"time": now, "rows": rows})
-
-    def get(self, component, name, **labels):
-        return self.series.get(
-            (component, name, tuple(sorted(labels.items()))))
+from tests.obs.archives import Decoded
 
 
 def start(sim, interval):
-    """A started sampler streaming into a :class:`Collector`."""
+    """A started sampler streaming into a :class:`Decoded` archive."""
     sampler = TelemetrySampler(sim, interval=interval)
-    collector = Collector(sampler)
+    streamed = Decoded(sampler)
     sampler.start()
-    return collector
+    return streamed
 
 
 def make_sim_with_work(duration=10.0, step=0.5):
