@@ -158,8 +158,9 @@ class Connection:
 
     # -- sending ---------------------------------------------------------
 
-    def send(self, msg: Message) -> None:
-        """Queue *msg* for reliable in-order delivery to the peer.
+    def send(self, msg: Message) -> int:
+        """Queue *msg* for reliable in-order delivery to the peer, and
+        return the sequence number of its last fragment.
 
         Bodies larger than one AAL5 frame are fragmented transparently;
         the receiving connection reassembles before delivering.
@@ -179,6 +180,13 @@ class Connection:
                 self._enqueue(frag)
         else:
             self._enqueue(msg)
+        return self._next_seq - 1
+
+    def holds(self, seq: int) -> bool:
+        """True while message *seq* waits for window space or is in
+        flight: go-back-N sends it, and resends it, until it is acked."""
+        return seq in self._in_flight or bool(
+            self._backlog and self._backlog[0].seq <= seq)
 
     def _enqueue(self, msg: Message) -> None:
         msg.seq = self._next_seq

@@ -69,6 +69,8 @@ class PendingCall:
     attempts: int = 1
     retries_left: int = 0
     _body: bytes = b""
+    #: sequence number of the latest attempt's last fragment
+    _last_seq: int = -1
     _trace_id: int = 0
     _span_id: int = 0
     _timeout_event: Optional[Event] = None
@@ -139,10 +141,14 @@ class RpcClient:
     ``retry`` each attempt waits :data:`RETRY_TIMEOUT`, and a timed-out
     call is retried up to :data:`RETRIES` times with exponential
     backoff plus seeded jitter before the failure is reported — the
-    recovery half of content-server stall injection.  Retries reuse
-    the original correlation id, so semantics are at-least-once: a
-    late response to an earlier attempt still completes the call
-    (handlers should be idempotent, as MITS catalogue lookups are).
+    recovery half of content-server stall injection.  A retry sends
+    the request again only once the connection has acked the last
+    attempt; until then go-back-N holds the request and resends it
+    itself, and the retry only counts the attempt and backs off.
+    Retries reuse the original correlation id, so semantics are
+    at-least-once: a late response to an earlier attempt still
+    completes the call (handlers should be idempotent, as MITS
+    catalogue lookups are).
     """
 
     def __init__(self, sim: Simulator, connection: Connection, *,
@@ -181,7 +187,7 @@ class RpcClient:
         pending._body = msg.body
         pending._trace_id = msg.trace_id
         pending._span_id = msg.span_id
-        self.connection.send(msg)
+        pending._last_seq = self.connection.send(msg)
         pending._timeout_event = self.sim.schedule(
             self.timeout, self._on_timeout, corr)
         return pending
@@ -254,11 +260,15 @@ class RpcClient:
         pending = self._pending.get(corr)
         if pending is None or pending.done:
             return
+        if self.connection.holds(pending._last_seq):
+            # the connection still resends the last attempt until the
+            # peer acks it: a second copy would only add to its window
+            return
         msg = Message(type=MessageType.REQUEST, corr_id=corr,
                       trace_id=pending._trace_id, span_id=pending._span_id,
                       body=pending._body)
         try:
-            self.connection.send(msg)
+            pending._last_seq = self.connection.send(msg)
         except NetworkError as exc:
             # connection torn down while backing off: fail structurally
             self._pending.pop(corr, None)
