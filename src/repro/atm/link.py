@@ -31,7 +31,6 @@ from repro.atm.cell import Cell, CELL_SIZE
 from repro.atm.qos import ServiceCategory
 from repro.atm.simulator import Event, Simulator, file_entry
 from repro.atm.train import CellTrain
-from repro.obs.accounting import NULL_ACCOUNT
 
 CELL_BITS = CELL_SIZE * 8
 
@@ -114,7 +113,7 @@ class Link:
         #: ``dropped_no_sink``
         self.sink_train: Optional[Callable[[CellTrain], None]] = None
         #: per-category FIFO of (cell, category, enqueue_time); the
-        #: timestamp feeds queue-residency accounting in the ledger
+        #: timestamp feeds ``residency_seconds``
         self._queues: List[Deque[Tuple[Cell, ServiceCategory, float]]] = [
             deque() for _ in ServiceCategory
         ]
@@ -155,7 +154,10 @@ class Link:
         self._m_occupancy = metrics.gauge("link", "queue_occupancy", link=label)
         self._metrics = metrics
         self._label = label
-        self.acct = sim.ledger.account("link", label)
+        #: seconds cells spent queued before their service start,
+        #: summed over every cell (the ledger's link residency)
+        self.residency_seconds = 0.0
+        sim.ledger.track("link", label, self)
 
     @property
     def error_rate(self) -> float:
@@ -249,7 +251,6 @@ class Link:
         return True
 
     def _count_drop(self, reason: str, category: str) -> None:
-        self.acct.drop()
         self._metrics.counter("link", "drops", link=self._label,
                               reason=reason, category=category).inc()
         self.sim.recorder.record("atm", "cell_drop", severity="warning",
@@ -288,7 +289,7 @@ class Link:
             if q:
                 cell, cat, enq_time = q.popleft()
                 self._queued -= 1
-                self.acct.dwell(self.sim.now - enq_time)
+                self.residency_seconds += self.sim.now - enq_time
                 self._m_occupancy.set(self._queued)
                 break
         else:
@@ -471,16 +472,14 @@ class Link:
         # committed before; each departure becomes its far-end arrival
         tx = self._tx
         prop = self.prop_delay
-        acct = self.acct
-        ledger_on = acct is not NULL_ACCOUNT
         free = self._free_at
+        residency = self.residency_seconds
         fs = self._future_starts
         occ_max = 0
         for i in order:
             d = flat[i]
             start = free if free > d else d
-            if ledger_on:
-                acct.dwell(start - d)
+            residency += start - d
             free = start + tx
             flat[i] = free + prop
             while fs and fs[0] <= d:
@@ -492,6 +491,7 @@ class Link:
         stats = self.stats
         stats.enqueued += total
         self._free_at = free
+        self.residency_seconds = residency
         self._train_inflight += total
         # a queued cell walks through the queue between arrival and
         # service start; replay the same gauge excursion (peak depth

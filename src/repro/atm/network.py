@@ -19,10 +19,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.atm.aal5 import (
-    Aal5Receiver, Aal5Sender, TRAILER_SIZE, parse_cpcs_pdu,
-)
-from repro.atm.cell import Cell, PAYLOAD_SIZE
+from repro.atm.aal5 import Aal5Receiver, Aal5Sender, parse_cpcs_pdu
+from repro.atm.cell import Cell
 from repro.atm.link import Link
 from repro.atm.train import CellTrain
 from repro.atm.qos import (
@@ -100,6 +98,8 @@ class VirtualCircuit:
         self.first_vci = first_vci
         self.last_vci = last_vci
         self.sender = Aal5Sender(vpi=0, vci=first_vci)
+        #: the far end's reassembler, set by Host._bind_receive
+        self.receiver: Optional[Aal5Receiver] = None
         self.shaper = LeakyBucketShaper(contract)
         self.stats = VcStats()
         self.open = True
@@ -111,7 +111,7 @@ class VirtualCircuit:
                              vc=vc_id, route=route)
         metrics.read_through("vc", "pdus_delivered", self.stats,
                              "pdus_delivered", vc=vc_id, route=route)
-        self.acct = src.sim.ledger.account("vc", str(vc_id), note=route)
+        src.sim.ledger.track("vc", str(vc_id), self, note=route)
 
     def send(self, payload: bytes) -> float:
         """Segment *payload* and inject its cells, paced by the shaper.
@@ -134,7 +134,7 @@ class Host:
         # receive side: vci -> (reassembler, handler, vc)
         self._rx: Dict[int, Tuple[Aal5Receiver, Callable, VirtualCircuit]] = {}
         self._send_times: Dict[Tuple[int, int], float] = {}
-        self.acct = sim.ledger.account("site", name)
+        sim.ledger.track("site", name, self)
         #: cells that arrived for a VCI with no receive binding (the
         #: VC was closed, or the label was never ours)
         self.unbound_cells = 0
@@ -156,8 +156,6 @@ class Host:
         cells, pdu = vc.sender.segment_train(payload, created_at=now)
         vc.stats.pdus_sent += 1
         vc.stats.bytes_sent += len(payload)
-        vc.acct.sent(units=1, cells=len(cells), nbytes=len(payload))
-        self.acct.sent(units=1, cells=len(cells), nbytes=len(payload))
         self._note_send_time(vc.vc_id, cells[-1].seqno, now)
         # one shaper call per cell gives each its departure time; the
         # whole burst becomes ONE commit at its first departure
@@ -175,15 +173,12 @@ class Host:
             vc.stats.pdus_delivered += 1
             vc.stats.bytes_delivered += len(payload)
             vc.stats.delays.append(delay)
-            ncells = (len(payload) + TRAILER_SIZE + PAYLOAD_SIZE - 1) \
-                // PAYLOAD_SIZE
-            vc.acct.delivered(units=1, cells=ncells, nbytes=len(payload))
-            self.acct.delivered(units=1, cells=ncells, nbytes=len(payload))
             vc.delay_hist.observe(delay)  # NaN (evicted send time) ignored
             handler(payload, DeliveryInfo(vc=vc, delay=delay,
                                           delivered_at=self.sim.now,
                                           hops=last_cell.hops))
-        self._rx[vci] = (Aal5Receiver(on_pdu), handler, vc)
+        vc.receiver = Aal5Receiver(on_pdu)
+        self._rx[vci] = (vc.receiver, handler, vc)
 
     def receive_train(self, train: CellTrain) -> None:
         """The sink of the host's downlink: one lookup per burst.

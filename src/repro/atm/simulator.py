@@ -76,8 +76,8 @@ class Simulator:
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(clock=lambda: self._now)
         self.recorder = FlightRecorder(clock=lambda: self._now)
-        #: per-entity accounting; disabled by default so the hot-path
-        #: hooks hit the shared NULL_ACCOUNT (see obs/accounting)
+        #: per-entity accounting; disabled by default, so components
+        #: register nothing and no trace is tallied (see obs/accounting)
         self.ledger = ledger if ledger is not None else Ledger(enabled=False)
         #: stateful endpoints (connections, players, ...) register here
         #: so the ConservationAuditor can find them without a topology

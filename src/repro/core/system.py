@@ -46,8 +46,9 @@ class MitsSystem:
         #: reads per span/tick/flush, nothing per-cell)
         self.meter: Optional[OverheadMeter] = \
             OverheadMeter() if meter else None
-        #: per-entity accounting: opt-in — the disabled ledger hands
-        #: out a shared no-op account, so clean runs pay nothing
+        #: per-entity accounting: opt-in, and it decides only whether
+        #: the ledger is reported — its rows read the components' own
+        #: counters, so a run without it computes the same
         self.sim = Simulator(ledger=Ledger(enabled=accounting))
         self.sim.tracer.enabled = tracing
         self.sim.tracer.meter = self.meter

@@ -25,12 +25,7 @@ own archives: each shard keeps its ``obs_<name>.jsonl``, and nothing
 rewrites or combines them.
 """
 
-from repro.obs.accounting import (
-    Account,
-    Ledger,
-    NULL_ACCOUNT,
-    render_top,
-)
+from repro.obs.accounting import Ledger, render_top
 from repro.obs.audit import ConservationAuditor, Violation
 from repro.obs.events import SEVERITIES, FlightEvent, FlightRecorder
 from repro.obs.metrics import (
@@ -55,14 +50,12 @@ from repro.obs.tracing import (
 from repro.obs.watchdog import DEFAULT_DETECTORS, Detector, Watchdog
 
 __all__ = [
-    "Account",
     "Archive",
     "ConservationAuditor",
     "Counter",
     "DEFAULT_DETECTORS",
     "Detector",
     "Ledger",
-    "NULL_ACCOUNT",
     "ObsSink",
     "OverheadMeter",
     "Violation",

@@ -241,8 +241,11 @@ def _audit_archive(path: str) -> int:
     archive = _load(path)
     audit = archive.summary.get("audit")
     if audit is None:
-        print(f"audit: {path} carries no audit block (run the "
-              f"scenario with accounting enabled)", file=sys.stderr)
+        # every finished run writes its audit into the fin record
+        why = ("its fin record has none" if archive.summary
+               else "no fin record: the run did not finish")
+        print(f"audit: {path} carries no audit block ({why})",
+              file=sys.stderr)
         return 2
     violations = audit.get("violations", [])
     print(f"== audit: {archive.name or path} @ "

@@ -3,26 +3,29 @@
 The thesis costs the MITS deployment per *tenant*: each virtual
 circuit, site, and media stream consumes cells, bytes, and buffer
 residency that the operator must attribute.  The :class:`Ledger`
-collects that attribution at the points where traffic actually moves —
-host transmit/deliver, link drop/dwell, stream send/playout, and the
-transport layer's per-trace byte counts — so a single snapshot answers
-"who used the network, and how much".
+answers "who used the network, and how much" without counting any of
+it again: each component registers itself once with
+:meth:`Ledger.track`, and :meth:`Ledger.snapshot` reads every row from
+the counters that component already keeps.  A site's row is the sum of
+the VCs it sends from and delivers to.  The one fact no component
+keeps, the bytes each trace moved, is a small tally the transport
+feeds while the ledger is enabled.
 
-The cost model follows ``metrics.py``: a disabled ledger hands every
-caller the shared :data:`NULL_ACCOUNT`, whose mutators are no-ops, so
-instrumented hot paths pay one attribute call and nothing else.
+A disabled ledger tracks nothing and reports no rows, so a run without
+accounting pays one attribute test per constructed component and per
+traced message.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.report import _pad
 
 __all__ = [
-    "Account",
+    "FIELDS",
     "Ledger",
-    "NULL_ACCOUNT",
     "SORT_COLUMNS",
     "render_top",
 ]
@@ -30,189 +33,129 @@ __all__ = [
 #: columns accepted by ``render_top(sort=...)`` / ``repro.obs top --sort``
 SORT_COLUMNS = ("bytes", "cells", "units", "drops", "residency")
 
-class Account:
-    """Running totals for one accountable entity.
-
-    ``units`` are the entity's natural quantum (PDUs for a VC or site,
-    frames for a stream, messages for a trace); cells and bytes are the
-    ATM-level cost of moving them.
-    """
-
-    __slots__ = ("kind", "key", "note", "units_sent", "units_delivered",
-                 "cells_sent", "cells_delivered", "bytes_sent",
-                 "bytes_delivered", "drops", "residency_seconds")
-
-    def __init__(self, kind: str, key: str, note: str = "") -> None:
-        self.kind = kind
-        self.key = key
-        self.note = note
-        self.units_sent = 0
-        self.units_delivered = 0
-        self.cells_sent = 0
-        self.cells_delivered = 0
-        self.bytes_sent = 0
-        self.bytes_delivered = 0
-        self.drops = 0
-        self.residency_seconds = 0.0
-
-    def sent(self, units: int = 0, cells: int = 0, nbytes: int = 0) -> None:
-        self.units_sent += units
-        self.cells_sent += cells
-        self.bytes_sent += nbytes
-
-    def delivered(self, units: int = 0, cells: int = 0, nbytes: int = 0) -> None:
-        self.units_delivered += units
-        self.cells_delivered += cells
-        self.bytes_delivered += nbytes
-
-    def drop(self) -> None:
-        self.drops += 1
-
-    def dwell(self, seconds: float) -> None:
-        """Charge queue-residency time (cell sat *seconds* buffered)."""
-        self.residency_seconds += seconds
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "key": self.key,
-            "note": self.note,
-            "units_sent": self.units_sent,
-            "units_delivered": self.units_delivered,
-            "cells_sent": self.cells_sent,
-            "cells_delivered": self.cells_delivered,
-            "bytes_sent": self.bytes_sent,
-            "bytes_delivered": self.bytes_delivered,
-            "drops": self.drops,
-            "residency_seconds": self.residency_seconds,
-        }
+#: the counted fields of a ledger row, in the order a snapshot writes
+#: them.  ``units`` are the entity's natural quantum (PDUs for a VC or
+#: site, frames for a stream, messages for a trace); cells and bytes
+#: are the ATM-level cost of moving them.
+FIELDS = ("units_sent", "units_delivered", "cells_sent",
+          "cells_delivered", "bytes_sent", "bytes_delivered", "drops",
+          "residency_seconds")
 
 
-class _NullAccount(Account):
-    """Shared sink for disabled ledgers: every mutator is a no-op."""
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__("null", "null")
-
-    def sent(self, units: int = 0, cells: int = 0, nbytes: int = 0) -> None:
-        pass
-
-    def delivered(self, units: int = 0, cells: int = 0, nbytes: int = 0) -> None:
-        pass
-
-    def drop(self) -> None:
-        pass
-
-    def dwell(self, seconds: float) -> None:
-        pass
+def _zero() -> List[Any]:
+    return [0, 0, 0, 0, 0, 0, 0, 0.0]
 
 
-NULL_ACCOUNT = _NullAccount()
+def _vc(vc: Any) -> Tuple:
+    s = vc.stats
+    rx = vc.receiver
+    return (s.pdus_sent, s.pdus_delivered, vc.sender.cells_sent,
+            0 if rx is None else rx.cells_delivered,
+            s.bytes_sent, s.bytes_delivered, 0, 0.0)
+
+
+def _link(link: Any) -> Tuple:
+    return (0, 0, 0, 0, 0, 0, link.stats.drops_total,
+            link.residency_seconds)
+
+
+def _stream(end: Any) -> Tuple:
+    if hasattr(end, "frames_sent"):  # the sender counts what it sent
+        return (end.frames_sent, 0, 0, 0, end.bytes_sent, 0, 0, 0.0)
+    s = end.stats  # the player counts what it received
+    return (0, s.frames_received, 0, 0, 0, s.bytes_received, 0, 0.0)
+
+
+def _row(kind: str, key: str, note: str, counts: Iterable) -> Dict[str, Any]:
+    row: Dict[str, Any] = {"kind": kind, "key": key, "note": note}
+    row.update(zip(FIELDS, counts))
+    return row
+
+
+#: kind -> the reader of a tracked component's counters
+_READERS = {"vc": _vc, "link": _link, "stream": _stream}
 
 
 class Ledger:
-    """Registry of :class:`Account` rows keyed by ``(kind, key)``.
+    """The accountable entities, keyed by ``(kind, key)``.
 
-    Entity kinds used by the instrumented stack: ``vc`` (virtual
-    circuits, keyed by numeric id), ``site`` (hosts), ``stream``
-    (video senders/players), ``trace`` (per-request byte attribution),
-    and ``link`` (drop + residency attribution at the buffer that
-    measured it).
+    Entity kinds used by the stack: ``vc`` (virtual circuits, keyed by
+    numeric id), ``site`` (hosts), ``stream`` (video senders and
+    players), ``link`` (drops and queue residency at the buffer that
+    measured them) and ``trace`` (per-request byte attribution).
     """
 
     def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._accounts: Dict[Tuple[str, str], Account] = {}
+        #: (kind, key) -> (component, note); the first registration wins
+        self._tracked: Dict[Tuple[str, str], Tuple[Any, str]] = {}
+        #: trace id -> its row's counts, in FIELDS order
+        self._traces: Dict[int, List[Any]] = {}
 
-    def account(self, kind: str, key: str, note: str = "") -> Account:
-        if not self.enabled:
-            return NULL_ACCOUNT
-        acct = self._accounts.get((kind, key))
-        if acct is None:
-            acct = Account(kind, key, note)
-            self._accounts[(kind, key)] = acct
-        return acct
+    def track(self, kind: str, key: str, component: Any,
+              note: str = "") -> None:
+        """Register *component* as the ``(kind, key)`` entity."""
+        if self.enabled:
+            self._tracked.setdefault((kind, key), (component, note))
 
-    def accounts(self, kind: Optional[str] = None) -> List[Account]:
-        return [a for a in self._accounts.values()
-                if kind is None or a.kind == kind]
+    def trace_sent(self, trace_id: int, nbytes: int) -> None:
+        counts = self._traces.get(trace_id)
+        if counts is None:
+            counts = self._traces[trace_id] = _zero()
+        counts[0] += 1
+        counts[4] += nbytes
 
-    def kinds(self) -> List[str]:
-        return sorted({a.kind for a in self._accounts.values()})
+    def trace_delivered(self, trace_id: int, nbytes: int) -> None:
+        counts = self._traces.get(trace_id)
+        if counts is None:
+            counts = self._traces[trace_id] = _zero()
+        counts[1] += 1
+        counts[5] += nbytes
+
+    def _rows(self) -> List[Dict[str, Any]]:
+        """One row per entity, read from its component's counters."""
+        rows = []
+        sites: List[Tuple[str, str]] = []
+        #: host name -> the totals of the VCs it sends from and
+        #: delivers to (sent fields are even, delivered ones odd)
+        totals: Dict[str, List[Any]] = {}
+        for (kind, key), (component, note) in self._tracked.items():
+            if kind == "site":
+                sites.append((key, note))
+                continue
+            counts = _READERS[kind](component)
+            rows.append(_row(kind, key, note, counts))
+            if kind == "vc":
+                src = totals.setdefault(component.src.name, _zero())
+                dst = totals.setdefault(component.dst.name, _zero())
+                for i in (0, 2, 4):
+                    src[i] += counts[i]
+                    dst[i + 1] += counts[i + 1]
+        for key, note in sites:
+            rows.append(_row("site", key, note, totals.get(key) or _zero()))
+        for trace_id, counts in self._traces.items():
+            rows.append(_row("trace", f"t{trace_id:x}", "", counts))
+        return rows
 
     def snapshot(self, sim_time: Optional[float] = None) -> Dict[str, object]:
-        """Export every account, with per-kind bandwidth shares.
+        """Export every entity's row, with per-kind bandwidth shares.
 
-        ``share`` is the account's fraction of its kind's total bytes
-        sent; ``bits_per_sec`` is its average offered rate over the
-        run (only when *sim_time* is given and positive).
+        ``share`` is the row's fraction of its kind's total bytes sent;
+        ``bits_per_sec`` is its average offered rate over the run (only
+        when *sim_time* is given and positive).
         """
-        kinds: Dict[str, List[Dict[str, object]]] = {}
-        for kind in self.kinds():
-            rows = [a.to_dict() for a in
-                    sorted(self.accounts(kind), key=lambda a: a.key)]
+        kinds: Dict[str, List[Dict[str, Any]]] = {}
+        for row in self._rows():
+            kinds.setdefault(row["kind"], []).append(row)
+        for rows in kinds.values():
+            rows.sort(key=itemgetter("key"))
             total_bytes = sum(r["bytes_sent"] for r in rows)
             for row in rows:
                 row["share"] = (row["bytes_sent"] / total_bytes
                                 if total_bytes else 0.0)
                 if sim_time:
                     row["bits_per_sec"] = row["bytes_sent"] * 8.0 / sim_time
-            kinds[kind] = rows
-        return {"enabled": self.enabled, "kinds": kinds}
-
-    def reconcile(self, registry) -> List[Dict[str, object]]:
-        """Cross-check ledger totals against the metrics registry.
-
-        The ledger's accounts and the registry's counters (which read
-        the components' own stats) are fed by separate hooks; a
-        refactor that loses one shows up here as a divergence.
-        Returns a list of divergence records (empty when consistent);
-        byte totals must agree to within rounding (exactly, since both
-        count integers).
-        """
-        out: List[Dict[str, object]] = []
-        if not self.enabled:
-            return out
-
-        # (component, name) -> the label naming the ledger key; one
-        # pass over the registry collects each metric's value per key
-        label_of = {("vc", "pdus_sent"): "vc", ("vc", "pdus_delivered"): "vc",
-                    ("streaming", "bytes_sent"): "stream",
-                    ("streaming", "frames_sent"): "stream",
-                    ("link", "drops_total"): "link"}
-        by_metric: Dict[Tuple[str, str], Dict[object, object]] = {
-            metric: {} for metric in label_of}
-        for (component, name, labels), inst in registry.find().items():
-            label = label_of.get((component, name))
-            if label is not None:
-                by_metric[component, name][dict(labels).get(label)] = \
-                    inst.value
-
-        checks = [
-            ("vc", by_metric["vc", "pdus_sent"],
-             lambda a: a.units_sent, "pdus_sent"),
-            ("vc", by_metric["vc", "pdus_delivered"],
-             lambda a: a.units_delivered, "pdus_delivered"),
-            ("stream", by_metric["streaming", "bytes_sent"],
-             lambda a: a.bytes_sent, "bytes_sent"),
-            ("stream", by_metric["streaming", "frames_sent"],
-             lambda a: a.units_sent, "frames_sent"),
-            ("link", by_metric["link", "drops_total"],
-             lambda a: a.drops, "drops_total"),
-        ]
-        for kind, registry_vals, getter, field in checks:
-            for acct in self.accounts(kind):
-                if acct.key not in registry_vals:
-                    continue
-                ledger_val = getter(acct)
-                registry_val = registry_vals[acct.key]
-                if abs(ledger_val - registry_val) > 0.5:
-                    out.append({"kind": kind, "key": acct.key,
-                                "field": field, "ledger": ledger_val,
-                                "registry": registry_val})
-        return out
+        return {"enabled": self.enabled, "kinds": dict(sorted(kinds.items()))}
 
 
 # -- rendering --------------------------------------------------------------

@@ -20,7 +20,6 @@ VC           pdus/bytes delivered <= pdus/bytes sent
 Transport    seqs assigned == acked + in_flight + backlog + flushed
 Playout      cursor == played + skipped + concealed;
              received == played + buffered
-Ledger       per-entity totals match the metrics registry
 Mirrors      link/switch read-through counters export the stats
              field they name (a wiring check)
 ===========  =========================================================
@@ -112,7 +111,6 @@ class ConservationAuditor:
             self._audit_connection(conn)
         for player in self.sim.entities.get("player", []):
             self._audit_player(player)
-        self._audit_ledger()
         return list(self.violations)
 
     def report(self) -> Dict[str, Any]:
@@ -318,17 +316,3 @@ class ConservationAuditor:
             s.frames_received,
             s.frames_played + len(player._buffer),
             detail="frames received == played + buffered")
-
-    def _audit_ledger(self) -> None:
-        ledger = getattr(self.sim, "ledger", None)
-        if ledger is None or not ledger.enabled:
-            return
-        for div in ledger.reconcile(self.sim.metrics):
-            self.checks += 1
-            self.violations.append(Violation(
-                "ledger", f"{div['kind']}:{div['key']}",
-                f"registry_divergence_{div['field']}",
-                div["registry"], div["ledger"],
-                detail="ledger total diverged from the metrics registry",
-                trace_ids=self._trace_ids(str(div["key"]))))
-        self.checks += 1  # the reconcile pass itself

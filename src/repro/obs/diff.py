@@ -29,6 +29,7 @@ import os
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs import critical
+from repro.obs.accounting import FIELDS
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import fmt_seconds
 from repro.obs.sink import Archive, load_archive
@@ -166,12 +167,16 @@ def _diff_critical(a: Archive, b: Archive) -> List[Dict[str, Any]]:
     return rows
 
 
-#: ledger accounts a diff lists, largest ``bytes_sent`` movement first
+#: ledger rows a diff lists, largest ``bytes_sent`` movement first
 LEDGER_TOP = 8
+
+#: the numbers of a ledger row; a row moved when any of them did
+LEDGER_NUMBERS = FIELDS + ("share", "bits_per_sec")
 
 
 def _diff_ledger(a: Archive, b: Archive) -> List[Dict[str, Any]]:
-    """Largest per-account ``bytes_sent`` movements, across kinds."""
+    """The ledger rows that moved in any number, across kinds, ranked
+    by their ``bytes_sent`` movement."""
     rows = []
     kinds_a = _kinds(a)
     kinds_b = _kinds(b)
@@ -179,10 +184,14 @@ def _diff_ledger(a: Archive, b: Archive) -> List[Dict[str, Any]]:
         acc_a = {r["key"]: r for r in kinds_a.get(kind, [])}
         acc_b = {r["key"]: r for r in kinds_b.get(kind, [])}
         for key in sorted(set(acc_a) | set(acc_b)):
-            ba = acc_a.get(key, {}).get("bytes_sent", 0)
-            bb = acc_b.get(key, {}).get("bytes_sent", 0)
-            if abs(bb - ba) <= EPSILON and key in acc_a and key in acc_b:
+            ra = acc_a.get(key, {})
+            rb = acc_b.get(key, {})
+            if key in acc_a and key in acc_b and all(
+                    abs(rb.get(f, 0) - ra.get(f, 0)) <= EPSILON
+                    for f in LEDGER_NUMBERS):
                 continue
+            ba = ra.get("bytes_sent", 0)
+            bb = rb.get("bytes_sent", 0)
             row = {"kind": kind, "key": key, "before_bytes": ba,
                    "after_bytes": bb, "delta_bytes": bb - ba}
             if key not in acc_a:
@@ -363,7 +372,7 @@ def render_diff_report(payload: Mapping[str, Any], *,
         lines.append(render_instrument_movers(payload, top=top))
     if payload["ledger"]:
         lines.append("")
-        lines.append("  top ledger movements (bytes sent):")
+        lines.append("  top ledger movements (ranked by bytes sent):")
         for row in payload["ledger"]:
             tag = f"  [{row['only']} only]" if "only" in row else ""
             lines.append(f"    {row['kind']}/{row['key']:<30} "

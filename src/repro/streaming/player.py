@@ -48,6 +48,8 @@ class PlayoutStats:
         default_factory=lambda: deque(maxlen=DELAY_SAMPLE_CAP))
     #: net-new frames accepted into the playout buffer
     frames_received: int = 0
+    #: frame payload bytes of those frames (headers excluded)
+    bytes_received: int = 0
     #: late arrivals dropped because playout already moved past them
     frames_stale: int = 0
     #: arrivals for an index already buffered (counted, overwritten)
@@ -97,13 +99,13 @@ class VideoPlayer:
         self._clock_offset: Optional[float] = None
         self._last_index: Optional[int] = None
         self.finished = False
-        self.acct = sim.ledger.account("stream", name)
+        sim.ledger.track("stream", name, self)
         sim.register_entity("player", self)
 
     # -- network entry point ----------------------------------------------
 
     def on_pdu(self, payload: bytes, info: DeliveryInfo) -> None:
-        index, timestamp, last, _frame = unpack_frame(payload)
+        index, timestamp, last, frame = unpack_frame(payload)
         if self._play_started is not None and index < self._next_frame:
             # stale: the playout point moved past this frame (skipped
             # or concealed while it was delayed) — never buffer it
@@ -115,7 +117,7 @@ class VideoPlayer:
             self.stats.frames_duplicate += 1
         else:
             self.stats.frames_received += 1
-            self.acct.delivered(units=1, nbytes=len(_frame))
+            self.stats.bytes_received += len(frame)
         self._buffer[index] = timestamp
         self._arrival[index] = self.sim.now
         self._timestamps[index] = timestamp

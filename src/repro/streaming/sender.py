@@ -56,8 +56,8 @@ class VideoStreamSender:
                                      stream=label)
         self._m_degrade = sim.metrics.counter("streaming", "degradations",
                                               stream=label)
-        self.acct = sim.ledger.account(
-            "stream", label, note=f"{vc.src.name}->{vc.dst.name}")
+        sim.ledger.track("stream", label, self,
+                         note=f"{vc.src.name}->{vc.dst.name}")
 
     def start(self) -> None:
         """Schedule every frame's transmission at its (lead-shifted)
@@ -98,7 +98,6 @@ class VideoStreamSender:
             return
         self.frames_sent += 1
         self.bytes_sent += len(frame)
-        self.acct.sent(units=1, nbytes=len(frame))
         if last:
             self.finished = True
             self._span.set(bytes=self.bytes_sent)

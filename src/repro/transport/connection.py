@@ -206,9 +206,8 @@ class Connection:
         self._sent_at[msg.seq] = self.sim.now
         self._m_window.set(len(self._in_flight))
         data = msg.encode()
-        if msg.trace_id:
-            self.sim.ledger.account("trace", f"t{msg.trace_id:x}").sent(
-                units=1, nbytes=len(data))
+        if msg.trace_id and self.sim.ledger.enabled:
+            self.sim.ledger.trace_sent(msg.trace_id, len(data))
         self._departed[msg.seq] = self._raw_send(data)
         self.stats.sent += 1
         self._arm_timer()
@@ -443,9 +442,8 @@ class Connection:
                           trace_id=msg.trace_id, span_id=msg.span_id,
                           body=b"".join(self._reassembly))
             self._reassembly = []
-        if msg.trace_id:
-            self.sim.ledger.account("trace", f"t{msg.trace_id:x}").delivered(
-                units=1, nbytes=len(msg.body))
+        if msg.trace_id and self.sim.ledger.enabled:
+            self.sim.ledger.trace_delivered(msg.trace_id, len(msg.body))
         if self.on_message is not None:
             self.on_message(msg)
 

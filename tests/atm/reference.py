@@ -51,17 +51,20 @@ class RefLink:
         self.enqueued = 0
         self.transmitted = 0
         self.busy_time = 0.0
+        #: each cell's wait from its enqueue to its service start, summed
+        self.residency = 0.0
 
     def enqueue(self, cell: tuple, category: ServiceCategory) -> None:
         self.enqueued += 1
-        self.queues[category].append(cell)
+        self.queues[category].append((cell, self.model.now))
         if not self.busy:
             self._start()
 
     def _start(self) -> None:
         for q in self.queues:
             if q:
-                cell = q.popleft()
+                cell, enqueued_at = q.popleft()
+                self.residency += self.model.now - enqueued_at
                 break
         else:
             self.busy = False

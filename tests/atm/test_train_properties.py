@@ -10,7 +10,8 @@ the simulator reproduces the model *exactly*:
   same end-to-end delay, same hop count;
 * per-VC attribution: pdus/bytes sent and delivered, delay samples;
 * link counters at both hops (enqueued/transmitted/delivered, busy
-  time, no drops) and switch counters (received/switched/emitted);
+  time, queue residency, no drops) and switch counters
+  (received/switched/emitted);
 * cell count implied by the AAL5 segmentation.
 
 The interesting machinery under test is the horizon rule: whether a
@@ -124,6 +125,9 @@ def _assert_matches_reference(sizes, gaps, n_vcs=1):
         assert stats.dropped_overflow == stats.dropped_errors == 0, key
         assert math.isclose(stats.busy_time, ref.busy_time,
                             rel_tol=1e-12, abs_tol=1e-15), key
+        assert math.isclose(net.links[key].residency_seconds,
+                            ref.residency, rel_tol=1e-9,
+                            abs_tol=1e-15), key
     sw = net.switches["sw0"].stats
     assert sw.received == model.switch_received
     assert sw.switched == sw.emitted == model.switch_emitted

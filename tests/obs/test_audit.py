@@ -187,21 +187,6 @@ class TestMirrorWiring:
             [("x->y", "metrics_mirror_transmitted", 0, 3)]
 
 
-class TestLedgerAudit:
-    def test_ledger_divergence_is_flagged(self):
-        from repro.obs.accounting import Ledger
-        sim = Simulator(ledger=Ledger())
-        sim.metrics.counter("vc", "pdus_sent", vc="9").value += 4
-        sim.ledger.account("vc", "9").sent(units=3)
-        violations = ConservationAuditor(_system(sim)).check()
-        assert len(violations) == 1
-        v = violations[0]
-        assert v.component == "ledger"
-        assert v.entity == "vc:9"
-        assert v.invariant == "registry_divergence_pdus_sent"
-        assert v.expected == 4 and v.actual == 3
-
-
 class TestScenarioAudit:
     """The positive half of the acceptance criterion, in-suite: the
     quickstart scenario audits clean at its horizon (classroom and

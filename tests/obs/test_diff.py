@@ -129,6 +129,35 @@ class TestFallingCounters:
         assert f"({delta:+.4g})" in capsys.readouterr().out
 
 
+class TestLedgerDrift:
+    """A ledger row counts as moved when any of its numbers moved, not
+    only ``bytes_sent``."""
+
+    @staticmethod
+    def _archive(path, **moved):
+        row = {"kind": "link", "key": "sw0->b", "note": "",
+               "units_sent": 0, "units_delivered": 0, "cells_sent": 0,
+               "cells_delivered": 0, "bytes_sent": 0, "bytes_delivered": 0,
+               "drops": 0, "residency_seconds": 0.25, "share": 0.0,
+               **moved}
+        ledger = {"enabled": True, "kinds": {"link": [row]}}
+        return str(write_archive(path, ledger=ledger))
+
+    @pytest.mark.parametrize("field,value", [
+        ("residency_seconds", 1.25), ("cells_delivered", 5), ("drops", 1)])
+    def test_any_moved_field_is_a_delta(self, tmp_path, field, value):
+        a = self._archive(tmp_path / "obs_a.jsonl")
+        b = self._archive(tmp_path / "obs_b.jsonl", **{field: value})
+        same = diff_runs(load_side(a), load_side(a))
+        assert same["deterministic_delta_count"] == 0
+        payload = diff_runs(load_side(a), load_side(b))
+        assert payload["deterministic_delta_count"] == 1
+        assert payload["ledger"] == [{
+            "kind": "link", "key": "sw0->b", "before_bytes": 0,
+            "after_bytes": 0, "delta_bytes": 0}]
+        assert main(["diff", a, b]) == 1
+
+
 class TestBenchArchives:
     def test_bench_baseline_loads(self):
         archive = load_side(os.path.join(REPO_ROOT,

@@ -103,10 +103,6 @@ class TestTopParity:
             assert render_top(archive.accounting, sort=sort, title="x") \
                 == render_top(live, sort=sort, title="x")
 
-    def test_accounting_reconciles_with_registry(self, dumped):
-        mits, _, _ = dumped
-        assert mits.sim.ledger.reconcile(mits.sim.metrics) == []
-
     def test_accounting_sidecar_is_sorted_json(self, dumped):
         _, _, written = dumped
         with open(written[0]) as fh:

@@ -68,3 +68,16 @@ class TestBadInput:
         assert code == 2
         assert what in err and value in err
         assert "Traceback" not in out + err
+
+    def test_audit_of_a_run_that_did_not_finish(self, archive, capsys):
+        """Every finished run writes its audit into ``fin``, so only a
+        fin-less archive lacks one, and the hint says why."""
+        with open(archive) as fh:
+            lines = fh.readlines()
+        with open(archive, "w") as fh:
+            fh.writelines(lines[:-1])
+        code, out, err = run_cli(["audit", archive], capsys)
+        assert code == 2
+        assert out.startswith("!! incomplete archive")
+        assert err == (f"audit: {archive} carries no audit block "
+                       f"(no fin record: the run did not finish)\n")
