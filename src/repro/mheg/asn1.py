@@ -14,12 +14,18 @@ module implements the subset of BER the codec needs, honestly:
 One value layer applies those rules.  :func:`encode_value` /
 :func:`parse_value` map plain Python values (None, bool, int, float,
 str, bytes, list, str-keyed dict) to self-describing BER, which is what
-MHEG attribute bodies use; :class:`~repro.mheg.codec.MhegCodec` wraps
-each body in an application-class element built from the identifier
-and length helpers below.  It is the interchange hot path, so both
-directions run in one pass over the bytes and build no element tree.
-The tests check the encoder byte for byte against an independent
-recursive encoder (``tests/mheg/reference_ber.py``).
+MHEG attribute bodies use.  Both directions run in one pass over the
+bytes and build no element tree.  The tests check the encoder byte for
+byte against an independent recursive encoder
+(``tests/mheg/reference_ber.py``).
+
+:class:`~repro.mheg.codec.MhegCodec` decodes through
+:func:`parse_value`.  Its encoder builds no plain value for
+:func:`encode_value`: it walks the object graph and writes the same
+elements itself, inside an application-class wrapper, with the
+identifier, length and header helpers and the ``ID_*`` octets below.
+It hands payloads that are already plain values (a value type's
+``to_value()``, an object's ``info``) to :func:`_encode_into`.
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ TAG_NULL = 5
 TAG_REAL = 9
 TAG_UTF8STRING = 12
 TAG_SEQUENCE = 16
+
+#: identifier octets of the constructed elements the value layer writes
+ID_SEQUENCE = 0x20 | TAG_SEQUENCE
+ID_DICT = (CONTEXT << 6) | 0x20
 
 
 # -- identifier and length octets ------------------------------------------
@@ -166,7 +176,7 @@ def _encode_into(value: Any, out: List[bytes], depth: int) -> int:
         size = 0
         for item in value:
             size += _encode_into(item, out, depth + 1)
-        header = out[slot] = _header(0x20 | TAG_SEQUENCE, size)
+        header = out[slot] = _header(ID_SEQUENCE, size)
         return len(header) + size
     elif isinstance(value, dict):
         # alternating key/value children (no per-entry wrapper): dict
@@ -185,7 +195,7 @@ def _encode_into(value: Any, out: List[bytes], depth: int) -> int:
             out.append(key)
             size += len(key_header) + len(key) + \
                 _encode_into(v, out, depth + 1)
-        header = out[slot] = _header((CONTEXT << 6) | 0x20, size)
+        header = out[slot] = _header(ID_DICT, size)
         return len(header) + size
     else:
         raise EncodingError(f"cannot BER-encode {type(value).__name__}")

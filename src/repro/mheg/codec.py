@@ -6,17 +6,21 @@ to the MHEG format, while the MHEG decoder decodes the MHEG object to
 its own internal format."
 
 Two notations, as in the standard: **ASN.1 BER** (the primary, via
-:mod:`repro.mheg.asn1`) and an **SGML-like textual form**.  Both paths
-share one intermediate representation — a plain tree of dicts, lists,
-and scalars produced by :func:`to_plain` — so they are exactly
-equivalent and round-trip through each other.
+:mod:`repro.mheg.asn1`) and an **SGML-like textual form**.  Both map
+the object graph to the same neutral tree of dicts, lists and scalars,
+so they are exactly equivalent and round-trip through each other.
+The SGML form and the BER decoder go through that tree as
+:func:`to_plain` / :func:`from_plain` build it.  The BER encoder, the
+interchange hot path, writes the tree's bytes straight from the
+objects in one walk (:func:`_write_object`) and builds no tree; its
+output is byte for byte ``asn1.encode_value(to_plain(obj))``.
 """
 
 from __future__ import annotations
 
 import base64
 import re
-from typing import Any, Dict, List, Type
+from typing import Any, Dict, List, Tuple, Type
 
 from repro.mheg import asn1
 from repro.mheg.classes.base import MhObject, ObjectInfo, lookup_class
@@ -27,30 +31,31 @@ from repro.mheg.classes.interchange import ResourceRequirement
 from repro.mheg.identifiers import MhegIdentifier, ObjectReference
 from repro.util.errors import DecodingError, EncodingError
 
-#: dataclasses that serialise via to_value()/from_value()
-_VALUE_TYPES: Dict[str, Type] = {
-    "ElementaryAction": ElementaryAction,
-    "LinkCondition": LinkCondition,
-    "Socket": Socket,
-    "StreamDescription": StreamDescription,
-    "ResourceRequirement": ResourceRequirement,
-}
+#: dataclasses that serialise via to_value()/from_value(), by class: a
+#: payload class that merely shares one's name is not one of them
+_VALUE_TYPES: Dict[Type, str] = {
+    cls: cls.__name__ for cls in (ElementaryAction, LinkCondition, Socket,
+                                  StreamDescription, ResourceRequirement)}
+#: the same, by the ``__kind__`` name they interchange under
+_VALUE_KINDS: Dict[str, Type] = {
+    name: cls for cls, name in _VALUE_TYPES.items()}
+
+#: object-graph depth past which a graph is refused either way
+_GRAPH_DEPTH = 24
 
 
 # -- object <-> plain tree ----------------------------------------------------
 
 def _plain_value(value: Any, depth: int = 0) -> Any:
-    if depth > 24:
+    if depth > _GRAPH_DEPTH:
         raise EncodingError("object graph nests too deeply")
     if isinstance(value, MhObject):
         return to_plain(value, depth + 1)
-    if isinstance(value, ObjectReference):
+    if isinstance(value, (ObjectReference, MhegIdentifier)):
         return {"__ref__": str(value)}
-    if isinstance(value, MhegIdentifier):
-        return {"__ref__": str(value)}
-    type_name = type(value).__name__
-    if type_name in _VALUE_TYPES:
-        return {"__kind__": type_name, "v": value.to_value()}
+    kind = _VALUE_TYPES.get(type(value))
+    if kind is not None:
+        return {"__kind__": kind, "v": value.to_value()}
     if isinstance(value, dict):
         out = {}
         for k, v in value.items():
@@ -63,11 +68,11 @@ def _plain_value(value: Any, depth: int = 0) -> Any:
     if value is None or isinstance(value, (bool, int, float, str, bytes)):
         return value
     raise EncodingError(
-        f"cannot interchange value of type {type_name}")
+        f"cannot interchange value of type {type(value).__name__}")
 
 
 def _from_plain_value(value: Any, depth: int = 0) -> Any:
-    if depth > 24:
+    if depth > _GRAPH_DEPTH:
         raise DecodingError("interchanged value nests too deeply")
     if isinstance(value, dict):
         if "__mheg__" in value:
@@ -75,7 +80,7 @@ def _from_plain_value(value: Any, depth: int = 0) -> Any:
         if "__ref__" in value:
             return ObjectReference.parse(value["__ref__"])
         if "__kind__" in value:
-            cls = _VALUE_TYPES.get(value["__kind__"])
+            cls = _VALUE_KINDS.get(value["__kind__"])
             if cls is None:
                 raise DecodingError(
                     f"unknown value kind {value['__kind__']!r}")
@@ -127,6 +132,143 @@ def from_plain(plain: Dict[str, Any], depth: int = 0) -> MhObject:
         raise DecodingError(f"{type_name}: bad field set: {exc}") from exc
     obj.validate()
     return obj
+
+
+# -- object graph -> BER, in one walk ----------------------------------------
+# The bytes are those of asn1.encode_value(to_plain(obj)), written from
+# the objects themselves.  *depth* is the graph depth _plain_value would
+# see, so both limits fall where they did: a graph value sits one level
+# deeper in BER than in the graph, and to_value()/info payloads go to
+# the plain-value layer at the BER depth they would have reached there.
+# Only bytes that depend on a class alone are cached; anything keyed by
+# payload data would grow with the documents.
+
+_UTF8, _INTEGER = asn1.TAG_UTF8STRING, asn1.TAG_INTEGER
+_SEQUENCE, _DICT = asn1.ID_SEQUENCE, asn1.ID_DICT
+
+_REF_KEY = asn1.encode_value("__ref__")
+_FIELDS_KEY = asn1.encode_value("fields")
+_INFO_KEY = asn1.encode_value("info")
+#: value class -> the constant opening of its {"__kind__", "v"} frame
+_KIND_HEADS: Dict[Type, bytes] = {
+    cls: b"".join(map(asn1.encode_value, ("__kind__", name, "v")))
+    for cls, name in _VALUE_TYPES.items()}
+#: MhObject class -> (its frame up to the "id" key, FIELDS name -> key)
+_CLASS_HEADS: Dict[Type, Tuple[bytes, Dict[str, bytes]]] = {}
+
+
+def _class_head(obj: MhObject) -> Tuple[bytes, Dict[str, bytes]]:
+    cls = type(obj)
+    head = b"".join(map(asn1.encode_value, (
+        "__mheg__", obj.type_name(), "standard", obj.standard_id,
+        "class", int(obj.class_id), "id")))
+    keys = {name: asn1.encode_value(name) for name in cls.FIELDS}
+    _CLASS_HEADS[cls] = head, keys
+    return head, keys
+
+
+def _write_object(obj: MhObject, out: List[bytes], depth: int) -> int:
+    """Append the BER of *obj*'s frame to *out*; return its size.
+
+    *obj* is validated before any of its bytes are written.  Like
+    :func:`asn1._encode_into`, a frame reserves a slot in *out* for its
+    header and fills it in once its children are written.
+    """
+    obj.validate()
+    head, keys = _CLASS_HEADS.get(type(obj)) or _class_head(obj)
+    slot = len(out)
+    out.append(b"")
+    ident = str(obj.identifier).encode("utf-8")
+    n = len(ident)
+    ident_header = asn1._header(_UTF8, n)
+    out += (head, ident_header, ident, _FIELDS_KEY)
+    fields_slot = len(out)
+    out.append(b"")
+    fields = 0
+    for name, value in obj.interchange_fields().items():
+        key = keys[name]
+        out.append(key)
+        fields += len(key) + _write(value, out, depth + 2)
+    fields_header = out[fields_slot] = asn1._header(_DICT, fields)
+    size = (len(head) + len(ident_header) + n + len(_FIELDS_KEY)
+            + len(fields_header) + fields)
+    info = obj.info.to_value()
+    if info:
+        out.append(_INFO_KEY)
+        size += len(_INFO_KEY) + asn1._encode_into(info, out, depth + 2)
+    header = out[slot] = asn1._header(_DICT, size)
+    return len(header) + size
+
+
+def _write(value: Any, out: List[bytes], depth: int) -> int:
+    """Append the BER of graph value *value* to *out*; return its size.
+
+    The types most of a document is made of come first, by exact type;
+    the rest follow :func:`_plain_value`'s order.
+    """
+    if depth > _GRAPH_DEPTH:
+        raise EncodingError("object graph nests too deeply")
+    t = type(value)
+    if t is str:
+        body = value.encode("utf-8")
+        n = len(body)
+        header = asn1._header(_UTF8, n)
+        out.append(header)
+        out.append(body)
+        return len(header) + n
+    if t is int:
+        n = ((value if value >= 0 else ~value).bit_length() + 8) // 8
+        header = asn1._header(_INTEGER, n)
+        out.append(header)
+        out.append(value.to_bytes(n, "big", signed=True))
+        return len(header) + n
+    if isinstance(value, dict):
+        slot = len(out)
+        out.append(b"")
+        size = 0
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise EncodingError("interchange dict keys must be str")
+            key = k.encode("utf-8")
+            n = len(key)
+            header = asn1._header(_UTF8, n)
+            out.append(header)
+            out.append(key)
+            size += len(header) + n + _write(v, out, depth + 1)
+        header = out[slot] = asn1._header(_DICT, size)
+        return len(header) + size
+    if isinstance(value, (list, tuple)):
+        slot = len(out)
+        out.append(b"")
+        size = 0
+        for item in value:
+            size += _write(item, out, depth + 1)
+        header = out[slot] = asn1._header(_SEQUENCE, size)
+        return len(header) + size
+    if isinstance(value, MhObject):
+        return _write_object(value, out, depth)
+    if isinstance(value, (ObjectReference, MhegIdentifier)):
+        # {"__ref__": str(value)}
+        body = str(value).encode("utf-8")
+        n = len(body)
+        header = asn1._header(_UTF8, n)
+        size = len(_REF_KEY) + len(header) + n
+        frame = asn1._header(_DICT, size)
+        out += (frame, _REF_KEY, header, body)
+        return len(frame) + size
+    head = _KIND_HEADS.get(t)
+    if head is not None:
+        # {"__kind__": name, "v": value.to_value()}
+        slot = len(out)
+        out.append(b"")
+        out.append(head)
+        size = len(head) + asn1._encode_into(value.to_value(), out,
+                                             depth + 2)
+        header = out[slot] = asn1._header(_DICT, size)
+        return len(header) + size
+    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+        return asn1._encode_into(value, out, depth + 1)
+    raise EncodingError(f"cannot interchange value of type {t.__name__}")
 
 
 # -- SGML-like textual notation ----------------------------------------------
@@ -258,10 +400,12 @@ class MhegCodec:
 
     def encode(self, obj: MhObject) -> bytes:
         """Object -> ASN.1 BER bytes (the form (a) interchange unit)."""
-        body = asn1.encode_value(to_plain(obj))
-        return (asn1._encode_identifier(asn1.APPLICATION, int(obj.class_id),
-                                        True)
-                + asn1._encode_length(len(body)) + body)
+        out = [b""]
+        size = _write_object(obj, out, -1)
+        out[0] = (asn1._encode_identifier(asn1.APPLICATION,
+                                          int(obj.class_id), True)
+                  + asn1._encode_length(size))
+        return b"".join(out)
 
     def decode(self, data: bytes) -> MhObject:
         """ASN.1 BER bytes -> internal object (form (b))."""

@@ -200,7 +200,7 @@ def _diff_ledger(a: Archive, b: Archive) -> List[Dict[str, Any]]:
                 row["only"] = "before"
             rows.append(row)
     rows.sort(key=lambda r: abs(r["delta_bytes"]), reverse=True)
-    return rows[:LEDGER_TOP]
+    return rows
 
 
 def _diff_bench(a: Archive, b: Archive) -> List[Dict[str, Any]]:
@@ -276,7 +276,7 @@ def diff_runs(a: Archive, b: Archive, *,
         "span_kinds": span_kinds,
         "slo": slo,
         "critical": crit,
-        "ledger": ledger,
+        "ledger": ledger[:LEDGER_TOP],
         "attribution": attribution,
         "deterministic_delta_count": deterministic,
     }

@@ -16,7 +16,7 @@ import pytest
 from repro.core.scenarios import build
 from repro.obs.__main__ import main
 from repro.obs.diff import (
-    BENCH_DETERMINISTIC, diff_runs, load_side,
+    BENCH_DETERMINISTIC, LEDGER_TOP, diff_runs, load_side,
     render_attribution_table, render_diff_report, write_diff,
 )
 from repro.obs.export import dump_observability
@@ -156,6 +156,23 @@ class TestLedgerDrift:
             "kind": "link", "key": "sw0->b", "before_bytes": 0,
             "after_bytes": 0, "delta_bytes": 0}]
         assert main(["diff", a, b]) == 1
+
+    def test_every_moved_row_counts(self, tmp_path, capsys):
+        """More moved rows than a diff lists: each one is a delta, and
+        the listing stays capped at LEDGER_TOP."""
+        assert main(["audit", "classroom", "--out-dir", str(tmp_path)]) == 0
+        before = load_side(str(tmp_path / "obs_audit_classroom.jsonl"))
+        accounting = copy.deepcopy(before.accounting)
+        kinds = accounting["kinds"]
+        for row in kinds["link"] + kinds["vc"]:
+            row["bytes_sent"] += 53
+        after = dataclasses.replace(before, accounting=accounting)
+        assert (len(kinds["link"]), len(kinds["vc"])) == (14, 19)
+        assert diff_runs(before, before)["deterministic_delta_count"] == 0
+        payload = diff_runs(before, after)
+        assert payload["deterministic_delta_count"] == 33
+        assert len(payload["ledger"]) == LEDGER_TOP
+        assert "deterministic deltas: 33" in render_diff_report(payload)
 
 
 class TestBenchArchives:
