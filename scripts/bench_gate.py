@@ -115,7 +115,8 @@ def measure_obs_overhead(scenario: str, pairs: int = 3) -> float:
     """End-to-end obs cost: full-fidelity obs-on vs obs-off wall delta.
 
     Dedicated run pairs: one run with the default observability
-    stack (tracing, telemetry, watchdog, self-metering), one with all
+    stack as a run without an archive has it (tracing and
+    self-metering: with no sink the sampler never ticks), one with all
     of it off.  The delta catches costs the in-process meter cannot
     see from inside — allocation and cache pressure included.
 

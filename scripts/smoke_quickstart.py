@@ -3,7 +3,7 @@
 deployment produced a non-empty, JSON-serialisable metrics dump, at
 least one cross-site trace (navigator → transport → content server →
 MHEG under a single trace_id), a streamed archive with telemetry
-ticks, and a clean default-SLO verdict.
+ticks and no watchdog alert, and a clean default-SLO verdict.
 
 Run via ``make smoke`` (or directly with ``PYTHONPATH=src``); exits
 non-zero on any failure, so it slots into CI after the unit suite.
@@ -87,8 +87,8 @@ def run() -> None:
     assert audit["checks"] > 0, "conservation audit ran no checks"
     assert audit["ok"], \
         f"conservation violations in the quickstart: {audit['violations']}"
-    wd = snap["watchdog"]
-    assert wd["enabled"], "watchdog is off in the quickstart"
+    wd = archive.summary["watchdog"]
+    assert wd["enabled"], "the quickstart archive was not judged"
     assert not wd["alerts"], f"watchdog alerts on a clean run: {wd['alerts']}"
 
     payload = json.dumps(snap)

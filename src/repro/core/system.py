@@ -26,7 +26,6 @@ from repro.obs.meter import OverheadMeter
 from repro.obs.sink import ObsSink
 from repro.obs.slo import SloMonitor
 from repro.obs.timeseries import TelemetrySampler
-from repro.obs.watchdog import Watchdog
 from repro.util.errors import NetworkError
 
 
@@ -71,14 +70,20 @@ class MitsSystem:
         if telemetry_interval is not None:
             self.sampler = TelemetrySampler(
                 self.sim, interval=telemetry_interval, meter=self.meter)
+        #: anomaly watchdog: whether the archive's ``meta`` asks the
+        #: loader to judge the run from its telemetry (obs/watchdog),
+        #: as ``accounting`` decides only whether the ledger is reported
+        self.watchdog = watchdog
         #: the run's archive, streamed: attach BEFORE the sampler starts
-        #: so the very first tick (and everything after) hits the stream
+        #: so the very first tick (and everything after) hits the stream.
+        #: A tick is kept only in the archive, so a run without one
+        #: starts no sampler tick
         self.sink: Optional[ObsSink] = None
         if stream is not None:
             self.sink = ObsSink(stream)
             self.sink.attach(self)
-        if self.sampler is not None:
-            self.sampler.start()
+            if self.sampler is not None:
+                self.sampler.start()
         if topology == "star":
             hosts = ["production", "author1", "database", "facilitator",
                      "user1"]
@@ -88,13 +93,6 @@ class MitsSystem:
         else:
             self.network, self.spec = ocrinet_like(
                 self.sim, extra_users=extra_users, access_bps=access_bps)
-
-        #: anomaly watchdog: evaluates detectors on the telemetry tick;
-        #: needs the sampler, so it is silently off without telemetry
-        self.watchdog: Optional[Watchdog] = None
-        if watchdog and self.sampler is not None:
-            self.watchdog = Watchdog(self.sim, network=self.network)
-            self.watchdog.attach(self.sampler)
 
         self.database = DatabaseSite(self.sim, self.network, "database",
                                      resilient=resilient)
@@ -172,15 +170,15 @@ class MitsSystem:
         is the flight-recorder ring, ``trace`` summarises the span
         tracer (per-name duration aggregates, not raw spans), and
         ``timeseries`` counts the sampler's ticks (the ticks
-        themselves live only in a streamed archive).
+        themselves live only in a streamed archive, and the watchdog's
+        alerts only in the archive :func:`~repro.obs.sink.load_archive`
+        reads back).
         """
         metrics_report = self.sim.metrics.report()
         tracer = self.sim.tracer
         if self.sampler is not None:
-            # a final tick at `now`: the watchdog evaluates it (its
-            # alerts feed the digest) and a streamed archive records it
+            # a final tick at `now`, which a streamed archive records
             self.sampler.sample()
-        alerts = self.watchdog.alerts if self.watchdog is not None else None
         return {
             "topology": self.spec.name,
             "switches": list(self.spec.switches),
@@ -195,12 +193,9 @@ class MitsSystem:
             "events_run": self.sim.events_run,
             "sim_time": self.sim.now,
             "metrics": metrics_report,
-            "slo": self.slos.summary(metrics_report,
-                                     watchdog_alerts=alerts),
+            "slo": self.slos.summary(metrics_report),
             "audit": ConservationAuditor(self).report(),
             "accounting": self.sim.ledger.snapshot(sim_time=self.sim.now),
-            "watchdog": self.watchdog.snapshot()
-            if self.watchdog is not None else {"enabled": False},
             "events": self.sim.recorder.snapshot(),
             "trace": {
                 "enabled": tracer.enabled,

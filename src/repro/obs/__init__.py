@@ -47,7 +47,7 @@ from repro.obs.tracing import (
     TraceContext,
     Tracer,
 )
-from repro.obs.watchdog import DEFAULT_DETECTORS, Detector, Watchdog
+from repro.obs.watchdog import DEFAULT_DETECTORS, Detector, judge
 
 __all__ = [
     "Archive",
@@ -59,7 +59,7 @@ __all__ = [
     "ObsSink",
     "OverheadMeter",
     "Violation",
-    "Watchdog",
+    "judge",
     "load_archive",
     "render_top",
     "Series",

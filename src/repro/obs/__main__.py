@@ -64,6 +64,7 @@ from repro.obs.accounting import SORT_COLUMNS, render_top
 from repro.obs.audit import Violation
 from repro.obs.dashboard import render_dashboard
 from repro.obs.report import (
+    render_alert,
     render_metrics_summary,
     render_overhead,
     render_slo_table,
@@ -127,6 +128,8 @@ def _report(args: argparse.Namespace) -> int:
     print()
     results = SloMonitor().evaluate(archive.metrics)
     print(render_slo_table(results))
+    for alert in (summary.get("watchdog") or {}).get("alerts", []):
+        print(render_alert(alert))
     print()
     print(f"== traces: {archive.path} ==")
     print(render_traces(archive.spans, archive.events, top=args.top))

@@ -16,6 +16,7 @@ from repro.obs.slo import SloResult
 
 __all__ = [
     "fmt_seconds",
+    "render_alert",
     "render_metrics_summary",
     "render_overhead",
     "render_slo_table",
@@ -191,6 +192,19 @@ def _bar(span: Mapping[str, Any], t0: float, extent: float) -> str:
     fill = max(1, round((span["end"] - span["start"]) / extent * BAR_WIDTH))
     fill = min(fill, BAR_WIDTH - lead)
     return "." * lead + "#" * fill + "." * (BAR_WIDTH - lead - fill)
+
+
+#: the keys every watchdog alert carries; the rest are its attributes
+_ALERT_KEYS = ("time", "detector", "severity", "entity")
+
+
+def render_alert(alert: Mapping[str, Any]) -> str:
+    """One watchdog alert (see :mod:`repro.obs.watchdog`) as one line."""
+    attrs = ", ".join(f"{k}={_fmt_number(v)}"
+                      for k, v in sorted(alert.items())
+                      if k not in _ALERT_KEYS)
+    return (f"watchdog {alert['severity']}: {alert['detector']} on "
+            f"{alert['entity']} at {alert['time']:.3f}s ({attrs})")
 
 
 def render_trace_tree(spans: Sequence[Mapping[str, Any]],

@@ -13,9 +13,11 @@ the only place a telemetry tick is kept.  A run built without
 Record grammar (one JSON object per line, tagged ``"record"``):
 
 ``meta``
-    first line — schema version, run name, seed, topology, and the
-    sampler's interval.  Older archives may also carry a ``policy`` key
-    and a telemetry ``capacity``, which readers ignore.
+    first line — schema version, run name, seed, topology, the
+    sampler's interval, and ``watchdog: true`` when the loader is to
+    judge the run's telemetry (:func:`repro.obs.watchdog.judge`).
+    Older archives may also carry a ``policy`` key and a telemetry
+    ``capacity``, which readers ignore.
 ``span`` / ``event``
     one finished :class:`~repro.obs.tracing.SpanRecord` / recorded
     :class:`~repro.obs.events.FlightEvent`.
@@ -47,10 +49,11 @@ Record grammar (one JSON object per line, tagged ``"record"``):
     archives.
 ``fin``
     last line — the end-of-run summary (metrics report, SLO verdicts,
-    conservation audit, telemetry health, watchdog, critical-path
-    attribution), plus ``records`` (how many records precede it) and
-    ``digest`` (sha256 over those lines and over the ``fin`` line
-    itself with the digest zeroed).
+    conservation audit, telemetry health, critical-path attribution),
+    plus ``records`` (how many records precede it) and ``digest``
+    (sha256 over those lines and over the ``fin`` line itself with the
+    digest zeroed).  Archives written before the watchdog judged the
+    archive also carry the run's ``watchdog`` block.
 
 :func:`load_archive` reads any archive back into one :class:`Archive`,
 which every ``repro.obs`` verb renders.  It never trusts a file to be
@@ -58,6 +61,10 @@ whole: a torn last line (one without its newline), a missing ``fin``,
 a record count or digest that does not match, or records after
 ``fin`` give ``complete=False`` and a ``reason``; a malformed record
 on any newline-terminated line raises ``ValueError`` naming the line.
+When ``meta`` asks for it and ``fin`` carries no ``watchdog`` block,
+the loader judges the run's series once: the loaded summary gains the
+``watchdog`` block, and its ``slo`` the alert count and the verdict
+the alerts demote (:func:`repro.obs.slo.with_alerts`).
 """
 
 from __future__ import annotations
@@ -68,7 +75,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.slo import with_alerts
 from repro.obs.timeseries import Series, _rate
+from repro.obs.watchdog import judge
 
 __all__ = ["Archive", "ObsSink", "load_archive"]
 
@@ -135,6 +144,8 @@ class ObsSink:
         sampler = getattr(mits, "sampler", None)
         if sampler is not None:
             meta["telemetry"] = {"interval": sampler.interval}
+            if getattr(mits, "watchdog", False):
+                meta["watchdog"] = True
         self.emit(meta)
         sim = mits.sim
         sim.tracer.sink = self._span_sink
@@ -227,7 +238,6 @@ class ObsSink:
         from repro.obs.export import critical_block, telemetry_health
 
         metrics_report = sim.metrics.report()
-        watchdog = getattr(mits, "watchdog", None)
         meter = self.meter
         t0 = meter.now() if meter is not None else 0.0
         audit = ConservationAuditor(mits).report()
@@ -238,15 +248,10 @@ class ObsSink:
             "sim_time": sim.now,
             "events_run": sim.events_run,
             "metrics": metrics_report,
-            "slo": mits.slos.summary(
-                metrics_report,
-                watchdog_alerts=watchdog.alerts
-                if watchdog is not None else None),
+            "slo": mits.slos.summary(metrics_report),
             "telemetry": telemetry_health(mits),
             "audit": audit,
         }
-        if watchdog is not None:
-            fin["watchdog"] = watchdog.snapshot()
         # attribution over the spans still held in memory
         crit = critical_block([s.to_dict() for s in sim.tracer.spans])
         if crit is not None:
@@ -465,6 +470,12 @@ def load_archive(path: str) -> Archive:
         archive.samples = settings.get("samples", ticks)
         series = telemetry.series
         archive.timeseries = [series[key] for key in sorted(series)]
+        if fin is not None and archive.meta.get("watchdog") \
+                and "watchdog" not in fin:
+            fin["watchdog"] = judge(archive.timeseries)
+            if "slo" in fin:
+                fin["slo"] = with_alerts(fin["slo"],
+                                         fin["watchdog"]["alerts"])
     except _MALFORMED as exc:
         raise ValueError(f"{path}:{len(lines)}: malformed fin record: "
                          f"{exc!r}") from exc

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["DEFAULT_SLOS", "DEGRADATION_METRICS", "Slo", "SloMonitor",
-           "SloResult"]
+           "SloResult", "with_alerts"]
 
 #: statistics summed across instrument entries (counters / totals)
 _SUM_STATS = ("value", "count", "sum")
@@ -131,14 +131,22 @@ DEFAULT_SLOS: Tuple[Slo, ...] = (
 #: counters whose presence marks a run that *survived with
 #: degradation*: the recovery machinery (retries, reconnects, playout
 #: concealment, bitrate downgrades) had to fire to keep the session
-#: alive.  A passing run with any of these non-zero is judged
-#: "degraded", not "ok" — the distinction a chaos report cares about.
+#: alive, or something was lost — a failed connection, an RPC out of
+#: retries, a resent segment (a clean path resends nothing), a dropped
+#: cell, a skipped frame.  A passing run with any of these non-zero is
+#: judged "degraded", not "ok" — the distinction a chaos report cares
+#: about.
 DEGRADATION_METRICS: Tuple[Tuple[str, str], ...] = (
     ("rpc", "retries"),
     ("connection", "reconnects"),
     ("player", "frames_concealed"),
     ("player", "degradations"),
     ("streaming", "degradations"),
+    ("connection", "failures"),
+    ("rpc", "retries_exhausted"),
+    ("connection", "retransmits"),
+    ("link", "drops_total"),
+    ("player", "frames_skipped"),
 )
 
 
@@ -161,33 +169,28 @@ class SloMonitor:
         """Judge every SLO against a ``MetricsRegistry.report()`` dict."""
         return [slo.evaluate(report) for slo in DEFAULT_SLOS]
 
-    def summary(self, report: Mapping[str, Any], *,
-                watchdog_alerts: Optional[Sequence[Mapping[str, Any]]] = None
-                ) -> Dict[str, Any]:
+    def summary(self, report: Mapping[str, Any]) -> Dict[str, Any]:
         """JSON-stable pass/fail summary for snapshots and dumps.
 
         ``verdict`` is three-valued: ``"failed"`` when an SLO is
         violated, ``"degraded"`` when all SLOs hold but recovery
-        machinery fired (see :data:`DEGRADATION_METRICS`), ``"ok"``
-        for a clean run.  Watchdog alerts (see
-        :class:`~repro.obs.watchdog.Watchdog`) also demote an ``"ok"``
-        run to ``"degraded"`` — an anomaly detector firing means the
-        session was not clean, even if every SLO held.
+        machinery fired or something was lost (see
+        :data:`DEGRADATION_METRICS`: a failed connection, an exhausted
+        retry, a resend, a dropped cell or a skipped frame), ``"ok"``
+        for a clean run.  Watchdog alerts, judged from the archive,
+        demote it once more as it is loaded (:func:`with_alerts`).
         """
         results = self.evaluate(report)
         passed = all(r.ok for r in results)
         degradations = self.degradations(report)
         verdict = "failed" if not passed \
-            else ("degraded" if degradations or watchdog_alerts else "ok")
-        out = {
+            else ("degraded" if degradations else "ok")
+        return {
             "pass": passed,
             "verdict": verdict,
             "degradations": degradations,
             "results": [r.to_dict() for r in results],
         }
-        if watchdog_alerts is not None:
-            out["watchdog_alerts"] = len(watchdog_alerts)
-        return out
 
     @staticmethod
     def degradations(report: Mapping[str, Any]) -> Dict[str, float]:
@@ -199,3 +202,15 @@ class SloMonitor:
             if total:
                 out[f"{component}.{metric}"] = total
         return out
+
+
+def with_alerts(summary: Mapping[str, Any],
+                alerts: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
+    """*summary* with the watchdog's *alerts* folded in: counted as
+    ``watchdog_alerts``, and demoting an ``"ok"`` verdict to
+    ``"degraded"`` — an anomaly detector firing means the session was
+    not clean, even if every SLO held."""
+    out = {**summary, "watchdog_alerts": len(alerts)}
+    if alerts and out.get("verdict") == "ok":
+        out["verdict"] = "degraded"
+    return out

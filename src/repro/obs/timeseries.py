@@ -37,8 +37,10 @@ delta idea of Gorilla, Pelkonen et al., VLDB 2015).  Rates are not
 written; :func:`~repro.obs.sink.load_archive` carries each unchanged
 reading forward and derives the rates with :func:`_rate`, rebuilding
 one :class:`Series` per key from every tick in the archive.  The
-sampler keeps only the last tick: without a sink a tick reads nothing,
-and only its listeners (the watchdog) run.
+sampler keeps only the last tick, and without a sink a tick reads
+nothing: a :class:`~repro.core.system.MitsSystem` built without an
+archive never starts its sampler, and the watchdog
+(:mod:`repro.obs.watchdog`) judges the archived series after the run.
 """
 
 from __future__ import annotations
@@ -176,13 +178,6 @@ class TelemetrySampler:
         self.sink: Optional[Any] = None
         #: OverheadMeter charged per sample, when attached
         self.meter = meter
-        #: callables invoked with the sample time after each sample —
-        #: the watchdog's evaluation hook (see obs/watchdog)
-        self._listeners: List[Any] = []
-
-    def add_listener(self, fn) -> None:
-        """Call ``fn(now)`` after every sample (watchdog hook)."""
-        self._listeners.append(fn)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -237,11 +232,11 @@ class TelemetrySampler:
 
     def sample(self) -> None:
         """Snapshot every registered instrument at the current sim time
-        into the attached sink, then call the listeners.
+        into the attached sink.
 
         A tick reads each instrument once into one row, and only while
         a sink is attached: the archive is the only place a tick is
-        kept.  Listeners run on every tick either way.
+        kept.
         """
         meter = self.meter
         t0 = meter.now() if meter is not None else 0.0
@@ -268,8 +263,6 @@ class TelemetrySampler:
                               last[3] + tick[3][len(last[3]):])
         if meter is not None:
             meter.charge("sampler", t0)
-        for fn in list(self._listeners):
-            fn(now)
 
     def _walk(self, registry) -> None:
         """Bring the cached walk up to date with *registry*: walk the

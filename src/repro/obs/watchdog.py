@@ -1,30 +1,32 @@
-"""Anomaly watchdogs evaluated on the telemetry tick.
+"""Anomaly watchdogs, judged from a run's archived telemetry.
 
 A conservation audit proves the counters are *consistent*; the
 watchdog notices when a consistent system is nonetheless *wedged* — a
 queue that holds cells but never transmits, a stream that went silent
 mid-playout, a drop rate that keeps climbing, a playout clock frozen
-past the skip grace.  Detectors are declarative
-(:class:`Detector` rows naming a severity and a predicate) and run
-from the :class:`~repro.obs.timeseries.TelemetrySampler` tick, so
-they cost nothing between samples and stay dormant with the sampler.
+past the skip grace.  Detectors are declarative (:class:`Detector`
+rows naming a severity, the series they read of one link or player,
+and a predicate over those series' points), and :func:`judge` runs
+them over :attr:`~repro.obs.sink.Archive.timeseries`: the watchdog
+reads the facts the archive already holds, tick by tick, and keeps no
+copy of them while the run goes.  A run without an archive has no
+ticks, so it is never judged.
 
-Each new alert is recorded as a severity-tagged FlightRecorder event
-(``component="watchdog"``) and kept in :attr:`Watchdog.alerts`, which
-the SLO verdict folds in: a run with watchdog alerts is at best
-*degraded*, never *ok*.  Alert thresholds are deliberately set above
-anything the recovery machinery resolves on its own (the default
+:func:`~repro.obs.sink.load_archive` judges an archive whose ``meta``
+asks for it (``MitsSystem(watchdog=True)``, the default) and folds the
+alerts into the loaded SLO verdict: a run with watchdog alerts is at
+best *degraded*, never *ok*.  Alert thresholds are deliberately set
+above anything the recovery machinery resolves on its own (the
 clock-stall limit exceeds the player's skip grace), so a clean run —
 and a chaos run that recovered — stays quiet.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Detector", "Watchdog", "DEFAULT_DETECTORS"]
+__all__ = ["DEFAULT_DETECTORS", "Detector", "judge"]
 
 #: ticks a non-empty queue may hold still before ``stuck_queue``
 STUCK_WINDOW = 8
@@ -36,178 +38,133 @@ DROP_WINDOW = 4
 #: player's skip grace, so a stall the player resolves stays quiet
 STALL_LIMIT = 3.0
 
-Firing = Tuple[str, Dict[str, Any]]  # (entity, alert attributes)
+#: one entity's readings at one tick, in :attr:`Detector.series` order
+Point = Tuple[Any, ...]
 
 
 @dataclass(frozen=True)
 class Detector:
+    """One anomaly: the ``series`` it reads of each ``component``
+    entity (a link or a player, named by the label of the same name),
+    and ``check(points, i)``, the alert's attributes when the condition
+    holds at tick *i* of one entity's points, else None."""
+
     name: str
     severity: str
     description: str
-    check: Callable[["Watchdog", float], List[Firing]]
+    component: str
+    series: Tuple[str, ...]
+    check: Callable[[Sequence[Point], int], Optional[Dict[str, Any]]]
 
 
-def _stuck_queue(w: "Watchdog", now: float) -> List[Firing]:
-    out: List[Firing] = []
+def _stuck_queue(points: Sequence[Point], i: int) -> Optional[Dict[str, Any]]:
     n = STUCK_WINDOW
-    for label, (link, hist) in w._link_state.items():
-        # cheap necessary conditions first: a queue that holds cells
-        # and did not move since the last tick
-        if len(hist) <= n or hist[-1][0] <= 0 \
-                or hist[-1][0] != hist[-2][0]:
-            continue
-        window = list(hist)[-(n + 1):]
-        queued = [s[0] for s in window]
-        transmitted = [s[1] for s in window]
-        if queued[0] > 0 and len(set(queued)) == 1 \
-                and transmitted[-1] == transmitted[0]:
-            out.append((label, {"queued": queued[-1],
-                                "ticks": n}))
-    return out
+    queued, transmitted = points[i]
+    # cheap necessary conditions first: a queue that holds cells and
+    # did not move since the last tick
+    if i < n or queued <= 0 or points[i - 1][0] != queued:
+        return None
+    window = points[i - n:i + 1]
+    if all(q == queued for q, _ in window) and window[0][1] == transmitted:
+        return {"queued": queued, "ticks": n}
+    return None
 
 
-def _rising_drop_rate(w: "Watchdog", now: float) -> List[Firing]:
-    out: List[Firing] = []
+def _rising_drop_rate(points: Sequence[Point],
+                      i: int) -> Optional[Dict[str, Any]]:
     n = DROP_WINDOW
-    for label, (link, hist) in w._link_state.items():
-        # cheap necessary condition first: drops rose since the last tick
-        if len(hist) <= n or hist[-1][2] <= hist[-2][2]:
-            continue
-        drops = [s[2] for s in list(hist)[-(n + 1):]]
-        if all(b > a for a, b in zip(drops, drops[1:])):
-            out.append((label, {"drops": drops[-1] - drops[0],
-                                "ticks": n}))
-    return out
+    # cheap necessary condition first: drops rose since the last tick
+    if i < n or points[i][0] <= points[i - 1][0]:
+        return None
+    drops = [p[0] for p in points[i - n:i + 1]]
+    if all(b > a for a, b in zip(drops, drops[1:])):
+        return {"drops": drops[-1] - drops[0], "ticks": n}
+    return None
 
 
-def _silent_stream(w: "Watchdog", now: float) -> List[Firing]:
-    out: List[Firing] = []
+def _silent_stream(points: Sequence[Point],
+                   i: int) -> Optional[Dict[str, Any]]:
     n = SILENT_WINDOW
-    for name, (player, hist) in w._player_state.items():
-        if player.finished or player._first_arrival is None:
-            continue
-        if len(hist) <= n:
-            continue
-        received = list(hist)[-(n + 1):]
-        quiet = len(set(received)) == 1
-        wedged = player._stall_started is not None or not player._buffer
-        if quiet and wedged:
-            out.append((name, {"frames_received": received[-1],
-                               "ticks": n}))
-    return out
+    received, finished, stalled, buffered = points[i]
+    # a stream has started once a frame arrived; a stall that begins at
+    # the very tick reads 0 s and counts from the next one
+    if finished or not received or i < n \
+            or not (stalled > 0 or not buffered):
+        return None
+    if all(p[0] == received for p in points[i - n:i]):
+        return {"frames_received": received, "ticks": n}
+    return None
 
 
-def _clock_stall(w: "Watchdog", now: float) -> List[Firing]:
-    out: List[Firing] = []
-    for name, (player, _hist) in w._player_state.items():
-        started = player._stall_started
-        if started is not None and now - started > STALL_LIMIT:
-            out.append((name, {"stalled_for": now - started,
-                               "frame": player._next_frame}))
-    return out
+def _clock_stall(points: Sequence[Point], i: int) -> Optional[Dict[str, Any]]:
+    stalled = points[i][0]
+    if stalled > STALL_LIMIT:
+        return {"stalled_for": stalled}
+    return None
 
 
 DEFAULT_DETECTORS: Tuple[Detector, ...] = (
     Detector("stuck_queue", "error",
-             "link holds cells but transmits nothing", _stuck_queue),
+             "link holds cells but transmits nothing", "link",
+             ("queue_occupancy", "cells_transmitted"), _stuck_queue),
     Detector("silent_stream", "warning",
              "started stream with no arrivals and nothing to play",
-             _silent_stream),
+             "player", ("frames_received", "finished", "stall_seconds",
+                        "buffer_frames"), _silent_stream),
     Detector("rising_drop_rate", "warning",
-             "link drop count climbing every sample", _rising_drop_rate),
+             "link drop count climbing every sample", "link",
+             ("drops_total",), _rising_drop_rate),
     Detector("clock_stall", "error",
-             "playout stalled beyond the skip grace", _clock_stall),
+             "playout stalled beyond the skip grace", "player",
+             ("stall_seconds",), _clock_stall),
 )
 
 
-class Watchdog:
-    """Evaluates :data:`DEFAULT_DETECTORS` on each telemetry sample.
+def judge(timeseries: Sequence[Any]) -> Dict[str, Any]:
+    """Run :data:`DEFAULT_DETECTORS` over an archive's series.
 
-    An alert fires once per (detector, entity) episode: while the
-    condition persists it stays active without re-alerting, and when
-    it clears a later recurrence alerts again.
+    Every series of an entity has a point at every tick from the
+    entity's first (the loader carries unchanged readings forward), so
+    an entity's points are its series' values zipped.  An alert fires
+    once per (detector, entity) episode: while the condition persists
+    it stays active without re-alerting, and when it clears a later
+    recurrence alerts again.  Alerts are ordered by time, then by
+    detector, then by entity; ``active`` names the episodes still open
+    at the last tick.
     """
-
-    def __init__(self, sim, *, network: Optional[Any] = None) -> None:
-        self.sim = sim
-        self.network = network
-        self.detectors = DEFAULT_DETECTORS
-        self.alerts: List[Dict[str, Any]] = []
-        self._active: set = set()
-        self._last_tick: Optional[float] = None
-        self._maxlen = max(STUCK_WINDOW, SILENT_WINDOW, DROP_WINDOW) + 1
-        #: label -> (link, deque of (queued, transmitted, drops))
-        self._link_state: Dict[str, Tuple[Any, deque]] = {}
-        #: player name -> (player, deque of frames_received)
-        self._player_state: Dict[str, Tuple[Any, deque]] = {}
-
-    def attach(self, sampler) -> "Watchdog":
-        sampler.add_listener(self.tick)
-        return self
-
-    # -- per-tick evaluation ---------------------------------------------
-
-    def tick(self, now: float) -> None:
-        if now == self._last_tick:
-            # snapshot()/export flush re-samples at the same instant;
-            # feeding the histories twice would shrink every window
-            return
-        self._last_tick = now
-        self._observe()
-        for det in self.detectors:
-            firing = det.check(self, now)
-            firing_keys = set()
-            for entity, attrs in firing:
-                key = (det.name, entity)
-                firing_keys.add(key)
-                if key in self._active:
-                    continue
-                self._active.add(key)
-                alert = {"time": now, "detector": det.name,
-                         "severity": det.severity, "entity": entity}
-                alert.update(attrs)
-                self.alerts.append(alert)
-                self.sim.recorder.record("watchdog", det.name,
-                                         severity=det.severity,
-                                         entity=entity, **attrs)
-            for key in [k for k in self._active
-                        if k[0] == det.name and k not in firing_keys]:
-                self._active.discard(key)
-
-    def _observe(self) -> None:
-        if self.network is not None:
-            seen = set()
-            for link in self.network.links.values():
-                if id(link) in seen:
-                    continue
-                seen.add(id(link))
-                state = self._link_state.get(link._label)
-                if state is None:
-                    state = (link, deque(maxlen=self._maxlen))
-                    self._link_state[link._label] = state
-                s = link.stats
-                state[1].append((link.queue_length, s.transmitted,
-                                 s.dropped_overflow + s.dropped_errors
-                                 + s.dropped_down))
-        for player in self.sim.entities.get("player", []):
-            state = self._player_state.get(player.name)
-            if state is None:
-                state = (player, deque(maxlen=self._maxlen))
-                self._player_state[player.name] = state
-            state[1].append(player.stats.frames_received)
-
-    # -- export ----------------------------------------------------------
-
-    @property
-    def active(self) -> List[str]:
-        return sorted(f"{d}:{e}" for d, e in self._active)
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "enabled": True,
-            "detectors": [{"name": d.name, "severity": d.severity,
-                           "description": d.description}
-                          for d in self.detectors],
-            "alerts": list(self.alerts),
-            "active": self.active,
-        }
+    entities: Dict[Tuple[str, str], Dict[str, Any]] = {}
+    for s in timeseries:
+        entity = s.labels.get(s.component)
+        if entity is not None and len(s.labels) == 1:
+            entities.setdefault((s.component, entity), {})[s.name] = s
+    found: List[Tuple[float, int, str, Dict[str, Any]]] = []
+    active: List[str] = []
+    for order, det in enumerate(DEFAULT_DETECTORS):
+        for (component, entity), named in entities.items():
+            if component != det.component \
+                    or not all(name in named for name in det.series):
+                continue
+            columns = [named[name] for name in det.series]
+            n = min(len(s) for s in columns)
+            times = columns[0].times[len(columns[0]) - n:]
+            points = list(zip(*(s.values[len(s) - n:] for s in columns)))
+            firing = False
+            for i, time in enumerate(times):
+                attrs = det.check(points, i)
+                if attrs is not None and not firing:
+                    found.append((time, order, entity, {
+                        "time": time, "detector": det.name,
+                        "severity": det.severity, "entity": entity,
+                        **attrs}))
+                firing = attrs is not None
+            if firing:
+                active.append(f"{det.name}:{entity}")
+    found.sort(key=lambda alert: alert[:3])
+    return {
+        "enabled": True,
+        "detectors": [{"name": d.name, "severity": d.severity,
+                       "description": d.description}
+                      for d in DEFAULT_DETECTORS],
+        "alerts": [alert for *_, alert in found],
+        "active": sorted(active),
+    }

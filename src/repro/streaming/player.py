@@ -86,9 +86,14 @@ class VideoPlayer:
         self._m_preroll = metrics.gauge("player", "preroll_fill_frames",
                                         player=name)
         for field in ("stalls", "frames_skipped", "frames_concealed",
-                      "degradations"):
+                      "degradations", "frames_received"):
             metrics.read_through("player", field, self.stats, field,
                                  player=name)
+        # what the watchdog judges a stream by, beside the buffer gauge
+        metrics.read_through("player", "finished", self, "finished",
+                             player=name)
+        metrics.read_through("player", "stall_seconds", self,
+                             "stall_seconds", player=name)
         self._buffer: Dict[int, float] = {}   # index -> timestamp
         self._arrival: Dict[int, float] = {}
         self._timestamps: Dict[int, float] = {}
@@ -101,6 +106,12 @@ class VideoPlayer:
         self.finished = False
         sim.ledger.track("stream", name, self)
         sim.register_entity("player", self)
+
+    @property
+    def stall_seconds(self) -> float:
+        """How long the current stall has lasted; 0.0 while playing."""
+        started = self._stall_started
+        return 0.0 if started is None else self.sim.now - started
 
     # -- network entry point ----------------------------------------------
 

@@ -50,8 +50,10 @@ class ChaosRun:
 def run_course(plan: FaultPlan, *,
                fault_seed: Optional[int] = None,
                query_times=(10.5, 12.0, 14.5),
-               horizon: float = 40.0) -> ChaosRun:
-    mits = MitsSystem(topology="star", tracing=True, resilient=True)
+               horizon: float = 40.0,
+               stream: Optional[str] = None) -> ChaosRun:
+    mits = MitsSystem(topology="star", tracing=True, resilient=True,
+                      stream=stream)
     _publish_course(mits)
     nav = _enroll(mits, "user1", "Chaos Student")
     nav.enter_classroom("D101", "dash-101")

@@ -523,6 +523,11 @@ class TestSchemaVersions:
         dump_observability(run.mits, "audit_quickstart", str(tmp_path))
         archive = load_archive(path)
         assert archive.complete and archive.meta["version"] == 2
+        # the v1 fixture predates the player series the watchdog reads
+        added = {("player", name) for name in
+                 ("frames_received", "finished", "stall_seconds")}
+        archive.timeseries = [s for s in archive.timeseries
+                              if (s.component, s.name) not in added]
         assert _timeseries_digest(archive) \
             == _timeseries_digest(load_archive(V1_QUICKSTART))
         assert os.path.getsize(path) < os.path.getsize(V1_QUICKSTART) / 3

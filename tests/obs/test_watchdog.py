@@ -1,182 +1,181 @@
-"""Tests for the anomaly watchdog (repro.obs.watchdog)."""
+"""Tests for the anomaly watchdog (repro.obs.watchdog), judged from
+hand-made telemetry series as an archive loads them."""
 
-from types import SimpleNamespace
+import json
 
-from repro.atm.simulator import Simulator
-from repro.obs.slo import SloMonitor
+from repro.obs.sink import load_archive
+from repro.obs.slo import SloMonitor, with_alerts
+from repro.obs.timeseries import Series
 from repro.obs.watchdog import (
     DEFAULT_DETECTORS, DROP_WINDOW, SILENT_WINDOW, STALL_LIMIT, STUCK_WINDOW,
-    Watchdog,
+    judge,
 )
 
 
-def _fake_link(label="a->sw0", queued=0, transmitted=0, drops=0):
-    stats = SimpleNamespace(transmitted=transmitted,
-                            dropped_overflow=drops, dropped_errors=0,
-                            dropped_down=0)
-    return SimpleNamespace(_label=label, queue_length=queued, stats=stats)
+def _series(component, entity, name, values, times=None, kind="counter"):
+    s = Series(component, name, {component: entity}, kind)
+    for i, value in enumerate(values):
+        s.record(float(i) if times is None else times[i], value, None, None)
+    return s
 
 
-def _fake_player(name="p1", received=0, first_arrival=None,
-                 stall_started=None, buffer=(), finished=False):
-    return SimpleNamespace(
-        name=name, finished=finished, _first_arrival=first_arrival,
-        _stall_started=stall_started, _buffer=dict.fromkeys(buffer),
-        _next_frame=0, stats=SimpleNamespace(frames_received=received))
+def _link(queued, transmitted=None, drops=None, label="a->sw0"):
+    """One link's three series, a point per tick."""
+    n = len(queued)
+    return [
+        _series("link", label, "queue_occupancy", queued, kind="gauge"),
+        _series("link", label, "cells_transmitted", transmitted or [0] * n),
+        _series("link", label, "drops_total", drops or [0] * n),
+    ]
 
 
-def _network(*links):
-    return SimpleNamespace(links={lk._label: lk for lk in links})
+def _player(received, *, finished=None, stalled=None, buffered=None,
+            times=None, name="p1"):
+    """One player's four series, a point per tick."""
+    n = len(received)
+    return [
+        _series("player", name, "frames_received", received, times),
+        _series("player", name, "finished", finished or [False] * n, times),
+        _series("player", name, "stall_seconds", stalled or [0.0] * n,
+                times),
+        _series("player", name, "buffer_frames", buffered or [0.0] * n,
+                times, kind="gauge"),
+    ]
 
 
 class TestStuckQueue:
     def test_fires_after_window_of_no_progress(self):
-        sim = Simulator()
-        link = _fake_link(queued=5)
-        w = Watchdog(sim, network=_network(link))
-        for i in range(STUCK_WINDOW + 2):
-            w.tick(float(i))
-        assert len(w.alerts) == 1
-        alert = w.alerts[0]
+        alerts = judge(_link([5] * (STUCK_WINDOW + 2)))["alerts"]
+        assert len(alerts) == 1
+        alert = alerts[0]
         assert alert["detector"] == "stuck_queue"
         assert alert["severity"] == "error"
         assert alert["entity"] == "a->sw0"
         assert alert["queued"] == 5
+        assert alert["time"] == float(STUCK_WINDOW)
 
     def test_progress_keeps_it_quiet(self):
-        sim = Simulator()
-        link = _fake_link(queued=5)
-        w = Watchdog(sim, network=_network(link))
-        for i in range(STUCK_WINDOW + 5):
-            link.stats.transmitted += 1  # the queue is draining
-            w.tick(float(i))
-        assert w.alerts == []
+        n = STUCK_WINDOW + 5
+        # the queue is draining
+        assert judge(_link([5] * n, list(range(n))))["alerts"] == []
 
     def test_episode_dedup_and_realert_after_recovery(self):
-        sim = Simulator()
-        link = _fake_link(queued=5)
-        w = Watchdog(sim, network=_network(link))
         first = STUCK_WINDOW + 6
-        for i in range(first):
-            w.tick(float(i))
-        assert len(w.alerts) == 1  # persists, but alerts once
-        assert w.active == ["stuck_queue:a->sw0"]
+        stuck = [5] * first
+        block = judge(_link(stuck))
+        assert len(block["alerts"]) == 1  # persists, but alerts once
+        assert block["active"] == ["stuck_queue:a->sw0"]
         # recovery: queue drains, episode clears
-        link.queue_length = 0
-        for i in range(first, first + 4):
-            w.tick(float(i))
-        assert w.active == []
+        drained = stuck + [0] * 4
+        block = judge(_link(drained))
+        assert len(block["alerts"]) == 1 and block["active"] == []
         # second episode alerts again
-        link.queue_length = 7
-        for i in range(first + 4, first + 4 + STUCK_WINDOW + 2):
-            w.tick(float(i))
-        assert len(w.alerts) == 2
+        block = judge(_link(drained + [7] * (STUCK_WINDOW + 2)))
+        assert [a["queued"] for a in block["alerts"]] == [5, 7]
 
 
 class TestRisingDropRate:
     def test_fires_on_strictly_climbing_drops(self):
-        sim = Simulator()
-        link = _fake_link()
-        w = Watchdog(sim, network=_network(link))
-        for i in range(DROP_WINDOW + 3):
-            link.stats.dropped_overflow += 2
-            link.stats.transmitted += 1  # not stuck, just lossy
-            w.tick(float(i))
-        kinds = {a["detector"] for a in w.alerts}
-        assert kinds == {"rising_drop_rate"}
-        assert w.alerts[0]["severity"] == "warning"
+        n = DROP_WINDOW + 3
+        alerts = judge(_link([0] * n, list(range(1, n + 1)),  # not stuck
+                             [2 * (i + 1) for i in range(n)]))["alerts"]
+        assert {a["detector"] for a in alerts} == {"rising_drop_rate"}
+        assert alerts[0]["severity"] == "warning"
+        assert alerts[0]["drops"] == 2 * DROP_WINDOW
 
     def test_flat_drops_stay_quiet(self):
-        sim = Simulator()
-        link = _fake_link(drops=100)
-        w = Watchdog(sim, network=_network(link))
-        for i in range(DROP_WINDOW + 3):
-            link.stats.transmitted += 1
-            w.tick(float(i))
-        assert w.alerts == []
+        n = DROP_WINDOW + 3
+        assert judge(_link([0] * n, list(range(n)),
+                           [100] * n))["alerts"] == []
 
 
 class TestSilentStream:
     def test_started_then_silent_stream_fires(self):
-        sim = Simulator()
-        player = _fake_player(received=10, first_arrival=1.0,
-                              stall_started=2.0)
-        sim.register_entity("player", player)
-        w = Watchdog(sim)
-        for i in range(SILENT_WINDOW + 3):
-            w.tick(float(i))
-        assert any(a["detector"] == "silent_stream" for a in w.alerts)
+        n = SILENT_WINDOW + 3
+        alerts = judge(_player([10] * n, stalled=[
+            max(0.0, i - 2.0) for i in range(n)]))["alerts"]
+        assert any(a["detector"] == "silent_stream" for a in alerts)
 
     def test_never_started_stream_is_ignored(self):
-        sim = Simulator()
-        sim.register_entity("player", _fake_player(received=0))
-        w = Watchdog(sim)
-        for i in range(SILENT_WINDOW + 3):
-            w.tick(float(i))
-        assert w.alerts == []
+        assert judge(_player([0] * (SILENT_WINDOW + 3)))["alerts"] == []
 
     def test_finished_stream_is_ignored(self):
-        sim = Simulator()
-        sim.register_entity("player", _fake_player(
-            received=10, first_arrival=1.0, finished=True))
-        w = Watchdog(sim)
-        for i in range(SILENT_WINDOW + 3):
-            w.tick(float(i))
-        assert w.alerts == []
+        n = SILENT_WINDOW + 3
+        assert judge(_player([10] * n, finished=[True] * n))["alerts"] == []
+
+    def test_buffered_frames_keep_a_quiet_stream_quiet(self):
+        """Nothing arrives, but the player has frames to play."""
+        n = SILENT_WINDOW + 3
+        assert judge(_player([10] * n, buffered=[4.0] * n))["alerts"] == []
 
 
 class TestClockStall:
     def test_fires_past_the_stall_limit(self):
-        sim = Simulator()
-        sim.register_entity("player", _fake_player(
-            received=5, first_arrival=0.0, stall_started=0.0,
-            buffer=(3, 4)))
-        w = Watchdog(sim)
-        w.tick(STALL_LIMIT)
-        assert w.alerts == []  # stalled exactly the limit
-        w.tick(STALL_LIMIT + 1.0)
-        stalls = [a for a in w.alerts if a["detector"] == "clock_stall"]
+        # stalled since t=0, with frames still buffered
+        at = _player([5], stalled=[STALL_LIMIT], buffered=[2.0],
+                     times=[STALL_LIMIT])
+        assert judge(at)["alerts"] == []  # stalled exactly the limit
+        times = [STALL_LIMIT, STALL_LIMIT + 1.0]
+        past = _player([5, 5], stalled=list(times), buffered=[2.0, 2.0],
+                       times=times)
+        stalls = [a for a in judge(past)["alerts"]
+                  if a["detector"] == "clock_stall"]
         assert len(stalls) == 1
         assert stalls[0]["stalled_for"] == STALL_LIMIT + 1.0
+        assert stalls[0]["entity"] == "p1"
 
 
 class TestPlumbing:
-    def test_alerts_land_in_the_flight_recorder(self):
-        sim = Simulator()
-        link = _fake_link(queued=5)
-        w = Watchdog(sim, network=_network(link))
-        for i in range(STUCK_WINDOW + 3):
-            w.tick(float(i))
-        events = sim.recorder.by_kind("stuck_queue")
-        assert events
-        assert events[0].component == "watchdog"
-        assert events[0].severity == "error"
+    def _archive(self, tmp_path, *, ask=True, fin_extra=None):
+        """A hand-written archive whose one link holds 5 cells still."""
+        meta = {"record": "meta", "version": 2, "name": "hand",
+                "telemetry": {"interval": 0.25}}
+        if ask:
+            meta["watchdog"] = True
+        lines = [meta]
+        for index, (name, kind) in enumerate(
+                [("queue_occupancy", "gauge"), ("cells_transmitted",
+                                                "counter"),
+                 ("drops_total", "counter")]):
+            lines.append({"record": "series", "index": index,
+                          "component": "link", "name": name,
+                          "labels": {"link": "a->sw0"}, "kind": kind})
+        lines.append({"record": "telemetry", "time": 0.0,
+                      "rows": [[0, 5], [1, 0], [2, 0]]})
+        for k in range(1, STUCK_WINDOW + 2):
+            lines.append({"record": "telemetry", "time": 0.25 * k,
+                          "rows": []})
+        lines.append({"record": "fin", "name": "hand",
+                      "slo": SloMonitor().summary({}),
+                      **(fin_extra or {})})
+        path = tmp_path / "obs_hand.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        return load_archive(str(path))
 
-    def test_same_instant_tick_is_ignored(self):
-        sim = Simulator()
-        link = _fake_link(queued=5)
-        w = Watchdog(sim, network=_network(link))
-        for i in range(3):
-            w.tick(float(i))
-            w.tick(float(i))  # snapshot() flush re-sample
-        # one observation per instant
-        _, hist = w._link_state["a->sw0"]
-        assert len(hist) == 3
+    def test_loader_judges_an_archive_that_asks(self, tmp_path):
+        summary = self._archive(tmp_path).summary
+        (alert,) = summary["watchdog"]["alerts"]
+        assert alert["detector"] == "stuck_queue"
+        assert alert["time"] == 0.25 * STUCK_WINDOW
+        assert summary["watchdog"]["active"] == ["stuck_queue:a->sw0"]
+        assert len(summary["watchdog"]["detectors"]) \
+            == len(DEFAULT_DETECTORS)
+        assert summary["slo"]["verdict"] == "degraded"
+        assert summary["slo"]["watchdog_alerts"] == 1
 
-    def test_attach_registers_a_sampler_listener(self):
-        from repro.obs.timeseries import TelemetrySampler
-        sim = Simulator()
-        sampler = TelemetrySampler(sim)
-        w = Watchdog(sim).attach(sampler)
-        assert w.tick in sampler._listeners
+    def test_a_stored_block_loads_as_written(self, tmp_path):
+        stored = {"enabled": True, "detectors": [], "alerts": [],
+                  "active": []}
+        summary = self._archive(tmp_path,
+                                fin_extra={"watchdog": stored}).summary
+        assert summary["watchdog"] == stored
+        assert summary["slo"]["verdict"] == "ok"
+        assert "watchdog_alerts" not in summary["slo"]
 
-    def test_snapshot_shape(self):
-        sim = Simulator()
-        w = Watchdog(sim)
-        snap = w.snapshot()
-        assert snap["enabled"]
-        assert len(snap["detectors"]) == len(DEFAULT_DETECTORS)
-        assert snap["alerts"] == [] and snap["active"] == []
+    def test_an_archive_that_does_not_ask_is_not_judged(self, tmp_path):
+        summary = self._archive(tmp_path, ask=False).summary
+        assert "watchdog" not in summary
+        assert summary["slo"]["verdict"] == "ok"
 
 
 class TestSloEscalation:
@@ -187,16 +186,17 @@ class TestSloEscalation:
         return reg.report()
 
     def test_alerts_demote_ok_to_degraded(self):
-        report = self._clean_report()
-        monitor = SloMonitor()
-        clean = monitor.summary(report, watchdog_alerts=[])
+        summary = SloMonitor().summary(self._clean_report())
+        clean = with_alerts(summary, [])
         assert clean["verdict"] == "ok"
         assert clean["watchdog_alerts"] == 0
-        alerted = monitor.summary(
-            report, watchdog_alerts=[{"detector": "stuck_queue"}])
+        alerted = with_alerts(summary, [{"detector": "stuck_queue"}])
         assert alerted["verdict"] == "degraded"
         assert alerted["pass"] is True  # degraded, never failed
         assert alerted["watchdog_alerts"] == 1
+        failed = with_alerts({**summary, "verdict": "failed"},
+                             [{"detector": "stuck_queue"}])
+        assert failed["verdict"] == "failed"
 
     def test_default_path_is_unchanged(self):
         summary = SloMonitor().summary(self._clean_report())
